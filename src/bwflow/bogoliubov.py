@@ -30,14 +30,12 @@ and u_hat = sum_k |h_k><g_k| = exp(i h) for a hermitian h.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
-from scipy.linalg import expm, logm, sqrtm
 
 from .errors import LogBranch, MapInvalid, PathGap
 from .flow import Controls
@@ -166,6 +164,8 @@ def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> Bogol
     n = b0.shape[0]
     if t == s or order == 0:
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
+    from scipy.interpolate import CubicSpline
+
     m = max(8, int(n_nodes) - 1)  # panels
     xs = np.linspace(s, t, m + 1)
     bs = np.stack([np.asarray(bpath(min(max(x, bpath.t0), bpath.t1)), dtype=complex)
@@ -201,12 +201,105 @@ def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> Bogol
     return BogoliubovMap(u=u[-1], v=v[-1], s=s, t=t, stats=stats)
 
 
+# Gauss-Kronrod 7-15 rule on [-1, 1] (Piessens et al., QUADPACK, routine
+# qk15): the 15 Kronrod nodes in ascending order, their weights, and the
+# weights of the embedded 7-point Gauss rule (zero on Kronrod-only nodes).
+_GK_X = np.array([0.991455371120812639206854697526329,
+                  0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926,
+                  0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013,
+                  0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245])
+_GK_WK = np.array([0.022935322010529224963732008058970,
+                   0.063092092629978553290700663189204,
+                   0.104790010322250183839876322541518,
+                   0.140653259715525918745189590510238,
+                   0.169004726639267902826583426598550,
+                   0.190350578064785409913256402421014,
+                   0.204432940075298892414161999234649])
+_GK_WK0 = 0.209482141084727828012999174891714
+_GK_WG = np.array([0.129484966168869693270611432679082,
+                   0.279705391489276667901467771423780,
+                   0.381830050505118944950369775488975])
+_GK_WG0 = 0.417959183673469387755102040816327
+_NODES = np.concatenate([-_GK_X, [0.0], _GK_X[::-1]])
+_KRONROD = np.concatenate([_GK_WK, [_GK_WK0], _GK_WK[::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate([_GK_WG, [_GK_WG0], _GK_WG[::-1]])
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# stopping rule of gauss_kronrod: the defaults of scipy.integrate.quad
+QUAD_EPSABS = QUAD_EPSREL = 1.49e-8
+QUAD_LIMIT = 200
+
+
+def _gk15(f, los: np.ndarray, his: np.ndarray) -> tuple:
+    """GK15 values and QUADPACK error estimates on panels [los[i], his[i]]
+    (los < his); all panels' nodes go to f in one call."""
+    center, half = 0.5 * (los + his), 0.5 * (his - los)
+    nodes = center[:, np.newaxis] + half[:, np.newaxis] * _NODES
+    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    res_k = fx @ _KRONROD
+    err = np.abs(res_k - fx @ _GAUSS) * half
+    res_abs = (np.abs(fx) @ _KRONROD) * half
+    res_asc = (np.abs(fx - 0.5 * res_k[:, np.newaxis]) @ _KRONROD) * half
+    # QUADPACK's sharpening of |Kronrod - Gauss| for smooth integrands, and
+    # its floor at the roundoff level of the panel
+    ratio = 200.0 * err / np.where(res_asc > 0, res_asc, 1.0)
+    err = np.where((res_asc != 0.0) & (err != 0.0),
+                   res_asc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.where(res_abs > _TINY / (50.0 * _EPS),
+                   np.maximum(50.0 * _EPS * res_abs, err), err)
+    return res_k * half, err
+
+
+def gauss_kronrod(f, a: float, b: float, points=()) -> tuple:
+    """Adaptive Gauss-Kronrod 7-15 quadrature of int_a^b f (a <= b), as
+    (value, error estimate).
+
+    f maps a 1-d array of nodes to the array of integrand values.  The
+    interval is first cut at the given breakpoints inside (a, b), where f
+    may have kinks, and all those panels are sampled in one call.  Then the
+    panel with the largest error estimate is bisected, at most QUAD_LIMIT
+    times, until the summed estimate drops below
+    max(QUAD_EPSABS, QUAD_EPSREL |value|).
+    """
+    edges = np.unique(np.concatenate([[a, b], [p for p in points if a < p < b]]))
+    vals, errs = _gk15(f, edges[:-1], edges[1:])
+    heap = [(-e, lo, hi, v) for lo, hi, v, e in zip(edges[:-1], edges[1:], vals, errs)]
+    heapq.heapify(heap)
+    value, error = float(vals.sum()), float(errs.sum())
+    for _ in range(QUAD_LIMIT):
+        if error <= max(QUAD_EPSABS, QUAD_EPSREL * abs(value)):
+            break
+        neg_err, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        halves = _gk15(f, np.array([lo, mid]), np.array([mid, hi]))
+        for lo_i, hi_i, v_i, e_i in zip((lo, mid), (mid, hi), *halves):
+            heapq.heappush(heap, (-e_i, lo_i, hi_i, v_i))
+        value += float(halves[0].sum()) - v
+        error += float(halves[1].sum()) + neg_err
+    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
+
+
 def path_hs_integral(bpath, s: float, t: float) -> float:
-    """Quadrature of int_s^t ||B_tau||_2 dtau along a path."""
+    """Quadrature of int_s^t ||B_tau||_2 dtau along a path.
+
+    A flow.BPath gives ||B|| of its piecewise-cubic interpolant in closed
+    form (hs_norms) and its sample times as breakpoints (knots), so every
+    panel sees a smooth integrand.  Any other path is sampled node by node.
+    """
     _check_span(bpath, s, t)
-    val, _ = quad(lambda tau: float(np.linalg.norm(
-        bpath(min(max(tau, bpath.t0), bpath.t1)))), s, t, limit=200)
-    return float(val)
+    if s == t:
+        return 0.0
+    if hasattr(bpath, "hs_norms"):
+        value, _ = gauss_kronrod(bpath.hs_norms, s, t, points=bpath.knots)
+    else:
+        value, _ = gauss_kronrod(
+            lambda taus: [float(np.linalg.norm(bpath(min(max(tau, bpath.t0), bpath.t1))))
+                          for tau in taus], s, t)
+    return float(value)
 
 
 def norm_bounds(m: BogoliubovMap, int_b: float) -> tuple:
@@ -281,6 +374,8 @@ def _takagi_symmetric(mat: np.ndarray) -> tuple:
     the left/right pairing intact through repeated singular values, where
     plain SVD frames are only determined up to a block rotation.
     """
+    from scipy.linalg import sqrtm
+
     a, sig, bh = np.linalg.svd(mat)
     z = a.conj().T @ bh.T
     w = sqrtm(z)
@@ -304,6 +399,8 @@ def decompose_generator(m: BogoliubovMap, decomp_tol: float = DECOMP_TOL,
     has an eigenvalue at -1 within branch_tol (the hermitian log branch is
     then ambiguous).
     """
+    from scipy.linalg import expm, logm
+
     _require_valid(m, map_tol)
     u, v = m.u, m.v
     n = m.dim

@@ -14,6 +14,7 @@ import argparse
 import concurrent.futures
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import analytic, bogoliubov, conditions, flow, fock
+from . import analytic, bogoliubov, conditions, flow, fock, stepping
 from .errors import (BlowupDetected, BwflowError, LogBranch, MapInvalid,
                      NotConverged, NotInRegime, NotOnManifold, OutOfRange,
                      ParseError, PastBlowup, SizeLimit, StepSizeUnderflow)
@@ -46,9 +47,13 @@ def _require(cond: bool, message: str, field: Optional[str] = None) -> None:
         raise ParseError(message, field=field)
 
 
+def _is_real(x) -> bool:
+    """A finite JSON number; json.loads also yields NaN and +-Infinity."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _real_number(x, field: str) -> float:
-    _require(isinstance(x, (int, float)) and not isinstance(x, bool),
-             f"{field} must be a real number", field)
+    _require(_is_real(x), f"{field} must be a finite real number", field)
     return float(x)
 
 
@@ -58,9 +63,9 @@ def _pairs_to_matrix(entries, dim: int, field: str) -> np.ndarray:
              field)
     vals = []
     for i, e in enumerate(entries):
-        ok = (isinstance(e, list) and len(e) == 2
-              and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in e))
-        _require(ok, f"{field}[{i}] must be a [re, im] pair", f"{field}[{i}]")
+        ok = isinstance(e, list) and len(e) == 2 and all(_is_real(x) for x in e)
+        _require(ok, f"{field}[{i}] must be a [re, im] pair of finite numbers",
+                 f"{field}[{i}]")
         vals.append(complex(e[0], e[1]))
     return np.array(vals, dtype=complex).reshape(dim, dim)
 
@@ -101,9 +106,8 @@ def spec_from_doc(doc, source: str = "<doc>") -> QuadraticSpec:
                  "blocks")
         triples = []
         for i, blk in enumerate(blocks):
-            ok = isinstance(blk, list) and len(blk) == 3 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in blk)
-            _require(ok, f"blocks[{i}] must be [omegaMinus, omegaPlus, b]",
+            ok = isinstance(blk, list) and len(blk) == 3 and all(_is_real(x) for x in blk)
+            _require(ok, f"blocks[{i}] must be [omegaMinus, omegaPlus, b] of finite numbers",
                      f"blocks[{i}]")
             triples.append(tuple(float(x) for x in blk))
         _require(2 * len(triples) <= _max_dim(),
@@ -181,10 +185,13 @@ class RunConfig:
     json_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ParseError("tEnd must be positive", field="t_end")
-        if self.tol <= 0 or self.conv_tol <= 0:
-            raise ParseError("tolerances must be positive", field="tol")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ParseError("tEnd must be positive and finite", field="t_end")
+        if not all(math.isfinite(x) and x > 0 for x in (self.tol, self.conv_tol)):
+            raise ParseError("tolerances must be positive and finite", field="tol")
+        if self.tol < stepping.RTOL_FLOOR:
+            raise ParseError(f"tol must be at least {stepping.RTOL_FLOOR:.3g} "
+                             "(100 machine epsilons)", field="tol")
 
     def controls(self) -> flow.Controls:
         return flow.Controls(tol=self.tol, method=self.method,

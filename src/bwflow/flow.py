@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import BlowupDetected, NotConverged, InsufficientData, NotPSD, PathGap, \
     StepSizeUnderflow
@@ -203,6 +202,39 @@ def splitting_step(state: FlowState, h: float,
     return FlowState(t=state.t + h, omega=omega_new, b=b_new, c=c_new)
 
 
+def hermite_coefficients(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray) -> np.ndarray:
+    """Power-basis coefficients of the piecewise cubic Hermite interpolant.
+
+    ys and dys hold values and exact derivatives at the strictly increasing
+    times ts, one row per time.  The result c has shape (4, len(ts) - 1,
+    width): on [ts[i], ts[i+1]] the interpolant is
+    c[3, i] + c[2, i] s + c[1, i] s^2 + c[0, i] s^3 with s = t - ts[i].
+    """
+    dx = np.diff(ts)[:, np.newaxis]
+    slope = np.diff(ys, axis=0) / dx
+    curv = (dys[:-1] + dys[1:] - 2 * slope) / dx
+    return np.stack((curv / dx, (slope - dys[:-1]) / dx - curv, dys[:-1], ys[:-1]))
+
+
+def _bracket(ts: np.ndarray, taus):
+    """Index i of the interval [ts[i], ts[i+1]] holding each time (the last
+    interval at ts[-1]) and the offset s = tau - ts[i]."""
+    idx = np.clip(np.searchsorted(ts, taus, side="right") - 1, 0, len(ts) - 2)
+    return idx, taus - ts[idx]
+
+
+def hermite_eval(ts: np.ndarray, coeffs: np.ndarray, taus) -> np.ndarray:
+    """Evaluate hermite_coefficients output at a time or 1-d array of times.
+
+    The power sum is accumulated lowest order first, which reproduces
+    scipy.interpolate.CubicHermiteSpline bit for bit.
+    """
+    idx, s = _bracket(ts, taus)
+    s = np.asarray(s)[..., np.newaxis]
+    c = coeffs[:, idx]
+    return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+
+
 class Trajectory:
     """Sampled flow history with diagnostics, events and interpolation."""
 
@@ -215,7 +247,8 @@ class Trajectory:
         self.events = events
         self.stats = dict(stats)
         self.diags = [self._diag(s) for s in states]
-        self._spline = None
+        self._hermite = None  # (ts, coefficients), built on first interpolation
+        self._norm_polys = None  # ||B||^2 per sample interval, built on first use
 
     def _diag(self, state: FlowState) -> FlowDiagnostics:
         res = motion_residuals(state, self.spec)
@@ -249,8 +282,8 @@ class Trajectory:
         tol = self.controls.conv_tol if conv_tol is None else conv_tol
         return self.final.hs_b < tol
 
-    def _ensure_spline(self):
-        if self._spline is not None:
+    def _ensure_hermite(self):
+        if self._hermite is not None:
             return
         n = self.spec.dim
         ts = self.ts
@@ -259,22 +292,80 @@ class Trajectory:
         for s in self.states:
             dom, db, dc = _rhs_mats(s.omega, s.b, self.scalar_sign)
             dys.append(_pack(dom, db, dc, n))
-        self._spline = CubicHermiteSpline(ts, ys, np.stack(dys), axis=0)
+        self._hermite = (ts, hermite_coefficients(ts, ys, np.stack(dys)))
+
+    def _interpolate(self, t: float, cols=slice(None)) -> np.ndarray:
+        """Packed-state columns `cols` of the interpolant at a clamped time."""
+        self._ensure_hermite()
+        ts, coeffs = self._hermite
+        return hermite_eval(ts, coeffs[..., cols], min(max(t, ts[0]), ts[-1]))
+
+    def _check_window(self, t: float) -> None:
+        t0, t1 = self.states[0].t, self.states[-1].t
+        if t < t0 - 1e-9 or t > t1 + 1e-9:
+            raise PathGap(f"t = {t:.6g} outside stored window [{t0:.6g}, {t1:.6g}]")
 
     def state_at(self, t: float) -> FlowState:
         """Cubic Hermite interpolation between samples (exact derivatives)."""
-        ts = self.ts
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
-            raise PathGap(f"t = {t:.6g} outside stored window [{ts[0]:.6g}, {ts[-1]:.6g}]")
+        self._check_window(t)
         if len(self.states) == 1:
             s = self.states[0]
             return FlowState(t=float(t), omega=s.omega.copy(), b=s.b.copy(), c=s.c)
-        self._ensure_spline()
-        t_eff = min(max(t, ts[0]), ts[-1])
-        omega, b, c = _unpack(self._spline(t_eff), self.spec.dim)
+        omega, b, c = _unpack(self._interpolate(t), self.spec.dim)
         omega = (omega + omega.conj().T) / 2
         b = (b + b.T) / 2
         return FlowState(t=float(t), omega=omega, b=b, c=c)
+
+    def b_at(self, t: float) -> np.ndarray:
+        """B of state_at(t), interpolating only the B columns."""
+        self._check_window(t)
+        if len(self.states) == 1:
+            return self.states[0].b.copy()
+        n = self.spec.dim
+        n2 = n * n
+        y = self._interpolate(t, slice(2 * n2, 4 * n2))
+        b = y[:n2].reshape(n, n) + 1j * y[n2:].reshape(n, n)
+        return (b + b.T) / 2
+
+    def _ensure_norm_polys(self):
+        """Per sample interval, ||B||_2^2 of the interpolant as a polynomial.
+
+        B is cubic in s = t - ts[i] on each interval, so its squared norm is
+        the degree-6 polynomial sum_{k,l} <c_k, c_l> s^(6-k-l) built from
+        the Gram matrix of the (symmetrized) power-basis coefficients.
+        Returns polys with polys[i, d] the coefficient of s^d.
+        """
+        if self._norm_polys is None:
+            self._ensure_hermite()
+            ts, coeffs = self._hermite
+            n = self.spec.dim
+            n2 = n * n
+            c = coeffs[..., 2 * n2:4 * n2].reshape(4, -1, 2, n, n)
+            c = ((c + c.swapaxes(-1, -2)) / 2).reshape(4, len(ts) - 1, 2 * n2)
+            c = c.transpose(1, 0, 2)
+            gram = c @ c.transpose(0, 2, 1)
+            polys = np.zeros((len(ts) - 1, 7))
+            for k in range(4):
+                for l in range(4):
+                    polys[:, 6 - k - l] += gram[:, k, l]
+            self._norm_polys = polys
+        return self._norm_polys
+
+    def hs_b_at(self, taus) -> np.ndarray:
+        """||B||_2 of the interpolant at each time of a 1-d array."""
+        taus = np.asarray(taus, dtype=float)
+        self._check_window(taus.min())
+        self._check_window(taus.max())
+        if len(self.states) == 1:
+            return np.full(taus.shape, self.states[0].hs_b)
+        polys = self._ensure_norm_polys()
+        ts = self._hermite[0]
+        idx, s = _bracket(ts, np.clip(taus, ts[0], ts[-1]))
+        p = polys[idx]
+        sq = p[:, 6]
+        for d in range(5, -1, -1):
+            sq = sq * s + p[:, d]
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def b_path(self) -> "BPath":
         return BPath(self)
@@ -300,12 +391,16 @@ class BPath:
 
     def __init__(self, traj: Trajectory):
         self._traj = traj
-        ts = traj.ts
-        self.t0 = float(ts[0])
-        self.t1 = float(ts[-1])
+        self.knots = traj.ts  # sample times; the path is smooth between them
+        self.t0 = float(self.knots[0])
+        self.t1 = float(self.knots[-1])
 
     def __call__(self, t: float) -> np.ndarray:
-        return self._traj.state_at(t).b
+        return self._traj.b_at(t)
+
+    def hs_norms(self, taus) -> np.ndarray:
+        """||B_tau||_2 at each time of a 1-d array."""
+        return self._traj.hs_b_at(taus)
 
 
 class FunctionBPath:
@@ -333,8 +428,8 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     """
     controls = controls or Controls()
     sign = SCALAR_SIGN if scalar_sign is None else float(scalar_sign)
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < np.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     me = min_eig_hermitian(spec.omega)
     if me < -1e-8 * hs_scale(spec.omega):
         raise NotPSD(f"Omega_0 has eigenvalue {me:.3e}; the flow requires Omega_0 >= 0")
@@ -349,10 +444,12 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     events = []
 
     def finish(extra_stats):
-        stats = {"hs_b0": hs_b0, "wall_time": time.perf_counter() - start,
-                 "scalar_sign": sign, "t_end": t_end}
+        stats = {"hs_b0": hs_b0, "scalar_sign": sign, "t_end": t_end}
         stats.update(extra_stats)
-        return Trajectory(spec, controls, sign, recorder.samples, events, stats)
+        traj = Trajectory(spec, controls, sign, recorder.samples, events, stats)
+        # the timing covers the eager per-sample diagnostics as well
+        traj.stats["wall_time"] = time.perf_counter() - start
+        return traj
 
     def check_blowup(state: FlowState):
         ev = blowup_guard(state, hs_b0, controls)

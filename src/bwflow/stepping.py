@@ -1,52 +1,204 @@
-"""Shared adaptive integration driver.
+"""Shared adaptive integration driver: the Dormand-Prince 5(4) embedded pair.
 
-All matrix ODEs in the package run through a Dormand-Prince 5(4) embedded
-pair (scipy's RK45) on a stacked real representation of the state.  The
-per-step error control keeps the local error below tol * (1 + |y_i|) in
-every component, which is at least as strict as tol * (1 + ||y||).
+All matrix ODEs in the package run through this stepper on a stacked real
+representation of the state (Hairer, Norsett & Wanner, *Solving ODEs I*,
+sections II.4-5).  Steps advance with the fifth-order solution (local
+extrapolation) and the embedded fourth-order one estimates the error.  A
+step is accepted when the RMS norm of that estimate, with each component
+scaled by atol + max(|y_i|, |y_new_i|) * rtol, is below 1.  The next step
+grows or shrinks by 0.9 * err^(-1/5), clamped to [0.2, 10], and never grows
+right after a rejection.  The last stage is the first stage of the next step
+(FSAL), so an accepted step costs six right-hand-side evaluations.  The
+initial step is Hairer's estimate from the first two derivatives.
+
+The arithmetic follows scipy.integrate.RK45 operation for operation, so
+step sequences and results match it bit for bit; this module only avoids
+importing scipy, which dominates the start-up time of the command line.
 
 The driver exposes two hooks per accepted step:
 
 * ``project`` receives the state and returns a structurally cleaned copy
   (re-hermitized / re-symmetrized); the stored derivative is refreshed so
-  the FSAL property of the pair stays consistent.
+  the FSAL property of the pair stays consistent.  That refresh is not
+  counted in ``nfev``.
 * ``on_step`` receives (t, y) for recording and event checks; returning
-  False stops the integration early.
+  False stops the integration early.  Neither hook may write into y.
 
-Step-size underflow (proposed step below h_min, or a failed scipy step)
-raises StepSizeUnderflow; callers classify it further.
+Step-size underflow (proposed step below h_min, or no acceptable step above
+ten ulps of t) raises StepSizeUnderflow; callers classify it further.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .errors import StepSizeUnderflow
+
+# Dormand-Prince 5(4) tableau: nodes C, stage matrix A, fifth-order weights
+# B and error row E (fifth- minus fourth-order weights, FSAL stage last).
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_N_STAGES = 6
+_ERROR_EXPONENT = -1 / 5  # -1 / (embedded order + 1)
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+RTOL_FLOOR = 100 * np.finfo(float).eps
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+class DormandPrince:
+    """Forward-in-time Dormand-Prince 5(4) stepper.
+
+    Public state: ``t``, ``y`` (current solution), ``f`` (derivative at
+    (t, y), reused as the first stage of the next step), ``h_abs`` (size of
+    the next step to try), ``nfev`` (right-hand-side evaluations made by
+    the stepper, including the two of the initial-step estimate) and
+    ``status`` ('running', 'finished' or 'failed').
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=np.inf,
+                 first_step=None):
+        y0 = np.asarray(y0, dtype=float)
+        if y0.ndim != 1 or y0.size == 0:
+            raise ValueError("y0 must be a non-empty 1-d array")
+        if not np.isfinite(y0).all():
+            raise ValueError("all components of the initial state y0 must be finite")
+        if not (np.isfinite(t0) and np.isfinite(t_bound)):
+            raise ValueError("t0 and t_bound must be finite")
+        if t_bound < t0:
+            raise ValueError("backward integration not supported")
+        if max_step <= 0:
+            raise ValueError("max_step must be positive")
+        if atol < 0:
+            raise ValueError("atol must be nonnegative")
+        self._fun = fun
+        self.t = t0
+        self.y = y0
+        self.t_bound = t_bound
+        self.rtol = max(rtol, RTOL_FLOOR)
+        self.atol = atol
+        self.max_step = max_step
+        self.nfev = 0
+        self.status = "running"
+        self.f = self._eval(t0, y0)
+        if first_step is None:
+            self.h_abs = self._initial_step()
+        else:
+            if not 0 < first_step <= t_bound - t0:
+                raise ValueError("first_step must lie in (0, t_bound - t0]")
+            self.h_abs = first_step
+        self._k = np.empty((_N_STAGES + 1, y0.size))
+
+    def _eval(self, t, y):
+        self.nfev += 1
+        return np.asarray(self._fun(t, y), dtype=float)
+
+    def _initial_step(self) -> float:
+        """Hairer's starting step from y0, f0 and one explicit Euler probe."""
+        t0, y0, f0 = self.t, self.y, self.f
+        interval = abs(self.t_bound - t0)
+        if interval == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = self._eval(t0 + h0, y0 + h0 * f0)
+        d2 = _rms((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+        return min(100 * h0, h1, interval, self.max_step)
+
+    def _attempt(self, h):
+        """One trial step of size h: (y_new, f_new, error norm)."""
+        t, y, k = self.t, self.y, self._k
+        k[0] = self.f
+        for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+            dy = np.dot(k[:s].T, a[:s]) * h
+            k[s] = self._eval(t + c * h, y + dy)
+        y_new = y + h * np.dot(k[:-1].T, _B)
+        f_new = self._eval(t + h, y_new)
+        k[-1] = f_new
+        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
+        return y_new, f_new, _rms(np.dot(k.T, _E) * h / scale)
+
+    def step(self) -> None:
+        """Advance by one accepted step, or set status to 'failed'."""
+        if self.status != "running":
+            raise RuntimeError("step() called on a stopped stepper")
+        t = self.t
+        if t == self.t_bound:
+            self.t = self.t_bound
+            self.status = "finished"
+            return
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                self.status = "failed"
+                return
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new, err = self._attempt(h)
+            if err < 1:
+                factor = MAX_FACTOR if err == 0 else min(
+                    MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
+            rejected = True
+        self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
+        if t_new >= self.t_bound:
+            self.status = "finished"
 
 
 def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12,
                project=None, on_step=None, max_step=np.inf, first_step=None):
-    """Run RK45 from t0 to t_bound with projection and event hooks.
+    """Run the Dormand-Prince pair from t0 to t_bound with projection and
+    event hooks.
 
-    Returns the solver in its final state ('finished' or stopped early by
-    ``on_step``).  Raises StepSizeUnderflow when the step size collapses.
+    Returns the stepper in its final state ('finished' or stopped early by
+    ``on_step``).  Raises ValueError for a non-finite y0 or t_bound and for
+    t_bound < t0, and StepSizeUnderflow when the step size collapses.
     """
-    if t_bound < t0:
-        raise ValueError("backward integration not supported")
-    solver = RK45(fun, t0, np.asarray(y0, dtype=float), t_bound,
-                  max_step=max_step, rtol=rtol, atol=atol, first_step=first_step)
+    solver = DormandPrince(fun, t0, y0, t_bound, rtol, atol, max_step=max_step,
+                           first_step=first_step)
     while solver.status == "running":
         solver.step()
         if solver.status == "failed":
             raise StepSizeUnderflow(
                 f"integration stalled at t = {solver.t:.6g}")
         if project is not None:
-            y_clean = project(solver.y.copy())
-            solver.y = y_clean
-            solver.f = fun(solver.t, y_clean)
+            solver.y = project(solver.y)
+            solver.f = fun(solver.t, solver.y)
         if on_step is not None:
-            keep_going = on_step(solver.t, solver.y.copy())
+            keep_going = on_step(solver.t, solver.y)
             if keep_going is False:
                 return solver
         if solver.status == "running" and solver.h_abs < h_min:

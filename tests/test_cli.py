@@ -295,3 +295,43 @@ def test_batch_csv_dir_keeps_partial_on_blowup(tmp_path, blowup_file, capsys):
     # the partial trajectory must stop short of the exact blow-up time
     last_t = float(lines[-1].split(",")[0])
     assert 0.15 < last_t < np.pi / 16
+
+
+@pytest.mark.parametrize("doc", [
+    {"blocks": [[1.0, 2.0, 0.5]], "c0": float("nan")},
+    {"blocks": [[1.0, float("inf"), 0.5]]},
+    {"dim": 1, "omega": [[float("nan"), 0.0]], "b": [[0.0, 0.0]]},
+    {"dim": 1, "omega": [[1.0, 0.0]], "b": [[0.1, float("-inf")]]},
+], ids=["c0-nan", "block-inf", "omega-nan", "b-minus-inf"])
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_non_finite_spec_numbers_are_parse_errors(tmp_path, capsys, doc, command):
+    # json.loads accepts NaN and +-Infinity; the spec reader must not
+    path = write_spec(tmp_path, "bad.json", doc)
+    assert "NaN" in open(path).read() or "Infinity" in open(path).read()
+    assert cli.main([command, path]) == cli.EXIT_PARSE
+    assert "finite" in capsys.readouterr().err
+
+
+def _run_cli(args, cwd, timeout=60):
+    import os
+    import subprocess
+    import sys
+
+    import bwflow
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "bwflow.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@pytest.mark.parametrize("option", [
+    "--t-end=nan", "--t-end=inf", "--t-end=-inf", "--tol=nan", "--tol=inf",
+    "--tol=1e-16", "--conv-tol=nan", "--conv-tol=inf",
+])
+def test_bad_run_options_exit_2_without_hanging(generic_file, tmp_path, option):
+    # these used to hang (non-finite horizon or tolerance) or leak a warning
+    proc = _run_cli(["run", generic_file, option], cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parse error:") and "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr

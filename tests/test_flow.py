@@ -1,4 +1,5 @@
 import io
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,29 @@ def test_blowup_guard_in_split_method():
     controls = flow.Controls(method="split", split_h=2e-4)
     with pytest.raises(BlowupDetected):
         flow.integrate(spec, t_end=1.0, controls=controls)
+
+
+def test_wall_time_covers_diagnostics(generic_spec, monkeypatch):
+    spent = []
+    plain = flow.Trajectory._diag
+
+    def timed(self, state):
+        t0 = time.perf_counter()
+        out = plain(self, state)
+        spent.append(time.perf_counter() - t0)
+        return out
+
+    monkeypatch.setattr(flow.Trajectory, "_diag", timed)
+    traj = flow.integrate(generic_spec, t_end=5.0)
+    assert len(spent) == len(traj.states)
+    assert traj.stats["wall_time"] >= sum(spent)
+
+
+def test_rejects_non_finite_horizon(generic_spec):
+    for t_end in (np.nan, np.inf):
+        for method in ("rk", "split"):
+            with pytest.raises(ValueError):
+                flow.integrate(generic_spec, t_end, flow.Controls(method=method))
 
 
 def test_t0_horizon():

@@ -1,0 +1,233 @@
+"""The in-repo integrator, interpolant and quadrature against scipy.
+
+bwflow steps with its own Dormand-Prince 5(4) pair, interpolates B with its
+own cubic Hermite evaluation and integrates ||B|| with its own Gauss-Kronrod
+rule, so that the command line never imports scipy.  These tests pin each
+piece to the scipy routine it replaced.
+"""
+
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from scipy.integrate import RK45, quad
+from scipy.interpolate import CubicHermiteSpline
+
+import bwflow
+from bwflow import bogoliubov, flow
+from bwflow.errors import StepSizeUnderflow
+from bwflow.opcore import QuadraticSpec
+from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive_rk45
+
+
+def random_spec(seed: int, n: int) -> QuadraticSpec:
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    omega = x @ x.conj().T / n + np.eye(n)
+    b = 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return QuadraticSpec.from_matrices(omega, (b + b.T) / 2)
+
+
+def packed_flow(spec):
+    """(rhs, project, y0) of flow.integrate's packed real state."""
+    n = spec.dim
+
+    def fun(t, y):
+        omega, b, _ = flow._unpack(y, n)
+        return flow._pack(*flow._rhs_mats(omega, b, flow.SCALAR_SIGN), n)
+
+    def project(y):
+        omega, b, c = flow._unpack(y, n)
+        return flow._pack((omega + omega.conj().T) / 2, (b + b.T) / 2, c, n)
+
+    return fun, project, flow._pack(spec.omega, spec.b, spec.c0, n)
+
+
+def scipy_drive(fun, y0, t_bound, tol, project):
+    """The previous driver: scipy's RK45 with the same projection hook."""
+    solver = RK45(fun, 0.0, y0, t_bound, rtol=tol, atol=tol)
+    ts, ys = [], []
+    while solver.status == "running":
+        solver.step()
+        solver.y = project(solver.y.copy())
+        solver.f = fun(solver.t, solver.y)
+        ts.append(solver.t)
+        ys.append(solver.y.copy())
+    return np.array(ts), np.array(ys), solver.nfev
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
+                                             np.array([[0, 0.5], [0.5, 0]])), id="readme-n2"),
+    pytest.param(random_spec(8, 8), id="seeded-n8"),
+])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+def test_driver_matches_scipy_rk45(spec, tol):
+    fun, project, y0 = packed_flow(spec)
+    ref_ts, ref_ys, ref_nfev = scipy_drive(fun, y0, 5.0, tol, project)
+    ts, ys = [], []
+
+    def on_step(t, y):
+        ts.append(t)
+        ys.append(y.copy())
+
+    solver = drive_rk45(fun, 0.0, y0, 5.0, rtol=tol, atol=tol, project=project,
+                        on_step=on_step)
+    assert solver.status == "finished" and solver.t == 5.0
+    assert np.array_equal(np.array(ts), ref_ts)  # same accepted t-grid
+    assert solver.nfev == ref_nfev
+    assert np.max(np.abs(np.array(ys) - ref_ys)) <= 1e-12
+
+
+def test_stepper_matches_scipy_without_hooks():
+    # a stiff block exercises rejections and the no-growth-after-reject rule
+    fun, _, y0 = packed_flow(QuadraticSpec.from_matrices(
+        np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
+    ref = RK45(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8)
+    ours = DormandPrince(fun, 0.0, y0, 0.05, 1e-8, 1e-8)
+    while ref.status == "running":
+        ref.step()
+        ours.step()
+        assert (ours.status, ours.t, ours.h_abs, ours.nfev) == \
+            (ref.status, ref.t, ref.h_abs, ref.nfev)
+        assert np.array_equal(ours.y, ref.y)
+
+
+def test_first_step_and_max_step_match_scipy():
+    fun, _, y0 = packed_flow(random_spec(3, 2))
+    for kwargs in ({"first_step": 1e-3}, {"max_step": 0.05}):
+        ref = RK45(fun, 0.0, y0, 1.0, rtol=1e-9, atol=1e-9, **kwargs)
+        ours = DormandPrince(fun, 0.0, y0, 1.0, 1e-9, 1e-9, **kwargs)
+        while ref.status == "running":
+            ref.step()
+            ours.step()
+        assert ours.t == ref.t and ours.nfev == ref.nfev
+        assert np.array_equal(ours.y, ref.y)
+
+
+def test_driver_validation():
+    fun = lambda t, y: -y  # noqa: E731
+    for bad_y0 in ([np.nan, 1.0], [np.inf]):
+        with pytest.raises(ValueError):
+            drive_rk45(fun, 0.0, bad_y0, 1.0, rtol=1e-8, atol=1e-8)
+    for bad_t in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            drive_rk45(fun, 0.0, [1.0], bad_t, rtol=1e-8, atol=1e-8)
+    with pytest.raises(ValueError):
+        drive_rk45(fun, 1.0, [1.0], 0.0, rtol=1e-8, atol=1e-8)
+    with pytest.raises(ValueError):
+        drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8, first_step=2.0)
+
+
+def test_rtol_is_clamped_silently():
+    fun = lambda t, y: -y  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-20, atol=1e-12)
+    floor = drive_rk45(fun, 0.0, [1.0], 1.0, rtol=RTOL_FLOOR, atol=1e-12)
+    assert tiny.nfev == floor.nfev and np.array_equal(tiny.y, floor.y)
+    assert abs(tiny.y[0] - np.exp(-1.0)) < 1e-11
+
+
+def test_zero_length_interval_and_h_min():
+    fun = lambda t, y: -y  # noqa: E731
+    seen = []
+    solver = drive_rk45(fun, 0.0, [1.0], 0.0, rtol=1e-8, atol=1e-8,
+                        on_step=lambda t, y: seen.append(t))
+    assert solver.status == "finished" and seen == [0.0] and solver.y[0] == 1.0
+    with pytest.raises(StepSizeUnderflow):
+        drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8, h_min=10.0)
+
+
+def test_hermite_eval_matches_scipy_bitwise(generic_traj):
+    n = generic_traj.spec.dim
+    ts = generic_traj.ts
+    ys = np.stack([flow._pack(s.omega, s.b, s.c, n) for s in generic_traj.states])
+    dys = np.stack([flow._pack(*flow._rhs_mats(s.omega, s.b, generic_traj.scalar_sign), n)
+                    for s in generic_traj.states])
+    ref = CubicHermiteSpline(ts, ys, dys, axis=0)
+    coeffs = flow.hermite_coefficients(ts, ys, dys)
+    taus = np.concatenate([np.random.default_rng(0).uniform(ts[0], ts[-1], 500), ts])
+    assert np.array_equal(flow.hermite_eval(ts, coeffs, taus), ref(taus))
+    for t in taus[:50]:
+        assert np.array_equal(flow.hermite_eval(ts, coeffs, t), ref(t))
+
+
+def test_closed_form_path_norms(generic_traj):
+    bp = generic_traj.b_path()
+    taus = np.linspace(bp.t0, bp.t1, 301)
+    direct = np.array([np.linalg.norm(bp(t)) for t in taus])
+    assert np.max(np.abs(bp.hs_norms(taus) - direct)) <= 1e-14 * direct.max()
+
+
+def test_gauss_kronrod_rules():
+    calls = []
+
+    def poly(x):
+        calls.append(len(x))
+        return x ** 12
+
+    # both embedded rules are exact at degree 12: one panel, no bisection
+    val, err = bogoliubov.gauss_kronrod(poly, -1.0, 1.0)
+    assert abs(val - 2.0 / 13.0) <= 1e-15 and calls == [15]
+    val, _ = bogoliubov.gauss_kronrod(lambda x: x ** 22, -1.0, 1.0)
+    assert abs(val - 2.0 / 23.0) <= 1e-15
+    val, err = bogoliubov.gauss_kronrod(np.sin, 0.0, np.pi)
+    assert abs(val - 2.0) <= 1e-14 and err <= 1.49e-8
+    # a kink at a breakpoint is integrated exactly when declared
+    val, _ = bogoliubov.gauss_kronrod(np.abs, -1.0, 2.0, points=[0.0])
+    assert abs(val - 2.5) <= 1e-15
+    val, err = bogoliubov.gauss_kronrod(np.abs, -1.0, 2.0)
+    assert abs(val - 2.5) <= max(err, 1.49e-8 * 2.5)
+
+
+def test_path_integral_matches_quad_on_readme_path(generic_traj):
+    bp = generic_traj.b_path()
+    t1 = generic_traj.final.t
+
+    def norm(tau):
+        return float(np.linalg.norm(bp(min(max(tau, bp.t0), bp.t1))))
+
+    ours = bogoliubov.path_hs_integral(bp, 0.0, t1)
+    # quad at its defaults is itself ~4e-10 off here (the integrand has
+    # kinks at every sample time); it agrees within its own error estimate
+    q_val, q_err = quad(norm, 0.0, t1, limit=200)
+    assert abs(ours - q_val) <= q_err
+    # told about the kinks and held to a tight tolerance, quad agrees closely
+    tight, _ = quad(norm, 0.0, t1, points=bp.knots[1:-1], limit=1000,
+                    epsabs=1e-14, epsrel=1e-13)
+    assert abs(ours - tight) <= 1e-10
+    sub = bogoliubov.path_hs_integral(bp, 0.7, 3.2)
+    inner = bp.knots[(bp.knots > 0.7) & (bp.knots < 3.2)]
+    tight_sub, _ = quad(norm, 0.7, 3.2, points=inner, limit=1000,
+                        epsabs=1e-14, epsrel=1e-13)
+    assert abs(sub - tight_sub) <= 1e-10
+    # a path without closed-form norms is sampled node by node
+    plain = flow.FunctionBPath(bp, bp.t0, bp.t1)
+    assert abs(bogoliubov.path_hs_integral(plain, 0.0, t1) - ours) <= 1.49e-8 * ours
+
+
+def _fresh_python(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_cli_start_up_does_not_import_scipy(tmp_path):
+    spec = tmp_path / "generic.json"
+    spec.write_text('{"blocks": [[1.0, 2.0, 0.5]]}\n')
+    code = (
+        "import sys, io, contextlib\n"
+        "import bwflow.cli as cli\n"
+        "heavy = ('scipy.integrate', 'scipy.interpolate', 'scipy.linalg')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['run', {str(spec)!r}, '--t-end', '5'])\n"
+        "print(code, sorted(m for m in heavy if m in sys.modules))\n")
+    assert _fresh_python(code).splitlines() == ["[]", "0 []"]
