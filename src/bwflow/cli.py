@@ -253,6 +253,10 @@ def render_report(rep: conditions.ConditionReport, out) -> None:
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ParseError("tol must be finite and nonnegative", field="tol")
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ParseError("eps must be positive and finite", field="eps")
     spec = load_spec(args.spec)
     rep = conditions.check_all(spec, tol=args.tol, eps=args.eps)
     render_report(rep, sys.stdout)
@@ -422,9 +426,12 @@ def cmd_fock_verify(args) -> int:
     sector_cut = cfg.sector_cut
     if sector_cut is None:
         sector_cut = max(0, min(cutoff - 4, cutoff // 2))
+    if sector_cut < 0:
+        raise ParseError("sector cut must be nonnegative", field="sector_cut")
     if sector_cut > cutoff - 4:
         raise ParseError("sector cut must be at most cutoff - 4",
                          field="sector_cut")
+    fock.check_propagate_size(fock.basis_dim(spec.dim, cutoff))
 
     fk = fock.build_basis(spec.dim, cutoff)
     out = sys.stdout
@@ -713,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.set_defaults(func=cmd_diag)
 
     p_fock = sub.add_parser("fock-verify", parents=[run_opts],
-                            help="verify the run against dense truncated-Fock matrices")
+                            help="verify the run against truncated-Fock matrices")
     p_fock.add_argument("spec")
     p_fock.add_argument("--cutoff", type=int, default=30,
                         help="total occupation cutoff (default 30)")

@@ -17,6 +17,12 @@ Operator dictionary, for coefficients (Omega, B, C):
     G = 2i sum_kl (B_kl adag_k adag_l - B~_kl a_k a_l)
 
 and the propagator solves dU/dt = -i G_t U.
+
+Because the basis is graded, the pair term S = sum_kl B_kl adag_k adag_l only
+maps sector N (total number N) to sector N + 2, and S* maps N + 2 back to N.
+propagate therefore never forms G: it applies -i G U = 2 (S U - S* U) as one
+small dense block S_{N+2,N} per sector acting on contiguous row slices of U.
+The dense generator_op stays as the reference for that product.
 """
 
 from __future__ import annotations
@@ -33,6 +39,18 @@ from .opcore import QuadraticSpec, as_matrix, hs_norm
 from .stepping import drive_rk45
 
 SIZE_LIMIT = 20000
+# Peak bytes propagate holds per squared basis dimension: the seven
+# Dormand-Prince stages, the state and derivative copies and the step
+# temporaries, 18 arrays of 2 dim**2 float64 values (tracemalloc measured 275
+# at cutoffs 12 and 20 with two modes).  check_propagate_size refuses a basis
+# whose working set would exceed PROPAGATE_MEMORY_LIMIT bytes, which for two
+# modes allows cutoffs up to 60.
+PROPAGATE_BYTES_PER_DIM2 = 18 * 16
+PROPAGATE_MEMORY_LIMIT = 2 ** 30
+# Consecutive sectors are merged into one block until it acts on at least
+# this many states, so that a one-mode basis (one state per sector) does not
+# pay two matmul calls per sector on every right-hand-side evaluation.
+MIN_BLOCK_STATES = 16
 OFFDIAG_CONST = 4.0 + np.sqrt(2.0)
 
 
@@ -56,11 +74,16 @@ class TruncatedFock:
         return self.ntot <= max_total
 
 
+def basis_dim(n_modes: int, cutoff: int) -> int:
+    """Number of occupation states of n_modes bosons with total <= cutoff."""
+    return comb(n_modes + cutoff, n_modes)
+
+
 def build_basis(n_modes: int, cutoff: int, size_limit: int = SIZE_LIMIT) -> TruncatedFock:
     """Build the truncated occupation basis, graded by total number."""
     if n_modes < 1 or cutoff < 0:
         raise ValueError("need n_modes >= 1 and cutoff >= 0")
-    dim = comb(n_modes + cutoff, n_modes)
+    dim = basis_dim(n_modes, cutoff)
     if dim > size_limit:
         raise SizeLimit(f"basis dimension {dim} exceeds limit {size_limit}")
     occs = sorted(
@@ -153,12 +176,58 @@ def generator_op(fock: TruncatedFock, b) -> np.ndarray:
     return 2j * (s - s.conj().T)
 
 
+def check_propagate_size(dim: int) -> None:
+    """Raise SizeLimit when propagate's working set on a basis of this
+    dimension would exceed PROPAGATE_MEMORY_LIMIT bytes."""
+    need = PROPAGATE_BYTES_PER_DIM2 * dim * dim
+    if need > PROPAGATE_MEMORY_LIMIT:
+        raise SizeLimit(
+            f"propagating on basis dimension {dim} needs about {need / 2**30:.1f} GiB, "
+            f"over the {PROPAGATE_MEMORY_LIMIT / 2**30:.1f} GiB limit")
+
+
+def _pair_blocks(fock: TruncatedFock):
+    """The nonzero blocks of the pair term S, cut from the _pair matrices.
+
+    Sector N occupies a contiguous row range of the graded basis and S maps
+    it into sector N + 2.  Runs of consecutive sectors with fewer than
+    MIN_BLOCK_STATES states are merged into one block.  Returns
+    (blocks, weights): each block is (rows, cols, shape, lo, hi), where
+    S[rows, cols] holds every nonzero entry of S in the columns cols, and
+    weights[kl, lo:hi] is 2 adag_k adag_l restricted to that block and
+    flattened, so that sum_kl B_kl weights[kl, lo:hi] is 2 S[rows, cols].
+    """
+    off = np.searchsorted(fock.ntot, np.arange(fock.cutoff + 2))
+    top = fock.cutoff - 2                    # highest sector S maps inside the cutoff
+    pairs = [_pair(fock, k, l) for k in range(fock.n_modes)
+             for l in range(fock.n_modes)]
+    blocks, parts, lo, first = [], [np.zeros((len(pairs), 0))], 0, 0
+    while first <= top:
+        last = first
+        while last < top and off[last + 1] - off[first] < MIN_BLOCK_STATES:
+            last += 1
+        cols = slice(off[first], off[last + 1])
+        rows = slice(off[first + 2], off[last + 3])
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        blocks.append((rows, cols, shape, lo, lo + shape[0] * shape[1]))
+        parts.append(np.stack([p[rows, cols].ravel() for p in pairs]))
+        lo += shape[0] * shape[1]
+        first = last + 1
+    return blocks, 2.0 * np.concatenate(parts, axis=1)
+
+
 def propagate(fock: TruncatedFock, trajectory, s: float, t: float,
               tol: float = 1e-10) -> np.ndarray:
     """Solve dU/dtau = -i G_tau U over [s, t], U_{s,s} = 1.
 
     trajectory is either a flow trajectory (its interpolated B_tau is used)
     or any callable path tau -> B matrix carrying t0/t1 bounds.
+
+    The right-hand side -i G U = 2 (S U - S* U) is applied block by block:
+    each sector block S_{N+2,N} (see _pair_blocks) multiplies the rows of
+    sector N into the rows of sector N + 2, and its adjoint the rows of
+    N + 2 back into N.  The state is U packed as (Re U, Im U), so the
+    blocks act on real row slices with no complex copy of U.
     """
     bpath = trajectory.b_path() if hasattr(trajectory, "b_path") else trajectory
     if t < s:
@@ -170,21 +239,24 @@ def propagate(fock: TruncatedFock, trajectory, s: float, t: float,
     dim = fock.dim
     if t == s:
         return np.eye(dim, dtype=complex)
-    nn = fock.n_modes
-    pair_stack = np.stack([_pair(fock, k, l).astype(complex)
-                           for k in range(nn) for l in range(nn)])
-
-    def gen(tau):
-        b = np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)), dtype=complex)
-        s_op = np.tensordot(b.ravel(), pair_stack, axes=([0], [0]))
-        return 2j * (s_op - s_op.conj().T)
-
+    check_propagate_size(dim)
+    blocks, weights = _pair_blocks(fock)
     d2 = dim * dim
 
     def fun(tau, y):
-        u = y[:d2].reshape(dim, dim) + 1j * y[d2:].reshape(dim, dim)
-        du = -1j * (gen(tau) @ u)
-        return np.concatenate([du.real.ravel(), du.imag.ravel()])
+        b = np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)), dtype=complex).ravel()
+        s_flat = np.stack([b.real, b.imag]) @ weights   # 2 Re S, 2 Im S blocks
+        u = y.reshape(2, dim, dim)                       # Re U, Im U
+        du = np.zeros_like(u)
+        for rows, cols, shape, lo, hi in blocks:
+            s_blk = s_flat[:, lo:hi].reshape(2, *shape)
+            p = s_blk[:, None] @ u[None, :, cols]        # p[i, j] = S_i U_j
+            du[0, rows] += p[0, 0] - p[1, 1]
+            du[1, rows] += p[0, 1] + p[1, 0]
+            q = s_blk.transpose(0, 2, 1)[:, None] @ u[None, :, rows]   # S_i^T U_j
+            du[0, cols] -= q[0, 0] + q[1, 1]
+            du[1, cols] -= q[0, 1] - q[1, 0]
+        return du.ravel()
 
     eye = np.eye(dim, dtype=complex)
     y0 = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
@@ -210,10 +282,12 @@ def conjugation_residual(fock: TruncatedFock, u_mat: np.ndarray,
 
     The projection keeps total occupation <= sector_cut, which must leave a
     guard band below the cutoff (sector_cut <= cutoff - 4) so truncation
-    leakage does not contaminate the comparison.
+    leakage does not contaminate the comparison.  A negative sector_cut
+    would project onto nothing and report a perfect match, so it is
+    rejected too.
     """
-    if sector_cut > fock.cutoff - 4:
-        raise ValueError("sector_cut must be at most cutoff - 4")
+    if not 0 <= sector_cut <= fock.cutoff - 4:
+        raise ValueError("sector_cut must lie in [0, cutoff - 4]")
     mask = fock.sector_mask(sector_cut)
     h_s = hamiltonian_op(fock, spec_s)
     h_t = hamiltonian_op(fock, spec_t)

@@ -312,16 +312,22 @@ def test_non_finite_spec_numbers_are_parse_errors(tmp_path, capsys, doc, command
     assert "finite" in capsys.readouterr().err
 
 
-def _run_cli(args, cwd, timeout=60):
+def _run_cli(args, cwd, timeout=60, address_space=None):
     import os
+    import resource
     import subprocess
     import sys
 
     import bwflow
     src = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run([sys.executable, "-m", "bwflow.cli", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=cap if address_space else None)
 
 
 @pytest.mark.parametrize("option", [
@@ -335,3 +341,38 @@ def test_bad_run_options_exit_2_without_hanging(generic_file, tmp_path, option):
     assert proc.stdout == ""
     assert proc.stderr.startswith("parse error:") and "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("option", [
+    "--tol=nan", "--tol=inf", "--tol=-inf", "--tol=-1",
+    "--eps=nan", "--eps=inf", "--eps=-inf", "--eps=-0.5", "--eps=0",
+])
+def test_check_rejects_bad_tol_and_eps(generic_file, capsys, option):
+    # a NaN tolerance used to print "fails" for conditions that hold
+    assert cli.main(["check", generic_file, option]) == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("parse error:")
+
+
+def test_check_accepts_zero_tol(generic_file, capsys):
+    assert cli.main(["check", generic_file, "--tol=0"]) == cli.EXIT_OK
+    assert "A1" in capsys.readouterr().out
+
+
+def test_fock_verify_rejects_negative_sector_cut(generic_file, capsys):
+    # an empty projection used to print residuals of exactly 0
+    code = cli.main(["fock-verify", generic_file, "--cutoff", "8", "--sector-cut", "-1"])
+    assert code == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and "nonnegative" in out.err
+
+
+def test_fock_verify_refuses_oversized_basis_before_building_it(generic_file, tmp_path):
+    # cutoff 100 gives basis dim 5151 (under SIZE_LIMIT) but the propagator
+    # would need gigabytes; the address-space cap turns any large allocation
+    # into a MemoryError traceback instead of a refusal
+    proc = _run_cli(["fock-verify", generic_file, "--cutoff", "100"], cwd=tmp_path,
+                    address_space=2 ** 30)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: SizeLimit:") and "Traceback" not in proc.stderr

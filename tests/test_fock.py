@@ -2,10 +2,64 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bwflow import flow, fock
+from bwflow import cli, flow, fock
 from bwflow.errors import PathGap, SizeLimit
 from bwflow.flow import FunctionBPath
 from bwflow.opcore import QuadraticSpec, hs_norm
+from bwflow.stepping import drive_rk45
+
+
+def dense_propagate(fk, trajectory, s, t, tol=1e-10):
+    """Reference propagator: the dense -i G_tau U right-hand side that
+    fock.propagate replaces, with the same stepper, state layout and
+    tolerances."""
+    bpath = trajectory.b_path() if hasattr(trajectory, "b_path") else trajectory
+    dim = fk.dim
+    if t == s:
+        return np.eye(dim, dtype=complex)
+    nn = fk.n_modes
+    pair_stack = np.stack([fock._pair(fk, k, l).astype(complex)
+                           for k in range(nn) for l in range(nn)])
+
+    def gen(tau):
+        b = np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)), dtype=complex)
+        s_op = np.tensordot(b.ravel(), pair_stack, axes=([0], [0]))
+        return 2j * (s_op - s_op.conj().T)
+
+    d2 = dim * dim
+
+    def fun(tau, y):
+        u = y[:d2].reshape(dim, dim) + 1j * y[d2:].reshape(dim, dim)
+        du = -1j * (gen(tau) @ u)
+        return np.concatenate([du.real.ravel(), du.imag.ravel()])
+
+    eye = np.eye(dim, dtype=complex)
+    y0 = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
+    y = drive_rk45(fun, s, y0, t, rtol=tol, atol=tol, h_min=1e-12).y
+    return y[:d2].reshape(dim, dim) + 1j * y[d2:].reshape(dim, dim)
+
+
+class CountingPath(FunctionBPath):
+    """A FunctionBPath that counts its evaluations (one per RHS call)."""
+
+    def __init__(self, fn, t0, t1):
+        super().__init__(fn, t0, t1)
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return super().__call__(t)
+
+
+def complex_symmetric_path(n_modes):
+    """A time-dependent complex-symmetric B_t on [0, 1.5]."""
+    m0, m1 = np.random.default_rng(7 + n_modes).normal(size=(2, n_modes, n_modes))
+    b0, b1 = 0.15 * (m0 + m0.T), 0.1j * (m1 + m1.T)
+
+    def fn(t):
+        return b0 * np.cos(2.0 * t) + b1 * (1.0 + t) + 0.05j * t * t * np.eye(n_modes)
+
+    return CountingPath(fn, 0.0, 1.5)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +174,71 @@ def test_propagate_guards(one_mode):
         fock.propagate(one_mode, path, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 12), (2, 8)])
+def test_propagate_matches_dense_reference(n_modes, cutoff):
+    fk = fock.build_basis(n_modes, cutoff)
+    block_path, dense_path = complex_symmetric_path(n_modes), complex_symmetric_path(n_modes)
+    u = fock.propagate(fk, block_path, 0.1, 1.4)
+    u_ref = dense_propagate(fk, dense_path, 0.1, 1.4)
+    assert block_path.calls == dense_path.calls > 20
+    assert np.abs(u - u_ref).max() < 1e-12
+    assert fock.unitarity_residual(fk, u) < 1e-8
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 0), (1, 3), (1, 40), (2, 1),
+                                             (2, 8), (2, 20)])
+def test_pair_blocks_cover_the_pair_term(n_modes, cutoff):
+    # the blocks hold every nonzero entry of S exactly once, with the
+    # weights of the cached _pair matrices
+    fk = fock.build_basis(n_modes, cutoff)
+    b = np.arange(1, n_modes * n_modes + 1).reshape(n_modes, n_modes) * (0.3 - 0.2j)
+    blocks, weights = fock._pair_blocks(fk)
+    s_flat = b.ravel() @ weights
+    s_op = np.zeros((fk.dim, fk.dim), dtype=complex)
+    for rows, cols, shape, lo, hi in blocks:
+        assert shape == (rows.stop - rows.start, cols.stop - cols.start)
+        s_op[rows, cols] += s_flat[lo:hi].reshape(shape)
+    want = 2 * fock._pair_sum(fk, b)
+    assert np.array_equal(s_op != 0, want != 0)
+    assert np.abs(s_op - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+    # columns of sectors 0..cutoff-2 are split into consecutive blocks
+    covered = [i for _, cols, _, _, _ in blocks for i in range(cols.start, cols.stop)]
+    assert covered == list(range(int(np.sum(fk.ntot <= cutoff - 2))))
+    if n_modes == 1 and cutoff == 40:
+        assert len(blocks) == 3         # sectors merged to >= MIN_BLOCK_STATES
+
+
+def test_propagate_below_pair_range_is_identity():
+    # with cutoff < 2 every pair operator vanishes on the truncated space
+    fk = fock.build_basis(2, 1)
+    path = FunctionBPath(lambda t: np.array([[0.3, 0.1], [0.1, 0.2j]]), 0.0, 1.0)
+    assert np.array_equal(fock.propagate(fk, path, 0.0, 1.0), np.eye(fk.dim))
+
+
+def test_propagate_size_guard(monkeypatch):
+    fock.check_propagate_size(fock.basis_dim(2, 60))
+    with pytest.raises(SizeLimit):
+        fock.check_propagate_size(fock.basis_dim(2, 61))
+    assert fock.basis_dim(2, 100) == 5151 < fock.SIZE_LIMIT
+    monkeypatch.setattr(fock, "PROPAGATE_MEMORY_LIMIT", 1000)
+    fk = fock.build_basis(1, 4)
+    path = FunctionBPath(lambda t: np.array([[0.1]]), 0.0, 1.0)
+    with pytest.raises(SizeLimit):
+        fock.propagate(fk, path, 0.0, 1.0)
+
+
+def test_fock_verify_output_unchanged_with_dense_reference(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "generic.json"
+    spec.write_text('{"blocks": [[1.0, 2.0, 0.5]], "label": "generic"}\n')
+    argv = ["fock-verify", str(spec), "--cutoff", "12"]
+    assert cli.main(argv) == cli.EXIT_OK
+    blocked = capsys.readouterr().out
+    monkeypatch.setattr(fock, "propagate", dense_propagate)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == blocked
+    assert "conjugation residual" in blocked
+
+
 def test_flow_conjugation_on_interior():
     spec = QuadraticSpec.from_matrices([[2.0]], [[0.5]])
     traj = flow.integrate(spec, t_end=1.0)
@@ -138,6 +257,8 @@ def test_flow_conjugation_on_interior():
     assert res_p > 10 * res
     with pytest.raises(ValueError):
         fock.conjugation_residual(fk, u, spec, spec_t, sector_cut=21)
+    with pytest.raises(ValueError):
+        fock.conjugation_residual(fk, u, spec, spec_t, sector_cut=-1)
 
 
 def test_ground_energy_one_mode():
