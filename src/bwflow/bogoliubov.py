@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import LogBranch, MapInvalid, PathGap
-from .flow import Controls
+from .flow import H_MIN, Controls
 from .opcore import QuadraticSpec, hs_norm
 from .stepping import drive_rk45
 
@@ -51,16 +51,13 @@ BRANCH_TOL = 1e-8
 class BogoliubovMap:
     """Pair (u, v) labelled by its time span (s, t).
 
-    shift carries the displacement part of an affine map; the flow studied
-    here never produces one, so it stays None throughout.  stats collects
-    per-construction diagnostics such as series tail bounds.
+    stats collects per-construction diagnostics such as series tail bounds.
     """
 
     u: np.ndarray
     v: np.ndarray
     s: float = 0.0
     t: float = 0.0
-    shift: Optional[np.ndarray] = None
     stats: dict = field(default_factory=dict)
 
     @property
@@ -121,28 +118,15 @@ def integrate_uv(bpath, s: float, t: float,
     if t == s:
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
 
-    n2 = n * n
-
-    def unpack(y):
-        u = y[:n2].reshape(n, n) + 1j * y[n2:2 * n2].reshape(n, n)
-        v = y[2 * n2:3 * n2].reshape(n, n) + 1j * y[3 * n2:].reshape(n, n)
-        return u, v
-
-    def pack(u, v):
-        return np.concatenate([u.real.ravel(), u.imag.ravel(),
-                               v.real.ravel(), v.imag.ravel()])
-
-    def fun(tau, y):
+    def fun(tau, uv):
         b = bpath(min(max(tau, bpath.t0), bpath.t1))
-        u, v = unpack(y)
-        du = -4.0 * v @ b.conj()
-        dv = -4.0 * u @ b
-        return pack(du, dv)
+        u, v = uv
+        return np.stack((-4.0 * v @ b.conj(), -4.0 * u @ b))
 
-    y0 = pack(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
-    solver = drive_rk45(fun, s, y0, t, rtol=controls.tol, atol=controls.tol,
-                        h_min=controls.h_min)
-    u, v = unpack(solver.y)
+    uv0 = np.stack((np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)))
+    solver = drive_rk45(fun, s, uv0, t, rtol=controls.tol, atol=controls.tol,
+                        h_min=H_MIN)
+    u, v = solver.state
     return BogoliubovMap(u=u, v=v, s=s, t=t)
 
 
@@ -361,7 +345,6 @@ class GeneratorDecomposition:
     h_frame: np.ndarray         # columns h_k
     uhat: np.ndarray            # sum_k |h_k><g_k|, unitary
     h_matrix: np.ndarray        # hermitian log of uhat: uhat = exp(i h)
-    shift: np.ndarray           # displacement part; zero for homogeneous maps
     residuals: dict = field(default_factory=dict)
 
 
@@ -436,7 +419,6 @@ def decompose_generator(m: BogoliubovMap, decomp_tol: float = DECOMP_TOL,
     return GeneratorDecomposition(
         alphas=np.arcsinh(lam),
         g_frame=g, h_frame=h, uhat=uhat, h_matrix=h_matrix,
-        shift=np.zeros(n),
         residuals={"u_recon": u_res, "v_recon": v_res,
                    "g_frame": g_defect, "h_frame": h_defect,
                    "exp_check": exp_check})

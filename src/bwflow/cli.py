@@ -311,21 +311,26 @@ def _run_summary(traj: flow.Trajectory, out) -> None:
               f"matrix motion {worst_matrix:.3e}, kNorm max {worst_k:.3e}\n")
 
 
-def cmd_run(args) -> int:
-    spec = load_spec(args.spec)
-    cfg = _config_from_args(args)
+def _run_one(spec: QuadraticSpec, cfg: RunConfig, out, csv_path: Optional[str]) -> int:
+    """Integrate, write the CSV (also of a blown-up run) and the summary."""
     try:
         traj = flow.integrate(spec, cfg.t_end, cfg.controls(),
                               scalar_sign=cfg.scalar_sign)
     except BlowupDetected as exc:
-        if cfg.csv_path and exc.trajectory is not None:
-            exc.trajectory.write_csv(cfg.csv_path)
-        _print_blowup(exc, sys.stdout)
+        if csv_path and exc.trajectory is not None:
+            exc.trajectory.write_csv(csv_path)
+        _print_blowup(exc, out)
         return EXIT_BLOWUP
-    if cfg.csv_path:
-        traj.write_csv(cfg.csv_path)
-    _run_summary(traj, sys.stdout)
+    if csv_path:
+        traj.write_csv(csv_path)
+    _run_summary(traj, out)
     return EXIT_OK
+
+
+def cmd_run(args) -> int:
+    spec = load_spec(args.spec)
+    cfg = _config_from_args(args)
+    return _run_one(spec, cfg, sys.stdout, cfg.csv_path)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +422,17 @@ def cmd_diag(args) -> int:
 # ---------------------------------------------------------------------------
 # fock-verify
 
+def _signed_finals(spec: QuadraticSpec, traj: flow.Trajectory) -> dict:
+    """Final state of the flow for each scalar sign, from one trajectory.
+
+    Omega and B do not depend on the sign, and C_t - c0 flips with it, so
+    the run with the opposite sign ends at C = 2 c0 - C_t.
+    """
+    final = traj.final
+    other = flow.FlowState(final.t, final.omega, final.b, 2.0 * spec.c0 - final.c)
+    return {traj.scalar_sign: final, -traj.scalar_sign: other}
+
+
 def cmd_fock_verify(args) -> int:
     spec = load_spec(args.spec)
     if spec.dim > 2:
@@ -441,17 +457,15 @@ def cmd_fock_verify(args) -> int:
     h0 = fock.hamiltonian_op(fk, spec)
     out.write(f"hermiticity residual of H0: {fock.hermiticity_residual(h0):.3e}\n")
 
-    trajs = {}
-    for sign in (-1.0, 1.0):
-        trajs[sign] = flow.integrate(spec, cfg.t_end, cfg.controls(),
-                                     scalar_sign=sign)
-    t_final = trajs[-1.0].final.t
-    u = fock.propagate(fk, trajs[-1.0], 0.0, t_final, tol=cfg.tol)
+    traj = flow.integrate(spec, cfg.t_end, cfg.controls(), scalar_sign=-1.0)
+    finals = _signed_finals(spec, traj)
+    t_final = traj.final.t
+    u = fock.propagate(fk, traj, 0.0, t_final, tol=cfg.tol)
     out.write(f"unitarity residual of U(t={t_final:g}) on interior sectors: "
               f"{fock.unitarity_residual(fk, u):.3e}\n")
 
     for sign in (-1.0, 1.0):
-        final = trajs[sign].final
+        final = finals[sign]
         spec_t = QuadraticSpec.from_matrices(
             final.omega, final.b, c0=final.c,
             label=f"{spec.label}@t={t_final:g}", sym_tol=np.inf)
@@ -459,25 +473,22 @@ def cmd_fock_verify(args) -> int:
         out.write(f"conjugation residual at t = {t_final:g} with scalar sign "
                   f"{sign:+g}: {resid:.6e}\n")
 
-    c_inf = {}
-    for sign in (-1.0, 1.0):
-        omega_inf, c_val, conv = flow.limit_extract(trajs[sign])
-        c_inf[sign] = c_val
-        if sign == -1.0:
-            spec_inf = QuadraticSpec.from_matrices(
-                omega_inf, np.zeros_like(omega_inf), c0=c_val,
-                label="limit", sym_tol=np.inf)
-            nd = fock.n_diag_residual(fk, spec_inf)
-            out.write(f"n-diag residual of H(OmegaInf, 0, cInf): {nd:.6e}"
-                      + ("" if conv else "  [flow not converged]") + "\n")
+    omega_inf, c_val, conv = flow.limit_extract(traj)
+    spec_inf = QuadraticSpec.from_matrices(
+        omega_inf, np.zeros_like(omega_inf), c0=c_val,
+        label="limit", sym_tol=np.inf)
+    nd = fock.n_diag_residual(fk, spec_inf)
+    out.write(f"n-diag residual of H(OmegaInf, 0, cInf): {nd:.6e}"
+              + ("" if conv else "  [flow not converged]") + "\n")
 
     e0 = fock.ground_energy(fk, spec)
     shift = fock.ground_truncation_shift(fk, spec) if cutoff >= 8 else float("nan")
     out.write(f"ground energy of truncated H0: {e0:.10g} "
               f"(truncation shift estimate {shift:.3e})\n")
     for sign in (-1.0, 1.0):
-        out.write(f"cInf with scalar sign {sign:+g}: {c_inf[sign]:.10g} "
-                  f"(ground - cInf = {e0 - c_inf[sign]:+.6e})\n")
+        c_inf = finals[sign].c
+        out.write(f"cInf with scalar sign {sign:+g}: {c_inf:.10g} "
+                  f"(ground - cInf = {e0 - c_inf:+.6e})\n")
     return EXIT_OK
 
 
@@ -625,26 +636,14 @@ def _batch_one(path: str, cfg_args: dict) -> tuple:
     """Run one spec; returns (path, exit_code, summary_text)."""
     out = io.StringIO()
     csv_dir = cfg_args.get("csv_dir")
-
-    def csv_path() -> str:
+    csv_path = None
+    if csv_dir:
         stem = os.path.splitext(os.path.basename(path))[0]
-        return os.path.join(csv_dir, stem + ".csv")
-
+        csv_path = os.path.join(csv_dir, stem + ".csv")
     try:
         spec = load_spec(path)
         cfg = RunConfig(**{k: v for k, v in cfg_args.items() if k != "csv_dir"})
-        try:
-            traj = flow.integrate(spec, cfg.t_end, cfg.controls(),
-                                  scalar_sign=cfg.scalar_sign)
-        except BlowupDetected as exc:
-            if csv_dir and exc.trajectory is not None:
-                exc.trajectory.write_csv(csv_path())
-            _print_blowup(exc, out)
-            return path, EXIT_BLOWUP, out.getvalue()
-        if csv_dir:
-            traj.write_csv(csv_path())
-        _run_summary(traj, out)
-        return path, EXIT_OK, out.getvalue()
+        return path, _run_one(spec, cfg, out, csv_path), out.getvalue()
     except ParseError as exc:
         return path, EXIT_PARSE, f"parse error: {exc}\n"
     except BwflowError as exc:

@@ -38,6 +38,10 @@ from .stepping import drive_rk45
 
 # Sign of the scalar-coefficient rate dC/dt = SCALAR_SIGN * 8 ||B||_2^2.
 SCALAR_SIGN = -1.0
+# Smallest step the adaptive pair may propose before StepSizeUnderflow.
+H_MIN = 1e-12
+# The blow-up guard fires when ||B_t||_2 exceeds BLOWUP_FACTOR * ||B_0||_2.
+BLOWUP_FACTOR = 1e3
 
 
 @dataclass
@@ -45,13 +49,10 @@ class Controls:
     """Integrator configuration."""
 
     tol: float = 1e-10
-    h_min: float = 1e-12
-    blowup_factor: float = 1e3
     max_samples: int = 10000
     method: str = "rk"  # "rk" (adaptive embedded pair) or "split" (Strang)
     split_h: float = 1e-3
     conv_tol: float = 1e-8
-    max_step: float = np.inf
 
 
 @dataclass
@@ -97,9 +98,17 @@ def t0_horizon(hs_b0: float) -> float:
 
 
 def _rhs_mats(omega: np.ndarray, b: np.ndarray, scalar_sign: float):
-    bbar = b.conj()
-    domega = -16.0 * (b @ bbar)
-    db = -2.0 * (omega @ b + b @ omega.T)
+    """(dOmega, dB, dC) with dOmega exactly hermitian and dB exactly symmetric.
+
+    -16 B B~ and -2 (Omega B + B Omega^t) are written as M + M* and M + M^t,
+    the second using B = B^t.  Their entries then pair up exactly, and the
+    stepper's real-coefficient stage sums keep Omega hermitian and B
+    symmetric to the last bit.
+    """
+    bb = b @ b.conj()
+    domega = -8.0 * (bb + bb.conj().T)
+    ob = omega @ b
+    db = -2.0 * (ob + ob.T)
     dc = scalar_sign * 8.0 * float(np.linalg.norm(b)) ** 2
     return domega, db, dc
 
@@ -109,17 +118,15 @@ def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
     return _rhs_mats(state.omega, state.b, scalar_sign)
 
 
-def _pack(omega, b, c, n):
-    return np.concatenate([
-        omega.real.ravel(), omega.imag.ravel(),
-        b.real.ravel(), b.imag.ravel(), [c]])
+def _vector(omega, b, c) -> np.ndarray:
+    """The stepper's state: one complex vector [Omega, B, C]."""
+    return np.concatenate([omega.ravel(), b.ravel(), [c]])
 
 
-def _unpack(y, n):
+def _matrices(y: np.ndarray, n: int):
+    """(Omega, B, C) of a state vector; Omega and B are views into y."""
     n2 = n * n
-    omega = y[:n2].reshape(n, n) + 1j * y[n2:2 * n2].reshape(n, n)
-    b = y[2 * n2:3 * n2].reshape(n, n) + 1j * y[3 * n2:4 * n2].reshape(n, n)
-    return omega, b, float(y[4 * n2])
+    return y[:n2].reshape(n, n), y[n2:2 * n2].reshape(n, n), float(y[-1].real)
 
 
 def motion_residuals(state: FlowState, spec: QuadraticSpec) -> dict:
@@ -135,15 +142,15 @@ def motion_residuals(state: FlowState, spec: QuadraticSpec) -> dict:
     }
 
 
-def blowup_guard(state: FlowState, hs_b0: float, controls: Controls) -> Optional[FlowEvent]:
-    """Return a blow-up event when ||B_t||_2 crosses blowup_factor * ||B_0||_2."""
+def blowup_guard(state: FlowState, hs_b0: float) -> Optional[FlowEvent]:
+    """Return a blow-up event when ||B_t||_2 crosses BLOWUP_FACTOR * ||B_0||_2."""
     hsb = state.hs_b
-    threshold = controls.blowup_factor * hs_b0
+    threshold = BLOWUP_FACTOR * hs_b0
     if hs_b0 > 0 and hsb > threshold:
         t0 = t0_horizon(hs_b0)
         return FlowEvent(
             kind="blowup", t=state.t, hs_b=hsb,
-            message=(f"||B_t||_2 = {hsb:.6g} exceeded {controls.blowup_factor:g} x "
+            message=(f"||B_t||_2 = {hsb:.6g} exceeded {BLOWUP_FACTOR:g} x "
                      f"||B_0||_2 at t = {state.t:.9g} "
                      f"(T_max estimate >= {state.t:.9g}, guaranteed horizon T_0 = {t0:.9g})"),
             t0_lower_bound=t0)
@@ -285,17 +292,14 @@ class Trajectory:
     def _ensure_hermite(self):
         if self._hermite is not None:
             return
-        n = self.spec.dim
         ts = self.ts
-        ys = np.stack([_pack(s.omega, s.b, s.c, n) for s in self.states])
-        dys = []
-        for s in self.states:
-            dom, db, dc = _rhs_mats(s.omega, s.b, self.scalar_sign)
-            dys.append(_pack(dom, db, dc, n))
-        self._hermite = (ts, hermite_coefficients(ts, ys, np.stack(dys)))
+        ys = np.stack([_vector(s.omega, s.b, s.c) for s in self.states])
+        dys = np.stack([_vector(*_rhs_mats(s.omega, s.b, self.scalar_sign))
+                        for s in self.states])
+        self._hermite = (ts, hermite_coefficients(ts, ys, dys))
 
     def _interpolate(self, t: float, cols=slice(None)) -> np.ndarray:
-        """Packed-state columns `cols` of the interpolant at a clamped time."""
+        """State-vector columns `cols` of the interpolant at a clamped time."""
         self._ensure_hermite()
         ts, coeffs = self._hermite
         return hermite_eval(ts, coeffs[..., cols], min(max(t, ts[0]), ts[-1]))
@@ -311,9 +315,7 @@ class Trajectory:
         if len(self.states) == 1:
             s = self.states[0]
             return FlowState(t=float(t), omega=s.omega.copy(), b=s.b.copy(), c=s.c)
-        omega, b, c = _unpack(self._interpolate(t), self.spec.dim)
-        omega = (omega + omega.conj().T) / 2
-        b = (b + b.T) / 2
+        omega, b, c = _matrices(self._interpolate(t), self.spec.dim)
         return FlowState(t=float(t), omega=omega, b=b, c=c)
 
     def b_at(self, t: float) -> np.ndarray:
@@ -322,29 +324,23 @@ class Trajectory:
         if len(self.states) == 1:
             return self.states[0].b.copy()
         n = self.spec.dim
-        n2 = n * n
-        y = self._interpolate(t, slice(2 * n2, 4 * n2))
-        b = y[:n2].reshape(n, n) + 1j * y[n2:].reshape(n, n)
-        return (b + b.T) / 2
+        return self._interpolate(t, slice(n * n, 2 * n * n)).reshape(n, n)
 
     def _ensure_norm_polys(self):
         """Per sample interval, ||B||_2^2 of the interpolant as a polynomial.
 
         B is cubic in s = t - ts[i] on each interval, so its squared norm is
-        the degree-6 polynomial sum_{k,l} <c_k, c_l> s^(6-k-l) built from
-        the Gram matrix of the (symmetrized) power-basis coefficients.
+        the degree-6 polynomial sum_{k,l} Re <c_k, c_l> s^(6-k-l) built from
+        the Gram matrix of the complex power-basis coefficients of B.
         Returns polys with polys[i, d] the coefficient of s^d.
         """
         if self._norm_polys is None:
             self._ensure_hermite()
-            ts, coeffs = self._hermite
-            n = self.spec.dim
-            n2 = n * n
-            c = coeffs[..., 2 * n2:4 * n2].reshape(4, -1, 2, n, n)
-            c = ((c + c.swapaxes(-1, -2)) / 2).reshape(4, len(ts) - 1, 2 * n2)
-            c = c.transpose(1, 0, 2)
-            gram = c @ c.transpose(0, 2, 1)
-            polys = np.zeros((len(ts) - 1, 7))
+            coeffs = self._hermite[1]
+            n2 = self.spec.dim ** 2
+            c = coeffs[..., n2:2 * n2].transpose(1, 0, 2)
+            gram = (c @ c.conj().transpose(0, 2, 1)).real
+            polys = np.zeros((len(gram), 7))
             for k in range(4):
                 for l in range(4):
                     polys[:, 6 - k - l] += gram[:, k, l]
@@ -452,7 +448,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         return traj
 
     def check_blowup(state: FlowState):
-        ev = blowup_guard(state, hs_b0, controls)
+        ev = blowup_guard(state, hs_b0)
         if ev is not None:
             events.append(ev)
             recorder.offer(state, force=True)
@@ -473,28 +469,19 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         raise ValueError(f"unknown method {controls.method!r}")
 
     def fun(t, y):
-        omega, b, _ = _unpack(y, n)
-        dom, db, dc = _rhs_mats(omega, b, sign)
-        return _pack(dom, db, dc, n)
-
-    def project(y):
-        omega, b, c = _unpack(y, n)
-        omega = (omega + omega.conj().T) / 2
-        b = (b + b.T) / 2
-        return _pack(omega, b, c, n)
+        omega, b, _ = _matrices(y, n)
+        return _vector(*_rhs_mats(omega, b, sign))
 
     def on_step(t, y):
-        omega, b, c = _unpack(y, n)
-        state = FlowState(float(t), omega, b, c)
+        state = FlowState(float(t), *_matrices(y, n))
         recorder.offer(state, force=(t >= t_end))
         check_blowup(state)
         return True
 
-    y0 = _pack(spec.omega, spec.b, spec.c0, n)
+    y0 = _vector(spec.omega, spec.b, spec.c0)
     try:
         solver = drive_rk45(fun, 0.0, y0, t_end, rtol=controls.tol, atol=controls.tol,
-                            h_min=controls.h_min, project=project, on_step=on_step,
-                            max_step=controls.max_step)
+                            h_min=H_MIN, on_step=on_step)
     except StepSizeUnderflow as exc:
         # an underflow while ||B|| is still growing is the blow-up signature
         last = recorder.samples[-1]
@@ -515,8 +502,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     # make sure the final state is recorded even after thinning
     if recorder.samples[-1].t < solver.t - 1e-15:
-        omega, b, c = _unpack(solver.y, n)
-        recorder.offer(FlowState(float(solver.t), omega, b, c), force=True)
+        recorder.offer(FlowState(float(solver.t), *_matrices(solver.state, n)), force=True)
     return finish({"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev),
                    "method": "rk"})
 

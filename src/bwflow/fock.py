@@ -41,8 +41,8 @@ from .stepping import drive_rk45
 SIZE_LIMIT = 20000
 # Peak bytes propagate holds per squared basis dimension: the seven
 # Dormand-Prince stages, the state and derivative copies and the step
-# temporaries, 18 arrays of 2 dim**2 float64 values (tracemalloc measured 275
-# at cutoffs 12 and 20 with two modes).  check_propagate_size refuses a basis
+# temporaries, 18 arrays of dim**2 complex values (tracemalloc measured 271
+# and 259 at cutoffs 12 and 20 with two modes).  check_propagate_size refuses a basis
 # whose working set would exceed PROPAGATE_MEMORY_LIMIT bytes, which for two
 # modes allows cutoffs up to 60.
 PROPAGATE_BYTES_PER_DIM2 = 18 * 16
@@ -223,11 +223,10 @@ def propagate(fock: TruncatedFock, trajectory, s: float, t: float,
     trajectory is either a flow trajectory (its interpolated B_tau is used)
     or any callable path tau -> B matrix carrying t0/t1 bounds.
 
-    The right-hand side -i G U = 2 (S U - S* U) is applied block by block:
-    each sector block S_{N+2,N} (see _pair_blocks) multiplies the rows of
-    sector N into the rows of sector N + 2, and its adjoint the rows of
-    N + 2 back into N.  The state is U packed as (Re U, Im U), so the
-    blocks act on real row slices with no complex copy of U.
+    The right-hand side -i G U = 2 (S U - S* U) is applied block by block
+    on the complex state U: each sector block S_{N+2,N} (see _pair_blocks)
+    multiplies the rows of sector N into the rows of sector N + 2, and its
+    adjoint the rows of N + 2 back into N.
     """
     bpath = trajectory.b_path() if hasattr(trajectory, "b_path") else trajectory
     if t < s:
@@ -241,28 +240,20 @@ def propagate(fock: TruncatedFock, trajectory, s: float, t: float,
         return np.eye(dim, dtype=complex)
     check_propagate_size(dim)
     blocks, weights = _pair_blocks(fock)
-    d2 = dim * dim
 
-    def fun(tau, y):
+    def fun(tau, u):
         b = np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)), dtype=complex).ravel()
-        s_flat = np.stack([b.real, b.imag]) @ weights   # 2 Re S, 2 Im S blocks
-        u = y.reshape(2, dim, dim)                       # Re U, Im U
+        s_flat = b @ weights                             # the 2 S blocks, flattened
         du = np.zeros_like(u)
         for rows, cols, shape, lo, hi in blocks:
-            s_blk = s_flat[:, lo:hi].reshape(2, *shape)
-            p = s_blk[:, None] @ u[None, :, cols]        # p[i, j] = S_i U_j
-            du[0, rows] += p[0, 0] - p[1, 1]
-            du[1, rows] += p[0, 1] + p[1, 0]
-            q = s_blk.transpose(0, 2, 1)[:, None] @ u[None, :, rows]   # S_i^T U_j
-            du[0, cols] -= q[0, 0] + q[1, 1]
-            du[1, cols] -= q[0, 1] - q[1, 0]
-        return du.ravel()
+            s_blk = s_flat[lo:hi].reshape(shape)
+            du[rows] += s_blk @ u[cols]
+            du[cols] -= s_blk.conj().T @ u[rows]
+        return du
 
-    eye = np.eye(dim, dtype=complex)
-    y0 = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
-    solver = drive_rk45(fun, s, y0, t, rtol=tol, atol=tol, h_min=1e-12)
-    y = solver.y
-    return y[:d2].reshape(dim, dim) + 1j * y[d2:].reshape(dim, dim)
+    solver = drive_rk45(fun, s, np.eye(dim, dtype=complex), t, rtol=tol, atol=tol,
+                        h_min=1e-12)
+    return solver.state
 
 
 def unitarity_residual(fock: TruncatedFock, u_mat: np.ndarray,

@@ -202,7 +202,7 @@ def psd_sqrt(x, psd_tol: float = PSD_TOL) -> OneParticleOperator:
     return OneParticleOperator.hermitian((root + root.conj().T) / 2, sym_tol=np.inf)
 
 
-def psd_power(x, alpha: float, ker_tol: float = KER_TOL) -> np.ndarray:
+def psd_power(x, alpha: float) -> np.ndarray:
     """M^alpha for hermitian PSD M and alpha >= 0, kernel clamped to zero."""
     if alpha < 0:
         raise ValueError("alpha must be nonnegative; use sandwich for inverses")

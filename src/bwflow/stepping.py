@@ -1,28 +1,28 @@
 """Shared adaptive integration driver: the Dormand-Prince 5(4) embedded pair.
 
-All matrix ODEs in the package run through this stepper on a stacked real
-representation of the state (Hairer, Norsett & Wanner, *Solving ODEs I*,
-sections II.4-5).  Steps advance with the fifth-order solution (local
-extrapolation) and the embedded fourth-order one estimates the error.  A
-step is accepted when the RMS norm of that estimate, with each component
-scaled by atol + max(|y_i|, |y_new_i|) * rtol, is below 1.  The next step
-grows or shrinks by 0.9 * err^(-1/5), clamped to [0.2, 10], and never grows
-right after a rejection.  The last stage is the first stage of the next step
-(FSAL), so an accepted step costs six right-hand-side evaluations.  The
-initial step is Hairer's estimate from the first two derivatives.
+All matrix ODEs in the package run through this stepper (Hairer, Norsett &
+Wanner, *Solving ODEs I*, sections II.4-5).  Steps advance with the
+fifth-order solution (local extrapolation) and the embedded fourth-order one
+estimates the error.  A step is accepted when the RMS norm of that estimate,
+with each component scaled by atol + max(|y_i|, |y_new_i|) * rtol, is below
+1.  The next step grows or shrinks by 0.9 * err^(-1/5), clamped to
+[0.2, 10], and never grows right after a rejection.  The last stage is the
+first stage of the next step (FSAL), so an accepted step costs six
+right-hand-side evaluations.  The initial step is Hairer's estimate from the
+first two derivatives.
 
-The arithmetic follows scipy.integrate.RK45 operation for operation, so
-step sequences and results match it bit for bit; this module only avoids
-importing scipy, which dominates the start-up time of the command line.
+The state may be real or complex and of any shape: the flow steps one
+complex vector [Omega, B, C], the (u, v) map a complex (2, n, n) stack and
+the Fock propagator a complex matrix U.  The stepper works on a flat float64
+view of the state (the real and imaginary parts interleaved, no copy), so
+error control is per real component.  ``fun`` and ``on_step`` receive the
+state in the shape and dtype of y0, as a view of the stepper's array that
+they must not write into; ``fun`` returns the derivative in that shape.
 
-The driver exposes two hooks per accepted step:
-
-* ``project`` receives the state and returns a structurally cleaned copy
-  (re-hermitized / re-symmetrized); the stored derivative is refreshed so
-  the FSAL property of the pair stays consistent.  That refresh is not
-  counted in ``nfev``.
-* ``on_step`` receives (t, y) for recording and event checks; returning
-  False stops the integration early.  Neither hook may write into y.
+On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
+for operation, so step sequences and results match it bit for bit; this
+module only avoids importing scipy, which dominates the start-up time of the
+command line.
 
 Step-size underflow (proposed step below h_min, or no acceptable step above
 ten ulps of t) raises StepSizeUnderflow; callers classify it further.
@@ -63,18 +63,20 @@ def _rms(x: np.ndarray) -> float:
 class DormandPrince:
     """Forward-in-time Dormand-Prince 5(4) stepper.
 
-    Public state: ``t``, ``y`` (current solution), ``f`` (derivative at
-    (t, y), reused as the first stage of the next step), ``h_abs`` (size of
-    the next step to try), ``nfev`` (right-hand-side evaluations made by
-    the stepper, including the two of the initial-step estimate) and
-    ``status`` ('running', 'finished' or 'failed').
+    Public state: ``t``, ``y`` (current solution as a flat float64 array),
+    ``state`` (the same solution in the shape and dtype of y0), ``f``
+    (derivative at (t, y), flat like y and reused as the first stage of the
+    next step), ``h_abs`` (size of the next step to try), ``nfev``
+    (right-hand-side evaluations made by the stepper, including the two of
+    the initial-step estimate) and ``status`` ('running', 'finished' or
+    'failed').
     """
 
     def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=np.inf,
                  first_step=None):
-        y0 = np.asarray(y0, dtype=float)
-        if y0.ndim != 1 or y0.size == 0:
-            raise ValueError("y0 must be a non-empty 1-d array")
+        y0 = np.asarray(y0)
+        if y0.size == 0:
+            raise ValueError("y0 must be non-empty")
         if not np.isfinite(y0).all():
             raise ValueError("all components of the initial state y0 must be finite")
         if not (np.isfinite(t0) and np.isfinite(t_bound)):
@@ -86,26 +88,40 @@ class DormandPrince:
         if atol < 0:
             raise ValueError("atol must be nonnegative")
         self._fun = fun
+        self._dtype = complex if np.iscomplexobj(y0) else float
+        self._shape = y0.shape
         self.t = t0
-        self.y = y0
+        self.y = self._flat(y0)
         self.t_bound = t_bound
         self.rtol = max(rtol, RTOL_FLOOR)
         self.atol = atol
         self.max_step = max_step
         self.nfev = 0
         self.status = "running"
-        self.f = self._eval(t0, y0)
+        self.f = self._eval(t0, self.y)
         if first_step is None:
             self.h_abs = self._initial_step()
         else:
             if not 0 < first_step <= t_bound - t0:
                 raise ValueError("first_step must lie in (0, t_bound - t0]")
             self.h_abs = first_step
-        self._k = np.empty((_N_STAGES + 1, y0.size))
+        self._k = np.empty((_N_STAGES + 1, self.y.size))
+
+    def _flat(self, x) -> np.ndarray:
+        """Flat float64 view of an array in the caller's shape and dtype."""
+        return np.ascontiguousarray(x, dtype=self._dtype).reshape(-1).view(float)
+
+    def _shaped(self, y: np.ndarray) -> np.ndarray:
+        return y.view(self._dtype).reshape(self._shape)
+
+    @property
+    def state(self) -> np.ndarray:
+        """The current solution in the shape and dtype of y0 (a view of y)."""
+        return self._shaped(self.y)
 
     def _eval(self, t, y):
         self.nfev += 1
-        return np.asarray(self._fun(t, y), dtype=float)
+        return self._flat(self._fun(t, self._shaped(y)))
 
     def _initial_step(self) -> float:
         """Hairer's starting step from y0, f0 and one explicit Euler probe."""
@@ -178,14 +194,16 @@ class DormandPrince:
             self.status = "finished"
 
 
-def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12,
-               project=None, on_step=None, max_step=np.inf, first_step=None):
-    """Run the Dormand-Prince pair from t0 to t_bound with projection and
-    event hooks.
+def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12, on_step=None,
+               max_step=np.inf, first_step=None):
+    """Run the Dormand-Prince pair from t0 to t_bound.
 
-    Returns the stepper in its final state ('finished' or stopped early by
-    ``on_step``).  Raises ValueError for a non-finite y0 or t_bound and for
-    t_bound < t0, and StepSizeUnderflow when the step size collapses.
+    ``on_step`` receives (t, state) after every accepted step, for recording
+    and event checks; returning False stops the integration early.  Returns
+    the stepper in its final state ('finished' or stopped early by
+    ``on_step``).  Raises ValueError for an empty or non-finite y0, a
+    non-finite t_bound and t_bound < t0, and StepSizeUnderflow when the step
+    size collapses.
     """
     solver = DormandPrince(fun, t0, y0, t_bound, rtol, atol, max_step=max_step,
                            first_step=first_step)
@@ -194,11 +212,8 @@ def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12,
         if solver.status == "failed":
             raise StepSizeUnderflow(
                 f"integration stalled at t = {solver.t:.6g}")
-        if project is not None:
-            solver.y = project(solver.y)
-            solver.f = fun(solver.t, solver.y)
         if on_step is not None:
-            keep_going = on_step(solver.t, solver.y)
+            keep_going = on_step(solver.t, solver.state)
             if keep_going is False:
                 return solver
         if solver.status == "running" and solver.h_abs < h_min:

@@ -191,7 +191,6 @@ def test_decompose_trivial():
     d = bogoliubov.decompose_generator(ident_map(3))
     assert np.allclose(d.alphas, 0.0)
     assert hs_norm(d.h_matrix) < 1e-12
-    assert np.allclose(d.shift, 0.0)
 
 
 def test_decompose_scalar_squeeze():

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bwflow import analytic, cli
+from bwflow import analytic, cli, flow, fock
 from bwflow.errors import ParseError
 from bwflow.opcore import QuadraticSpec, hs_norm
 
@@ -183,6 +183,31 @@ def test_fock_verify_prints_both_signs(tmp_path, capsys):
     res_plus = float(plus[0].split(":")[1])
     assert res_minus < 1e-3 < res_plus
     assert "ground energy" in out
+
+
+@pytest.mark.parametrize("c0", [0.0, 0.7])
+def test_fock_verify_derives_the_plus_sign_run(c0):
+    # fock-verify integrates with sign -1 only; its +1 lines come from
+    # _signed_finals and must agree with a second integration at sign +1
+    spec = QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
+                                       np.array([[0, 0.5], [0.5, 0]]), c0=c0)
+    traj = flow.integrate(spec, 2.0, flow.Controls(), scalar_sign=-1.0)
+    plus = flow.integrate(spec, 2.0, flow.Controls(), scalar_sign=1.0).final
+    derived = cli._signed_finals(spec, traj)[1.0]
+    assert derived.t == plus.t
+    if c0 == 0.0:
+        # the two runs take the same steps: Omega and B agree bit for bit
+        assert np.array_equal(derived.omega, plus.omega)
+        assert np.array_equal(derived.b, plus.b) and derived.c == plus.c
+    assert hs_norm(derived.omega - plus.omega) <= 1e-9
+    assert hs_norm(derived.b - plus.b) <= 1e-9
+    assert abs(derived.c - plus.c) <= 1e-9  # the cInf +1 line
+    fk = fock.build_basis(2, 12)
+    u = fock.propagate(fk, traj, 0.0, 2.0)
+    derived_res, plus_res = (
+        fock.conjugation_residual(fk, u, spec, QuadraticSpec.from_matrices(
+            s.omega, s.b, c0=s.c, sym_tol=np.inf), 6) for s in (derived, plus))
+    assert abs(derived_res - plus_res) <= 1e-9
 
 
 def test_fock_verify_guards(tmp_path, capsys):

@@ -35,6 +35,20 @@ def test_integrate_matches_generic_closed_form(generic_traj):
         assert abs(s.omega[0, 1]) < 1e-9
 
 
+def test_flow_keeps_structure_exactly():
+    # the exactly structured RHS and the stepper's real-coefficient stage
+    # sums keep Omega hermitian and B symmetric with no projection step
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    b = 0.1 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    spec = QuadraticSpec.from_matrices(x @ x.conj().T / 8 + np.eye(8), (b + b.T) / 2)
+    traj = flow.integrate(spec, t_end=5.0)
+    assert len(traj.states) > 50
+    for s in traj.states + [traj.state_at(t) for t in (0.37, 2.5)]:
+        assert np.array_equal(s.omega, s.omega.conj().T)
+        assert np.array_equal(s.b, s.b.T)
+
+
 def test_scalar_coefficient_both_signs(generic_spec):
     # c picks up sign * 16 int b^2 on a single block (||B||_2^2 = 2 b^2)
     int_b2 = analytic.exact_generic_int_b2(1.0, 2.0, 0.5, 2.0)

@@ -31,29 +31,33 @@ def random_spec(seed: int, n: int) -> QuadraticSpec:
     return QuadraticSpec.from_matrices(omega, (b + b.T) / 2)
 
 
+def pack(z):
+    """A complex array as one real vector, Re and Im of each entry in turn."""
+    return np.stack([z.real, z.imag], axis=-1).ravel()
+
+
+def unpack(y, shape):
+    return (y[0::2] + 1j * y[1::2]).reshape(shape)
+
+
 def packed_flow(spec):
-    """(rhs, project, y0) of flow.integrate's packed real state."""
+    """(rhs, y0) of the flow on a real packing of its complex state vector."""
     n = spec.dim
+    y0 = flow._vector(spec.omega, spec.b, spec.c0)
 
     def fun(t, y):
-        omega, b, _ = flow._unpack(y, n)
-        return flow._pack(*flow._rhs_mats(omega, b, flow.SCALAR_SIGN), n)
+        omega, b, _ = flow._matrices(unpack(y, y0.shape), n)
+        return pack(flow._vector(*flow._rhs_mats(omega, b, flow.SCALAR_SIGN)))
 
-    def project(y):
-        omega, b, c = flow._unpack(y, n)
-        return flow._pack((omega + omega.conj().T) / 2, (b + b.T) / 2, c, n)
-
-    return fun, project, flow._pack(spec.omega, spec.b, spec.c0, n)
+    return fun, pack(y0)
 
 
-def scipy_drive(fun, y0, t_bound, tol, project):
-    """The previous driver: scipy's RK45 with the same projection hook."""
+def scipy_drive(fun, y0, t_bound, tol):
+    """scipy's RK45 stepped to t_bound, recording every accepted step."""
     solver = RK45(fun, 0.0, y0, t_bound, rtol=tol, atol=tol)
     ts, ys = [], []
     while solver.status == "running":
         solver.step()
-        solver.y = project(solver.y.copy())
-        solver.f = fun(solver.t, solver.y)
         ts.append(solver.t)
         ys.append(solver.y.copy())
     return np.array(ts), np.array(ys), solver.nfev
@@ -66,16 +70,15 @@ def scipy_drive(fun, y0, t_bound, tol, project):
 ])
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
 def test_driver_matches_scipy_rk45(spec, tol):
-    fun, project, y0 = packed_flow(spec)
-    ref_ts, ref_ys, ref_nfev = scipy_drive(fun, y0, 5.0, tol, project)
+    fun, y0 = packed_flow(spec)
+    ref_ts, ref_ys, ref_nfev = scipy_drive(fun, y0, 5.0, tol)
     ts, ys = [], []
 
     def on_step(t, y):
         ts.append(t)
         ys.append(y.copy())
 
-    solver = drive_rk45(fun, 0.0, y0, 5.0, rtol=tol, atol=tol, project=project,
-                        on_step=on_step)
+    solver = drive_rk45(fun, 0.0, y0, 5.0, rtol=tol, atol=tol, on_step=on_step)
     assert solver.status == "finished" and solver.t == 5.0
     assert np.array_equal(np.array(ts), ref_ts)  # same accepted t-grid
     assert solver.nfev == ref_nfev
@@ -84,7 +87,7 @@ def test_driver_matches_scipy_rk45(spec, tol):
 
 def test_stepper_matches_scipy_without_hooks():
     # a stiff block exercises rejections and the no-growth-after-reject rule
-    fun, _, y0 = packed_flow(QuadraticSpec.from_matrices(
+    fun, y0 = packed_flow(QuadraticSpec.from_matrices(
         np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
     ref = RK45(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8)
     ours = DormandPrince(fun, 0.0, y0, 0.05, 1e-8, 1e-8)
@@ -97,7 +100,7 @@ def test_stepper_matches_scipy_without_hooks():
 
 
 def test_first_step_and_max_step_match_scipy():
-    fun, _, y0 = packed_flow(random_spec(3, 2))
+    fun, y0 = packed_flow(random_spec(3, 2))
     for kwargs in ({"first_step": 1e-3}, {"max_step": 0.05}):
         ref = RK45(fun, 0.0, y0, 1.0, rtol=1e-9, atol=1e-9, **kwargs)
         ours = DormandPrince(fun, 0.0, y0, 1.0, 1e-9, 1e-9, **kwargs)
@@ -110,7 +113,7 @@ def test_first_step_and_max_step_match_scipy():
 
 def test_driver_validation():
     fun = lambda t, y: -y  # noqa: E731
-    for bad_y0 in ([np.nan, 1.0], [np.inf]):
+    for bad_y0 in ([np.nan, 1.0], [np.inf], np.array([[1.0, complex(0.0, np.nan)]]), []):
         with pytest.raises(ValueError):
             drive_rk45(fun, 0.0, bad_y0, 1.0, rtol=1e-8, atol=1e-8)
     for bad_t in (np.nan, np.inf):
@@ -120,6 +123,53 @@ def test_driver_validation():
         drive_rk45(fun, 1.0, [1.0], 0.0, rtol=1e-8, atol=1e-8)
     with pytest.raises(ValueError):
         drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8, first_step=2.0)
+
+
+def test_complex_state_keeps_its_shape():
+    rng = np.random.default_rng(5)
+    b = 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    uv0 = np.stack((np.eye(3, dtype=complex), np.zeros((3, 3), complex)))
+    seen = []
+
+    def fun(t, uv):
+        seen.append((uv.shape, uv.dtype))
+        return np.stack((-4.0 * uv[1] @ b.conj(), -4.0 * uv[0] @ b))
+
+    solver = drive_rk45(fun, 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
+                        on_step=lambda t, uv: seen.append((uv.shape, uv.dtype)))
+    assert len(seen) > solver.nfev  # every RHS call and every accepted step
+    assert set(seen) == {((2, 3, 3), np.dtype(complex))}
+    assert solver.state.shape == (2, 3, 3) and solver.state.dtype == complex
+    assert np.shares_memory(solver.state, solver.y) and solver.y.dtype == float
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
+                                             np.array([[0, 0.5], [0.5, 0]])), id="readme-n2"),
+    pytest.param(random_spec(8, 8), id="seeded-n8"),
+])
+def test_complex_state_matches_real_packing(spec):
+    # the same ODE on the complex state vector and on a real packing of it:
+    # error control on a complex state is per real component
+    fun_real, y0_real = packed_flow(spec)
+    y0 = flow._vector(spec.omega, spec.b, spec.c0)
+    n = spec.dim
+
+    def fun(t, y):
+        omega, b, _ = flow._matrices(y, n)
+        return flow._vector(*flow._rhs_mats(omega, b, flow.SCALAR_SIGN))
+
+    runs = []
+    for f, init, shaped in ((fun, y0, lambda y: y),
+                            (fun_real, y0_real, lambda y: unpack(y, y0.shape))):
+        ts, ys = [], []
+        solver = drive_rk45(f, 0.0, init, 5.0, rtol=1e-10, atol=1e-10,
+                            on_step=lambda t, y: (ts.append(t), ys.append(shaped(y))))
+        runs.append((solver.nfev, np.array(ts), np.array(ys)))
+    (nfev, ts, ys), (ref_nfev, ref_ts, ref_ys) = runs
+    assert nfev == ref_nfev and ts.shape == ref_ts.shape
+    assert np.max(np.abs(ts - ref_ts)) <= 1e-12
+    assert np.max(np.abs(ys - ref_ys)) <= 1e-12
 
 
 def test_rtol_is_clamped_silently():
@@ -143,10 +193,9 @@ def test_zero_length_interval_and_h_min():
 
 
 def test_hermite_eval_matches_scipy_bitwise(generic_traj):
-    n = generic_traj.spec.dim
     ts = generic_traj.ts
-    ys = np.stack([flow._pack(s.omega, s.b, s.c, n) for s in generic_traj.states])
-    dys = np.stack([flow._pack(*flow._rhs_mats(s.omega, s.b, generic_traj.scalar_sign), n)
+    ys = np.stack([flow._vector(s.omega, s.b, s.c) for s in generic_traj.states])
+    dys = np.stack([flow._vector(*flow._rhs_mats(s.omega, s.b, generic_traj.scalar_sign))
                     for s in generic_traj.states])
     ref = CubicHermiteSpline(ts, ys, dys, axis=0)
     coeffs = flow.hermite_coefficients(ts, ys, dys)
