@@ -464,12 +464,13 @@ def cmd_fock_verify(args) -> int:
     out.write(f"unitarity residual of U(t={t_final:g}) on interior sectors: "
               f"{fock.unitarity_residual(fk, u):.3e}\n")
 
+    conjugated = u @ h0 @ u.conj().T
     for sign in (-1.0, 1.0):
         final = finals[sign]
         spec_t = QuadraticSpec.from_matrices(
             final.omega, final.b, c0=final.c,
             label=f"{spec.label}@t={t_final:g}", sym_tol=np.inf)
-        resid = fock.conjugation_residual(fk, u, spec, spec_t, sector_cut)
+        resid = fock.conjugated_residual(fk, conjugated, spec_t, sector_cut)
         out.write(f"conjugation residual at t = {t_final:g} with scalar sign "
                   f"{sign:+g}: {resid:.6e}\n")
 
@@ -481,8 +482,8 @@ def cmd_fock_verify(args) -> int:
     out.write(f"n-diag residual of H(OmegaInf, 0, cInf): {nd:.6e}"
               + ("" if conv else "  [flow not converged]") + "\n")
 
-    e0 = fock.ground_energy(fk, spec)
-    shift = fock.ground_truncation_shift(fk, spec) if cutoff >= 8 else float("nan")
+    e0 = fock.ground_energy(fk, h0)
+    shift = fock.ground_truncation_shift(fk, spec, e0) if cutoff >= 8 else float("nan")
     out.write(f"ground energy of truncated H0: {e0:.10g} "
               f"(truncation shift estimate {shift:.3e})\n")
     for sign in (-1.0, 1.0):

@@ -21,6 +21,17 @@ Monitored identities along the flow:
   and then the full matrix Omega_t^2 - 4 B_t B_t~ is invariant;
 * if ||B_t||_2 leaves every bound, it can only do so in finite time; the
   guaranteed blow-up-free horizon is T_0 = 1/(128 ||B_0||_2).
+
+Under a spectral gap B_t decays exponentially, and once ||B_t||_2 sits at
+the noise floor of the embedded pair the rest of the flow is, to within
+the tolerance, the frozen-Omega decay B -> e^{-2 tau Omega} B e^{-2 tau Omega^t}
+(an exponential-integrator step; Hochbruck & Ostermann, Acta Numerica 19,
+2010).  The adaptive path therefore hands over to that closed form at the
+first accepted step with ||B_t||_2 < TAIL_FACTOR * tol whose Omega drift
+over the remaining span is at most tol * max(1, ||Omega_t||_2), and no
+longer steps to t_end at its explicit-stability limit.  The guard keeps a
+tiny B on a near-zero Omega, whose true flow still grows, on the adaptive
+path.
 """
 
 from __future__ import annotations
@@ -42,6 +53,9 @@ SCALAR_SIGN = -1.0
 H_MIN = 1e-12
 # The blow-up guard fires when ||B_t||_2 exceeds BLOWUP_FACTOR * ||B_0||_2.
 BLOWUP_FACTOR = 1e3
+# The rk path may hand over to the frozen-Omega tail once ||B_t||_2 falls
+# below TAIL_FACTOR * tol (see frozen_tail).
+TAIL_FACTOR = 100.0
 
 
 @dataclass
@@ -177,9 +191,89 @@ class _Recorder:
             return
         self.samples.append(state)
         if len(self.samples) > self.max_samples:
-            # keep every second sample, but never drop the first
-            self.samples = self.samples[::2]
+            # keep every second sample, but never drop the first or the newest
+            self.samples = self.samples[:-1:2] + [self.samples[-1]]
             self.stride *= 2
+
+
+def frozen_omega_b(w: np.ndarray, v: np.ndarray, b: np.ndarray, tau: float) -> np.ndarray:
+    """e^{-2 tau Omega} B e^{-2 tau Omega^t} for Omega = v diag(w) v*.
+
+    This is the exact B-flow over a time tau with Omega held fixed.
+    """
+    e = (v * np.exp(-2.0 * tau * w)) @ v.conj().T  # exp(-2 tau Omega)
+    return e @ b @ e.T
+
+
+def _phi(a: np.ndarray, tau: float) -> np.ndarray:
+    """int_0^tau e^{-a s} ds elementwise: -expm1(-a tau) / a, and tau at a = 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = -np.expm1(-a * tau) / a
+    return np.where(a == 0, tau, out)
+
+
+class FrozenTail:
+    """The flow continued from a state with Omega frozen at its value there.
+
+    With Omega = V diag(w) V*, B~ = V* B V-bar decays entrywise as
+    e^{-2 (w_i + w_j) tau}, so int_0^tau ||B||_2^2 is
+    sum_ij |B~_ij|^2 phi(4 (w_i + w_j), tau) in closed form.  C picks up
+    scalar_sign * 8 times that, and Omega the eigenbasis-diagonal part of
+    -16 int B B~, which has the same trace, so the scalar identity
+    2 (C - C_0) = scalar_sign * tr(Omega_0 - Omega) keeps holding to
+    rounding.  Every state it returns is exactly hermitian/symmetric.
+    """
+
+    def __init__(self, state: FlowState):
+        self.state = state
+        self.w, self.v = np.linalg.eigh(state.omega)
+        bt = self.v.conj().T @ state.b @ self.v.conj()
+        self._weights = np.abs(bt) ** 2
+        self._rates = 4.0 * np.add.outer(self.w, self.w)
+
+    def _int_bb(self, tau: float) -> np.ndarray:
+        """Eigenbasis diagonal of int_0^tau B B~ under the frozen Omega."""
+        return (self._weights * _phi(self._rates, tau)).sum(axis=1)
+
+    def omega_drift(self, tau: float) -> float:
+        """Trace norm of the change in Omega over tau."""
+        return 16.0 * float(self._int_bb(tau).sum())
+
+    def at(self, t: float, scalar_sign: float) -> FlowState:
+        """The state at a time t at or after the hand-over."""
+        s = self.state
+        tau = t - s.t
+        d = self._int_bb(tau)
+        omega = s.omega - 16.0 * ((self.v * d) @ self.v.conj().T)
+        b = frozen_omega_b(self.w, self.v, s.b, tau)
+        return FlowState(t=t, omega=(omega + omega.conj().T) / 2, b=(b + b.T) / 2,
+                         c=s.c + scalar_sign * 8.0 * float(d.sum()))
+
+
+def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTail]:
+    """The frozen-Omega tail from state to t_end, or None if it may not take over.
+
+    It takes over once ||B_t||_2 < TAIL_FACTOR * tol, at the noise floor of
+    the embedded pair, and only if its Omega drift over the rest of the
+    span is at most tol * max(1, ||Omega_t||_2).  The drift guard keeps a
+    tiny B on a near-zero Omega, whose true flow slowly blows up, on the
+    adaptive path.
+    """
+    if not (state.t < t_end and state.hs_b < TAIL_FACTOR * tol):
+        return None
+    tail = FrozenTail(state)
+    if not tail.omega_drift(t_end - state.t) <= tol * max(1.0, hs_norm(state.omega)):
+        return None
+    return tail
+
+
+def _tail_times(t0: float, h: float, t_end: float) -> list:
+    """t0 + (2^k - 1) h for k = 1, 2, ... below t_end, then t_end itself."""
+    times, k = [], 1
+    while t0 + (2 ** k - 1) * h < t_end:
+        times.append(t0 + (2 ** k - 1) * h)
+        k += 1
+    return times + [t_end]
 
 
 def splitting_step(state: FlowState, h: float,
@@ -196,8 +290,7 @@ def splitting_step(state: FlowState, h: float,
 
     def half(om, bmat):
         vals, vecs = np.linalg.eigh((om + om.conj().T) / 2)
-        e = (vecs * np.exp(-h * vals)) @ vecs.conj().T  # exp(-h Omega)
-        return e @ bmat @ e.T
+        return frozen_omega_b(vals, vecs, bmat, h / 2)
 
     b_mid = half(omega, b)
     b_mid = (b_mid + b_mid.T) / 2
@@ -421,6 +514,16 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     blow-up guard raises BlowupDetected carrying the partial trajectory; a
     step-size underflow while ||B|| grows is classified the same way, and
     otherwise raises StepSizeUnderflow.
+
+    The "rk" method stops stepping at the first accepted step where
+    frozen_tail accepts the hand-over: ||B_t||_2 < TAIL_FACTOR * tol and an
+    Omega drift to t_end of at most tol * max(1, ||Omega_t||_2).  The
+    FrozenTail then supplies the rest exactly, sampled at offsets
+    (2^k - 1) h after the hand-over (h the last accepted step) and at t_end,
+    so each sample interval is at most twice the one before and the cubic
+    Hermite B-path never overshoots the hand-over ||B||.  stats["n_steps"]
+    counts the accepted steps; stats["tail_t"] is the hand-over time (None
+    without one) and stats["n_tail"] the number of tail samples.
     """
     controls = controls or Controls()
     sign = SCALAR_SIGN if scalar_sign is None else float(scalar_sign)
@@ -472,11 +575,16 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         omega, b, _ = _matrices(y, n)
         return _vector(*_rhs_mats(omega, b, sign))
 
+    tail, t_prev, h_last = None, 0.0, 0.0
+
     def on_step(t, y):
+        nonlocal tail, t_prev, h_last
         state = FlowState(float(t), *_matrices(y, n))
-        recorder.offer(state, force=(t >= t_end))
+        h_last, t_prev = state.t - t_prev, state.t
+        tail = frozen_tail(state, t_end, controls.tol)
+        recorder.offer(state, force=(t >= t_end or tail is not None))
         check_blowup(state)
-        return True
+        return tail is None
 
     y0 = _vector(spec.omega, spec.b, spec.c0)
     try:
@@ -500,11 +608,16 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         exc.trajectory = finish({"stopped": "underflow"})
         raise
 
-    # make sure the final state is recorded even after thinning
-    if recorder.samples[-1].t < solver.t - 1e-15:
-        recorder.offer(FlowState(float(solver.t), *_matrices(solver.state, n)), force=True)
-    return finish({"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev),
-                   "method": "rk"})
+    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev), "method": "rk",
+             "tail_t": None, "n_tail": 0}
+    if tail is not None:
+        times = _tail_times(tail.state.t, h_last, t_end)
+        stats.update(tail_t=tail.state.t, n_tail=len(times))
+        for t in times:
+            state = tail.at(t, sign)
+            recorder.offer(state, force=True)
+            check_blowup(state)
+    return finish(stats)
 
 
 def limit_extract(traj: Trajectory, conv_tol: Optional[float] = None):

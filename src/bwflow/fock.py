@@ -277,12 +277,19 @@ def conjugation_residual(fock: TruncatedFock, u_mat: np.ndarray,
     would project onto nothing and report a perfect match, so it is
     rejected too.
     """
+    conjugated = u_mat @ hamiltonian_op(fock, spec_s) @ u_mat.conj().T
+    return conjugated_residual(fock, conjugated, spec_t, sector_cut)
+
+
+def conjugated_residual(fock: TruncatedFock, conjugated: np.ndarray,
+                        spec_t: QuadraticSpec, sector_cut: int) -> float:
+    """conjugation_residual from a precomputed conjugated = U H(spec_s) U*,
+    so that several spec_t can be compared against one product."""
     if not 0 <= sector_cut <= fock.cutoff - 4:
         raise ValueError("sector_cut must lie in [0, cutoff - 4]")
     mask = fock.sector_mask(sector_cut)
-    h_s = hamiltonian_op(fock, spec_s)
     h_t = hamiltonian_op(fock, spec_t)
-    diff = u_mat @ h_s @ u_mat.conj().T - h_t
+    diff = conjugated - h_t
     num = hs_norm(diff[np.ix_(mask, mask)])
     den = hs_norm(h_t[np.ix_(mask, mask)])
     if den == 0:
@@ -305,19 +312,29 @@ def n_diag_residual(fock: TruncatedFock, h, sector_cut: Optional[int] = None) ->
     return hs_norm(comm[np.ix_(mask, mask)])
 
 
-def ground_energy(fock: TruncatedFock, spec: QuadraticSpec) -> float:
-    """Lowest eigenvalue of the truncated H(spec)."""
-    h = hamiltonian_op(fock, spec)
+def ground_energy(fock: TruncatedFock, h) -> float:
+    """Lowest eigenvalue of the truncated H.
+
+    h may be a dense operator or a QuadraticSpec to build one from.
+    """
+    if isinstance(h, QuadraticSpec):
+        h = hamiltonian_op(fock, h)
     h = (h + h.conj().T) / 2
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def ground_truncation_shift(fock: TruncatedFock, spec: QuadraticSpec) -> float:
-    """Truncation-convergence estimate |E0(cutoff) - E0(cutoff - 4)|."""
+def ground_truncation_shift(fock: TruncatedFock, spec: QuadraticSpec,
+                            e0: Optional[float] = None) -> float:
+    """Truncation-convergence estimate |E0(cutoff) - E0(cutoff - 4)|.
+
+    e0, when given, is ground_energy(fock, spec), already computed.
+    """
     if fock.cutoff < 4:
         raise ValueError("need cutoff >= 4 for the comparison basis")
+    if e0 is None:
+        e0 = ground_energy(fock, spec)
     smaller = build_basis(fock.n_modes, fock.cutoff - 4)
-    return abs(ground_energy(fock, spec) - ground_energy(smaller, spec))
+    return abs(e0 - ground_energy(smaller, spec))
 
 
 def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:

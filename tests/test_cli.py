@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bwflow import analytic, cli, flow, fock
+from bwflow import analytic, bogoliubov, cli, flow, fock
 from bwflow.errors import ParseError
 from bwflow.opcore import QuadraticSpec, hs_norm
 
@@ -401,3 +401,28 @@ def test_fock_verify_refuses_oversized_basis_before_building_it(generic_file, tm
     assert proc.returncode == cli.EXIT_PARSE
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: SizeLimit:") and "Traceback" not in proc.stderr
+
+
+def test_run_long_horizon_exits(generic_file, tmp_path):
+    # RK45 alone would take about 1.4 million steps past convergence
+    proc = _run_cli(["run", generic_file, "--t-end", "1e6"], cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_OK
+    assert "converged: yes" in proc.stdout and "at t = 1e+06" in proc.stdout
+
+
+def test_run_meets_conv_tol_below_the_noise_floor(generic_file, tmp_path):
+    # the embedded pair alone never takes ||B_t|| below about 1e-10
+    proc = _run_cli(["run", generic_file, "--t-end", "20", "--conv-tol", "1e-14"],
+                    cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_OK
+    assert proc.stdout.startswith("converged: yes")
+
+
+def test_diag_long_horizon(generic_file, tmp_path):
+    out_json = tmp_path / "diag.json"
+    proc = _run_cli(["diag", generic_file, "--t-end", "500", "--json", str(out_json)],
+                    cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_OK
+    doc = json.loads(out_json.read_text())
+    assert max(doc["symplectic_residuals"].values()) <= bogoliubov.MAP_TOL
+    assert doc["norm_bounds"] == [True, True]

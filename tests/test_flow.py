@@ -42,8 +42,9 @@ def test_flow_keeps_structure_exactly():
     x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     b = 0.1 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     spec = QuadraticSpec.from_matrices(x @ x.conj().T / 8 + np.eye(8), (b + b.T) / 2)
-    traj = flow.integrate(spec, t_end=5.0)
+    traj = flow.integrate(spec, t_end=50.0)
     assert len(traj.states) > 50
+    assert traj.stats["n_tail"] > 0  # the frozen-Omega tail samples too
     for s in traj.states + [traj.state_at(t) for t in (0.37, 2.5)]:
         assert np.array_equal(s.omega, s.omega.conj().T)
         assert np.array_equal(s.b, s.b.T)
@@ -261,19 +262,24 @@ def test_csv_deterministic(generic_traj):
 
 
 def test_recorder_thinning(generic_spec):
-    traj = flow.integrate(generic_spec, t_end=5.0,
-                          controls=flow.Controls(max_samples=40))
-    assert len(traj.states) <= 41
-    assert traj.states[0].t == 0.0
-    assert abs(traj.states[-1].t - 5.0) < 1e-12
+    # thinning keeps the final sample, also for an odd max_samples
+    for max_samples in (40, 7):
+        for t_end in (3.0, 5.0):  # without and with the frozen-Omega tail
+            traj = flow.integrate(generic_spec, t_end=t_end,
+                                  controls=flow.Controls(max_samples=max_samples))
+            assert len(traj.states) <= max_samples + 1
+            assert traj.states[0].t == 0.0
+            assert traj.states[-1].t == t_end
 
 
 def test_b_zero_is_stationary():
     spec = QuadraticSpec.from_matrices(np.diag([1.0, 3.0]), np.zeros((2, 2)))
     traj = flow.integrate(spec, t_end=2.0)
     assert traj.converged()
-    assert hs_norm(traj.final.omega - spec.omega) < 1e-12
-    assert traj.final.c == 0.0
+    assert traj.stats["n_tail"] > 0
+    for s in traj.states:
+        assert np.array_equal(s.omega, spec.omega)
+        assert not s.b.any() and s.c == 0.0
 
 
 def random_a6_spec(seed, n=3):
@@ -308,3 +314,111 @@ def test_omega_stays_psd_and_decreasing(seed):
     for d in traj.diags:
         assert d.min_eig_omega >= -1e-8
         assert d.omega_decrease_margin >= -1e-8
+
+
+def bdg_spectrum(omega, b):
+    """Positive eigenvalues of the BdG matrix [[Omega, 2B], [-2B~, -Omega~]]
+    (Colpa), which are the eigenvalues of Omega_inf."""
+    d = np.block([[omega, 2.0 * b], [-2.0 * b.conj(), -omega.conj()]])
+    ev = np.linalg.eigvals(d)
+    assert np.max(np.abs(ev.imag)) < 1e-12
+    return np.sort(ev.real)[omega.shape[0]:]
+
+
+def test_tail_finishes_the_stiff_block():
+    # RK45 alone needs about 6000 steps here, held by the 1e4 eigenvalue
+    block = (1.0, 1e4, 0.5)
+    traj = flow.integrate(analytic.block_spec([block]), t_end=1.0)
+    assert traj.stats["n_steps"] < 200 and traj.stats["n_tail"] > 0
+    assert traj.final.t == 1.0
+    omega_inf, _, converged = flow.limit_extract(traj)
+    exact = np.linalg.eigvalsh(analytic.exact_limit_block([block]).mat)
+    assert converged
+    assert np.max(np.abs(np.linalg.eigvalsh(omega_inf) - exact)) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def h500_traj(generic_spec):
+    return flow.integrate(generic_spec, t_end=500.0)
+
+
+def test_tail_long_horizon_matches_bdg_spectrum(h500_traj, generic_spec):
+    assert h500_traj.stats["n_steps"] <= 150
+    assert h500_traj.final.t == 500.0
+    omega_inf, c_inf, converged = flow.limit_extract(h500_traj)
+    eps = bdg_spectrum(generic_spec.omega, generic_spec.b)
+    assert converged
+    assert np.max(np.abs(np.linalg.eigvalsh(omega_inf) - eps)) <= 1e-9
+    assert abs(c_inf - 0.5 * (eps.sum() - np.trace(generic_spec.omega).real)) <= 1e-9
+    assert h500_traj.stats["limit_identity_residual"] <= 1e-12
+
+
+def test_tail_b_path_never_exceeds_the_handover_norm(h500_traj):
+    t_tail = h500_traj.stats["tail_t"]
+    ts = h500_traj.ts
+    tail = [s for s in h500_traj.states if s.t >= t_tail]
+    assert tail[0].t == t_tail and len(tail) == h500_traj.stats["n_tail"] + 1
+    handover = tail[0].hs_b
+    norms = [s.hs_b for s in tail]
+    assert all(b <= a for a, b in zip(norms, norms[1:]))
+    knots = ts[ts >= t_tail]
+    grid = np.concatenate([np.linspace(a, b, 200) for a, b in zip(knots, knots[1:])])
+    assert np.max(h500_traj.hs_b_at(grid)) <= handover
+    assert max(hs_norm(h500_traj.b_at(t)) for t in grid[::10]) <= handover
+
+
+def seeded_n64_spec(seed):
+    """Random gapped n = 64 spec: Omega eigenvalues in [2, 4], ||B||_op = 1/2."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    q, r = np.linalg.qr(z)
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    lam = rng.uniform(1.0, 2.0, 64)
+    lam[0], lam[-1] = 1.0, 2.0
+    omega = (q * lam) @ q.conj().T
+    g = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    b = (g + g.T) / 2
+    b *= 0.25 / np.linalg.norm(b, 2)
+    return QuadraticSpec.from_matrices(2.0 * (omega + omega.conj().T) / 2, 2.0 * b)
+
+
+def test_tail_keeps_n64_below_the_noise_floor():
+    # stepped to t = 12, this spec's ||B_t|| bounces back above 1e-8 from
+    # the pair's noise floor; the tail takes over below it
+    traj = flow.integrate(seeded_n64_spec(0), t_end=12.0)
+    assert traj.stats["n_tail"] > 0
+    assert traj.converged()
+
+
+def test_tail_drift_guard():
+    omega = np.zeros((2, 2), dtype=complex)
+    b = np.array([[0, 1e-9], [1e-9, 0]]) / np.sqrt(2.0)  # ||B||_2 = 1e-9
+    state = flow.FlowState(0.0, omega, b.astype(complex), 0.0)
+    tol = 1e-10
+    long_span = 2.0 * tol / (16.0 * 1e-18)  # 16 ||B||^2 span = 2 tol
+    assert flow.frozen_tail(state, long_span, tol) is None
+    tail = flow.frozen_tail(state, 1.0, tol)
+    assert tail is not None
+    assert np.isclose(tail.omega_drift(1.0), 16.0 * 1e-18)
+    # B is not yet below TAIL_FACTOR * tol, or no span is left
+    assert flow.frozen_tail(flow.FlowState(0.0, omega, 1e4 * b, 0.0), 1.0, tol) is None
+    assert flow.frozen_tail(state, 0.0, tol) is None
+
+
+def test_frozen_tail_closed_form():
+    # Omega = diag(1, 2) frozen, B = antidiag(b): B_t = b e^{-6 tau} and
+    # int ||B||^2 = 2 b^2 (1 - e^{-12 tau}) / 12
+    b, c0, tau = 0.1, 0.3, 0.25
+    state = flow.FlowState(1.0, np.diag([1.0, 2.0]).astype(complex),
+                           np.array([[0, b], [b, 0]], dtype=complex), c0)
+    tail = flow.FrozenTail(state)
+    int_b2 = 2.0 * b * b * -np.expm1(-12.0 * tau) / 12.0
+    assert np.isclose(tail.omega_drift(tau), 16.0 * int_b2, rtol=1e-14)
+    for sign in (-1.0, 1.0):
+        s = tail.at(1.0 + tau, sign)
+        assert s.t == 1.0 + tau
+        assert np.isclose(s.c, c0 + sign * 8.0 * int_b2, rtol=0, atol=1e-15)
+        assert np.allclose(s.b, [[0, b * np.exp(-6.0 * tau)], [b * np.exp(-6.0 * tau), 0]],
+                           rtol=0, atol=1e-15)
+        assert np.allclose(s.omega, np.diag([1.0, 2.0]) - 8.0 * int_b2 * np.eye(2),
+                           rtol=0, atol=1e-15)
