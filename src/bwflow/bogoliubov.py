@@ -10,8 +10,17 @@ and satisfies the symplectic relations
     u u* - v v* = 1        u v^t = v u^t
     u* u - v^t v~ = 1      u* v = v^t u~
 
-The inverse pair is (u*, -v^t) and composition over s -> x -> t reads
-u_{t,s} = u_{t,x} u_{x,s} + v_{t,x} v_{x,s}~.
+The inverse pair is (u*, -v^t).  The time-ordered factors multiply on the
+right, so over s -> x -> t the pair composes as
+u_{t,s} = u_{x,s} u_{t,x} + v_{x,s} v_{t,x}~, which is
+compose(m_{x,s}, m_{t,x}), and m_{t,s} = compose(inverse(m_{s,0}), m_{t,0}).
+
+flow.integrate steps (u_{t,0}, v_{t,0}) and int_0^t ||B||_2 together with
+the flow, so the B-path of such a trajectory answers integrate_uv and
+path_hs_integral from those carried columns: exactly at sample times, from
+the cubic Hermite of the carried columns in between.  Any other path (an
+explicit function, a split-method trajectory) is integrated along: (u, v)
+by the embedded pair, the integral by Gauss-Kronrod quadrature.
 
 The same pair has a convergent iterated-integral series with even orders
 feeding u and odd orders feeding v; order n keeps all terms with at most n
@@ -27,10 +36,8 @@ the singular values lambda_k = sinh(alpha_k) of v and frames g_k, h_k,
 
 and u_hat = sum_k |h_k><g_k| = exp(i h) for a hermitian h.
 """
-
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,7 +47,7 @@ import numpy as np
 from .errors import LogBranch, MapInvalid, PathGap
 from .flow import H_MIN, Controls
 from .opcore import QuadraticSpec, hs_norm
-from .stepping import drive_rk45
+from .stepping import drive_rk45, gauss_kronrod
 
 MAP_TOL = 1e-7
 DECOMP_TOL = 1e-7
@@ -89,11 +96,15 @@ def inverse(m: BogoliubovMap) -> BogoliubovMap:
     return BogoliubovMap(u=m.u.conj().T.copy(), v=-m.v.T.copy(), s=m.t, t=m.s)
 
 
-def compose(later: BogoliubovMap, earlier: BogoliubovMap) -> BogoliubovMap:
-    """Composition over s -> x -> t given earlier: s -> x and later: x -> t."""
-    u = later.u @ earlier.u + later.v @ earlier.v.conj()
-    v = later.u @ earlier.v + later.v @ earlier.u.conj()
-    return BogoliubovMap(u=u, v=v, s=earlier.s, t=later.t)
+def compose(first: BogoliubovMap, second: BogoliubovMap) -> BogoliubovMap:
+    """The product [[u, v], [v~, u~]] of first times second.
+
+    Maps of the flow compose in time order, first: s -> x then
+    second: x -> t, into the map s -> t.
+    """
+    u = first.u @ second.u + first.v @ second.v.conj()
+    v = first.u @ second.v + first.v @ second.u.conj()
+    return BogoliubovMap(u=u, v=v, s=first.s, t=second.t)
 
 
 def _check_span(bpath, s: float, t: float) -> None:
@@ -109,9 +120,22 @@ def _check_span(bpath, s: float, t: float) -> None:
 
 def integrate_uv(bpath, s: float, t: float,
                  controls: Optional[Controls] = None) -> BogoliubovMap:
-    """Integrate the (u, v) system along a B-path with the embedded pair."""
+    """The pair (u_{t,s}, v_{t,s}) along a B-path.
+
+    A path that carries the map (flow.CarriedBPath) gives
+    compose(inverse(m_s), m_t) from its columns, and m_t itself from its
+    start; any other path is integrated with the embedded pair.
+    """
     controls = controls or Controls()
     _check_span(bpath, s, t)
+    if hasattr(bpath, "map_at"):
+        m_t = BogoliubovMap(*bpath.map_at(t), s=s, t=t)
+        if t == s:
+            return BogoliubovMap(u=np.eye(m_t.dim, dtype=complex),
+                                 v=np.zeros_like(m_t.v), s=s, t=t)
+        if s <= bpath.t0:
+            return m_t
+        return compose(inverse(BogoliubovMap(*bpath.map_at(s), s=bpath.t0, t=s)), m_t)
     # path dimension probed once; clamped evaluation guards the endpoints
     b0 = np.asarray(bpath(s), dtype=complex)
     n = b0.shape[0]
@@ -185,104 +209,22 @@ def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> Bogol
     return BogoliubovMap(u=u[-1], v=v[-1], s=s, t=t, stats=stats)
 
 
-# Gauss-Kronrod 7-15 rule on [-1, 1] (Piessens et al., QUADPACK, routine
-# qk15): the 15 Kronrod nodes in ascending order, their weights, and the
-# weights of the embedded 7-point Gauss rule (zero on Kronrod-only nodes).
-_GK_X = np.array([0.991455371120812639206854697526329,
-                  0.949107912342758524526189684047851,
-                  0.864864423359769072789712788640926,
-                  0.741531185599394439863864773280788,
-                  0.586087235467691130294144845693013,
-                  0.405845151377397166906606412076961,
-                  0.207784955007898467600689403773245])
-_GK_WK = np.array([0.022935322010529224963732008058970,
-                   0.063092092629978553290700663189204,
-                   0.104790010322250183839876322541518,
-                   0.140653259715525918745189590510238,
-                   0.169004726639267902826583426598550,
-                   0.190350578064785409913256402421014,
-                   0.204432940075298892414161999234649])
-_GK_WK0 = 0.209482141084727828012999174891714
-_GK_WG = np.array([0.129484966168869693270611432679082,
-                   0.279705391489276667901467771423780,
-                   0.381830050505118944950369775488975])
-_GK_WG0 = 0.417959183673469387755102040816327
-_NODES = np.concatenate([-_GK_X, [0.0], _GK_X[::-1]])
-_KRONROD = np.concatenate([_GK_WK, [_GK_WK0], _GK_WK[::-1]])
-_GAUSS = np.zeros(15)
-_GAUSS[1::2] = np.concatenate([_GK_WG, [_GK_WG0], _GK_WG[::-1]])
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-# stopping rule of gauss_kronrod: the defaults of scipy.integrate.quad
-QUAD_EPSABS = QUAD_EPSREL = 1.49e-8
-QUAD_LIMIT = 200
-
-
-def _gk15(f, los: np.ndarray, his: np.ndarray) -> tuple:
-    """GK15 values and QUADPACK error estimates on panels [los[i], his[i]]
-    (los < his); all panels' nodes go to f in one call."""
-    center, half = 0.5 * (los + his), 0.5 * (his - los)
-    nodes = center[:, np.newaxis] + half[:, np.newaxis] * _NODES
-    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    res_k = fx @ _KRONROD
-    err = np.abs(res_k - fx @ _GAUSS) * half
-    res_abs = (np.abs(fx) @ _KRONROD) * half
-    res_asc = (np.abs(fx - 0.5 * res_k[:, np.newaxis]) @ _KRONROD) * half
-    # QUADPACK's sharpening of |Kronrod - Gauss| for smooth integrands, and
-    # its floor at the roundoff level of the panel
-    ratio = 200.0 * err / np.where(res_asc > 0, res_asc, 1.0)
-    err = np.where((res_asc != 0.0) & (err != 0.0),
-                   res_asc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.where(res_abs > _TINY / (50.0 * _EPS),
-                   np.maximum(50.0 * _EPS * res_abs, err), err)
-    return res_k * half, err
-
-
-def gauss_kronrod(f, a: float, b: float, points=()) -> tuple:
-    """Adaptive Gauss-Kronrod 7-15 quadrature of int_a^b f (a <= b), as
-    (value, error estimate).
-
-    f maps a 1-d array of nodes to the array of integrand values.  The
-    interval is first cut at the given breakpoints inside (a, b), where f
-    may have kinks, and all those panels are sampled in one call.  Then the
-    panel with the largest error estimate is bisected, at most QUAD_LIMIT
-    times, until the summed estimate drops below
-    max(QUAD_EPSABS, QUAD_EPSREL |value|).
-    """
-    edges = np.unique(np.concatenate([[a, b], [p for p in points if a < p < b]]))
-    vals, errs = _gk15(f, edges[:-1], edges[1:])
-    heap = [(-e, lo, hi, v) for lo, hi, v, e in zip(edges[:-1], edges[1:], vals, errs)]
-    heapq.heapify(heap)
-    value, error = float(vals.sum()), float(errs.sum())
-    for _ in range(QUAD_LIMIT):
-        if error <= max(QUAD_EPSABS, QUAD_EPSREL * abs(value)):
-            break
-        neg_err, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        halves = _gk15(f, np.array([lo, mid]), np.array([mid, hi]))
-        for lo_i, hi_i, v_i, e_i in zip((lo, mid), (mid, hi), *halves):
-            heapq.heappush(heap, (-e_i, lo_i, hi_i, v_i))
-        value += float(halves[0].sum()) - v
-        error += float(halves[1].sum()) + neg_err
-    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)
-
-
 def path_hs_integral(bpath, s: float, t: float) -> float:
-    """Quadrature of int_s^t ||B_tau||_2 dtau along a path.
+    """int_s^t ||B_tau||_2 dtau along a path.
 
-    A flow.BPath gives ||B|| of its piecewise-cubic interpolant in closed
-    form (hs_norms) and its sample times as breakpoints (knots), so every
-    panel sees a smooth integrand.  Any other path is sampled node by node.
+    A path that carries the integral (flow.CarriedBPath) gives the
+    difference of its column at t and s.  Any other path is sampled node by
+    node for Gauss-Kronrod quadrature, with its sample times (knots), where
+    it has them, as breakpoints.
     """
     _check_span(bpath, s, t)
     if s == t:
         return 0.0
-    if hasattr(bpath, "hs_norms"):
-        value, _ = gauss_kronrod(bpath.hs_norms, s, t, points=bpath.knots)
-    else:
-        value, _ = gauss_kronrod(
-            lambda taus: [float(np.linalg.norm(bpath(min(max(tau, bpath.t0), bpath.t1))))
-                          for tau in taus], s, t)
+    if hasattr(bpath, "int_b_at"):
+        return bpath.int_b_at(t) - bpath.int_b_at(s)
+    value, _ = gauss_kronrod(
+        lambda taus: [float(np.linalg.norm(bpath(min(max(tau, bpath.t0), bpath.t1))))
+                      for tau in taus], s, t, points=getattr(bpath, "knots", ()))
     return float(value)
 
 

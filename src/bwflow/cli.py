@@ -5,7 +5,8 @@ Spec files are JSON documents (leading lines starting with '#' are treated
 as comments and skipped).  Matrices are row-major lists of [re, im] pairs;
 alternatively a "blocks" shorthand lists [omegaMinus, omegaPlus, b] triples
 that expand to the block-diagonal form.  Exit codes: 0 ok, 1 condition
-check failed, 2 parse or input error, 3 blow-up, 4 not converged.
+check failed (for diag: one of its map checks failed), 2 parse or input
+error, 3 blow-up, 4 not converged.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ EXIT_BLOWUP = 3
 EXIT_NOT_CONVERGED = 4
 
 CSV_HEADER = "t,hsB,c,minEigOmega,motionResidual,kNorm"
+
+# diag's gate on the transform round trip against the flow state (AC-6)
+ROUNDTRIP_TOL = 1e-6
 
 ORACLE_FAMILIES = ("equal-product", "generic", "blowup", "block", "pivotal", "mixed")
 
@@ -304,9 +308,9 @@ def _run_summary(traj: flow.Trajectory, out) -> None:
                   f"{fit.n_samples} samples)\n")
     except BwflowError as exc:
         out.write(f"fitted decay rate: n/a ({exc})\n")
-    worst_motion = max(d.motion_residual for d in traj.diags)
-    worst_matrix = max(d.matrix_motion_residual for d in traj.diags)
-    worst_k = max(d.k_norm for d in traj.diags)
+    worst_motion = traj.column("motion_residual").max()
+    worst_matrix = traj.column("matrix_motion_residual").max()
+    worst_k = traj.column("k_norm").max()
     out.write(f"worst residuals: motion {worst_motion:.3e}, "
               f"matrix motion {worst_matrix:.3e}, kNorm max {worst_k:.3e}\n")
 
@@ -381,6 +385,12 @@ def cmd_diag(args) -> int:
         f"  ||v||_2 = {hs_norm(m.v):.6g}"
         f" <= sinh(4 int) = {float(np.sinh(4 * int_b)):.6g}\n"
         f"  holds: {'yes' if holds_u and holds_v else 'NO'}\n")
+    worst = max(res.values())
+    if not worst <= bogoliubov.MAP_TOL:
+        # transform_spec and decompose_generator refuse such a map
+        sys.stdout.write(f"map check failed: symplectic residual {worst:.3e} > "
+                         f"{bogoliubov.MAP_TOL:g}\n")
+        return EXIT_CONDITION
 
     transformed = bogoliubov.transform_spec(m, spec)
     final = traj.final
@@ -416,6 +426,12 @@ def cmd_diag(args) -> int:
         with open(cfg.json_path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+    failed = [name for name, ok in (("norm bounds", holds_u and holds_v),
+                                    ("transform round trip",
+                                     max(d_om, d_b, d_c) <= ROUNDTRIP_TOL)) if not ok]
+    if failed:
+        sys.stdout.write(f"map check failed: {', '.join(failed)}\n")
+        return EXIT_CONDITION
     return EXIT_OK
 
 
@@ -680,24 +696,26 @@ def cmd_batch(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_run_opts(p: argparse.ArgumentParser, t_end: float) -> None:
+    """Integration options of the run-like commands, with their own horizon."""
+    p.add_argument("--t-end", type=float, default=t_end,
+                   help=f"integration horizon (default {t_end:g})")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="integrator tolerance (default 1e-10)")
+    p.add_argument("--method", choices=("rk", "split"), default="rk",
+                   help="stepper: adaptive embedded pair or Strang split")
+    p.add_argument("--conv-tol", type=float, default=1e-8,
+                   help="||B_t||_2 threshold declaring convergence")
+    p.add_argument("--paper-scalar-sign", action="store_true",
+                   help="use dC = +8||B||^2 instead of the default -8")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bwflow",
         description=("Diagonalize quadratic boson Hamiltonians by integrating "
                      "the double-bracket flow on (Omega, B, C)."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_opts = argparse.ArgumentParser(add_help=False)
-    run_opts.add_argument("--t-end", type=float, default=10.0,
-                          help="integration horizon (default 10)")
-    run_opts.add_argument("--tol", type=float, default=1e-10,
-                          help="integrator tolerance (default 1e-10)")
-    run_opts.add_argument("--method", choices=("rk", "split"), default="rk",
-                          help="stepper: adaptive embedded pair or Strang split")
-    run_opts.add_argument("--conv-tol", type=float, default=1e-8,
-                          help="||B_t||_2 threshold declaring convergence")
-    run_opts.add_argument("--paper-scalar-sign", action="store_true",
-                          help="use dC = +8||B||^2 instead of the default -8")
 
     p_check = sub.add_parser("check", help="evaluate the condition ladder")
     p_check.add_argument("spec")
@@ -707,26 +725,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", help="also write verdicts/margins as JSON")
     p_check.set_defaults(func=cmd_check)
 
-    p_run = sub.add_parser("run", parents=[run_opts],
-                           help="integrate the flow, emit CSV and a summary")
+    p_run = sub.add_parser("run", help="integrate the flow, emit CSV and a summary")
+    _add_run_opts(p_run, t_end=10.0)
     p_run.add_argument("spec")
     p_run.add_argument("--csv", help="write the trajectory CSV to this path")
     p_run.set_defaults(func=cmd_run)
 
-    p_diag = sub.add_parser("diag", parents=[run_opts],
-                            help="compute the diagonalizing map at the final time")
+    p_diag = sub.add_parser("diag", help="compute the diagonalizing map at the final time")
+    _add_run_opts(p_diag, t_end=10.0)
     p_diag.add_argument("spec")
     p_diag.add_argument("--json", help="write (u, v) and tables as JSON")
     p_diag.set_defaults(func=cmd_diag)
 
-    p_fock = sub.add_parser("fock-verify", parents=[run_opts],
+    p_fock = sub.add_parser("fock-verify",
                             help="verify the run against truncated-Fock matrices")
+    _add_run_opts(p_fock, t_end=2.0)
     p_fock.add_argument("spec")
     p_fock.add_argument("--cutoff", type=int, default=30,
                         help="total occupation cutoff (default 30)")
     p_fock.add_argument("--sector-cut", type=int, default=None,
                         help="projection sector for residuals (default cutoff//2)")
-    p_fock.set_defaults(func=cmd_fock_verify, t_end=2.0)
+    p_fock.set_defaults(func=cmd_fock_verify)
 
     p_oracle = sub.add_parser("oracle",
                               help="emit a closed-form family spec and exact CSV")
@@ -741,8 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--paper-scalar-sign", action="store_true")
     p_oracle.set_defaults(func=cmd_oracle)
 
-    p_batch = sub.add_parser("batch", parents=[run_opts],
-                             help="run several specs, optionally in parallel")
+    p_batch = sub.add_parser("batch", help="run several specs, optionally in parallel")
+    _add_run_opts(p_batch, t_end=10.0)
     p_batch.add_argument("specs", nargs="+")
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="parallel workers (independent specs only)")

@@ -12,6 +12,17 @@ oracle confirms H_t = U_{t,0} H_0 U_{t,0}^* including the scalar term (see
 fock.conjugation_residual); the opposite convention +1 can be selected per
 run and is printed alongside the default by the fock-verify command.
 
+The adaptive path steps one state [Omega, B, u, v, C, I]: with the flow it
+carries the Bogoliubov pair (u_t, v_t) = (u_{t,0}, v_{t,0}) that the flow
+generates (see bogoliubov) and I_t = int_0^t ||B||_2,
+
+    d/dt u_t = -4 v_t B_t~,   d/dt v_t = -4 u_t B_t,   d/dt I_t = ||B_t||_2,
+
+from u_0 = 1, v_0 = 0, I_0 = 0.  One error control then covers the limit,
+the diagonalizing map and the integral in the map's norm bounds, and every
+sample holds all of them.  Diagnostics are columns over the samples,
+computed on first read.
+
 Monitored identities along the flow:
 
 * ||B_t||_2 is nonincreasing and Omega_t <= Omega_0;
@@ -31,13 +42,18 @@ first accepted step with ||B_t||_2 < TAIL_FACTOR * tol whose Omega drift
 over the remaining span is at most tol * max(1, ||Omega_t||_2), and no
 longer steps to t_end at its explicit-stability limit.  The guard keeps a
 tiny B on a near-zero Omega, whose true flow still grows, on the adaptive
-path.
+path.  The tail moves (u, v) by the first-order update with the closed-form
+int B and I by quadrature of the closed-form ||B||; a second guard keeps
+the dropped terms, at most about 8 I^2 (||u|| + ||v||) over the span, within
+tol.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,7 +61,7 @@ import numpy as np
 from .errors import BlowupDetected, NotConverged, InsufficientData, NotPSD, PathGap, \
     StepSizeUnderflow
 from .opcore import QuadraticSpec, hs_norm, hs_scale, min_eig_hermitian, psd_power
-from .stepping import drive_rk45
+from .stepping import drive_rk45, gauss_kronrod
 
 # Sign of the scalar-coefficient rate dC/dt = SCALAR_SIGN * 8 ||B||_2^2.
 SCALAR_SIGN = -1.0
@@ -71,12 +87,19 @@ class Controls:
 
 @dataclass
 class FlowState:
-    """Flow variables at one time."""
+    """Flow variables at one time.
+
+    States of the adaptive path also carry the map (u, v) = (u_{t,0},
+    v_{t,0}) and int_b = int_0^t ||B||_2; elsewhere these stay None.
+    """
 
     t: float
     omega: np.ndarray
     b: np.ndarray
     c: float
+    u: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
+    int_b: Optional[float] = None
 
     @property
     def hs_b(self) -> float:
@@ -111,8 +134,14 @@ def t0_horizon(hs_b0: float) -> float:
     return 1.0 / (128.0 * hs_b0)
 
 
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """||X||_2^2 of a matrix, or of each matrix along the leading axes."""
+    return np.sum(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
+
+
 def _rhs_mats(omega: np.ndarray, b: np.ndarray, scalar_sign: float):
-    """(dOmega, dB, dC) with dOmega exactly hermitian and dB exactly symmetric.
+    """(dOmega, dB, dC) with dOmega exactly hermitian and dB exactly symmetric,
+    of one state or of stacks of states along the leading axes.
 
     -16 B B~ and -2 (Omega B + B Omega^t) are written as M + M* and M + M^t,
     the second using B = B^t.  Their entries then pair up exactly, and the
@@ -120,11 +149,10 @@ def _rhs_mats(omega: np.ndarray, b: np.ndarray, scalar_sign: float):
     symmetric to the last bit.
     """
     bb = b @ b.conj()
-    domega = -8.0 * (bb + bb.conj().T)
+    domega = -8.0 * (bb + bb.conj().swapaxes(-1, -2))
     ob = omega @ b
-    db = -2.0 * (ob + ob.T)
-    dc = scalar_sign * 8.0 * float(np.linalg.norm(b)) ** 2
-    return domega, db, dc
+    db = -2.0 * (ob + ob.swapaxes(-1, -2))
+    return domega, db, scalar_sign * 8.0 * _sq_norms(b)
 
 
 def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
@@ -132,15 +160,51 @@ def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
     return _rhs_mats(state.omega, state.b, scalar_sign)
 
 
-def _vector(omega, b, c) -> np.ndarray:
-    """The stepper's state: one complex vector [Omega, B, C]."""
-    return np.concatenate([omega.ravel(), b.ravel(), [c]])
+class _CarriedRhs:
+    """d/dt [Omega, B, u, v, C, I], written into one output array.
+
+    Omega B, B B~, u B and v B~ come from one batched matmul of
+    [Omega, B, u, v] with [B, B~, B, B~] (a preallocated stack), and one
+    vdot gives ||B||_2^2 for both dC and dI.  dOmega and dB pair up exactly
+    as in _rhs_mats.  Each call returns a new array, which the stepper keeps
+    as its next first stage.
+    """
+
+    def __init__(self, n: int, scalar_sign: float):
+        self.n = n
+        self.sign8 = 8.0 * scalar_sign
+        self._rights = np.empty((4, n, n), dtype=complex)
+
+    def __call__(self, t, y):
+        n = self.n
+        mats = y[:-2].reshape(4, n, n)
+        b, rights = mats[1], self._rights
+        rights[0::2] = b
+        np.conjugate(b, out=rights[1::2])
+        p = mats @ rights  # Omega B, B B~, u B, v B~
+        out = np.empty(4 * n * n + 2, dtype=complex)
+        d = out[:-2].reshape(4, n, n)
+        np.add(p[1], p[1].conj().T, out=d[0])
+        d[0] *= -8.0
+        np.add(p[0], p[0].T, out=d[1])
+        d[1] *= -2.0
+        np.multiply(p[3:1:-1], -4.0, out=d[2:])  # du = -4 v B~, dv = -4 u B
+        sq = np.vdot(b, b).real
+        out[-2] = self.sign8 * sq
+        out[-1] = math.sqrt(sq)
+        return out
 
 
-def _matrices(y: np.ndarray, n: int):
-    """(Omega, B, C) of a state vector; Omega and B are views into y."""
-    n2 = n * n
-    return y[:n2].reshape(n, n), y[n2:2 * n2].reshape(n, n), float(y[-1].real)
+def _vector(state: FlowState) -> np.ndarray:
+    """The adaptive path's state: one complex vector [Omega, B, u, v, C, I]."""
+    return np.concatenate([state.omega.ravel(), state.b.ravel(), state.u.ravel(),
+                           state.v.ravel(), [state.c, state.int_b]])
+
+
+def _state(t: float, y: np.ndarray, n: int) -> FlowState:
+    """The FlowState of a state vector; its matrices are views into y."""
+    omega, b, u, v = y[:-2].reshape(4, n, n)
+    return FlowState(float(t), omega, b, float(y[-2].real), u, v, float(y[-1].real))
 
 
 def motion_residuals(state: FlowState, spec: QuadraticSpec) -> dict:
@@ -222,13 +286,19 @@ class FrozenTail:
     -16 int B B~, which has the same trace, so the scalar identity
     2 (C - C_0) = scalar_sign * tr(Omega_0 - Omega) keeps holding to
     rounding.  Every state it returns is exactly hermitian/symmetric.
+
+    A carried map takes the first-order update u - 4 v (int B)~,
+    v - 4 u int B with int_0^tau B = V (B~ o phi(2 (w_i + w_j), tau)) V^t,
+    and int_b the quadrature of ||B||_2 = (x^t |B~|^2 x)^{1/2},
+    x_i = e^{-4 w_i tau}, to an absolute error of 1e-3 tol.
     """
 
-    def __init__(self, state: FlowState):
+    def __init__(self, state: FlowState, tol: float = Controls.tol):
         self.state = state
+        self.tol = tol
         self.w, self.v = np.linalg.eigh(state.omega)
-        bt = self.v.conj().T @ state.b @ self.v.conj()
-        self._weights = np.abs(bt) ** 2
+        self._bt = self.v.conj().T @ state.b @ self.v.conj()
+        self._weights = np.abs(self._bt) ** 2
         self._rates = 4.0 * np.add.outer(self.w, self.w)
 
     def _int_bb(self, tau: float) -> np.ndarray:
@@ -239,15 +309,42 @@ class FrozenTail:
         """Trace norm of the change in Omega over tau."""
         return 16.0 * float(self._int_bb(tau).sum())
 
-    def at(self, t: float, scalar_sign: float) -> FlowState:
-        """The state at a time t at or after the hand-over."""
+    def int_b_bound(self, tau: float) -> float:
+        """An upper bound on int_0^tau ||B||_2: the smaller of the triangle
+        bound sum_ij |B~_ij| phi(2 (w_i + w_j), tau) and the Cauchy-Schwarz
+        bound (tau int_0^tau ||B||_2^2)^{1/2}."""
+        triangle = float((np.sqrt(self._weights) * _phi(self._rates / 2, tau)).sum())
+        return min(triangle, math.sqrt(tau * self.omega_drift(tau) / 16.0))
+
+    def hs_integral(self, tau0: float, tau1: float) -> float:
+        """int ||B||_2 over the offsets [tau0, tau1] after the hand-over."""
+        if tau1 <= tau0:
+            return 0.0
+
+        def norms(taus):
+            x = np.exp(-4.0 * np.multiply.outer(taus, self.w))
+            return np.sqrt(np.maximum(((x @ self._weights) * x).sum(axis=1), 0.0))
+
+        return gauss_kronrod(norms, tau0, tau1, epsabs=1e-3 * self.tol, epsrel=0.0)[0]
+
+    def at(self, t: float, scalar_sign: float,
+           prev: Optional[FlowState] = None) -> FlowState:
+        """The state at a time t at or after the hand-over; a carried int_b
+        continues from prev (by default the hand-over state)."""
         s = self.state
         tau = t - s.t
         d = self._int_bb(tau)
         omega = s.omega - 16.0 * ((self.v * d) @ self.v.conj().T)
         b = frozen_omega_b(self.w, self.v, s.b, tau)
-        return FlowState(t=t, omega=(omega + omega.conj().T) / 2, b=(b + b.T) / 2,
-                         c=s.c + scalar_sign * 8.0 * float(d.sum()))
+        out = FlowState(t=t, omega=(omega + omega.conj().T) / 2, b=(b + b.T) / 2,
+                        c=s.c + scalar_sign * 8.0 * float(d.sum()))
+        if s.u is not None:
+            int_bmat = self.v @ (self._bt * _phi(self._rates / 2, tau)) @ self.v.T
+            out.u = s.u - 4.0 * (s.v @ int_bmat.conj())
+            out.v = s.v - 4.0 * (s.u @ int_bmat)
+            prev = s if prev is None else prev
+            out.int_b = prev.int_b + self.hs_integral(prev.t - s.t, tau)
+        return out
 
 
 def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTail]:
@@ -257,13 +354,20 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     the embedded pair, and only if its Omega drift over the rest of the
     span is at most tol * max(1, ||Omega_t||_2).  The drift guard keeps a
     tiny B on a near-zero Omega, whose true flow slowly blows up, on the
-    adaptive path.
+    adaptive path.  A state carrying a map also needs the terms that the
+    first-order map update drops, 8 I^2 (||u||_2 + ||v||_2) with I bounded
+    by FrozenTail.int_b_bound over the span, to be at most tol.
     """
     if not (state.t < t_end and state.hs_b < TAIL_FACTOR * tol):
         return None
-    tail = FrozenTail(state)
-    if not tail.omega_drift(t_end - state.t) <= tol * max(1.0, hs_norm(state.omega)):
+    tail = FrozenTail(state, tol)
+    span = t_end - state.t
+    if not tail.omega_drift(span) <= tol * max(1.0, hs_norm(state.omega)):
         return None
+    if state.u is not None:
+        dropped = 8.0 * tail.int_b_bound(span) ** 2 * (hs_norm(state.u) + hs_norm(state.v))
+        if not dropped <= tol:
+            return None
     return tail
 
 
@@ -335,8 +439,13 @@ def hermite_eval(ts: np.ndarray, coeffs: np.ndarray, taus) -> np.ndarray:
     return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
 
+def _min_eigs(x: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the hermitian part of each stacked matrix."""
+    return np.linalg.eigvalsh((x + x.conj().swapaxes(-1, -2)) / 2)[:, 0]
+
+
 class Trajectory:
-    """Sampled flow history with diagnostics, events and interpolation."""
+    """Sampled flow history with lazy diagnostics, events and interpolation."""
 
     def __init__(self, spec: QuadraticSpec, controls: Controls, scalar_sign: float,
                  states: list, events: list, stats: dict):
@@ -346,33 +455,63 @@ class Trajectory:
         self.states = states
         self.events = events
         self.stats = dict(stats)
-        self.diags = [self._diag(s) for s in states]
-        self._hermite = None  # (ts, coefficients), built on first interpolation
-        self._norm_polys = None  # ||B||^2 per sample interval, built on first use
+        self._columns = {}  # diagnostic columns, computed on first read
+        self._hermite = {}  # interpolant coefficients per column group, built on first use
 
-    def _diag(self, state: FlowState) -> FlowDiagnostics:
-        res = motion_residuals(state, self.spec)
-        om0, b0 = self.spec.omega, self.spec.b
-        sq0 = om0 @ om0 - 8.0 * (b0 @ b0.conj())
-        sqt = state.omega @ state.omega - 8.0 * (state.b @ state.b.conj())
-        return FlowDiagnostics(
-            hs_b=state.hs_b,
-            c=state.c,
-            min_eig_omega=min_eig_hermitian(state.omega),
-            motion_residual=res["trace"],
-            k_norm=res["k_norm"],
-            matrix_motion_residual=res["matrix"],
-            omega_decrease_margin=min_eig_hermitian(om0 - state.omega),
-            square_mono_margin=min_eig_hermitian(sqt - sq0),
-        )
-
-    @property
+    @cached_property
     def ts(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
 
+    @cached_property
+    def _omegas(self) -> np.ndarray:
+        return np.stack([s.omega for s in self.states])
+
+    @cached_property
+    def _bs(self) -> np.ndarray:
+        return np.stack([s.b for s in self.states])
+
+    def column(self, name: str) -> np.ndarray:
+        """One FlowDiagnostics field for every sample, computed on first read
+        and batched over the stacked samples."""
+        if name not in self._columns:
+            self._columns.update(self._diag_columns(name))
+        return self._columns[name]
+
+    def _diag_columns(self, name: str) -> dict:
+        """The column `name`, with any other column that shares its work."""
+        om0, b0 = self.spec.omega, self.spec.b
+        om, b = self._omegas, self._bs
+        if name == "hs_b":
+            return {name: np.sqrt(_sq_norms(b))}
+        if name == "c":
+            return {name: np.array([s.c for s in self.states])}
+        if name == "min_eig_omega":
+            return {name: _min_eigs(om)}
+        if name == "k_norm":
+            ob = om @ b  # B Omega^t = (Omega B)^t, as every sample's B is symmetric
+            return {name: np.sqrt(_sq_norms(ob - ob.swapaxes(-1, -2)))}
+        if name in ("motion_residual", "matrix_motion_residual"):
+            ref = om0 @ om0 - 4.0 * (b0 @ b0.conj())
+            cur = om @ om - 4.0 * (b @ b.conj())
+            return {"motion_residual": np.abs(np.trace(cur, axis1=1, axis2=2).real
+                                              - np.trace(ref).real),
+                    "matrix_motion_residual": np.sqrt(_sq_norms(cur - ref))}
+        if name == "omega_decrease_margin":
+            return {name: _min_eigs(om0 - om)}
+        if name == "square_mono_margin":
+            sq0 = om0 @ om0 - 8.0 * (b0 @ b0.conj())
+            return {name: _min_eigs(om @ om - 8.0 * (b @ b.conj()) - sq0)}
+        raise KeyError(f"no diagnostic column {name!r}")
+
+    @property
+    def diags(self) -> list:
+        """FlowDiagnostics for every sample (every column is computed)."""
+        cols = [self.column(f.name) for f in fields(FlowDiagnostics)]
+        return [FlowDiagnostics(*map(float, row)) for row in zip(*cols)]
+
     @property
     def hs_bs(self) -> np.ndarray:
-        return np.array([s.hs_b for s in self.states])
+        return self.column("hs_b")
 
     @property
     def final(self) -> FlowState:
@@ -382,19 +521,34 @@ class Trajectory:
         tol = self.controls.conv_tol if conv_tol is None else conv_tol
         return self.final.hs_b < tol
 
-    def _ensure_hermite(self):
-        if self._hermite is not None:
-            return
-        ts = self.ts
-        ys = np.stack([_vector(s.omega, s.b, s.c) for s in self.states])
-        dys = np.stack([_vector(*_rhs_mats(s.omega, s.b, self.scalar_sign))
-                        for s in self.states])
-        self._hermite = (ts, hermite_coefficients(ts, ys, dys))
+    def _ensure_hermite(self, group: str) -> np.ndarray:
+        """Hermite coefficients of a column group: "flow" holds [Omega, B, C]
+        and "map" [u, v, I], each with its exact derivatives."""
+        if group not in self._hermite:
+            om, b = self._omegas, self._bs
+            rows = len(self.states)
+            if group == "flow":
+                dom, db, dc = _rhs_mats(om, b, self.scalar_sign)
+                ys = np.concatenate([om.reshape(rows, -1), b.reshape(rows, -1),
+                                     self.column("c")[:, None]], axis=1)
+                dys = np.concatenate([dom.reshape(rows, -1), db.reshape(rows, -1),
+                                      dc[:, None]], axis=1)
+            else:
+                u = np.stack([s.u for s in self.states])
+                v = np.stack([s.v for s in self.states])
+                ints = np.array([s.int_b for s in self.states])
+                ys = np.concatenate([u.reshape(rows, -1), v.reshape(rows, -1),
+                                     ints[:, None]], axis=1)
+                dys = np.concatenate([(-4.0 * (v @ b.conj())).reshape(rows, -1),
+                                      (-4.0 * (u @ b)).reshape(rows, -1),
+                                      np.sqrt(_sq_norms(b))[:, None]], axis=1)
+            self._hermite[group] = hermite_coefficients(self.ts, ys, dys)
+        return self._hermite[group]
 
-    def _interpolate(self, t: float, cols=slice(None)) -> np.ndarray:
-        """State-vector columns `cols` of the interpolant at a clamped time."""
-        self._ensure_hermite()
-        ts, coeffs = self._hermite
+    def _interpolate(self, t: float, group: str, cols=slice(None)) -> np.ndarray:
+        """Columns `cols` of a group's interpolant at a clamped time."""
+        coeffs = self._ensure_hermite(group)
+        ts = self.ts
         return hermite_eval(ts, coeffs[..., cols], min(max(t, ts[0]), ts[-1]))
 
     def _check_window(self, t: float) -> None:
@@ -408,8 +562,10 @@ class Trajectory:
         if len(self.states) == 1:
             s = self.states[0]
             return FlowState(t=float(t), omega=s.omega.copy(), b=s.b.copy(), c=s.c)
-        omega, b, c = _matrices(self._interpolate(t), self.spec.dim)
-        return FlowState(t=float(t), omega=omega, b=b, c=c)
+        n = self.spec.dim
+        y = self._interpolate(t, "flow")
+        omega, b = y[:-1].reshape(2, n, n)
+        return FlowState(t=float(t), omega=omega, b=b, c=float(y[-1].real))
 
     def b_at(self, t: float) -> np.ndarray:
         """B of state_at(t), interpolating only the B columns."""
@@ -417,47 +573,27 @@ class Trajectory:
         if len(self.states) == 1:
             return self.states[0].b.copy()
         n = self.spec.dim
-        return self._interpolate(t, slice(n * n, 2 * n * n)).reshape(n, n)
+        return self._interpolate(t, "flow", slice(n * n, 2 * n * n)).reshape(n, n)
 
-    def _ensure_norm_polys(self):
-        """Per sample interval, ||B||_2^2 of the interpolant as a polynomial.
-
-        B is cubic in s = t - ts[i] on each interval, so its squared norm is
-        the degree-6 polynomial sum_{k,l} Re <c_k, c_l> s^(6-k-l) built from
-        the Gram matrix of the complex power-basis coefficients of B.
-        Returns polys with polys[i, d] the coefficient of s^d.
-        """
-        if self._norm_polys is None:
-            self._ensure_hermite()
-            coeffs = self._hermite[1]
-            n2 = self.spec.dim ** 2
-            c = coeffs[..., n2:2 * n2].transpose(1, 0, 2)
-            gram = (c @ c.conj().transpose(0, 2, 1)).real
-            polys = np.zeros((len(gram), 7))
-            for k in range(4):
-                for l in range(4):
-                    polys[:, 6 - k - l] += gram[:, k, l]
-            self._norm_polys = polys
-        return self._norm_polys
-
-    def hs_b_at(self, taus) -> np.ndarray:
-        """||B||_2 of the interpolant at each time of a 1-d array."""
-        taus = np.asarray(taus, dtype=float)
-        self._check_window(taus.min())
-        self._check_window(taus.max())
-        if len(self.states) == 1:
-            return np.full(taus.shape, self.states[0].hs_b)
-        polys = self._ensure_norm_polys()
-        ts = self._hermite[0]
-        idx, s = _bracket(ts, np.clip(taus, ts[0], ts[-1]))
-        p = polys[idx]
-        sq = p[:, 6]
-        for d in range(5, -1, -1):
-            sq = sq * s + p[:, d]
-        return np.sqrt(np.maximum(sq, 0.0))
+    def carried_at(self, t: float) -> tuple:
+        """(u, v, int_b) from t = 0 to t: the stored sample at a sample time,
+        the cubic Hermite of the carried columns between samples."""
+        self._check_window(t)
+        ts = self.ts
+        t = min(max(t, ts[0]), ts[-1])
+        i = int(np.searchsorted(ts, t))
+        if ts[i] == t:
+            s = self.states[i]
+            return s.u.copy(), s.v.copy(), s.int_b
+        n = self.spec.dim
+        y = self._interpolate(t, "map")
+        u, v = y[:-1].reshape(2, n, n)
+        return u, v, float(y[-1].real)
 
     def b_path(self) -> "BPath":
-        return BPath(self)
+        """The B-path; a CarriedBPath when every sample holds the map."""
+        carried = all(s.u is not None for s in self.states)
+        return CarriedBPath(self) if carried else BPath(self)
 
     def write_csv(self, fh) -> None:
         """Write the sampled diagnostics; fixed column set, 17 significant digits."""
@@ -467,8 +603,9 @@ class Trajectory:
             close = True
         try:
             fh.write("t,hsB,c,minEigOmega,motionResidual,kNorm\n")
-            for s, d in zip(self.states, self.diags):
-                row = (s.t, d.hs_b, d.c, d.min_eig_omega, d.motion_residual, d.k_norm)
+            cols = [self.ts] + [self.column(name) for name in
+                                ("hs_b", "c", "min_eig_omega", "motion_residual", "k_norm")]
+            for row in zip(*cols):
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         finally:
             if close:
@@ -487,9 +624,22 @@ class BPath:
     def __call__(self, t: float) -> np.ndarray:
         return self._traj.b_at(t)
 
-    def hs_norms(self, taus) -> np.ndarray:
-        """||B_tau||_2 at each time of a 1-d array."""
-        return self._traj.hs_b_at(taus)
+
+class CarriedBPath(BPath):
+    """The B-path of a trajectory that carries the map and int ||B||.
+
+    bogoliubov.integrate_uv and path_hs_integral read these columns instead
+    of integrating along the path.
+    """
+
+    def map_at(self, t: float) -> tuple:
+        """(u_{t,t0}, v_{t,t0})."""
+        u, v, _ = self._traj.carried_at(t)
+        return u, v
+
+    def int_b_at(self, t: float) -> float:
+        """int_{t0}^t ||B||_2."""
+        return self._traj.carried_at(t)[2]
 
 
 class FunctionBPath:
@@ -515,15 +665,19 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     step-size underflow while ||B|| grows is classified the same way, and
     otherwise raises StepSizeUnderflow.
 
-    The "rk" method stops stepping at the first accepted step where
-    frozen_tail accepts the hand-over: ||B_t||_2 < TAIL_FACTOR * tol and an
-    Omega drift to t_end of at most tol * max(1, ||Omega_t||_2).  The
-    FrozenTail then supplies the rest exactly, sampled at offsets
+    The "rk" method steps [Omega, B, u, v, C, I], so its samples carry the
+    map and int ||B||; the "split" method steps (Omega, B, C) only.  "rk"
+    stops stepping at the first accepted step where frozen_tail accepts the
+    hand-over: ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at
+    most tol * max(1, ||Omega_t||_2) and a first-order map update within
+    tol.  The FrozenTail then supplies the rest, sampled at offsets
     (2^k - 1) h after the hand-over (h the last accepted step) and at t_end,
     so each sample interval is at most twice the one before and the cubic
     Hermite B-path never overshoots the hand-over ||B||.  stats["n_steps"]
     counts the accepted steps; stats["tail_t"] is the hand-over time (None
     without one) and stats["n_tail"] the number of tail samples.
+    stats["wall_time"] covers the stepping and the tail; diagnostics are
+    computed when first read.
     """
     controls = controls or Controls()
     sign = SCALAR_SIGN if scalar_sign is None else float(scalar_sign)
@@ -532,6 +686,8 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     me = min_eig_hermitian(spec.omega)
     if me < -1e-8 * hs_scale(spec.omega):
         raise NotPSD(f"Omega_0 has eigenvalue {me:.3e}; the flow requires Omega_0 >= 0")
+    if controls.method not in ("rk", "split"):
+        raise ValueError(f"unknown method {controls.method!r}")
 
     n = spec.dim
     hs_b0 = hs_norm(spec.b)
@@ -539,14 +695,12 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     recorder = _Recorder(controls.max_samples)
     state0 = FlowState(0.0, spec.omega.copy(), spec.b.copy(), spec.c0)
-    recorder.offer(state0, force=True)
     events = []
 
     def finish(extra_stats):
         stats = {"hs_b0": hs_b0, "scalar_sign": sign, "t_end": t_end}
         stats.update(extra_stats)
         traj = Trajectory(spec, controls, sign, recorder.samples, events, stats)
-        # the timing covers the eager per-sample diagnostics as well
         traj.stats["wall_time"] = time.perf_counter() - start
         return traj
 
@@ -559,6 +713,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             raise BlowupDetected(ev.message, trajectory=traj, event=ev)
 
     if controls.method == "split":
+        recorder.offer(state0, force=True)
         state = state0
         h = controls.split_h
         while state.t < t_end - 1e-15:
@@ -568,28 +723,23 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             check_blowup(state)
         return finish({"n_steps": recorder.count - 1, "method": "split"})
 
-    if controls.method != "rk":
-        raise ValueError(f"unknown method {controls.method!r}")
-
-    def fun(t, y):
-        omega, b, _ = _matrices(y, n)
-        return _vector(*_rhs_mats(omega, b, sign))
-
+    state0.u, state0.v, state0.int_b = np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0
+    recorder.offer(state0, force=True)
     tail, t_prev, h_last = None, 0.0, 0.0
 
     def on_step(t, y):
         nonlocal tail, t_prev, h_last
-        state = FlowState(float(t), *_matrices(y, n))
+        state = _state(t, y, n)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         recorder.offer(state, force=(t >= t_end or tail is not None))
         check_blowup(state)
         return tail is None
 
-    y0 = _vector(spec.omega, spec.b, spec.c0)
     try:
-        solver = drive_rk45(fun, 0.0, y0, t_end, rtol=controls.tol, atol=controls.tol,
-                            h_min=H_MIN, on_step=on_step)
+        solver = drive_rk45(_CarriedRhs(n, sign), 0.0, _vector(state0), t_end,
+                            rtol=controls.tol, atol=controls.tol, h_min=H_MIN,
+                            on_step=on_step)
     except StepSizeUnderflow as exc:
         # an underflow while ||B|| is still growing is the blow-up signature
         last = recorder.samples[-1]
@@ -613,8 +763,9 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     if tail is not None:
         times = _tail_times(tail.state.t, h_last, t_end)
         stats.update(tail_t=tail.state.t, n_tail=len(times))
+        state = tail.state
         for t in times:
-            state = tail.at(t, sign)
+            state = tail.at(t, sign, prev=state)
             recorder.offer(state, force=True)
             check_blowup(state)
     return finish(stats)

@@ -1,4 +1,5 @@
-"""Shared adaptive integration driver: the Dormand-Prince 5(4) embedded pair.
+"""Shared adaptive integration: the Dormand-Prince 5(4) embedded pair for
+ODEs and the Gauss-Kronrod 7-15 rule for quadrature.
 
 All matrix ODEs in the package run through this stepper (Hairer, Norsett &
 Wanner, *Solving ODEs I*, sections II.4-5).  Steps advance with the
@@ -12,12 +13,13 @@ right-hand-side evaluations.  The initial step is Hairer's estimate from the
 first two derivatives.
 
 The state may be real or complex and of any shape: the flow steps one
-complex vector [Omega, B, C], the (u, v) map a complex (2, n, n) stack and
-the Fock propagator a complex matrix U.  The stepper works on a flat float64
-view of the state (the real and imaginary parts interleaved, no copy), so
-error control is per real component.  ``fun`` and ``on_step`` receive the
-state in the shape and dtype of y0, as a view of the stepper's array that
-they must not write into; ``fun`` returns the derivative in that shape.
+complex vector [Omega, B, u, v, C, I], the (u, v) map along a given path a
+complex (2, n, n) stack and the Fock propagator a complex matrix U.  The
+stepper works on a flat float64 view of the state (the real and imaginary
+parts interleaved, no copy), so error control is per real component.
+``fun`` and ``on_step`` receive the state in the shape and dtype of y0, as a
+view of the stepper's array that they must not write into; ``fun`` returns
+the derivative in that shape, as an array that it does not reuse.
 
 On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
 for operation, so step sequences and results match it bit for bit; this
@@ -26,9 +28,15 @@ command line.
 
 Step-size underflow (proposed step below h_min, or no acceptable step above
 ten ulps of t) raises StepSizeUnderflow; callers classify it further.
+
+gauss_kronrod is QUADPACK's adaptive 7-15 rule, so that no quadrature on
+the command line's path imports scipy either.
 """
 
 from __future__ import annotations
+
+import heapq
+import math
 
 import numpy as np
 
@@ -221,3 +229,85 @@ def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12, on_step=None,
                 f"step size {solver.h_abs:.3e} fell below h_min = {h_min:.3e} "
                 f"at t = {solver.t:.6g}")
     return solver
+
+
+# Gauss-Kronrod 7-15 rule on [-1, 1] (Piessens et al., QUADPACK, routine
+# qk15): the 15 Kronrod nodes in ascending order, their weights, and the
+# weights of the embedded 7-point Gauss rule (zero on Kronrod-only nodes).
+_GK_X = np.array([0.991455371120812639206854697526329,
+                  0.949107912342758524526189684047851,
+                  0.864864423359769072789712788640926,
+                  0.741531185599394439863864773280788,
+                  0.586087235467691130294144845693013,
+                  0.405845151377397166906606412076961,
+                  0.207784955007898467600689403773245])
+_GK_WK = np.array([0.022935322010529224963732008058970,
+                   0.063092092629978553290700663189204,
+                   0.104790010322250183839876322541518,
+                   0.140653259715525918745189590510238,
+                   0.169004726639267902826583426598550,
+                   0.190350578064785409913256402421014,
+                   0.204432940075298892414161999234649])
+_GK_WK0 = 0.209482141084727828012999174891714
+_GK_WG = np.array([0.129484966168869693270611432679082,
+                   0.279705391489276667901467771423780,
+                   0.381830050505118944950369775488975])
+_GK_WG0 = 0.417959183673469387755102040816327
+_NODES = np.concatenate([-_GK_X, [0.0], _GK_X[::-1]])
+_KRONROD = np.concatenate([_GK_WK, [_GK_WK0], _GK_WK[::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate([_GK_WG, [_GK_WG0], _GK_WG[::-1]])
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# default stopping rule of gauss_kronrod: that of scipy.integrate.quad
+QUAD_EPSABS = QUAD_EPSREL = 1.49e-8
+QUAD_LIMIT = 200
+
+
+def _gk15(f, los: np.ndarray, his: np.ndarray) -> tuple:
+    """GK15 values and QUADPACK error estimates on panels [los[i], his[i]]
+    (los < his); all panels' nodes go to f in one call."""
+    center, half = 0.5 * (los + his), 0.5 * (his - los)
+    nodes = center[:, np.newaxis] + half[:, np.newaxis] * _NODES
+    fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
+    res_k = fx @ _KRONROD
+    err = np.abs(res_k - fx @ _GAUSS) * half
+    res_abs = (np.abs(fx) @ _KRONROD) * half
+    res_asc = (np.abs(fx - 0.5 * res_k[:, np.newaxis]) @ _KRONROD) * half
+    # QUADPACK's sharpening of |Kronrod - Gauss| for smooth integrands, and
+    # its floor at the roundoff level of the panel
+    ratio = 200.0 * err / np.where(res_asc > 0, res_asc, 1.0)
+    err = np.where((res_asc != 0.0) & (err != 0.0),
+                   res_asc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.where(res_abs > _TINY / (50.0 * _EPS),
+                   np.maximum(50.0 * _EPS * res_abs, err), err)
+    return res_k * half, err
+
+
+def gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = QUAD_EPSABS,
+                  epsrel: float = QUAD_EPSREL) -> tuple:
+    """Adaptive Gauss-Kronrod 7-15 quadrature of int_a^b f (a <= b), as
+    (value, error estimate).
+
+    f maps a 1-d array of nodes to the array of integrand values.  The
+    interval is first cut at the given breakpoints inside (a, b), where f
+    may have kinks, and all those panels are sampled in one call.  Then the
+    panel with the largest error estimate is bisected, at most QUAD_LIMIT
+    times, until the summed estimate drops below max(epsabs, epsrel |value|).
+    """
+    edges = np.unique(np.concatenate([[a, b], [p for p in points if a < p < b]]))
+    vals, errs = _gk15(f, edges[:-1], edges[1:])
+    heap = [(-e, lo, hi, v) for lo, hi, v, e in zip(edges[:-1], edges[1:], vals, errs)]
+    heapq.heapify(heap)
+    value, error = float(vals.sum()), float(errs.sum())
+    for _ in range(QUAD_LIMIT):
+        if error <= max(epsabs, epsrel * abs(value)):
+            break
+        neg_err, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        halves = _gk15(f, np.array([lo, mid]), np.array([mid, hi]))
+        for lo_i, hi_i, v_i, e_i in zip((lo, mid), (mid, hi), *halves):
+            heapq.heappush(heap, (-e_i, lo_i, hi_i, v_i))
+        value += float(halves[0].sum()) - v
+        error += float(halves[1].sum()) + neg_err
+    return math.fsum(p[3] for p in heap), math.fsum(-p[0] for p in heap)

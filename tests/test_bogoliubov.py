@@ -31,9 +31,29 @@ def rand_symplectic(rng, n, alphas=None):
     return BogoliubovMap(u=u, v=v), np.sort(np.asarray(alphas, float))[::-1]
 
 
+def gapped_spec(seed, n):
+    """Random complex spec with Omega eigenvalues in [1, 2] and ||B||_op = 1/4,
+    so the flow converges; its B_t do not commute."""
+    rng = np.random.default_rng(seed)
+    q = rand_unitary(rng, n)
+    lam = rng.uniform(1.0, 2.0, n)
+    lam[0], lam[-1] = 1.0, 2.0
+    omega = (q * lam) @ q.conj().T
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = (g + g.T) / 2
+    b *= 0.25 / np.linalg.norm(b, 2)
+    return flow.QuadraticSpec.from_matrices((omega + omega.conj().T) / 2, b,
+                                            c0=float(rng.uniform(-1, 1)))
+
+
 @pytest.fixture(scope="module")
 def generic_bpath(generic_traj):
     return generic_traj.b_path()
+
+
+@pytest.fixture(scope="module")
+def gapped_traj():
+    return flow.integrate(gapped_spec(1, 8), t_end=5.0)
 
 
 def test_symplectic_residuals_trivial():
@@ -86,13 +106,62 @@ def test_integrate_uv_path_gap(generic_bpath):
         bogoliubov.integrate_uv(generic_bpath, 2.0, 1.0)
 
 
-def test_cocycle_composition(generic_bpath):
-    early = bogoliubov.integrate_uv(generic_bpath, 0.0, 1.0)
-    late = bogoliubov.integrate_uv(generic_bpath, 1.0, 2.0)
-    direct = bogoliubov.integrate_uv(generic_bpath, 0.0, 2.0)
-    joined = bogoliubov.compose(late, early)
-    assert hs_norm(joined.u - direct.u) < 1e-8
-    assert hs_norm(joined.v - direct.v) < 1e-8
+def test_cocycle_composition(generic_bpath, gapped_traj):
+    # the second path does not commute with itself at different times, so
+    # only the time order compose(s -> x, x -> t) holds on it
+    stepped = gapped_traj.b_path()
+    stepped = FunctionBPath(stepped, stepped.t0, stepped.t1)
+    for path in (generic_bpath, stepped):
+        early = bogoliubov.integrate_uv(path, 0.0, 1.0)
+        late = bogoliubov.integrate_uv(path, 1.0, 2.0)
+        direct = bogoliubov.integrate_uv(path, 0.0, 2.0)
+        joined = bogoliubov.compose(early, late)
+        assert (joined.s, joined.t) == (0.0, 2.0)
+        assert hs_norm(joined.u - direct.u) < 1e-8
+        assert hs_norm(joined.v - direct.v) < 1e-8
+    assert hs_norm(bogoliubov.compose(late, early).u - direct.u) > 1e-6
+
+
+def test_carried_map_matches_stepping_between_samples(gapped_traj):
+    spec, bp = gapped_traj.spec, gapped_traj.b_path()
+    assert isinstance(bp, flow.CarriedBPath)
+    stepped = FunctionBPath(bp, bp.t0, bp.t1)
+    t_final = gapped_traj.final.t
+    # at sample times the map is the stored sample itself
+    m = bogoliubov.integrate_uv(bp, 0.0, t_final)
+    assert np.array_equal(m.u, gapped_traj.final.u)
+    assert np.array_equal(m.v, gapped_traj.final.v)
+    # between samples it is the cubic Hermite of the carried columns
+    for s, t in ((0.0, 2.5), (0.37, 2.5), (0.37, t_final), (1.3, 1.9)):
+        m = bogoliubov.integrate_uv(bp, s, t)
+        ref = bogoliubov.integrate_uv(stepped, s, t)
+        assert (m.s, m.t) == (s, t)
+        assert max(hs_norm(m.u - ref.u), hs_norm(m.v - ref.v)) <= 1e-6
+        assert max(bogoliubov.symplectic_residuals(m).values()) <= bogoliubov.MAP_TOL
+        if s == 0.0:
+            out = bogoliubov.transform_spec(m, spec)
+            st_ = gapped_traj.state_at(t)
+            assert max(hs_norm(out.omega - st_.omega), hs_norm(out.b - st_.b),
+                       abs(out.c0 - st_.c)) <= 1e-8
+    int_b = bogoliubov.path_hs_integral(bp, 0.37, 2.5)
+    assert abs(int_b - bogoliubov.path_hs_integral(stepped, 0.37, 2.5)) <= 1e-8
+    # split trajectories carry no map: their path is integrated along
+    split = flow.integrate(spec, 1.0, flow.Controls(method="split", split_h=1e-2))
+    split_path = split.b_path()
+    assert type(split_path) is flow.BPath and split.final.u is None
+    m = bogoliubov.integrate_uv(split_path, 0.0, 1.0)
+    assert max(bogoliubov.symplectic_residuals(m).values()) <= bogoliubov.MAP_TOL
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_seeded_round_trips(n):
+    spec = gapped_spec(1, n)
+    traj = flow.integrate(spec, t_end=5.0)
+    m = bogoliubov.integrate_uv(traj.b_path(), 0.0, traj.final.t)
+    out = bogoliubov.transform_spec(m, spec)
+    final = traj.final
+    assert max(hs_norm(out.omega - final.omega), hs_norm(out.b - final.b),
+               abs(out.c0 - final.c)) <= 1e-8
 
 
 def test_inverse_map(generic_bpath):

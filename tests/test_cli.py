@@ -156,6 +156,47 @@ def test_diag_report_and_json(generic_file, tmp_path, capsys):
     assert max(doc["transform_residuals"].values()) < 1e-6
 
 
+def test_diag_stiff_block_checks_hold(tmp_path, capsys):
+    # ||v|| and sinh(4 int ||B||) agree in every printed digit here, so only
+    # a map and integral under one error control keep the bound
+    path = tmp_path / "stiff.json"
+    assert cli.main(["oracle", "block", "1", "1e4", "0.5", "--out", str(path)]) == 0
+    out_json = tmp_path / "diag.json"
+    code = cli.main(["diag", str(path), "--t-end", "1", "--json", str(out_json)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "holds: yes" in out and "map check failed" not in out
+    doc = json.loads(out_json.read_text())
+    assert doc["norm_bounds"] == [True, True]
+    assert doc["transform_residuals"]["b"] <= 1e-6
+
+
+def test_diag_exits_1_when_a_map_check_fails(generic_file, tmp_path, capsys, monkeypatch):
+    # a loose tolerance leaves the map outside MAP_TOL of symplectic
+    code = cli.main(["diag", generic_file, "--t-end", "5", "--tol", "1e-4"])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_CONDITION
+    assert "map check failed: symplectic residual" in out
+    # a failing norm bound still prints the whole report and writes the JSON
+    monkeypatch.setattr(bogoliubov, "norm_bounds", lambda m, int_b: (True, False))
+    out_json = tmp_path / "diag.json"
+    code = cli.main(["diag", generic_file, "--t-end", "5", "--json", str(out_json)])
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_CONDITION
+    assert "holds: NO" in out and "squeeze strengths" in out
+    assert out.endswith("map check failed: norm bounds\n")
+    assert json.loads(out_json.read_text())["norm_bounds"] == [True, False]
+
+
+@pytest.mark.parametrize("command, t_end", [("run", 10.0), ("diag", 10.0),
+                                            ("batch", 10.0), ("fock-verify", 2.0)])
+def test_run_like_commands_default_horizon(command, t_end):
+    parser = cli.build_parser()
+    assert parser.parse_args([command, "x.json"]).t_end == t_end
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    assert f"(default {t_end:g})" in sub.format_help()
+
+
 def test_diag_not_converged(tmp_path, capsys):
     path = write_spec(tmp_path, "flat.json", {"blocks": [[2.0, 2.0, 1.0]]})
     code = cli.main(["diag", path, "--t-end", "2"])

@@ -80,20 +80,66 @@ def test_blowup_guard_in_split_method():
         flow.integrate(spec, t_end=1.0, controls=controls)
 
 
-def test_wall_time_covers_diagnostics(generic_spec, monkeypatch):
-    spent = []
-    plain = flow.Trajectory._diag
+def test_wall_time_covers_stepping_and_tail(generic_spec, monkeypatch):
+    # integrate computes no diagnostics, and wall_time covers the stepping
+    # and the frozen-Omega tail
+    read, spent = [], []
+    plain_columns = flow.Trajectory._diag_columns
 
-    def timed(self, state):
-        t0 = time.perf_counter()
-        out = plain(self, state)
-        spent.append(time.perf_counter() - t0)
-        return out
+    def columns(self, name):
+        read.append(name)
+        return plain_columns(self, name)
 
-    monkeypatch.setattr(flow.Trajectory, "_diag", timed)
+    def timed(fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            spent.append(time.perf_counter() - t0)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(flow.Trajectory, "_diag_columns", columns)
+    monkeypatch.setattr(flow, "drive_rk45", timed(flow.drive_rk45))
+    monkeypatch.setattr(flow.FrozenTail, "at", timed(flow.FrozenTail.at))
     traj = flow.integrate(generic_spec, t_end=5.0)
-    assert len(spent) == len(traj.states)
+    assert traj.stats["n_tail"] > 0 and len(spent) == 1 + traj.stats["n_tail"]
     assert traj.stats["wall_time"] >= sum(spent)
+    assert read == []
+    traj.write_csv(io.StringIO())  # reads only the columns it prints
+    assert sorted(read) == ["c", "hs_b", "k_norm", "min_eig_omega", "motion_residual"]
+
+
+def reference_diagnostics(state, spec):
+    """FlowDiagnostics of one state, computed on its own."""
+    res = flow.motion_residuals(state, spec)
+    om0, b0 = spec.omega, spec.b
+    sq0 = om0 @ om0 - 8.0 * (b0 @ b0.conj())
+    sqt = state.omega @ state.omega - 8.0 * (state.b @ state.b.conj())
+    return flow.FlowDiagnostics(
+        hs_b=state.hs_b, c=state.c, min_eig_omega=min_eig_hermitian(state.omega),
+        motion_residual=res["trace"], k_norm=res["k_norm"],
+        matrix_motion_residual=res["matrix"],
+        omega_decrease_margin=min_eig_hermitian(om0 - state.omega),
+        square_mono_margin=min_eig_hermitian(sqt - sq0))
+
+
+def test_lazy_columns_match_per_sample_reference():
+    # batched columns may sum in another order: equal to within rounding
+    # of the largest quantities they difference, of order ||Omega_0||_2^2
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    b = 0.1 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    spec = QuadraticSpec.from_matrices(x @ x.conj().T / 8 + np.eye(8), (b + b.T) / 2)
+    traj = flow.integrate(spec, t_end=10.0)
+    assert traj.stats["n_tail"] > 0
+    atol = 8 * np.finfo(float).eps * hs_norm(spec.omega) ** 2
+    expected = [reference_diagnostics(s, spec) for s in traj.states]
+    for name in flow.FlowDiagnostics.__dataclass_fields__:
+        ref = np.array([getattr(d, name) for d in expected])
+        assert np.allclose(traj.column(name), ref, rtol=1e-13, atol=atol), name
+        assert np.allclose([getattr(d, name) for d in traj.diags], ref,
+                           rtol=1e-13, atol=atol), name
+    assert np.array_equal(traj.hs_bs, traj.column("hs_b"))
 
 
 def test_rejects_non_finite_horizon(generic_spec):
@@ -363,8 +409,7 @@ def test_tail_b_path_never_exceeds_the_handover_norm(h500_traj):
     assert all(b <= a for a, b in zip(norms, norms[1:]))
     knots = ts[ts >= t_tail]
     grid = np.concatenate([np.linspace(a, b, 200) for a, b in zip(knots, knots[1:])])
-    assert np.max(h500_traj.hs_b_at(grid)) <= handover
-    assert max(hs_norm(h500_traj.b_at(t)) for t in grid[::10]) <= handover
+    assert max(hs_norm(h500_traj.b_at(t)) for t in grid) <= handover
 
 
 def seeded_n64_spec(seed):
@@ -403,6 +448,13 @@ def test_tail_drift_guard():
     # B is not yet below TAIL_FACTOR * tol, or no span is left
     assert flow.frozen_tail(flow.FlowState(0.0, omega, 1e4 * b, 0.0), 1.0, tol) is None
     assert flow.frozen_tail(state, 0.0, tol) is None
+    # a carried map also needs the terms its first-order update drops,
+    # 8 I^2 (||u|| + ||v||) with I = 1e-9 tau here, within tol
+    carried = flow.FlowState(0.0, omega, b.astype(complex), 0.0,
+                             np.eye(2, dtype=complex), np.zeros((2, 2), complex), 0.0)
+    assert flow.frozen_tail(carried, 1.0, tol) is not None
+    assert flow.frozen_tail(state, 1e4, tol) is not None  # drift 1.6e-13
+    assert flow.frozen_tail(carried, 1e4, tol) is None  # 8 I^2 sqrt(2) = 1.1e-9
 
 
 def test_frozen_tail_closed_form():
@@ -422,3 +474,16 @@ def test_frozen_tail_closed_form():
                            rtol=0, atol=1e-15)
         assert np.allclose(s.omega, np.diag([1.0, 2.0]) - 8.0 * int_b2 * np.eye(2),
                            rtol=0, atol=1e-15)
+        assert s.u is None and s.int_b is None
+    # a carried map: int B = b phi(6, tau) antidiag and int ||B|| = sqrt(2) of it
+    rng = np.random.default_rng(2)
+    u0, v0 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    state.u, state.v, state.int_b = u0, v0, 0.7
+    tail = flow.FrozenTail(state)
+    int_bmat = b * -np.expm1(-6.0 * tau) / 6.0 * np.array([[0, 1], [1, 0]])
+    s = tail.at(1.0 + tau, -1.0)
+    assert np.allclose(s.u, u0 - 4.0 * v0 @ int_bmat, rtol=0, atol=1e-15)
+    assert np.allclose(s.v, v0 - 4.0 * u0 @ int_bmat, rtol=0, atol=1e-15)
+    assert abs(s.int_b - (0.7 + np.sqrt(2.0) * b * -np.expm1(-6.0 * tau) / 6.0)) <= 1e-15
+    mid = tail.at(1.0 + tau / 3, -1.0)
+    assert abs(tail.at(1.0 + tau, -1.0, prev=mid).int_b - s.int_b) <= 1e-15

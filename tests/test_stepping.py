@@ -1,9 +1,10 @@
 """The in-repo integrator, interpolant and quadrature against scipy.
 
-bwflow steps with its own Dormand-Prince 5(4) pair, interpolates B with its
-own cubic Hermite evaluation and integrates ||B|| with its own Gauss-Kronrod
-rule, so that the command line never imports scipy.  These tests pin each
-piece to the scipy routine it replaced.
+bwflow steps with its own Dormand-Prince 5(4) pair, interpolates with its
+own cubic Hermite evaluation and integrates ||B|| along paths that do not
+carry it with its own Gauss-Kronrod rule, so that the command line never
+imports scipy.  These tests pin each piece to the scipy routine it
+replaced.
 """
 
 import os
@@ -40,16 +41,25 @@ def unpack(y, shape):
     return (y[0::2] + 1j * y[1::2]).reshape(shape)
 
 
+def flow_vector(omega, b, c):
+    """(Omega, B, C) as one complex vector."""
+    return np.concatenate([omega.ravel(), b.ravel(), [c]])
+
+
+def flow_fun(n):
+    """The flow on (Omega, B, C) as a function of flow_vector states."""
+    def fun(t, y):
+        omega, b = y[:-1].reshape(2, n, n)
+        return flow_vector(*flow.rhs(flow.FlowState(t, omega, b, y[-1].real)))
+
+    return fun
+
+
 def packed_flow(spec):
     """(rhs, y0) of the flow on a real packing of its complex state vector."""
-    n = spec.dim
-    y0 = flow._vector(spec.omega, spec.b, spec.c0)
-
-    def fun(t, y):
-        omega, b, _ = flow._matrices(unpack(y, y0.shape), n)
-        return pack(flow._vector(*flow._rhs_mats(omega, b, flow.SCALAR_SIGN)))
-
-    return fun, pack(y0)
+    y0 = flow_vector(spec.omega, spec.b, spec.c0)
+    fun = flow_fun(spec.dim)
+    return (lambda t, y: pack(fun(t, unpack(y, y0.shape)))), pack(y0)
 
 
 def scipy_drive(fun, y0, t_bound, tol):
@@ -152,13 +162,8 @@ def test_complex_state_matches_real_packing(spec):
     # the same ODE on the complex state vector and on a real packing of it:
     # error control on a complex state is per real component
     fun_real, y0_real = packed_flow(spec)
-    y0 = flow._vector(spec.omega, spec.b, spec.c0)
-    n = spec.dim
-
-    def fun(t, y):
-        omega, b, _ = flow._matrices(y, n)
-        return flow._vector(*flow._rhs_mats(omega, b, flow.SCALAR_SIGN))
-
+    y0 = flow_vector(spec.omega, spec.b, spec.c0)
+    fun = flow_fun(spec.dim)
     runs = []
     for f, init, shaped in ((fun, y0, lambda y: y),
                             (fun_real, y0_real, lambda y: unpack(y, y0.shape))):
@@ -194,8 +199,8 @@ def test_zero_length_interval_and_h_min():
 
 def test_hermite_eval_matches_scipy_bitwise(generic_traj):
     ts = generic_traj.ts
-    ys = np.stack([flow._vector(s.omega, s.b, s.c) for s in generic_traj.states])
-    dys = np.stack([flow._vector(*flow._rhs_mats(s.omega, s.b, generic_traj.scalar_sign))
+    ys = np.stack([flow_vector(s.omega, s.b, s.c) for s in generic_traj.states])
+    dys = np.stack([flow_vector(*flow.rhs(s, generic_traj.scalar_sign))
                     for s in generic_traj.states])
     ref = CubicHermiteSpline(ts, ys, dys, axis=0)
     coeffs = flow.hermite_coefficients(ts, ys, dys)
@@ -203,13 +208,6 @@ def test_hermite_eval_matches_scipy_bitwise(generic_traj):
     assert np.array_equal(flow.hermite_eval(ts, coeffs, taus), ref(taus))
     for t in taus[:50]:
         assert np.array_equal(flow.hermite_eval(ts, coeffs, t), ref(t))
-
-
-def test_closed_form_path_norms(generic_traj):
-    bp = generic_traj.b_path()
-    taus = np.linspace(bp.t0, bp.t1, 301)
-    direct = np.array([np.linalg.norm(bp(t)) for t in taus])
-    assert np.max(np.abs(bp.hs_norms(taus) - direct)) <= 1e-14 * direct.max()
 
 
 def test_gauss_kronrod_rules():
@@ -233,8 +231,9 @@ def test_gauss_kronrod_rules():
     assert abs(val - 2.5) <= max(err, 1.49e-8 * 2.5)
 
 
-def test_path_integral_matches_quad_on_readme_path(generic_traj):
-    bp = generic_traj.b_path()
+def test_path_integral_matches_quad_on_readme_path(generic_spec, generic_traj):
+    # the quadrature path: a B-path that carries no integral
+    bp = flow.BPath(generic_traj)
     t1 = generic_traj.final.t
 
     def norm(tau):
@@ -254,9 +253,16 @@ def test_path_integral_matches_quad_on_readme_path(generic_traj):
     tight_sub, _ = quad(norm, 0.7, 3.2, points=inner, limit=1000,
                         epsabs=1e-14, epsrel=1e-13)
     assert abs(sub - tight_sub) <= 1e-10
-    # a path without closed-form norms is sampled node by node
+    # a path without sample times is sampled with no breakpoints
     plain = flow.FunctionBPath(bp, bp.t0, bp.t1)
     assert abs(bogoliubov.path_hs_integral(plain, 0.0, t1) - ours) <= 1.49e-8 * ours
+    # the flow's own path carries the integral, stepped with the flow: it
+    # is closer to a tol = 1e-13 run than the quadrature of the interpolant
+    carried = bogoliubov.path_hs_integral(generic_traj.b_path(), 0.0, t1)
+    reference = flow.integrate(generic_spec, t1, flow.Controls(tol=1e-13)).final.int_b
+    assert carried == generic_traj.final.int_b
+    assert abs(carried - reference) <= 2e-9
+    assert abs(carried - reference) < abs(ours - reference)
 
 
 def _fresh_python(code: str) -> str:
@@ -280,3 +286,10 @@ def test_cli_start_up_does_not_import_scipy(tmp_path):
         f"    code = cli.main(['run', {str(spec)!r}, '--t-end', '5'])\n"
         "print(code, sorted(m for m in heavy if m in sys.modules))\n")
     assert _fresh_python(code).splitlines() == ["[]", "0 []"]
+
+
+def test_cli_import_loads_no_scipy_module():
+    code = ("import sys\n"
+            "import bwflow.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_python(code).splitlines() == ["[]"]
