@@ -28,19 +28,19 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = QuadraticSpec.from_matrices([[args.omega]], [[args.b]])
-    trajs = {sign: flow.integrate(spec, args.t, flow.Controls(tol=1e-10),
-                                  scalar_sign=sign)
-             for sign in (-1.0, 1.0)}
+    # one integration: the +1 final state follows as C = 2 c0 - C_t
+    traj = flow.integrate(spec, args.t, flow.Controls(tol=1e-10), scalar_sign=-1.0)
+    finals = flow.signed_finals(traj)
 
     print(f"{'cutoff':>7} {'sector':>7} {'residual s=-1':>14} "
           f"{'residual s=+1':>14}")
     for cutoff in args.cutoffs:
         fk = fock.build_basis(1, cutoff)
-        u = fock.propagate(fk, trajs[-1.0], 0.0, args.t)
+        u = fock.propagate(fk, traj, 0.0, args.t)
         sector = min(args.sector, cutoff - 4)
         row = []
         for sign in (-1.0, 1.0):
-            final = trajs[sign].final
+            final = finals[sign]
             spec_t = QuadraticSpec.from_matrices(final.omega, final.b,
                                                  c0=final.c, sym_tol=np.inf)
             row.append(fock.conjugation_residual(fk, u, spec, spec_t, sector))

@@ -18,9 +18,9 @@ compose(m_{x,s}, m_{t,x}), and m_{t,s} = compose(inverse(m_{s,0}), m_{t,0}).
 flow.integrate steps (u_{t,0}, v_{t,0}) and int_0^t ||B||_2 together with
 the flow, so the B-path of such a trajectory answers integrate_uv and
 path_hs_integral from those carried columns: exactly at sample times, from
-the cubic Hermite of the carried columns in between.  Any other path (an
-explicit function, a split-method trajectory) is integrated along: (u, v)
-by the embedded pair, the integral by Gauss-Kronrod quadrature.
+the cubic Hermite of the carried columns in between.  Any other path,
+such as an explicit function, is integrated along: (u, v) by the embedded
+pair, the integral by Gauss-Kronrod quadrature.
 
 The same pair has a convergent iterated-integral series with even orders
 feeding u and odd orders feeding v; order n keeps all terms with at most n

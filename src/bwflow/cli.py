@@ -176,17 +176,12 @@ def dump_spec(spec: QuadraticSpec, fh, comments=()) -> None:
 
 @dataclass
 class RunConfig:
-    """Integration settings shared by the run-like commands."""
+    """Validated integration settings shared by the run-like commands."""
 
-    t_end: float = 10.0
-    tol: float = 1e-10
-    method: str = "rk"
-    conv_tol: float = 1e-8
-    scalar_sign: float = flow.SCALAR_SIGN
-    cutoff: int = 30
-    sector_cut: Optional[int] = None
-    csv_path: Optional[str] = None
-    json_path: Optional[str] = None
+    t_end: float
+    tol: float
+    conv_tol: float
+    scalar_sign: float
 
     def __post_init__(self):
         if not (math.isfinite(self.t_end) and self.t_end > 0):
@@ -198,23 +193,15 @@ class RunConfig:
                              "(100 machine epsilons)", field="tol")
 
     def controls(self) -> flow.Controls:
-        return flow.Controls(tol=self.tol, method=self.method,
-                             conv_tol=self.conv_tol)
+        return flow.Controls(tol=self.tol, conv_tol=self.conv_tol)
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        t_end=args.t_end,
-        tol=args.tol,
-        method=getattr(args, "method", "rk"),
-        conv_tol=getattr(args, "conv_tol", 1e-8),
-        scalar_sign=(1.0 if getattr(args, "paper_scalar_sign", False)
-                     else flow.SCALAR_SIGN),
-        cutoff=getattr(args, "cutoff", 30),
-        sector_cut=getattr(args, "sector_cut", None),
-        csv_path=getattr(args, "csv", None),
-        json_path=getattr(args, "json", None),
-    )
+    """The validated RunConfig of a run-like command; the commands without
+    --paper-scalar-sign (diag, fock-verify) keep the default sign."""
+    paper_sign = getattr(args, "paper_scalar_sign", False)
+    return RunConfig(t_end=args.t_end, tol=args.tol, conv_tol=args.conv_tol,
+                     scalar_sign=1.0 if paper_sign else flow.SCALAR_SIGN)
 
 
 def _json_safe(x):
@@ -334,7 +321,7 @@ def _run_one(spec: QuadraticSpec, cfg: RunConfig, out, csv_path: Optional[str]) 
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
     cfg = _config_from_args(args)
-    return _run_one(spec, cfg, sys.stdout, cfg.csv_path)
+    return _run_one(spec, cfg, sys.stdout, args.csv)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +397,7 @@ def cmd_diag(args) -> int:
         sys.stdout.write("squeeze strengths: (none)\n")
     _print_matrix("hMatrix", decomp.h_matrix, sys.stdout)
 
-    if cfg.json_path:
+    if args.json:
         doc = _json_safe({
             "t": t_final,
             "dim": spec.dim,
@@ -423,7 +410,7 @@ def cmd_diag(args) -> int:
             "alphas": decomp.alphas,
             "h_matrix": _matrix_to_pairs(decomp.h_matrix),
         })
-        with open(cfg.json_path, "w", encoding="utf-8") as fh:
+        with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     failed = [name for name, ok in (("norm bounds", holds_u and holds_v),
@@ -438,24 +425,12 @@ def cmd_diag(args) -> int:
 # ---------------------------------------------------------------------------
 # fock-verify
 
-def _signed_finals(spec: QuadraticSpec, traj: flow.Trajectory) -> dict:
-    """Final state of the flow for each scalar sign, from one trajectory.
-
-    Omega and B do not depend on the sign, and C_t - c0 flips with it, so
-    the run with the opposite sign ends at C = 2 c0 - C_t.
-    """
-    final = traj.final
-    other = flow.FlowState(final.t, final.omega, final.b, 2.0 * spec.c0 - final.c)
-    return {traj.scalar_sign: final, -traj.scalar_sign: other}
-
-
 def cmd_fock_verify(args) -> int:
     spec = load_spec(args.spec)
     if spec.dim > 2:
         raise SizeLimit(f"fock-verify handles at most 2 modes, got {spec.dim}")
     cfg = _config_from_args(args)
-    cutoff = cfg.cutoff
-    sector_cut = cfg.sector_cut
+    cutoff, sector_cut = args.cutoff, args.sector_cut
     if sector_cut is None:
         sector_cut = max(0, min(cutoff - 4, cutoff // 2))
     if sector_cut < 0:
@@ -474,7 +449,7 @@ def cmd_fock_verify(args) -> int:
     out.write(f"hermiticity residual of H0: {fock.hermiticity_residual(h0):.3e}\n")
 
     traj = flow.integrate(spec, cfg.t_end, cfg.controls(), scalar_sign=-1.0)
-    finals = _signed_finals(spec, traj)
+    finals = flow.signed_finals(traj)
     t_final = traj.final.t
     u = fock.propagate(fk, traj, 0.0, t_final, tol=cfg.tol)
     out.write(f"unitarity residual of U(t={t_final:g}) on interior sectors: "
@@ -649,17 +624,15 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # batch
 
-def _batch_one(path: str, cfg_args: dict) -> tuple:
+def _batch_one(path: str, cfg: RunConfig, csv_dir: Optional[str]) -> tuple:
     """Run one spec; returns (path, exit_code, summary_text)."""
     out = io.StringIO()
-    csv_dir = cfg_args.get("csv_dir")
     csv_path = None
     if csv_dir:
         stem = os.path.splitext(os.path.basename(path))[0]
         csv_path = os.path.join(csv_dir, stem + ".csv")
     try:
         spec = load_spec(path)
-        cfg = RunConfig(**{k: v for k, v in cfg_args.items() if k != "csv_dir"})
         return path, _run_one(spec, cfg, out, csv_path), out.getvalue()
     except ParseError as exc:
         return path, EXIT_PARSE, f"parse error: {exc}\n"
@@ -668,22 +641,16 @@ def _batch_one(path: str, cfg_args: dict) -> tuple:
 
 
 def cmd_batch(args) -> int:
-    cfg_args = {
-        "t_end": args.t_end,
-        "tol": args.tol,
-        "method": args.method,
-        "conv_tol": args.conv_tol,
-        "scalar_sign": (1.0 if args.paper_scalar_sign else flow.SCALAR_SIGN),
-        "csv_dir": args.csv_dir,
-    }
+    cfg = _config_from_args(args)
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-    if args.jobs > 1 and len(args.specs) > 1:
+    n = len(args.specs)
+    if args.jobs > 1 and n > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_batch_one, args.specs,
-                                    [cfg_args] * len(args.specs)))
+            results = list(pool.map(_batch_one, args.specs, [cfg] * n,
+                                    [args.csv_dir] * n))
     else:
-        results = [_batch_one(p, cfg_args) for p in args.specs]
+        results = [_batch_one(p, cfg, args.csv_dir) for p in args.specs]
     worst = EXIT_OK
     for path, code, text in results:
         sys.stdout.write(f"== {path} (exit {code})\n")
@@ -702,10 +669,14 @@ def _add_run_opts(p: argparse.ArgumentParser, t_end: float) -> None:
                    help=f"integration horizon (default {t_end:g})")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="integrator tolerance (default 1e-10)")
-    p.add_argument("--method", choices=("rk", "split"), default="rk",
-                   help="stepper: adaptive embedded pair or Strang split")
     p.add_argument("--conv-tol", type=float, default=1e-8,
                    help="||B_t||_2 threshold declaring convergence")
+
+
+def _add_sign_opt(p: argparse.ArgumentParser) -> None:
+    """--paper-scalar-sign, for run, batch and oracle.  diag checks its map
+    against the -1 convention that transform_spec fixes, and fock-verify
+    prints both signs, so neither takes it."""
     p.add_argument("--paper-scalar-sign", action="store_true",
                    help="use dC = +8||B||^2 instead of the default -8")
 
@@ -727,6 +698,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate the flow, emit CSV and a summary")
     _add_run_opts(p_run, t_end=10.0)
+    _add_sign_opt(p_run)
     p_run.add_argument("spec")
     p_run.add_argument("--csv", help="write the trajectory CSV to this path")
     p_run.set_defaults(func=cmd_run)
@@ -757,11 +729,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: stdout when --csv is absent)")
     p_oracle.add_argument("--csv", metavar="START:STOP:STEP",
                           help="print the exact trajectory CSV on this grid")
-    p_oracle.add_argument("--paper-scalar-sign", action="store_true")
+    _add_sign_opt(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_batch = sub.add_parser("batch", help="run several specs, optionally in parallel")
     _add_run_opts(p_batch, t_end=10.0)
+    _add_sign_opt(p_batch)
     p_batch.add_argument("specs", nargs="+")
     p_batch.add_argument("--jobs", type=int, default=1,
                          help="parallel workers (independent specs only)")

@@ -12,7 +12,7 @@ oracle confirms H_t = U_{t,0} H_0 U_{t,0}^* including the scalar term (see
 fock.conjugation_residual); the opposite convention +1 can be selected per
 run and is printed alongside the default by the fock-verify command.
 
-The adaptive path steps one state [Omega, B, u, v, C, I]: with the flow it
+The integrator steps one state [Omega, B, u, v, C, I]: with the flow it
 carries the Bogoliubov pair (u_t, v_t) = (u_{t,0}, v_{t,0}) that the flow
 generates (see bogoliubov) and I_t = int_0^t ||B||_2,
 
@@ -37,7 +37,7 @@ Under a spectral gap B_t decays exponentially, and once ||B_t||_2 sits at
 the noise floor of the embedded pair the rest of the flow is, to within
 the tolerance, the frozen-Omega decay B -> e^{-2 tau Omega} B e^{-2 tau Omega^t}
 (an exponential-integrator step; Hochbruck & Ostermann, Acta Numerica 19,
-2010).  The adaptive path therefore hands over to that closed form at the
+2010).  The adaptive pair therefore hands over to that closed form at the
 first accepted step with ||B_t||_2 < TAIL_FACTOR * tol whose Omega drift
 over the remaining span is at most tol * max(1, ||Omega_t||_2), and no
 longer steps to t_end at its explicit-stability limit.  The guard keeps a
@@ -69,8 +69,8 @@ SCALAR_SIGN = -1.0
 H_MIN = 1e-12
 # The blow-up guard fires when ||B_t||_2 exceeds BLOWUP_FACTOR * ||B_0||_2.
 BLOWUP_FACTOR = 1e3
-# The rk path may hand over to the frozen-Omega tail once ||B_t||_2 falls
-# below TAIL_FACTOR * tol (see frozen_tail).
+# The adaptive pair may hand over to the frozen-Omega tail once ||B_t||_2
+# falls below TAIL_FACTOR * tol (see frozen_tail).
 TAIL_FACTOR = 100.0
 
 
@@ -80,8 +80,7 @@ class Controls:
 
     tol: float = 1e-10
     max_samples: int = 10000
-    method: str = "rk"  # "rk" (adaptive embedded pair) or "split" (Strang)
-    split_h: float = 1e-3
+    method: str = "rk"  # the only method; any other value is a ValueError
     conv_tol: float = 1e-8
 
 
@@ -89,8 +88,9 @@ class Controls:
 class FlowState:
     """Flow variables at one time.
 
-    States of the adaptive path also carry the map (u, v) = (u_{t,0},
-    v_{t,0}) and int_b = int_0^t ||B||_2; elsewhere these stay None.
+    The samples of a trajectory also carry the map (u, v) = (u_{t,0},
+    v_{t,0}) and int_b = int_0^t ||B||_2; the states that state_at and
+    signed_finals derive leave these None.
     """
 
     t: float
@@ -196,7 +196,7 @@ class _CarriedRhs:
 
 
 def _vector(state: FlowState) -> np.ndarray:
-    """The adaptive path's state: one complex vector [Omega, B, u, v, C, I]."""
+    """The integrator's state: one complex vector [Omega, B, u, v, C, I]."""
     return np.concatenate([state.omega.ravel(), state.b.ravel(), state.u.ravel(),
                            state.v.ravel(), [state.c, state.int_b]])
 
@@ -378,32 +378,6 @@ def _tail_times(t0: float, h: float, t_end: float) -> list:
         times.append(t0 + (2 ** k - 1) * h)
         k += 1
     return times + [t_end]
-
-
-def splitting_step(state: FlowState, h: float,
-                   scalar_sign: float = SCALAR_SIGN) -> FlowState:
-    """One Strang step: exact B half-flows around a midpoint Omega update.
-
-    The B-subflow with frozen Omega is B -> e^{-2 h Omega} B e^{-2 h Omega^t},
-    solved exactly through the eigendecomposition of Omega; the Omega-subflow
-    with frozen B is linear in t and its Euler update is exact.  C picks up
-    the midpoint quadrature of scalar_sign * 8 ||B||_2^2.  Local error is
-    O(h^3), so this survives stiff Omega where an explicit step would not.
-    """
-    omega, b, c = state.omega, state.b, state.c
-
-    def half(om, bmat):
-        vals, vecs = np.linalg.eigh((om + om.conj().T) / 2)
-        return frozen_omega_b(vals, vecs, bmat, h / 2)
-
-    b_mid = half(omega, b)
-    b_mid = (b_mid + b_mid.T) / 2
-    omega_new = omega - 16.0 * h * (b_mid @ b_mid.conj())
-    omega_new = (omega_new + omega_new.conj().T) / 2
-    c_new = c + scalar_sign * 8.0 * h * float(np.linalg.norm(b_mid)) ** 2
-    b_new = half(omega_new, b_mid)
-    b_new = (b_new + b_new.T) / 2
-    return FlowState(t=state.t + h, omega=omega_new, b=b_new, c=c_new)
 
 
 def hermite_coefficients(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray) -> np.ndarray:
@@ -590,10 +564,9 @@ class Trajectory:
         u, v = y[:-1].reshape(2, n, n)
         return u, v, float(y[-1].real)
 
-    def b_path(self) -> "BPath":
-        """The B-path; a CarriedBPath when every sample holds the map."""
-        carried = all(s.u is not None for s in self.states)
-        return CarriedBPath(self) if carried else BPath(self)
+    def b_path(self) -> "CarriedBPath":
+        """The B-path, which answers the map and int ||B|| from the samples."""
+        return CarriedBPath(self)
 
     def write_csv(self, fh) -> None:
         """Write the sampled diagnostics; fixed column set, 17 significant digits."""
@@ -665,15 +638,15 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     step-size underflow while ||B|| grows is classified the same way, and
     otherwise raises StepSizeUnderflow.
 
-    The "rk" method steps [Omega, B, u, v, C, I], so its samples carry the
-    map and int ||B||; the "split" method steps (Omega, B, C) only.  "rk"
-    stops stepping at the first accepted step where frozen_tail accepts the
-    hand-over: ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at
-    most tol * max(1, ||Omega_t||_2) and a first-order map update within
-    tol.  The FrozenTail then supplies the rest, sampled at offsets
-    (2^k - 1) h after the hand-over (h the last accepted step) and at t_end,
-    so each sample interval is at most twice the one before and the cubic
-    Hermite B-path never overshoots the hand-over ||B||.  stats["n_steps"]
+    The adaptive pair steps [Omega, B, u, v, C, I], so every sample carries
+    the map and int ||B||.  It stops stepping at the first accepted step
+    where frozen_tail accepts the hand-over: ||B_t||_2 < TAIL_FACTOR * tol,
+    an Omega drift to t_end of at most tol * max(1, ||Omega_t||_2) and a
+    first-order map update within tol.  The FrozenTail then supplies the
+    rest, sampled at offsets (2^k - 1) h after the hand-over (h the last
+    accepted step) and at t_end, so each sample interval is at most twice
+    the one before and the cubic Hermite B-path never overshoots the
+    hand-over ||B||.  stats["n_steps"]
     counts the accepted steps; stats["tail_t"] is the hand-over time (None
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
@@ -686,7 +659,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     me = min_eig_hermitian(spec.omega)
     if me < -1e-8 * hs_scale(spec.omega):
         raise NotPSD(f"Omega_0 has eigenvalue {me:.3e}; the flow requires Omega_0 >= 0")
-    if controls.method not in ("rk", "split"):
+    if controls.method != "rk":
         raise ValueError(f"unknown method {controls.method!r}")
 
     n = spec.dim
@@ -694,7 +667,9 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     start = time.perf_counter()
 
     recorder = _Recorder(controls.max_samples)
-    state0 = FlowState(0.0, spec.omega.copy(), spec.b.copy(), spec.c0)
+    state0 = FlowState(0.0, spec.omega.copy(), spec.b.copy(), spec.c0,
+                       np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0)
+    recorder.offer(state0, force=True)
     events = []
 
     def finish(extra_stats):
@@ -712,19 +687,6 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             traj = finish({"stopped": "blowup"})
             raise BlowupDetected(ev.message, trajectory=traj, event=ev)
 
-    if controls.method == "split":
-        recorder.offer(state0, force=True)
-        state = state0
-        h = controls.split_h
-        while state.t < t_end - 1e-15:
-            step = min(h, t_end - state.t)
-            state = splitting_step(state, step, sign)
-            recorder.offer(state, force=(state.t >= t_end - 1e-15))
-            check_blowup(state)
-        return finish({"n_steps": recorder.count - 1, "method": "split"})
-
-    state0.u, state0.v, state0.int_b = np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0
-    recorder.offer(state0, force=True)
     tail, t_prev, h_last = None, 0.0, 0.0
 
     def on_step(t, y):
@@ -758,7 +720,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         exc.trajectory = finish({"stopped": "underflow"})
         raise
 
-    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev), "method": "rk",
+    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev),
              "tail_t": None, "n_tail": 0}
     if tail is not None:
         times = _tail_times(tail.state.t, h_last, t_end)
@@ -791,6 +753,17 @@ def limit_extract(traj: Trajectory, conv_tol: Optional[float] = None):
     resid = abs(2.0 * (c_inf - traj.spec.c0) - traj.scalar_sign * tr_drop)
     traj.stats["limit_identity_residual"] = resid
     return omega_inf, c_inf, converged
+
+
+def signed_finals(traj: Trajectory) -> dict:
+    """Final state of the flow for each scalar sign, from one trajectory.
+
+    Omega and B do not depend on the sign, and C_t - c0 flips with it, so
+    the run with the opposite sign ends at C = 2 c0 - C_t.
+    """
+    final = traj.final
+    other = FlowState(final.t, final.omega, final.b, 2.0 * traj.spec.c0 - final.c)
+    return {traj.scalar_sign: final, -traj.scalar_sign: other}
 
 
 @dataclass

@@ -145,12 +145,6 @@ def test_carried_map_matches_stepping_between_samples(gapped_traj):
                        abs(out.c0 - st_.c)) <= 1e-8
     int_b = bogoliubov.path_hs_integral(bp, 0.37, 2.5)
     assert abs(int_b - bogoliubov.path_hs_integral(stepped, 0.37, 2.5)) <= 1e-8
-    # split trajectories carry no map: their path is integrated along
-    split = flow.integrate(spec, 1.0, flow.Controls(method="split", split_h=1e-2))
-    split_path = split.b_path()
-    assert type(split_path) is flow.BPath and split.final.u is None
-    m = bogoliubov.integrate_uv(split_path, 0.0, 1.0)
-    assert max(bogoliubov.symplectic_residuals(m).values()) <= bogoliubov.MAP_TOL
 
 
 @pytest.mark.parametrize("n", [32, 64])

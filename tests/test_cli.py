@@ -229,12 +229,12 @@ def test_fock_verify_prints_both_signs(tmp_path, capsys):
 @pytest.mark.parametrize("c0", [0.0, 0.7])
 def test_fock_verify_derives_the_plus_sign_run(c0):
     # fock-verify integrates with sign -1 only; its +1 lines come from
-    # _signed_finals and must agree with a second integration at sign +1
+    # flow.signed_finals and must agree with a second integration at sign +1
     spec = QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
                                        np.array([[0, 0.5], [0.5, 0]]), c0=c0)
     traj = flow.integrate(spec, 2.0, flow.Controls(), scalar_sign=-1.0)
     plus = flow.integrate(spec, 2.0, flow.Controls(), scalar_sign=1.0).final
-    derived = cli._signed_finals(spec, traj)[1.0]
+    derived = flow.signed_finals(traj)[1.0]
     assert derived.t == plus.t
     if c0 == 0.0:
         # the two runs take the same steps: Omega and B agree bit for bit
@@ -407,6 +407,30 @@ def test_bad_run_options_exit_2_without_hanging(generic_file, tmp_path, option):
     assert proc.stdout == ""
     assert proc.stderr.startswith("parse error:") and "Traceback" not in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, options", [
+    ("run", ["--method", "split"]),
+    ("diag", ["--paper-scalar-sign"]),
+    ("fock-verify", ["--cutoff", "8", "--paper-scalar-sign"]),
+])
+def test_removed_options_exit_2(generic_file, tmp_path, command, options):
+    # the adaptive pair is the only method; diag and fock-verify fix the
+    # scalar sign (fock-verify prints both)
+    proc = _run_cli([command, generic_file, *options], cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == ""
+    assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_validates_its_options_once(generic_file, blowup_file, tmp_path, jobs):
+    proc = _run_cli(["batch", generic_file, blowup_file, "--tol", "nan", "--jobs", jobs],
+                    cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("parse error:") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("parse error") == 1
 
 
 @pytest.mark.parametrize("option", [

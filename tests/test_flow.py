@@ -73,13 +73,6 @@ def test_blowup_detected_with_partial_trajectory():
     assert abs(st_.b[0, 1].real - 1.0 / np.cos(1.2)) < 1e-6
 
 
-def test_blowup_guard_in_split_method():
-    spec = analytic.block_spec([(0.0, 0.0, 1.0)])
-    controls = flow.Controls(method="split", split_h=2e-4)
-    with pytest.raises(BlowupDetected):
-        flow.integrate(spec, t_end=1.0, controls=controls)
-
-
 def test_wall_time_covers_stepping_and_tail(generic_spec, monkeypatch):
     # integrate computes no diagnostics, and wall_time covers the stepping
     # and the frozen-Omega tail
@@ -144,9 +137,11 @@ def test_lazy_columns_match_per_sample_reference():
 
 def test_rejects_non_finite_horizon(generic_spec):
     for t_end in (np.nan, np.inf):
-        for method in ("rk", "split"):
-            with pytest.raises(ValueError):
-                flow.integrate(generic_spec, t_end, flow.Controls(method=method))
+        with pytest.raises(ValueError):
+            flow.integrate(generic_spec, t_end)
+    # the adaptive pair is the only method
+    with pytest.raises(ValueError):
+        flow.integrate(generic_spec, 1.0, flow.Controls(method="split"))
 
 
 def test_t0_horizon():
@@ -160,31 +155,6 @@ def test_rejects_negative_omega():
         flow.integrate(spec, t_end=1.0)
     with pytest.raises(ValueError):
         flow.integrate(analytic.block_spec([(1.0, 2.0, 0.5)]), t_end=-1.0)
-
-
-def test_splitting_step_converges_to_rk(generic_spec):
-    tight = flow.integrate(generic_spec, t_end=1.0,
-                           controls=flow.Controls(tol=1e-12)).final
-    errs = []
-    for h in (2e-3, 1e-3):
-        traj = flow.integrate(generic_spec, t_end=1.0,
-                              controls=flow.Controls(method="split", split_h=h))
-        errs.append(hs_norm(traj.final.omega - tight.omega))
-    # Strang splitting is second order: halving h gains about 4x
-    assert errs[1] < errs[0] / 2.5
-    assert errs[1] < 1e-4
-
-
-def test_split_handles_stiff_omega():
-    # eigenvalue ratio 2500 with a weakly coupled B; explicit steps at this
-    # h would be far outside the stability region of the fast block
-    spec = QuadraticSpec.from_matrices(
-        np.diag([0.2, 0.2, 500.0]), 0.05 * np.eye(3))
-    traj = flow.integrate(spec, t_end=1.0,
-                          controls=flow.Controls(method="split", split_h=5e-3))
-    ref = flow.integrate(spec, t_end=1.0).final
-    assert hs_norm(traj.final.omega - ref.omega) < 1e-3
-    assert all(np.isfinite(s.hs_b) for s in traj.states)
 
 
 def test_tolerance_scaling(generic_spec):
