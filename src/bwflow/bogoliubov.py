@@ -16,11 +16,11 @@ u_{t,s} = u_{x,s} u_{t,x} + v_{x,s} v_{t,x}~, which is
 compose(m_{x,s}, m_{t,x}), and m_{t,s} = compose(inverse(m_{s,0}), m_{t,0}).
 
 flow.integrate steps (u_{t,0}, v_{t,0}) and int_0^t ||B||_2 together with
-the flow, so the B-path of such a trajectory answers integrate_uv and
-path_hs_integral from those carried columns: exactly at sample times, from
-the cubic Hermite of the carried columns in between.  Any other path,
-such as an explicit function, is integrated along: (u, v) by the embedded
-pair, the integral by Gauss-Kronrod quadrature.
+the flow, and a flow.Trajectory is itself a B-path that answers
+integrate_uv and path_hs_integral from those carried columns: exactly at
+sample times, from the trajectory's one cubic Hermite in between.  Any
+other path, such as an explicit function, is integrated along: (u, v) by
+the embedded pair, the integral by Gauss-Kronrod quadrature.
 
 The same pair has a convergent iterated-integral series with even orders
 feeding u and odd orders feeding v; order n keeps all terms with at most n
@@ -108,8 +108,6 @@ def compose(first: BogoliubovMap, second: BogoliubovMap) -> BogoliubovMap:
 
 
 def _check_span(bpath, s: float, t: float) -> None:
-    if hasattr(bpath, "b_path"):
-        raise TypeError("got a trajectory; pass trajectory.b_path() instead")
     if t < s:
         raise ValueError("require s <= t")
     if s < bpath.t0 - 1e-9 or t > bpath.t1 + 1e-9:
@@ -122,7 +120,7 @@ def integrate_uv(bpath, s: float, t: float,
                  controls: Optional[Controls] = None) -> BogoliubovMap:
     """The pair (u_{t,s}, v_{t,s}) along a B-path.
 
-    A path that carries the map (flow.CarriedBPath) gives
+    A path that carries the map (a flow.Trajectory) gives
     compose(inverse(m_s), m_t) from its columns, and m_t itself from its
     start; any other path is integrated with the embedded pair.
     """
@@ -212,7 +210,7 @@ def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> Bogol
 def path_hs_integral(bpath, s: float, t: float) -> float:
     """int_s^t ||B_tau||_2 dtau along a path.
 
-    A path that carries the integral (flow.CarriedBPath) gives the
+    A path that carries the integral (a flow.Trajectory) gives the
     difference of its column at t and s.  Any other path is sampled node by
     node for Gauss-Kronrod quadrature, with its sample times (knots), where
     it has them, as breakpoints.

@@ -41,6 +41,8 @@ CSV_HEADER = "t,hsB,c,minEigOmega,motionResidual,kNorm"
 ROUNDTRIP_TOL = 1e-6
 
 ORACLE_FAMILIES = ("equal-product", "generic", "blowup", "block", "pivotal", "mixed")
+# Most points an oracle --csv grid may hold.
+MAX_GRID_POINTS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +355,7 @@ def cmd_diag(args) -> int:
         return EXIT_NOT_CONVERGED
 
     t_final = traj.final.t
-    bp = traj.b_path()
-    m = bogoliubov.integrate_uv(bp, 0.0, t_final, cfg.controls())
+    m = bogoliubov.integrate_uv(traj, 0.0, t_final, cfg.controls())
     _print_matrix(f"u(T={t_final:g}, 0)", m.u, sys.stdout)
     _print_matrix(f"v(T={t_final:g}, 0)", m.v, sys.stdout)
 
@@ -363,7 +364,7 @@ def cmd_diag(args) -> int:
     for key in sorted(res):
         sys.stdout.write(f"  {key} = {res[key]:.3e}\n")
 
-    int_b = bogoliubov.path_hs_integral(bp, 0.0, t_final)
+    int_b = bogoliubov.path_hs_integral(traj, 0.0, t_final)
     holds_u, holds_v = bogoliubov.norm_bounds(m, int_b)
     sys.stdout.write(
         f"norm bounds (int ||B|| = {int_b:.6g}):\n"
@@ -495,8 +496,12 @@ def _parse_grid(raw: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ParseError(f"grid values must be numbers: {raw!r}", field="csv")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParseError(f"grid values must be finite: {raw!r}", field="csv")
     if step <= 0 or stop < start:
         raise ParseError("grid needs step > 0 and stop >= start", field="csv")
+    if not (stop - start) / step < MAX_GRID_POINTS:
+        raise ParseError(f"grid has more than {MAX_GRID_POINTS} points", field="csv")
     n = int(round((stop - start) / step))
     ts = start + step * np.arange(n + 1)
     return ts[ts <= stop + 1e-12 * max(1.0, abs(stop))]
@@ -554,12 +559,29 @@ def write_exact_csv(blocks, ts: np.ndarray, fh, c0: float = 0.0,
         fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _oracle_param(raw: str, family: str, kind=float):
+    """One family parameter: a finite number, or an integer for K."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = None
+    if value is None or (kind is float and not math.isfinite(value)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ParseError(f"{family} parameter {raw!r} must be {what}", field="params")
+    return value
+
+
 def _oracle_blocks(family: str, params) -> tuple:
     """(blocks, label, comments) for an oracle family."""
     def _floats(n, names):
         if len(params) != n:
             raise OutOfRange(f"{family} expects {n} parameters ({names})")
-        return [float(p) for p in params]
+        return [_oracle_param(p, family) for p in params]
+
+    def _blocks_fit(k):
+        # run refuses the spec past BWFLOW_MAX_DIM; refuse to build it too
+        _require(2 * k <= _max_dim(),
+                 f"dimension {2 * k} exceeds BWFLOW_MAX_DIM = {_max_dim()}", "params")
 
     if family == "generic":
         om_minus, om_plus, b = _floats(3, "omegaMinus omegaPlus b")
@@ -579,13 +601,15 @@ def _oracle_blocks(family: str, params) -> tuple:
     if family == "block":
         if not params or len(params) % 3 != 0:
             raise OutOfRange("block expects triples: omegaMinus omegaPlus b ...")
-        vals = [float(p) for p in params]
+        _blocks_fit(len(params) // 3)
+        vals = [_oracle_param(p, family) for p in params]
         blocks = [tuple(vals[i:i + 3]) for i in range(0, len(vals), 3)]
         return blocks, f"block-x{len(blocks)}", []
     if family == "pivotal":
         if len(params) != 1:
             raise OutOfRange("pivotal expects one parameter K")
-        k = int(params[0])
+        k = _oracle_param(params[0], family, int)
+        _blocks_fit(k)
         spec = analytic.pivotal_family(k)
         blocks = [(float(spec.omega[2 * j, 2 * j].real),
                    float(spec.omega[2 * j + 1, 2 * j + 1].real),
@@ -595,7 +619,8 @@ def _oracle_blocks(family: str, params) -> tuple:
     if family == "mixed":
         if len(params) != 2:
             raise OutOfRange("mixed expects two parameters: b1 K")
-        b1, k = float(params[0]), int(params[1])
+        b1, k = _oracle_param(params[0], family), _oracle_param(params[1], family, int)
+        _blocks_fit(k)
         spec = analytic.mixed_family(b1, k)
         blocks = [(float(spec.omega[2 * j, 2 * j].real),
                    float(spec.omega[2 * j + 1, 2 * j + 1].real),
@@ -606,6 +631,7 @@ def _oracle_blocks(family: str, params) -> tuple:
 
 
 def cmd_oracle(args) -> int:
+    _require(math.isfinite(args.c0), "--c0 must be a finite real number", "c0")
     blocks, label, comments = _oracle_blocks(args.family, args.params)
     spec = analytic.block_spec(blocks, c0=args.c0, label=label)
     sign = 1.0 if args.paper_scalar_sign else flow.SCALAR_SIGN

@@ -20,8 +20,12 @@ generates (see bogoliubov) and I_t = int_0^t ||B||_2,
 
 from u_0 = 1, v_0 = 0, I_0 = 0.  One error control then covers the limit,
 the diagonalizing map and the integral in the map's norm bounds, and every
-sample holds all of them.  Diagnostics are columns over the samples,
-computed on first read.
+sample holds all of them.  These six equations are written once, in
+_CarriedRhs.  Every sample also keeps the derivative of its state vector,
+the stepper's last stage of the step (FSAL), so the trajectory interpolates
+with one cubic Hermite through values and derivatives (Hairer, Norsett &
+Wanner, Solving ODEs I, section II.6) and is itself the B-path of the flow.
+Diagnostics are columns over the samples, computed on first read.
 
 Monitored identities along the flow:
 
@@ -89,8 +93,9 @@ class FlowState:
     """Flow variables at one time.
 
     The samples of a trajectory also carry the map (u, v) = (u_{t,0},
-    v_{t,0}) and int_b = int_0^t ||B||_2; the states that state_at and
-    signed_finals derive leave these None.
+    v_{t,0}) and int_b = int_0^t ||B||_2, and dy, the derivative of
+    [Omega, B, u, v, C, I] there (see _CarriedRhs); the states that
+    signed_finals derives leave the map None, and dy is None off the samples.
     """
 
     t: float
@@ -100,6 +105,7 @@ class FlowState:
     u: Optional[np.ndarray] = None
     v: Optional[np.ndarray] = None
     int_b: Optional[float] = None
+    dy: Optional[np.ndarray] = None
 
     @property
     def hs_b(self) -> float:
@@ -139,35 +145,18 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.sum(x.real ** 2 + x.imag ** 2, axis=(-2, -1))
 
 
-def _rhs_mats(omega: np.ndarray, b: np.ndarray, scalar_sign: float):
-    """(dOmega, dB, dC) with dOmega exactly hermitian and dB exactly symmetric,
-    of one state or of stacks of states along the leading axes.
-
-    -16 B B~ and -2 (Omega B + B Omega^t) are written as M + M* and M + M^t,
-    the second using B = B^t.  Their entries then pair up exactly, and the
-    stepper's real-coefficient stage sums keep Omega hermitian and B
-    symmetric to the last bit.
-    """
-    bb = b @ b.conj()
-    domega = -8.0 * (bb + bb.conj().swapaxes(-1, -2))
-    ob = omega @ b
-    db = -2.0 * (ob + ob.swapaxes(-1, -2))
-    return domega, db, scalar_sign * 8.0 * _sq_norms(b)
-
-
-def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
-    """Right-hand side (dOmega, dB, dC) at a state."""
-    return _rhs_mats(state.omega, state.b, scalar_sign)
-
-
 class _CarriedRhs:
-    """d/dt [Omega, B, u, v, C, I], written into one output array.
+    """d/dt [Omega, B, u, v, C, I], written into one output array; the only
+    place the flow and carried-map equations are written.
 
     Omega B, B B~, u B and v B~ come from one batched matmul of
     [Omega, B, u, v] with [B, B~, B, B~] (a preallocated stack), and one
-    vdot gives ||B||_2^2 for both dC and dI.  dOmega and dB pair up exactly
-    as in _rhs_mats.  Each call returns a new array, which the stepper keeps
-    as its next first stage.
+    vdot gives ||B||_2^2 for both dC and dI.  -16 B B~ and
+    -2 (Omega B + B Omega^t) are written as M + M* and M + M^t, the second
+    using B = B^t.  Their entries then pair up exactly, and the stepper's
+    real-coefficient stage sums keep Omega hermitian and B symmetric to the
+    last bit.  Each call returns a new array, which the stepper keeps as its
+    next first stage and a trajectory keeps as a sample's derivative.
     """
 
     def __init__(self, n: int, scalar_sign: float):
@@ -201,10 +190,21 @@ def _vector(state: FlowState) -> np.ndarray:
                            state.v.ravel(), [state.c, state.int_b]])
 
 
-def _state(t: float, y: np.ndarray, n: int) -> FlowState:
+def _state(t: float, y: np.ndarray, n: int, dy: Optional[np.ndarray] = None) -> FlowState:
     """The FlowState of a state vector; its matrices are views into y."""
     omega, b, u, v = y[:-2].reshape(4, n, n)
-    return FlowState(float(t), omega, b, float(y[-2].real), u, v, float(y[-1].real))
+    return FlowState(float(t), omega, b, float(y[-2].real), u, v, float(y[-1].real), dy)
+
+
+def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
+    """Right-hand side (dOmega, dB, dC) at a state: the flow's part of
+    _CarriedRhs, evaluated with the map at u = 1, v = 0."""
+    n = state.omega.shape[0]
+    y = _vector(FlowState(state.t, state.omega, state.b, state.c,
+                          np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0))
+    dy = _CarriedRhs(n, scalar_sign)(state.t, y)
+    domega, db = dy[:2 * n * n].reshape(2, n, n)
+    return domega, db, float(dy[-2].real)
 
 
 def motion_residuals(state: FlowState, spec: QuadraticSpec) -> dict:
@@ -287,7 +287,7 @@ class FrozenTail:
     2 (C - C_0) = scalar_sign * tr(Omega_0 - Omega) keeps holding to
     rounding.  Every state it returns is exactly hermitian/symmetric.
 
-    A carried map takes the first-order update u - 4 v (int B)~,
+    The carried map takes the first-order update u - 4 v (int B)~,
     v - 4 u int B with int_0^tau B = V (B~ o phi(2 (w_i + w_j), tau)) V^t,
     and int_b the quadrature of ||B||_2 = (x^t |B~|^2 x)^{1/2},
     x_i = e^{-4 w_i tau}, to an absolute error of 1e-3 tol.
@@ -336,15 +336,13 @@ class FrozenTail:
         d = self._int_bb(tau)
         omega = s.omega - 16.0 * ((self.v * d) @ self.v.conj().T)
         b = frozen_omega_b(self.w, self.v, s.b, tau)
-        out = FlowState(t=t, omega=(omega + omega.conj().T) / 2, b=(b + b.T) / 2,
-                        c=s.c + scalar_sign * 8.0 * float(d.sum()))
-        if s.u is not None:
-            int_bmat = self.v @ (self._bt * _phi(self._rates / 2, tau)) @ self.v.T
-            out.u = s.u - 4.0 * (s.v @ int_bmat.conj())
-            out.v = s.v - 4.0 * (s.u @ int_bmat)
-            prev = s if prev is None else prev
-            out.int_b = prev.int_b + self.hs_integral(prev.t - s.t, tau)
-        return out
+        int_bmat = self.v @ (self._bt * _phi(self._rates / 2, tau)) @ self.v.T
+        prev = s if prev is None else prev
+        return FlowState(t=t, omega=(omega + omega.conj().T) / 2, b=(b + b.T) / 2,
+                         c=s.c + scalar_sign * 8.0 * float(d.sum()),
+                         u=s.u - 4.0 * (s.v @ int_bmat.conj()),
+                         v=s.v - 4.0 * (s.u @ int_bmat),
+                         int_b=prev.int_b + self.hs_integral(prev.t - s.t, tau))
 
 
 def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTail]:
@@ -354,7 +352,7 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     the embedded pair, and only if its Omega drift over the rest of the
     span is at most tol * max(1, ||Omega_t||_2).  The drift guard keeps a
     tiny B on a near-zero Omega, whose true flow slowly blows up, on the
-    adaptive path.  A state carrying a map also needs the terms that the
+    adaptive path.  The carried map also needs the terms that the
     first-order map update drops, 8 I^2 (||u||_2 + ||v||_2) with I bounded
     by FrozenTail.int_b_bound over the span, to be at most tol.
     """
@@ -364,10 +362,9 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     span = t_end - state.t
     if not tail.omega_drift(span) <= tol * max(1.0, hs_norm(state.omega)):
         return None
-    if state.u is not None:
-        dropped = 8.0 * tail.int_b_bound(span) ** 2 * (hs_norm(state.u) + hs_norm(state.v))
-        if not dropped <= tol:
-            return None
+    dropped = 8.0 * tail.int_b_bound(span) ** 2 * (hs_norm(state.u) + hs_norm(state.v))
+    if not dropped <= tol:
+        return None
     return tail
 
 
@@ -394,32 +391,21 @@ def hermite_coefficients(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray) -> np.
     return np.stack((curv / dx, (slope - dys[:-1]) / dx - curv, dys[:-1], ys[:-1]))
 
 
-def _bracket(ts: np.ndarray, taus):
-    """Index i of the interval [ts[i], ts[i+1]] holding each time (the last
-    interval at ts[-1]) and the offset s = tau - ts[i]."""
-    idx = np.clip(np.searchsorted(ts, taus, side="right") - 1, 0, len(ts) - 2)
-    return idx, taus - ts[idx]
-
-
-def hermite_eval(ts: np.ndarray, coeffs: np.ndarray, taus) -> np.ndarray:
-    """Evaluate hermite_coefficients output at a time or 1-d array of times.
-
-    The power sum is accumulated lowest order first, which reproduces
-    scipy.interpolate.CubicHermiteSpline bit for bit.
-    """
-    idx, s = _bracket(ts, taus)
-    s = np.asarray(s)[..., np.newaxis]
-    c = coeffs[:, idx]
-    return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
-
-
 def _min_eigs(x: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the hermitian part of each stacked matrix."""
     return np.linalg.eigvalsh((x + x.conj().swapaxes(-1, -2)) / 2)[:, 0]
 
 
 class Trajectory:
-    """Sampled flow history with lazy diagnostics, events and interpolation."""
+    """Sampled flow history with lazy diagnostics, events and interpolation.
+
+    Each sample holds the state vector [Omega, B, u, v, C, I] and its
+    derivative, and one piecewise cubic Hermite through both interpolates
+    every column, each piece built for the interval and columns asked for
+    on first use.  The trajectory is also the B-path of its flow: t0, t1
+    and a call t -> B_t, with map_at and int_b_at answering (u, v) and
+    int ||B|| from the carried columns (see bogoliubov and fock.propagate).
+    """
 
     def __init__(self, spec: QuadraticSpec, controls: Controls, scalar_sign: float,
                  states: list, events: list, stats: dict):
@@ -430,7 +416,7 @@ class Trajectory:
         self.events = events
         self.stats = dict(stats)
         self._columns = {}  # diagnostic columns, computed on first read
-        self._hermite = {}  # interpolant coefficients per column group, built on first use
+        self._pieces = {}  # interpolant coefficients per sample interval and columns
 
     @cached_property
     def ts(self) -> np.ndarray:
@@ -495,78 +481,67 @@ class Trajectory:
         tol = self.controls.conv_tol if conv_tol is None else conv_tol
         return self.final.hs_b < tol
 
-    def _ensure_hermite(self, group: str) -> np.ndarray:
-        """Hermite coefficients of a column group: "flow" holds [Omega, B, C]
-        and "map" [u, v, I], each with its exact derivatives."""
-        if group not in self._hermite:
-            om, b = self._omegas, self._bs
-            rows = len(self.states)
-            if group == "flow":
-                dom, db, dc = _rhs_mats(om, b, self.scalar_sign)
-                ys = np.concatenate([om.reshape(rows, -1), b.reshape(rows, -1),
-                                     self.column("c")[:, None]], axis=1)
-                dys = np.concatenate([dom.reshape(rows, -1), db.reshape(rows, -1),
-                                      dc[:, None]], axis=1)
-            else:
-                u = np.stack([s.u for s in self.states])
-                v = np.stack([s.v for s in self.states])
-                ints = np.array([s.int_b for s in self.states])
-                ys = np.concatenate([u.reshape(rows, -1), v.reshape(rows, -1),
-                                     ints[:, None]], axis=1)
-                dys = np.concatenate([(-4.0 * (v @ b.conj())).reshape(rows, -1),
-                                      (-4.0 * (u @ b)).reshape(rows, -1),
-                                      np.sqrt(_sq_norms(b))[:, None]], axis=1)
-            self._hermite[group] = hermite_coefficients(self.ts, ys, dys)
-        return self._hermite[group]
+    @property
+    def t0(self) -> float:
+        return float(self.states[0].t)
 
-    def _interpolate(self, t: float, group: str, cols=slice(None)) -> np.ndarray:
-        """Columns `cols` of a group's interpolant at a clamped time."""
-        coeffs = self._ensure_hermite(group)
-        ts = self.ts
-        return hermite_eval(ts, coeffs[..., cols], min(max(t, ts[0]), ts[-1]))
+    @property
+    def t1(self) -> float:
+        return float(self.states[-1].t)
+
+    def _piece(self, i: int, cols: slice) -> np.ndarray:
+        """Hermite coefficients of the columns cols of the state vector
+        [Omega, B, u, v, C, I] on [ts[i], ts[i+1]], from the two samples'
+        values and stored derivatives, built on first use."""
+        key = (i, cols.start, cols.stop)
+        if key not in self._pieces:
+            pair = self.states[i:i + 2]
+            self._pieces[key] = hermite_coefficients(
+                self.ts[i:i + 2], np.stack([_vector(s)[cols] for s in pair]),
+                np.stack([s.dy[cols] for s in pair]))
+        return self._pieces[key]
 
     def _check_window(self, t: float) -> None:
-        t0, t1 = self.states[0].t, self.states[-1].t
-        if t < t0 - 1e-9 or t > t1 + 1e-9:
-            raise PathGap(f"t = {t:.6g} outside stored window [{t0:.6g}, {t1:.6g}]")
+        if t < self.t0 - 1e-9 or t > self.t1 + 1e-9:
+            raise PathGap(f"t = {t:.6g} outside stored window [{self.t0:.6g}, {self.t1:.6g}]")
 
-    def state_at(self, t: float) -> FlowState:
-        """Cubic Hermite interpolation between samples (exact derivatives)."""
-        self._check_window(t)
-        if len(self.states) == 1:
-            s = self.states[0]
-            return FlowState(t=float(t), omega=s.omega.copy(), b=s.b.copy(), c=s.c)
-        n = self.spec.dim
-        y = self._interpolate(t, "flow")
-        omega, b = y[:-1].reshape(2, n, n)
-        return FlowState(t=float(t), omega=omega, b=b, c=float(y[-1].real))
-
-    def b_at(self, t: float) -> np.ndarray:
-        """B of state_at(t), interpolating only the B columns."""
-        self._check_window(t)
-        if len(self.states) == 1:
-            return self.states[0].b.copy()
-        n = self.spec.dim
-        return self._interpolate(t, "flow", slice(n * n, 2 * n * n)).reshape(n, n)
-
-    def carried_at(self, t: float) -> tuple:
-        """(u, v, int_b) from t = 0 to t: the stored sample at a sample time,
-        the cubic Hermite of the carried columns between samples."""
+    def _interpolate(self, t: float, cols=slice(None)) -> np.ndarray:
+        """Columns cols of the state vector at t, clamped to the samples:
+        the stored sample at a sample time, the interpolant between."""
         self._check_window(t)
         ts = self.ts
         t = min(max(t, ts[0]), ts[-1])
         i = int(np.searchsorted(ts, t))
         if ts[i] == t:
-            s = self.states[i]
-            return s.u.copy(), s.v.copy(), s.int_b
-        n = self.spec.dim
-        y = self._interpolate(t, "map")
-        u, v = y[:-1].reshape(2, n, n)
-        return u, v, float(y[-1].real)
+            return _vector(self.states[i])[cols]
+        c, s = self._piece(i - 1, cols)[:, 0], t - ts[i - 1]
+        # lowest order first, which reproduces scipy's CubicHermiteSpline bit for bit
+        return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
 
-    def b_path(self) -> "CarriedBPath":
-        """The B-path, which answers the map and int ||B|| from the samples."""
-        return CarriedBPath(self)
+    def state_at(self, t: float) -> FlowState:
+        """The state vector at t (see _interpolate)."""
+        return _state(t, self._interpolate(t), self.spec.dim)
+
+    def b_at(self, t: float) -> np.ndarray:
+        """B of state_at(t), interpolating only the B columns."""
+        n = self.spec.dim
+        return self._interpolate(t, slice(n * n, 2 * n * n)).reshape(n, n)
+
+    __call__ = b_at  # the trajectory is the B-path of its flow
+
+    def map_at(self, t: float) -> tuple:
+        """(u_{t,t0}, v_{t,t0}) from the carried columns."""
+        n = self.spec.dim
+        u, v = self._interpolate(t, slice(2 * n * n, 4 * n * n)).reshape(2, n, n)
+        return u, v
+
+    def int_b_at(self, t: float) -> float:
+        """int_{t0}^t ||B||_2 from the carried column."""
+        return float(self._interpolate(t, slice(-1, None))[0].real)
+
+    def b_path(self) -> "Trajectory":
+        """The B-path of the flow: the trajectory itself."""
+        return self
 
     def write_csv(self, fh) -> None:
         """Write the sampled diagnostics; fixed column set, 17 significant digits."""
@@ -583,36 +558,6 @@ class Trajectory:
         finally:
             if close:
                 fh.close()
-
-
-class BPath:
-    """Time-indexed access to B_t backed by a trajectory's interpolant."""
-
-    def __init__(self, traj: Trajectory):
-        self._traj = traj
-        self.knots = traj.ts  # sample times; the path is smooth between them
-        self.t0 = float(self.knots[0])
-        self.t1 = float(self.knots[-1])
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self._traj.b_at(t)
-
-
-class CarriedBPath(BPath):
-    """The B-path of a trajectory that carries the map and int ||B||.
-
-    bogoliubov.integrate_uv and path_hs_integral read these columns instead
-    of integrating along the path.
-    """
-
-    def map_at(self, t: float) -> tuple:
-        """(u_{t,t0}, v_{t,t0})."""
-        u, v, _ = self._traj.carried_at(t)
-        return u, v
-
-    def int_b_at(self, t: float) -> float:
-        """int_{t0}^t ||B||_2."""
-        return self._traj.carried_at(t)[2]
 
 
 class FunctionBPath:
@@ -639,14 +584,16 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     otherwise raises StepSizeUnderflow.
 
     The adaptive pair steps [Omega, B, u, v, C, I], so every sample carries
-    the map and int ||B||.  It stops stepping at the first accepted step
-    where frozen_tail accepts the hand-over: ||B_t||_2 < TAIL_FACTOR * tol,
-    an Omega drift to t_end of at most tol * max(1, ||Omega_t||_2) and a
-    first-order map update within tol.  The FrozenTail then supplies the
-    rest, sampled at offsets (2^k - 1) h after the hand-over (h the last
-    accepted step) and at t_end, so each sample interval is at most twice
-    the one before and the cubic Hermite B-path never overshoots the
-    hand-over ||B||.  stats["n_steps"]
+    the map and int ||B||, and the derivative of that vector: the stepper's
+    FSAL stage at an accepted step, one _CarriedRhs call at t = 0 and at
+    each tail sample (stats["n_rhs"] counts the stepper's calls only).  It
+    stops stepping at the first accepted step where frozen_tail accepts the
+    hand-over: ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at
+    most tol * max(1, ||Omega_t||_2) and a first-order map update within
+    tol.  The FrozenTail then supplies the rest, sampled at offsets
+    (2^k - 1) h after the hand-over (h the last accepted step) and at t_end,
+    so each sample interval is at most twice the one before and the cubic
+    Hermite B-path never overshoots the hand-over ||B||.  stats["n_steps"]
     counts the accepted steps; stats["tail_t"] is the hand-over time (None
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
@@ -667,8 +614,11 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     start = time.perf_counter()
 
     recorder = _Recorder(controls.max_samples)
+    fun = _CarriedRhs(n, sign)
     state0 = FlowState(0.0, spec.omega.copy(), spec.b.copy(), spec.c0,
                        np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0)
+    y0 = _vector(state0)
+    state0.dy = fun(0.0, y0)
     recorder.offer(state0, force=True)
     events = []
 
@@ -689,9 +639,9 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     tail, t_prev, h_last = None, 0.0, 0.0
 
-    def on_step(t, y):
+    def on_step(t, y, dy):
         nonlocal tail, t_prev, h_last
-        state = _state(t, y, n)
+        state = _state(t, y, n, dy)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         recorder.offer(state, force=(t >= t_end or tail is not None))
@@ -699,7 +649,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         return tail is None
 
     try:
-        solver = drive_rk45(_CarriedRhs(n, sign), 0.0, _vector(state0), t_end,
+        solver = drive_rk45(fun, 0.0, y0, t_end,
                             rtol=controls.tol, atol=controls.tol, h_min=H_MIN,
                             on_step=on_step)
     except StepSizeUnderflow as exc:
@@ -728,6 +678,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         state = tail.state
         for t in times:
             state = tail.at(t, sign, prev=state)
+            state.dy = fun(t, _vector(state))
             recorder.offer(state, force=True)
             check_blowup(state)
     return finish(stats)

@@ -216,19 +216,18 @@ def _pair_blocks(fock: TruncatedFock):
     return blocks, 2.0 * np.concatenate(parts, axis=1)
 
 
-def propagate(fock: TruncatedFock, trajectory, s: float, t: float,
+def propagate(fock: TruncatedFock, bpath, s: float, t: float,
               tol: float = 1e-10) -> np.ndarray:
     """Solve dU/dtau = -i G_tau U over [s, t], U_{s,s} = 1.
 
-    trajectory is either a flow trajectory (its interpolated B_tau is used)
-    or any callable path tau -> B matrix carrying t0/t1 bounds.
+    bpath is any callable path tau -> B matrix carrying t0/t1 bounds, such
+    as a flow trajectory, whose interpolated B_tau is then used.
 
     The right-hand side -i G U = 2 (S U - S* U) is applied block by block
     on the complex state U: each sector block S_{N+2,N} (see _pair_blocks)
     multiplies the rows of sector N into the rows of sector N + 2, and its
     adjoint the rows of N + 2 back into N.
     """
-    bpath = trajectory.b_path() if hasattr(trajectory, "b_path") else trajectory
     if t < s:
         raise ValueError("require s <= t")
     if s < bpath.t0 - 1e-9 or t > bpath.t1 + 1e-9:

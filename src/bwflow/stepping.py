@@ -19,7 +19,10 @@ stepper works on a flat float64 view of the state (the real and imaginary
 parts interleaved, no copy), so error control is per real component.
 ``fun`` and ``on_step`` receive the state in the shape and dtype of y0, as a
 view of the stepper's array that they must not write into; ``fun`` returns
-the derivative in that shape, as an array that it does not reuse.
+the derivative in that shape, as an array that it does not reuse.  After an
+accepted step ``on_step`` also receives that step's last stage, the
+derivative at the new state (the FSAL stage), so a caller can keep it for
+Hermite dense output without another right-hand-side evaluation.
 
 On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
 for operation, so step sequences and results match it bit for bit; this
@@ -77,11 +80,10 @@ class DormandPrince:
     next step), ``h_abs`` (size of the next step to try), ``nfev``
     (right-hand-side evaluations made by the stepper, including the two of
     the initial-step estimate) and ``status`` ('running', 'finished' or
-    'failed').
+    'failed').  ``derivative`` is f in the shape and dtype of y0.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol, max_step=np.inf,
-                 first_step=None):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
         y0 = np.asarray(y0)
         if y0.size == 0:
             raise ValueError("y0 must be non-empty")
@@ -91,8 +93,6 @@ class DormandPrince:
             raise ValueError("t0 and t_bound must be finite")
         if t_bound < t0:
             raise ValueError("backward integration not supported")
-        if max_step <= 0:
-            raise ValueError("max_step must be positive")
         if atol < 0:
             raise ValueError("atol must be nonnegative")
         self._fun = fun
@@ -103,16 +103,10 @@ class DormandPrince:
         self.t_bound = t_bound
         self.rtol = max(rtol, RTOL_FLOOR)
         self.atol = atol
-        self.max_step = max_step
         self.nfev = 0
         self.status = "running"
         self.f = self._eval(t0, self.y)
-        if first_step is None:
-            self.h_abs = self._initial_step()
-        else:
-            if not 0 < first_step <= t_bound - t0:
-                raise ValueError("first_step must lie in (0, t_bound - t0]")
-            self.h_abs = first_step
+        self.h_abs = self._initial_step()
         self._k = np.empty((_N_STAGES + 1, self.y.size))
 
     def _flat(self, x) -> np.ndarray:
@@ -126,6 +120,11 @@ class DormandPrince:
     def state(self) -> np.ndarray:
         """The current solution in the shape and dtype of y0 (a view of y)."""
         return self._shaped(self.y)
+
+    @property
+    def derivative(self) -> np.ndarray:
+        """The derivative at the current solution, shaped like state (a view of f)."""
+        return self._shaped(self.f)
 
     def _eval(self, t, y):
         self.nfev += 1
@@ -148,7 +147,7 @@ class DormandPrince:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-        return min(100 * h0, h1, interval, self.max_step)
+        return min(100 * h0, h1, interval)
 
     def _attempt(self, h):
         """One trial step of size h: (y_new, f_new, error norm)."""
@@ -173,12 +172,7 @@ class DormandPrince:
             self.status = "finished"
             return
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+        h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
@@ -202,26 +196,25 @@ class DormandPrince:
             self.status = "finished"
 
 
-def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12, on_step=None,
-               max_step=np.inf, first_step=None):
+def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12, on_step=None):
     """Run the Dormand-Prince pair from t0 to t_bound.
 
-    ``on_step`` receives (t, state) after every accepted step, for recording
-    and event checks; returning False stops the integration early.  Returns
+    ``on_step`` receives (t, state, derivative) after every accepted step,
+    for recording and event checks, where derivative is the step's FSAL
+    stage fun(t, state); returning False stops the integration early.  Returns
     the stepper in its final state ('finished' or stopped early by
     ``on_step``).  Raises ValueError for an empty or non-finite y0, a
     non-finite t_bound and t_bound < t0, and StepSizeUnderflow when the step
     size collapses.
     """
-    solver = DormandPrince(fun, t0, y0, t_bound, rtol, atol, max_step=max_step,
-                           first_step=first_step)
+    solver = DormandPrince(fun, t0, y0, t_bound, rtol, atol)
     while solver.status == "running":
         solver.step()
         if solver.status == "failed":
             raise StepSizeUnderflow(
                 f"integration stalled at t = {solver.t:.6g}")
         if on_step is not None:
-            keep_going = on_step(solver.t, solver.state)
+            keep_going = on_step(solver.t, solver.state, solver.derivative)
             if keep_going is False:
                 return solver
         if solver.status == "running" and solver.h_abs < h_min:

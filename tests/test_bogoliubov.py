@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from bwflow import analytic, bogoliubov, flow
+from bwflow import analytic, bogoliubov, flow, fock
 from bwflow.bogoliubov import BogoliubovMap
 from bwflow.errors import LogBranch, MapInvalid, PathGap
 from bwflow.flow import FunctionBPath
@@ -122,9 +122,22 @@ def test_cocycle_composition(generic_bpath, gapped_traj):
     assert hs_norm(bogoliubov.compose(late, early).u - direct.u) > 1e-6
 
 
+def test_trajectory_is_its_own_b_path(generic_traj):
+    # a trajectory goes wherever a B-path does, with the answers of b_path()
+    traj, bp = generic_traj, generic_traj.b_path()
+    assert (traj.t0, traj.t1) == (bp.t0, bp.t1) == (0.0, traj.final.t)
+    assert np.array_equal(traj(1.3), bp(1.3)) and np.array_equal(traj(1.3), traj.b_at(1.3))
+    for s, t in ((0.0, traj.t1), (0.37, 2.5)):
+        direct, via = bogoliubov.integrate_uv(traj, s, t), bogoliubov.integrate_uv(bp, s, t)
+        assert np.array_equal(direct.u, via.u) and np.array_equal(direct.v, via.v)
+        assert bogoliubov.path_hs_integral(traj, s, t) == bogoliubov.path_hs_integral(bp, s, t)
+    fk = fock.build_basis(2, 8)
+    assert np.array_equal(fock.propagate(fk, traj, 0.0, 1.0), fock.propagate(fk, bp, 0.0, 1.0))
+
+
 def test_carried_map_matches_stepping_between_samples(gapped_traj):
     spec, bp = gapped_traj.spec, gapped_traj.b_path()
-    assert isinstance(bp, flow.CarriedBPath)
+    assert bp is gapped_traj
     stepped = FunctionBPath(bp, bp.t0, bp.t1)
     t_final = gapped_traj.final.t
     # at sample times the map is the stored sample itself

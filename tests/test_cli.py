@@ -303,6 +303,27 @@ def test_oracle_out_of_range(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("args", [
+    ["generic", "1", "2", "nan"],
+    ["blowup", "inf"],
+    ["generic", "1", "2", "0.5", "--c0", "nan"],
+    ["pivotal", "0.5"],
+    ["mixed", "0.6", "nan"],
+    ["generic", "1", "2", "0.5", "--csv", "0:nan:1"],
+    ["generic", "1", "2", "0.5", "--csv", "0:inf:1"],
+    ["generic", "1", "2", "0.5", "--csv", "0:1e12:1e-9"],
+    ["pivotal", "40"],
+], ids=["param-nan", "param-inf", "c0-nan", "k-not-integer", "k-nan", "grid-nan",
+        "grid-inf", "grid-too-long", "k-past-max-dim"])
+def test_oracle_rejects_bad_numbers(capsys, args):
+    # these used to write a NaN, Infinity or oversized spec that run then
+    # rejects, or to end in a traceback
+    assert cli.main(["oracle", *args]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(("parse error:", "error:"))
+
+
 def test_oracle_csv_matches_closed_form(capsys):
     code = cli.main(["oracle", "generic", "1", "2", "0.5",
                      "--csv", "0:2:0.5"])

@@ -73,6 +73,27 @@ def test_blowup_detected_with_partial_trajectory():
     assert abs(st_.b[0, 1].real - 1.0 / np.cos(1.2)) < 1e-6
 
 
+def stored_derivatives_match_the_rhs(traj):
+    """Each sample's dy is _CarriedRhs at that sample, bit for bit."""
+    rhs = flow._CarriedRhs(traj.spec.dim, traj.scalar_sign)
+    for s in traj.states:
+        assert np.array_equal(s.dy, rhs(s.t, flow._vector(s)))
+
+
+def test_samples_keep_the_rhs_derivative(generic_spec):
+    # stepped samples keep the stepper's FSAL stage, the first sample and
+    # the frozen-Omega tail samples one evaluation each
+    traj = flow.integrate(generic_spec, t_end=20.0)
+    assert traj.stats["n_tail"] > 0
+    stored_derivatives_match_the_rhs(traj)
+    stored_derivatives_match_the_rhs(flow.integrate(generic_spec, 2.0, scalar_sign=1.0))
+    with pytest.raises(BlowupDetected) as err:
+        flow.integrate(analytic.block_spec([(0.0, 0.0, 1.0)]), t_end=1.0)
+    blowup = err.value.trajectory
+    assert blowup.final.hs_b > flow.BLOWUP_FACTOR * blowup.stats["hs_b0"]
+    stored_derivatives_match_the_rhs(blowup)
+
+
 def test_wall_time_covers_stepping_and_tail(generic_spec, monkeypatch):
     # integrate computes no diagnostics, and wall_time covers the stepping
     # and the frozen-Omega tail
@@ -405,10 +426,17 @@ def test_tail_keeps_n64_below_the_noise_floor():
     assert traj.converged()
 
 
+def carried_state(t, omega, b, c):
+    """A FlowState carrying the identity map and int ||B|| = 0."""
+    n = omega.shape[0]
+    return flow.FlowState(t, omega, b, c, np.eye(n, dtype=complex),
+                          np.zeros((n, n), complex), 0.0)
+
+
 def test_tail_drift_guard():
     omega = np.zeros((2, 2), dtype=complex)
     b = np.array([[0, 1e-9], [1e-9, 0]]) / np.sqrt(2.0)  # ||B||_2 = 1e-9
-    state = flow.FlowState(0.0, omega, b.astype(complex), 0.0)
+    state = carried_state(0.0, omega, b.astype(complex), 0.0)
     tol = 1e-10
     long_span = 2.0 * tol / (16.0 * 1e-18)  # 16 ||B||^2 span = 2 tol
     assert flow.frozen_tail(state, long_span, tol) is None
@@ -416,23 +444,24 @@ def test_tail_drift_guard():
     assert tail is not None
     assert np.isclose(tail.omega_drift(1.0), 16.0 * 1e-18)
     # B is not yet below TAIL_FACTOR * tol, or no span is left
-    assert flow.frozen_tail(flow.FlowState(0.0, omega, 1e4 * b, 0.0), 1.0, tol) is None
+    assert flow.frozen_tail(carried_state(0.0, omega, 1e4 * b, 0.0), 1.0, tol) is None
     assert flow.frozen_tail(state, 0.0, tol) is None
-    # a carried map also needs the terms its first-order update drops,
-    # 8 I^2 (||u|| + ||v||) with I = 1e-9 tau here, within tol
-    carried = flow.FlowState(0.0, omega, b.astype(complex), 0.0,
-                             np.eye(2, dtype=complex), np.zeros((2, 2), complex), 0.0)
-    assert flow.frozen_tail(carried, 1.0, tol) is not None
-    assert flow.frozen_tail(state, 1e4, tol) is not None  # drift 1.6e-13
-    assert flow.frozen_tail(carried, 1e4, tol) is None  # 8 I^2 sqrt(2) = 1.1e-9
+    # the carried map also needs the terms its first-order update drops,
+    # 8 I^2 (||u|| + ||v||) with I = 1e-9 tau here, within tol: over 1e4
+    # the drift guard alone would pass, the map guard does not
+    assert np.isclose(tail.omega_drift(1e4), 1.6e-13)
+    assert tail.omega_drift(1e4) <= tol
+    assert flow.frozen_tail(state, 1e4, tol) is None  # 8 I^2 sqrt(2) = 1.1e-9
 
 
 def test_frozen_tail_closed_form():
     # Omega = diag(1, 2) frozen, B = antidiag(b): B_t = b e^{-6 tau} and
     # int ||B||^2 = 2 b^2 (1 - e^{-12 tau}) / 12
     b, c0, tau = 0.1, 0.3, 0.25
+    rng = np.random.default_rng(2)
+    u0, v0 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
     state = flow.FlowState(1.0, np.diag([1.0, 2.0]).astype(complex),
-                           np.array([[0, b], [b, 0]], dtype=complex), c0)
+                           np.array([[0, b], [b, 0]], dtype=complex), c0, u0, v0, 0.7)
     tail = flow.FrozenTail(state)
     int_b2 = 2.0 * b * b * -np.expm1(-12.0 * tau) / 12.0
     assert np.isclose(tail.omega_drift(tau), 16.0 * int_b2, rtol=1e-14)
@@ -444,12 +473,7 @@ def test_frozen_tail_closed_form():
                            rtol=0, atol=1e-15)
         assert np.allclose(s.omega, np.diag([1.0, 2.0]) - 8.0 * int_b2 * np.eye(2),
                            rtol=0, atol=1e-15)
-        assert s.u is None and s.int_b is None
-    # a carried map: int B = b phi(6, tau) antidiag and int ||B|| = sqrt(2) of it
-    rng = np.random.default_rng(2)
-    u0, v0 = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-    state.u, state.v, state.int_b = u0, v0, 0.7
-    tail = flow.FrozenTail(state)
+    # the carried map: int B = b phi(6, tau) antidiag and int ||B|| = sqrt(2) of it
     int_bmat = b * -np.expm1(-6.0 * tau) / 6.0 * np.array([[0, 1], [1, 0]])
     s = tail.at(1.0 + tau, -1.0)
     assert np.allclose(s.u, u0 - 4.0 * v0 @ int_bmat, rtol=0, atol=1e-15)

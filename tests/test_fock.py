@@ -9,11 +9,10 @@ from bwflow.opcore import QuadraticSpec, hs_norm
 from bwflow.stepping import drive_rk45
 
 
-def dense_propagate(fk, trajectory, s, t, tol=1e-10):
+def dense_propagate(fk, bpath, s, t, tol=1e-10):
     """Reference propagator: the dense -i G_tau U right-hand side that
     fock.propagate replaces, with the same stepper, state layout and
     tolerances."""
-    bpath = trajectory.b_path() if hasattr(trajectory, "b_path") else trajectory
     dim = fk.dim
     if t == s:
         return np.eye(dim, dtype=complex)
