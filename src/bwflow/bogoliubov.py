@@ -45,13 +45,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import LogBranch, MapInvalid, PathGap
-from .flow import H_MIN, Controls
+from .flow import Controls
 from .opcore import QuadraticSpec, hs_norm
 from .stepping import drive_rk45, gauss_kronrod
 
+# Largest symplectic residual of a map that transform_spec and
+# decompose_generator accept.
 MAP_TOL = 1e-7
+# Largest relative squeeze-reconstruction residual of decompose_generator.
 DECOMP_TOL = 1e-7
+# decompose_generator refuses a uhat with an eigenvalue this close to -1.
 BRANCH_TOL = 1e-8
+# Grid points of dyson_uv's cumulative integrals.
+DYSON_NODES = 513
 
 
 @dataclass
@@ -84,11 +90,11 @@ def symplectic_residuals(m: BogoliubovMap) -> dict:
     }
 
 
-def _require_valid(m: BogoliubovMap, tol: float) -> None:
+def _require_valid(m: BogoliubovMap) -> None:
     res = symplectic_residuals(m)
     worst = max(res.values())
-    if worst > tol:
-        raise MapInvalid(f"symplectic residual {worst:.3e} exceeds {tol:.1e}")
+    if worst > MAP_TOL:
+        raise MapInvalid(f"symplectic residual {worst:.3e} exceeds {MAP_TOL:.1e}")
 
 
 def inverse(m: BogoliubovMap) -> BogoliubovMap:
@@ -146,13 +152,12 @@ def integrate_uv(bpath, s: float, t: float,
         return np.stack((-4.0 * v @ b.conj(), -4.0 * u @ b))
 
     uv0 = np.stack((np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)))
-    solver = drive_rk45(fun, s, uv0, t, rtol=controls.tol, atol=controls.tol,
-                        h_min=H_MIN)
+    solver = drive_rk45(fun, s, uv0, t, rtol=controls.tol, atol=controls.tol)
     u, v = solver.state
     return BogoliubovMap(u=u, v=v, s=s, t=t)
 
 
-def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> BogoliubovMap:
+def dyson_uv(bpath, s: float, t: float, order: int) -> BogoliubovMap:
     """Truncated iterated-integral series for (u, v).
 
     Runs `order` rounds of the integral map
@@ -161,7 +166,7 @@ def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> Bogol
 
     each round extending the kept series order by one (even orders live in
     u, odd in v).  Cumulative integrals are taken through piecewise-cubic
-    antiderivatives on a uniform grid of n_nodes points.
+    antiderivatives on a uniform grid of DYSON_NODES points.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -172,7 +177,7 @@ def dyson_uv(bpath, s: float, t: float, order: int, n_nodes: int = 513) -> Bogol
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
     from scipy.interpolate import CubicSpline
 
-    m = max(8, int(n_nodes) - 1)  # panels
+    m = DYSON_NODES - 1  # panels
     xs = np.linspace(s, t, m + 1)
     bs = np.stack([np.asarray(bpath(min(max(x, bpath.t0), bpath.t1)), dtype=complex)
                    for x in xs])
@@ -242,8 +247,7 @@ def norm_bounds(m: BogoliubovMap, int_b: float) -> tuple:
             bool(lhs_v <= rhs_v + tol * max(1.0, rhs_v)))
 
 
-def transform_spec(m: BogoliubovMap, spec: QuadraticSpec,
-                   map_tol: float = MAP_TOL) -> QuadraticSpec:
+def transform_spec(m: BogoliubovMap, spec: QuadraticSpec) -> QuadraticSpec:
     """Coefficients of the Hamiltonian conjugated by the map.
 
     Substituting the transformed modes into the normal-ordered quadratic form
@@ -254,9 +258,10 @@ def transform_spec(m: BogoliubovMap, spec: QuadraticSpec,
         C'     = C + Re tr(v* Omega v) + 2 Re tr(v* B u~)
 
     The scalar shift produced here is what fixes the sign convention of the
-    flow's C equation (see flow.SCALAR_SIGN).
+    flow's C equation (see flow.SCALAR_SIGN).  A map with a symplectic
+    residual above MAP_TOL raises MapInvalid.
     """
-    _require_valid(m, map_tol)
+    _require_valid(m)
     if m.dim != spec.dim:
         raise ValueError("map and spec dimensions differ")
     u, v = m.u, m.v
@@ -306,9 +311,7 @@ def _takagi_symmetric(mat: np.ndarray) -> tuple:
     return y, sig
 
 
-def decompose_generator(m: BogoliubovMap, decomp_tol: float = DECOMP_TOL,
-                        map_tol: float = MAP_TOL,
-                        branch_tol: float = BRANCH_TOL) -> GeneratorDecomposition:
+def decompose_generator(m: BogoliubovMap) -> GeneratorDecomposition:
     """Factor a valid map into squeeze angles and two orthonormal frames.
 
     The singular values of u are cosh(alpha_k) and those of v are
@@ -318,20 +321,20 @@ def decompose_generator(m: BogoliubovMap, decomp_tol: float = DECOMP_TOL,
     u = G0 D K0* the matrix G0* v K0~ is symmetric for any valid map; its
     Takagi factorization Y diag(lambda) Y^t fixes the shared gauge, and
     g_k, h_k are the columns of G0 Y and K0 Y.  Raises MapInvalid when the
-    symplectic relations or the reconstruction fail, LogBranch when uhat
-    has an eigenvalue at -1 within branch_tol (the hermitian log branch is
-    then ambiguous).
+    symplectic relations (MAP_TOL) or the reconstruction (DECOMP_TOL) fail,
+    LogBranch when uhat has an eigenvalue at -1 within BRANCH_TOL (the
+    hermitian log branch is then ambiguous).
     """
     from scipy.linalg import expm, logm
 
-    _require_valid(m, map_tol)
+    _require_valid(m)
     u, v = m.u, m.v
     n = m.dim
     g0, cosh_a, k0h = np.linalg.svd(u)
     k0 = k0h.conj().T
     mid = g0.conj().T @ v @ k0.conj()
     sym_defect = hs_norm(mid - mid.T)
-    if sym_defect > map_tol * max(1.0, hs_norm(v)):
+    if sym_defect > MAP_TOL * max(1.0, hs_norm(v)):
         raise MapInvalid(f"gauge matrix asymmetry {sym_defect:.3e}; map is not symplectic")
     y, lam = _takagi_symmetric((mid + mid.T) / 2)
     g = g0 @ y
@@ -341,7 +344,7 @@ def decompose_generator(m: BogoliubovMap, decomp_tol: float = DECOMP_TOL,
     h_defect = hs_norm(h.conj().T @ h - np.eye(n))
     uhat = h @ g.conj().T
     eigs = np.linalg.eigvals(uhat)
-    if np.any(np.abs(eigs + 1.0) < branch_tol):
+    if np.any(np.abs(eigs + 1.0) < BRANCH_TOL):
         raise LogBranch("uhat has an eigenvalue at -1; hermitian log branch ambiguous")
     h_log = logm(uhat)
     h_matrix = (-1j * h_log)
@@ -353,7 +356,7 @@ def decompose_generator(m: BogoliubovMap, decomp_tol: float = DECOMP_TOL,
     u_res = hs_norm(u_rec - u)
     v_res = hs_norm(v_rec - v)
     scale = max(1.0, hs_norm(v))
-    if v_res > decomp_tol * scale or u_res > decomp_tol * max(1.0, hs_norm(u)):
+    if v_res > DECOMP_TOL * scale or u_res > DECOMP_TOL * max(1.0, hs_norm(u)):
         raise MapInvalid(
             f"squeeze reconstruction failed: |du| = {u_res:.3e}, |dv| = {v_res:.3e}")
     return GeneratorDecomposition(

@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import io
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import analytic, bogoliubov, conditions, flow, fock, stepping
 from .errors import (BlowupDetected, BwflowError, LogBranch, MapInvalid,
-                     NotConverged, NotInRegime, NotOnManifold, OutOfRange,
-                     ParseError, PastBlowup, SizeLimit, StepSizeUnderflow)
+                     NotConverged, OutOfRange, ParseError, SizeLimit,
+                     StepSizeUnderflow)
 from .opcore import QuadraticSpec, hs_norm
 
 EXIT_OK = 0
@@ -176,34 +176,22 @@ def dump_spec(spec: QuadraticSpec, fh, comments=()) -> None:
 # ---------------------------------------------------------------------------
 # run configuration
 
-@dataclass
-class RunConfig:
-    """Validated integration settings shared by the run-like commands."""
-
-    t_end: float
-    tol: float
-    conv_tol: float
-    scalar_sign: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t_end) and self.t_end > 0):
-            raise ParseError("tEnd must be positive and finite", field="t_end")
-        if not all(math.isfinite(x) and x > 0 for x in (self.tol, self.conv_tol)):
-            raise ParseError("tolerances must be positive and finite", field="tol")
-        if self.tol < stepping.RTOL_FLOOR:
-            raise ParseError(f"tol must be at least {stepping.RTOL_FLOOR:.3g} "
-                             "(100 machine epsilons)", field="tol")
-
-    def controls(self) -> flow.Controls:
-        return flow.Controls(tol=self.tol, conv_tol=self.conv_tol)
+def _controls(args) -> flow.Controls:
+    """The flow.Controls of a run-like command, once its --t-end, --tol
+    and --conv-tol are checked."""
+    if not (math.isfinite(args.t_end) and args.t_end > 0):
+        raise ParseError("tEnd must be positive and finite", field="t_end")
+    if not all(math.isfinite(x) and x > 0 for x in (args.tol, args.conv_tol)):
+        raise ParseError("tolerances must be positive and finite", field="tol")
+    if args.tol < stepping.RTOL_FLOOR:
+        raise ParseError(f"tol must be at least {stepping.RTOL_FLOOR:.3g} "
+                         "(100 machine epsilons)", field="tol")
+    return flow.Controls(tol=args.tol, conv_tol=args.conv_tol)
 
 
-def _config_from_args(args) -> RunConfig:
-    """The validated RunConfig of a run-like command; the commands without
-    --paper-scalar-sign (diag, fock-verify) keep the default sign."""
-    paper_sign = getattr(args, "paper_scalar_sign", False)
-    return RunConfig(t_end=args.t_end, tol=args.tol, conv_tol=args.conv_tol,
-                     scalar_sign=1.0 if paper_sign else flow.SCALAR_SIGN)
+def _scalar_sign(args) -> float:
+    """The scalar sign of run, batch and oracle: +1 with --paper-scalar-sign."""
+    return 1.0 if args.paper_scalar_sign else flow.SCALAR_SIGN
 
 
 def _json_safe(x):
@@ -304,16 +292,16 @@ def _run_summary(traj: flow.Trajectory, out) -> None:
               f"matrix motion {worst_matrix:.3e}, kNorm max {worst_k:.3e}\n")
 
 
-def _run_one(spec: QuadraticSpec, cfg: RunConfig, out, csv_path: Optional[str]) -> int:
-    """Integrate, write the CSV (also of a blown-up run) and the summary."""
+def _run_one(spec: QuadraticSpec, t_end: float, controls: flow.Controls, sign: float,
+             out, csv_path: Optional[str]) -> int:
+    """Integrate, write the CSV and the summary.  A blown-up run writes the
+    CSV of its partial trajectory and re-raises."""
     try:
-        traj = flow.integrate(spec, cfg.t_end, cfg.controls(),
-                              scalar_sign=cfg.scalar_sign)
+        traj = flow.integrate(spec, t_end, controls, scalar_sign=sign)
     except BlowupDetected as exc:
         if csv_path and exc.trajectory is not None:
             exc.trajectory.write_csv(csv_path)
-        _print_blowup(exc, out)
-        return EXIT_BLOWUP
+        raise
     if csv_path:
         traj.write_csv(csv_path)
     _run_summary(traj, out)
@@ -322,8 +310,8 @@ def _run_one(spec: QuadraticSpec, cfg: RunConfig, out, csv_path: Optional[str]) 
 
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
-    cfg = _config_from_args(args)
-    return _run_one(spec, cfg, sys.stdout, args.csv)
+    return _run_one(spec, args.t_end, _controls(args), _scalar_sign(args),
+                    sys.stdout, args.csv)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +329,8 @@ def _print_matrix(name: str, m: np.ndarray, out) -> None:
 
 def cmd_diag(args) -> int:
     spec = load_spec(args.spec)
-    cfg = _config_from_args(args)
-    try:
-        traj = flow.integrate(spec, cfg.t_end, cfg.controls(),
-                              scalar_sign=cfg.scalar_sign)
-    except BlowupDetected as exc:
-        _print_blowup(exc, sys.stdout)
-        return EXIT_BLOWUP
+    controls = _controls(args)
+    traj = flow.integrate(spec, args.t_end, controls)
     if not traj.converged():
         sys.stdout.write(
             f"not converged: final ||B_t||_2 = {traj.final.hs_b:.6g} "
@@ -355,7 +338,7 @@ def cmd_diag(args) -> int:
         return EXIT_NOT_CONVERGED
 
     t_final = traj.final.t
-    m = bogoliubov.integrate_uv(traj, 0.0, t_final, cfg.controls())
+    m = bogoliubov.integrate_uv(traj, 0.0, t_final, controls)
     _print_matrix(f"u(T={t_final:g}, 0)", m.u, sys.stdout)
     _print_matrix(f"v(T={t_final:g}, 0)", m.v, sys.stdout)
 
@@ -430,7 +413,7 @@ def cmd_fock_verify(args) -> int:
     spec = load_spec(args.spec)
     if spec.dim > 2:
         raise SizeLimit(f"fock-verify handles at most 2 modes, got {spec.dim}")
-    cfg = _config_from_args(args)
+    controls = _controls(args)
     cutoff, sector_cut = args.cutoff, args.sector_cut
     if sector_cut is None:
         sector_cut = max(0, min(cutoff - 4, cutoff // 2))
@@ -449,10 +432,10 @@ def cmd_fock_verify(args) -> int:
     h0 = fock.hamiltonian_op(fk, spec)
     out.write(f"hermiticity residual of H0: {fock.hermiticity_residual(h0):.3e}\n")
 
-    traj = flow.integrate(spec, cfg.t_end, cfg.controls(), scalar_sign=-1.0)
+    traj = flow.integrate(spec, args.t_end, controls, scalar_sign=-1.0)
     finals = flow.signed_finals(traj)
     t_final = traj.final.t
-    u = fock.propagate(fk, traj, 0.0, t_final, tol=cfg.tol)
+    u = fock.propagate(fk, traj, 0.0, t_final, tol=controls.tol)
     out.write(f"unitarity residual of U(t={t_final:g}) on interior sectors: "
               f"{fock.unitarity_residual(fk, u):.3e}\n")
 
@@ -634,7 +617,7 @@ def cmd_oracle(args) -> int:
     _require(math.isfinite(args.c0), "--c0 must be a finite real number", "c0")
     blocks, label, comments = _oracle_blocks(args.family, args.params)
     spec = analytic.block_spec(blocks, c0=args.c0, label=label)
-    sign = 1.0 if args.paper_scalar_sign else flow.SCALAR_SIGN
+    sign = _scalar_sign(args)
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -650,33 +633,36 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # batch
 
-def _batch_one(path: str, cfg: RunConfig, csv_dir: Optional[str]) -> tuple:
-    """Run one spec; returns (path, exit_code, summary_text)."""
+def _batch_one(path: str, t_end: float, controls: flow.Controls, sign: float,
+               csv_dir: Optional[str]) -> tuple:
+    """Run one spec as run would, with the exit code run would give it;
+    returns (path, exit_code, report_text), errors reported in the text."""
     out = io.StringIO()
     csv_path = None
     if csv_dir:
         stem = os.path.splitext(os.path.basename(path))[0]
         csv_path = os.path.join(csv_dir, stem + ".csv")
     try:
-        spec = load_spec(path)
-        return path, _run_one(spec, cfg, out, csv_path), out.getvalue()
-    except ParseError as exc:
-        return path, EXIT_PARSE, f"parse error: {exc}\n"
+        code = _run_one(load_spec(path), t_end, controls, sign, out, csv_path)
     except BwflowError as exc:
-        return path, EXIT_PARSE, f"error: {type(exc).__name__}: {exc}\n"
+        code = _report_error(exc, out, out)
+    return path, code, out.getvalue()
 
 
 def cmd_batch(args) -> int:
-    cfg = _config_from_args(args)
+    run_one = functools.partial(_batch_one, t_end=args.t_end, controls=_controls(args),
+                                sign=_scalar_sign(args), csv_dir=args.csv_dir)
+    if args.jobs < 1:
+        raise ParseError("jobs must be at least 1", field="jobs")
     if args.csv_dir:
         os.makedirs(args.csv_dir, exist_ok=True)
-    n = len(args.specs)
-    if args.jobs > 1 and n > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_batch_one, args.specs, [cfg] * n,
-                                    [args.csv_dir] * n))
+    # the pool starts all its workers at once, so ask for no more than can run
+    workers = min(args.jobs, len(args.specs), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_one, args.specs))
     else:
-        results = [_batch_one(p, cfg, args.csv_dir) for p in args.specs]
+        results = list(map(run_one, args.specs))
     worst = EXIT_OK
     for path, code, text in results:
         sys.stdout.write(f"== {path} (exit {code})\n")
@@ -763,10 +749,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sign_opt(p_batch)
     p_batch.add_argument("specs", nargs="+")
     p_batch.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers (independent specs only)")
+                         help="parallel workers, at most one per spec and per CPU")
     p_batch.add_argument("--csv-dir", help="write one trajectory CSV per spec here")
     p_batch.set_defaults(func=cmd_batch)
     return parser
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+def _report_error(exc: BwflowError, out, err) -> int:
+    """The exit code of a command that raised exc, after its report.
+
+    A blow-up prints the blow-up report to out and exits 3.  Every other
+    error prints one line to err and exits 4 when the numerics failed (no
+    convergence, a step-size underflow, an invalid map or an ambiguous log
+    branch) and 2 for bad input: "parse error: ..." for a ParseError and
+    "error: <Type>: ..." for the rest.
+    """
+    if isinstance(exc, BlowupDetected):
+        _print_blowup(exc, out)
+        return EXIT_BLOWUP
+    if isinstance(exc, ParseError):
+        err.write(f"parse error: {exc}\n")
+        return EXIT_PARSE
+    err.write(f"error: {type(exc).__name__}: {exc}\n")
+    if isinstance(exc, (NotConverged, StepSizeUnderflow, MapInvalid, LogBranch)):
+        return EXIT_NOT_CONVERGED
+    return EXIT_PARSE
 
 
 def main(argv=None) -> int:
@@ -774,18 +784,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (SizeLimit, OutOfRange, NotOnManifold, NotInRegime, PastBlowup) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except BlowupDetected as exc:
-        _print_blowup(exc, sys.stdout)
-        return EXIT_BLOWUP
-    except (NotConverged, StepSizeUnderflow, MapInvalid, LogBranch) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    except BwflowError as exc:
+        return _report_error(exc, sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ class BlowupDetected(BwflowError):
 
 
 class StepSizeUnderflow(BwflowError):
-    """Adaptive step fell below h_min without the blow-up signature."""
+    """Adaptive step fell below stepping.H_MIN without the blow-up signature."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)

@@ -69,13 +69,18 @@ from .stepping import drive_rk45, gauss_kronrod
 
 # Sign of the scalar-coefficient rate dC/dt = SCALAR_SIGN * 8 ||B||_2^2.
 SCALAR_SIGN = -1.0
-# Smallest step the adaptive pair may propose before StepSizeUnderflow.
-H_MIN = 1e-12
+# A trajectory keeps at most this many samples, thinning by stride doubling.
+MAX_SAMPLES = 10000
 # The blow-up guard fires when ||B_t||_2 exceeds BLOWUP_FACTOR * ||B_0||_2.
 BLOWUP_FACTOR = 1e3
 # The adaptive pair may hand over to the frozen-Omega tail once ||B_t||_2
 # falls below TAIL_FACTOR * tol (see frozen_tail).
 TAIL_FACTOR = 100.0
+# Without an explicit window, decay_fit uses the samples with ||B_t||_2
+# between these fractions of ||B_0||_2.
+DECAY_FIT_FRACS = (1e-7, 1e-2)
+# Relative slack of asymptotic_bound_check's comparison.
+BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -83,7 +88,6 @@ class Controls:
     """Integrator configuration."""
 
     tol: float = 1e-10
-    max_samples: int = 10000
     method: str = "rk"  # the only method; any other value is a ValueError
     conv_tol: float = 1e-8
 
@@ -236,10 +240,9 @@ def blowup_guard(state: FlowState, hs_b0: float) -> Optional[FlowEvent]:
 
 
 class _Recorder:
-    """Keeps up to max_samples states, thinning by stride doubling."""
+    """Keeps up to MAX_SAMPLES states, thinning by stride doubling."""
 
-    def __init__(self, max_samples: int):
-        self.max_samples = max(2, int(max_samples))
+    def __init__(self):
         self.stride = 1
         self.count = 0
         self.samples = []  # list[FlowState]
@@ -254,7 +257,7 @@ class _Recorder:
             self.samples[-1] = state
             return
         self.samples.append(state)
-        if len(self.samples) > self.max_samples:
+        if len(self.samples) > MAX_SAMPLES:
             # keep every second sample, but never drop the first or the newest
             self.samples = self.samples[:-1:2] + [self.samples[-1]]
             self.stride *= 2
@@ -477,9 +480,9 @@ class Trajectory:
     def final(self) -> FlowState:
         return self.states[-1]
 
-    def converged(self, conv_tol: Optional[float] = None) -> bool:
-        tol = self.controls.conv_tol if conv_tol is None else conv_tol
-        return self.final.hs_b < tol
+    def converged(self) -> bool:
+        """Whether the final ||B_t||_2 is below controls.conv_tol."""
+        return self.final.hs_b < self.controls.conv_tol
 
     @property
     def t0(self) -> float:
@@ -578,7 +581,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
               scalar_sign: Optional[float] = None) -> Trajectory:
     """Integrate the flow from spec over [0, t_end].
 
-    Samples every accepted step (thinned beyond controls.max_samples).  The
+    Samples every accepted step (thinned beyond MAX_SAMPLES).  The
     blow-up guard raises BlowupDetected carrying the partial trajectory; a
     step-size underflow while ||B|| grows is classified the same way, and
     otherwise raises StepSizeUnderflow.
@@ -613,7 +616,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     hs_b0 = hs_norm(spec.b)
     start = time.perf_counter()
 
-    recorder = _Recorder(controls.max_samples)
+    recorder = _Recorder()
     fun = _CarriedRhs(n, sign)
     state0 = FlowState(0.0, spec.omega.copy(), spec.b.copy(), spec.c0,
                        np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0)
@@ -650,8 +653,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     try:
         solver = drive_rk45(fun, 0.0, y0, t_end,
-                            rtol=controls.tol, atol=controls.tol, h_min=H_MIN,
-                            on_step=on_step)
+                            rtol=controls.tol, atol=controls.tol, on_step=on_step)
     except StepSizeUnderflow as exc:
         # an underflow while ||B|| is still growing is the blow-up signature
         last = recorder.samples[-1]
@@ -684,10 +686,10 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     return finish(stats)
 
 
-def limit_extract(traj: Trajectory, conv_tol: Optional[float] = None):
+def limit_extract(traj: Trajectory):
     """Final (Omega_inf, C_inf, converged) from a completed trajectory.
 
-    converged means the final ||B_t||_2 is below conv_tol.  The scalar limit
+    converged is traj.converged().  The scalar limit
     obeys 2 (C_inf - C_0) = scalar_sign * tr(Omega_0 - Omega_inf); the
     residual of that identity is stored in traj.stats['limit_identity_residual'].
     """
@@ -695,11 +697,10 @@ def limit_extract(traj: Trajectory, conv_tol: Optional[float] = None):
         raise NotConverged("trajectory ended in blow-up")
     if not traj.states:
         raise NotConverged("empty trajectory")
-    tol = traj.controls.conv_tol if conv_tol is None else conv_tol
     final = traj.final
     omega_inf = final.omega.copy()
     c_inf = final.c
-    converged = final.hs_b < tol
+    converged = traj.converged()
     tr_drop = float(np.trace(traj.spec.omega - omega_inf).real)
     resid = abs(2.0 * (c_inf - traj.spec.c0) - traj.scalar_sign * tr_drop)
     traj.stats["limit_identity_residual"] = resid
@@ -726,15 +727,14 @@ class DecayFit:
     max_residual: float = 0.0
 
 
-def decay_fit(traj: Trajectory, window: Optional[tuple] = None,
-              fracs: tuple = (1e-7, 1e-2)) -> DecayFit:
+def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
     """Least-squares exponential rate of ||B_t||_2 decay.
 
     Fits log ||B_t|| = a - rate * t over the requested window.  With no
-    explicit window, samples with ||B_t|| between fracs * ||B_0|| are used;
-    that keeps the fit away from both the slow transient and the integrator
-    noise floor.  Under a spectral gap nu (condition A6) the true decay rate
-    is at least 2 nu.
+    explicit window, samples with ||B_t|| between DECAY_FIT_FRACS * ||B_0||
+    are used; that keeps the fit away from both the slow transient and the
+    integrator noise floor.  Under a spectral gap nu (condition A6) the true
+    decay rate is at least 2 nu.
     """
     ts = traj.ts
     hsb = traj.hs_bs
@@ -743,7 +743,8 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None,
         mask = (ts >= lo) & (ts <= hi) & (hsb > 0)
     else:
         hs0 = traj.stats.get("hs_b0", hsb[0])
-        mask = (hsb >= fracs[0] * hs0) & (hsb <= fracs[1] * hs0)
+        lo, hi = DECAY_FIT_FRACS
+        mask = (hsb >= lo * hs0) & (hsb <= hi * hs0)
     if int(mask.sum()) < 10:
         raise InsufficientData(
             f"only {int(mask.sum())} usable samples for the decay fit")
@@ -758,7 +759,7 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None,
 
 
 def asymptotic_bound_check(state: FlowState, spec: QuadraticSpec,
-                           alpha: float, n_iter: int, slack: float = 1e-9) -> dict:
+                           alpha: float, n_iter: int) -> dict:
     """Check ||Omega_t^alpha B_t||_2 against the t^{-alpha} envelope.
 
     The bound, valid for any alpha > 0 and integer n_iter >= 1 at t > 0, is
@@ -778,4 +779,4 @@ def asymptotic_bound_check(state: FlowState, spec: QuadraticSpec,
     rhs_val = ((2.0 ** (n_iter - 1) * alpha / (np.e * state.t)) ** alpha
                * hsb0 ** w * hsbt ** (1.0 - w))
     return {"lhs": lhs, "rhs": rhs_val,
-            "holds": bool(lhs <= rhs_val * (1.0 + slack) + 1e-300)}
+            "holds": bool(lhs <= rhs_val * (1.0 + BOUND_SLACK) + 1e-300)}

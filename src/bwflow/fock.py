@@ -38,6 +38,7 @@ from .errors import PathGap, SizeLimit
 from .opcore import QuadraticSpec, as_matrix, hs_norm
 from .stepping import drive_rk45
 
+# Largest basis dimension build_basis builds.
 SIZE_LIMIT = 20000
 # Peak bytes propagate holds per squared basis dimension: the seven
 # Dormand-Prince stages, the state and derivative copies and the step
@@ -79,13 +80,14 @@ def basis_dim(n_modes: int, cutoff: int) -> int:
     return comb(n_modes + cutoff, n_modes)
 
 
-def build_basis(n_modes: int, cutoff: int, size_limit: int = SIZE_LIMIT) -> TruncatedFock:
-    """Build the truncated occupation basis, graded by total number."""
+def build_basis(n_modes: int, cutoff: int) -> TruncatedFock:
+    """Build the truncated occupation basis, graded by total number; a
+    dimension above SIZE_LIMIT raises SizeLimit."""
     if n_modes < 1 or cutoff < 0:
         raise ValueError("need n_modes >= 1 and cutoff >= 0")
     dim = basis_dim(n_modes, cutoff)
-    if dim > size_limit:
-        raise SizeLimit(f"basis dimension {dim} exceeds limit {size_limit}")
+    if dim > SIZE_LIMIT:
+        raise SizeLimit(f"basis dimension {dim} exceeds limit {SIZE_LIMIT}")
     occs = sorted(
         (occ for occ in itertools.product(range(cutoff + 1), repeat=n_modes)
          if sum(occ) <= cutoff),
@@ -250,17 +252,14 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
             du[cols] -= s_blk.conj().T @ u[rows]
         return du
 
-    solver = drive_rk45(fun, s, np.eye(dim, dtype=complex), t, rtol=tol, atol=tol,
-                        h_min=1e-12)
+    solver = drive_rk45(fun, s, np.eye(dim, dtype=complex), t, rtol=tol, atol=tol)
     return solver.state
 
 
-def unitarity_residual(fock: TruncatedFock, u_mat: np.ndarray,
-                       sector_cut: Optional[int] = None) -> float:
-    """||P (U* U - 1) P||_2 on interior sectors (default cutoff - 4)."""
-    if sector_cut is None:
-        sector_cut = fock.cutoff - 4
-    mask = fock.sector_mask(sector_cut)
+def unitarity_residual(fock: TruncatedFock, u_mat: np.ndarray) -> float:
+    """||P (U* U - 1) P||_2 on the interior sectors, total number up to
+    cutoff - 4."""
+    mask = fock.sector_mask(fock.cutoff - 4)
     defect = u_mat.conj().T @ u_mat - np.eye(fock.dim)
     return hs_norm(defect[np.ix_(mask, mask)])
 
@@ -296,16 +295,15 @@ def conjugated_residual(fock: TruncatedFock, conjugated: np.ndarray,
     return float(num / den)
 
 
-def n_diag_residual(fock: TruncatedFock, h, sector_cut: Optional[int] = None) -> float:
-    """||P [H, N] P||_2 on interior sectors; exactly zero when B = 0.
+def n_diag_residual(fock: TruncatedFock, h) -> float:
+    """||P [H, N] P||_2 on the sectors up to total number cutoff - 2;
+    exactly zero when B = 0.
 
     h may be a dense operator or a QuadraticSpec to build one from.
     """
     if isinstance(h, QuadraticSpec):
         h = hamiltonian_op(fock, h)
-    if sector_cut is None:
-        sector_cut = fock.cutoff - 2
-    mask = fock.sector_mask(sector_cut)
+    mask = fock.sector_mask(fock.cutoff - 2)
     n_op = number_op(fock)
     comm = h @ n_op - n_op @ h
     return hs_norm(comm[np.ix_(mask, mask)])

@@ -149,34 +149,6 @@ class QuadraticSpec:
                    OneParticleOperator.symmetric(b, sym_tol), c0, label)
 
 
-def involution(x, kind: str):
-    """Apply transpose, conjugate or adjoint.
-
-    Parameters
-    ----------
-    x : matrix or OneParticleOperator
-    kind : {'transpose', 'conjugate', 'adjoint'}
-
-    Returns
-    -------
-    Same wrapper kind as the input.  All three involutions preserve the
-    hermitian and symmetric roles, so the role is carried through.
-    """
-    wrapped = isinstance(x, OneParticleOperator)
-    m = as_matrix(x)
-    if kind == "transpose":
-        r = m.T
-    elif kind == "conjugate":
-        r = m.conj()
-    elif kind == "adjoint":
-        r = m.conj().T
-    else:
-        raise ValueError(f"unknown involution {kind!r}")
-    if wrapped:
-        return OneParticleOperator(r, role=x.role)
-    return r.copy()
-
-
 def min_eig_hermitian(x) -> float:
     """Smallest eigenvalue of the hermitian part of x."""
     m = as_matrix(x)
@@ -186,16 +158,16 @@ def min_eig_hermitian(x) -> float:
     return float(np.linalg.eigvalsh(m)[0])
 
 
-def psd_sqrt(x, psd_tol: float = PSD_TOL) -> OneParticleOperator:
+def psd_sqrt(x) -> OneParticleOperator:
     """Principal square root of a hermitian PSD matrix.
 
-    Eigenvalues below ``-psd_tol * ||M||_2`` raise NotPSD; small negative
+    Eigenvalues below ``-PSD_TOL * ||M||_2`` raise NotPSD; small negative
     eigenvalues within the tolerance are clamped to zero.
     """
     m = as_matrix(x)
     m = (m + m.conj().T) / 2
     vals, vecs = np.linalg.eigh(m)
-    floor = -psd_tol * hs_scale(m)
+    floor = -PSD_TOL * hs_scale(m)
     if vals[0] < floor:
         raise NotPSD(f"min eigenvalue {vals[0]:.3e} below {floor:.3e}")
     root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T

@@ -29,7 +29,7 @@ for operation, so step sequences and results match it bit for bit; this
 module only avoids importing scipy, which dominates the start-up time of the
 command line.
 
-Step-size underflow (proposed step below h_min, or no acceptable step above
+Step-size underflow (proposed step below H_MIN, or no acceptable step above
 ten ulps of t) raises StepSizeUnderflow; callers classify it further.
 
 gauss_kronrod is QUADPACK's adaptive 7-15 rule, so that no quadrature on
@@ -65,6 +65,8 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 RTOL_FLOOR = 100 * np.finfo(float).eps
+# Smallest step the pair may propose before drive_rk45 raises StepSizeUnderflow.
+H_MIN = 1e-12
 
 
 def _rms(x: np.ndarray) -> float:
@@ -196,7 +198,7 @@ class DormandPrince:
             self.status = "finished"
 
 
-def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12, on_step=None):
+def drive_rk45(fun, t0, y0, t_bound, rtol, atol, on_step=None):
     """Run the Dormand-Prince pair from t0 to t_bound.
 
     ``on_step`` receives (t, state, derivative) after every accepted step,
@@ -217,9 +219,9 @@ def drive_rk45(fun, t0, y0, t_bound, rtol, atol, h_min=1e-12, on_step=None):
             keep_going = on_step(solver.t, solver.state, solver.derivative)
             if keep_going is False:
                 return solver
-        if solver.status == "running" and solver.h_abs < h_min:
+        if solver.status == "running" and solver.h_abs < H_MIN:
             raise StepSizeUnderflow(
-                f"step size {solver.h_abs:.3e} fell below h_min = {h_min:.3e} "
+                f"step size {solver.h_abs:.3e} fell below h_min = {H_MIN:.3e} "
                 f"at t = {solver.t:.6g}")
     return solver
 

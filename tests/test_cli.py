@@ -1,11 +1,14 @@
+import contextlib
 import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwflow import analytic, bogoliubov, cli, flow, fock
-from bwflow.errors import ParseError
+from bwflow.errors import ParseError, StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec, hs_norm
 
 
@@ -512,3 +515,112 @@ def test_diag_long_horizon(generic_file, tmp_path):
     doc = json.loads(out_json.read_text())
     assert max(doc["symplectic_residuals"].values()) <= bogoliubov.MAP_TOL
     assert doc["norm_bounds"] == [True, True]
+
+
+@pytest.fixture()
+def not_psd_file(tmp_path):
+    return write_spec(tmp_path, "notpsd.json",
+                      {"dim": 1, "omega": [[-1.0, 0.0]], "b": [[0.0, 0.0]]})
+
+
+@pytest.mark.parametrize("command", [["run"], ["diag"], ["fock-verify", "--cutoff", "8"]])
+def test_not_psd_omega_exits_2(not_psd_file, capsys, command):
+    # the README asks for a PSD omega; a spec without one used to end in a
+    # NotPSD traceback with exit 1
+    assert cli.main([command[0], not_psd_file, *command[1:]]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotPSD:") and err.count("\n") == 1
+
+
+def test_batch_gives_not_psd_exit_2(not_psd_file, generic_file, capsys):
+    assert cli.main(["batch", not_psd_file, generic_file, "--t-end", "1"]) == cli.EXIT_PARSE
+    out = capsys.readouterr().out
+    assert f"== {not_psd_file} (exit 2)\nerror: NotPSD:" in out
+    assert f"== {generic_file} (exit 0)" in out
+
+
+def test_batch_gives_each_spec_the_exit_code_of_run(generic_file, monkeypatch, capsys):
+    # batch used to report every error but a blow-up as exit 2
+    report = "error: StepSizeUnderflow: step size 1e-13 fell below h_min\n"
+
+    def underflow(*args, **kwargs):
+        raise StepSizeUnderflow("step size 1e-13 fell below h_min")
+
+    monkeypatch.setattr(flow, "integrate", underflow)
+    assert cli.main(["run", generic_file]) == cli.EXIT_NOT_CONVERGED
+    assert capsys.readouterr().err == report
+    assert cli.main(["batch", generic_file]) == cli.EXIT_NOT_CONVERGED
+    assert capsys.readouterr().out == f"== {generic_file} (exit 4)\n" + report
+
+
+@pytest.mark.parametrize("jobs, n_specs, cpus, workers", [
+    (100000, 2, 8, 2), (3, 5, 2, 2), (4, 3, None, None), (1, 3, 8, None), (8, 1, 8, None),
+])
+def test_batch_caps_its_workers(generic_file, monkeypatch, capsys, jobs, n_specs, cpus, workers):
+    # the pool forks every worker it is given at the first submit; record the
+    # size it is asked for and run the specs in this process instead
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code = cli.main(["batch", *[generic_file] * n_specs, "--t-end", "1", "--jobs", str(jobs)])
+    assert code == cli.EXIT_OK
+    assert asked == ([] if workers is None else [workers])
+    assert capsys.readouterr().out.count("(exit 0)") == n_specs
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_batch_rejects_jobs_below_1(generic_file, capsys, jobs):
+    assert cli.main(["batch", generic_file, "--jobs", jobs]) == cli.EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "parse error: jobs must be at least 1\n"
+
+
+_bounded = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@st.composite
+def spec_documents(draw):
+    """1-2 mode spec documents: a blocks list, or a hermitian omega and a
+    symmetric b with bounded entries (omega need not be PSD)."""
+    c0 = draw(st.floats(-10.0, 10.0, allow_nan=False))
+    if draw(st.booleans()):
+        return {"blocks": [draw(st.lists(_bounded, min_size=3, max_size=3))], "c0": c0}
+    dim = draw(st.integers(1, 2))
+    omega = np.zeros((dim, dim), complex)
+    b = np.zeros((dim, dim), complex)
+    for i in range(dim):
+        for j in range(i, dim):
+            z = complex(draw(_bounded), 0.0 if i == j else draw(_bounded))
+            omega[i, j], omega[j, i] = z, z.conjugate()
+            b[i, j] = b[j, i] = complex(draw(_bounded), draw(_bounded))
+    return {"dim": dim, "omega": cli._matrix_to_pairs(omega), "b": cli._matrix_to_pairs(b),
+            "c0": c0}
+
+
+@settings(max_examples=50)
+@given(spec_documents())
+def test_fuzzed_specs_end_in_a_documented_exit_code(tmp_path_factory, doc):
+    # every outcome is one of the exit codes 0-4, and no exception escapes
+    path = str(tmp_path_factory.mktemp("fuzz") / "spec.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    for argv in (["check", path], ["run", path, "--t-end", "0.5"],
+                 ["diag", path, "--t-end", "0.5"]):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in range(5), argv

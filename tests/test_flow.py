@@ -298,12 +298,12 @@ def test_csv_deterministic(generic_traj):
     assert np.isclose(float(first[1]), np.sqrt(0.5), rtol=1e-15)
 
 
-def test_recorder_thinning(generic_spec):
-    # thinning keeps the final sample, also for an odd max_samples
+def test_recorder_thinning(generic_spec, monkeypatch):
+    # thinning keeps the final sample, also for an odd MAX_SAMPLES
     for max_samples in (40, 7):
+        monkeypatch.setattr(flow, "MAX_SAMPLES", max_samples)
         for t_end in (3.0, 5.0):  # without and with the frozen-Omega tail
-            traj = flow.integrate(generic_spec, t_end=t_end,
-                                  controls=flow.Controls(max_samples=max_samples))
+            traj = flow.integrate(generic_spec, t_end=t_end)
             assert len(traj.states) <= max_samples + 1
             assert traj.states[0].t == 0.0
             assert traj.states[-1].t == t_end

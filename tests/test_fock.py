@@ -34,7 +34,7 @@ def dense_propagate(fk, bpath, s, t, tol=1e-10):
 
     eye = np.eye(dim, dtype=complex)
     y0 = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
-    y = drive_rk45(fun, s, y0, t, rtol=tol, atol=tol, h_min=1e-12).y
+    y = drive_rk45(fun, s, y0, t, rtol=tol, atol=tol).y
     return y[:d2].reshape(dim, dim) + 1j * y[d2:].reshape(dim, dim)
 
 

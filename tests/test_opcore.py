@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bwflow.errors import KernelOverlap, NotPSD, RoleViolation
 from bwflow.opcore import (OneParticleOperator, QuadraticSpec, as_matrix,
-                           hs_norm, hs_scale, involution, min_eig_hermitian,
+                           hs_norm, hs_scale, min_eig_hermitian,
                            psd_power, psd_sqrt, sandwich)
 
 
@@ -62,23 +62,6 @@ def test_hs_norm_matches_trace_formula(seed, n):
     direct = np.sqrt(np.trace(m.conj().T @ m).real)
     assert np.isclose(hs_norm(m), direct, rtol=1e-12)
     assert hs_scale(0.5 * np.eye(1)) == 1.0
-
-
-@given(st.integers(0, 10**6), st.integers(1, 5))
-def test_involutions_compose(seed, n):
-    m = rand_complex(np.random.default_rng(seed), n)
-    adj = involution(m, "adjoint")
-    via = involution(involution(m, "transpose"), "conjugate")
-    assert np.array_equal(adj, via)
-    assert np.array_equal(involution(involution(m, "transpose"), "transpose"), m)
-
-
-def test_involution_keeps_role():
-    op = OneParticleOperator.symmetric([[0.0, 1j], [1j, 0.0]])
-    out = involution(op, "conjugate")
-    assert isinstance(out, OneParticleOperator) and out.role == "symmetric"
-    with pytest.raises(ValueError):
-        involution(op, "flip")
 
 
 def test_min_eig_hermitian():

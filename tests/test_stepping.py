@@ -18,7 +18,7 @@ from scipy.integrate import RK45, quad
 from scipy.interpolate import CubicHermiteSpline
 
 import bwflow
-from bwflow import bogoliubov, flow
+from bwflow import bogoliubov, flow, stepping
 from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
 from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive_rk45
@@ -191,14 +191,15 @@ def test_rtol_is_clamped_silently():
     assert abs(tiny.y[0] - np.exp(-1.0)) < 1e-11
 
 
-def test_zero_length_interval_and_h_min():
+def test_zero_length_interval_and_h_min(monkeypatch):
     fun = lambda t, y: -y  # noqa: E731
     seen = []
     solver = drive_rk45(fun, 0.0, [1.0], 0.0, rtol=1e-8, atol=1e-8,
                         on_step=lambda t, y, dy: seen.append(t))
     assert solver.status == "finished" and seen == [0.0] and solver.y[0] == 1.0
+    monkeypatch.setattr(stepping, "H_MIN", 10.0)
     with pytest.raises(StepSizeUnderflow):
-        drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8, h_min=10.0)
+        drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8)
 
 
 def test_interpolant_matches_scipy_bitwise(generic_traj):
