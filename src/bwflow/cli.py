@@ -423,6 +423,9 @@ def cmd_fock_verify(args) -> int:
         raise ParseError("sector cut must be at most cutoff - 4",
                          field="sector_cut")
     fock.check_propagate_size(fock.basis_dim(spec.dim, cutoff))
+    # integrated before the first report line, so that a refused spec
+    # leaves no partial report
+    traj = flow.integrate(spec, args.t_end, controls, scalar_sign=-1.0)
 
     fk = fock.build_basis(spec.dim, cutoff)
     out = sys.stdout
@@ -432,7 +435,6 @@ def cmd_fock_verify(args) -> int:
     h0 = fock.hamiltonian_op(fk, spec)
     out.write(f"hermiticity residual of H0: {fock.hermiticity_residual(h0):.3e}\n")
 
-    traj = flow.integrate(spec, args.t_end, controls, scalar_sign=-1.0)
     finals = flow.signed_finals(traj)
     t_final = traj.final.t
     u = fock.propagate(fk, traj, 0.0, t_final, tol=controls.tol)

@@ -734,7 +734,8 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
     explicit window, samples with ||B_t|| between DECAY_FIT_FRACS * ||B_0||
     are used; that keeps the fit away from both the slow transient and the
     integrator noise floor.  Under a spectral gap nu (condition A6) the true
-    decay rate is at least 2 nu.
+    decay rate is at least 2 nu.  Samples with ||B_t|| = 0 are never used,
+    and ||B_0|| = 0 (nothing decays) raises InsufficientData.
     """
     ts = traj.ts
     hsb = traj.hs_bs
@@ -743,8 +744,10 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
         mask = (ts >= lo) & (ts <= hi) & (hsb > 0)
     else:
         hs0 = traj.stats.get("hs_b0", hsb[0])
+        if hs0 == 0:
+            raise InsufficientData("||B_0|| = 0, there is no decay to fit")
         lo, hi = DECAY_FIT_FRACS
-        mask = (hsb >= lo * hs0) & (hsb <= hi * hs0)
+        mask = (hsb >= lo * hs0) & (hsb <= hi * hs0) & (hsb > 0)
     if int(mask.sum()) < 10:
         raise InsufficientData(
             f"only {int(mask.sum())} usable samples for the decay fit")

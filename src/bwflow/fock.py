@@ -22,7 +22,11 @@ Because the basis is graded, the pair term S = sum_kl B_kl adag_k adag_l only
 maps sector N (total number N) to sector N + 2, and S* maps N + 2 back to N.
 propagate therefore never forms G: it applies -i G U = 2 (S U - S* U) as one
 small dense block S_{N+2,N} per sector acting on contiguous row slices of U.
-The dense generator_op stays as the reference for that product.
+The dense generator_op stays as the reference for that product.  Since G
+changes the total number by +-2, U also keeps the parity of the total
+number: only its even-even and odd-odd blocks, about half of its entries,
+are ever nonzero, and propagate steps just those two blocks, with the
+tolerance rescaled so that the error criterion is that of the full U.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ from .stepping import drive_rk45
 
 # Largest basis dimension build_basis builds.
 SIZE_LIMIT = 20000
-# Peak bytes propagate holds per squared basis dimension: the seven
-# Dormand-Prince stages, the state and derivative copies and the step
-# temporaries, 18 arrays of dim**2 complex values (tracemalloc measured 271
-# and 259 at cutoffs 12 and 20 with two modes).  check_propagate_size refuses a basis
-# whose working set would exceed PROPAGATE_MEMORY_LIMIT bytes, which for two
-# modes allows cutoffs up to 60.
+# Bound on the peak bytes propagate holds per squared basis dimension: 18
+# arrays of dim**2 complex values, the working set of stepping all of U.
+# Stepping only the two parity blocks (about dim**2 / 2 entries) with the
+# stepper's stage buffers reused, tracemalloc measures 157 and 144 at
+# cutoffs 12 and 20 with two modes, so the bound holds with room to spare.
+# check_propagate_size refuses a basis whose working set would exceed
+# PROPAGATE_MEMORY_LIMIT bytes, which for two modes allows cutoffs up to 60.
 PROPAGATE_BYTES_PER_DIM2 = 18 * 16
 PROPAGATE_MEMORY_LIMIT = 2 ** 30
 # Consecutive sectors are merged into one block until it acts on at least
@@ -188,34 +193,37 @@ def check_propagate_size(dim: int) -> None:
             f"over the {PROPAGATE_MEMORY_LIMIT / 2**30:.1f} GiB limit")
 
 
-def _pair_blocks(fock: TruncatedFock):
-    """The nonzero blocks of the pair term S, cut from the _pair matrices.
+def _pair_blocks(fock: TruncatedFock, parity: int):
+    """The nonzero blocks of the pair term S on one parity sub-basis.
 
-    Sector N occupies a contiguous row range of the graded basis and S maps
-    it into sector N + 2.  Runs of consecutive sectors with fewer than
-    MIN_BLOCK_STATES states are merged into one block.  Returns
-    (blocks, weights): each block is (rows, cols, shape, lo, hi), where
-    S[rows, cols] holds every nonzero entry of S in the columns cols, and
-    weights[kl, lo:hi] is 2 adag_k adag_l restricted to that block and
-    flattened, so that sum_kl B_kl weights[kl, lo:hi] is 2 S[rows, cols].
+    idx lists the basis states whose total number has the given parity, in
+    graded order, so the sectors N, N + 2, N + 4, ... of that parity are
+    contiguous in idx and S maps sector N into sector N + 2 inside it.
+    Runs of consecutive sectors with fewer than MIN_BLOCK_STATES states are
+    merged into one block.  Returns (idx, blocks, weights): each block is
+    (rows, cols, shape, lo, hi), slices of the sub-basis where S[rows, cols]
+    (indexed through idx) holds every nonzero entry of S in the columns
+    cols, and weights[kl, lo:hi] is 2 adag_k adag_l restricted to that block
+    and flattened, so that sum_kl B_kl weights[kl, lo:hi] is 2 S[rows, cols].
     """
-    off = np.searchsorted(fock.ntot, np.arange(fock.cutoff + 2))
+    idx = np.flatnonzero(fock.ntot % 2 == parity)
+    off = np.searchsorted(fock.ntot[idx], np.arange(fock.cutoff + 3))
     top = fock.cutoff - 2                    # highest sector S maps inside the cutoff
-    pairs = [_pair(fock, k, l) for k in range(fock.n_modes)
+    pairs = [_pair(fock, k, l)[np.ix_(idx, idx)] for k in range(fock.n_modes)
              for l in range(fock.n_modes)]
-    blocks, parts, lo, first = [], [np.zeros((len(pairs), 0))], 0, 0
+    blocks, parts, lo, first = [], [np.zeros((len(pairs), 0))], 0, parity
     while first <= top:
         last = first
-        while last < top and off[last + 1] - off[first] < MIN_BLOCK_STATES:
-            last += 1
-        cols = slice(off[first], off[last + 1])
-        rows = slice(off[first + 2], off[last + 3])
+        while last + 2 <= top and off[last + 2] - off[first] < MIN_BLOCK_STATES:
+            last += 2
+        cols = slice(off[first], off[last + 2])
+        rows = slice(off[first + 2], off[last + 4])
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         blocks.append((rows, cols, shape, lo, lo + shape[0] * shape[1]))
         parts.append(np.stack([p[rows, cols].ravel() for p in pairs]))
         lo += shape[0] * shape[1]
-        first = last + 1
-    return blocks, 2.0 * np.concatenate(parts, axis=1)
+        first = last + 2
+    return idx, blocks, 2.0 * np.concatenate(parts, axis=1)
 
 
 def propagate(fock: TruncatedFock, bpath, s: float, t: float,
@@ -225,10 +233,21 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     bpath is any callable path tau -> B matrix carrying t0/t1 bounds, such
     as a flow trajectory, whose interpolated B_tau is then used.
 
-    The right-hand side -i G U = 2 (S U - S* U) is applied block by block
-    on the complex state U: each sector block S_{N+2,N} (see _pair_blocks)
-    multiplies the rows of sector N into the rows of sector N + 2, and its
-    adjoint the rows of N + 2 back into N.
+    G changes the total number by +-2, so U keeps its parity: only the
+    blocks U_p = U[idx_p, idx_p] of the even and odd sub-bases (see
+    _pair_blocks) are nonzero, and the stepper advances the one complex
+    vector [U_0.ravel(), U_1.ravel()].  The right-hand side
+    -i G U = 2 (S U - S* U) is applied block by block on each U_p: each
+    block S_{N+2,N} multiplies the rows of sector N into the rows of sector
+    N + 2, and its adjoint the rows of N + 2 back into N.  Both blocks are
+    returned scattered into a dim x dim matrix whose other entries are
+    exactly zero.
+
+    The stepper's RMS error norm over the full U would count those zero
+    entries, so it is the norm over the blocks times
+    sqrt((d_0**2 + d_1**2) / dim**2); rtol = atol = tol scaled by the
+    inverse of that factor is therefore the same error criterion as
+    stepping all of U with tol.
     """
     if t < s:
         raise ValueError("require s <= t")
@@ -240,20 +259,30 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     if t == s:
         return np.eye(dim, dtype=complex)
     check_propagate_size(dim)
-    blocks, weights = _pair_blocks(fock)
+    parities = [_pair_blocks(fock, p) for p in (0, 1)]
+    sizes = [len(idx) for idx, _, _ in parities]
+    ends = np.cumsum([0] + [d * d for d in sizes])
 
-    def fun(tau, u):
+    def fun(tau, y):
         b = np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)), dtype=complex).ravel()
-        s_flat = b @ weights                             # the 2 S blocks, flattened
-        du = np.zeros_like(u)
-        for rows, cols, shape, lo, hi in blocks:
-            s_blk = s_flat[lo:hi].reshape(shape)
-            du[rows] += s_blk @ u[cols]
-            du[cols] -= s_blk.conj().T @ u[rows]
-        return du
+        dy = np.zeros_like(y)
+        for (_, blocks, weights), d, start, stop in zip(parities, sizes, ends, ends[1:]):
+            s_flat = b @ weights                         # the 2 S blocks, flattened
+            u = y[start:stop].reshape(d, d)
+            du = dy[start:stop].reshape(d, d)
+            for rows, cols, shape, lo, hi in blocks:
+                s_blk = s_flat[lo:hi].reshape(shape)
+                du[rows] += s_blk @ u[cols]
+                du[cols] -= s_blk.conj().T @ u[rows]
+        return dy
 
-    solver = drive_rk45(fun, s, np.eye(dim, dtype=complex), t, rtol=tol, atol=tol)
-    return solver.state
+    y0 = np.concatenate([np.eye(d, dtype=complex).ravel() for d in sizes])
+    tol_blocks = tol * np.sqrt(dim * dim / ends[-1])
+    y = drive_rk45(fun, s, y0, t, rtol=tol_blocks, atol=tol_blocks).state
+    u_mat = np.zeros((dim, dim), dtype=complex)
+    for (idx, _, _), d, start, stop in zip(parities, sizes, ends, ends[1:]):
+        u_mat[np.ix_(idx, idx)] = y[start:stop].reshape(d, d)
+    return u_mat
 
 
 def unitarity_residual(fock: TruncatedFock, u_mat: np.ndarray) -> float:

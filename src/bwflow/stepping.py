@@ -14,15 +14,21 @@ first two derivatives.
 
 The state may be real or complex and of any shape: the flow steps one
 complex vector [Omega, B, u, v, C, I], the (u, v) map along a given path a
-complex (2, n, n) stack and the Fock propagator a complex matrix U.  The
-stepper works on a flat float64 view of the state (the real and imaginary
-parts interleaved, no copy), so error control is per real component.
+complex (2, n, n) stack and the Fock propagator one complex vector holding
+the two parity blocks of U.  The stepper works on a flat float64 view of the
+state (the real and imaginary parts interleaved, no copy), so error control
+is per real component.
 ``fun`` and ``on_step`` receive the state in the shape and dtype of y0, as a
-view of the stepper's array that they must not write into; ``fun`` returns
-the derivative in that shape, as an array that it does not reuse.  After an
-accepted step ``on_step`` also receives that step's last stage, the
-derivative at the new state (the FSAL stage), so a caller can keep it for
-Hermite dense output without another right-hand-side evaluation.
+view of the stepper's array that they must not write into.  The stage sums,
+stage states and error weights live in three scratch buffers allocated once
+per stepper, so the state ``fun`` receives is usually a view into a buffer
+that the next stage overwrites, and ``fun`` must not keep it.  ``fun``
+returns the derivative in that shape, as an array that it does not reuse.
+Each accepted state is a fresh array, which ``on_step`` may keep without
+copying.  After an accepted step ``on_step`` also receives that step's last
+stage, the derivative at the new state (the FSAL stage), so a caller can
+keep it for Hermite dense output without another right-hand-side
+evaluation.
 
 On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
 for operation, so step sequences and results match it bit for bit; this
@@ -109,7 +115,9 @@ class DormandPrince:
         self.status = "running"
         self.f = self._eval(t0, self.y)
         self.h_abs = self._initial_step()
+        # stages, and scratch for the stage sums, stage states and error weights
         self._k = np.empty((_N_STAGES + 1, self.y.size))
+        self._dy, self._ys, self._w = np.empty((3, self.y.size))
 
     def _flat(self, x) -> np.ndarray:
         """Flat float64 view of an array in the caller's shape and dtype."""
@@ -154,15 +162,25 @@ class DormandPrince:
     def _attempt(self, h):
         """One trial step of size h: (y_new, f_new, error norm)."""
         t, y, k = self.t, self.y, self._k
+        dy, ys, w = self._dy, self._ys, self._w
         k[0] = self.f
         for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-            dy = np.dot(k[:s].T, a[:s]) * h
-            k[s] = self._eval(t + c * h, y + dy)
-        y_new = y + h * np.dot(k[:-1].T, _B)
+            np.dot(k[:s].T, a[:s], out=dy)
+            dy *= h
+            np.add(y, dy, out=ys)
+            k[s] = self._eval(t + c * h, ys)
+        np.dot(k[:-1].T, _B, out=dy)
+        dy *= h
+        y_new = y + dy              # a fresh array: callers may keep accepted states
         f_new = self._eval(t + h, y_new)
         k[-1] = f_new
-        scale = self.atol + np.maximum(np.abs(y), np.abs(y_new)) * self.rtol
-        return y_new, f_new, _rms(np.dot(k.T, _E) * h / scale)
+        np.maximum(np.abs(y, out=w), np.abs(y_new, out=ys), out=w)
+        w *= self.rtol
+        w += self.atol
+        np.dot(k.T, _E, out=dy)
+        dy *= h
+        dy /= w
+        return y_new, f_new, _rms(dy)
 
     def step(self) -> None:
         """Advance by one accepted step, or set status to 'failed'."""

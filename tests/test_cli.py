@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -526,9 +527,11 @@ def not_psd_file(tmp_path):
 @pytest.mark.parametrize("command", [["run"], ["diag"], ["fock-verify", "--cutoff", "8"]])
 def test_not_psd_omega_exits_2(not_psd_file, capsys, command):
     # the README asks for a PSD omega; a spec without one used to end in a
-    # NotPSD traceback with exit 1
+    # NotPSD traceback with exit 1, and fock-verify printed the first lines
+    # of its report before the refusal
     assert cli.main([command[0], not_psd_file, *command[1:]]) == cli.EXIT_PARSE
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: NotPSD:") and err.count("\n") == 1
 
 
@@ -537,6 +540,20 @@ def test_batch_gives_not_psd_exit_2(not_psd_file, generic_file, capsys):
     out = capsys.readouterr().out
     assert f"== {not_psd_file} (exit 2)\nerror: NotPSD:" in out
     assert f"== {generic_file} (exit 0)" in out
+
+
+def test_run_without_pair_term_has_no_decay_rate(tmp_path, capsys):
+    # with B = 0 nothing decays: the fit used to run over all-zero samples
+    # and print "nan" after numpy's divide-by-zero warning
+    doc = {"dim": 3, "omega": cli._matrix_to_pairs(np.eye(3)),
+           "b": cli._matrix_to_pairs(np.zeros((3, 3)))}
+    path = write_spec(tmp_path, "flat.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", path]) == cli.EXIT_OK
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    out = capsys.readouterr().out
+    assert "fitted decay rate: n/a (" in out and "nan" not in out
 
 
 def test_batch_gives_each_spec_the_exit_code_of_run(generic_file, monkeypatch, capsys):

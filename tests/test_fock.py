@@ -173,7 +173,7 @@ def test_propagate_guards(one_mode):
         fock.propagate(one_mode, path, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("n_modes, cutoff", [(1, 12), (2, 8)])
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 12), (2, 8), (1, 13), (2, 7)])
 def test_propagate_matches_dense_reference(n_modes, cutoff):
     fk = fock.build_basis(n_modes, cutoff)
     block_path, dense_path = complex_symmetric_path(n_modes), complex_symmetric_path(n_modes)
@@ -187,24 +187,42 @@ def test_propagate_matches_dense_reference(n_modes, cutoff):
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 0), (1, 3), (1, 40), (2, 1),
                                              (2, 8), (2, 20)])
 def test_pair_blocks_cover_the_pair_term(n_modes, cutoff):
-    # the blocks hold every nonzero entry of S exactly once, with the
-    # weights of the cached _pair matrices
+    # mapped back through each parity's idx, the blocks of both parities
+    # hold every nonzero entry of S exactly once, with the weights of the
+    # cached _pair matrices
     fk = fock.build_basis(n_modes, cutoff)
     b = np.arange(1, n_modes * n_modes + 1).reshape(n_modes, n_modes) * (0.3 - 0.2j)
-    blocks, weights = fock._pair_blocks(fk)
-    s_flat = b.ravel() @ weights
     s_op = np.zeros((fk.dim, fk.dim), dtype=complex)
-    for rows, cols, shape, lo, hi in blocks:
-        assert shape == (rows.stop - rows.start, cols.stop - cols.start)
-        s_op[rows, cols] += s_flat[lo:hi].reshape(shape)
+    covered, n_blocks = [], []
+    for parity in (0, 1):
+        idx, blocks, weights = fock._pair_blocks(fk, parity)
+        assert np.array_equal(idx, np.flatnonzero(fk.ntot % 2 == parity))
+        s_flat = b.ravel() @ weights
+        for rows, cols, shape, lo, hi in blocks:
+            assert shape == (rows.stop - rows.start, cols.stop - cols.start)
+            s_op[np.ix_(idx[rows], idx[cols])] += s_flat[lo:hi].reshape(shape)
+        # within a parity, the columns are split into consecutive blocks
+        cols_p = [i for _, cols, _, _, _ in blocks for i in range(cols.start, cols.stop)]
+        assert cols_p == list(range(int(np.sum(fk.ntot[idx] <= cutoff - 2))))
+        covered.extend(idx[cols_p])
+        n_blocks.append(len(blocks))
     want = 2 * fock._pair_sum(fk, b)
     assert np.array_equal(s_op != 0, want != 0)
     assert np.abs(s_op - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
-    # columns of sectors 0..cutoff-2 are split into consecutive blocks
-    covered = [i for _, cols, _, _, _ in blocks for i in range(cols.start, cols.stop)]
-    assert covered == list(range(int(np.sum(fk.ntot <= cutoff - 2))))
+    # the columns of sectors 0..cutoff-2 are each covered by one block
+    assert sorted(covered) == list(range(int(np.sum(fk.ntot <= cutoff - 2))))
     if n_modes == 1 and cutoff == 40:
-        assert len(blocks) == 3         # sectors merged to >= MIN_BLOCK_STATES
+        assert n_blocks == [2, 2]       # sectors merged to >= MIN_BLOCK_STATES
+
+
+def test_propagate_keeps_parity():
+    # G changes the total number by +-2, so every entry of U between
+    # states of opposite parity stays exactly zero
+    fk = fock.build_basis(2, 9)
+    u = fock.propagate(fk, complex_symmetric_path(2), 0.1, 1.4)
+    odd = (fk.ntot[:, np.newaxis] - fk.ntot[np.newaxis, :]) % 2 == 1
+    assert np.all(u[odd] == 0.0)
+    assert np.count_nonzero(u[~odd]) > 0.9 * np.count_nonzero(~odd)
 
 
 def test_propagate_below_pair_range_is_identity():

@@ -157,6 +157,24 @@ def test_on_step_receives_the_fsal_derivative():
         assert np.array_equal(duv, fun(t, uv))
 
 
+def test_kept_states_and_derivatives_are_not_reused():
+    # the flow recorder keeps the views on_step receives without copying:
+    # the stepper's scratch buffers must never alias an accepted state or
+    # derivative, through rejected steps too
+    fun, y0 = packed_flow(QuadraticSpec.from_matrices(
+        np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
+    kept, copies = [], []
+
+    def on_step(t, y, dy):
+        kept.append((y, dy))
+        copies.append((y.copy(), dy.copy()))
+
+    solver = drive_rk45(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8, on_step=on_step)
+    assert solver.nfev > 2 + 6 * len(kept)  # some steps were rejected
+    for (y, dy), (y_then, dy_then) in zip(kept, copies):
+        assert np.array_equal(y, y_then) and np.array_equal(dy, dy_then)
+
+
 @pytest.mark.parametrize("spec", [
     pytest.param(QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
                                              np.array([[0, 0.5], [0.5, 0]])), id="readme-n2"),
