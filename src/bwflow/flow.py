@@ -27,6 +27,16 @@ with one cubic Hermite through values and derivatives (Hairer, Norsett &
 Wanner, Solving ODEs I, section II.6) and is itself the B-path of the flow.
 Diagnostics are columns over the samples, computed on first read.
 
+For a real spec (QuadraticSpec.is_real: every imaginary part of Omega and
+B exactly 0.0, with no tolerance) the flow keeps Omega, B, u and v real, so
+the state is stepped as float64 rather than complex128.  The stepper's
+error norm is an RMS over the real components of the state, and on a
+complex state of M entries the M imaginary parts of a real flow are exactly
+zero: they add nothing to the sum but count in the 2M of the mean.  Stepping
+the M real parts with rtol = atol = sqrt(2) tol is therefore the same error
+criterion (and the same initial-step estimate) as stepping the complex
+state with tol, not a looser one.
+
 Monitored identities along the flow:
 
 * ||B_t||_2 is nonincreasing and Omega_t <= Omega_0;
@@ -161,12 +171,17 @@ class _CarriedRhs:
     real-coefficient stage sums keep Omega hermitian and B symmetric to the
     last bit.  Each call returns a new array, which the stepper keeps as its
     next first stage and a trajectory keeps as a sample's derivative.
+
+    dtype is that of the state: complex, or float for a real spec.  On a
+    real state the same lines do real arithmetic, since conjugation is then
+    the identity (np.conjugate a plain copy, .conj() no copy at all).
     """
 
-    def __init__(self, n: int, scalar_sign: float):
+    def __init__(self, n: int, scalar_sign: float, dtype):
         self.n = n
         self.sign8 = 8.0 * scalar_sign
-        self._rights = np.empty((4, n, n), dtype=complex)
+        self.dtype = dtype
+        self._rights = np.empty((4, n, n), dtype=dtype)
 
     def __call__(self, t, y):
         n = self.n
@@ -175,7 +190,7 @@ class _CarriedRhs:
         rights[0::2] = b
         np.conjugate(b, out=rights[1::2])
         p = mats @ rights  # Omega B, B B~, u B, v B~
-        out = np.empty(4 * n * n + 2, dtype=complex)
+        out = np.empty(4 * n * n + 2, dtype=self.dtype)
         d = out[:-2].reshape(4, n, n)
         np.add(p[1], p[1].conj().T, out=d[0])
         d[0] *= -8.0
@@ -189,7 +204,8 @@ class _CarriedRhs:
 
 
 def _vector(state: FlowState) -> np.ndarray:
-    """The integrator's state: one complex vector [Omega, B, u, v, C, I]."""
+    """The integrator's state: one vector [Omega, B, u, v, C, I], real for
+    a real spec and complex otherwise."""
     return np.concatenate([state.omega.ravel(), state.b.ravel(), state.u.ravel(),
                            state.v.ravel(), [state.c, state.int_b]])
 
@@ -206,7 +222,7 @@ def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
     n = state.omega.shape[0]
     y = _vector(FlowState(state.t, state.omega, state.b, state.c,
                           np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0))
-    dy = _CarriedRhs(n, scalar_sign)(state.t, y)
+    dy = _CarriedRhs(n, scalar_sign, complex)(state.t, y)
     domega, db = dy[:2 * n * n].reshape(2, n, n)
     return domega, db, float(dy[-2].real)
 
@@ -403,7 +419,8 @@ class Trajectory:
     """Sampled flow history with lazy diagnostics, events and interpolation.
 
     Each sample holds the state vector [Omega, B, u, v, C, I] and its
-    derivative, and one piecewise cubic Hermite through both interpolates
+    derivative (float64 for a real spec, complex128 otherwise; see
+    integrate), and one piecewise cubic Hermite through both interpolates
     every column, each piece built for the interval and columns asked for
     on first use.  The trajectory is also the B-path of its flow: t0, t1
     and a call t -> B_t, with map_at and int_b_at answering (u, v) and
@@ -564,7 +581,10 @@ class Trajectory:
 
 
 class FunctionBPath:
-    """Wrap an explicit function t -> B matrix as a path on [t0, t1]."""
+    """Wrap an explicit function t -> B matrix as a path on [t0, t1].
+
+    Its samples are complex128, so fock.propagate steps it in complex
+    arithmetic even where the function is real."""
 
     def __init__(self, fn, t0: float, t1: float):
         self._fn = fn
@@ -601,6 +621,13 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
     computed when first read.
+
+    A real spec (spec.is_real: every imaginary part of Omega and B exactly
+    0.0) is stepped as a float64 state with rtol = atol = sqrt(2) tol, the
+    same error criterion as the complex128 state at tol, whose imaginary
+    half is then exactly zero and only dilutes the RMS error norm by
+    sqrt(2).  Its samples, map and B-path are then float64; any other spec
+    keeps the complex128 state.
     """
     controls = controls or Controls()
     sign = SCALAR_SIGN if scalar_sign is None else float(scalar_sign)
@@ -617,9 +644,12 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     start = time.perf_counter()
 
     recorder = _Recorder()
-    fun = _CarriedRhs(n, sign)
-    state0 = FlowState(0.0, spec.omega.copy(), spec.b.copy(), spec.c0,
-                       np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0)
+    real = spec.is_real
+    dtype, step_tol = (float, math.sqrt(2.0) * controls.tol) if real else (complex, controls.tol)
+    fun = _CarriedRhs(n, sign, dtype)
+    omega0, b0 = (spec.omega.real, spec.b.real) if real else (spec.omega, spec.b)
+    state0 = FlowState(0.0, omega0.copy(), b0.copy(), spec.c0,
+                       np.eye(n, dtype=dtype), np.zeros((n, n), dtype), 0.0)
     y0 = _vector(state0)
     state0.dy = fun(0.0, y0)
     recorder.offer(state0, force=True)
@@ -653,7 +683,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     try:
         solver = drive_rk45(fun, 0.0, y0, t_end,
-                            rtol=controls.tol, atol=controls.tol, on_step=on_step)
+                            rtol=step_tol, atol=step_tol, on_step=on_step)
     except StepSizeUnderflow as exc:
         # an underflow while ||B|| is still growing is the blow-up signature
         last = recorder.samples[-1]

@@ -27,6 +27,15 @@ changes the total number by +-2, U also keeps the parity of the total
 number: only its even-even and odd-odd blocks, about half of its entries,
 are ever nonzero, and propagate steps just those two blocks, with the
 tolerance rescaled so that the error criterion is that of the full U.
+
+For real B the generator's -i G = 2 (S - S^t) is real, so U is real
+orthogonal, and a path whose B samples are real (a trajectory of a real
+spec; see QuadraticSpec.is_real) is propagated in float64 rather than
+complex128, at sqrt(2) times the block tolerance: the M imaginary parts of
+the complex blocks would be exactly zero and only dilute the stepper's RMS
+error norm over 2M real components by sqrt(2), so this is the same error
+criterion.  hamiltonian_op likewise builds a real H0 for a real spec, and
+the truncated ground energy is then a real symmetric eigenvalue problem.
 """
 
 from __future__ import annotations
@@ -47,10 +56,14 @@ SIZE_LIMIT = 20000
 # Bound on the peak bytes propagate holds per squared basis dimension: 18
 # arrays of dim**2 complex values, the working set of stepping all of U.
 # Stepping only the two parity blocks (about dim**2 / 2 entries) with the
-# stepper's stage buffers reused, tracemalloc measures 157 and 144 at
-# cutoffs 12 and 20 with two modes, so the bound holds with room to spare.
+# stepper's stage buffers reused, tracemalloc measures, per dim**2 with two
+# modes and the basis's cached _pair tables already built, 136 and 128
+# bytes at cutoffs 12 and 20 for complex128 blocks and 73 and 64 for the
+# float64 blocks of a real path, so the bound holds for both with room to
+# spare (test_propagate_working_set checks this at cutoff 12).
 # check_propagate_size refuses a basis whose working set would exceed
-# PROPAGATE_MEMORY_LIMIT bytes, which for two modes allows cutoffs up to 60.
+# PROPAGATE_MEMORY_LIMIT bytes, which for two modes allows cutoffs up to 60;
+# it sizes every path as complex, so the same cutoffs are refused either way.
 PROPAGATE_BYTES_PER_DIM2 = 18 * 16
 PROPAGATE_MEMORY_LIMIT = 2 ** 30
 # Consecutive sectors are merged into one block until it acts on at least
@@ -138,8 +151,8 @@ def _pair(fock: TruncatedFock, k: int, l: int) -> np.ndarray:
 
 
 def _pair_sum(fock: TruncatedFock, b: np.ndarray) -> np.ndarray:
-    """S = sum_kl B_kl adag_k adag_l."""
-    s = np.zeros((fock.dim, fock.dim), dtype=complex)
+    """S = sum_kl B_kl adag_k adag_l, in the dtype of B."""
+    s = np.zeros((fock.dim, fock.dim), dtype=b.dtype)
     for k in range(fock.n_modes):
         for l in range(fock.n_modes):
             if b[k, l] != 0:
@@ -152,17 +165,20 @@ def hamiltonian_op(fock: TruncatedFock, spec: QuadraticSpec) -> np.ndarray:
 
     Built from ladder products, so the pair term and its adjoint match
     exactly and the result is hermitian to roundoff; hermiticity_residual
-    reports the defect rather than assuming it.
+    reports the defect rather than assuming it.  A real spec
+    (spec.is_real) gives a real symmetric float64 matrix, any other a
+    complex128 one.
     """
     if spec.dim != fock.n_modes:
         raise ValueError("spec dimension does not match mode count")
-    h = np.zeros((fock.dim, fock.dim), dtype=complex)
+    omega, b = (spec.omega.real, spec.b.real) if spec.is_real else (spec.omega, spec.b)
+    h = np.zeros((fock.dim, fock.dim), dtype=omega.dtype)
     for k in range(fock.n_modes):
         adag_k = ladder(fock, k, "create")
         for l in range(fock.n_modes):
-            if spec.omega[k, l] != 0:
-                h = h + spec.omega[k, l] * (adag_k @ ladder(fock, l))
-    s = _pair_sum(fock, spec.b)
+            if omega[k, l] != 0:
+                h = h + omega[k, l] * (adag_k @ ladder(fock, l))
+    s = _pair_sum(fock, b)
     h = h + s + s.conj().T
     h = h + spec.c0 * np.eye(fock.dim)
     return h
@@ -235,8 +251,8 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
 
     G changes the total number by +-2, so U keeps its parity: only the
     blocks U_p = U[idx_p, idx_p] of the even and odd sub-bases (see
-    _pair_blocks) are nonzero, and the stepper advances the one complex
-    vector [U_0.ravel(), U_1.ravel()].  The right-hand side
+    _pair_blocks) are nonzero, and the stepper advances the one vector
+    [U_0.ravel(), U_1.ravel()].  The right-hand side
     -i G U = 2 (S U - S* U) is applied block by block on each U_p: each
     block S_{N+2,N} multiplies the rows of sector N into the rows of sector
     N + 2, and its adjoint the rows of N + 2 back into N.  Both blocks are
@@ -248,6 +264,17 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     sqrt((d_0**2 + d_1**2) / dim**2); rtol = atol = tol scaled by the
     inverse of that factor is therefore the same error criterion as
     stepping all of U with tol.
+
+    The arithmetic follows the dtype of the path's first sample, at s,
+    which is also the sample the first right-hand-side evaluation uses, so
+    choosing it costs no path call.  A float64 B (a trajectory of a real
+    spec) gives a real G, and U is stepped and returned as float64 with the
+    block tolerance times sqrt(2): the imaginary half of a complex U would
+    be exactly zero and only dilute the RMS norm over its real components
+    by sqrt(2), so this is again the same error criterion.  Any other B,
+    such as that of a FunctionBPath, which returns complex128, keeps U
+    complex128.  A path that returns a complex B with a nonzero imaginary
+    part after a real first sample raises ValueError.
     """
     if t < s:
         raise ValueError("require s <= t")
@@ -263,8 +290,21 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     sizes = [len(idx) for idx, _, _ in parities]
     ends = np.cumsum([0] + [d * d for d in sizes])
 
+    def sample(tau):
+        return np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)))
+
+    pending = [sample(s)]  # the first evaluation's sample, which sets the dtype
+    real = not np.iscomplexobj(pending[0])
+    dtype = float if real else complex
+
     def fun(tau, y):
-        b = np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)), dtype=complex).ravel()
+        b = pending.pop() if pending else sample(tau)
+        if real and np.iscomplexobj(b):
+            if b.imag.any():
+                raise ValueError(f"complex B at tau = {tau:.6g} on a path whose "
+                                 f"first sample was real")
+            b = b.real
+        b = b.astype(dtype, copy=False).ravel()
         dy = np.zeros_like(y)
         for (_, blocks, weights), d, start, stop in zip(parities, sizes, ends, ends[1:]):
             s_flat = b @ weights                         # the 2 S blocks, flattened
@@ -276,10 +316,10 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
                 du[cols] -= s_blk.conj().T @ u[rows]
         return dy
 
-    y0 = np.concatenate([np.eye(d, dtype=complex).ravel() for d in sizes])
-    tol_blocks = tol * np.sqrt(dim * dim / ends[-1])
+    y0 = np.concatenate([np.eye(d, dtype=dtype).ravel() for d in sizes])
+    tol_blocks = tol * np.sqrt(dim * dim / ends[-1]) * (np.sqrt(2.0) if real else 1.0)
     y = drive_rk45(fun, s, y0, t, rtol=tol_blocks, atol=tol_blocks).state
-    u_mat = np.zeros((dim, dim), dtype=complex)
+    u_mat = np.zeros((dim, dim), dtype=dtype)
     for (idx, _, _), d, start, stop in zip(parities, sizes, ends, ends[1:]):
         u_mat[np.ix_(idx, idx)] = y[start:stop].reshape(d, d)
     return u_mat

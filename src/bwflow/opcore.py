@@ -142,6 +142,16 @@ class QuadraticSpec:
     def b(self) -> np.ndarray:
         return self.b0.mat
 
+    @property
+    def is_real(self) -> bool:
+        """Whether every imaginary part of Omega and B is exactly 0.0.
+
+        There is no tolerance, so a spec with any nonzero imaginary entry,
+        however small, is complex.  Real specs are integrated in real
+        arithmetic (see flow.integrate and fock.propagate).
+        """
+        return not (self.omega.imag.any() or self.b.imag.any())
+
     @classmethod
     def from_matrices(cls, omega, b, c0: float = 0.0, label: str = "",
                       sym_tol: float = SYM_TOL) -> "QuadraticSpec":

@@ -13,11 +13,15 @@ right-hand-side evaluations.  The initial step is Hairer's estimate from the
 first two derivatives.
 
 The state may be real or complex and of any shape: the flow steps one
-complex vector [Omega, B, u, v, C, I], the (u, v) map along a given path a
-complex (2, n, n) stack and the Fock propagator one complex vector holding
-the two parity blocks of U.  The stepper works on a flat float64 view of the
-state (the real and imaginary parts interleaved, no copy), so error control
-is per real component.
+vector [Omega, B, u, v, C, I], float64 for a real spec and complex128
+otherwise; the (u, v) map along a given path steps a complex (2, n, n)
+stack; and the Fock propagator steps one vector holding the two parity
+blocks of U, float64 when the path's B is real and complex128 otherwise.
+The stepper works on a flat float64 view of the state (the real and
+imaginary parts interleaved, no copy), so error control is per real
+component.  A complex state whose imaginary parts are all zero therefore
+has the RMS error norm of its real parts divided by sqrt(2), and the real
+callers pass sqrt(2) times their tolerance to keep the same criterion.
 ``fun`` and ``on_step`` receive the state in the shape and dtype of y0, as a
 view of the stepper's array that they must not write into.  The stage sums,
 stage states and error weights live in three scratch buffers allocated once

@@ -10,6 +10,7 @@ from bwflow import analytic, flow
 from bwflow.errors import (BlowupDetected, InsufficientData, NotConverged,
                            NotPSD, PathGap)
 from bwflow.opcore import QuadraticSpec, hs_norm, min_eig_hermitian, sandwich
+from bwflow.stepping import drive_rk45
 
 GOLDEN = np.array([0.6180339887498948482046, 1.6180339887498948482046])
 
@@ -75,7 +76,7 @@ def test_blowup_detected_with_partial_trajectory():
 
 def stored_derivatives_match_the_rhs(traj):
     """Each sample's dy is _CarriedRhs at that sample, bit for bit."""
-    rhs = flow._CarriedRhs(traj.spec.dim, traj.scalar_sign)
+    rhs = flow._CarriedRhs(traj.spec.dim, traj.scalar_sign, traj.states[0].dy.dtype)
     for s in traj.states:
         assert np.array_equal(s.dy, rhs(s.t, flow._vector(s)))
 
@@ -481,3 +482,63 @@ def test_frozen_tail_closed_form():
     assert abs(s.int_b - (0.7 + np.sqrt(2.0) * b * -np.expm1(-6.0 * tau) / 6.0)) <= 1e-15
     mid = tail.at(1.0 + tau / 3, -1.0)
     assert abs(tail.at(1.0 + tau, -1.0, prev=mid).int_b - s.int_b) <= 1e-15
+
+
+# A real spec is stepped as a float64 state at sqrt(2) tol; the complex128
+# state of the same flow has an exactly zero imaginary half, so both take
+# the same steps and reach the same states.  The BLAS kernels of the two
+# dtypes (dgemm and zgemm, ddot and zdotc) need not sum in the same order,
+# so their real parts agree to rounding rather than always bit for bit.
+
+def seeded_real_spec(n, seed):
+    """Random real gapped spec: Omega eigenvalues in [1, 2], ||B||_op = 1/4."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    omega = (q * rng.uniform(1.0, 2.0, n)) @ q.T
+    g = rng.standard_normal((n, n))
+    b = (g + g.T) / 2
+    return QuadraticSpec.from_matrices((omega + omega.T) / 2, 0.25 * b / np.linalg.norm(b, 2))
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_real_carried_rhs_is_the_complex_one(n):
+    y = np.random.default_rng(n).standard_normal(4 * n * n + 2)
+    d_real = flow._CarriedRhs(n, -1.0, float)(0.0, y)
+    d_cplx = flow._CarriedRhs(n, -1.0, complex)(0.0, y.astype(complex))
+    assert d_real.dtype == float and d_cplx.dtype == complex
+    assert not d_cplx.imag.any()
+    assert np.abs(d_real - d_cplx.real).max() <= 1e-15 * np.abs(d_real).max()
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_real_state_steps_like_the_complex_one(n, generic_spec):
+    spec = generic_spec if n == 2 else seeded_real_spec(n, n)
+    state0 = flow.FlowState(0.0, spec.omega.real, spec.b.real, spec.c0,
+                            np.eye(n), np.zeros((n, n)), 0.0)
+    y_real = flow._vector(state0)
+    runs = []
+    for y0, tol in ((y_real, np.sqrt(2.0) * 1e-10), (y_real.astype(complex), 1e-10)):
+        ts = []
+        solver = drive_rk45(flow._CarriedRhs(n, -1.0, y0.dtype), 0.0, y0, 5.0, rtol=tol,
+                            atol=tol, on_step=lambda t, y, dy: ts.append(t))
+        runs.append((solver.nfev, np.array(ts), solver.state))
+    (nfev_r, ts_r, y_r), (nfev_c, ts_c, y_c) = runs
+    assert nfev_r == nfev_c and len(ts_r) == len(ts_c) > 50
+    assert np.allclose(ts_r, ts_c, rtol=1e-8, atol=0)
+    assert y_r.dtype == float and not y_c.imag.any()
+    assert np.abs(y_r - y_c.real).max() < 1e-14
+
+
+def test_realness_rule_has_no_tolerance(generic_spec):
+    # one imaginary part of 1e-300 keeps the whole flow complex128; the two
+    # runs still take the same steps to the same limit
+    b = generic_spec.b.copy()
+    b[0, 0] += 1e-300j
+    tiny = QuadraticSpec.from_matrices(generic_spec.omega, b)
+    assert generic_spec.is_real and not tiny.is_real
+    real, cplx = flow.integrate(generic_spec, 5.0), flow.integrate(tiny, 5.0)
+    assert real.final.omega.dtype == real.final.dy.dtype == float
+    assert cplx.final.omega.dtype == cplx.final.dy.dtype == complex
+    assert real.stats["n_rhs"] == cplx.stats["n_rhs"]
+    assert real.stats["n_steps"] == cplx.stats["n_steps"]
+    assert hs_norm(real.final.omega - cplx.final.omega) < 1e-14

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -242,6 +245,91 @@ def test_propagate_size_guard(monkeypatch):
     path = FunctionBPath(lambda t: np.array([[0.1]]), 0.0, 1.0)
     with pytest.raises(SizeLimit):
         fock.propagate(fk, path, 0.0, 1.0)
+
+
+class ForwardingPath:
+    """Forwards only a path's t0, t1 and samples, as the benchmark's
+    counting wrapper does, and counts the samples."""
+
+    def __init__(self, path):
+        self._path, self.t0, self.t1, self.calls = path, path.t0, path.t1, 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self._path(t)
+
+
+REAL_SPECS = {1: QuadraticSpec.from_matrices([[1.0]], [[0.3]]),
+              2: QuadraticSpec.from_matrices([[1.0, 0.0], [0.0, 2.0]],
+                                             [[0.0, 0.5], [0.5, 0.0]])}
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(2, 8), (1, 13)])
+def test_real_path_propagates_like_the_complex_one(n_modes, cutoff):
+    # a real spec's trajectory returns float64 B, so U is stepped as float64
+    # at sqrt(2) times the block tolerance; wrapped in a FunctionBPath, which
+    # returns complex128, the same B takes the complex path.  The dtype comes
+    # from the first sample, which the first RHS evaluation reuses, so both
+    # sample the path equally often and take the same steps.  Their BLAS
+    # stage sums may round a few components differently, so U agrees to
+    # rounding rather than always bit for bit.
+    traj = flow.integrate(REAL_SPECS[n_modes], 1.5)
+    fk = fock.build_basis(n_modes, cutoff)
+    real_path = ForwardingPath(traj)
+    complex_path = CountingPath(traj, traj.t0, traj.t1)
+    u = fock.propagate(fk, real_path, 0.0, traj.t1)
+    u_c = fock.propagate(fk, complex_path, 0.0, traj.t1)
+    assert u.dtype == float and u_c.dtype == complex
+    assert real_path.calls == complex_path.calls > 20
+    assert np.abs(u - u_c).max() < 1e-14
+    assert fock.unitarity_residual(fk, u) < 1e-8
+
+
+def test_real_path_with_a_complex_sample_raises(one_mode):
+    class TurnsComplex:
+        t0, t1 = 0.0, 1.0
+
+        def __call__(self, t):
+            return np.array([[0.1 + (0.01j if t > 0.5 else 0.0)]])
+
+    class ComplexTyped(TurnsComplex):
+        def __call__(self, t):
+            return np.array([[0.1]]) if t == 0.0 else np.array([[0.1 + 0j]])
+
+    with pytest.raises(ValueError, match="complex B"):
+        fock.propagate(one_mode, TurnsComplex(), 0.0, 1.0)
+    # complex samples with zero imaginary parts are real B and stay allowed
+    u = fock.propagate(one_mode, ComplexTyped(), 0.0, 1.0)
+    assert u.dtype == float and fock.unitarity_residual(one_mode, u) < 1e-8
+
+
+def test_propagate_working_set():
+    # the bound behind check_propagate_size holds on both paths, and the
+    # float64 blocks of a real path take at most 0.6 of the complex bytes
+    traj = flow.integrate(REAL_SPECS[2], 2.0)
+    peaks = {}
+    for path in (traj, FunctionBPath(traj, traj.t0, traj.t1)):
+        fk = fock.build_basis(2, 12)
+        for k, l in itertools.product(range(2), repeat=2):
+            fock._pair(fk, k, l)  # the basis's cached tables, not propagate's
+        tracemalloc.start()
+        try:
+            u = fock.propagate(fk, path, 0.0, traj.t1)
+            peaks[u.dtype] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    bound = fock.PROPAGATE_BYTES_PER_DIM2 * fk.dim ** 2
+    assert peaks[np.dtype(float)] <= bound and peaks[np.dtype(complex)] <= bound
+    assert peaks[np.dtype(float)] <= 0.6 * peaks[np.dtype(complex)]
+
+
+def test_hamiltonian_op_is_real_for_a_real_spec(one_mode):
+    real = fock.hamiltonian_op(one_mode, REAL_SPECS[1])
+    cplx = fock.hamiltonian_op(one_mode, QuadraticSpec.from_matrices([[1.0]], [[0.3 + 1e-300j]]))
+    assert real.dtype == float and cplx.dtype == complex
+    assert np.array_equal(real, cplx.real)
+    assert fock.ground_energy(one_mode, real) == pytest.approx(
+        fock.ground_energy(one_mode, cplx), abs=1e-14)
 
 
 def test_fock_verify_output_unchanged_with_dense_reference(tmp_path, capsys, monkeypatch):
