@@ -293,20 +293,48 @@ class GeneratorDecomposition:
     residuals: dict = field(default_factory=dict)
 
 
+def _unitary_eig(x: np.ndarray, eigs: np.ndarray) -> tuple:
+    """Eigen-angles theta and orthonormal eigenvectors Q of a unitary x,
+    x = Q diag(exp(i theta)) Q*, given its eigenvalues eigs (only to place
+    the rotation, so eigvals' accuracy is plenty).
+
+    The spectrum is first turned so that the middle of its widest gap sits
+    at -1, y = exp(i phi) x; then the Cayley transform i (1 - y) (1 + y)^-1
+    is hermitian with eigenvalues tan(theta'/2) and eigh gives both factors
+    (Higham, *Functions of Matrices*, 2008, ch. 1 and 11).  The turn keeps
+    1 + y at least 2 sin(pi / 2n) from singular: unturned, an eigenvalue
+    within delta of -1 costs eps / delta of accuracy, and an exact -1,
+    which a real gauge matrix with negative directions has, breaks the
+    transform.  theta = 2 arctan(t) - phi lies on the branch whose cut is
+    that widest gap, so no cluster of eigenvalues straddles the cut; wrap
+    it into (-pi, pi] for the principal log.
+    """
+    ang = np.sort(np.angle(eigs))
+    gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
+    k = int(np.argmax(gaps))
+    phi = np.pi - (ang[k] + gaps[k] / 2.0)
+    y = np.exp(1j * phi) * x
+    eye = np.eye(x.shape[0])
+    cayley = 1j * np.linalg.solve(eye + y, eye - y)
+    t, q = np.linalg.eigh((cayley + cayley.conj().T) / 2)
+    return 2.0 * np.arctan(t) - phi, q
+
+
 def _takagi_symmetric(mat: np.ndarray) -> tuple:
     """Factor a complex symmetric matrix as Y diag(s) Y^t with Y unitary.
 
     Route: SVD mat = A S B*; then Z = A* B~ is unitary, block diagonal
     over distinct singular values and symmetric on the nonzero blocks, so
-    its principal square root W satisfies A W S (A W)^t = mat.  This keeps
-    the left/right pairing intact through repeated singular values, where
-    plain SVD frames are only determined up to a block rotation.
+    any square root W of Z that is a function of Z (here exp(i theta / 2)
+    on _unitary_eig's angles, whose branch cut avoids every eigenvalue,
+    -1 included) satisfies A W S (A W)^t = mat.  This keeps the left/right
+    pairing intact through repeated singular values, where plain SVD frames
+    are only determined up to a block rotation.
     """
-    from scipy.linalg import sqrtm
-
     a, sig, bh = np.linalg.svd(mat)
     z = a.conj().T @ bh.T
-    w = sqrtm(z)
+    theta, q = _unitary_eig(z, np.linalg.eigvals(z))
+    w = (q * np.exp(0.5j * theta)) @ q.conj().T
     y = a @ w
     return y, sig
 
@@ -320,13 +348,17 @@ def decompose_generator(m: BogoliubovMap) -> GeneratorDecomposition:
     reconstruction u = sum cosh(alpha_k)|g_k><h_k| breaks.  With the SVD
     u = G0 D K0* the matrix G0* v K0~ is symmetric for any valid map; its
     Takagi factorization Y diag(lambda) Y^t fixes the shared gauge, and
-    g_k, h_k are the columns of G0 Y and K0 Y.  Raises MapInvalid when the
-    symplectic relations (MAP_TOL) or the reconstruction (DECOMP_TOL) fail,
-    LogBranch when uhat has an eigenvalue at -1 within BRANCH_TOL (the
-    hermitian log branch is then ambiguous).
+    g_k, h_k are the columns of G0 Y and K0 Y.  uhat = K0 Y Y* G0* = K0 G0*
+    does not depend on Y, so neither the alphas nor h_matrix depend on which
+    square root the Takagi step takes.  h_matrix is the principal log,
+    uhat = exp(i h_matrix) with eigenvalues of h_matrix in (-pi, pi], built
+    from _unitary_eig's angles and vectors; residuals["exp_check"] is
+    ||exp(i h_matrix) - uhat||_2 with the exponential taken from
+    eigh(h_matrix).  Raises MapInvalid when the symplectic relations
+    (MAP_TOL) or the reconstruction (DECOMP_TOL) fail, LogBranch when uhat
+    has an eigenvalue at -1 within BRANCH_TOL (the principal log is then
+    ambiguous).
     """
-    from scipy.linalg import expm, logm
-
     _require_valid(m)
     u, v = m.u, m.v
     n = m.dim
@@ -346,10 +378,12 @@ def decompose_generator(m: BogoliubovMap) -> GeneratorDecomposition:
     eigs = np.linalg.eigvals(uhat)
     if np.any(np.abs(eigs + 1.0) < BRANCH_TOL):
         raise LogBranch("uhat has an eigenvalue at -1; hermitian log branch ambiguous")
-    h_log = logm(uhat)
-    h_matrix = (-1j * h_log)
+    theta, q = _unitary_eig(uhat, eigs)
+    theta = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
+    h_matrix = (q * theta) @ q.conj().T
     h_matrix = (h_matrix + h_matrix.conj().T) / 2
-    exp_check = hs_norm(expm(1j * h_matrix) - uhat)
+    w, p = np.linalg.eigh(h_matrix)
+    exp_check = hs_norm((p * np.exp(1j * w)) @ p.conj().T - uhat)
 
     u_rec = (g * cosh_a[np.newaxis, :]) @ h.conj().T
     v_rec = (g * lam[np.newaxis, :]) @ h.T

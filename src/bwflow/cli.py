@@ -12,7 +12,6 @@ error, 3 blow-up, 4 not converged.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import io
 import json
@@ -661,6 +660,8 @@ def cmd_batch(args) -> int:
     # the pool starts all its workers at once, so ask for no more than can run
     workers = min(args.jobs, len(args.specs), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures  # here, not at the top: it loads logging
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, args.specs))
     else:

@@ -36,8 +36,11 @@ evaluation.
 
 On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
 for operation, so step sequences and results match it bit for bit; this
-module only avoids importing scipy, which dominates the start-up time of the
-command line.
+module only avoids importing scipy, which would dominate the start-up time
+of the command line.  No command imports scipy at all: the squeeze
+decomposition behind diag takes its square root, log and exp from numpy's
+eigh (bogoliubov._unitary_eig), and only the library's bogoliubov.dyson_uv
+and the tests load scipy.
 
 Step-size underflow (proposed step below H_MIN, or no acceptable step above
 ten ulps of t) raises StepSizeUnderflow; callers classify it further.

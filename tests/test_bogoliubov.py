@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import expm, logm, sqrtm
 
 from bwflow import analytic, bogoliubov, flow, fock
 from bwflow.bogoliubov import BogoliubovMap
@@ -341,6 +341,87 @@ def test_decompose_log_branch():
     m = BogoliubovMap(u=u, v=np.zeros((2, 2), complex))
     with pytest.raises(LogBranch):
         bogoliubov.decompose_generator(m)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 64))
+def test_decompose_log_matches_scipy(seed, n):
+    # the log that _unitary_eig gives decompose_generator, on rotations
+    # whose uhat is a Haar unitary; has repeated angles; or has repeated
+    # angles plus one angle 2e-8 to 1e-1 from -1 on either side, the others
+    # kept 0.1 from it
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 0:
+        x = rand_unitary(rng, n)
+    else:
+        angles = rng.uniform(-np.pi + 0.1, np.pi - 0.1, n)
+        angles[: n // 2] = angles[0]
+        if kind == 2:
+            delta = 10.0 ** rng.uniform(np.log10(2e-8), -1.0)
+            angles[-1] = np.pi - delta if seed % 2 else -np.pi + delta
+        q = rand_unitary(rng, n)
+        x = (q * np.exp(1j * angles)) @ q.conj().T
+    # uhat is the adjoint of u for a map with v = 0
+    d = bogoliubov.decompose_generator(
+        BogoliubovMap(u=x.conj().T, v=np.zeros((n, n), complex)))
+    assert hs_norm(d.uhat - x) <= 1e-12
+    assert hs_norm(expm(1j * d.h_matrix) - d.uhat) <= 1e-12
+    assert hs_norm(d.h_matrix + 1j * logm(d.uhat)) <= 1e-11
+
+
+@given(st.integers(0, 10**6), st.integers(1, 64))
+def test_unitary_eig_square_root_of_symmetric_unitary(seed, n):
+    # z = O diag(exp(i angles)) O^t with O real orthogonal is symmetric and
+    # unitary; half its angles are exactly pi, so z has repeated -1
+    # eigenvalues whenever n >= 4, as a real gauge matrix with negative
+    # directions does
+    rng = np.random.default_rng(seed)
+    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    angles = rng.uniform(-np.pi, np.pi, n)
+    angles[: n // 2] = np.pi
+    if seed % 2:
+        angles = np.where(angles > 0.0, np.pi, 0.0)  # real symmetric z
+    z = (o * np.exp(1j * angles)) @ o.T
+    theta, q = bogoliubov._unitary_eig(z, np.linalg.eigvals(z))
+    w = (q * np.exp(0.5j * theta)) @ q.conj().T
+    assert hs_norm(w @ w - z) <= 1e-12
+    assert hs_norm(w - w.T) <= 1e-12
+    assert hs_norm(w.conj().T @ w - np.eye(n)) <= 1e-12
+
+
+@given(st.integers(0, 10**6), st.integers(1, 64))
+def test_unitary_eig_square_root_matches_scipy(seed, n):
+    # with every angle in [-pi/2, pi/2] the widest gap holds -1, so the
+    # square root is the principal one
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-np.pi / 2, np.pi / 2, n)
+    angles[: n // 2] = angles[0]
+    q = rand_unitary(rng, n)
+    z = (q * np.exp(1j * angles)) @ q.conj().T
+    theta, qz = bogoliubov._unitary_eig(z, np.linalg.eigvals(z))
+    w = (qz * np.exp(0.5j * theta)) @ qz.conj().T
+    assert hs_norm(w - sqrtm(z)) <= 1e-12
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_decompose_log_branch_threshold(side):
+    # a rotation with one uhat eigenvalue at angle pi - delta (or
+    # -pi + delta): refused inside BRANCH_TOL, logged accurately outside
+    rng = np.random.default_rng(11)
+    q = rand_unitary(rng, 4)
+
+    def rotation(delta):
+        angles = np.array([0.3, -1.2, 2.0, side * (np.pi - delta)])
+        # uhat is the adjoint of u for a map with v = 0
+        u = (q * np.exp(-1j * angles)) @ q.conj().T
+        return BogoliubovMap(u=u, v=np.zeros((4, 4), complex))
+
+    with pytest.raises(LogBranch):
+        bogoliubov.decompose_generator(rotation(0.5 * bogoliubov.BRANCH_TOL))
+    d = bogoliubov.decompose_generator(rotation(2.0 * bogoliubov.BRANCH_TOL))
+    assert hs_norm(expm(1j * d.h_matrix) - d.uhat) <= 1e-12
+    assert hs_norm(d.h_matrix + 1j * logm(d.uhat)) <= 1e-11
+    assert d.residuals["exp_check"] <= 1e-12
 
 
 def test_decompose_rejects_invalid_map():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -591,7 +592,7 @@ def test_batch_caps_its_workers(generic_file, monkeypatch, capsys, jobs, n_specs
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code = cli.main(["batch", *[generic_file] * n_specs, "--t-end", "1", "--jobs", str(jobs)])
     assert code == cli.EXIT_OK

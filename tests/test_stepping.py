@@ -311,21 +311,34 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_start_up_does_not_import_scipy(tmp_path):
+    # check, run, diag (writing its JSON too) and fock-verify in one fresh
+    # interpreter: none loads any scipy module (scipy.integrate,
+    # scipy.interpolate and scipy.linalg included), so none can quietly
+    # regain the import
     spec = tmp_path / "generic.json"
     spec.write_text('{"blocks": [[1.0, 2.0, 0.5]]}\n')
+    runs = [["check", str(spec)],
+            ["run", str(spec), "--t-end", "5"],
+            ["diag", str(spec), "--t-end", "5", "--json", str(tmp_path / "diag.json")],
+            ["fock-verify", str(spec), "--cutoff", "8"]]
     code = (
         "import sys, io, contextlib\n"
         "import bwflow.cli as cli\n"
-        "heavy = ('scipy.integrate', 'scipy.interpolate', 'scipy.linalg')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.main(['run', {str(spec)!r}, '--t-end', '5'])\n"
-        "print(code, sorted(m for m in heavy if m in sys.modules))\n")
-    assert _fresh_python(code).splitlines() == ["[]", "0 []"]
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, scipy_modules())\n")
+    assert _fresh_python(code).splitlines() == [
+        "[]", "check 0 []", "run 0 []", "diag 0 []", "fock-verify 0 []"]
+    assert (tmp_path / "diag.json").stat().st_size > 0
 
 
 def test_cli_import_loads_no_scipy_module():
     code = ("import sys\n"
             "import bwflow.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    assert _fresh_python(code).splitlines() == ["[]"]
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('concurrent.futures' in sys.modules)\n")
+    assert _fresh_python(code).splitlines() == ["[]", "False"]
