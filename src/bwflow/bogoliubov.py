@@ -146,10 +146,12 @@ def integrate_uv(bpath, s: float, t: float,
     if t == s:
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
 
-    def fun(tau, uv):
+    def fun(tau, uv, out):
         b = bpath(min(max(tau, bpath.t0), bpath.t1))
         u, v = uv
-        return np.stack((-4.0 * v @ b.conj(), -4.0 * u @ b))
+        np.matmul(v, b.conj(), out=out[0])
+        np.matmul(u, b, out=out[1])
+        out *= -4.0  # du = -4 v B~, dv = -4 u B
 
     uv0 = np.stack((np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)))
     solver = drive_rk45(fun, s, uv0, t, rtol=controls.tol, atol=controls.tol)

@@ -6,7 +6,7 @@ as comments and skipped).  Matrices are row-major lists of [re, im] pairs;
 alternatively a "blocks" shorthand lists [omegaMinus, omegaPlus, b] triples
 that expand to the block-diagonal form.  Exit codes: 0 ok, 1 condition
 check failed (for diag: one of its map checks failed), 2 parse or input
-error, 3 blow-up, 4 not converged.
+error or an output path that cannot be written, 3 blow-up, 4 not converged.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic, bogoliubov, conditions, flow, fock, stepping
 from .errors import (BlowupDetected, BwflowError, LogBranch, MapInvalid,
-                     NotConverged, OutOfRange, ParseError, SizeLimit,
+                     NotConverged, OutOfRange, OutputError, ParseError, SizeLimit,
                      StepSizeUnderflow)
 from .opcore import QuadraticSpec, hs_norm
 
@@ -188,6 +188,27 @@ def _controls(args) -> flow.Controls:
     return flow.Controls(tol=args.tol, conv_tol=args.conv_tol)
 
 
+def _check_output(path: Optional[str]) -> None:
+    """Refuse an output path that cannot be opened for writing, a directory
+    or a path in a missing directory, before the command does its work."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise OutputError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise OutputError(f"cannot write {path}: {folder} is not a directory")
+
+
+def _open_output(path: str):
+    """path opened for writing text; an OSError that _check_output could
+    not foresee, such as a denied permission, becomes an OutputError."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _scalar_sign(args) -> float:
     """The scalar sign of run, batch and oracle: +1 with --paper-scalar-sign."""
     return 1.0 if args.paper_scalar_sign else flow.SCALAR_SIGN
@@ -238,12 +259,13 @@ def cmd_check(args) -> int:
     if not (math.isfinite(args.eps) and args.eps > 0):
         raise ParseError("eps must be positive and finite", field="eps")
     spec = load_spec(args.spec)
+    _check_output(args.json)
     rep = conditions.check_all(spec, tol=args.tol, eps=args.eps)
     render_report(rep, sys.stdout)
     if args.json:
         doc = _json_safe({"label": spec.label, "verdicts": rep.verdicts,
                           "margins": rep.margins, "values": rep.values})
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_output(args.json) as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     ok = all(rep.holds(name) for name in ("A1", "A2", "A3"))
@@ -295,14 +317,17 @@ def _run_one(spec: QuadraticSpec, t_end: float, controls: flow.Controls, sign: f
              out, csv_path: Optional[str]) -> int:
     """Integrate, write the CSV and the summary.  A blown-up run writes the
     CSV of its partial trajectory and re-raises."""
+    _check_output(csv_path)
     try:
         traj = flow.integrate(spec, t_end, controls, scalar_sign=sign)
     except BlowupDetected as exc:
         if csv_path and exc.trajectory is not None:
-            exc.trajectory.write_csv(csv_path)
+            with _open_output(csv_path) as fh:
+                exc.trajectory.write_csv(fh)
         raise
     if csv_path:
-        traj.write_csv(csv_path)
+        with _open_output(csv_path) as fh:
+            traj.write_csv(fh)
     _run_summary(traj, out)
     return EXIT_OK
 
@@ -329,6 +354,7 @@ def _print_matrix(name: str, m: np.ndarray, out) -> None:
 def cmd_diag(args) -> int:
     spec = load_spec(args.spec)
     controls = _controls(args)
+    _check_output(args.json)
     traj = flow.integrate(spec, args.t_end, controls)
     if not traj.converged():
         sys.stdout.write(
@@ -393,7 +419,7 @@ def cmd_diag(args) -> int:
             "alphas": decomp.alphas,
             "h_matrix": _matrix_to_pairs(decomp.h_matrix),
         })
-        with open(args.json, "w", encoding="utf-8") as fh:
+        with _open_output(args.json) as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     failed = [name for name, ok in (("norm bounds", holds_u and holds_v),
@@ -414,6 +440,8 @@ def cmd_fock_verify(args) -> int:
         raise SizeLimit(f"fock-verify handles at most 2 modes, got {spec.dim}")
     controls = _controls(args)
     cutoff, sector_cut = args.cutoff, args.sector_cut
+    if cutoff < 4:
+        raise ParseError("cutoff must be at least 4", field="cutoff")
     if sector_cut is None:
         sector_cut = max(0, min(cutoff - 4, cutoff // 2))
     if sector_cut < 0:
@@ -619,9 +647,10 @@ def cmd_oracle(args) -> int:
     blocks, label, comments = _oracle_blocks(args.family, args.params)
     spec = analytic.block_spec(blocks, c0=args.c0, label=label)
     sign = _scalar_sign(args)
+    _check_output(args.out)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _open_output(args.out) as fh:
             dump_spec(spec, fh, comments)
     if args.csv:
         ts = _parse_grid(args.csv)
@@ -656,7 +685,11 @@ def cmd_batch(args) -> int:
     if args.jobs < 1:
         raise ParseError("jobs must be at least 1", field="jobs")
     if args.csv_dir:
-        os.makedirs(args.csv_dir, exist_ok=True)
+        try:
+            os.makedirs(args.csv_dir, exist_ok=True)
+        except OSError as exc:
+            raise OutputError(f"cannot make directory {args.csv_dir}: "
+                              f"{exc.strerror}") from None
     # the pool starts all its workers at once, so ask for no more than can run
     workers = min(args.jobs, len(args.specs), os.cpu_count() or 1)
     if workers > 1:
@@ -767,8 +800,8 @@ def _report_error(exc: BwflowError, out, err) -> int:
     A blow-up prints the blow-up report to out and exits 3.  Every other
     error prints one line to err and exits 4 when the numerics failed (no
     convergence, a step-size underflow, an invalid map or an ambiguous log
-    branch) and 2 for bad input: "parse error: ..." for a ParseError and
-    "error: <Type>: ..." for the rest.
+    branch) and 2 for bad input or an unwritable output path: "parse
+    error: ..." for a ParseError and "error: <Type>: ..." for the rest.
     """
     if isinstance(exc, BlowupDetected):
         _print_blowup(exc, out)

@@ -74,6 +74,10 @@ class OutOfRange(BwflowError, ValueError):
     """Family parameter outside its admissible interval."""
 
 
+class OutputError(BwflowError):
+    """An output file or directory cannot be written."""
+
+
 class SizeLimit(BwflowError):
     """Requested truncated Fock space is larger than the configured cap."""
 

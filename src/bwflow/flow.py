@@ -123,6 +123,10 @@ class FlowState:
 
     @property
     def hs_b(self) -> float:
+        """||B||_2: on a sample the dI/dt = ||B||_2 that dy holds, otherwise
+        the norm of b."""
+        if self.dy is not None:
+            return float(self.dy[-1].real)
         return float(np.linalg.norm(self.b))
 
 
@@ -164,13 +168,16 @@ class _CarriedRhs:
     place the flow and carried-map equations are written.
 
     Omega B, B B~, u B and v B~ come from one batched matmul of
-    [Omega, B, u, v] with [B, B~, B, B~] (a preallocated stack), and one
-    vdot gives ||B||_2^2 for both dC and dI.  -16 B B~ and
-    -2 (Omega B + B Omega^t) are written as M + M* and M + M^t, the second
-    using B = B^t.  Their entries then pair up exactly, and the stepper's
-    real-coefficient stage sums keep Omega hermitian and B symmetric to the
-    last bit.  Each call returns a new array, which the stepper keeps as its
-    next first stage and a trajectory keeps as a sample's derivative.
+    [Omega, B, u, v] with [B, B~, B, B~] into a product stack, and one vdot
+    gives ||B||_2^2 for both dC and dI.  -16 B B~ and -2 (Omega B + B Omega^t)
+    are written as M + M* and M + M^t, the second using B = B^t.  Their
+    entries then pair up exactly, and the stepper's real-coefficient stage
+    sums keep Omega hermitian and B symmetric to the last bit.
+
+    A call writes the derivative into out, a stage row of the stepper or
+    its fresh FSAL array, and returns it.  The two stacks are allocated once
+    per instance, so a call allocates only when out is None: then it returns
+    a new array, as for rhs and for a trajectory's first and tail samples.
 
     dtype is that of the state: complex, or float for a real spec.  On a
     real state the same lines do real arithmetic, since conjugation is then
@@ -181,16 +188,17 @@ class _CarriedRhs:
         self.n = n
         self.sign8 = 8.0 * scalar_sign
         self.dtype = dtype
-        self._rights = np.empty((4, n, n), dtype=dtype)
+        self._rights, self._products = np.empty((2, 4, n, n), dtype=dtype)
 
-    def __call__(self, t, y):
+    def __call__(self, t, y, out=None):
         n = self.n
         mats = y[:-2].reshape(4, n, n)
-        b, rights = mats[1], self._rights
+        b, rights, p = mats[1], self._rights, self._products
         rights[0::2] = b
         np.conjugate(b, out=rights[1::2])
-        p = mats @ rights  # Omega B, B B~, u B, v B~
-        out = np.empty(4 * n * n + 2, dtype=self.dtype)
+        np.matmul(mats, rights, out=p)  # Omega B, B B~, u B, v B~
+        if out is None:
+            out = np.empty(4 * n * n + 2, dtype=self.dtype)
         d = out[:-2].reshape(4, n, n)
         np.add(p[1], p[1].conj().T, out=d[0])
         d[0] *= -8.0
@@ -466,7 +474,10 @@ class Trajectory:
         if name == "c":
             return {name: np.array([s.c for s in self.states])}
         if name == "min_eig_omega":
-            return {name: _min_eigs(om)}
+            # every stored Omega is exactly hermitian (the spec is projected,
+            # dOmega is M + M* and tail samples are hermitized), and eigvalsh
+            # reads one triangle, so no hermitian part is formed
+            return {name: np.linalg.eigvalsh(om)[:, 0]}
         if name == "k_norm":
             ob = om @ b  # B Omega^t = (Omega B)^t, as every sample's B is symmetric
             return {name: np.sqrt(_sq_norms(ob - ob.swapaxes(-1, -2)))}

@@ -297,7 +297,7 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     real = not np.iscomplexobj(pending[0])
     dtype = float if real else complex
 
-    def fun(tau, y):
+    def fun(tau, y, dy):
         b = pending.pop() if pending else sample(tau)
         if real and np.iscomplexobj(b):
             if b.imag.any():
@@ -305,7 +305,7 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
                                  f"first sample was real")
             b = b.real
         b = b.astype(dtype, copy=False).ravel()
-        dy = np.zeros_like(y)
+        dy.fill(0)
         for (_, blocks, weights), d, start, stop in zip(parities, sizes, ends, ends[1:]):
             s_flat = b @ weights                         # the 2 S blocks, flattened
             u = y[start:stop].reshape(d, d)
@@ -314,7 +314,6 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
                 s_blk = s_flat[lo:hi].reshape(shape)
                 du[rows] += s_blk @ u[cols]
                 du[cols] -= s_blk.conj().T @ u[rows]
-        return dy
 
     y0 = np.concatenate([np.eye(d, dtype=dtype).ravel() for d in sizes])
     tol_blocks = tol * np.sqrt(dim * dim / ends[-1]) * (np.sqrt(2.0) if real else 1.0)

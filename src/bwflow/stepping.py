@@ -22,17 +22,18 @@ imaginary parts interleaved, no copy), so error control is per real
 component.  A complex state whose imaginary parts are all zero therefore
 has the RMS error norm of its real parts divided by sqrt(2), and the real
 callers pass sqrt(2) times their tolerance to keep the same criterion.
-``fun`` and ``on_step`` receive the state in the shape and dtype of y0, as a
-view of the stepper's array that they must not write into.  The stage sums,
-stage states and error weights live in three scratch buffers allocated once
-per stepper, so the state ``fun`` receives is usually a view into a buffer
-that the next stage overwrites, and ``fun`` must not keep it.  ``fun``
-returns the derivative in that shape, as an array that it does not reuse.
-Each accepted state is a fresh array, which ``on_step`` may keep without
-copying.  After an accepted step ``on_step`` also receives that step's last
-stage, the derivative at the new state (the FSAL stage), so a caller can
-keep it for Hermite dense output without another right-hand-side
-evaluation.
+
+The right-hand side is called as ``fun(t, y, out)`` and writes the
+derivative at (t, y) into ``out``; both arrays have the shape and dtype of
+y0 and are views of the stepper's buffers, built once per stepper.  ``y``
+is read-only to ``fun``; ``out`` may hold anything on entry and must be
+filled completely.  A stage state or stage row is overwritten by a later
+stage, so ``fun`` must keep neither ``y`` nor ``out``.  Each stage writes
+straight into its row of the stage matrix; only the last stage of a step,
+the derivative at the new state (FSAL), goes into a fresh array.  Each
+accepted state is a fresh array as well, and ``on_step`` receives both and
+may keep them without copying: the derivative serves Hermite dense output
+without another right-hand-side evaluation.
 
 On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
 for operation, so step sequences and results match it bit for bit; this
@@ -120,11 +121,15 @@ class DormandPrince:
         self.atol = atol
         self.nfev = 0
         self.status = "running"
-        self.f = self._eval(t0, self.y)
-        self.h_abs = self._initial_step()
-        # stages, and scratch for the stage sums, stage states and error weights
+        # stages, and scratch for the stage sums, stage states and error
+        # weights; fun reads the stage states and writes the stages through
+        # views in the caller's shape and dtype, made here once
         self._k = np.empty((_N_STAGES + 1, self.y.size))
         self._dy, self._ys, self._w = np.empty((3, self.y.size))
+        self._k_shaped = [self._shaped(row) for row in self._k]
+        self._ys_shaped = self._shaped(self._ys)
+        self.f = self._eval_new(t0, self.y)
+        self.h_abs = self._initial_step()
 
     def _flat(self, x) -> np.ndarray:
         """Flat float64 view of an array in the caller's shape and dtype."""
@@ -143,9 +148,16 @@ class DormandPrince:
         """The derivative at the current solution, shaped like state (a view of f)."""
         return self._shaped(self.f)
 
-    def _eval(self, t, y):
+    def _eval(self, t, y, out) -> None:
+        """fun at (t, y) into out, both in the caller's shape and dtype."""
         self.nfev += 1
-        return self._flat(self._fun(t, self._shaped(y)))
+        self._fun(t, y, out)
+
+    def _eval_new(self, t, y: np.ndarray) -> np.ndarray:
+        """fun at a flat state, into a fresh flat array."""
+        f = np.empty_like(y)
+        self._eval(t, self._shaped(y), self._shaped(f))
+        return f
 
     def _initial_step(self) -> float:
         """Hairer's starting step from y0, f0 and one explicit Euler probe."""
@@ -158,8 +170,9 @@ class DormandPrince:
         d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        f1 = self._eval(t0 + h0, y0 + h0 * f0)
-        d2 = _rms((f1 - f0) / scale) / h0
+        np.add(y0, h0 * f0, out=self._ys)
+        self._eval(t0 + h0, self._ys_shaped, self._k_shaped[1])
+        d2 = _rms((self._k[1] - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -175,11 +188,11 @@ class DormandPrince:
             np.dot(k[:s].T, a[:s], out=dy)
             dy *= h
             np.add(y, dy, out=ys)
-            k[s] = self._eval(t + c * h, ys)
+            self._eval(t + c * h, self._ys_shaped, self._k_shaped[s])
         np.dot(k[:-1].T, _B, out=dy)
         dy *= h
-        y_new = y + dy              # a fresh array: callers may keep accepted states
-        f_new = self._eval(t + h, y_new)
+        y_new = y + dy              # fresh arrays: callers may keep accepted
+        f_new = self._eval_new(t + h, y_new)  # states and their derivatives
         k[-1] = f_new
         np.maximum(np.abs(y, out=w), np.abs(y_new, out=ys), out=w)
         w *= self.rtol
@@ -198,7 +211,7 @@ class DormandPrince:
             self.t = self.t_bound
             self.status = "finished"
             return
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
@@ -207,7 +220,7 @@ class DormandPrince:
                 return
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             y_new, f_new, err = self._attempt(h)
             if err < 1:
                 factor = MAX_FACTOR if err == 0 else min(
@@ -226,9 +239,11 @@ class DormandPrince:
 def drive_rk45(fun, t0, y0, t_bound, rtol, atol, on_step=None):
     """Run the Dormand-Prince pair from t0 to t_bound.
 
-    ``on_step`` receives (t, state, derivative) after every accepted step,
-    for recording and event checks, where derivative is the step's FSAL
-    stage fun(t, state); returning False stops the integration early.  Returns
+    ``fun(t, y, out)`` writes the derivative at (t, y) into out (see the
+    module docstring).  ``on_step`` receives (t, state, derivative) after
+    every accepted step, for recording and event checks, where derivative is
+    the step's FSAL stage, the derivative at (t, state), in a fresh array;
+    returning False stops the integration early.  Returns
     the stepper in its final state ('finished' or stopped early by
     ``on_step``).  Raises ValueError for an empty or non-finite y0, a
     non-finite t_bound and t_bound < t0, and StepSizeUnderflow when the step

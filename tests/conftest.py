@@ -18,3 +18,11 @@ def generic_spec():
 @pytest.fixture(scope="session")
 def generic_traj(generic_spec):
     return flow.integrate(generic_spec, t_end=5.0)
+
+
+def writes_into(f):
+    """The right-hand side f(t, y) -> dy in the stepper's protocol
+    fun(t, y, out), which writes the derivative into out."""
+    def fun(t, y, out):
+        out[...] = f(t, y)
+    return fun

@@ -483,6 +483,52 @@ def test_fock_verify_rejects_negative_sector_cut(generic_file, capsys):
     assert out.out == "" and "nonnegative" in out.err
 
 
+
+@pytest.mark.parametrize("cutoff", ["3", "0", "-1"])
+def test_fock_verify_rejects_cutoff_below_4(generic_file, capsys, cutoff):
+    # no sector cut was given, so the refusal must name the cutoff
+    assert cli.main(["fock-verify", generic_file, "--cutoff", cutoff]) == cli.EXIT_PARSE
+    assert capsys.readouterr() == ("", "parse error: cutoff must be at least 4\n")
+    args = cli.build_parser().parse_args(["fock-verify", generic_file, "--cutoff", cutoff])
+    with pytest.raises(ParseError) as err:
+        cli.cmd_fock_verify(args)
+    assert err.value.field == "cutoff"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", [
+    ["check", "{spec}", "--json"],
+    ["diag", "{spec}", "--t-end", "1", "--json"],
+    ["run", "{spec}", "--t-end", "1", "--csv"],
+    ["oracle", "generic", "1", "2", "0.5", "--out"],
+], ids=["check-json", "diag-json", "run-csv", "oracle-out"])
+def test_unwritable_output_path_exits_2_before_the_work(generic_file, tmp_path, capsys,
+                                                       monkeypatch, command, where):
+    # such a path used to end in a traceback with exit 1, run --csv only
+    # after integrating
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before refusing the output path")
+
+    monkeypatch.setattr(flow, "integrate", no_integration)
+    path = tmp_path / "missing" / "out.txt" if where == "missing-dir" else tmp_path
+    argv = [a.format(spec=generic_file) for a in command] + [str(path)]
+    assert cli.main(argv) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: OutputError: cannot write {path}") and err.count("\n") == 1
+
+
+def test_batch_csv_dir_under_a_file_exits_2(generic_file, tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for csv_dir in (blocker, blocker / "csvs"):
+        assert cli.main(["batch", generic_file, "--t-end", "1",
+                         "--csv-dir", str(csv_dir)]) == cli.EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: OutputError: cannot make directory {csv_dir}")
+        assert err.count("\n") == 1
+
 def test_fock_verify_refuses_oversized_basis_before_building_it(generic_file, tmp_path):
     # cutoff 100 gives basis dim 5151 (under SIZE_LIMIT) but the propagator
     # would need gigabytes; the address-space cap turns any large allocation

@@ -542,3 +542,52 @@ def test_realness_rule_has_no_tolerance(generic_spec):
     assert real.stats["n_rhs"] == cplx.stats["n_rhs"]
     assert real.stats["n_steps"] == cplx.stats["n_steps"]
     assert hs_norm(real.final.omega - cplx.final.omega) < 1e-14
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_carried_rhs_into_out_is_the_allocating_call(n, dtype):
+    # the stepper's call writes into its stage row, and the allocating one
+    # serves rhs and the first and tail samples: the same bits either way
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(4 * n * n + 2).astype(dtype)
+    if dtype is complex:
+        y += 1j * rng.standard_normal(y.size)
+    rhs = flow._CarriedRhs(n, -1.0, dtype)
+    fresh = rhs(0.0, y)
+    rhs(0.0, rng.standard_normal(y.size).astype(dtype))  # overwrites the product stack
+    rows = np.full((2, 2 * y.size if dtype is complex else y.size), np.nan)
+    out = rows[1].view(dtype)  # a stage row, as the stepper passes it
+    assert rhs(0.0, y, out) is out
+    assert fresh.dtype == out.dtype and np.array_equal(out, fresh)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (analytic.block_spec([(1.0, 2.0, 0.5)]), 20.0),
+    lambda: (analytic.block_spec([(1.0, 2.0, 0.5), (0.5, 3.0, 0.25)]), 20.0),
+    lambda: (random_a6_spec(2, n=2), 10.0),
+    lambda: (random_a6_spec(8, n=8), 10.0),
+    lambda: (seeded_n64_spec(0), 12.0),
+], ids=["real-block", "real-two-blocks", "complex-n2", "complex-n8", "complex-n64"])
+def test_min_eig_column_needs_no_hermitian_part(make):
+    # every stored Omega is exactly hermitian, tail samples included, so
+    # eigvalsh on the stack gives the bits of its hermitian part's eigenvalues
+    spec, t_end = make()
+    traj = flow.integrate(spec, t_end)
+    assert traj.stats["n_tail"] > 0
+    om = np.stack([s.omega for s in traj.states])
+    assert np.array_equal(om, om.conj().swapaxes(-1, -2))
+    assert np.array_equal(traj.column("min_eig_omega"), flow._min_eigs(om))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_hs_b_is_its_stored_integrand(seed):
+    # a sample's ||B||_2 is the dI/dt its derivative holds; a state without
+    # a derivative takes the norm of its B
+    traj = flow.integrate(random_a6_spec(seed, n=4), t_end=40.0)
+    assert traj.stats["n_tail"] > 0
+    for s in traj.states:
+        assert s.hs_b == s.dy[-1].real
+        assert abs(s.hs_b - np.linalg.norm(s.b)) <= 4e-16 * s.hs_b
+    mid = traj.state_at(0.5 * (traj.ts[1] + traj.ts[2]))
+    assert mid.dy is None and mid.hs_b == np.linalg.norm(mid.b)

@@ -10,6 +10,7 @@ from bwflow.errors import PathGap, SizeLimit
 from bwflow.flow import FunctionBPath
 from bwflow.opcore import QuadraticSpec, hs_norm
 from bwflow.stepping import drive_rk45
+from conftest import writes_into
 
 
 def dense_propagate(fk, bpath, s, t, tol=1e-10):
@@ -37,7 +38,7 @@ def dense_propagate(fk, bpath, s, t, tol=1e-10):
 
     eye = np.eye(dim, dtype=complex)
     y0 = np.concatenate([eye.real.ravel(), eye.imag.ravel()])
-    y = drive_rk45(fun, s, y0, t, rtol=tol, atol=tol).y
+    y = drive_rk45(writes_into(fun), s, y0, t, rtol=tol, atol=tol).y
     return y[:d2].reshape(dim, dim) + 1j * y[d2:].reshape(dim, dim)
 
 

@@ -10,6 +10,7 @@ replaced.
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from bwflow import bogoliubov, flow, stepping
 from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
 from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive_rk45
+from conftest import writes_into
 
 
 def random_spec(seed: int, n: int) -> QuadraticSpec:
@@ -88,7 +90,7 @@ def test_driver_matches_scipy_rk45(spec, tol):
         ts.append(t)
         ys.append(y.copy())
 
-    solver = drive_rk45(fun, 0.0, y0, 5.0, rtol=tol, atol=tol, on_step=on_step)
+    solver = drive_rk45(writes_into(fun), 0.0, y0, 5.0, rtol=tol, atol=tol, on_step=on_step)
     assert solver.status == "finished" and solver.t == 5.0
     assert np.array_equal(np.array(ts), ref_ts)  # same accepted t-grid
     assert solver.nfev == ref_nfev
@@ -100,7 +102,7 @@ def test_stepper_matches_scipy_without_hooks():
     fun, y0 = packed_flow(QuadraticSpec.from_matrices(
         np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
     ref = RK45(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8)
-    ours = DormandPrince(fun, 0.0, y0, 0.05, 1e-8, 1e-8)
+    ours = DormandPrince(writes_into(fun), 0.0, y0, 0.05, 1e-8, 1e-8)
     while ref.status == "running":
         ref.step()
         ours.step()
@@ -110,7 +112,7 @@ def test_stepper_matches_scipy_without_hooks():
 
 
 def test_driver_validation():
-    fun = lambda t, y: -y  # noqa: E731
+    fun = writes_into(lambda t, y: -y)
     for bad_y0 in ([np.nan, 1.0], [np.inf], np.array([[1.0, complex(0.0, np.nan)]]), []):
         with pytest.raises(ValueError):
             drive_rk45(fun, 0.0, bad_y0, 1.0, rtol=1e-8, atol=1e-8)
@@ -131,7 +133,7 @@ def test_complex_state_keeps_its_shape():
         seen.append((uv.shape, uv.dtype))
         return np.stack((-4.0 * uv[1] @ b.conj(), -4.0 * uv[0] @ b))
 
-    solver = drive_rk45(fun, 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
+    solver = drive_rk45(writes_into(fun), 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
                         on_step=lambda t, uv, duv: seen.append((uv.shape, uv.dtype)))
     assert len(seen) > solver.nfev  # every RHS call and every accepted step
     assert set(seen) == {((2, 3, 3), np.dtype(complex))}
@@ -149,7 +151,7 @@ def test_on_step_receives_the_fsal_derivative():
 
     seen = []
     uv0 = np.stack((np.eye(2, dtype=complex), np.zeros((2, 2), complex)))
-    solver = drive_rk45(fun, 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
+    solver = drive_rk45(writes_into(fun), 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
                         on_step=lambda t, uv, duv: seen.append((t, uv.copy(), duv.copy())))
     assert solver.nfev == 2 + 6 * len(seen)  # no rejected step on this path
     for t, uv, duv in seen:
@@ -169,11 +171,38 @@ def test_kept_states_and_derivatives_are_not_reused():
         kept.append((y, dy))
         copies.append((y.copy(), dy.copy()))
 
-    solver = drive_rk45(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8, on_step=on_step)
+    solver = drive_rk45(writes_into(fun), 0.0, y0, 0.05, rtol=1e-8, atol=1e-8, on_step=on_step)
     assert solver.nfev > 2 + 6 * len(kept)  # some steps were rejected
     for (y, dy), (y_then, dy_then) in zip(kept, copies):
         assert np.array_equal(y, y_then) and np.array_equal(dy, dy_then)
 
+
+
+def test_a_warm_step_allocates_only_its_accepted_state_and_derivative():
+    # every stage writes into its row of the stage matrix, and the carried
+    # right-hand side forms its products in a reused stack, so an accepted
+    # step allocates two state-sized arrays: the new state and its FSAL
+    # derivative, both kept by the caller
+    n = 64
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    spec = QuadraticSpec.from_matrices((q * rng.uniform(1.0, 2.0, n)) @ q.conj().T,
+                                       0.25 * (g + g.T) / np.linalg.norm(g + g.T, 2))
+    y0 = flow._vector(flow.FlowState(0.0, spec.omega, spec.b, spec.c0,
+                                     np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0))
+    solver = DormandPrince(flow._CarriedRhs(n, -1.0, complex), 0.0, y0, 5.0, 1e-10, 1e-10)
+    for _ in range(3):
+        solver.step()
+    nfev = solver.nfev
+    tracemalloc.start()
+    try:
+        solver.step()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solver.nfev == nfev + 6  # one accepted attempt
+    assert 2 * y0.nbytes <= kept and peak < 3 * y0.nbytes
 
 @pytest.mark.parametrize("spec", [
     pytest.param(QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
@@ -190,7 +219,7 @@ def test_complex_state_matches_real_packing(spec):
     for f, init, shaped in ((fun, y0, lambda y: y),
                             (fun_real, y0_real, lambda y: unpack(y, y0.shape))):
         ts, ys = [], []
-        solver = drive_rk45(f, 0.0, init, 5.0, rtol=1e-10, atol=1e-10,
+        solver = drive_rk45(writes_into(f), 0.0, init, 5.0, rtol=1e-10, atol=1e-10,
                             on_step=lambda t, y, dy: (ts.append(t), ys.append(shaped(y))))
         runs.append((solver.nfev, np.array(ts), np.array(ys)))
     (nfev, ts, ys), (ref_nfev, ref_ts, ref_ys) = runs
@@ -200,7 +229,7 @@ def test_complex_state_matches_real_packing(spec):
 
 
 def test_rtol_is_clamped_silently():
-    fun = lambda t, y: -y  # noqa: E731
+    fun = writes_into(lambda t, y: -y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tiny = drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-20, atol=1e-12)
@@ -210,7 +239,7 @@ def test_rtol_is_clamped_silently():
 
 
 def test_zero_length_interval_and_h_min(monkeypatch):
-    fun = lambda t, y: -y  # noqa: E731
+    fun = writes_into(lambda t, y: -y)
     seen = []
     solver = drive_rk45(fun, 0.0, [1.0], 0.0, rtol=1e-8, atol=1e-8,
                         on_step=lambda t, y, dy: seen.append(t))
