@@ -44,8 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import LogBranch, MapInvalid, PathGap
-from .flow import Controls
+from .errors import LogBranch, MapInvalid
+from .flow import Controls, check_span
 from .opcore import QuadraticSpec, hs_norm
 from .stepping import drive_rk45, gauss_kronrod
 
@@ -113,25 +113,17 @@ def compose(first: BogoliubovMap, second: BogoliubovMap) -> BogoliubovMap:
     return BogoliubovMap(u=u, v=v, s=first.s, t=second.t)
 
 
-def _check_span(bpath, s: float, t: float) -> None:
-    if t < s:
-        raise ValueError("require s <= t")
-    if s < bpath.t0 - 1e-9 or t > bpath.t1 + 1e-9:
-        raise PathGap(
-            f"requested span [{s:.6g}, {t:.6g}] outside path coverage "
-            f"[{bpath.t0:.6g}, {bpath.t1:.6g}]")
-
-
 def integrate_uv(bpath, s: float, t: float,
                  controls: Optional[Controls] = None) -> BogoliubovMap:
     """The pair (u_{t,s}, v_{t,s}) along a B-path.
 
     A path that carries the map (a flow.Trajectory) gives
     compose(inverse(m_s), m_t) from its columns, and m_t itself from its
-    start; any other path is integrated with the embedded pair.
+    start; any other path is integrated with the embedded pair (the span:
+    flow.check_span).
     """
     controls = controls or Controls()
-    _check_span(bpath, s, t)
+    check_span(bpath, s, t)
     if hasattr(bpath, "map_at"):
         m_t = BogoliubovMap(*bpath.map_at(t), s=s, t=t)
         if t == s:
@@ -140,14 +132,12 @@ def integrate_uv(bpath, s: float, t: float,
         if s <= bpath.t0:
             return m_t
         return compose(inverse(BogoliubovMap(*bpath.map_at(s), s=bpath.t0, t=s)), m_t)
-    # path dimension probed once; clamped evaluation guards the endpoints
-    b0 = np.asarray(bpath(s), dtype=complex)
-    n = b0.shape[0]
+    n = np.shape(bpath(s))[0]  # path dimension probed once
     if t == s:
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
 
     def fun(tau, uv, out):
-        b = bpath(min(max(tau, bpath.t0), bpath.t1))
+        b = bpath(tau)
         u, v = uv
         np.matmul(v, b.conj(), out=out[0])
         np.matmul(u, b, out=out[1])
@@ -168,21 +158,20 @@ def dyson_uv(bpath, s: float, t: float, order: int) -> BogoliubovMap:
 
     each round extending the kept series order by one (even orders live in
     u, odd in v).  Cumulative integrals are taken through piecewise-cubic
-    antiderivatives on a uniform grid of DYSON_NODES points.
+    antiderivatives on a uniform grid of DYSON_NODES points (the span:
+    flow.check_span).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    _check_span(bpath, s, t)
-    b0 = np.asarray(bpath(s), dtype=complex)
-    n = b0.shape[0]
+    check_span(bpath, s, t)
+    n = np.shape(bpath(s))[0]
     if t == s or order == 0:
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
     from scipy.interpolate import CubicSpline
 
     m = DYSON_NODES - 1  # panels
     xs = np.linspace(s, t, m + 1)
-    bs = np.stack([np.asarray(bpath(min(max(x, bpath.t0), bpath.t1)), dtype=complex)
-                   for x in xs])
+    bs = np.stack([np.asarray(bpath(x), dtype=complex) for x in xs])
     bbars = bs.conj()
 
     def cumint(values):
@@ -220,16 +209,15 @@ def path_hs_integral(bpath, s: float, t: float) -> float:
     A path that carries the integral (a flow.Trajectory) gives the
     difference of its column at t and s.  Any other path is sampled node by
     node for Gauss-Kronrod quadrature, with its sample times (knots), where
-    it has them, as breakpoints.
+    it has them, as breakpoints (the span: flow.check_span).
     """
-    _check_span(bpath, s, t)
+    check_span(bpath, s, t)
     if s == t:
         return 0.0
     if hasattr(bpath, "int_b_at"):
         return bpath.int_b_at(t) - bpath.int_b_at(s)
-    value, _ = gauss_kronrod(
-        lambda taus: [float(np.linalg.norm(bpath(min(max(tau, bpath.t0), bpath.t1))))
-                      for tau in taus], s, t, points=getattr(bpath, "knots", ()))
+    value, _ = gauss_kronrod(lambda taus: [float(np.linalg.norm(bpath(tau))) for tau in taus],
+                             s, t, points=getattr(bpath, "knots", ()))
     return float(value)
 
 

@@ -34,7 +34,7 @@ EXIT_PARSE = 2
 EXIT_BLOWUP = 3
 EXIT_NOT_CONVERGED = 4
 
-CSV_HEADER = "t,hsB,c,minEigOmega,motionResidual,kNorm"
+CSV_HEADER = flow.CSV_HEADER
 
 # diag's gate on the transform round trip against the flow state (AC-6)
 ROUNDTRIP_TOL = 1e-6
@@ -565,10 +565,7 @@ def block_trajectory_rows(blocks, ts: np.ndarray, c0: float = 0.0,
 def write_exact_csv(blocks, ts: np.ndarray, fh, c0: float = 0.0,
                     scalar_sign: float = flow.SCALAR_SIGN) -> None:
     hsb, c, min_eig, knorm = block_trajectory_rows(blocks, ts, c0, scalar_sign)
-    fh.write(CSV_HEADER + "\n")
-    for i, t in enumerate(ts):
-        row = (t, hsb[i], c[i], min_eig[i], 0.0, knorm[i])
-        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    flow.write_csv_rows(fh, (ts, hsb, c, min_eig, np.zeros_like(hsb), knorm))
 
 
 def _oracle_param(raw: str, family: str, kind=float):
@@ -663,15 +660,11 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 # batch
 
-def _batch_one(path: str, t_end: float, controls: flow.Controls, sign: float,
-               csv_dir: Optional[str]) -> tuple:
+def _batch_one(path: str, csv_path: Optional[str], t_end: float,
+               controls: flow.Controls, sign: float) -> tuple:
     """Run one spec as run would, with the exit code run would give it;
     returns (path, exit_code, report_text), errors reported in the text."""
     out = io.StringIO()
-    csv_path = None
-    if csv_dir:
-        stem = os.path.splitext(os.path.basename(path))[0]
-        csv_path = os.path.join(csv_dir, stem + ".csv")
     try:
         code = _run_one(load_spec(path), t_end, controls, sign, out, csv_path)
     except BwflowError as exc:
@@ -681,10 +674,18 @@ def _batch_one(path: str, t_end: float, controls: flow.Controls, sign: float,
 
 def cmd_batch(args) -> int:
     run_one = functools.partial(_batch_one, t_end=args.t_end, controls=_controls(args),
-                                sign=_scalar_sign(args), csv_dir=args.csv_dir)
+                                sign=_scalar_sign(args))
     if args.jobs < 1:
         raise ParseError("jobs must be at least 1", field="jobs")
+    csv_paths = [None] * len(args.specs)
     if args.csv_dir:
+        # one CSV per spec stem, so two specs with one stem would share a file
+        csv_paths = [os.path.join(args.csv_dir, os.path.splitext(os.path.basename(path))[0]
+                                  + ".csv") for path in args.specs]
+        for i, csv_path in enumerate(csv_paths):
+            if csv_path in csv_paths[:i]:
+                first = args.specs[csv_paths.index(csv_path)]
+                raise OutputError(f"cannot write {csv_path} for both {first} and {args.specs[i]}")
         try:
             os.makedirs(args.csv_dir, exist_ok=True)
         except OSError as exc:
@@ -696,9 +697,9 @@ def cmd_batch(args) -> int:
         import concurrent.futures  # here, not at the top: it loads logging
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, args.specs))
+            results = list(pool.map(run_one, args.specs, csv_paths))
     else:
-        results = list(map(run_one, args.specs))
+        results = list(map(run_one, args.specs, csv_paths))
     worst = EXIT_OK
     for path, code, text in results:
         sys.stdout.write(f"== {path} (exit {code})\n")

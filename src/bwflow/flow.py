@@ -91,6 +91,10 @@ TAIL_FACTOR = 100.0
 DECAY_FIT_FRACS = (1e-7, 1e-2)
 # Relative slack of asymptotic_bound_check's comparison.
 BOUND_SLACK = 1e-9
+# A B-path answers times this far outside its window [t0, t1] (see check_span).
+PATH_SLACK = 1e-9
+# Columns of the trajectory CSV, one row per sample (see write_csv_rows).
+CSV_HEADER = "t,hsB,c,minEigOmega,motionResidual,kNorm"
 
 
 @dataclass
@@ -423,6 +427,26 @@ def _min_eigs(x: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((x + x.conj().swapaxes(-1, -2)) / 2)[:, 0]
 
 
+def check_span(path, s: float, t: float) -> None:
+    """The B-path contract, the one statement every consumer of a path uses.
+
+    A B-path has a window [t0, t1] and a call tau -> B_tau that answers any
+    tau within PATH_SLACK of the window at path_time(path, tau), so callers
+    pass their times unclamped.  A span [s, t] with t < s is a ValueError,
+    and a span or call more than PATH_SLACK outside the window a PathGap.
+    Trajectory, FunctionBPath and wrappers that forward to them comply."""
+    if t < s:
+        raise ValueError("require s <= t")
+    if s < path.t0 - PATH_SLACK or t > path.t1 + PATH_SLACK:
+        raise PathGap(f"[{s:.6g}, {t:.6g}] outside path window [{path.t0:.6g}, {path.t1:.6g}]")
+
+
+def path_time(path, t: float) -> float:
+    """t clamped to the path's window (see check_span)."""
+    check_span(path, t, t)
+    return min(max(t, path.t0), path.t1)
+
+
 class Trajectory:
     """Sampled flow history with lazy diagnostics, events and interpolation.
 
@@ -430,9 +454,9 @@ class Trajectory:
     derivative (float64 for a real spec, complex128 otherwise; see
     integrate), and one piecewise cubic Hermite through both interpolates
     every column, each piece built for the interval and columns asked for
-    on first use.  The trajectory is also the B-path of its flow: t0, t1
-    and a call t -> B_t, with map_at and int_b_at answering (u, v) and
-    int ||B|| from the carried columns (see bogoliubov and fock.propagate).
+    on first use.  The trajectory is also the B-path of its flow (see
+    check_span), with map_at and int_b_at answering (u, v) and int ||B||
+    from the carried columns (see bogoliubov and fock.propagate).
     """
 
     def __init__(self, spec: QuadraticSpec, controls: Controls, scalar_sign: float,
@@ -467,12 +491,12 @@ class Trajectory:
 
     def _diag_columns(self, name: str) -> dict:
         """The column `name`, with any other column that shares its work."""
-        om0, b0 = self.spec.omega, self.spec.b
-        om, b = self._omegas, self._bs
         if name == "hs_b":
-            return {name: np.sqrt(_sq_norms(b))}
+            return {name: np.array([s.hs_b for s in self.states])}
         if name == "c":
             return {name: np.array([s.c for s in self.states])}
+        om0, b0 = self.spec.omega, self.spec.b
+        om, b = self._omegas, self._bs
         if name == "min_eig_omega":
             # every stored Omega is exactly hermitian (the spec is projected,
             # dOmega is M + M* and tail samples are hermitized), and eigvalsh
@@ -532,16 +556,11 @@ class Trajectory:
                 np.stack([s.dy[cols] for s in pair]))
         return self._pieces[key]
 
-    def _check_window(self, t: float) -> None:
-        if t < self.t0 - 1e-9 or t > self.t1 + 1e-9:
-            raise PathGap(f"t = {t:.6g} outside stored window [{self.t0:.6g}, {self.t1:.6g}]")
-
     def _interpolate(self, t: float, cols=slice(None)) -> np.ndarray:
-        """Columns cols of the state vector at t, clamped to the samples:
-        the stored sample at a sample time, the interpolant between."""
-        self._check_window(t)
+        """Columns cols of the state vector at path_time(self, t): the stored
+        sample at a sample time, the interpolant between."""
+        t = path_time(self, t)
         ts = self.ts
-        t = min(max(t, ts[0]), ts[-1])
         i = int(np.searchsorted(ts, t))
         if ts[i] == t:
             return _vector(self.states[i])[cols]
@@ -575,24 +594,21 @@ class Trajectory:
         return self
 
     def write_csv(self, fh) -> None:
-        """Write the sampled diagnostics; fixed column set, 17 significant digits."""
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w", encoding="ascii", newline="\n")
-            close = True
-        try:
-            fh.write("t,hsB,c,minEigOmega,motionResidual,kNorm\n")
-            cols = [self.ts] + [self.column(name) for name in
-                                ("hs_b", "c", "min_eig_omega", "motion_residual", "k_norm")]
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if close:
-                fh.close()
+        """Write the sampled diagnostics to the text file fh (see write_csv_rows)."""
+        write_csv_rows(fh, [self.ts] + [self.column(name) for name in (
+            "hs_b", "c", "min_eig_omega", "motion_residual", "k_norm")])
+
+
+def write_csv_rows(fh, cols) -> None:
+    """CSV_HEADER, then a row of 17-digit values per sample of the columns."""
+    fh.write(CSV_HEADER + "\n")
+    for row in zip(*cols):
+        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 class FunctionBPath:
-    """Wrap an explicit function t -> B matrix as a path on [t0, t1].
+    """Wrap an explicit function t -> B matrix, called only inside [t0, t1],
+    as a B-path on [t0, t1] (see check_span).
 
     Its samples are complex128, so fock.propagate steps it in complex
     arithmetic even where the function is real."""
@@ -603,9 +619,7 @@ class FunctionBPath:
         self.t1 = float(t1)
 
     def __call__(self, t: float) -> np.ndarray:
-        if t < self.t0 - 1e-9 or t > self.t1 + 1e-9:
-            raise PathGap(f"t = {t:.6g} outside [{self.t0:.6g}, {self.t1:.6g}]")
-        return np.asarray(self._fn(min(max(t, self.t0), self.t1)), dtype=complex)
+        return np.asarray(self._fn(path_time(self, t)), dtype=complex)
 
 
 def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = None,

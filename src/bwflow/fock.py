@@ -47,7 +47,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PathGap, SizeLimit
+from .errors import SizeLimit
+from .flow import check_span
 from .opcore import QuadraticSpec, as_matrix, hs_norm
 from .stepping import drive_rk45
 
@@ -246,8 +247,8 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
               tol: float = 1e-10) -> np.ndarray:
     """Solve dU/dtau = -i G_tau U over [s, t], U_{s,s} = 1.
 
-    bpath is any callable path tau -> B matrix carrying t0/t1 bounds, such
-    as a flow trajectory, whose interpolated B_tau is then used.
+    bpath is any B-path, such as a flow trajectory, whose interpolated B_tau
+    is then used; the span and the path's window follow flow.check_span.
 
     G changes the total number by +-2, so U keeps its parity: only the
     blocks U_p = U[idx_p, idx_p] of the even and odd sub-bases (see
@@ -276,12 +277,7 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     complex128.  A path that returns a complex B with a nonzero imaginary
     part after a real first sample raises ValueError.
     """
-    if t < s:
-        raise ValueError("require s <= t")
-    if s < bpath.t0 - 1e-9 or t > bpath.t1 + 1e-9:
-        raise PathGap(
-            f"[{s:.6g}, {t:.6g}] not covered by path window "
-            f"[{bpath.t0:.6g}, {bpath.t1:.6g}]")
+    check_span(bpath, s, t)
     dim = fock.dim
     if t == s:
         return np.eye(dim, dtype=complex)
@@ -290,15 +286,12 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     sizes = [len(idx) for idx, _, _ in parities]
     ends = np.cumsum([0] + [d * d for d in sizes])
 
-    def sample(tau):
-        return np.asarray(bpath(min(max(tau, bpath.t0), bpath.t1)))
-
-    pending = [sample(s)]  # the first evaluation's sample, which sets the dtype
+    pending = [np.asarray(bpath(s))]  # the first evaluation's sample, which sets the dtype
     real = not np.iscomplexobj(pending[0])
     dtype = float if real else complex
 
     def fun(tau, y, dy):
-        b = pending.pop() if pending else sample(tau)
+        b = pending.pop() if pending else np.asarray(bpath(tau))
         if real and np.iscomplexobj(b):
             if b.imag.any():
                 raise ValueError(f"complex B at tau = {tau:.6g} on a path whose "

@@ -99,11 +99,49 @@ def test_integrate_uv_on_flow_path(generic_bpath):
     assert hs_norm(m1.v) < np.sinh(4.0 * int_b)
 
 
-def test_integrate_uv_path_gap(generic_bpath):
-    with pytest.raises(PathGap):
-        bogoliubov.integrate_uv(generic_bpath, 0.0, 7.0)
+class RecordingPath:
+    """Forwards a path's window and samples, and records each query time
+    with the B it got."""
+
+    def __init__(self, path):
+        self._path, self.t0, self.t1, self.queries = path, path.t0, path.t1, []
+
+    def __call__(self, t):
+        b = self._path(t)
+        self.queries.append((t, b))
+        return b
+
+
+PATH_CONSUMERS = {
+    "integrate_uv": bogoliubov.integrate_uv,
+    "dyson_uv": lambda path, s, t: bogoliubov.dyson_uv(path, s, t, order=2),
+    "path_hs_integral": bogoliubov.path_hs_integral,
+    "propagate": lambda path, s, t: fock.propagate(fock.build_basis(2, 6), path, s, t),
+}
+
+
+@pytest.mark.parametrize("consumer", PATH_CONSUMERS)
+@pytest.mark.parametrize("kind", ["trajectory", "function"])
+def test_path_window_contract(consumer, kind, generic_bpath):
+    # every consumer of a B-path keeps the one window contract of
+    # flow.check_span, on the trajectory and on an explicit function
+    run = PATH_CONSUMERS[consumer]
+    path = generic_bpath if kind == "trajectory" else FunctionBPath(generic_bpath, 0.0, 2.0)
+    t0, t1 = path.t0, path.t1
+    for s, t in [(t0, t1 + 2e-9), (t0 - 2e-9, t1)]:
+        with pytest.raises(PathGap):
+            run(path, s, t)
     with pytest.raises(ValueError):
-        bogoliubov.integrate_uv(generic_bpath, 2.0, 1.0)
+        run(path, 1.0, 0.5)
+    # within the slack a span runs, the trajectory's carried columns included,
+    # and the path answers every query past t1 with B(t1) exactly
+    run(path, t1 - 1e-9, t1 + 5e-10)
+    rec = RecordingPath(path)
+    run(rec, t1 - 1e-9, t1 + 5e-10)
+    at_end = [b for tau, b in rec.queries if tau >= t1]
+    assert at_end
+    for b in at_end:
+        assert np.array_equal(b, path(t1))
 
 
 def test_cocycle_composition(generic_bpath, gapped_traj):

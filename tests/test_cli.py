@@ -529,6 +529,22 @@ def test_batch_csv_dir_under_a_file_exits_2(generic_file, tmp_path, capsys):
         assert err.startswith(f"error: OutputError: cannot make directory {csv_dir}")
         assert err.count("\n") == 1
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_csv_dir_refuses_two_specs_with_one_stem(generic_file, tmp_path, capsys, jobs):
+    # both would write csvs/generic.csv: refused before any spec is run
+    twin = tmp_path / "twin" / "generic.json"
+    twin.parent.mkdir()
+    twin.write_text(open(generic_file).read())
+    csv_dir = tmp_path / "csvs"
+    assert cli.main(["batch", generic_file, str(twin), "--t-end", "1", "--jobs", jobs,
+                     "--csv-dir", str(csv_dir)]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: OutputError: cannot write {csv_dir / 'generic.csv'} "
+                   f"for both {generic_file} and {twin}\n")
+    assert not csv_dir.exists()
+
+
 def test_fock_verify_refuses_oversized_basis_before_building_it(generic_file, tmp_path):
     # cutoff 100 gives basis dim 5151 (under SIZE_LIMIT) but the propagator
     # would need gigabytes; the address-space cap turns any large allocation

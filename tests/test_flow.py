@@ -589,5 +589,8 @@ def test_sample_hs_b_is_its_stored_integrand(seed):
     for s in traj.states:
         assert s.hs_b == s.dy[-1].real
         assert abs(s.hs_b - np.linalg.norm(s.b)) <= 4e-16 * s.hs_b
+    # one ||B_t|| per sample: the column (CSV hsB, hs_bs, decay_fit) is the
+    # value run and diag print
+    assert traj.column("hs_b").tobytes() == np.array([s.hs_b for s in traj.states]).tobytes()
     mid = traj.state_at(0.5 * (traj.ts[1] + traj.ts[2]))
     assert mid.dy is None and mid.hs_b == np.linalg.norm(mid.b)

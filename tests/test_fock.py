@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from bwflow import cli, flow, fock
-from bwflow.errors import PathGap, SizeLimit
+from bwflow.errors import SizeLimit
 from bwflow.flow import FunctionBPath
 from bwflow.opcore import QuadraticSpec, hs_norm
 from bwflow.stepping import drive_rk45
@@ -167,14 +167,6 @@ def test_propagate_constant_generator(one_mode):
     assert fock.unitarity_residual(one_mode, u) < 1e-8
     assert hs_norm(fock.propagate(one_mode, path, 0.5, 0.5)
                    - np.eye(one_mode.dim)) == 0.0
-
-
-def test_propagate_guards(one_mode):
-    path = FunctionBPath(lambda t: np.array([[0.1]]), 0.0, 1.0)
-    with pytest.raises(PathGap):
-        fock.propagate(one_mode, path, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        fock.propagate(one_mode, path, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 12), (2, 8), (1, 13), (2, 7)])
