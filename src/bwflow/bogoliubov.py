@@ -127,7 +127,7 @@ def integrate_uv(bpath, s: float, t: float,
     if hasattr(bpath, "map_at"):
         m_t = BogoliubovMap(*bpath.map_at(t), s=s, t=t)
         if t == s:
-            return BogoliubovMap(u=np.eye(m_t.dim, dtype=complex),
+            return BogoliubovMap(u=np.eye(m_t.dim, dtype=m_t.u.dtype),
                                  v=np.zeros_like(m_t.v), s=s, t=t)
         if s <= bpath.t0:
             return m_t

@@ -7,6 +7,10 @@ alternatively a "blocks" shorthand lists [omegaMinus, omegaPlus, b] triples
 that expand to the block-diagonal form.  Exit codes: 0 ok, 1 condition
 check failed (for diag: one of its map checks failed), 2 parse or input
 error or an output path that cannot be written, 3 blow-up, 4 not converged.
+
+Each command imports the modules it runs when it runs, so that a command
+starts without the others' modules: check loads conditions, run loads flow,
+diag flow and bogoliubov, fock-verify flow and fock.
 """
 
 from __future__ import annotations
@@ -18,15 +22,17 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import analytic, bogoliubov, conditions, flow, fock, stepping
 from .errors import (BlowupDetected, BwflowError, LogBranch, MapInvalid,
                      NotConverged, OutOfRange, OutputError, ParseError, SizeLimit,
                      StepSizeUnderflow)
 from .opcore import QuadraticSpec, hs_norm
+
+if TYPE_CHECKING:
+    from . import conditions, flow
 
 EXIT_OK = 0
 EXIT_CONDITION = 1
@@ -34,14 +40,21 @@ EXIT_PARSE = 2
 EXIT_BLOWUP = 3
 EXIT_NOT_CONVERGED = 4
 
-CSV_HEADER = flow.CSV_HEADER
-
 # diag's gate on the transform round trip against the flow state (AC-6)
 ROUNDTRIP_TOL = 1e-6
 
 ORACLE_FAMILIES = ("equal-product", "generic", "blowup", "block", "pivotal", "mixed")
 # Most points an oracle --csv grid may hold.
 MAX_GRID_POINTS = 10 ** 6
+
+
+def __getattr__(name: str):
+    # CSV_HEADER is flow's, served on first access so that importing the
+    # command line does not load flow
+    if name == "CSV_HEADER":
+        from .flow import CSV_HEADER
+        return CSV_HEADER
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +118,8 @@ def spec_from_doc(doc, source: str = "<doc>") -> QuadraticSpec:
              "spec needs either omega and b or a blocks list")
 
     if has_blocks:
+        from . import analytic
+
         blocks = doc["blocks"]
         _require(isinstance(blocks, list) and blocks,
                  "blocks must be a non-empty list of [omegaMinus, omegaPlus, b]",
@@ -178,6 +193,8 @@ def dump_spec(spec: QuadraticSpec, fh, comments=()) -> None:
 def _controls(args) -> flow.Controls:
     """The flow.Controls of a run-like command, once its --t-end, --tol
     and --conv-tol are checked."""
+    from . import flow, stepping
+
     if not (math.isfinite(args.t_end) and args.t_end > 0):
         raise ParseError("tEnd must be positive and finite", field="t_end")
     if not all(math.isfinite(x) and x > 0 for x in (args.tol, args.conv_tol)):
@@ -211,7 +228,9 @@ def _open_output(path: str):
 
 def _scalar_sign(args) -> float:
     """The scalar sign of run, batch and oracle: +1 with --paper-scalar-sign."""
-    return 1.0 if args.paper_scalar_sign else flow.SCALAR_SIGN
+    from .flow import SCALAR_SIGN
+
+    return 1.0 if args.paper_scalar_sign else SCALAR_SIGN
 
 
 def _json_safe(x):
@@ -254,13 +273,17 @@ def render_report(rep: conditions.ConditionReport, out) -> None:
 
 
 def cmd_check(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
+    from . import conditions
+
+    tol = conditions.DEFAULT_TOL if args.tol is None else args.tol
+    eps = conditions.DEFAULT_EPS if args.eps is None else args.eps
+    if not (math.isfinite(tol) and tol >= 0):
         raise ParseError("tol must be finite and nonnegative", field="tol")
-    if not (math.isfinite(args.eps) and args.eps > 0):
+    if not (math.isfinite(eps) and eps > 0):
         raise ParseError("eps must be positive and finite", field="eps")
     spec = load_spec(args.spec)
     _check_output(args.json)
-    rep = conditions.check_all(spec, tol=args.tol, eps=args.eps)
+    rep = conditions.check_all(spec, tol=tol, eps=eps)
     render_report(rep, sys.stdout)
     if args.json:
         doc = _json_safe({"label": spec.label, "verdicts": rep.verdicts,
@@ -287,6 +310,8 @@ def _print_blowup(exc: BlowupDetected, out) -> None:
 
 
 def _run_summary(traj: flow.Trajectory, out) -> None:
+    from . import flow
+
     final = traj.final
     conv = traj.converged()
     out.write(f"converged: {'yes' if conv else 'no'} "
@@ -317,6 +342,8 @@ def _run_one(spec: QuadraticSpec, t_end: float, controls: flow.Controls, sign: f
              out, csv_path: Optional[str]) -> int:
     """Integrate, write the CSV and the summary.  A blown-up run writes the
     CSV of its partial trajectory and re-raises."""
+    from . import flow
+
     _check_output(csv_path)
     try:
         traj = flow.integrate(spec, t_end, controls, scalar_sign=sign)
@@ -352,6 +379,8 @@ def _print_matrix(name: str, m: np.ndarray, out) -> None:
 
 
 def cmd_diag(args) -> int:
+    from . import bogoliubov, flow
+
     spec = load_spec(args.spec)
     controls = _controls(args)
     _check_output(args.json)
@@ -435,6 +464,8 @@ def cmd_diag(args) -> int:
 # fock-verify
 
 def cmd_fock_verify(args) -> int:
+    from . import flow, fock
+
     spec = load_spec(args.spec)
     if spec.dim > 2:
         raise SizeLimit(f"fock-verify handles at most 2 modes, got {spec.dim}")
@@ -521,6 +552,8 @@ def _parse_grid(raw: str) -> np.ndarray:
 
 def _block_closed_form(om_minus: float, om_plus: float, b: float, ts: np.ndarray):
     """Closed-form (om_-, om_+, b^2, int b^2) arrays for one block."""
+    from . import analytic
+
     if b == 0.0:
         shape = np.full_like(ts, 1.0)
         return om_minus * shape, om_plus * shape, 0.0 * shape, 0.0 * shape
@@ -542,8 +575,7 @@ def _block_closed_form(om_minus: float, om_plus: float, b: float, ts: np.ndarray
     return np.atleast_1d(omm), np.atleast_1d(omp), np.atleast_1d(bt2), np.atleast_1d(ib)
 
 
-def block_trajectory_rows(blocks, ts: np.ndarray, c0: float = 0.0,
-                          scalar_sign: float = flow.SCALAR_SIGN):
+def block_trajectory_rows(blocks, ts: np.ndarray, c0: float, scalar_sign: float):
     """Exact per-sample CSV columns for a block family."""
     ts = np.asarray(ts, dtype=float)
     hsb2 = np.zeros_like(ts)
@@ -562,8 +594,9 @@ def block_trajectory_rows(blocks, ts: np.ndarray, c0: float = 0.0,
     return np.sqrt(hsb2), c, min_eig, np.sqrt(knorm2)
 
 
-def write_exact_csv(blocks, ts: np.ndarray, fh, c0: float = 0.0,
-                    scalar_sign: float = flow.SCALAR_SIGN) -> None:
+def write_exact_csv(blocks, ts: np.ndarray, fh, c0: float, scalar_sign: float) -> None:
+    from . import flow
+
     hsb, c, min_eig, knorm = block_trajectory_rows(blocks, ts, c0, scalar_sign)
     flow.write_csv_rows(fh, (ts, hsb, c, min_eig, np.zeros_like(hsb), knorm))
 
@@ -582,6 +615,8 @@ def _oracle_param(raw: str, family: str, kind=float):
 
 def _oracle_blocks(family: str, params) -> tuple:
     """(blocks, label, comments) for an oracle family."""
+    from . import analytic
+
     def _floats(n, names):
         if len(params) != n:
             raise OutOfRange(f"{family} expects {n} parameters ({names})")
@@ -640,10 +675,11 @@ def _oracle_blocks(family: str, params) -> tuple:
 
 
 def cmd_oracle(args) -> int:
+    from . import analytic
+
     _require(math.isfinite(args.c0), "--c0 must be a finite real number", "c0")
     blocks, label, comments = _oracle_blocks(args.family, args.params)
     spec = analytic.block_spec(blocks, c0=args.c0, label=label)
-    sign = _scalar_sign(args)
     _check_output(args.out)
 
     if args.out:
@@ -651,7 +687,7 @@ def cmd_oracle(args) -> int:
             dump_spec(spec, fh, comments)
     if args.csv:
         ts = _parse_grid(args.csv)
-        write_exact_csv(blocks, ts, sys.stdout, c0=args.c0, scalar_sign=sign)
+        write_exact_csv(blocks, ts, sys.stdout, c0=args.c0, scalar_sign=_scalar_sign(args))
     elif not args.out:
         dump_spec(spec, sys.stdout, comments)
     return EXIT_OK
@@ -739,8 +775,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="evaluate the condition ladder")
     p_check.add_argument("spec")
-    p_check.add_argument("--tol", type=float, default=conditions.DEFAULT_TOL)
-    p_check.add_argument("--eps", type=float, default=conditions.DEFAULT_EPS,
+    # None: conditions' defaults, read when check runs
+    p_check.add_argument("--tol", type=float)
+    p_check.add_argument("--eps", type=float,
                          help="fractional exponent offset for the A5 norm")
     p_check.add_argument("--json", help="also write verdicts/margins as JSON")
     p_check.set_defaults(func=cmd_check)

@@ -13,6 +13,7 @@ are complex symmetric (B = B^t).  The Hilbert-Schmidt norm is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +197,26 @@ def psd_power(x, alpha: float) -> np.ndarray:
     return (r + r.conj().T) / 2
 
 
+def _kernel_checked_eigh(bm: np.ndarray, om: np.ndarray, ker_tol: float) -> tuple:
+    """(vals, vecs, kernel) of hermitian Omega^t, the kernel being the
+    eigenvalues below ``ker_tol * max(1, ||Omega||_2)``; raises KernelOverlap
+    unless B w = 0 within tolerance for every kernel eigenvector w."""
+    omt = om.T
+    omt = (omt + omt.conj().T) / 2  # hermitian when omega is
+    vals, vecs = np.linalg.eigh(omt)
+    thresh = ker_tol * hs_scale(om)
+    kernel = vals <= thresh
+    if np.any(kernel):
+        bnorm = hs_norm(bm)
+        overlap = np.linalg.norm(bm @ vecs[:, kernel], axis=0)
+        if np.any(overlap > ker_tol * max(1.0, bnorm)):
+            worst = float(np.max(overlap))
+            raise KernelOverlap(
+                f"B has overlap {worst:.3e} with the kernel of Omega^t "
+                f"(threshold {thresh:.3e})")
+    return vals, vecs, kernel
+
+
 def sandwich(b, omega, p=1, ker_tol: float = KER_TOL) -> OneParticleOperator:
     """Hermitian PSD matrix B (Omega^t)^{-p} B~.
 
@@ -210,20 +231,41 @@ def sandwich(b, omega, p=1, ker_tol: float = KER_TOL) -> OneParticleOperator:
     om = as_matrix(omega)
     if p <= 0:
         raise ValueError("p must be positive")
-    omt = om.T
-    omt = (omt + omt.conj().T) / 2  # hermitian when omega is
-    vals, vecs = np.linalg.eigh(omt)
-    thresh = ker_tol * hs_scale(om)
-    kernel = vals <= thresh
-    if np.any(kernel):
-        bnorm = hs_norm(bm)
-        overlap = np.linalg.norm(bm @ vecs[:, kernel], axis=0)
-        if np.any(overlap > ker_tol * max(1.0, bnorm)):
-            worst = float(np.max(overlap))
-            raise KernelOverlap(
-                f"B has overlap {worst:.3e} with the kernel of Omega^t "
-                f"(threshold {thresh:.3e})")
+    vals, vecs, kernel = _kernel_checked_eigh(bm, om, ker_tol)
     inv_vals = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals)**p)
     core = (vecs * inv_vals) @ vecs.conj().T
     r = bm @ core @ bm.conj()
     return OneParticleOperator.hermitian((r + r.conj().T) / 2, sym_tol=np.inf)
+
+
+def sandwich_norm(b, omega, p=1, ker_tol: float = KER_TOL) -> float:
+    """||B (Omega^t)^{-p/2}||_2 on the complement of the kernel of Omega^t,
+    which for symmetric B is sqrt(tr sandwich(b, omega, p)) (kernel and
+    KernelOverlap as there).
+
+    With Omega^t = sum_k lam_k w_k w_k*, the norm is the 2-norm of
+    ||B w_k||_2 lam_k^{-p/2} over k.  It is summed relative to the smallest
+    lam_k and no weight is squared, so it is finite wherever the norm itself
+    is, also where the sandwich's lam^-p overflows; a norm past the largest
+    float is inf.
+    """
+    bm = as_matrix(b)
+    om = as_matrix(omega)
+    if p <= 0:
+        raise ValueError("p must be positive")
+    vals, vecs, kernel = _kernel_checked_eigh(bm, om, ker_tol)
+    lams = vals[~kernel]
+    if not lams.size:
+        return 0.0
+    cols = np.linalg.norm(bm @ vecs[:, ~kernel], axis=0)
+    lam_min = float(lams[0])
+    rel = math.hypot(*(cols * (lam_min / lams) ** (0.5 * p)))  # each factor <= 1
+    if rel == 0.0:
+        return 0.0
+    try:
+        return rel * lam_min ** (-0.5 * p)
+    except OverflowError:  # the weight overflows; the norm may not
+        try:
+            return math.exp(math.log(rel) - 0.5 * p * math.log(lam_min))
+        except OverflowError:
+            return math.inf

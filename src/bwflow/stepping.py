@@ -319,6 +319,13 @@ def _gk15(f, los: np.ndarray, his: np.ndarray) -> tuple:
     return res_k * half, err
 
 
+def _edges(a: float, b: float, points) -> np.ndarray:
+    """a, b and the points strictly between them, sorted and distinct, as
+    np.unique gives them; np.unique itself imports numpy.ma on first use."""
+    edges = np.sort(np.array([a, b, *(p for p in points if a < p < b)], dtype=float))
+    return edges[np.append(True, edges[1:] != edges[:-1])]
+
+
 def gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = QUAD_EPSABS,
                   epsrel: float = QUAD_EPSREL) -> tuple:
     """Adaptive Gauss-Kronrod 7-15 quadrature of int_a^b f (a <= b), as
@@ -330,7 +337,7 @@ def gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = QUAD_EPSABS,
     panel with the largest error estimate is bisected, at most QUAD_LIMIT
     times, until the summed estimate drops below max(epsabs, epsrel |value|).
     """
-    edges = np.unique(np.concatenate([[a, b], [p for p in points if a < p < b]]))
+    edges = _edges(a, b, points)
     vals, errs = _gk15(f, edges[:-1], edges[1:])
     heap = [(-e, lo, hi, v) for lo, hi, v, e in zip(edges[:-1], edges[1:], vals, errs)]
     heapq.heapify(heap)

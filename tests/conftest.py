@@ -1,7 +1,13 @@
+import os
+
 import hypothesis
 import pytest
 
+import bwflow
 from bwflow import analytic, flow
+
+# the directory that holds this bwflow package
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
 
 hypothesis.settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -18,6 +24,12 @@ def generic_spec():
 @pytest.fixture(scope="session")
 def generic_traj(generic_spec):
     return flow.integrate(generic_spec, t_end=5.0)
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this bwflow:
+    os.environ with SRC first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
 
 def writes_into(f):

@@ -76,6 +76,17 @@ def test_integrate_uv_trivial_cases(generic_bpath):
     assert hs_norm(m.u - np.eye(2)) < 1e-12 and hs_norm(m.v) < 1e-12
 
 
+def test_integrate_uv_dtype_follows_the_path(generic_traj, gapped_traj):
+    # a real trajectory gives a real pair over every span, the empty one
+    # included; a complex trajectory and an integrated path give complex ones
+    integrated = FunctionBPath(generic_traj, generic_traj.t0, generic_traj.t1)
+    for path, dtype in ((generic_traj, np.float64), (gapped_traj, np.complex128),
+                        (integrated, np.complex128)):
+        for s, t in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.5, 1.0)):
+            m = bogoliubov.integrate_uv(path, s, t)
+            assert (m.u.dtype, m.v.dtype) == (dtype, dtype), (path, s, t)
+
+
 def test_integrate_uv_constant_b_oracle():
     # constant real symmetric B decouples: u = cosh(4tB), v = -sinh(4tB)
     b = np.array([[0.3, 0.1], [0.1, -0.2]])

@@ -2,6 +2,10 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import math
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from bwflow import analytic, bogoliubov, cli, flow, fock
 from bwflow.errors import ParseError, StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec, hs_norm
+from conftest import fresh_env
 
 
 def write_spec(tmp_path, name, doc, comments=()):
@@ -405,21 +410,66 @@ def test_non_finite_spec_numbers_are_parse_errors(tmp_path, capsys, doc, command
 
 
 def _run_cli(args, cwd, timeout=60, address_space=None):
-    import os
-    import resource
-    import subprocess
-    import sys
-
-    import bwflow
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    return subprocess.run([sys.executable, "-m", "bwflow.cli", *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "bwflow.cli", *args], cwd=cwd, env=fresh_env(),
                           capture_output=True, text=True, timeout=timeout,
                           preexec_fn=cap if address_space else None)
+
+
+# Prints the modules loaded after importing the command line and running
+# the command in argv, if any, one per line.
+_MODULES_AFTER = (
+    "import contextlib, io, sys\n"
+    "import bwflow.cli as cli\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert cli.main(sys.argv[1:]) == cli.EXIT_OK\n"
+    "print('\\n'.join(sorted(sys.modules)))\n")
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    ([], ()),
+    (["check", "{spec}", "--json", "check.json"], ("flow", "stepping", "bogoliubov", "fock")),
+    (["run", "{spec}", "--t-end", "5", "--csv", "run.csv"], ("bogoliubov", "fock", "conditions")),
+    (["diag", "{spec}", "--t-end", "5", "--json", "diag.json"], ("fock", "conditions")),
+    (["fock-verify", "{spec}", "--cutoff", "8"], ("bogoliubov", "conditions")),
+], ids=["import", "check", "run", "diag", "fock-verify"])
+def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
+    # each command in a fresh interpreter: the import alone loads the front
+    # end, a command adds what it runs, and none loads scipy or numpy.ma
+    spec = str(tmp_path / "readme.json")
+    assert cli.main(["oracle", "generic", "1", "2", "0.5", "--out", spec]) == cli.EXIT_OK
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,
+                           *(arg.format(spec=spec) for arg in argv)],
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    ours = {m for m in loaded if m.split(".")[0] == "bwflow"}
+    if not argv:
+        assert ours == {"bwflow", "bwflow.cli", "bwflow.errors", "bwflow.opcore"}
+    assert not ours & {f"bwflow.{name}" for name in unloaded}
+    assert not {m for m in loaded
+                if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]}
+
+
+def test_bare_package_import_resolves_every_public_name():
+    code = ("import sys\n"
+            "import bwflow\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'bwflow'))\n"
+            "for name in bwflow.__all__:\n"
+            "    getattr(bwflow, name)\n"
+            "from bwflow import *\n"
+            "print(Controls is bwflow.flow.Controls, QuadraticSpec is bwflow.opcore.QuadraticSpec,\n"
+            "      set(bwflow.__all__) <= set(dir(bwflow)))\n"
+            "print(hasattr(bwflow, 'no_such_name'))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['bwflow', 'bwflow.errors']", "True True True", "False"]
 
 
 @pytest.mark.parametrize("option", [
@@ -473,6 +523,28 @@ def test_check_rejects_bad_tol_and_eps(generic_file, capsys, option):
 def test_check_accepts_zero_tol(generic_file, capsys):
     assert cli.main(["check", generic_file, "--tol=0"]) == cli.EXIT_OK
     assert "A1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("eps, a5_norm", [
+    ("800", 0.1 * 2.0 ** 801),  # ||Omega^-801 B||_2 with Omega = diag(1/2, 2)
+    ("1e300", math.inf),
+], ids=["eps-800", "eps-1e300"])
+def test_check_a5_norm_at_large_eps(tmp_path, capsys, eps, a5_norm):
+    # a5_norm used to be the root of a trace whose lam^-(2 + 2 eps) overflowed:
+    # nan, with numpy's warnings on stderr
+    spec = str(tmp_path / "s.json")
+    assert cli.main(["oracle", "generic", "0.5", "2", "0.1", "--out", spec]) == cli.EXIT_OK
+    assert cli.main(["check", spec, "--json", str(tmp_path / "base.json")]) == cli.EXIT_OK
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["check", spec, "--eps", eps, "--json", str(tmp_path / "big.json")])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_OK and out.err == ""
+    assert f"  a5_norm = {a5_norm:.6g}\n" in out.out
+    base, big = (json.loads((tmp_path / f"{name}.json").read_text()) for name in ("base", "big"))
+    assert big["verdicts"] == base["verdicts"]
+    assert math.isclose(big["values"]["a5_norm"], a5_norm, rel_tol=1e-12)
 
 
 def test_fock_verify_rejects_negative_sector_cut(generic_file, capsys):

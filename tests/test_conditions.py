@@ -48,6 +48,8 @@ def test_a4_norm_value():
     rep = conditions.check_a4_a5(block_spec([(1.0, 2.0, 0.5)]))
     assert np.isclose(rep.values["a4_norm"], np.sqrt(0.375))
     assert rep.values["eps"] == 0.5
+    # tr B (Omega^t)^{-3} B~ = 1/4 (1 + 1/8) at the default eps = 1/2
+    assert np.isclose(rep.values["a5_norm"], np.sqrt(0.28125))
 
 
 def test_friedrichs_berezin_margins():

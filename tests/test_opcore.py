@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from bwflow.errors import KernelOverlap, NotPSD, RoleViolation
 from bwflow.opcore import (OneParticleOperator, QuadraticSpec, as_matrix,
                            hs_norm, hs_scale, min_eig_hermitian,
-                           psd_power, psd_sqrt, sandwich)
+                           psd_power, psd_sqrt, sandwich, sandwich_norm)
 
 
 def rand_complex(rng, n):
@@ -115,6 +117,38 @@ def test_sandwich_kernel_paths():
         sandwich(bad, omega, p=1)
     with pytest.raises(ValueError):
         sandwich(safe, omega, p=0)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.sampled_from([1.0, 2.0, 3.0, 4.5]))
+def test_sandwich_norm_is_root_of_sandwich_trace(seed, n, p):
+    rng = np.random.default_rng(seed)
+    a = rand_complex(rng, n)
+    omega = a @ a.conj().T + 0.2 * np.eye(n)
+    b = rand_complex(rng, n)
+    b = (b + b.T) / 2
+    ref = np.sqrt(np.trace(sandwich(b, omega, p=p).mat).real)
+    assert abs(sandwich_norm(b, omega, p=p) - ref) <= 1e-12 * ref
+
+
+def test_sandwich_norm_kernel_and_overflow():
+    omega = np.diag([0.0, 1.0])
+    assert sandwich_norm([[0.0, 0.0], [0.0, 3.0]], omega, p=2) == 3.0
+    assert sandwich_norm(np.zeros((2, 2)), omega, p=2) == 0.0
+    assert sandwich_norm(np.zeros((2, 2)), np.zeros((2, 2)), p=2) == 0.0
+    with pytest.raises(KernelOverlap):
+        sandwich_norm([[0.0, 1.0], [1.0, 0.0]], omega, p=2)
+    with pytest.raises(ValueError):
+        sandwich_norm(omega, omega, p=0)
+    # lam^-p overflows long before the norm: (0.5^-900 * 0.1)^2 + (2^-900 * 0.1)^2
+    # under the root, and 0.5^-1200 * 1e-100 with a weight past the largest
+    # float
+    anti = np.array([[0.0, 0.1], [0.1, 0.0]])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = sandwich_norm(anti, np.diag([0.5, 2.0]), p=1800)
+        assert abs(got - 0.1 * 2.0 ** 900) <= 1e-12 * got
+        small = sandwich_norm(1e-100 * np.eye(1), 0.5 * np.eye(1), p=2400)
+        assert abs(small - float(Fraction(2) ** 1200 * Fraction(1e-100))) <= 1e-12 * small
+        assert sandwich_norm(anti, np.diag([0.5, 2.0]), p=1e300) == np.inf
 
 
 @given(st.integers(0, 10**6), st.integers(1, 4))

@@ -11,9 +11,8 @@ import sys
 
 import pytest
 
-import bwflow
+from conftest import SRC, fresh_env
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
 SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
 
 
@@ -23,9 +22,8 @@ SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
     ("fock_sign_probe.py", ["--cutoffs", "12"], "cutoff sector residual s=-1 residual s=+1"),
 ], ids=["blowup_onset", "decay_rates", "fock_sign_probe"])
 def test_script_runs(tmp_path, script, args, header):
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == header.split()

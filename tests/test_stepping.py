@@ -7,7 +7,6 @@ imports scipy.  These tests pin each piece to the scipy routine it
 replaced.
 """
 
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -18,12 +17,11 @@ import pytest
 from scipy.integrate import RK45, quad
 from scipy.interpolate import CubicHermiteSpline
 
-import bwflow
 from bwflow import bogoliubov, flow, stepping
 from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
 from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive_rk45
-from conftest import writes_into
+from conftest import fresh_env, writes_into
 
 
 def random_spec(seed: int, n: int) -> QuadraticSpec:
@@ -284,6 +282,44 @@ def test_gauss_kronrod_rules():
     assert abs(val - 2.5) <= max(err, 1.49e-8 * 2.5)
 
 
+def _unique_edges(a, b, points):
+    # the edges as np.unique gave them before gauss_kronrod built its own
+    return np.unique(np.concatenate([[a, b], [p for p in points if a < p < b]]))
+
+
+@pytest.mark.parametrize("a, b, points", [
+    (0.0, 1.0, ()),
+    (0.0, 1.0, [0.5, 0.25, 0.5, 0.75, 0.25]),
+    (-1.0, 2.0, [1.5, 0.0, -0.5, 0.0]),
+    (0.0, 1.0, [0.0, 1.0, 0.5, 1.0, 0.0]),
+    (0.0, 1.0, [-1.0, 2.0, 0.3, np.nan]),
+    (np.float64(0.2), np.float64(3.1), np.array([3.0, 0.2, 1.0, 3.1, 1.0])),
+    (0, 3, [2, 1, 2]),
+], ids=["none", "duplicates", "unsorted", "at-ends", "outside", "numpy-scalars", "ints"])
+def test_gauss_kronrod_edges_are_unique(a, b, points):
+    got = stepping._edges(a, b, points)
+    ref = _unique_edges(a, b, points)
+    assert got.dtype == np.float64 and got.tobytes() == ref.astype(float).tobytes()
+
+
+def test_quadratures_match_unique_edges_bitwise(monkeypatch, generic_traj):
+    # FrozenTail.hs_integral and a knotted path_hs_integral on the README
+    # path give the very bits they gave with np.unique's edges
+    tail = flow.FrozenTail(generic_traj.final, generic_traj.controls.tol)
+    bp = SampledPath(generic_traj)
+    t1 = generic_traj.final.t
+
+    def run():
+        return (tail.hs_integral(0.0, 3.0), tail.hs_integral(0.5, 40.0),
+                bogoliubov.path_hs_integral(bp, 0.0, t1),
+                bogoliubov.path_hs_integral(bp, 0.7, 3.2),
+                bogoliubov.path_hs_integral(bp, bp.knots[3], bp.knots[9]))
+
+    ours = run()
+    monkeypatch.setattr(stepping, "_edges", _unique_edges)
+    assert run() == ours
+
+
 class SampledPath:
     """The flow's interpolated B-path with its sample times as knots, but
     without the carried map and integral."""
@@ -331,9 +367,7 @@ def test_path_integral_matches_quad_on_readme_path(generic_spec, generic_traj):
 
 
 def _fresh_python(code: str) -> str:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    res = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                          text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     return res.stdout
