@@ -28,9 +28,9 @@ def main() -> None:
     args = ap.parse_args()
 
     spec = QuadraticSpec.from_matrices([[args.omega]], [[args.b]])
-    # one integration: the +1 final state follows as C = 2 c0 - C_t
-    traj = flow.integrate(spec, args.t, flow.Controls(tol=1e-10), scalar_sign=-1.0)
-    finals = flow.signed_finals(traj)
+    # one integration serves both signs: C is a read-out of Omega
+    traj = flow.integrate(spec, args.t, flow.Controls(tol=1e-10))
+    final = traj.final
 
     print(f"{'cutoff':>7} {'sector':>7} {'residual s=-1':>14} "
           f"{'residual s=+1':>14}")
@@ -40,9 +40,9 @@ def main() -> None:
         sector = min(args.sector, cutoff - 4)
         row = []
         for sign in (-1.0, 1.0):
-            final = finals[sign]
+            c_t = flow.scalar_c(spec.c0, spec.omega, final.omega, sign)
             spec_t = QuadraticSpec.from_matrices(final.omega, final.b,
-                                                 c0=final.c, sym_tol=np.inf)
+                                                 c0=c_t, sym_tol=np.inf)
             row.append(fock.conjugation_residual(fk, u, spec, spec_t, sector))
         print(f"{cutoff:>7} {sector:>7} {row[0]:>14.6e} {row[1]:>14.6e}")
 

@@ -16,7 +16,7 @@ u_{t,s} = u_{x,s} u_{t,x} + v_{x,s} v_{t,x}~, which is
 compose(m_{x,s}, m_{t,x}), and m_{t,s} = compose(inverse(m_{s,0}), m_{t,0}).
 
 flow.integrate steps (u_{t,0}, v_{t,0}) and int_0^t ||B||_2 together with
-the flow, and a flow.Trajectory is itself a B-path that answers
+the flow, as one state [Omega, B, u, v, I], and a flow.Trajectory is itself a B-path that answers
 integrate_uv and path_hs_integral from those carried columns: exactly at
 sample times, from the trajectory's one cubic Hermite in between.  Any
 other path, such as an explicit function, is integrated along: (u, v) by

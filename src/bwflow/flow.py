@@ -12,7 +12,16 @@ oracle confirms H_t = U_{t,0} H_0 U_{t,0}^* including the scalar term (see
 fock.conjugation_residual); the opposite convention +1 can be selected per
 run and is printed alongside the default by the fock-verify command.
 
-The integrator steps one state [Omega, B, u, v, C, I]: with the flow it
+Since tr(B B~) = ||B||_2^2, dC/dt = -SCALAR_SIGN tr(dOmega/dt) / 2, and C is a
+read-out of Omega: 2 (C_t - c0) = SCALAR_SIGN * tr(Omega_0 - Omega_t).  An
+explicit Runge-Kutta method keeps such a linear invariant to rounding
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, section IV.1),
+so a stepped C would only repeat the read-out, while its slot in the error
+norm would let c0 and the sign move the steps of everything else.
+scalar_c is therefore the one place a C of the flow is computed, and the
+sign is a choice of read-out, not of integration.
+
+The integrator steps one state [Omega, B, u, v, I]: with the flow it
 carries the Bogoliubov pair (u_t, v_t) = (u_{t,0}, v_{t,0}) that the flow
 generates (see bogoliubov) and I_t = int_0^t ||B||_2,
 
@@ -20,7 +29,7 @@ generates (see bogoliubov) and I_t = int_0^t ||B||_2,
 
 from u_0 = 1, v_0 = 0, I_0 = 0.  One error control then covers the limit,
 the diagonalizing map and the integral in the map's norm bounds, and every
-sample holds all of them.  These six equations are written once, in
+sample holds all of them.  These five equations are written once, in
 _CarriedRhs.  Every sample also keeps the derivative of its state vector,
 the stepper's last stage of the step (FSAL), so the trajectory interpolates
 with one cubic Hermite through values and derivatives (Hairer, Norsett &
@@ -112,8 +121,9 @@ class FlowState:
 
     The samples of a trajectory also carry the map (u, v) = (u_{t,0},
     v_{t,0}) and int_b = int_0^t ||B||_2, and dy, the derivative of
-    [Omega, B, u, v, C, I] there (see _CarriedRhs); the states that
-    signed_finals derives leave the map None, and dy is None off the samples.
+    [Omega, B, u, v, I] there (see _CarriedRhs); dy is None off the
+    samples.  The c of a sample or of Trajectory.state_at is scalar_c of
+    its Omega.
     """
 
     t: float
@@ -168,12 +178,12 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 class _CarriedRhs:
-    """d/dt [Omega, B, u, v, C, I], written into one output array; the only
+    """d/dt [Omega, B, u, v, I], written into one output array; the only
     place the flow and carried-map equations are written.
 
     Omega B, B B~, u B and v B~ come from one batched matmul of
     [Omega, B, u, v] with [B, B~, B, B~] into a product stack, and one vdot
-    gives ||B||_2^2 for both dC and dI.  -16 B B~ and -2 (Omega B + B Omega^t)
+    gives ||B||_2^2 for dI.  -16 B B~ and -2 (Omega B + B Omega^t)
     are written as M + M* and M + M^t, the second using B = B^t.  Their
     entries then pair up exactly, and the stepper's real-coefficient stage
     sums keep Omega hermitian and B symmetric to the last bit.
@@ -188,55 +198,68 @@ class _CarriedRhs:
     the identity (np.conjugate a plain copy, .conj() no copy at all).
     """
 
-    def __init__(self, n: int, scalar_sign: float, dtype):
+    def __init__(self, n: int, dtype):
         self.n = n
-        self.sign8 = 8.0 * scalar_sign
         self.dtype = dtype
         self._rights, self._products = np.empty((2, 4, n, n), dtype=dtype)
 
     def __call__(self, t, y, out=None):
         n = self.n
-        mats = y[:-2].reshape(4, n, n)
+        mats = y[:-1].reshape(4, n, n)
         b, rights, p = mats[1], self._rights, self._products
         rights[0::2] = b
         np.conjugate(b, out=rights[1::2])
         np.matmul(mats, rights, out=p)  # Omega B, B B~, u B, v B~
         if out is None:
-            out = np.empty(4 * n * n + 2, dtype=self.dtype)
-        d = out[:-2].reshape(4, n, n)
+            out = np.empty(4 * n * n + 1, dtype=self.dtype)
+        d = out[:-1].reshape(4, n, n)
         np.add(p[1], p[1].conj().T, out=d[0])
         d[0] *= -8.0
         np.add(p[0], p[0].T, out=d[1])
         d[1] *= -2.0
         np.multiply(p[3:1:-1], -4.0, out=d[2:])  # du = -4 v B~, dv = -4 u B
-        sq = np.vdot(b, b).real
-        out[-2] = self.sign8 * sq
-        out[-1] = math.sqrt(sq)
+        out[-1] = math.sqrt(np.vdot(b, b).real)
         return out
 
 
+def scalar_c(c0: float, omega0: np.ndarray, omega: np.ndarray,
+             scalar_sign: float = SCALAR_SIGN) -> float:
+    """C = c0 + scalar_sign * tr(Omega_0 - Omega) / 2, the scalar coefficient
+    of the flow from Omega_0 = omega0 with C_0 = c0 (see the module
+    docstring): every C of the flow is computed here."""
+    return c0 + scalar_sign * float((omega0.diagonal() - omega.diagonal()).sum().real) / 2
+
+
+def _pack(omega, b, u, v, int_b: float) -> np.ndarray:
+    """The integrator's state: one vector [Omega, B, u, v, I], real for a
+    real spec and complex otherwise."""
+    return np.concatenate([omega.ravel(), b.ravel(), u.ravel(), v.ravel(), [int_b]])
+
+
 def _vector(state: FlowState) -> np.ndarray:
-    """The integrator's state: one vector [Omega, B, u, v, C, I], real for
-    a real spec and complex otherwise."""
-    return np.concatenate([state.omega.ravel(), state.b.ravel(), state.u.ravel(),
-                           state.v.ravel(), [state.c, state.int_b]])
+    """The state vector of a FlowState that carries the map (see _pack)."""
+    return _pack(state.omega, state.b, state.u, state.v, state.int_b)
 
 
-def _state(t: float, y: np.ndarray, n: int, dy: Optional[np.ndarray] = None) -> FlowState:
-    """The FlowState of a state vector; its matrices are views into y."""
-    omega, b, u, v = y[:-2].reshape(4, n, n)
-    return FlowState(float(t), omega, b, float(y[-2].real), u, v, float(y[-1].real), dy)
+def _state(t: float, y: np.ndarray, spec: QuadraticSpec, scalar_sign: float,
+           dy: Optional[np.ndarray] = None) -> FlowState:
+    """The FlowState of a state vector of the flow from spec: its matrices
+    are views into y, and its c is scalar_c of its Omega."""
+    n = spec.dim
+    omega, b, u, v = y[:-1].reshape(4, n, n)
+    return FlowState(float(t), omega, b, scalar_c(spec.c0, spec.omega, omega, scalar_sign),
+                     u, v, float(y[-1].real), dy)
 
 
 def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
     """Right-hand side (dOmega, dB, dC) at a state: the flow's part of
-    _CarriedRhs, evaluated with the map at u = 1, v = 0."""
+    _CarriedRhs, evaluated with the map at u = 1, v = 0, and dC the rate of
+    scalar_c, which is affine in Omega."""
     n = state.omega.shape[0]
-    y = _vector(FlowState(state.t, state.omega, state.b, state.c,
-                          np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0))
-    dy = _CarriedRhs(n, scalar_sign, complex)(state.t, y)
+    y = _pack(state.omega, state.b, np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0)
+    dy = _CarriedRhs(n, complex)(state.t, y)
     domega, db = dy[:2 * n * n].reshape(2, n, n)
-    return domega, db, float(dy[-2].real)
+    return domega, db, scalar_c(0.0, np.zeros_like(domega), domega, scalar_sign)
 
 
 def motion_residuals(state: FlowState, spec: QuadraticSpec) -> dict:
@@ -312,11 +335,10 @@ class FrozenTail:
 
     With Omega = V diag(w) V*, B~ = V* B V-bar decays entrywise as
     e^{-2 (w_i + w_j) tau}, so int_0^tau ||B||_2^2 is
-    sum_ij |B~_ij|^2 phi(4 (w_i + w_j), tau) in closed form.  C picks up
-    scalar_sign * 8 times that, and Omega the eigenbasis-diagonal part of
-    -16 int B B~, which has the same trace, so the scalar identity
-    2 (C - C_0) = scalar_sign * tr(Omega_0 - Omega) keeps holding to
-    rounding.  Every state it returns is exactly hermitian/symmetric.
+    sum_ij |B~_ij|^2 phi(4 (w_i + w_j), tau) in closed form.  Omega picks up
+    the eigenbasis-diagonal part of -16 int B B~, which has the trace of
+    -16 int B B~, so the read-out C of a tail state (scalar_c) is the flow's
+    to rounding.  Every Omega and B it returns is exactly hermitian/symmetric.
 
     The carried map takes the first-order update u - 4 v (int B)~,
     v - 4 u int B with int_0^tau B = V (B~ o phi(2 (w_i + w_j), tau)) V^t,
@@ -358,22 +380,18 @@ class FrozenTail:
 
         return gauss_kronrod(norms, tau0, tau1, epsabs=1e-3 * self.tol, epsrel=0.0)[0]
 
-    def at(self, t: float, scalar_sign: float,
-           prev: Optional[FlowState] = None) -> FlowState:
-        """The state at a time t at or after the hand-over; a carried int_b
-        continues from prev (by default the hand-over state)."""
+    def at(self, t: float, prev: Optional[FlowState] = None) -> np.ndarray:
+        """The state vector [Omega, B, u, v, I] at a time t at or after the
+        hand-over; I continues from prev (by default the hand-over state)."""
         s = self.state
         tau = t - s.t
-        d = self._int_bb(tau)
-        omega = s.omega - 16.0 * ((self.v * d) @ self.v.conj().T)
+        omega = s.omega - 16.0 * ((self.v * self._int_bb(tau)) @ self.v.conj().T)
         b = frozen_omega_b(self.w, self.v, s.b, tau)
         int_bmat = self.v @ (self._bt * _phi(self._rates / 2, tau)) @ self.v.T
         prev = s if prev is None else prev
-        return FlowState(t=t, omega=(omega + omega.conj().T) / 2, b=(b + b.T) / 2,
-                         c=s.c + scalar_sign * 8.0 * float(d.sum()),
-                         u=s.u - 4.0 * (s.v @ int_bmat.conj()),
-                         v=s.v - 4.0 * (s.u @ int_bmat),
-                         int_b=prev.int_b + self.hs_integral(prev.t - s.t, tau))
+        return _pack((omega + omega.conj().T) / 2, (b + b.T) / 2,
+                     s.u - 4.0 * (s.v @ int_bmat.conj()), s.v - 4.0 * (s.u @ int_bmat),
+                     prev.int_b + self.hs_integral(prev.t - s.t, tau))
 
 
 def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTail]:
@@ -450,13 +468,14 @@ def path_time(path, t: float) -> float:
 class Trajectory:
     """Sampled flow history with lazy diagnostics, events and interpolation.
 
-    Each sample holds the state vector [Omega, B, u, v, C, I] and its
+    Each sample holds the state vector [Omega, B, u, v, I] and its
     derivative (float64 for a real spec, complex128 otherwise; see
     integrate), and one piecewise cubic Hermite through both interpolates
     every column, each piece built for the interval and columns asked for
     on first use.  The trajectory is also the B-path of its flow (see
     check_span), with map_at and int_b_at answering (u, v) and int ||B||
-    from the carried columns (see bogoliubov and fock.propagate).
+    from the carried columns (see bogoliubov and fock.propagate).  The c
+    of its samples and of state_at is scalar_c with its scalar_sign.
     """
 
     def __init__(self, spec: QuadraticSpec, controls: Controls, scalar_sign: float,
@@ -546,7 +565,7 @@ class Trajectory:
 
     def _piece(self, i: int, cols: slice) -> np.ndarray:
         """Hermite coefficients of the columns cols of the state vector
-        [Omega, B, u, v, C, I] on [ts[i], ts[i+1]], from the two samples'
+        [Omega, B, u, v, I] on [ts[i], ts[i+1]], from the two samples'
         values and stored derivatives, built on first use."""
         key = (i, cols.start, cols.stop)
         if key not in self._pieces:
@@ -570,7 +589,7 @@ class Trajectory:
 
     def state_at(self, t: float) -> FlowState:
         """The state vector at t (see _interpolate)."""
-        return _state(t, self._interpolate(t), self.spec.dim)
+        return _state(t, self._interpolate(t), self.spec, self.scalar_sign)
 
     def b_at(self, t: float) -> np.ndarray:
         """B of state_at(t), interpolating only the B columns."""
@@ -631,7 +650,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     step-size underflow while ||B|| grows is classified the same way, and
     otherwise raises StepSizeUnderflow.
 
-    The adaptive pair steps [Omega, B, u, v, C, I], so every sample carries
+    The adaptive pair steps [Omega, B, u, v, I], so every sample carries
     the map and int ||B||, and the derivative of that vector: the stepper's
     FSAL stage at an accepted step, one _CarriedRhs call at t = 0 and at
     each tail sample (stats["n_rhs"] counts the stepper's calls only).  It
@@ -646,6 +665,10 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
     computed when first read.
+
+    scalar_sign (SCALAR_SIGN by default) sets only the read-out c of the
+    samples (scalar_c): neither it nor spec.c0 enters the stepped state, so
+    the steps and the stepped columns do not depend on them.
 
     A real spec (spec.is_real: every imaginary part of Omega and B exactly
     0.0) is stepped as a float64 state with rtol = atol = sqrt(2) tol, the
@@ -671,13 +694,10 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     recorder = _Recorder()
     real = spec.is_real
     dtype, step_tol = (float, math.sqrt(2.0) * controls.tol) if real else (complex, controls.tol)
-    fun = _CarriedRhs(n, sign, dtype)
+    fun = _CarriedRhs(n, dtype)
     omega0, b0 = (spec.omega.real, spec.b.real) if real else (spec.omega, spec.b)
-    state0 = FlowState(0.0, omega0.copy(), b0.copy(), spec.c0,
-                       np.eye(n, dtype=dtype), np.zeros((n, n), dtype), 0.0)
-    y0 = _vector(state0)
-    state0.dy = fun(0.0, y0)
-    recorder.offer(state0, force=True)
+    y0 = _pack(omega0, b0, np.eye(n, dtype=dtype), np.zeros((n, n), dtype), 0.0)
+    recorder.offer(_state(0.0, y0, spec, sign, fun(0.0, y0)), force=True)
     events = []
 
     def finish(extra_stats):
@@ -699,7 +719,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     def on_step(t, y, dy):
         nonlocal tail, t_prev, h_last
-        state = _state(t, y, n, dy)
+        state = _state(t, y, spec, sign, dy)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         recorder.offer(state, force=(t >= t_end or tail is not None))
@@ -734,43 +754,22 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         stats.update(tail_t=tail.state.t, n_tail=len(times))
         state = tail.state
         for t in times:
-            state = tail.at(t, sign, prev=state)
-            state.dy = fun(t, _vector(state))
+            y = tail.at(t, prev=state)
+            state = _state(t, y, spec, sign, fun(t, y))
             recorder.offer(state, force=True)
             check_blowup(state)
     return finish(stats)
 
 
 def limit_extract(traj: Trajectory):
-    """Final (Omega_inf, C_inf, converged) from a completed trajectory.
-
-    converged is traj.converged().  The scalar limit
-    obeys 2 (C_inf - C_0) = scalar_sign * tr(Omega_0 - Omega_inf); the
-    residual of that identity is stored in traj.stats['limit_identity_residual'].
-    """
+    """Final (Omega_inf, C_inf, converged) from a completed trajectory:
+    C_inf is the final sample's c, scalar_c of Omega_inf with the
+    trajectory's scalar_sign, and converged is traj.converged()."""
     if any(ev.kind == "blowup" for ev in traj.events):
         raise NotConverged("trajectory ended in blow-up")
     if not traj.states:
         raise NotConverged("empty trajectory")
-    final = traj.final
-    omega_inf = final.omega.copy()
-    c_inf = final.c
-    converged = traj.converged()
-    tr_drop = float(np.trace(traj.spec.omega - omega_inf).real)
-    resid = abs(2.0 * (c_inf - traj.spec.c0) - traj.scalar_sign * tr_drop)
-    traj.stats["limit_identity_residual"] = resid
-    return omega_inf, c_inf, converged
-
-
-def signed_finals(traj: Trajectory) -> dict:
-    """Final state of the flow for each scalar sign, from one trajectory.
-
-    Omega and B do not depend on the sign, and C_t - c0 flips with it, so
-    the run with the opposite sign ends at C = 2 c0 - C_t.
-    """
-    final = traj.final
-    other = FlowState(final.t, final.omega, final.b, 2.0 * traj.spec.c0 - final.c)
-    return {traj.scalar_sign: final, -traj.scalar_sign: other}
+    return traj.final.omega.copy(), traj.final.c, traj.converged()
 
 
 @dataclass

@@ -13,7 +13,7 @@ right-hand-side evaluations.  The initial step is Hairer's estimate from the
 first two derivatives.
 
 The state may be real or complex and of any shape: the flow steps one
-vector [Omega, B, u, v, C, I], float64 for a real spec and complex128
+vector [Omega, B, u, v, I], float64 for a real spec and complex128
 otherwise; the (u, v) map along a given path steps a complex (2, n, n)
 stack; and the Fock propagator steps one vector holding the two parity
 blocks of U, float64 when the path's B is real and complex128 otherwise.
@@ -120,7 +120,7 @@ class DormandPrince:
         self.rtol = max(rtol, RTOL_FLOOR)
         self.atol = atol
         self.nfev = 0
-        self.status = "running"
+        self.status = "running" if t_bound > t0 else "finished"
         # stages, and scratch for the stage sums, stage states and error
         # weights; fun reads the stage states and writes the stages through
         # views in the caller's shape and dtype, made here once
@@ -207,10 +207,6 @@ class DormandPrince:
         if self.status != "running":
             raise RuntimeError("step() called on a stopped stepper")
         t = self.t
-        if t == self.t_bound:
-            self.t = self.t_bound
-            self.status = "finished"
-            return
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(self.h_abs, min_step)
         rejected = False
@@ -241,7 +237,7 @@ def drive_rk45(fun, t0, y0, t_bound, rtol, atol, on_step=None):
 
     ``fun(t, y, out)`` writes the derivative at (t, y) into out (see the
     module docstring).  ``on_step`` receives (t, state, derivative) after
-    every accepted step, for recording and event checks, where derivative is
+    every accepted step (so never on a zero-length interval), for recording and event checks, where derivative is
     the step's FSAL stage, the derivative at (t, state), in a fresh array;
     returning False stops the integration early.  Returns
     the stepper in its final state ('finished' or stopped early by

@@ -238,27 +238,24 @@ def test_fock_verify_prints_both_signs(tmp_path, capsys):
 
 @pytest.mark.parametrize("c0", [0.0, 0.7])
 def test_fock_verify_derives_the_plus_sign_run(c0):
-    # fock-verify integrates with sign -1 only; its +1 lines come from
-    # flow.signed_finals and must agree with a second integration at sign +1
+    # fock-verify integrates once; its +1 lines read C out of that run's
+    # Omega (flow.scalar_c) and agree bit for bit with an integration at +1
     spec = QuadraticSpec.from_matrices(np.diag([1.0, 2.0]),
                                        np.array([[0, 0.5], [0.5, 0]]), c0=c0)
-    traj = flow.integrate(spec, 2.0, flow.Controls(), scalar_sign=-1.0)
+    traj = flow.integrate(spec, 2.0, flow.Controls())
     plus = flow.integrate(spec, 2.0, flow.Controls(), scalar_sign=1.0).final
-    derived = flow.signed_finals(traj)[1.0]
-    assert derived.t == plus.t
-    if c0 == 0.0:
-        # the two runs take the same steps: Omega and B agree bit for bit
-        assert np.array_equal(derived.omega, plus.omega)
-        assert np.array_equal(derived.b, plus.b) and derived.c == plus.c
-    assert hs_norm(derived.omega - plus.omega) <= 1e-9
-    assert hs_norm(derived.b - plus.b) <= 1e-9
-    assert abs(derived.c - plus.c) <= 1e-9  # the cInf +1 line
+    final = traj.final
+    derived_c = flow.scalar_c(spec.c0, spec.omega, final.omega, 1.0)
+    assert final.t == plus.t
+    assert np.array_equal(final.omega, plus.omega) and np.array_equal(final.b, plus.b)
+    assert derived_c == plus.c  # the cInf +1 line
+    assert flow.scalar_c(spec.c0, spec.omega, final.omega, -1.0) == final.c
     fk = fock.build_basis(2, 12)
     u = fock.propagate(fk, traj, 0.0, 2.0)
     derived_res, plus_res = (
         fock.conjugation_residual(fk, u, spec, QuadraticSpec.from_matrices(
-            s.omega, s.b, c0=s.c, sym_tol=np.inf), 6) for s in (derived, plus))
-    assert abs(derived_res - plus_res) <= 1e-9
+            final.omega, final.b, c0=c, sym_tol=np.inf), 6) for c in (derived_c, plus.c))
+    assert derived_res == plus_res
 
 
 def test_fock_verify_guards(tmp_path, capsys):

@@ -59,6 +59,36 @@ def test_scalar_coefficient_both_signs(generic_spec):
         assert np.isclose(traj.final.c, sign * 16.0 * int_b2, atol=1e-9)
 
 
+def test_stepped_columns_do_not_depend_on_c0_or_the_sign(generic_spec):
+    # C is read out of Omega, not stepped: over c0 and both signs the steps
+    # and the stepped [Omega, B, u, v, I] samples agree bit for bit, and
+    # every C, sampled or interpolated, is the read-out
+    runs = {}
+    for c0 in (0.0, 0.7, 1e3):
+        spec = QuadraticSpec.from_matrices(generic_spec.omega, generic_spec.b, c0=c0)
+        for sign in (-1.0, 1.0):
+            runs[c0, sign] = traj = flow.integrate(spec, 5.0, scalar_sign=sign)
+            mid = traj.state_at(0.5 * (traj.ts[3] + traj.ts[4]))
+            for s in traj.states + [mid]:
+                assert s.c == flow.scalar_c(c0, spec.omega, s.omega, sign)
+            assert flow.limit_extract(traj)[1] == traj.final.c
+    ref = runs[0.0, -1.0]
+    for traj in runs.values():
+        for key in ("n_steps", "n_rhs", "tail_t", "n_tail"):
+            assert traj.stats[key] == ref.stats[key]
+        assert np.array_equal(traj.ts, ref.ts)
+        for s, r in zip(traj.states, ref.states):
+            assert np.array_equal(flow._vector(s), flow._vector(r))
+            assert np.array_equal(s.dy, r.dy)
+
+
+def test_zero_length_run_takes_no_step(generic_spec):
+    traj = flow.integrate(generic_spec, 0.0)
+    assert traj.stats["n_steps"] == 0 and traj.stats["tail_t"] is None
+    assert len(traj.states) == 1 and traj.final.t == 0.0
+    assert traj.final.c == generic_spec.c0
+
+
 def test_blowup_detected_with_partial_trajectory():
     spec = analytic.block_spec([(0.0, 0.0, 1.0)])
     with pytest.raises(BlowupDetected) as err:
@@ -76,7 +106,7 @@ def test_blowup_detected_with_partial_trajectory():
 
 def stored_derivatives_match_the_rhs(traj):
     """Each sample's dy is _CarriedRhs at that sample, bit for bit."""
-    rhs = flow._CarriedRhs(traj.spec.dim, traj.scalar_sign, traj.states[0].dy.dtype)
+    rhs = flow._CarriedRhs(traj.spec.dim, traj.states[0].dy.dtype)
     for s in traj.states:
         assert np.array_equal(s.dy, rhs(s.t, flow._vector(s)))
 
@@ -228,8 +258,10 @@ def test_limit_extract_generic(generic_traj):
     omega_inf, c_inf, converged = flow.limit_extract(generic_traj)
     assert converged
     assert np.allclose(np.linalg.eigvalsh(omega_inf), GOLDEN, atol=1e-6)
-    # 2 (C_inf - C_0) = sign * tr(Omega_0 - Omega_inf)
-    assert generic_traj.stats["limit_identity_residual"] < 1e-9
+    # C_inf against the BdG spectrum: c0 + (sum eps - tr Omega_0) / 2
+    spec = generic_traj.spec
+    eps = bdg_spectrum(spec.omega, spec.b)
+    assert abs(c_inf - spec.c0 - 0.5 * (eps.sum() - np.trace(spec.omega).real)) <= 1e-9
     assert c_inf < 0.0  # sign convention: c decreases along the flow
 
 
@@ -388,7 +420,6 @@ def test_tail_long_horizon_matches_bdg_spectrum(h500_traj, generic_spec):
     assert converged
     assert np.max(np.abs(np.linalg.eigvalsh(omega_inf) - eps)) <= 1e-9
     assert abs(c_inf - 0.5 * (eps.sum() - np.trace(generic_spec.omega).real)) <= 1e-9
-    assert h500_traj.stats["limit_identity_residual"] <= 1e-12
 
 
 def test_tail_b_path_never_exceeds_the_handover_norm(h500_traj):
@@ -466,22 +497,28 @@ def test_frozen_tail_closed_form():
     tail = flow.FrozenTail(state)
     int_b2 = 2.0 * b * b * -np.expm1(-12.0 * tau) / 12.0
     assert np.isclose(tail.omega_drift(tau), 16.0 * int_b2, rtol=1e-14)
+    spec = QuadraticSpec.from_matrices(state.omega, state.b, c0=c0)
+
+    def tail_state(t, prev=None):
+        return flow._state(t, tail.at(t, prev), spec, flow.SCALAR_SIGN)
+
+    s = tail_state(1.0 + tau)
+    assert s.t == 1.0 + tau
+    assert np.allclose(s.b, [[0, b * np.exp(-6.0 * tau)], [b * np.exp(-6.0 * tau), 0]],
+                       rtol=0, atol=1e-15)
+    assert np.allclose(s.omega, np.diag([1.0, 2.0]) - 8.0 * int_b2 * np.eye(2),
+                       rtol=0, atol=1e-15)
+    # the read-out C of a tail state is the flow's C, c0 + sign * 8 int ||B||^2
     for sign in (-1.0, 1.0):
-        s = tail.at(1.0 + tau, sign)
-        assert s.t == 1.0 + tau
-        assert np.isclose(s.c, c0 + sign * 8.0 * int_b2, rtol=0, atol=1e-15)
-        assert np.allclose(s.b, [[0, b * np.exp(-6.0 * tau)], [b * np.exp(-6.0 * tau), 0]],
-                           rtol=0, atol=1e-15)
-        assert np.allclose(s.omega, np.diag([1.0, 2.0]) - 8.0 * int_b2 * np.eye(2),
-                           rtol=0, atol=1e-15)
+        c = flow.scalar_c(c0, state.omega, s.omega, sign)
+        assert np.isclose(c, c0 + sign * 8.0 * int_b2, rtol=0, atol=1e-15)
     # the carried map: int B = b phi(6, tau) antidiag and int ||B|| = sqrt(2) of it
     int_bmat = b * -np.expm1(-6.0 * tau) / 6.0 * np.array([[0, 1], [1, 0]])
-    s = tail.at(1.0 + tau, -1.0)
     assert np.allclose(s.u, u0 - 4.0 * v0 @ int_bmat, rtol=0, atol=1e-15)
     assert np.allclose(s.v, v0 - 4.0 * u0 @ int_bmat, rtol=0, atol=1e-15)
     assert abs(s.int_b - (0.7 + np.sqrt(2.0) * b * -np.expm1(-6.0 * tau) / 6.0)) <= 1e-15
-    mid = tail.at(1.0 + tau / 3, -1.0)
-    assert abs(tail.at(1.0 + tau, -1.0, prev=mid).int_b - s.int_b) <= 1e-15
+    mid = tail_state(1.0 + tau / 3)
+    assert abs(tail_state(1.0 + tau, prev=mid).int_b - s.int_b) <= 1e-15
 
 
 # A real spec is stepped as a float64 state at sqrt(2) tol; the complex128
@@ -502,9 +539,9 @@ def seeded_real_spec(n, seed):
 
 @pytest.mark.parametrize("n", [2, 8, 64])
 def test_real_carried_rhs_is_the_complex_one(n):
-    y = np.random.default_rng(n).standard_normal(4 * n * n + 2)
-    d_real = flow._CarriedRhs(n, -1.0, float)(0.0, y)
-    d_cplx = flow._CarriedRhs(n, -1.0, complex)(0.0, y.astype(complex))
+    y = np.random.default_rng(n).standard_normal(4 * n * n + 1)
+    d_real = flow._CarriedRhs(n, float)(0.0, y)
+    d_cplx = flow._CarriedRhs(n, complex)(0.0, y.astype(complex))
     assert d_real.dtype == float and d_cplx.dtype == complex
     assert not d_cplx.imag.any()
     assert np.abs(d_real - d_cplx.real).max() <= 1e-15 * np.abs(d_real).max()
@@ -519,7 +556,7 @@ def test_real_state_steps_like_the_complex_one(n, generic_spec):
     runs = []
     for y0, tol in ((y_real, np.sqrt(2.0) * 1e-10), (y_real.astype(complex), 1e-10)):
         ts = []
-        solver = drive_rk45(flow._CarriedRhs(n, -1.0, y0.dtype), 0.0, y0, 5.0, rtol=tol,
+        solver = drive_rk45(flow._CarriedRhs(n, y0.dtype), 0.0, y0, 5.0, rtol=tol,
                             atol=tol, on_step=lambda t, y, dy: ts.append(t))
         runs.append((solver.nfev, np.array(ts), solver.state))
     (nfev_r, ts_r, y_r), (nfev_c, ts_c, y_c) = runs
@@ -550,10 +587,10 @@ def test_carried_rhs_into_out_is_the_allocating_call(n, dtype):
     # the stepper's call writes into its stage row, and the allocating one
     # serves rhs and the first and tail samples: the same bits either way
     rng = np.random.default_rng(n)
-    y = rng.standard_normal(4 * n * n + 2).astype(dtype)
+    y = rng.standard_normal(4 * n * n + 1).astype(dtype)
     if dtype is complex:
         y += 1j * rng.standard_normal(y.size)
-    rhs = flow._CarriedRhs(n, -1.0, dtype)
+    rhs = flow._CarriedRhs(n, dtype)
     fresh = rhs(0.0, y)
     rhs(0.0, rng.standard_normal(y.size).astype(dtype))  # overwrites the product stack
     rows = np.full((2, 2 * y.size if dtype is complex else y.size), np.nan)

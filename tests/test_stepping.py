@@ -17,7 +17,7 @@ import pytest
 from scipy.integrate import RK45, quad
 from scipy.interpolate import CubicHermiteSpline
 
-from bwflow import bogoliubov, flow, stepping
+from bwflow import analytic, bogoliubov, flow, stepping
 from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
 from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive_rk45
@@ -189,7 +189,7 @@ def test_a_warm_step_allocates_only_its_accepted_state_and_derivative():
                                        0.25 * (g + g.T) / np.linalg.norm(g + g.T, 2))
     y0 = flow._vector(flow.FlowState(0.0, spec.omega, spec.b, spec.c0,
                                      np.eye(n, dtype=complex), np.zeros((n, n), complex), 0.0))
-    solver = DormandPrince(flow._CarriedRhs(n, -1.0, complex), 0.0, y0, 5.0, 1e-10, 1e-10)
+    solver = DormandPrince(flow._CarriedRhs(n, complex), 0.0, y0, 5.0, 1e-10, 1e-10)
     for _ in range(3):
         solver.step()
     nfev = solver.nfev
@@ -237,11 +237,12 @@ def test_rtol_is_clamped_silently():
 
 
 def test_zero_length_interval_and_h_min(monkeypatch):
+    # a zero-length interval takes no step, so on_step is never called
     fun = writes_into(lambda t, y: -y)
     seen = []
     solver = drive_rk45(fun, 0.0, [1.0], 0.0, rtol=1e-8, atol=1e-8,
                         on_step=lambda t, y, dy: seen.append(t))
-    assert solver.status == "finished" and seen == [0.0] and solver.y[0] == 1.0
+    assert solver.status == "finished" and seen == [] and solver.y[0] == 1.0
     monkeypatch.setattr(stepping, "H_MIN", 10.0)
     with pytest.raises(StepSizeUnderflow):
         drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8)
@@ -332,31 +333,45 @@ class SampledPath:
         return self._b_at(t)
 
 
+def readme_b_path(t1):
+    """The README flow's B_t in closed form (analytic.exact_generic): a
+    smooth explicit B-path on [0, t1] whose values do not come from the flow."""
+    def b_at(t):
+        bt = np.sqrt(analytic.exact_generic(1.0, 2.0, 0.5, t)[2])
+        return np.array([[0.0, bt], [bt, 0.0]])
+
+    return flow.FunctionBPath(b_at, 0.0, t1)
+
+
 def test_path_integral_matches_quad_on_readme_path(generic_spec, generic_traj):
     # the quadrature path: a B-path that carries no integral
     bp = SampledPath(generic_traj)
     t1 = generic_traj.final.t
 
-    def norm(tau):
-        return float(np.linalg.norm(bp(min(max(tau, bp.t0), bp.t1))))
+    def norm(path):
+        return lambda tau: float(np.linalg.norm(path(tau)))
 
     ours = bogoliubov.path_hs_integral(bp, 0.0, t1)
-    # quad at its defaults is itself ~4e-10 off here (the integrand has
-    # kinks at every sample time); it agrees within its own error estimate
-    q_val, q_err = quad(norm, 0.0, t1, limit=200)
-    assert abs(ours - q_val) <= q_err
-    # told about the kinks and held to a tight tolerance, quad agrees closely
-    tight, _ = quad(norm, 0.0, t1, points=bp.knots[1:-1], limit=1000,
+    # the interpolant has kinks at every sample time: told about them and
+    # held to a tight tolerance, quad agrees closely
+    tight, _ = quad(norm(bp), 0.0, t1, points=bp.knots[1:-1], limit=1000,
                     epsabs=1e-14, epsrel=1e-13)
     assert abs(ours - tight) <= 1e-10
     sub = bogoliubov.path_hs_integral(bp, 0.7, 3.2)
     inner = bp.knots[(bp.knots > 0.7) & (bp.knots < 3.2)]
-    tight_sub, _ = quad(norm, 0.7, 3.2, points=inner, limit=1000,
+    tight_sub, _ = quad(norm(bp), 0.7, 3.2, points=inner, limit=1000,
                         epsabs=1e-14, epsrel=1e-13)
     assert abs(sub - tight_sub) <= 1e-10
-    # a path without sample times is sampled with no breakpoints
-    plain = flow.FunctionBPath(bp, bp.t0, bp.t1)
-    assert abs(bogoliubov.path_hs_integral(plain, 0.0, t1) - ours) <= 1.49e-8 * ours
+    # a path without sample times is sampled with no breakpoints: on the
+    # smooth closed-form path, which does not depend on where the flow puts
+    # its samples, quad at its defaults agrees within its own error
+    # estimate, and a tight quad within the default tolerance
+    smooth = readme_b_path(t1)
+    plain = bogoliubov.path_hs_integral(smooth, 0.0, t1)
+    q_val, q_err = quad(norm(smooth), 0.0, t1, limit=200)
+    assert abs(plain - q_val) <= q_err
+    tight, _ = quad(norm(smooth), 0.0, t1, limit=1000, epsabs=1e-14, epsrel=1e-13)
+    assert abs(plain - tight) <= 1.49e-8 * tight
     # the flow's own path carries the integral, stepped with the flow: it
     # is closer to a tol = 1e-13 run than the quadrature of the interpolant
     carried = bogoliubov.path_hs_integral(generic_traj.b_path(), 0.0, t1)
