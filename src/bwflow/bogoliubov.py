@@ -16,11 +16,12 @@ u_{t,s} = u_{x,s} u_{t,x} + v_{x,s} v_{t,x}~, which is
 compose(m_{x,s}, m_{t,x}), and m_{t,s} = compose(inverse(m_{s,0}), m_{t,0}).
 
 flow.integrate steps (u_{t,0}, v_{t,0}) and int_0^t ||B||_2 together with
-the flow, as one state [Omega, B, u, v, I], and a flow.Trajectory is itself a B-path that answers
-integrate_uv and path_hs_integral from those carried columns: exactly at
-sample times, from the trajectory's one cubic Hermite in between.  Any
-other path, such as an explicit function, is integrated along: (u, v) by
-the embedded pair, the integral by Gauss-Kronrod quadrature.
+the flow, as one state [Omega, B, u, v, I], and a flow.Trajectory is itself
+a B-path that answers integrate_uv and path_hs_integral from those carried
+columns: exactly at sample times, from the stepper's dense output (or the
+frozen-Omega tail's closed form) in between.  Any other path, such as an
+explicit function, is integrated along: (u, v) by the stepper, the
+integral by Gauss-Kronrod quadrature.
 
 The same pair has a convergent iterated-integral series with even orders
 feeding u and odd orders feeding v; order n keeps all terms with at most n
@@ -47,7 +48,7 @@ import numpy as np
 from .errors import LogBranch, MapInvalid
 from .flow import Controls, check_span
 from .opcore import QuadraticSpec, hs_norm
-from .stepping import drive_rk45, gauss_kronrod
+from .stepping import DormandPrince, drive, gauss_kronrod
 
 # Largest symplectic residual of a map that transform_spec and
 # decompose_generator accept.
@@ -119,7 +120,7 @@ def integrate_uv(bpath, s: float, t: float,
 
     A path that carries the map (a flow.Trajectory) gives
     compose(inverse(m_s), m_t) from its columns, and m_t itself from its
-    start; any other path is integrated with the embedded pair (the span:
+    start; any other path is integrated with the stepper (the span:
     flow.check_span).
     """
     controls = controls or Controls()
@@ -144,8 +145,7 @@ def integrate_uv(bpath, s: float, t: float,
         out *= -4.0  # du = -4 v B~, dv = -4 u B
 
     uv0 = np.stack((np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)))
-    solver = drive_rk45(fun, s, uv0, t, rtol=controls.tol, atol=controls.tol)
-    u, v = solver.state
+    u, v = drive(DormandPrince(fun, s, uv0, t, controls.tol, controls.tol)).state
     return BogoliubovMap(u=u, v=v, s=s, t=t)
 
 

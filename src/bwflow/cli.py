@@ -326,7 +326,7 @@ def _run_summary(traj: flow.Trajectory, out) -> None:
         fit = flow.decay_fit(traj)
         out.write(f"fitted decay rate: {fit.rate:.6g} "
                   f"(window t in [{fit.window[0]:.4g}, {fit.window[1]:.4g}], "
-                  f"{fit.n_samples} samples)\n")
+                  f"{fit.n_samples} points)\n")
     except BwflowError as exc:
         out.write(f"fitted decay rate: n/a ({exc})\n")
     worst_motion = traj.column("motion_residual").max()

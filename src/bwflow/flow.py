@@ -30,11 +30,15 @@ generates (see bogoliubov) and I_t = int_0^t ||B||_2,
 from u_0 = 1, v_0 = 0, I_0 = 0.  One error control then covers the limit,
 the diagonalizing map and the integral in the map's norm bounds, and every
 sample holds all of them.  These five equations are written once, in
-_CarriedRhs.  Every sample also keeps the derivative of its state vector,
-the stepper's last stage of the step (FSAL), so the trajectory interpolates
-with one cubic Hermite through values and derivatives (Hairer, Norsett &
-Wanner, Solving ODEs I, section II.6) and is itself the B-path of the flow.
-Diagnostics are columns over the samples, computed on first read.
+_CarriedRhs.  Every stepped sample also keeps the derivative of its state
+vector, the stepper's last stage of the step (FSAL), and the step size the
+stepper proposed there, so the step to the next sample can be re-run bit
+for bit.  Between samples the trajectory is the stepper's own dense output
+(DOP853's seventh-order continuous extension; Hairer, Norsett & Wanner,
+Solving ODEs I, section II.6), built from that re-run on first use, and on
+the frozen-Omega tail (below) the tail's closed form; the trajectory is
+itself the B-path of the flow.  Diagnostics are columns over the samples,
+computed on first read.
 
 For a real spec (QuadraticSpec.is_real: every imaginary part of Omega and
 B exactly 0.0, with no tolerance) the flow keeps Omega, B, u and v real, so
@@ -57,7 +61,7 @@ Monitored identities along the flow:
   guaranteed blow-up-free horizon is T_0 = 1/(128 ||B_0||_2).
 
 Under a spectral gap B_t decays exponentially, and once ||B_t||_2 sits at
-the noise floor of the embedded pair the rest of the flow is, to within
+the noise floor of the stepper the rest of the flow is, to within
 the tolerance, the frozen-Omega decay B -> e^{-2 tau Omega} B e^{-2 tau Omega^t}
 (an exponential-integrator step; Hochbruck & Ostermann, Acta Numerica 19,
 2010).  The adaptive pair therefore hands over to that closed form at the
@@ -84,7 +88,7 @@ import numpy as np
 from .errors import BlowupDetected, NotConverged, InsufficientData, NotPSD, PathGap, \
     StepSizeUnderflow
 from .opcore import QuadraticSpec, hs_norm, hs_scale, min_eig_hermitian, psd_power
-from .stepping import drive_rk45, gauss_kronrod
+from .stepping import DormandPrince, drive, gauss_kronrod
 
 # Sign of the scalar-coefficient rate dC/dt = SCALAR_SIGN * 8 ||B||_2^2.
 SCALAR_SIGN = -1.0
@@ -122,8 +126,9 @@ class FlowState:
     The samples of a trajectory also carry the map (u, v) = (u_{t,0},
     v_{t,0}) and int_b = int_0^t ||B||_2, and dy, the derivative of
     [Omega, B, u, v, I] there (see _CarriedRhs); dy is None off the
-    samples.  The c of a sample or of Trajectory.state_at is scalar_c of
-    its Omega.
+    samples.  A stepped sample also keeps h, the size of the next step the
+    stepper proposed there (see Trajectory); h is None on the other states.
+    The c of a sample or of Trajectory.state_at is scalar_c of its Omega.
     """
 
     t: float
@@ -134,6 +139,7 @@ class FlowState:
     v: Optional[np.ndarray] = None
     int_b: Optional[float] = None
     dy: Optional[np.ndarray] = None
+    h: Optional[float] = None
 
     @property
     def hs_b(self) -> float:
@@ -230,6 +236,15 @@ def scalar_c(c0: float, omega0: np.ndarray, omega: np.ndarray,
     return c0 + scalar_sign * float((omega0.diagonal() - omega.diagonal()).sum().real) / 2
 
 
+def _carried(spec: QuadraticSpec, controls: Controls) -> tuple:
+    """The stepped system of the flow from spec: its _CarriedRhs, float for
+    a real spec and complex otherwise, and the stepper's rtol = atol, sqrt(2)
+    tol for a real spec and tol otherwise (see integrate)."""
+    if spec.is_real:
+        return _CarriedRhs(spec.dim, float), math.sqrt(2.0) * controls.tol
+    return _CarriedRhs(spec.dim, complex), controls.tol
+
+
 def _pack(omega, b, u, v, int_b: float) -> np.ndarray:
     """The integrator's state: one vector [Omega, B, u, v, I], real for a
     real spec and complex otherwise."""
@@ -242,13 +257,13 @@ def _vector(state: FlowState) -> np.ndarray:
 
 
 def _state(t: float, y: np.ndarray, spec: QuadraticSpec, scalar_sign: float,
-           dy: Optional[np.ndarray] = None) -> FlowState:
+           dy: Optional[np.ndarray] = None, h: Optional[float] = None) -> FlowState:
     """The FlowState of a state vector of the flow from spec: its matrices
     are views into y, and its c is scalar_c of its Omega."""
     n = spec.dim
     omega, b, u, v = y[:-1].reshape(4, n, n)
     return FlowState(float(t), omega, b, scalar_c(spec.c0, spec.omega, omega, scalar_sign),
-                     u, v, float(y[-1].real), dy)
+                     u, v, float(y[-1].real), dy, h)
 
 
 def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
@@ -297,8 +312,11 @@ class _Recorder:
         self.stride = 1
         self.count = 0
         self.samples = []  # list[FlowState]
+        self.pinned = None  # the hand-over to the frozen tail, never thinned out
 
-    def offer(self, state: FlowState, force: bool = False):
+    def offer(self, state: FlowState, force: bool = False, pin: bool = False):
+        if pin:
+            self.pinned = state
         take = force or (self.count % self.stride == 0)
         self.count += 1
         if not take:
@@ -309,8 +327,11 @@ class _Recorder:
             return
         self.samples.append(state)
         if len(self.samples) > MAX_SAMPLES:
-            # keep every second sample, but never drop the first or the newest
-            self.samples = self.samples[:-1:2] + [self.samples[-1]]
+            # keep every second sample, but never drop the first, the newest
+            # or the pinned one
+            last = len(self.samples) - 1
+            self.samples = [s for k, s in enumerate(self.samples)
+                            if k % 2 == 0 or k == last or s is self.pinned]
             self.stride *= 2
 
 
@@ -398,7 +419,7 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     """The frozen-Omega tail from state to t_end, or None if it may not take over.
 
     It takes over once ||B_t||_2 < TAIL_FACTOR * tol, at the noise floor of
-    the embedded pair, and only if its Omega drift over the rest of the
+    the stepper, and only if its Omega drift over the rest of the
     span is at most tol * max(1, ||Omega_t||_2).  The drift guard keeps a
     tiny B on a near-zero Omega, whose true flow slowly blows up, on the
     adaptive path.  The carried map also needs the terms that the
@@ -424,20 +445,6 @@ def _tail_times(t0: float, h: float, t_end: float) -> list:
         times.append(t0 + (2 ** k - 1) * h)
         k += 1
     return times + [t_end]
-
-
-def hermite_coefficients(ts: np.ndarray, ys: np.ndarray, dys: np.ndarray) -> np.ndarray:
-    """Power-basis coefficients of the piecewise cubic Hermite interpolant.
-
-    ys and dys hold values and exact derivatives at the strictly increasing
-    times ts, one row per time.  The result c has shape (4, len(ts) - 1,
-    width): on [ts[i], ts[i+1]] the interpolant is
-    c[3, i] + c[2, i] s + c[1, i] s^2 + c[0, i] s^3 with s = t - ts[i].
-    """
-    dx = np.diff(ts)[:, np.newaxis]
-    slope = np.diff(ys, axis=0) / dx
-    curv = (dys[:-1] + dys[1:] - 2 * slope) / dx
-    return np.stack((curv / dx, (slope - dys[:-1]) / dx - curv, dys[:-1], ys[:-1]))
 
 
 def _min_eigs(x: np.ndarray) -> np.ndarray:
@@ -470,12 +477,22 @@ class Trajectory:
 
     Each sample holds the state vector [Omega, B, u, v, I] and its
     derivative (float64 for a real spec, complex128 otherwise; see
-    integrate), and one piecewise cubic Hermite through both interpolates
-    every column, each piece built for the interval and columns asked for
-    on first use.  The trajectory is also the B-path of its flow (see
-    check_span), with map_at and int_b_at answering (u, v) and int ||B||
-    from the carried columns (see bogoliubov and fock.propagate).  The c
-    of its samples and of state_at is scalar_c with its scalar_sign.
+    integrate), and each stepped sample the step size the stepper proposed
+    there.  Between two stepped samples the state is the stepper's dense
+    output, built the first time a time inside the interval is asked for:
+    the stepper re-runs from the left sample, with its derivative and
+    proposed step size, up to the right sample.  On a single accepted step
+    that is the step itself, the same stages bit for bit; on an interval
+    that thinning merged, the steps the first run took.  Between two
+    samples of the frozen-Omega tail the state is the tail's closed form
+    from the hand-over sample (stats["tail_t"]).  So everything the
+    interpolant needs comes from the constructor's arguments, and a
+    trajectory rebuilt from them answers bit for bit the same.
+
+    The trajectory is also the B-path of its flow (see check_span), with
+    map_at and int_b_at answering (u, v) and int ||B|| from the carried
+    columns (see bogoliubov and fock.propagate).  The c of its samples and
+    of state_at is scalar_c with its scalar_sign.
     """
 
     def __init__(self, spec: QuadraticSpec, controls: Controls, scalar_sign: float,
@@ -487,7 +504,7 @@ class Trajectory:
         self.events = events
         self.stats = dict(stats)
         self._columns = {}  # diagnostic columns, computed on first read
-        self._pieces = {}  # interpolant coefficients per sample interval and columns
+        self._dense = {}  # dense output per stepped sample interval, built on first use
 
     @cached_property
     def ts(self) -> np.ndarray:
@@ -563,29 +580,45 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.states[-1].t)
 
-    def _piece(self, i: int, cols: slice) -> np.ndarray:
-        """Hermite coefficients of the columns cols of the state vector
-        [Omega, B, u, v, I] on [ts[i], ts[i+1]], from the two samples'
-        values and stored derivatives, built on first use."""
-        key = (i, cols.start, cols.stop)
-        if key not in self._pieces:
-            pair = self.states[i:i + 2]
-            self._pieces[key] = hermite_coefficients(
-                self.ts[i:i + 2], np.stack([_vector(s)[cols] for s in pair]),
-                np.stack([s.dy[cols] for s in pair]))
-        return self._pieces[key]
+    @cached_property
+    def _tail(self) -> Optional[FrozenTail]:
+        """The frozen-Omega tail from the hand-over sample, if there is one."""
+        tail_t = self.stats.get("tail_t")
+        if tail_t is None:
+            return None
+        return FrozenTail(self.states[int(np.searchsorted(self.ts, tail_t))],
+                          self.controls.tol)
+
+    @cached_property
+    def _system(self) -> tuple:
+        """The stepped system of the flow (see _carried)."""
+        return _carried(self.spec, self.controls)
+
+    def _dense_output(self, i: int) -> list:
+        """The stepper's dense output on [ts[i], ts[i+1]], one piece per step
+        of the re-run from sample i (see the class docstring)."""
+        if i not in self._dense:
+            left, pieces = self.states[i], []
+            fun, tol = self._system
+            drive(DormandPrince(fun, left.t, _vector(left), self.ts[i + 1], tol, tol,
+                                f0=left.dy, h_abs=left.h),
+                  on_step=lambda stepper: pieces.append(stepper.dense_output()))
+            self._dense[i] = pieces
+        return self._dense[i]
 
     def _interpolate(self, t: float, cols=slice(None)) -> np.ndarray:
         """Columns cols of the state vector at path_time(self, t): the stored
-        sample at a sample time, the interpolant between."""
+        sample at a sample time, the tail's closed form or the dense output
+        between."""
         t = path_time(self, t)
         ts = self.ts
         i = int(np.searchsorted(ts, t))
         if ts[i] == t:
             return _vector(self.states[i])[cols]
-        c, s = self._piece(i - 1, cols)[:, 0], t - ts[i - 1]
-        # lowest order first, which reproduces scipy's CubicHermiteSpline bit for bit
-        return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)
+        tail = self._tail
+        if tail is not None and ts[i - 1] >= tail.state.t:
+            return tail.at(t, prev=self.states[i - 1])[cols]
+        return next(p for p in self._dense_output(i - 1) if t <= p.t)(t)[cols]
 
     def state_at(self, t: float) -> FlowState:
         """The state vector at t (see _interpolate)."""
@@ -645,22 +678,24 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
               scalar_sign: Optional[float] = None) -> Trajectory:
     """Integrate the flow from spec over [0, t_end].
 
-    Samples every accepted step (thinned beyond MAX_SAMPLES).  The
+    Samples every accepted step (thinned beyond MAX_SAMPLES, never
+    dropping the hand-over to the tail).  The
     blow-up guard raises BlowupDetected carrying the partial trajectory; a
     step-size underflow while ||B|| grows is classified the same way, and
     otherwise raises StepSizeUnderflow.
 
     The adaptive pair steps [Omega, B, u, v, I], so every sample carries
     the map and int ||B||, and the derivative of that vector: the stepper's
-    FSAL stage at an accepted step, one _CarriedRhs call at t = 0 and at
-    each tail sample (stats["n_rhs"] counts the stepper's calls only).  It
+    FSAL stage at an accepted step and its first evaluation at t = 0, and
+    one _CarriedRhs call at each tail sample (stats["n_rhs"] counts the
+    stepper's calls only).  Each stepped sample also keeps the step size
+    the stepper proposed there, which the dense output needs.  It
     stops stepping at the first accepted step where frozen_tail accepts the
     hand-over: ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at
     most tol * max(1, ||Omega_t||_2) and a first-order map update within
     tol.  The FrozenTail then supplies the rest, sampled at offsets
     (2^k - 1) h after the hand-over (h the last accepted step) and at t_end,
-    so each sample interval is at most twice the one before and the cubic
-    Hermite B-path never overshoots the hand-over ||B||.  stats["n_steps"]
+    so each sample interval is at most twice the one before.  stats["n_steps"]
     counts the accepted steps; stats["tail_t"] is the hand-over time (None
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
@@ -692,12 +727,16 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     start = time.perf_counter()
 
     recorder = _Recorder()
-    real = spec.is_real
-    dtype, step_tol = (float, math.sqrt(2.0) * controls.tol) if real else (complex, controls.tol)
-    fun = _CarriedRhs(n, dtype)
-    omega0, b0 = (spec.omega.real, spec.b.real) if real else (spec.omega, spec.b)
+    fun, step_tol = _carried(spec, controls)
+    dtype = fun.dtype
+    omega0, b0 = (spec.omega.real, spec.b.real) if spec.is_real else (spec.omega, spec.b)
     y0 = _pack(omega0, b0, np.eye(n, dtype=dtype), np.zeros((n, n), dtype), 0.0)
-    recorder.offer(_state(0.0, y0, spec, sign, fun(0.0, y0)), force=True)
+    solver = DormandPrince(fun, 0.0, y0, t_end, step_tol, step_tol)
+
+    def sample(stepper):
+        return _state(stepper.t, stepper.state, spec, sign, stepper.derivative, stepper.h_abs)
+
+    recorder.offer(sample(solver), force=True)
     events = []
 
     def finish(extra_stats):
@@ -717,18 +756,18 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     tail, t_prev, h_last = None, 0.0, 0.0
 
-    def on_step(t, y, dy):
+    def on_step(stepper):
         nonlocal tail, t_prev, h_last
-        state = _state(t, y, spec, sign, dy)
+        state = sample(stepper)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
-        recorder.offer(state, force=(t >= t_end or tail is not None))
+        recorder.offer(state, force=(state.t >= t_end or tail is not None),
+                       pin=tail is not None)
         check_blowup(state)
         return tail is None
 
     try:
-        solver = drive_rk45(fun, 0.0, y0, t_end,
-                            rtol=step_tol, atol=step_tol, on_step=on_step)
+        drive(solver, on_step)
     except StepSizeUnderflow as exc:
         # an underflow while ||B|| is still growing is the blow-up signature
         last = recorder.samples[-1]
@@ -784,12 +823,15 @@ class DecayFit:
 def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
     """Least-squares exponential rate of ||B_t||_2 decay.
 
-    Fits log ||B_t|| = a - rate * t over the requested window.  With no
-    explicit window, samples with ||B_t|| between DECAY_FIT_FRACS * ||B_0||
-    are used; that keeps the fit away from both the slow transient and the
-    integrator noise floor.  Under a spectral gap nu (condition A6) the true
-    decay rate is at least 2 nu.  Samples with ||B_t|| = 0 are never used,
-    and ||B_0|| = 0 (nothing decays) raises InsufficientData.
+    Fits log ||B_t|| = a - rate * t over the samples in the requested
+    window and the trajectory's interpolant at the midpoint of every sample
+    interval with both ends in it.  With no explicit window, samples with
+    ||B_t|| between DECAY_FIT_FRACS * ||B_0|| make the window; that keeps
+    the fit away from both the slow transient and the integrator noise
+    floor.  Under a spectral gap nu (condition A6) the true decay rate is at
+    least 2 nu.  Samples with ||B_t|| = 0 are never used, fewer than 10
+    points raise InsufficientData, and so does ||B_0|| = 0 (nothing decays).
+    n_samples counts the points, midpoints included.
     """
     ts = traj.ts
     hsb = traj.hs_bs
@@ -802,16 +844,17 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
             raise InsufficientData("||B_0|| = 0, there is no decay to fit")
         lo, hi = DECAY_FIT_FRACS
         mask = (hsb >= lo * hs0) & (hsb <= hi * hs0) & (hsb > 0)
-    if int(mask.sum()) < 10:
-        raise InsufficientData(
-            f"only {int(mask.sum())} usable samples for the decay fit")
-    x = ts[mask]
-    y = np.log(hsb[mask])
+    inner = np.flatnonzero(mask[:-1] & mask[1:])
+    mids = (ts[inner] + ts[inner + 1]) / 2
+    x = np.concatenate([ts[mask], mids])
+    y = np.log(np.concatenate([hsb[mask], [np.linalg.norm(traj.b_at(t)) for t in mids]]))
+    if x.size < 10:
+        raise InsufficientData(f"only {x.size} usable points for the decay fit")
     slope, intercept = np.polyfit(x, y, 1)
     fit = intercept + slope * x
     return DecayFit(rate=float(-slope), log_intercept=float(intercept),
-                    n_samples=int(mask.sum()),
-                    window=(float(x[0]), float(x[-1])),
+                    n_samples=int(x.size),
+                    window=(float(ts[mask][0]), float(ts[mask][-1])),
                     max_residual=float(np.max(np.abs(fit - y))))
 
 

@@ -50,18 +50,18 @@ import numpy as np
 from .errors import SizeLimit
 from .flow import check_span
 from .opcore import QuadraticSpec, as_matrix, hs_norm
-from .stepping import drive_rk45
+from .stepping import DormandPrince, drive
 
 # Largest basis dimension build_basis builds.
 SIZE_LIMIT = 20000
 # Bound on the peak bytes propagate holds per squared basis dimension: 18
 # arrays of dim**2 complex values, the working set of stepping all of U.
 # Stepping only the two parity blocks (about dim**2 / 2 entries) with the
-# stepper's stage buffers reused, tracemalloc measures, per dim**2 with two
-# modes and the basis's cached _pair tables already built, 136 and 128
-# bytes at cutoffs 12 and 20 for complex128 blocks and 73 and 64 for the
-# float64 blocks of a real path, so the bound holds for both with room to
-# spare (test_propagate_working_set checks this at cutoff 12).
+# stepper's sixteen stage rows and its scratch reused, tracemalloc measures,
+# per dim**2 with two modes and the basis's cached _pair tables already
+# built, 217 and 208 bytes at cutoffs 12 and 20 for complex128 blocks and
+# 114 and 104 for the float64 blocks of a real path, so the bound holds for
+# both (test_propagate_working_set checks this at cutoff 12).
 # check_propagate_size refuses a basis whose working set would exceed
 # PROPAGATE_MEMORY_LIMIT bytes, which for two modes allows cutoffs up to 60;
 # it sizes every path as complex, so the same cutoffs are refused either way.
@@ -310,7 +310,7 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
 
     y0 = np.concatenate([np.eye(d, dtype=dtype).ravel() for d in sizes])
     tol_blocks = tol * np.sqrt(dim * dim / ends[-1]) * (np.sqrt(2.0) if real else 1.0)
-    y = drive_rk45(fun, s, y0, t, rtol=tol_blocks, atol=tol_blocks).state
+    y = drive(DormandPrince(fun, s, y0, t, tol_blocks, tol_blocks)).state
     u_mat = np.zeros((dim, dim), dtype=dtype)
     for (idx, _, _), d, start, stop in zip(parities, sizes, ends, ends[1:]):
         u_mat[np.ix_(idx, idx)] = y[start:stop].reshape(d, d)

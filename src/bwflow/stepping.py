@@ -1,16 +1,26 @@
-"""Shared adaptive integration: the Dormand-Prince 5(4) embedded pair for
-ODEs and the Gauss-Kronrod 7-15 rule for quadrature.
+"""Shared adaptive integration: the Dormand-Prince 8(5,3) pair DOP853 for
+ODEs, with its own dense output, and the Gauss-Kronrod 7-15 rule for
+quadrature.
 
 All matrix ODEs in the package run through this stepper (Hairer, Norsett &
-Wanner, *Solving ODEs I*, sections II.4-5).  Steps advance with the
-fifth-order solution (local extrapolation) and the embedded fourth-order one
-estimates the error.  A step is accepted when the RMS norm of that estimate,
-with each component scaled by atol + max(|y_i|, |y_new_i|) * rtol, is below
-1.  The next step grows or shrinks by 0.9 * err^(-1/5), clamped to
-[0.2, 10], and never grows right after a rejection.  The last stage is the
-first stage of the next step (FSAL), so an accepted step costs six
-right-hand-side evaluations.  The initial step is Hairer's estimate from the
-first two derivatives.
+Wanner, *Solving ODEs I*, section II.10 for the pair and II.6 for its
+continuous extension).  Steps advance with the eighth-order solution
+(local extrapolation).  The error estimate combines the embedded fifth- and
+third-order ones, err5 and err3, each scaled componentwise by
+atol + max(|y_i|, |y_new_i|) * rtol, into
+h ||err5||^2 / sqrt((||err5||^2 + 0.01 ||err3||^2) N) over the N real
+components, and a step is accepted when it is below 1.  The next step grows
+or shrinks by 0.9 * err^(-1/8), clamped to [0.2, 10], and never grows right
+after a rejection.  The last stage is the derivative at the new state and
+the first stage of the next step (FSAL), so an accepted step costs twelve
+right-hand-side evaluations.  The initial step is Hairer's estimate from
+the first two derivatives.
+
+dense_output gives the pair's seventh-order continuous extension on the
+last accepted step from its stages and three more evaluations.  It is built
+only on request, so a run that reads only its accepted states pays nothing
+for it; a caller that keeps a step's left state, derivative and proposed
+step size can re-run the step later and get the same stages bit for bit.
 
 The state may be real or complex and of any shape: the flow steps one
 vector [Omega, B, u, v, I], float64 for a real spec and complex128
@@ -20,7 +30,7 @@ blocks of U, float64 when the path's B is real and complex128 otherwise.
 The stepper works on a flat float64 view of the state (the real and
 imaginary parts interleaved, no copy), so error control is per real
 component.  A complex state whose imaginary parts are all zero therefore
-has the RMS error norm of its real parts divided by sqrt(2), and the real
+has the RMS error norms of its real parts divided by sqrt(2), and the real
 callers pass sqrt(2) times their tolerance to keep the same criterion.
 
 The right-hand side is called as ``fun(t, y, out)`` and writes the
@@ -31,14 +41,14 @@ filled completely.  A stage state or stage row is overwritten by a later
 stage, so ``fun`` must keep neither ``y`` nor ``out``.  Each stage writes
 straight into its row of the stage matrix; only the last stage of a step,
 the derivative at the new state (FSAL), goes into a fresh array.  Each
-accepted state is a fresh array as well, and ``on_step`` receives both and
-may keep them without copying: the derivative serves Hermite dense output
-without another right-hand-side evaluation.
+accepted state is a fresh array as well, so ``on_step`` may keep both
+without copying.
 
-On a real 1-d state the arithmetic follows scipy.integrate.RK45 operation
-for operation, so step sequences and results match it bit for bit; this
-module only avoids importing scipy, which would dominate the start-up time
-of the command line.  No command imports scipy at all: the squeeze
+On a real 1-d state the arithmetic follows scipy.integrate.DOP853
+operation for operation, so step sequences, results and dense output match
+it bit for bit; this module only avoids importing scipy, which would
+dominate the start-up time of the command line, and so holds the pair's
+coefficients as literals.  No command imports scipy at all: the squeeze
 decomposition behind diag takes its square root, log and exp from numpy's
 eigh (bogoliubov._unitary_eig), and only the library's bogoliubov.dyson_uv
 and the tests load scipy.
@@ -59,27 +69,111 @@ import numpy as np
 
 from .errors import StepSizeUnderflow
 
-# Dormand-Prince 5(4) tableau: nodes C, stage matrix A, fifth-order weights
-# B and error row E (fifth- minus fourth-order weights, FSAL stage last).
-_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
-_A = np.array([
-    [0, 0, 0, 0, 0],
-    [1/5, 0, 0, 0, 0],
-    [3/40, 9/40, 0, 0, 0],
-    [44/45, -56/15, 32/9, 0, 0],
-    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
-    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
-])
-_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
-_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
-_N_STAGES = 6
-_ERROR_EXPONENT = -1 / 5  # -1 / (embedded order + 1)
+# The DOP853 tableau (Hairer's dop853.f): nodes _C and stage matrix _A of
+# the twelve stages, the FSAL stage and the three extra stages of the dense
+# output, in that order; eighth-order weights _B; the fifth- and third-order
+# error rows _E5 and _E3 (FSAL stage last); and the rows _D of the dense
+# output's higher coefficients.
+_N_STAGES = 12
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778])
+_A = np.zeros((16, 16))
+_A[1, :1] = [5.26001519587677318785587544488e-2]
+_A[2, :2] = [1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2]
+_A[3, :3] = [2.95875854768068491816892993775e-2, 0, 8.87627564304205475450678981324e-2]
+_A[4, :4] = [2.41365134159266685502369798665e-1, 0, -8.84549479328286085344864962717e-1,
+             9.24834003261792003115737966543e-1]
+_A[5, :5] = [3.7037037037037037037037037037e-2, 0, 0, 1.70828608729473871279604482173e-1,
+             1.25467687566822425016691814123e-1]
+_A[6, :6] = [3.7109375e-2, 0, 0, 1.70252211019544039314978060272e-1,
+             6.02165389804559606850219397283e-2, -1.7578125e-2]
+_A[7, :7] = [3.70920001185047927108779319836e-2, 0, 0, 1.70383925712239993810214054705e-1,
+             1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+             8.27378916381402288758473766002e-3]
+_A[8, :8] = [6.24110958716075717114429577812e-1, 0, 0, -3.36089262944694129406857109825,
+             -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+             2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1]
+_A[9, :9] = [4.77662536438264365890433908527e-1, 0, 0, -2.48811461997166764192642586468,
+             -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+             1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+             -2.03312017085086261358222928593e-2]
+_A[10, :10] = [-9.3714243008598732571704021658e-1, 0, 0, 5.18637242884406370830023853209,
+               1.09143734899672957818500254654, -8.14978701074692612513997267357,
+               -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+               2.49360555267965238987089396762, -3.0467644718982195003823669022]
+_A[11, :11] = [2.27331014751653820792359768449, 0, 0, -1.05344954667372501984066689879e1,
+               -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+               2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+               -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+               6.43392746015763530355970484046e-1]
+_A[12, :12] = [5.42937341165687622380535766363e-2, 0, 0, 0, 0,
+               4.45031289275240888144113950566, 1.89151789931450038304281599044,
+               -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+               -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+               4.47106157277725905176885569043e-2]
+_A[13, :13] = [5.61675022830479523392909219681e-2, 0, 0, 0, 0, 0,
+               2.53500210216624811088794765333e-1, -2.46239037470802489917441475441e-1,
+               -1.24191423263816360469010140626e-1, 1.5329179827876569731206322685e-1,
+               8.20105229563468988491666602057e-3, 7.56789766054569976138603589584e-3,
+               -8.298e-3]
+_A[14, :14] = [3.18346481635021405060768473261e-2, 0, 0, 0, 0,
+               2.83009096723667755288322961402e-2, 5.35419883074385676223797384372e-2,
+               -5.49237485713909884646569340306e-2, 0, 0,
+               -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+               -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1]
+_A[15, :15] = [-4.28896301583791923408573538692e-1, 0, 0, 0, 0,
+               -4.69762141536116384314449447206, 7.68342119606259904184240953878,
+               4.06898981839711007970213554331, 3.56727187455281109270669543021e-1, 0, 0, 0,
+               -1.39902416515901462129418009734e-3, 2.9475147891527723389556272149,
+               -9.15095847217987001081870187138]
+_B = _A[_N_STAGES, :_N_STAGES]
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0, 0, 0, 0, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1, 0])
+_E3 = np.append(_B, 0.0)  # B minus the third-order weights
+_E3[[0, 8, 11]] -= [0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1]
+_D = np.zeros((4, 16))
+_D[:, 0] = [-0.84289382761090128651353491142e+1, 0.10427508642579134603413151009e+2,
+            0.19985053242002433820987653617e+2, -0.25693933462703749003312586129e+2]
+_D[:, 5:] = [
+    [0.56671495351937776962531783590, -0.30689499459498916912797304727e+1,
+     0.23846676565120698287728149680e+1, 0.21170345824450282767155149946e+1,
+     -0.87139158377797299206789907490, 0.22404374302607882758541771650e+1,
+     0.63157877876946881815570249290, -0.88990336451333310820698117400e-1,
+     0.18148505520854727256656404962e+2, -0.91946323924783554000451984436e+1,
+     -0.44360363875948939664310572000e+1],
+    [0.24228349177525818288430175319e+3, 0.16520045171727028198505394887e+3,
+     -0.37454675472269020279518312152e+3, -0.22113666853125306036270938578e+2,
+     0.77334326684722638389603898808e+1, -0.30674084731089398182061213626e+2,
+     -0.93321305264302278729567221706e+1, 0.15697238121770843886131091075e+2,
+     -0.31139403219565177677282850411e+2, -0.93529243588444783865713862664e+1,
+     0.35816841486394083752465898540e+2],
+    [-0.38703730874935176555105901742e+3, -0.18917813819516756882830838328e+3,
+     0.52780815920542364900561016686e+3, -0.11573902539959630126141871134e+2,
+     0.68812326946963000169666922661e+1, -0.10006050966910838403183860980e+1,
+     0.77771377980534432092869265740, -0.27782057523535084065932004339e+1,
+     -0.60196695231264120758267380846e+2, 0.84320405506677161018159903784e+2,
+     0.11992291136182789328035130030e+2],
+    [-0.15418974869023643374053993627e+3, -0.23152937917604549567536039109e+3,
+     0.35763911791061412378285349910e+3, 0.93405324183624310003907691704e+2,
+     -0.37458323136451633156875139351e+2, 0.10409964950896230045147246184e+3,
+     0.29840293426660503123344363579e+2, -0.43533456590011143754432175058e+2,
+     0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
+     -0.14972683625798562581422125276e+3]]
+_ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 RTOL_FLOOR = 100 * np.finfo(float).eps
-# Smallest step the pair may propose before drive_rk45 raises StepSizeUnderflow.
+# Smallest step the pair may propose before drive raises StepSizeUnderflow.
 H_MIN = 1e-12
 
 
@@ -88,18 +182,24 @@ def _rms(x: np.ndarray) -> float:
 
 
 class DormandPrince:
-    """Forward-in-time Dormand-Prince 5(4) stepper.
+    """Forward-in-time DOP853 stepper.
 
     Public state: ``t``, ``y`` (current solution as a flat float64 array),
     ``state`` (the same solution in the shape and dtype of y0), ``f``
     (derivative at (t, y), flat like y and reused as the first stage of the
-    next step), ``h_abs`` (size of the next step to try), ``nfev``
+    next step), ``h_abs`` (size of the next step to try), ``t_old`` and
+    ``y_old`` (the start of the last accepted step), ``nfev``
     (right-hand-side evaluations made by the stepper, including the two of
     the initial-step estimate) and ``status`` ('running', 'finished' or
     'failed').  ``derivative`` is f in the shape and dtype of y0.
+
+    f0 and h_abs, when given, are the derivative at (t0, y0) and the first
+    step to try, and replace the evaluation and the estimate that would
+    make them: a stepper restarted from a kept state, its derivative and
+    the step size proposed there takes the steps the first run took.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, rtol, atol):
+    def __init__(self, fun, t0, y0, t_bound, rtol, atol, f0=None, h_abs=None):
         y0 = np.asarray(y0)
         if y0.size == 0:
             raise ValueError("y0 must be non-empty")
@@ -114,22 +214,23 @@ class DormandPrince:
         self._fun = fun
         self._dtype = complex if np.iscomplexobj(y0) else float
         self._shape = y0.shape
-        self.t = t0
-        self.y = self._flat(y0)
+        self.t = self.t_old = t0
+        self.y = self.y_old = self._flat(y0)
         self.t_bound = t_bound
         self.rtol = max(rtol, RTOL_FLOOR)
         self.atol = atol
         self.nfev = 0
         self.status = "running" if t_bound > t0 else "finished"
-        # stages, and scratch for the stage sums, stage states and error
-        # weights; fun reads the stage states and writes the stages through
-        # views in the caller's shape and dtype, made here once
-        self._k = np.empty((_N_STAGES + 1, self.y.size))
+        # stages (the extra three of the dense output last), and scratch for
+        # the stage sums, stage states and error weights; fun reads the
+        # stage states and writes the stages through views in the caller's
+        # shape and dtype, made here once
+        self._k = np.empty((len(_C), self.y.size))
         self._dy, self._ys, self._w = np.empty((3, self.y.size))
         self._k_shaped = [self._shaped(row) for row in self._k]
         self._ys_shaped = self._shaped(self._ys)
-        self.f = self._eval_new(t0, self.y)
-        self.h_abs = self._initial_step()
+        self.f = self._eval_new(t0, self.y) if f0 is None else self._flat(f0)
+        self.h_abs = self._initial_step() if h_abs is None else h_abs
 
     def _flat(self, x) -> np.ndarray:
         """Flat float64 view of an array in the caller's shape and dtype."""
@@ -176,31 +277,43 @@ class DormandPrince:
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
-            h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+            h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
         return min(100 * h0, h1, interval)
+
+    def _stages(self, t, y, h, first: int, last: int) -> None:
+        """Stages first..last-1 of a step of size h from (t, y), each from
+        the rows before it, into their rows of the stage matrix."""
+        k, dy, ys = self._k, self._dy, self._ys
+        for s in range(first, last):
+            np.dot(k[:s].T, _A[s, :s], out=dy)
+            dy *= h
+            np.add(y, dy, out=ys)
+            self._eval(t + _C[s] * h, self._ys_shaped, self._k_shaped[s])
 
     def _attempt(self, h):
         """One trial step of size h: (y_new, f_new, error norm)."""
-        t, y, k = self.t, self.y, self._k
-        dy, ys, w = self._dy, self._ys, self._w
+        y, k, dy, w = self.y, self._k, self._dy, self._w
         k[0] = self.f
-        for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-            np.dot(k[:s].T, a[:s], out=dy)
-            dy *= h
-            np.add(y, dy, out=ys)
-            self._eval(t + c * h, self._ys_shaped, self._k_shaped[s])
-        np.dot(k[:-1].T, _B, out=dy)
+        self._stages(self.t, y, h, 1, _N_STAGES)
+        np.dot(k[:_N_STAGES].T, _B, out=dy)
         dy *= h
         y_new = y + dy              # fresh arrays: callers may keep accepted
-        f_new = self._eval_new(t + h, y_new)  # states and their derivatives
-        k[-1] = f_new
-        np.maximum(np.abs(y, out=w), np.abs(y_new, out=ys), out=w)
+        f_new = self._eval_new(self.t + h, y_new)  # states and their derivatives
+        k[_N_STAGES] = f_new
+        np.maximum(np.abs(y, out=w), np.abs(y_new, out=self._ys), out=w)
         w *= self.rtol
         w += self.atol
-        np.dot(k.T, _E, out=dy)
-        dy *= h
-        dy /= w
-        return y_new, f_new, _rms(dy)
+        err5 = self._scaled_error(_E5)
+        err3 = self._scaled_error(_E3)
+        if err5 == 0 and err3 == 0:
+            return y_new, f_new, 0.0
+        return y_new, f_new, abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * w.size)
+
+    def _scaled_error(self, e: np.ndarray) -> float:
+        """||(K e) / w||^2 over the stages of the last attempt."""
+        np.dot(self._k[:_N_STAGES + 1].T, e, out=self._dy)
+        self._dy /= self._w
+        return np.linalg.norm(self._dy) ** 2
 
     def step(self) -> None:
         """Advance by one accepted step, or set status to 'failed'."""
@@ -227,39 +340,72 @@ class DormandPrince:
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
+        self.t_old, self.y_old = t, self.y
         self.t, self.y, self.f, self.h_abs = t_new, y_new, f_new, h_abs
         if t_new >= self.t_bound:
             self.status = "finished"
 
+    def dense_output(self) -> DenseOutput:
+        """The seventh-order continuous extension on the last accepted step,
+        [t_old, t], from its stages and three more evaluations."""
+        k, h = self._k, self.t - self.t_old
+        self._stages(self.t_old, self.y_old, h, _N_STAGES + 1, len(_C))
+        f, dy = np.empty((7, self.y.size)), self._dy
+        np.subtract(self.y, self.y_old, out=f[0])
+        np.multiply(k[0], h, out=f[1])
+        f[1] -= f[0]                 # h f_old - (y - y_old)
+        np.add(self.f, k[0], out=dy)
+        dy *= h
+        np.multiply(f[0], 2, out=f[2])
+        f[2] -= dy                   # 2 (y - y_old) - h (f + f_old)
+        np.dot(_D, k, out=f[3:])
+        f[3:] *= h
+        return DenseOutput(self.t_old, self.t, self.y_old, f, self._dtype)
 
-def drive_rk45(fun, t0, y0, t_bound, rtol, atol, on_step=None):
-    """Run the Dormand-Prince pair from t0 to t_bound.
 
-    ``fun(t, y, out)`` writes the derivative at (t, y) into out (see the
-    module docstring).  ``on_step`` receives (t, state, derivative) after
-    every accepted step (so never on a zero-length interval), for recording and event checks, where derivative is
-    the step's FSAL stage, the derivative at (t, state), in a fresh array;
-    returning False stops the integration early.  Returns
-    the stepper in its final state ('finished' or stopped early by
-    ``on_step``).  Raises ValueError for an empty or non-finite y0, a
-    non-finite t_bound and t_bound < t0, and StepSizeUnderflow when the step
-    size collapses.
+class DenseOutput:
+    """DOP853's continuous extension on one step [t_old, t]: a polynomial
+    of degree 7 in x = (tau - t_old) / (t - t_old), held as seven rows
+    nested in alternating factors x and 1 - x."""
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, f: np.ndarray, dtype):
+        self.t_old, self.t = t_old, t
+        self._h = t - t_old
+        self._y_old, self._f, self._dtype = y_old, f, dtype
+
+    def __call__(self, tau: float) -> np.ndarray:
+        """The state at tau in [t_old, t], flat in the stepper's dtype."""
+        x = (tau - self.t_old) / self._h
+        y = np.zeros_like(self._y_old)
+        for i, f in enumerate(reversed(self._f)):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self._y_old
+        return y.view(self._dtype)
+
+
+def drive(stepper: DormandPrince, on_step=None) -> DormandPrince:
+    """Run a stepper to its t_bound.
+
+    ``on_step`` receives the stepper after every accepted step (so never on
+    a zero-length interval), for recording and event checks; its state and
+    derivative are fresh arrays that may be kept, and returning False stops
+    the integration early.  Returns the stepper in its final state
+    ('finished' or stopped early by ``on_step``).  Raises StepSizeUnderflow
+    when the step size collapses.
     """
-    solver = DormandPrince(fun, t0, y0, t_bound, rtol, atol)
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
+    while stepper.status == "running":
+        stepper.step()
+        if stepper.status == "failed":
             raise StepSizeUnderflow(
-                f"integration stalled at t = {solver.t:.6g}")
-        if on_step is not None:
-            keep_going = on_step(solver.t, solver.state, solver.derivative)
-            if keep_going is False:
-                return solver
-        if solver.status == "running" and solver.h_abs < H_MIN:
+                f"integration stalled at t = {stepper.t:.6g}")
+        if on_step is not None and on_step(stepper) is False:
+            return stepper
+        if stepper.status == "running" and stepper.h_abs < H_MIN:
             raise StepSizeUnderflow(
-                f"step size {solver.h_abs:.3e} fell below h_min = {H_MIN:.3e} "
-                f"at t = {solver.t:.6g}")
-    return solver
+                f"step size {stepper.h_abs:.3e} fell below h_min = {H_MIN:.3e} "
+                f"at t = {stepper.t:.6g}")
+    return stepper
 
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (Piessens et al., QUADPACK, routine

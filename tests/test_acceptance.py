@@ -196,6 +196,26 @@ def test_ac6_map_and_transform_consistency(ac1_run):
             f"dyson(8) vs integrated {dyson_err:.3e} <= 1e-6")
 
 
+def transform_residual(spec, traj, t) -> float:
+    """AC-6's transform vs flow residual at one time."""
+    out = bogoliubov.transform_spec(bogoliubov.integrate_uv(traj, 0.0, t), spec)
+    st = traj.state_at(t)
+    return max(hs_norm(out.omega - st.omega), hs_norm(out.b - st.b))
+
+
+def test_ac6_transform_residual_is_within_the_tolerance(ac1_run):
+    # AC-6 probes t = 0.5, 1 and 2, which are not sample times: there the
+    # residual is the dense output's, and it stays below the stepper's
+    # tolerance, as at the neighbouring samples
+    spec, traj, _ = ac1_run
+    ts, tol = traj.ts, traj.controls.tol
+    for t in (0.5, 1.0, 2.0):
+        i = int(np.searchsorted(ts, t))
+        assert ts[i - 1] < t < ts[i]
+        for probe in (ts[i - 1], t, ts[i]):
+            assert transform_residual(spec, traj, probe) <= tol
+
+
 def test_ac7_fock_oracle_scalar_sign(fock_setup):
     spec, fk, traj_minus, traj_plus, u, elapsed = fock_setup
     t0 = time.perf_counter()

@@ -193,7 +193,7 @@ def test_carried_map_matches_stepping_between_samples(gapped_traj):
     m = bogoliubov.integrate_uv(bp, 0.0, t_final)
     assert np.array_equal(m.u, gapped_traj.final.u)
     assert np.array_equal(m.v, gapped_traj.final.v)
-    # between samples it is the cubic Hermite of the carried columns
+    # between samples it is the dense output of the carried columns
     for s, t in ((0.0, 2.5), (0.37, 2.5), (0.37, t_final), (1.3, 1.9)):
         m = bogoliubov.integrate_uv(bp, s, t)
         ref = bogoliubov.integrate_uv(stepped, s, t)

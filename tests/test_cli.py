@@ -626,14 +626,14 @@ def test_fock_verify_refuses_oversized_basis_before_building_it(generic_file, tm
 
 
 def test_run_long_horizon_exits(generic_file, tmp_path):
-    # RK45 alone would take about 1.4 million steps past convergence
+    # the stepper alone would take about a million steps past convergence
     proc = _run_cli(["run", generic_file, "--t-end", "1e6"], cwd=tmp_path)
     assert proc.returncode == cli.EXIT_OK
     assert "converged: yes" in proc.stdout and "at t = 1e+06" in proc.stdout
 
 
 def test_run_meets_conv_tol_below_the_noise_floor(generic_file, tmp_path):
-    # the embedded pair alone never takes ||B_t|| below about 1e-10
+    # the stepper alone never takes ||B_t|| below about 1e-10
     proc = _run_cli(["run", generic_file, "--t-end", "20", "--conv-tol", "1e-14"],
                     cwd=tmp_path)
     assert proc.returncode == cli.EXIT_OK

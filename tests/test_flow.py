@@ -10,7 +10,7 @@ from bwflow import analytic, flow
 from bwflow.errors import (BlowupDetected, InsufficientData, NotConverged,
                            NotPSD, PathGap)
 from bwflow.opcore import QuadraticSpec, hs_norm, min_eig_hermitian, sandwich
-from bwflow.stepping import drive_rk45
+from bwflow.stepping import DormandPrince, drive
 
 GOLDEN = np.array([0.6180339887498948482046, 1.6180339887498948482046])
 
@@ -43,7 +43,7 @@ def test_flow_keeps_structure_exactly():
     x = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     b = 0.1 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     spec = QuadraticSpec.from_matrices(x @ x.conj().T / 8 + np.eye(8), (b + b.T) / 2)
-    traj = flow.integrate(spec, t_end=50.0)
+    traj = flow.integrate(spec, t_end=50.0, controls=flow.Controls(tol=1e-12))
     assert len(traj.states) > 50
     assert traj.stats["n_tail"] > 0  # the frozen-Omega tail samples too
     for s in traj.states + [traj.state_at(t) for t in (0.37, 2.5)]:
@@ -144,7 +144,7 @@ def test_wall_time_covers_stepping_and_tail(generic_spec, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(flow.Trajectory, "_diag_columns", columns)
-    monkeypatch.setattr(flow, "drive_rk45", timed(flow.drive_rk45))
+    monkeypatch.setattr(flow, "drive", timed(flow.drive))
     monkeypatch.setattr(flow.FrozenTail, "at", timed(flow.FrozenTail.at))
     traj = flow.integrate(generic_spec, t_end=5.0)
     assert traj.stats["n_tail"] > 0 and len(spent) == 1 + traj.stats["n_tail"]
@@ -288,6 +288,30 @@ def test_decay_fit_rate(generic_traj):
     assert abs(explicit.rate - 2.0 * np.sqrt(5.0)) < 0.1
 
 
+def test_decay_fit_uses_the_dense_output_between_samples(generic_traj):
+    # the fit takes the window's samples and the interpolant at the midpoint
+    # of each interval between two of them, for the default window and an
+    # explicit one alike
+    ts = generic_traj.ts
+    for window in (None, (1.0, 3.0)):
+        fit = flow.decay_fit(generic_traj, window=window)
+        inside = ts[(ts >= fit.window[0]) & (ts <= fit.window[1])]
+        assert (fit.window[0], fit.window[1]) == (inside[0], inside[-1])
+        assert fit.n_samples == 2 * inside.size - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decay_fit_on_seeded_n64_specs(seed):
+    # at n = 64 the default window holds fewer than ten samples; with the
+    # midpoints the fit has enough points, and its rate is at least 2 nu
+    spec = seeded_n64_spec(seed)
+    traj = flow.integrate(spec, t_end=5.0)
+    fit = flow.decay_fit(traj)
+    assert fit.n_samples >= 10
+    w = np.linalg.eigvalsh(spec.omega)
+    assert 2.0 * w[0] <= fit.rate <= 4.0 * w[-1]
+
+
 def test_decay_fit_insufficient_data(generic_spec):
     short = flow.integrate(generic_spec, t_end=1e-4)
     with pytest.raises(InsufficientData):
@@ -340,6 +364,82 @@ def test_recorder_thinning(generic_spec, monkeypatch):
             assert len(traj.states) <= max_samples + 1
             assert traj.states[0].t == 0.0
             assert traj.states[-1].t == t_end
+
+
+def stepped_midpoints(traj):
+    """The midpoint of every stepped sample interval (before any tail)."""
+    ts = traj.ts
+    tail_t = traj.stats["tail_t"]
+    ts = ts if tail_t is None else ts[ts <= tail_t]
+    return (ts[:-1] + ts[1:]) / 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flow.integrate(analytic.block_spec([(1.0, 2.0, 0.5)]), 5.0),
+    lambda: flow.integrate(random_a6_spec(8, n=8), 4.0),
+    lambda: flow.integrate(seeded_n64_spec(0), 5.0),
+], ids=["real-n2", "complex-n8", "complex-n64"])
+def test_replayed_steps_end_on_their_samples(make, monkeypatch):
+    # the dense output re-runs each step from its left sample: one attempt
+    # of the accepted size, the same stages, so it ends bit for bit on the
+    # stored right sample, at 12 evaluations plus 3 for the dense output
+    traj = make()
+    runs, plain = [], flow.drive
+
+    def spy(stepper, on_step=None):
+        runs.append(plain(stepper, on_step))
+        return runs[-1]
+
+    monkeypatch.setattr(flow, "drive", spy)
+    mids = stepped_midpoints(traj)
+    for t in mids:
+        traj.state_at(t)
+    assert len(runs) == len(mids)
+    for stepper, right in zip(runs, traj.states[1:]):
+        assert stepper.t == right.t and stepper.nfev == 15
+        assert np.array_equal(stepper.state, flow._vector(right))
+        assert np.array_equal(stepper.derivative, right.dy)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (analytic.block_spec([(1.0, 2.0, 0.5)]), 20.0),
+    lambda: (random_a6_spec(8, n=8), 10.0),
+], ids=["real-n2", "complex-n8"])
+def test_rebuilt_trajectory_interpolates_alike(make):
+    # a Trajectory rebuilt from the six parts of an integrated one answers
+    # off the samples bit for bit alike, in a stepped and in a tail interval
+    spec, t_end = make()
+    traj = flow.integrate(spec, t_end)
+    rebuilt = flow.Trajectory(traj.spec, traj.controls, traj.scalar_sign,
+                              traj.states, traj.events, traj.stats)
+    ts, tail_t = traj.ts, traj.stats["tail_t"]
+    k = int(np.searchsorted(ts, tail_t))
+    assert 3 < k < len(ts) - 2
+    for t in (0.5 * (ts[2] + ts[3]), 0.5 * (ts[k + 1] + ts[k + 2])):
+        for name in ("b_at", "map_at"):
+            ours, theirs = getattr(traj, name)(t), getattr(rebuilt, name)(t)
+            assert all(np.array_equal(a, b) for a, b in zip(np.atleast_3d(ours),
+                                                           np.atleast_3d(theirs)))
+        assert np.array_equal(flow._vector(traj.state_at(t)),
+                              flow._vector(rebuilt.state_at(t)))
+
+
+def test_thinned_trajectory_interpolates_like_the_full_one(generic_spec, monkeypatch):
+    # on an interval that thinning merged, the re-run takes the first run's
+    # steps, so off-sample values match the unthinned trajectory's
+    for t_end in (3.0, 5.0):  # without and with the frozen-Omega tail
+        full = flow.integrate(generic_spec, t_end)
+        monkeypatch.setattr(flow, "MAX_SAMPLES", 7)
+        thin = flow.integrate(generic_spec, t_end)
+        monkeypatch.undo()
+        assert len(thin.states) < len(full.states)
+        probes = np.random.default_rng(1).uniform(0.0, t_end, 60)
+        merged = [t for t in probes
+                  if np.searchsorted(full.ts, t) - np.searchsorted(thin.ts, t) > 0]
+        assert len(merged) > 30
+        for t in probes:
+            assert np.abs(flow._vector(thin.state_at(t))
+                          - flow._vector(full.state_at(t))).max() <= 1e-12
 
 
 def test_b_zero_is_stationary():
@@ -396,7 +496,7 @@ def bdg_spectrum(omega, b):
 
 
 def test_tail_finishes_the_stiff_block():
-    # RK45 alone needs about 6000 steps here, held by the 1e4 eigenvalue
+    # the stepper alone needs thousands of steps here, held by the 1e4 eigenvalue
     block = (1.0, 1e4, 0.5)
     traj = flow.integrate(analytic.block_spec([block]), t_end=1.0)
     assert traj.stats["n_steps"] < 200 and traj.stats["n_tail"] > 0
@@ -556,8 +656,8 @@ def test_real_state_steps_like_the_complex_one(n, generic_spec):
     runs = []
     for y0, tol in ((y_real, np.sqrt(2.0) * 1e-10), (y_real.astype(complex), 1e-10)):
         ts = []
-        solver = drive_rk45(flow._CarriedRhs(n, y0.dtype), 0.0, y0, 5.0, rtol=tol,
-                            atol=tol, on_step=lambda t, y, dy: ts.append(t))
+        solver = drive(DormandPrince(flow._CarriedRhs(n, y0.dtype), 0.0, y0, 60.0, tol, tol),
+                       on_step=lambda stepper: ts.append(stepper.t))
         runs.append((solver.nfev, np.array(ts), solver.state))
     (nfev_r, ts_r, y_r), (nfev_c, ts_c, y_c) = runs
     assert nfev_r == nfev_c and len(ts_r) == len(ts_c) > 50

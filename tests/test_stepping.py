@@ -1,10 +1,10 @@
 """The in-repo integrator, interpolant and quadrature against scipy.
 
-bwflow steps with its own Dormand-Prince 5(4) pair, interpolates with its
-own cubic Hermite evaluation and integrates ||B|| along paths that do not
-carry it with its own Gauss-Kronrod rule, so that the command line never
-imports scipy.  These tests pin each piece to the scipy routine it
-replaced.
+bwflow steps with its own DOP853 pair, interpolates with that pair's own
+dense output and integrates ||B|| along paths that do not carry it with its
+own Gauss-Kronrod rule, so that the command line never imports scipy.
+These tests pin each piece to the scipy routine it replaced, and the
+pair's literal coefficients to the order conditions they must satisfy.
 """
 
 import subprocess
@@ -14,13 +14,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import RK45, quad
-from scipy.interpolate import CubicHermiteSpline
+from scipy.integrate import DOP853, quad
 
 from bwflow import analytic, bogoliubov, flow, stepping
 from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
-from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive_rk45
+from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive
 from conftest import fresh_env, writes_into
 
 
@@ -63,8 +62,8 @@ def packed_flow(spec):
 
 
 def scipy_drive(fun, y0, t_bound, tol):
-    """scipy's RK45 stepped to t_bound, recording every accepted step."""
-    solver = RK45(fun, 0.0, y0, t_bound, rtol=tol, atol=tol)
+    """scipy's DOP853 stepped to t_bound, recording every accepted step."""
+    solver = DOP853(fun, 0.0, y0, t_bound, rtol=tol, atol=tol)
     ts, ys = [], []
     while solver.status == "running":
         solver.step()
@@ -79,16 +78,16 @@ def scipy_drive(fun, y0, t_bound, tol):
     pytest.param(random_spec(8, 8), id="seeded-n8"),
 ])
 @pytest.mark.parametrize("tol", [1e-10, 1e-6])
-def test_driver_matches_scipy_rk45(spec, tol):
+def test_driver_matches_scipy_dop853(spec, tol):
     fun, y0 = packed_flow(spec)
     ref_ts, ref_ys, ref_nfev = scipy_drive(fun, y0, 5.0, tol)
     ts, ys = [], []
 
-    def on_step(t, y, dy):
-        ts.append(t)
-        ys.append(y.copy())
+    def on_step(stepper):
+        ts.append(stepper.t)
+        ys.append(stepper.state.copy())
 
-    solver = drive_rk45(writes_into(fun), 0.0, y0, 5.0, rtol=tol, atol=tol, on_step=on_step)
+    solver = drive(DormandPrince(writes_into(fun), 0.0, y0, 5.0, tol, tol), on_step=on_step)
     assert solver.status == "finished" and solver.t == 5.0
     assert np.array_equal(np.array(ts), ref_ts)  # same accepted t-grid
     assert solver.nfev == ref_nfev
@@ -96,29 +95,51 @@ def test_driver_matches_scipy_rk45(spec, tol):
 
 
 def test_stepper_matches_scipy_without_hooks():
-    # a stiff block exercises rejections and the no-growth-after-reject rule
+    # a stiff block exercises rejections and the no-growth-after-reject
+    # rule; every third step also builds the dense output, whose three
+    # extra evaluations both steppers count
     fun, y0 = packed_flow(QuadraticSpec.from_matrices(
         np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
-    ref = RK45(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8)
+    ref = DOP853(fun, 0.0, y0, 0.05, rtol=1e-8, atol=1e-8)
     ours = DormandPrince(writes_into(fun), 0.0, y0, 0.05, 1e-8, 1e-8)
+    steps = 0
     while ref.status == "running":
         ref.step()
         ours.step()
+        steps += 1
         assert (ours.status, ours.t, ours.h_abs, ours.nfev) == \
             (ref.status, ref.t, ref.h_abs, ref.nfev)
         assert np.array_equal(ours.y, ref.y)
+        if steps % 3 == 0:
+            dense, ref_dense = ours.dense_output(), ref.dense_output()
+            for t in np.linspace(ref.t_old, ref.t, 9):
+                assert np.array_equal(dense(t), ref_dense(t))
+            assert ours.nfev == ref.nfev
+    assert ours.nfev > 2 + 12 * steps + 3 * (steps // 3)  # some steps were rejected
+
+
+def test_tableau_order_conditions():
+    # the literal coefficients against the conditions they must meet, with
+    # no scipy in the comparison: a mistyped digit fails here
+    c, a = stepping._C, stepping._A
+    assert np.allclose(a.sum(axis=1), c, rtol=0, atol=1e-14)  # row sums A 1 = c
+    b, bc = stepping._B, c[:stepping._N_STAGES]
+    for k in range(8):  # the quadrature conditions of order 8
+        assert abs(b @ bc ** k - 1 / (k + 1)) <= 1e-14
+    for e in (stepping._E5, stepping._E3):
+        assert abs(e.sum()) <= 1e-14
 
 
 def test_driver_validation():
     fun = writes_into(lambda t, y: -y)
     for bad_y0 in ([np.nan, 1.0], [np.inf], np.array([[1.0, complex(0.0, np.nan)]]), []):
         with pytest.raises(ValueError):
-            drive_rk45(fun, 0.0, bad_y0, 1.0, rtol=1e-8, atol=1e-8)
+            DormandPrince(fun, 0.0, bad_y0, 1.0, 1e-8, 1e-8)
     for bad_t in (np.nan, np.inf):
         with pytest.raises(ValueError):
-            drive_rk45(fun, 0.0, [1.0], bad_t, rtol=1e-8, atol=1e-8)
+            DormandPrince(fun, 0.0, [1.0], bad_t, 1e-8, 1e-8)
     with pytest.raises(ValueError):
-        drive_rk45(fun, 1.0, [1.0], 0.0, rtol=1e-8, atol=1e-8)
+        DormandPrince(fun, 1.0, [1.0], 0.0, 1e-8, 1e-8)
 
 
 def test_complex_state_keeps_its_shape():
@@ -131,8 +152,8 @@ def test_complex_state_keeps_its_shape():
         seen.append((uv.shape, uv.dtype))
         return np.stack((-4.0 * uv[1] @ b.conj(), -4.0 * uv[0] @ b))
 
-    solver = drive_rk45(writes_into(fun), 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
-                        on_step=lambda t, uv, duv: seen.append((uv.shape, uv.dtype)))
+    solver = drive(DormandPrince(writes_into(fun), 0.0, uv0, 1.0, 1e-8, 1e-8),
+                   on_step=lambda s: seen.append((s.state.shape, s.state.dtype)))
     assert len(seen) > solver.nfev  # every RHS call and every accepted step
     assert set(seen) == {((2, 3, 3), np.dtype(complex))}
     assert solver.state.shape == (2, 3, 3) and solver.state.dtype == complex
@@ -149,9 +170,9 @@ def test_on_step_receives_the_fsal_derivative():
 
     seen = []
     uv0 = np.stack((np.eye(2, dtype=complex), np.zeros((2, 2), complex)))
-    solver = drive_rk45(writes_into(fun), 0.0, uv0, 1.0, rtol=1e-8, atol=1e-8,
-                        on_step=lambda t, uv, duv: seen.append((t, uv.copy(), duv.copy())))
-    assert solver.nfev == 2 + 6 * len(seen)  # no rejected step on this path
+    solver = drive(DormandPrince(writes_into(fun), 0.0, uv0, 1.0, 1e-8, 1e-8),
+                   on_step=lambda s: seen.append((s.t, s.state.copy(), s.derivative.copy())))
+    assert solver.nfev == 2 + 12 * len(seen)  # no rejected step on this path
     for t, uv, duv in seen:
         assert duv.shape == uv.shape and duv.dtype == complex
         assert np.array_equal(duv, fun(t, uv))
@@ -165,12 +186,13 @@ def test_kept_states_and_derivatives_are_not_reused():
         np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
     kept, copies = [], []
 
-    def on_step(t, y, dy):
+    def on_step(stepper):
+        y, dy = stepper.state, stepper.derivative
         kept.append((y, dy))
         copies.append((y.copy(), dy.copy()))
 
-    solver = drive_rk45(writes_into(fun), 0.0, y0, 0.05, rtol=1e-8, atol=1e-8, on_step=on_step)
-    assert solver.nfev > 2 + 6 * len(kept)  # some steps were rejected
+    solver = drive(DormandPrince(writes_into(fun), 0.0, y0, 0.05, 1e-8, 1e-8), on_step=on_step)
+    assert solver.nfev > 2 + 12 * len(kept)  # some steps were rejected
     for (y, dy), (y_then, dy_then) in zip(kept, copies):
         assert np.array_equal(y, y_then) and np.array_equal(dy, dy_then)
 
@@ -199,7 +221,7 @@ def test_a_warm_step_allocates_only_its_accepted_state_and_derivative():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert solver.nfev == nfev + 6  # one accepted attempt
+    assert solver.nfev == nfev + 12  # one accepted attempt
     assert 2 * y0.nbytes <= kept and peak < 3 * y0.nbytes
 
 @pytest.mark.parametrize("spec", [
@@ -217,8 +239,8 @@ def test_complex_state_matches_real_packing(spec):
     for f, init, shaped in ((fun, y0, lambda y: y),
                             (fun_real, y0_real, lambda y: unpack(y, y0.shape))):
         ts, ys = [], []
-        solver = drive_rk45(writes_into(f), 0.0, init, 5.0, rtol=1e-10, atol=1e-10,
-                            on_step=lambda t, y, dy: (ts.append(t), ys.append(shaped(y))))
+        solver = drive(DormandPrince(writes_into(f), 0.0, init, 5.0, 1e-10, 1e-10),
+                       on_step=lambda s: (ts.append(s.t), ys.append(shaped(s.state))))
         runs.append((solver.nfev, np.array(ts), np.array(ys)))
     (nfev, ts, ys), (ref_nfev, ref_ts, ref_ys) = runs
     assert nfev == ref_nfev and ts.shape == ref_ts.shape
@@ -230,8 +252,8 @@ def test_rtol_is_clamped_silently():
     fun = writes_into(lambda t, y: -y)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tiny = drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-20, atol=1e-12)
-    floor = drive_rk45(fun, 0.0, [1.0], 1.0, rtol=RTOL_FLOOR, atol=1e-12)
+        tiny = drive(DormandPrince(fun, 0.0, [1.0], 1.0, 1e-20, 1e-12))
+    floor = drive(DormandPrince(fun, 0.0, [1.0], 1.0, RTOL_FLOOR, 1e-12))
     assert tiny.nfev == floor.nfev and np.array_equal(tiny.y, floor.y)
     assert abs(tiny.y[0] - np.exp(-1.0)) < 1e-11
 
@@ -240,26 +262,35 @@ def test_zero_length_interval_and_h_min(monkeypatch):
     # a zero-length interval takes no step, so on_step is never called
     fun = writes_into(lambda t, y: -y)
     seen = []
-    solver = drive_rk45(fun, 0.0, [1.0], 0.0, rtol=1e-8, atol=1e-8,
-                        on_step=lambda t, y, dy: seen.append(t))
+    solver = drive(DormandPrince(fun, 0.0, [1.0], 0.0, 1e-8, 1e-8),
+                   on_step=lambda s: seen.append(s.t))
     assert solver.status == "finished" and seen == [] and solver.y[0] == 1.0
     monkeypatch.setattr(stepping, "H_MIN", 10.0)
     with pytest.raises(StepSizeUnderflow):
-        drive_rk45(fun, 0.0, [1.0], 1.0, rtol=1e-8, atol=1e-8)
+        drive(DormandPrince(fun, 0.0, [1.0], 1.0, 1e-8, 1e-8))
 
 
 def test_interpolant_matches_scipy_bitwise(generic_traj):
-    # the trajectory's interpolant, built piece by piece from the samples'
-    # state vectors and stored derivatives, is scipy's spline through them,
-    # and holds the stored samples at the sample times
-    ts = generic_traj.ts
-    ys = np.stack([flow._vector(s) for s in generic_traj.states])
-    dys = np.stack([s.dy for s in generic_traj.states])
-    ref = CubicHermiteSpline(ts, ys, dys, axis=0)
-    for t in np.random.default_rng(0).uniform(ts[0], ts[-1], 200):
-        assert np.array_equal(flow._vector(generic_traj.state_at(t)), ref(t))
-    for t, y in zip(ts, ys):
-        assert np.array_equal(flow._vector(generic_traj.state_at(t)), y)
+    # the README spec is real, so its flow steps a real 1-d state: scipy's
+    # DOP853 on the same right-hand side and tolerance takes the same steps,
+    # and its dense output is the trajectory's interpolant on every stepped
+    # interval, built by re-running the step; at the sample times the
+    # trajectory holds the stored samples
+    traj, rng = generic_traj, np.random.default_rng(0)
+    ts = traj.ts
+    rhs = flow._CarriedRhs(traj.spec.dim, float)
+    tol = np.sqrt(2.0) * traj.controls.tol
+    ref = DOP853(lambda t, y: rhs(t, y), 0.0, flow._vector(traj.states[0]), traj.stats["t_end"],
+                 rtol=tol, atol=tol)
+    stepped = ts[ts <= traj.stats["tail_t"]]
+    for t_old, t_new in zip(stepped, stepped[1:]):
+        ref.step()
+        assert ref.t == t_new
+        dense = ref.dense_output()
+        for t in rng.uniform(t_old, t_new, 5):
+            assert np.array_equal(flow._vector(traj.state_at(t)), dense(t))
+    for s in traj.states:
+        assert np.array_equal(flow._vector(traj.state_at(s.t)), flow._vector(s))
 
 
 def test_gauss_kronrod_rules():
