@@ -35,10 +35,13 @@ vector, the stepper's last stage of the step (FSAL), and the step size the
 stepper proposed there, so the step to the next sample can be re-run bit
 for bit.  Between samples the trajectory is the stepper's own dense output
 (DOP853's seventh-order continuous extension; Hairer, Norsett & Wanner,
-Solving ODEs I, section II.6), built from that re-run on first use, and on
-the frozen-Omega tail (below) the tail's closed form; the trajectory is
-itself the B-path of the flow.  Diagnostics are columns over the samples,
-computed on first read.
+Solving ODEs I, section II.6), built on first use, and on the frozen-Omega
+tail (below) the tail's closed form; the trajectory is itself the B-path of
+the flow.  The steps within the default decay window (in_decay_window),
+whose midpoints decay_fit reads, keep their stages from the integration,
+so their dense output costs three evaluations and no re-run; every other
+interval is re-run from its left sample.  Diagnostics are columns over the
+samples, computed on first read.
 
 For a real spec (QuadraticSpec.is_real: every imaginary part of Omega and
 B exactly 0.0, with no tolerance) the flow keeps Omega, B, u and v real, so
@@ -438,6 +441,15 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     return tail
 
 
+def in_decay_window(hsb, hs_b0: float):
+    """Whether ||B_t||_2 = hsb (a value or an array) lies in the default
+    decay window: above 0 and between DECAY_FIT_FRACS * ||B_0||_2.  decay_fit
+    fits these samples, and integrate keeps the stages of the steps between
+    two of them."""
+    lo, hi = DECAY_FIT_FRACS
+    return (hsb >= lo * hs_b0) & (hsb <= hi * hs_b0) & (hsb > 0)
+
+
 def _tail_times(t0: float, h: float, t_end: float) -> list:
     """t0 + (2^k - 1) h for k = 1, 2, ... below t_end, then t_end itself."""
     times, k = [], 1
@@ -479,15 +491,21 @@ class Trajectory:
     derivative (float64 for a real spec, complex128 otherwise; see
     integrate), and each stepped sample the step size the stepper proposed
     there.  Between two stepped samples the state is the stepper's dense
-    output, built the first time a time inside the interval is asked for:
-    the stepper re-runs from the left sample, with its derivative and
-    proposed step size, up to the right sample.  On a single accepted step
-    that is the step itself, the same stages bit for bit; on an interval
-    that thinning merged, the steps the first run took.  Between two
-    samples of the frozen-Omega tail the state is the tail's closed form
-    from the hand-over sample (stats["tail_t"]).  So everything the
-    interpolant needs comes from the constructor's arguments, and a
-    trajectory rebuilt from them answers bit for bit the same.
+    output, built the first time a time inside the interval is asked for.
+    A trajectory from integrate holds the stages of each step within the
+    default decay window (see _keep) and finishes that step's dense output
+    from them at three evaluations, then drops them.  Any other interval
+    is re-run: the stepper restarts from the left sample, with its
+    derivative and proposed step size, up to the right sample.  On a single
+    accepted step that is the step itself, the same stages bit for bit; on
+    an interval that thinning merged, the steps the first run took.
+    Between two samples of the frozen-Omega tail the state is the tail's
+    closed form from the hand-over sample (stats["tail_t"]).  So everything
+    the interpolant needs comes from the constructor's arguments, and a
+    trajectory rebuilt from them, which re-runs every stepped interval,
+    answers bit for bit the same.  n_interp_rhs counts the right-hand-side
+    calls the dense outputs have cost so far (stats["n_rhs"] counts the
+    integration's).
 
     The trajectory is also the B-path of its flow (see check_span), with
     map_at and int_b_at answering (u, v) and int ||B|| from the carried
@@ -505,6 +523,8 @@ class Trajectory:
         self.stats = dict(stats)
         self._columns = {}  # diagnostic columns, computed on first read
         self._dense = {}  # dense output per stepped sample interval, built on first use
+        self._kept = {}  # integrate's kept steps by sample interval (see _keep)
+        self.n_interp_rhs = 0  # right-hand-side calls spent building dense outputs
 
     @cached_property
     def ts(self) -> np.ndarray:
@@ -594,15 +614,31 @@ class Trajectory:
         """The stepped system of the flow (see _carried)."""
         return _carried(self.spec, self.controls)
 
+    def _keep(self, steps: dict) -> None:
+        """Take integrate's kept steps, (t_old, y_old, t, y, stage matrix) by
+        t_old (see DormandPrince.stages), for the sample intervals that
+        are still that one step; thinning may have merged the others."""
+        ts = self.ts
+        for t_old, step in steps.items():
+            i = int(np.searchsorted(ts, t_old))
+            if i + 1 < len(ts) and ts[i] == t_old and ts[i + 1] == step[2]:
+                self._kept[i] = step
+
     def _dense_output(self, i: int) -> list:
-        """The stepper's dense output on [ts[i], ts[i+1]], one piece per step
-        of the re-run from sample i (see the class docstring)."""
+        """The stepper's dense output on [ts[i], ts[i+1]]: the kept step
+        finished, or one piece per step of the re-run from sample i (see the
+        class docstring)."""
         if i not in self._dense:
             left, pieces = self.states[i], []
             fun, tol = self._system
-            drive(DormandPrince(fun, left.t, _vector(left), self.ts[i + 1], tol, tol,
-                                f0=left.dy, h_abs=left.h),
-                  on_step=lambda stepper: pieces.append(stepper.dense_output()))
+            stepper = DormandPrince(fun, left.t, _vector(left), self.ts[i + 1], tol, tol,
+                                    f0=left.dy, h_abs=left.h)
+            kept = self._kept.pop(i, None)
+            if kept is None:
+                drive(stepper, on_step=lambda s: pieces.append(s.dense_output()))
+            else:
+                pieces.append(stepper.finish(*kept))
+            self.n_interp_rhs += stepper.nfev
             self._dense[i] = pieces
         return self._dense[i]
 
@@ -618,7 +654,7 @@ class Trajectory:
         tail = self._tail
         if tail is not None and ts[i - 1] >= tail.state.t:
             return tail.at(t, prev=self.states[i - 1])[cols]
-        return next(p for p in self._dense_output(i - 1) if t <= p.t)(t)[cols]
+        return next(p for p in self._dense_output(i - 1) if t <= p.t)(t, cols)
 
     def state_at(self, t: float) -> FlowState:
         """The state vector at t (see _interpolate)."""
@@ -689,8 +725,11 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     FSAL stage at an accepted step and its first evaluation at t = 0, and
     one _CarriedRhs call at each tail sample (stats["n_rhs"] counts the
     stepper's calls only).  Each stepped sample also keeps the step size
-    the stepper proposed there, which the dense output needs.  It
-    stops stepping at the first accepted step where frozen_tail accepts the
+    the stepper proposed there, which the dense output needs, and each
+    step with both ends in the default decay window its stages, from
+    which the trajectory finishes that step's dense output (see
+    Trajectory); that stops once the recorder thins, which merges such
+    steps.  It stops stepping at the first accepted step where frozen_tail accepts the
     hand-over: ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at
     most tol * max(1, ||Omega_t||_2) and a first-order map update within
     tol.  The FrozenTail then supplies the rest, sampled at offsets
@@ -738,11 +777,15 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     recorder.offer(sample(solver), force=True)
     events = []
+    kept = {}  # stages of the steps within the decay window, by t_old
+    # whether the newest sample is in the decay window
+    inside = in_decay_window(recorder.samples[0].hs_b, hs_b0)
 
     def finish(extra_stats):
         stats = {"hs_b0": hs_b0, "scalar_sign": sign, "t_end": t_end}
         stats.update(extra_stats)
         traj = Trajectory(spec, controls, sign, recorder.samples, events, stats)
+        traj._keep(kept)
         traj.stats["wall_time"] = time.perf_counter() - start
         return traj
 
@@ -757,12 +800,17 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     tail, t_prev, h_last = None, 0.0, 0.0
 
     def on_step(stepper):
-        nonlocal tail, t_prev, h_last
+        nonlocal tail, t_prev, h_last, inside
         state = sample(stepper)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         recorder.offer(state, force=(state.t >= t_end or tail is not None),
                        pin=tail is not None)
+        was_inside, inside = inside, in_decay_window(state.hs_b, hs_b0)
+        # until the recorder first thins, each step is a sample interval
+        if recorder.stride == 1 and was_inside and inside:
+            kept[stepper.t_old] = (stepper.t_old, stepper.y_old, stepper.t, stepper.y,
+                                   stepper.stages())
         check_blowup(state)
         return tail is None
 
@@ -828,10 +876,12 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
     interval with both ends in it.  With no explicit window, samples with
     ||B_t|| between DECAY_FIT_FRACS * ||B_0|| make the window; that keeps
     the fit away from both the slow transient and the integrator noise
-    floor.  Under a spectral gap nu (condition A6) the true decay rate is at
-    least 2 nu.  Samples with ||B_t|| = 0 are never used, fewer than 10
-    points raise InsufficientData, and so does ||B_0|| = 0 (nothing decays).
-    n_samples counts the points, midpoints included.
+    floor (in_decay_window); on a trajectory from integrate, the dense
+    output there is finished from kept stages, with no step re-run.  Under
+    a spectral gap nu (condition A6) the true decay rate is at least 2 nu.
+    Samples with ||B_t|| = 0 are never used, fewer than 10 points raise
+    InsufficientData, and so does ||B_0|| = 0 (nothing decays).  n_samples
+    counts the points, midpoints included.
     """
     ts = traj.ts
     hsb = traj.hs_bs
@@ -842,8 +892,7 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
         hs0 = traj.stats.get("hs_b0", hsb[0])
         if hs0 == 0:
             raise InsufficientData("||B_0|| = 0, there is no decay to fit")
-        lo, hi = DECAY_FIT_FRACS
-        mask = (hsb >= lo * hs0) & (hsb <= hi * hs0) & (hsb > 0)
+        mask = in_decay_window(hsb, hs0)
     inner = np.flatnonzero(mask[:-1] & mask[1:])
     mids = (ts[inner] + ts[inner + 1]) / 2
     x = np.concatenate([ts[mask], mids])

@@ -19,8 +19,11 @@ the first two derivatives.
 dense_output gives the pair's seventh-order continuous extension on the
 last accepted step from its stages and three more evaluations.  It is built
 only on request, so a run that reads only its accepted states pays nothing
-for it; a caller that keeps a step's left state, derivative and proposed
-step size can re-run the step later and get the same stages bit for bit.
+for it.  A caller that wants it for a step later can copy the step's
+stages (stages, no evaluation) and build it with finish at those three
+evaluations; one that keeps only the step's left state, derivative and
+proposed step size can re-run the step and get the same stages bit for
+bit.
 
 The state may be real or complex and of any shape: the flow steps one
 vector [Omega, B, u, v, I], float64 for a real spec and complex128
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -226,8 +230,8 @@ class DormandPrince:
         # stage states and writes the stages through views in the caller's
         # shape and dtype, made here once
         self._k = np.empty((len(_C), self.y.size))
+        self._k_shaped = list(self._k.view(self._dtype).reshape((len(_C),) + self._shape))
         self._dy, self._ys, self._w = np.empty((3, self.y.size))
-        self._k_shaped = [self._shaped(row) for row in self._k]
         self._ys_shaped = self._shaped(self._ys)
         self.f = self._eval_new(t0, self.y) if f0 is None else self._flat(f0)
         self.h_abs = self._initial_step() if h_abs is None else h_abs
@@ -345,22 +349,39 @@ class DormandPrince:
         if t_new >= self.t_bound:
             self.status = "finished"
 
-    def dense_output(self) -> DenseOutput:
-        """The seventh-order continuous extension on the last accepted step,
-        [t_old, t], from its stages and three more evaluations."""
-        k, h = self._k, self.t - self.t_old
-        self._stages(self.t_old, self.y_old, h, _N_STAGES + 1, len(_C))
-        f, dy = np.empty((7, self.y.size)), self._dy
-        np.subtract(self.y, self.y_old, out=f[0])
+    def stages(self) -> np.ndarray:
+        """A copy of the last accepted step's thirteen stage rows, the twelve
+        stages and the FSAL one, from which finish builds its dense output
+        later; taking them costs no evaluation."""
+        return self._k[:_N_STAGES + 1].copy()
+
+    def finish(self, t_old: float, y_old: np.ndarray, t: float, y: np.ndarray,
+               stages: Optional[np.ndarray] = None) -> DenseOutput:
+        """The seventh-order continuous extension on an accepted step from
+        (t_old, y_old) to (t, y), flat like the stepper's y, from its
+        thirteen stage rows (see stages; by default those of the last
+        accepted step, in place) and three more evaluations of this
+        stepper's fun (section II.6)."""
+        k, h = self._k, t - t_old
+        if stages is not None:
+            k[:_N_STAGES + 1] = stages
+        self._stages(t_old, y_old, h, _N_STAGES + 1, len(_C))
+        f, dy = np.empty((7, y.size)), self._dy
+        np.subtract(y, y_old, out=f[0])
         np.multiply(k[0], h, out=f[1])
         f[1] -= f[0]                 # h f_old - (y - y_old)
-        np.add(self.f, k[0], out=dy)
+        np.add(k[_N_STAGES], k[0], out=dy)
         dy *= h
         np.multiply(f[0], 2, out=f[2])
         f[2] -= dy                   # 2 (y - y_old) - h (f + f_old)
         np.dot(_D, k, out=f[3:])
         f[3:] *= h
-        return DenseOutput(self.t_old, self.t, self.y_old, f, self._dtype)
+        return DenseOutput(t_old, t, y_old, f, self._dtype)
+
+    def dense_output(self) -> DenseOutput:
+        """The continuous extension on the last accepted step, [t_old, t]
+        (see finish)."""
+        return self.finish(self.t_old, self.y_old, self.t, self.y)
 
 
 class DenseOutput:
@@ -372,15 +393,22 @@ class DenseOutput:
         self.t_old, self.t = t_old, t
         self._h = t - t_old
         self._y_old, self._f, self._dtype = y_old, f, dtype
+        self._width = 2 if dtype is complex else 1  # float64 entries per entry
 
-    def __call__(self, tau: float) -> np.ndarray:
-        """The state at tau in [t_old, t], flat in the stepper's dtype."""
+    def __call__(self, tau: float, cols: slice = slice(None)) -> np.ndarray:
+        """Entries cols (a slice of unit stride) of the state at tau in
+        [t_old, t], in the stepper's dtype; every entry is evaluated on its
+        own, so this equals slicing the whole state bit for bit."""
         x = (tau - self.t_old) / self._h
-        y = np.zeros_like(self._y_old)
-        for i, f in enumerate(reversed(self._f)):
+        lo, hi, step = cols.indices(self._y_old.size // self._width)
+        if step != 1:
+            raise ValueError("cols must have unit stride")
+        cols = slice(lo * self._width, hi * self._width)
+        y = np.zeros_like(self._y_old[cols])
+        for i, f in enumerate(reversed(self._f[:, cols])):
             y += f
             y *= x if i % 2 == 0 else 1 - x
-        y += self._y_old
+        y += self._y_old[cols]
         return y.view(self._dtype)
 
 

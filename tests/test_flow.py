@@ -1,5 +1,7 @@
+import gc
 import io
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -366,10 +368,16 @@ def test_recorder_thinning(generic_spec, monkeypatch):
             assert traj.states[-1].t == t_end
 
 
+def rebuilt(traj):
+    """A Trajectory made from the six constructor parts of traj."""
+    return flow.Trajectory(traj.spec, traj.controls, traj.scalar_sign,
+                           traj.states, traj.events, traj.stats)
+
+
 def stepped_midpoints(traj):
     """The midpoint of every stepped sample interval (before any tail)."""
     ts = traj.ts
-    tail_t = traj.stats["tail_t"]
+    tail_t = traj.stats.get("tail_t")  # a stopped run has none
     ts = ts if tail_t is None else ts[ts <= tail_t]
     return (ts[:-1] + ts[1:]) / 2
 
@@ -380,10 +388,11 @@ def stepped_midpoints(traj):
     lambda: flow.integrate(seeded_n64_spec(0), 5.0),
 ], ids=["real-n2", "complex-n8", "complex-n64"])
 def test_replayed_steps_end_on_their_samples(make, monkeypatch):
-    # the dense output re-runs each step from its left sample: one attempt
-    # of the accepted size, the same stages, so it ends bit for bit on the
-    # stored right sample, at 12 evaluations plus 3 for the dense output
-    traj = make()
+    # a rebuilt trajectory has no kept stages, so its dense output re-runs
+    # each step from its left sample: one attempt of the accepted size, the
+    # same stages, so it ends bit for bit on the stored right sample, at 12
+    # evaluations plus 3 for the dense output
+    traj = rebuilt(make())
     runs, plain = [], flow.drive
 
     def spy(stepper, on_step=None):
@@ -410,18 +419,17 @@ def test_rebuilt_trajectory_interpolates_alike(make):
     # off the samples bit for bit alike, in a stepped and in a tail interval
     spec, t_end = make()
     traj = flow.integrate(spec, t_end)
-    rebuilt = flow.Trajectory(traj.spec, traj.controls, traj.scalar_sign,
-                              traj.states, traj.events, traj.stats)
+    again = rebuilt(traj)
     ts, tail_t = traj.ts, traj.stats["tail_t"]
     k = int(np.searchsorted(ts, tail_t))
     assert 3 < k < len(ts) - 2
     for t in (0.5 * (ts[2] + ts[3]), 0.5 * (ts[k + 1] + ts[k + 2])):
         for name in ("b_at", "map_at"):
-            ours, theirs = getattr(traj, name)(t), getattr(rebuilt, name)(t)
+            ours, theirs = getattr(traj, name)(t), getattr(again, name)(t)
             assert all(np.array_equal(a, b) for a, b in zip(np.atleast_3d(ours),
                                                            np.atleast_3d(theirs)))
         assert np.array_equal(flow._vector(traj.state_at(t)),
-                              flow._vector(rebuilt.state_at(t)))
+                              flow._vector(again.state_at(t)))
 
 
 def test_thinned_trajectory_interpolates_like_the_full_one(generic_spec, monkeypatch):
@@ -440,6 +448,88 @@ def test_thinned_trajectory_interpolates_like_the_full_one(generic_spec, monkeyp
         for t in probes:
             assert np.abs(flow._vector(thin.state_at(t))
                           - flow._vector(full.state_at(t))).max() <= 1e-12
+
+
+def fit_fields(fit):
+    return fit.rate, fit.log_intercept, fit.n_samples, fit.window, fit.max_residual
+
+
+def window_midpoints(traj):
+    """The midpoint of every sample interval with both ends in the default
+    decay window, where integrate keeps the step's stages."""
+    inside = flow.in_decay_window(traj.hs_bs, traj.stats["hs_b0"])
+    i = np.flatnonzero(inside[:-1] & inside[1:])
+    return (traj.ts[i] + traj.ts[i + 1]) / 2
+
+
+def assert_answers_alike(fresh, again, times, window=None):
+    """fresh and again give bitwise-equal decay fits in window and b_at and
+    map_at at times."""
+    assert fit_fields(flow.decay_fit(fresh, window)) == fit_fields(flow.decay_fit(again, window))
+    for t in times:
+        assert np.array_equal(fresh.b_at(t), again.b_at(t))
+        assert all(np.array_equal(a, b) for a, b in zip(fresh.map_at(t), again.map_at(t)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flow.integrate(analytic.block_spec([(1.0, 2.0, 0.5)]), 5.0),
+    lambda: flow.integrate(random_a6_spec(8, n=8), 4.0),
+    lambda: flow.integrate(seeded_n64_spec(0), 5.0),
+], ids=["readme", "complex-n8", "complex-n64"])
+def test_kept_stages_answer_like_the_replay(make, monkeypatch):
+    # integrate keeps the stages of every step within the decay window, so
+    # decay_fit finishes their dense outputs and re-runs no step; a
+    # rebuilt trajectory re-runs them, with the same answers bit for bit
+    fresh = make()
+    mids = window_midpoints(fresh)
+    assert len(mids) >= 5 and sorted(fresh._kept) == sorted(
+        np.searchsorted(fresh.ts, mids) - 1)
+    runs = []
+    monkeypatch.setattr(flow, "drive", lambda *args: runs.append(args))
+    flow.decay_fit(fresh)
+    assert runs == [] and fresh._kept == {}
+    monkeypatch.undo()
+    assert_answers_alike(fresh, rebuilt(fresh), mids)
+
+
+def test_interpolation_counts_its_rhs_calls(generic_spec):
+    # finishing a kept step costs 3 evaluations, a re-run 12 + 3; stats
+    # (which a rebuilt trajectory copies) counts the integration's alone;
+    # the kept stages are released once their interval is built
+    fresh = flow.integrate(generic_spec, 5.0)
+    n_rhs = fresh.stats["n_rhs"]
+    assert len(window_midpoints(fresh)) == 9
+    kept = [weakref.ref(step[-1]) for step in fresh._kept.values()]
+    for traj, per_interval in ((fresh, 3), (rebuilt(fresh), 15)):
+        assert traj.n_interp_rhs == 0
+        flow.decay_fit(traj)
+        assert traj.n_interp_rhs == 9 * per_interval and traj.stats["n_rhs"] == n_rhs
+    gc.collect()
+    assert len(kept) == 9 and all(ref() is None for ref in kept)
+
+
+@pytest.mark.parametrize("max_samples, n_taken", [(16, 0), (18, 2)])
+def test_thinning_drops_the_kept_steps_it_merges(generic_spec, monkeypatch, max_samples,
+                                                 n_taken):
+    # integrate keeps the stages of window steps (from sample 15 on here)
+    # until the recorder first thins, which merges all their intervals: the
+    # trajectory drops them and re-runs, answering like a rebuilt one
+    monkeypatch.setattr(flow, "MAX_SAMPLES", max_samples)
+    taken = []
+    stages = DormandPrince.stages
+    monkeypatch.setattr(DormandPrince, "stages",
+                        lambda self: taken.append(stages(self)) or taken[-1])
+    fresh = flow.integrate(generic_spec, 5.0)
+    assert fresh.stats["n_steps"] > max_samples
+    assert len(taken) == n_taken and fresh._kept == {}
+    assert_answers_alike(fresh, rebuilt(fresh), stepped_midpoints(fresh), window=(0.5, 4.5))
+
+
+def test_blowup_trajectory_answers_like_a_rebuilt_one():
+    with pytest.raises(BlowupDetected) as err:
+        flow.integrate(analytic.block_spec([(0.0, 0.0, 1.0)]), t_end=1.0)
+    fresh = err.value.trajectory
+    assert_answers_alike(fresh, rebuilt(fresh), stepped_midpoints(fresh), window=(0.0, 0.15))
 
 
 def test_b_zero_is_stationary():

@@ -118,6 +118,53 @@ def test_stepper_matches_scipy_without_hooks():
     assert ours.nfev > 2 + 12 * steps + 3 * (steps // 3)  # some steps were rejected
 
 
+def test_kept_stages_finish_like_dense_output():
+    # an accepted step's stages, copied and finished later by another
+    # stepper of the same system, give that step's dense output bit for bit
+    # at three evaluations; copying them costs none, and the steps taken
+    # do not change, through rejections too
+    fun, y0 = packed_flow(QuadraticSpec.from_matrices(
+        np.diag([1.0, 1e4]), np.array([[0, 0.5], [0.5, 0]])))
+    ref = DormandPrince(writes_into(fun), 0.0, y0, 0.05, 1e-8, 1e-8)
+    ours = DormandPrince(writes_into(fun), 0.0, y0, 0.05, 1e-8, 1e-8)
+    kept = []
+    while ref.status == "running":
+        ref.step()
+        ours.step()
+        assert (ours.t, ours.h_abs) == (ref.t, ref.h_abs) and np.array_equal(ours.y, ref.y)
+        kept.append((ours.t_old, ours.y_old, ours.t, ours.y, ours.stages(),
+                     ref.dense_output()))
+    assert ref.nfev == ours.nfev + 3 * len(kept)
+    finisher = DormandPrince(writes_into(fun), 0.0, y0, 0.05, 1e-8, 1e-8)
+    for t_old, y_old, t, y, stages, dense in kept:
+        nfev = finisher.nfev
+        finished = finisher.finish(t_old, y_old, t, y, stages)
+        assert finisher.nfev == nfev + 3
+        for tau in np.linspace(t_old, t, 7):
+            assert np.array_equal(finished(tau), dense(tau))
+
+
+@pytest.mark.parametrize("spec", [analytic.block_spec([(1.0, 2.0, 0.5)]), random_spec(4, 3)],
+                         ids=["real-n2", "complex-n3"])
+def test_dense_output_evaluates_only_the_requested_entries(spec):
+    # the entries the trajectory asks for (B, the map, int ||B||) equal the
+    # same slice of the whole evaluated state bit for bit
+    n = spec.dim
+    fun, tol = flow._carried(spec, flow.Controls())
+    y0 = flow._vector(flow.integrate(spec, 0.0).states[0])
+    stepper = DormandPrince(fun, 0.0, y0, 1.0, tol, tol)
+    stepper.step()
+    dense = stepper.dense_output()
+    for tau in np.linspace(stepper.t_old, stepper.t, 5):
+        whole = dense(tau)
+        assert whole.dtype == y0.dtype and whole.shape == y0.shape
+        for cols in (slice(None), slice(n * n, 2 * n * n), slice(2 * n * n, 4 * n * n),
+                     slice(-1, None), slice(0, 0)):
+            assert np.array_equal(dense(tau, cols), whole[cols])
+    with pytest.raises(ValueError):
+        dense(stepper.t, slice(0, 4, 2))
+
+
 def test_tableau_order_conditions():
     # the literal coefficients against the conditions they must meet, with
     # no scipy in the comparison: a mistyped digit fails here
