@@ -517,7 +517,7 @@ def cmd_fock_verify(args) -> int:
               + ("" if conv else "  [flow not converged]") + "\n")
 
     e0 = fock.ground_energy(fk, h0)
-    shift = fock.ground_truncation_shift(fk, spec, e0) if cutoff >= 8 else float("nan")
+    shift = fock.ground_truncation_shift(fk, h0, e0) if cutoff >= 8 else float("nan")
     out.write(f"ground energy of truncated H0: {e0:.10g} "
               f"(truncation shift estimate {shift:.3e})\n")
     for sign, c_inf in c_final.items():
@@ -625,6 +625,13 @@ def _oracle_blocks(family: str, params) -> tuple:
         _require(2 * k <= _max_dim(),
                  f"dimension {2 * k} exceeds BWFLOW_MAX_DIM = {_max_dim()}", "params")
 
+    def _spec_blocks(spec):
+        # the triples read back out of a family spec of 2x2 blocks
+        return [(float(spec.omega[2 * j, 2 * j].real),
+                 float(spec.omega[2 * j + 1, 2 * j + 1].real),
+                 float(spec.b[2 * j, 2 * j + 1].real))
+                for j in range(spec.dim // 2)], spec.label, []
+
     if family == "generic":
         om_minus, om_plus, b = _floats(3, "omegaMinus omegaPlus b")
         analytic.exact_generic(om_minus, om_plus, b, 0.0)  # regime check
@@ -652,23 +659,13 @@ def _oracle_blocks(family: str, params) -> tuple:
             raise OutOfRange("pivotal expects one parameter K")
         k = _oracle_param(params[0], family, int)
         _blocks_fit(k)
-        spec = analytic.pivotal_family(k)
-        blocks = [(float(spec.omega[2 * j, 2 * j].real),
-                   float(spec.omega[2 * j + 1, 2 * j + 1].real),
-                   float(spec.b[2 * j, 2 * j + 1].real))
-                  for j in range(k)]
-        return blocks, spec.label, []
+        return _spec_blocks(analytic.pivotal_family(k))
     if family == "mixed":
         if len(params) != 2:
             raise OutOfRange("mixed expects two parameters: b1 K")
         b1, k = _oracle_param(params[0], family), _oracle_param(params[1], family, int)
         _blocks_fit(k)
-        spec = analytic.mixed_family(b1, k)
-        blocks = [(float(spec.omega[2 * j, 2 * j].real),
-                   float(spec.omega[2 * j + 1, 2 * j + 1].real),
-                   float(spec.b[2 * j, 2 * j + 1].real))
-                  for j in range(k)]
-        return blocks, spec.label, []
+        return _spec_blocks(analytic.mixed_family(b1, k))
     raise OutOfRange(f"unknown family {family!r}; choose from {ORACLE_FAMILIES}")
 
 

@@ -37,11 +37,11 @@ for bit.  Between samples the trajectory is the stepper's own dense output
 (DOP853's seventh-order continuous extension; Hairer, Norsett & Wanner,
 Solving ODEs I, section II.6), built on first use, and on the frozen-Omega
 tail (below) the tail's closed form; the trajectory is itself the B-path of
-the flow.  The steps within the default decay window (in_decay_window),
-whose midpoints decay_fit reads, keep their stages from the integration,
-so their dense output costs three evaluations and no re-run; every other
-interval is re-run from its left sample.  Diagnostics are columns over the
-samples, computed on first read.
+the flow.  The integration itself builds the dense output of each step
+within the default decay window (in_decay_window), whose midpoints
+decay_fit reads, while the step's stages are still in the stepper, at
+three evaluations; every other interval is re-run from its left sample.
+Diagnostics are columns over the samples, computed on first read.
 
 For a real spec (QuadraticSpec.is_real: every imaginary part of Omega and
 B exactly 0.0, with no tolerance) the flow keeps Omega, B, u and v real, so
@@ -444,8 +444,8 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
 def in_decay_window(hsb, hs_b0: float):
     """Whether ||B_t||_2 = hsb (a value or an array) lies in the default
     decay window: above 0 and between DECAY_FIT_FRACS * ||B_0||_2.  decay_fit
-    fits these samples, and integrate keeps the stages of the steps between
-    two of them."""
+    fits these samples, and integrate builds the dense output of the steps
+    between two of them."""
     lo, hi = DECAY_FIT_FRACS
     return (hsb >= lo * hs_b0) & (hsb <= hi * hs_b0) & (hsb > 0)
 
@@ -491,11 +491,10 @@ class Trajectory:
     derivative (float64 for a real spec, complex128 otherwise; see
     integrate), and each stepped sample the step size the stepper proposed
     there.  Between two stepped samples the state is the stepper's dense
-    output, built the first time a time inside the interval is asked for.
-    A trajectory from integrate holds the stages of each step within the
-    default decay window (see _keep) and finishes that step's dense output
-    from them at three evaluations, then drops them.  Any other interval
-    is re-run: the stepper restarts from the left sample, with its
+    output.  A trajectory from integrate holds the dense output that the
+    integration built for each step within the default decay window (see
+    integrate).  Any other interval is re-run the first time a time inside it
+    is asked for: the stepper restarts from the left sample, with its
     derivative and proposed step size, up to the right sample.  On a single
     accepted step that is the step itself, the same stages bit for bit; on
     an interval that thinning merged, the steps the first run took.
@@ -504,8 +503,8 @@ class Trajectory:
     the interpolant needs comes from the constructor's arguments, and a
     trajectory rebuilt from them, which re-runs every stepped interval,
     answers bit for bit the same.  n_interp_rhs counts the right-hand-side
-    calls the dense outputs have cost so far (stats["n_rhs"] counts the
-    integration's).
+    calls the dense outputs have cost so far, those integrate built
+    included (stats["n_rhs"] counts the integration's steps alone).
 
     The trajectory is also the B-path of its flow (see check_span), with
     map_at and int_b_at answering (u, v) and int ||B|| from the carried
@@ -523,7 +522,6 @@ class Trajectory:
         self.stats = dict(stats)
         self._columns = {}  # diagnostic columns, computed on first read
         self._dense = {}  # dense output per stepped sample interval, built on first use
-        self._kept = {}  # integrate's kept steps by sample interval (see _keep)
         self.n_interp_rhs = 0  # right-hand-side calls spent building dense outputs
 
     @cached_property
@@ -614,30 +612,16 @@ class Trajectory:
         """The stepped system of the flow (see _carried)."""
         return _carried(self.spec, self.controls)
 
-    def _keep(self, steps: dict) -> None:
-        """Take integrate's kept steps, (t_old, y_old, t, y, stage matrix) by
-        t_old (see DormandPrince.stages), for the sample intervals that
-        are still that one step; thinning may have merged the others."""
-        ts = self.ts
-        for t_old, step in steps.items():
-            i = int(np.searchsorted(ts, t_old))
-            if i + 1 < len(ts) and ts[i] == t_old and ts[i + 1] == step[2]:
-                self._kept[i] = step
-
     def _dense_output(self, i: int) -> list:
-        """The stepper's dense output on [ts[i], ts[i+1]]: the kept step
-        finished, or one piece per step of the re-run from sample i (see the
-        class docstring)."""
+        """The stepper's dense output on [ts[i], ts[i+1]], one piece per step:
+        the one integrate built, or those of the re-run from sample i (see
+        the class docstring)."""
         if i not in self._dense:
             left, pieces = self.states[i], []
             fun, tol = self._system
             stepper = DormandPrince(fun, left.t, _vector(left), self.ts[i + 1], tol, tol,
                                     f0=left.dy, h_abs=left.h)
-            kept = self._kept.pop(i, None)
-            if kept is None:
-                drive(stepper, on_step=lambda s: pieces.append(s.dense_output()))
-            else:
-                pieces.append(stepper.finish(*kept))
+            drive(stepper, on_step=lambda s: pieces.append(s.dense_output()))
             self.n_interp_rhs += stepper.nfev
             self._dense[i] = pieces
         return self._dense[i]
@@ -723,18 +707,22 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     The adaptive pair steps [Omega, B, u, v, I], so every sample carries
     the map and int ||B||, and the derivative of that vector: the stepper's
     FSAL stage at an accepted step and its first evaluation at t = 0, and
-    one _CarriedRhs call at each tail sample (stats["n_rhs"] counts the
-    stepper's calls only).  Each stepped sample also keeps the step size
-    the stepper proposed there, which the dense output needs, and each
-    step with both ends in the default decay window its stages, from
-    which the trajectory finishes that step's dense output (see
-    Trajectory); that stops once the recorder thins, which merges such
-    steps.  It stops stepping at the first accepted step where frozen_tail accepts the
-    hand-over: ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at
-    most tol * max(1, ||Omega_t||_2) and a first-order map update within
-    tol.  The FrozenTail then supplies the rest, sampled at offsets
-    (2^k - 1) h after the hand-over (h the last accepted step) and at t_end,
-    so each sample interval is at most twice the one before.  stats["n_steps"]
+    one _CarriedRhs call at each tail sample.  Each stepped sample also
+    keeps the step size the stepper proposed there, which a re-run of the
+    dense output needs.  For each step with both ends in the default decay
+    window, integrate builds the step's dense output while its stages are
+    still in the stepper, and the trajectory keeps it for that sample
+    interval (see Trajectory).  The recorder's first thinning merges those
+    intervals, so integrate then drops the outputs built so far and builds
+    no more.  stats["n_rhs"] counts the stepper's calls for its steps
+    alone: neither a tail call nor the three of each such dense output,
+    at which the trajectory's n_interp_rhs starts.  It stops stepping at
+    the first accepted step where frozen_tail accepts the hand-over:
+    ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at most
+    tol * max(1, ||Omega_t||_2) and a first-order map update within tol.
+    The FrozenTail then supplies the rest, sampled at offsets (2^k - 1) h
+    after the hand-over (h the last accepted step) and at t_end, so each
+    sample interval is at most twice the one before.  stats["n_steps"]
     counts the accepted steps; stats["tail_t"] is the hand-over time (None
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
@@ -777,7 +765,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     recorder.offer(sample(solver), force=True)
     events = []
-    kept = {}  # stages of the steps within the decay window, by t_old
+    kept = {}  # dense outputs of the steps within the decay window, by sample interval
     # whether the newest sample is in the decay window
     inside = in_decay_window(recorder.samples[0].hs_b, hs_b0)
 
@@ -785,7 +773,8 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         stats = {"hs_b0": hs_b0, "scalar_sign": sign, "t_end": t_end}
         stats.update(extra_stats)
         traj = Trajectory(spec, controls, sign, recorder.samples, events, stats)
-        traj._keep(kept)
+        traj._dense.update(kept)
+        traj.n_interp_rhs = dense_rhs
         traj.stats["wall_time"] = time.perf_counter() - start
         return traj
 
@@ -797,20 +786,24 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             traj = finish({"stopped": "blowup"})
             raise BlowupDetected(ev.message, trajectory=traj, event=ev)
 
-    tail, t_prev, h_last = None, 0.0, 0.0
+    tail, t_prev, h_last, dense_rhs = None, 0.0, 0.0, 0
 
     def on_step(stepper):
-        nonlocal tail, t_prev, h_last, inside
+        nonlocal tail, t_prev, h_last, inside, dense_rhs
         state = sample(stepper)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         recorder.offer(state, force=(state.t >= t_end or tail is not None),
                        pin=tail is not None)
         was_inside, inside = inside, in_decay_window(state.hs_b, hs_b0)
-        # until the recorder first thins, each step is a sample interval
-        if recorder.stride == 1 and was_inside and inside:
-            kept[stepper.t_old] = (stepper.t_old, stepper.y_old, stepper.t, stepper.y,
-                                   stepper.stages())
+        # until the recorder first thins, each step is a sample interval;
+        # that thinning merges them all
+        if recorder.stride > 1:
+            kept.clear()
+        elif was_inside and inside:
+            nfev = stepper.nfev
+            kept[len(recorder.samples) - 2] = [stepper.dense_output()]
+            dense_rhs += stepper.nfev - nfev
         check_blowup(state)
         return tail is None
 
@@ -834,7 +827,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         exc.trajectory = finish({"stopped": "underflow"})
         raise
 
-    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev),
+    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev) - dense_rhs,
              "tail_t": None, "n_tail": 0}
     if tail is not None:
         times = _tail_times(tail.state.t, h_last, t_end)
@@ -877,7 +870,7 @@ def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
     ||B_t|| between DECAY_FIT_FRACS * ||B_0|| make the window; that keeps
     the fit away from both the slow transient and the integrator noise
     floor (in_decay_window); on a trajectory from integrate, the dense
-    output there is finished from kept stages, with no step re-run.  Under
+    output there was built by the integration, so no step is re-run.  Under
     a spectral gap nu (condition A6) the true decay rate is at least 2 nu.
     Samples with ||B_t|| = 0 are never used, fewer than 10 points raise
     InsufficientData, and so does ||B_0|| = 0 (nothing decays).  n_samples

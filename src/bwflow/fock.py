@@ -360,14 +360,15 @@ def n_diag_residual(fock: TruncatedFock, h) -> float:
     """||P [H, N] P||_2 on the sectors up to total number cutoff - 2;
     exactly zero when B = 0.
 
-    h may be a dense operator or a QuadraticSpec to build one from.
+    h may be a dense operator or a QuadraticSpec to build one from.  N is
+    diagonal, so [H, N]_ij = H_ij N_j - N_i H_ij is formed entry by entry,
+    with the same roundings as the products with number_op.
     """
     if isinstance(h, QuadraticSpec):
         h = hamiltonian_op(fock, h)
     mask = fock.sector_mask(fock.cutoff - 2)
-    n_op = number_op(fock)
-    comm = h @ n_op - n_op @ h
-    return hs_norm(comm[np.ix_(mask, mask)])
+    h, n = h[np.ix_(mask, mask)], fock.ntot[mask].astype(float)
+    return hs_norm(h * n - n[:, np.newaxis] * h)
 
 
 def ground_energy(fock: TruncatedFock, h) -> float:
@@ -381,18 +382,24 @@ def ground_energy(fock: TruncatedFock, h) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
-def ground_truncation_shift(fock: TruncatedFock, spec: QuadraticSpec,
-                            e0: Optional[float] = None) -> float:
+def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) -> float:
     """Truncation-convergence estimate |E0(cutoff) - E0(cutoff - 4)|.
 
-    e0, when given, is ground_energy(fock, spec), already computed.
+    h may be a dense operator or a QuadraticSpec to build one from, and e0,
+    when given, is ground_energy(fock, h), already computed.  The basis of
+    cutoff - 4 is the leading basis_dim(n_modes, cutoff - 4) states of the
+    graded basis, and H there is the leading block of H: every ladder
+    product between two of those states passes only through states of
+    those sectors.
     """
     if fock.cutoff < 4:
         raise ValueError("need cutoff >= 4 for the comparison basis")
+    if isinstance(h, QuadraticSpec):
+        h = hamiltonian_op(fock, h)
     if e0 is None:
-        e0 = ground_energy(fock, spec)
-    smaller = build_basis(fock.n_modes, fock.cutoff - 4)
-    return abs(e0 - ground_energy(smaller, spec))
+        e0 = ground_energy(fock, h)
+    dim = basis_dim(fock.n_modes, fock.cutoff - 4)
+    return abs(e0 - ground_energy(fock, h[:dim, :dim]))
 
 
 def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:

@@ -19,11 +19,10 @@ the first two derivatives.
 dense_output gives the pair's seventh-order continuous extension on the
 last accepted step from its stages and three more evaluations.  It is built
 only on request, so a run that reads only its accepted states pays nothing
-for it.  A caller that wants it for a step later can copy the step's
-stages (stages, no evaluation) and build it with finish at those three
-evaluations; one that keeps only the step's left state, derivative and
-proposed step size can re-run the step and get the same stages bit for
-bit.
+for it.  The stages live only until the next step overwrites them, so a
+caller that wants it for a step builds it in on_step (see drive); one that
+keeps only the step's left state, derivative and proposed step size can
+re-run the step later and get the same stages bit for bit.
 
 The state may be real or complex and of any shape: the flow steps one
 vector [Omega, B, u, v, I], float64 for a real spec and complex128
@@ -67,7 +66,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -349,22 +347,12 @@ class DormandPrince:
         if t_new >= self.t_bound:
             self.status = "finished"
 
-    def stages(self) -> np.ndarray:
-        """A copy of the last accepted step's thirteen stage rows, the twelve
-        stages and the FSAL one, from which finish builds its dense output
-        later; taking them costs no evaluation."""
-        return self._k[:_N_STAGES + 1].copy()
-
-    def finish(self, t_old: float, y_old: np.ndarray, t: float, y: np.ndarray,
-               stages: Optional[np.ndarray] = None) -> DenseOutput:
-        """The seventh-order continuous extension on an accepted step from
-        (t_old, y_old) to (t, y), flat like the stepper's y, from its
-        thirteen stage rows (see stages; by default those of the last
-        accepted step, in place) and three more evaluations of this
-        stepper's fun (section II.6)."""
-        k, h = self._k, t - t_old
-        if stages is not None:
-            k[:_N_STAGES + 1] = stages
+    def dense_output(self) -> DenseOutput:
+        """The seventh-order continuous extension on the last accepted step,
+        [t_old, t], from its thirteen stage rows, still in the stage matrix,
+        and three more evaluations of fun (section II.6)."""
+        t_old, y_old, y, k = self.t_old, self.y_old, self.y, self._k
+        h = self.t - t_old
         self._stages(t_old, y_old, h, _N_STAGES + 1, len(_C))
         f, dy = np.empty((7, y.size)), self._dy
         np.subtract(y, y_old, out=f[0])
@@ -376,12 +364,7 @@ class DormandPrince:
         f[2] -= dy                   # 2 (y - y_old) - h (f + f_old)
         np.dot(_D, k, out=f[3:])
         f[3:] *= h
-        return DenseOutput(t_old, t, y_old, f, self._dtype)
-
-    def dense_output(self) -> DenseOutput:
-        """The continuous extension on the last accepted step, [t_old, t]
-        (see finish)."""
-        return self.finish(self.t_old, self.y_old, self.t, self.y)
+        return DenseOutput(t_old, self.t, y_old, f, self._dtype)
 
 
 class DenseOutput:

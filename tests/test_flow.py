@@ -388,10 +388,10 @@ def stepped_midpoints(traj):
     lambda: flow.integrate(seeded_n64_spec(0), 5.0),
 ], ids=["real-n2", "complex-n8", "complex-n64"])
 def test_replayed_steps_end_on_their_samples(make, monkeypatch):
-    # a rebuilt trajectory has no kept stages, so its dense output re-runs
-    # each step from its left sample: one attempt of the accepted size, the
-    # same stages, so it ends bit for bit on the stored right sample, at 12
-    # evaluations plus 3 for the dense output
+    # a rebuilt trajectory has no dense output from the integration, so it
+    # re-runs each step from its left sample: one attempt of the accepted
+    # size, the same stages, so it ends bit for bit on the stored right
+    # sample, at 12 evaluations plus 3 for the dense output
     traj = rebuilt(make())
     runs, plain = [], flow.drive
 
@@ -456,7 +456,7 @@ def fit_fields(fit):
 
 def window_midpoints(traj):
     """The midpoint of every sample interval with both ends in the default
-    decay window, where integrate keeps the step's stages."""
+    decay window, where integrate builds the step's dense output."""
     inside = flow.in_decay_window(traj.hs_bs, traj.stats["hs_b0"])
     i = np.flatnonzero(inside[:-1] & inside[1:])
     return (traj.ts[i] + traj.ts[i + 1]) / 2
@@ -477,51 +477,87 @@ def assert_answers_alike(fresh, again, times, window=None):
     lambda: flow.integrate(seeded_n64_spec(0), 5.0),
 ], ids=["readme", "complex-n8", "complex-n64"])
 def test_kept_stages_answer_like_the_replay(make, monkeypatch):
-    # integrate keeps the stages of every step within the decay window, so
-    # decay_fit finishes their dense outputs and re-runs no step; a
-    # rebuilt trajectory re-runs them, with the same answers bit for bit
+    # integrate builds the dense output of every step within the decay
+    # window from the step's stages, so decay_fit builds no stepper and
+    # re-runs no step; a rebuilt trajectory re-runs them, with the same
+    # answers bit for bit
     fresh = make()
     mids = window_midpoints(fresh)
-    assert len(mids) >= 5 and sorted(fresh._kept) == sorted(
+    assert len(mids) >= 5 and sorted(fresh._dense) == sorted(
         np.searchsorted(fresh.ts, mids) - 1)
     runs = []
     monkeypatch.setattr(flow, "drive", lambda *args: runs.append(args))
+    monkeypatch.setattr(flow, "DormandPrince", lambda *args, **kwargs: runs.append(args))
     flow.decay_fit(fresh)
-    assert runs == [] and fresh._kept == {}
+    assert runs == [] and fresh.n_interp_rhs == 3 * len(mids)
     monkeypatch.undo()
     assert_answers_alike(fresh, rebuilt(fresh), mids)
 
 
-def test_interpolation_counts_its_rhs_calls(generic_spec):
-    # finishing a kept step costs 3 evaluations, a re-run 12 + 3; stats
-    # (which a rebuilt trajectory copies) counts the integration's alone;
-    # the kept stages are released once their interval is built
+def test_interpolation_counts_its_rhs_calls(generic_spec, monkeypatch):
+    # integrate builds one dense output per window interval, at 3 calls
+    # each, which n_interp_rhs starts at; stats["n_rhs"] counts every other
+    # call but those of the tail samples, and a rebuilt trajectory copies
+    # it; a re-run costs 12 + 3, counted in n_interp_rhs
+    calls, built = [], []
+    call, dense_output = flow._CarriedRhs.__call__, DormandPrince.dense_output
+    monkeypatch.setattr(flow._CarriedRhs, "__call__",
+                        lambda self, t, y, out=None: calls.append(t) or call(self, t, y, out))
+    monkeypatch.setattr(DormandPrince, "dense_output",
+                        lambda self: built.append(self.t) or dense_output(self))
     fresh = flow.integrate(generic_spec, 5.0)
-    n_rhs = fresh.stats["n_rhs"]
-    assert len(window_midpoints(fresh)) == 9
-    kept = [weakref.ref(step[-1]) for step in fresh._kept.values()]
-    for traj, per_interval in ((fresh, 3), (rebuilt(fresh), 15)):
-        assert traj.n_interp_rhs == 0
+    monkeypatch.undo()
+    n_rhs, window = fresh.stats["n_rhs"], len(window_midpoints(fresh))
+    assert window == 9 and len(built) == 9
+    assert n_rhs == len(calls) - fresh.stats["n_tail"] - 9 * 3
+    for traj, start, per_interval in ((fresh, 9 * 3, 0), (rebuilt(fresh), 0, 15)):
+        assert traj.n_interp_rhs == start
         flow.decay_fit(traj)
-        assert traj.n_interp_rhs == 9 * per_interval and traj.stats["n_rhs"] == n_rhs
-    gc.collect()
-    assert len(kept) == 9 and all(ref() is None for ref in kept)
+        assert traj.n_interp_rhs == start + 9 * per_interval and traj.stats["n_rhs"] == n_rhs
 
 
 @pytest.mark.parametrize("max_samples, n_taken", [(16, 0), (18, 2)])
 def test_thinning_drops_the_kept_steps_it_merges(generic_spec, monkeypatch, max_samples,
                                                  n_taken):
-    # integrate keeps the stages of window steps (from sample 15 on here)
-    # until the recorder first thins, which merges all their intervals: the
-    # trajectory drops them and re-runs, answering like a rebuilt one
+    # integrate builds the dense outputs of window steps (from sample 15 on
+    # here) until the recorder first thins, which merges all their
+    # intervals: they are freed by the next accepted step, and the
+    # trajectory re-runs, answering like a rebuilt one
     monkeypatch.setattr(flow, "MAX_SAMPLES", max_samples)
-    taken = []
-    stages = DormandPrince.stages
-    monkeypatch.setattr(DormandPrince, "stages",
-                        lambda self: taken.append(stages(self)) or taken[-1])
+    taken, recorders, freed = [], [], []
+    dense_output, plain = DormandPrince.dense_output, flow.drive
+
+    def spy_dense(stepper):
+        dense = dense_output(stepper)
+        taken.append(weakref.ref(dense))
+        return dense
+
+    class Recorder(flow._Recorder):
+        def __init__(self):
+            super().__init__()
+            recorders.append(self)
+
+    def spy_drive(stepper, on_step):
+        after_thinning = []
+
+        def watched(s):
+            go = on_step(s)
+            if recorders[0].stride > 1:
+                after_thinning.append(s.t)
+                if len(after_thinning) == 2:  # the accepted step after the thinning one
+                    gc.collect()
+                    freed.append([ref() is None for ref in taken])
+            return go
+
+        return plain(stepper, watched)
+
+    monkeypatch.setattr(DormandPrince, "dense_output", spy_dense)
+    monkeypatch.setattr(flow, "_Recorder", Recorder)
+    monkeypatch.setattr(flow, "drive", spy_drive)
     fresh = flow.integrate(generic_spec, 5.0)
+    monkeypatch.undo()
     assert fresh.stats["n_steps"] > max_samples
-    assert len(taken) == n_taken and fresh._kept == {}
+    assert len(taken) == n_taken and freed == [[True] * n_taken] and fresh._dense == {}
     assert_answers_alike(fresh, rebuilt(fresh), stepped_midpoints(fresh), window=(0.5, 4.5))
 
 

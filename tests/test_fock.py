@@ -386,6 +386,30 @@ def test_n_diag_residual(one_mode):
     assert fock.n_diag_residual(one_mode, paired) > 0.1
 
 
+@pytest.mark.parametrize("cutoff", [8, 20, 30])
+@pytest.mark.parametrize("spec", [
+    QuadraticSpec.from_matrices([[2.0]], [[0.5]], c0=0.3),
+    QuadraticSpec.from_matrices([[1.0, 0.2], [0.2, 2.0]], [[0.1, 0.5], [0.5, -0.3]], c0=0.7),
+    QuadraticSpec.from_matrices([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.0]],
+                                [[0.1j, 0.5], [0.5, -0.3 + 0.2j]], c0=-0.4),
+], ids=["one-mode", "real-two-mode", "complex-two-mode"])
+def test_shift_and_n_diag_match_their_dense_references(spec, cutoff):
+    # the truncation shift reads H on the cutoff - 4 basis off the leading
+    # block of H, and [H, N] is formed entry by entry: both equal, bit for
+    # bit, the second basis and H built for it and the products with N
+    fk = fock.build_basis(spec.dim, cutoff)
+    h = fock.hamiltonian_op(fk, spec)
+    e0 = fock.ground_energy(fk, h)
+    smaller = fock.build_basis(spec.dim, cutoff - 4)
+    want = abs(e0 - fock.ground_energy(smaller, fock.hamiltonian_op(smaller, spec)))
+    assert fock.ground_truncation_shift(fk, spec) == want
+    assert fock.ground_truncation_shift(fk, h, e0) == want
+    n_op = fock.number_op(fk)
+    mask = fk.sector_mask(cutoff - 2)
+    comm = h @ n_op - n_op @ h
+    assert fock.n_diag_residual(fk, spec) == hs_norm(comm[np.ix_(mask, mask)]) > 0
+
+
 def test_offdiag_relative_norm(two_mode):
     b = np.array([[0.3, 0.1], [0.1, -0.2]])
     lhs, rhs, holds = fock.offdiag_relative_norm(two_mode, b)
