@@ -39,6 +39,7 @@ and u_hat = sum_k |h_k><g_k| = exp(i h) for a hermitian h.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -149,6 +150,23 @@ def integrate_uv(bpath, s: float, t: float,
     return BogoliubovMap(u=u, v=v, s=s, t=t)
 
 
+@functools.cache
+def _spline_integrals(nodes: int) -> np.ndarray:
+    """Row i takes samples at unit spacing to the integral from node 0 to
+    node i of their not-a-knot cubic spline (de Boor, *A Practical Guide to
+    Splines*, ch. IV): panel j adds (y_j + y_{j+1}) / 2 - (M_j + M_{j+1}) / 24,
+    the second derivatives M solving M_{i-1} + 4 M_i + M_{i+1} = 6 (y_{i-1}
+    - 2 y_i + y_{i+1}) inside and M_0 - 2 M_1 + M_2 = 0 at both ends."""
+    eye, zero = np.eye(nodes), np.zeros((1, nodes))
+    second = eye[:-2] - 2.0 * eye[1:-1] + eye[2:]
+    per_node = 0.5 * eye - np.linalg.solve(
+        np.vstack((second[:1], second + 6.0 * eye[1:-1], second[-1:])),
+        np.vstack((zero, 6.0 * second, zero))) / 24.0
+    lmat = np.vstack((zero, np.cumsum(per_node[:-1] + per_node[1:], axis=0)))
+    lmat.flags.writeable = False  # the cache hands this one matrix to every caller
+    return lmat
+
+
 def dyson_uv(bpath, s: float, t: float, order: int) -> BogoliubovMap:
     """Truncated iterated-integral series for (u, v).
 
@@ -157,9 +175,9 @@ def dyson_uv(bpath, s: float, t: float, order: int) -> BogoliubovMap:
         u <- 1 - 4 int_s^x v B~,   v <- -4 int_s^x u B,
 
     each round extending the kept series order by one (even orders live in
-    u, odd in v).  Cumulative integrals are taken through piecewise-cubic
-    antiderivatives on a uniform grid of DYSON_NODES points (the span:
-    flow.check_span).
+    u, odd in v).  Cumulative integrals are those of the not-a-knot cubic
+    spline through the samples on a uniform grid of DYSON_NODES points,
+    taken with _spline_integrals' matrix (the span: flow.check_span).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -167,30 +185,17 @@ def dyson_uv(bpath, s: float, t: float, order: int) -> BogoliubovMap:
     n = np.shape(bpath(s))[0]
     if t == s or order == 0:
         return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
-    from scipy.interpolate import CubicSpline
-
     m = DYSON_NODES - 1  # panels
     xs = np.linspace(s, t, m + 1)
     bs = np.stack([np.asarray(bpath(x), dtype=complex) for x in xs])
-    bbars = bs.conj()
-
-    def cumint(values):
-        # values: (m+1, n, n) complex; returns the running integral from s
-        flat = values.reshape(m + 1, -1)
-        parts = np.concatenate([flat.real, flat.imag], axis=1)
-        spline = CubicSpline(xs, parts, axis=0)
-        anti = spline.antiderivative()(xs)
-        anti -= anti[0]
-        re, im = anti[:, :n * n], anti[:, n * n:]
-        return (re + 1j * im).reshape(m + 1, n, n)
-
+    h, lmat = (t - s) / m, _spline_integrals(DYSON_NODES)
     eye = np.broadcast_to(np.eye(n, dtype=complex), (m + 1, n, n))
-    u = eye.copy()
-    v = np.zeros((m + 1, n, n), dtype=complex)
+    u, v = eye, np.zeros((m + 1, n, n), dtype=complex)
     for _ in range(order):
-        new_v = -4.0 * cumint(np.matmul(u, bs))
-        new_u = eye - 4.0 * cumint(np.matmul(v, bbars))
-        u, v = new_u, new_v
+        # the running integrals of u B and v B~ from s, as one real product
+        integrands = np.stack((u @ bs, v @ bs.conj()), axis=1).reshape(m + 1, -1).view(float)
+        both = (h * (lmat @ integrands)).view(complex).reshape(m + 1, 2, n, n)
+        u, v = eye - 4.0 * both[:, 1], -4.0 * both[:, 0]
 
     # dropped-tail estimate: the series is dominated term by term by the
     # cosh/sinh expansions in x = 4 int ||B||, so the remainder past the

@@ -16,6 +16,7 @@ diag flow and bogoliubov, fock-verify flow and fock.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -158,6 +159,8 @@ def parse_spec_text(text: str, source: str = "<string>") -> QuadraticSpec:
         doc = json.loads(blanked or "null")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{source}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ParseError(f"{source}: nested too deeply") from None
     return spec_from_doc(doc, source)
 
 
@@ -165,7 +168,7 @@ def load_spec(path: str) -> QuadraticSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read spec file {path}: {exc}")
     return parse_spec_text(text, source=path)
 
@@ -217,11 +220,14 @@ def _check_output(path: Optional[str]) -> None:
         raise OutputError(f"cannot write {path}: {folder} is not a directory")
 
 
+@contextlib.contextmanager
 def _open_output(path: str):
     """path opened for writing text; an OSError that _check_output could
-    not foresee, such as a denied permission, becomes an OutputError."""
+    not foresee, on open, write or close (a denied permission, a full
+    disk), becomes an OutputError."""
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -849,12 +855,27 @@ def _report_error(exc: BwflowError, out, err) -> int:
 
 
 def main(argv=None) -> int:
+    """Run a command and return its exit code.  The files a command writes
+    go through _open_output, so an OSError that escapes it is a failed
+    write to stdout (a closed pipe, a full disk): exit 2, as for any output
+    that cannot be written."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except BwflowError as exc:
-        return _report_error(exc, sys.stdout, sys.stderr)
+        try:
+            code = args.func(args)
+        except BwflowError as exc:
+            code = _report_error(exc, sys.stdout, sys.stderr)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # what stdout still buffers goes to the null device, so that the
+        # interpreter's flush at exit does not fail a second time
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return _report_error(OutputError(f"cannot write standard output: {exc.strerror}"),
+                             sys.stdout, sys.stderr)
 
 
 if __name__ == "__main__":

@@ -81,6 +81,7 @@ tol.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -324,10 +325,6 @@ class _Recorder:
         self.count += 1
         if not take:
             return
-        if self.samples and state.t == self.samples[-1].t:
-            # same-time re-offers happen at events; keep one sample per time
-            self.samples[-1] = state
-            return
         self.samples.append(state)
         if len(self.samples) > MAX_SAMPLES:
             # keep every second sample, but never drop the first, the newest
@@ -451,11 +448,13 @@ def in_decay_window(hsb, hs_b0: float):
 
 
 def _tail_times(t0: float, h: float, t_end: float) -> list:
-    """t0 + (2^k - 1) h for k = 1, 2, ... below t_end, then t_end itself."""
-    times, k = [], 1
-    while t0 + (2 ** k - 1) * h < t_end:
+    """t0 + (2^k - 1) h for k = 1, 2, ... below t_end, then t_end itself.
+    k stops at 1023: a float holds no larger power of two."""
+    times = []
+    for k in range(1, sys.float_info.max_exp):
+        if not t0 + (2 ** k - 1) * h < t_end:
+            break
         times.append(t0 + (2 ** k - 1) * h)
-        k += 1
     return times + [t_end]
 
 
@@ -778,13 +777,11 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         traj.stats["wall_time"] = time.perf_counter() - start
         return traj
 
-    def check_blowup(state: FlowState):
-        ev = blowup_guard(state, hs_b0)
+    def stop_at_blowup(ev: Optional[FlowEvent]):
+        # the blown-up state was offered with force, so it is the last sample
         if ev is not None:
             events.append(ev)
-            recorder.offer(state, force=True)
-            traj = finish({"stopped": "blowup"})
-            raise BlowupDetected(ev.message, trajectory=traj, event=ev)
+            raise BlowupDetected(ev.message, trajectory=finish({"stopped": "blowup"}), event=ev)
 
     tail, t_prev, h_last, dense_rhs = None, 0.0, 0.0, 0
 
@@ -793,7 +790,8 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         state = sample(stepper)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
-        recorder.offer(state, force=(state.t >= t_end or tail is not None),
+        blowup = blowup_guard(state, hs_b0)
+        recorder.offer(state, force=(state.t >= t_end or tail is not None or blowup is not None),
                        pin=tail is not None)
         was_inside, inside = inside, in_decay_window(state.hs_b, hs_b0)
         # until the recorder first thins, each step is a sample interval;
@@ -804,7 +802,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             nfev = stepper.nfev
             kept[len(recorder.samples) - 2] = [stepper.dense_output()]
             dense_rhs += stepper.nfev - nfev
-        check_blowup(state)
+        stop_at_blowup(blowup)
         return tail is None
 
     try:
@@ -837,7 +835,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             y = tail.at(t, prev=state)
             state = _state(t, y, spec, sign, fun(t, y))
             recorder.offer(state, force=True)
-            check_blowup(state)
+            stop_at_blowup(blowup_guard(state, hs_b0))
     return finish(stats)
 
 

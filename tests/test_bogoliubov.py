@@ -1,7 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, logm, sqrtm
 
 from bwflow import analytic, bogoliubov, flow, fock
@@ -9,6 +13,7 @@ from bwflow.bogoliubov import BogoliubovMap
 from bwflow.errors import LogBranch, MapInvalid, PathGap
 from bwflow.flow import FunctionBPath
 from bwflow.opcore import hs_norm
+from conftest import fresh_env
 
 
 def ident_map(n):
@@ -237,6 +242,41 @@ def test_dyson_low_orders(generic_bpath):
     assert hs_norm(m1.v + 4.0 * 2.0 * b) < 1e-10  # v = -4 int B = -8 B
     with pytest.raises(ValueError):
         bogoliubov.dyson_uv(path, 0.0, 1.0, order=-1)
+
+
+@pytest.mark.parametrize("nodes", [4, 9, bogoliubov.DYSON_NODES])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_spline_integrals_match_scipy_antiderivative(nodes, kind):
+    # the running integral of the not-a-knot spline is linear in the samples
+    rng = np.random.default_rng(nodes)
+    xs = np.linspace(0.3, 2.1, nodes)
+    y = rng.normal(size=(nodes, 3)) + np.sin(3.0 * xs)[:, None]
+    if kind == "complex":
+        y = y + 1j * rng.normal(size=(nodes, 3))
+    ref = CubicSpline(xs, y, axis=0).antiderivative()(xs)
+    ref -= ref[0]
+    ours = (xs[1] - xs[0]) * (bogoliubov._spline_integrals(nodes) @ y)
+    assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+_DYSON_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from bwflow import analytic, bogoliubov, flow
+traj = flow.integrate(analytic.block_spec([(1.0, 2.0, 0.5)]), t_end=2.0)
+m = bogoliubov.dyson_uv(traj.b_path(), 0.0, 2.0, order=4)
+assert not any(name.startswith("scipy") for name, mod in sys.modules.items() if mod is not None)
+sys.stdout.write(m.u.tobytes().hex() + " " + m.v.tobytes().hex())
+"""
+
+
+def test_dyson_runs_without_scipy_bit_for_bit():
+    proc = subprocess.run([sys.executable, "-c", _DYSON_WITHOUT_SCIPY], env=fresh_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traj = flow.integrate(analytic.block_spec([(1.0, 2.0, 0.5)]), t_end=2.0)
+    m = bogoliubov.dyson_uv(traj.b_path(), 0.0, 2.0, order=4)
+    assert proc.stdout.split() == [m.u.tobytes().hex(), m.v.tobytes().hex()]
 
 
 def test_dyson_matches_integrate(generic_bpath):

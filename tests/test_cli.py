@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -406,12 +407,12 @@ def test_non_finite_spec_numbers_are_parse_errors(tmp_path, capsys, doc, command
     assert "finite" in capsys.readouterr().err
 
 
-def _run_cli(args, cwd, timeout=60, address_space=None):
+def _run_cli(args, cwd, timeout=60, address_space=None, stdout=subprocess.PIPE):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
     return subprocess.run([sys.executable, "-m", "bwflow.cli", *args], cwd=cwd, env=fresh_env(),
-                          capture_output=True, text=True, timeout=timeout,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
                           preexec_fn=cap if address_space else None)
 
 
@@ -614,6 +615,85 @@ def test_batch_csv_dir_refuses_two_specs_with_one_stem(generic_file, tmp_path, c
     assert not csv_dir.exists()
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                    reason="needs /dev/full, a device that is always full")
+
+
+def assert_one_output_error(proc, what):
+    # one line, so neither a traceback nor an "Exception ignored" at exit
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stderr.startswith(f"error: OutputError: cannot write {what}: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@needs_dev_full
+@pytest.mark.parametrize("command", [
+    ["check", "{spec}", "--json"],
+    ["diag", "{spec}", "--t-end", "5", "--json"],
+    ["run", "{spec}", "--t-end", "1", "--csv"],
+    ["oracle", "generic", "1", "2", "0.5", "--out"],
+], ids=["check-json", "diag-json", "run-csv", "oracle-out"])
+def test_full_disk_exits_2(generic_file, tmp_path, command):
+    # a write that failed after the open used to end in an OSError
+    # traceback with exit 1
+    proc = _run_cli([a.format(spec=generic_file) for a in command] + ["/dev/full"],
+                    cwd=tmp_path)
+    assert_one_output_error(proc, "/dev/full")
+
+
+@needs_dev_full
+def test_full_stdout_exits_2(generic_file, tmp_path):
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(["check", generic_file], cwd=tmp_path, stdout=full)
+    assert_one_output_error(proc, "standard output")
+
+
+@pytest.mark.parametrize("command", [
+    ["diag", "{spec}", "--t-end", "5"],
+    ["oracle", "generic", "1", "2", "0.5", "--csv", "0:5:100001"],
+], ids=["diag", "oracle-csv"])
+def test_closed_stdout_exits_2(generic_file, tmp_path, command):
+    # as in `bwflow diag spec | head -1`: diag fails on the flush at exit,
+    # the CSV grid on a write; both used to end in a BrokenPipeError
+    # traceback with exit 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli([a.format(spec=generic_file) for a in command], cwd=tmp_path,
+                        stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert_one_output_error(proc, "standard output")
+
+
+@needs_dev_full
+def test_batch_reports_a_full_disk_per_spec(generic_file, tmp_path):
+    csv_dir = tmp_path / "csvs"
+    csv_dir.mkdir()
+    (csv_dir / "generic.csv").symlink_to("/dev/full")
+    other = write_spec(tmp_path, "other.json", {"blocks": [[1.0, 2.0, 0.5]]})
+    proc = _run_cli(["batch", generic_file, other, "--t-end", "1", "--csv-dir", str(csv_dir)],
+                    cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_PARSE and proc.stderr == ""
+    assert proc.stdout.startswith(f"== {generic_file} (exit 2)\n"
+                                  f"error: OutputError: cannot write {csv_dir / 'generic.csv'}: ")
+    assert f"== {other} (exit 0)\n" in proc.stdout
+    assert (csv_dir / "other.csv").read_text().startswith("t,hsB,")
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + json.dumps({"blocks": [[1, 2, 0.5]]}).encode("utf-16-le"),
+    b"[" * 100000,
+], ids=["utf-16", "nested"])
+def test_spec_that_is_not_utf8_or_nests_too_deep_exits_2(tmp_path, content):
+    # used to end in a UnicodeDecodeError or RecursionError traceback
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    proc = _run_cli(["check", str(path)], cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_PARSE and proc.stdout == ""
+    assert proc.stderr.startswith("parse error: ") and proc.stderr.count("\n") == 1
+
+
 def test_fock_verify_refuses_oversized_basis_before_building_it(generic_file, tmp_path):
     # cutoff 100 gives basis dim 5151 (under SIZE_LIMIT) but the propagator
     # would need gigabytes; the address-space cap turns any large allocation
@@ -630,6 +710,17 @@ def test_run_long_horizon_exits(generic_file, tmp_path):
     proc = _run_cli(["run", generic_file, "--t-end", "1e6"], cwd=tmp_path)
     assert proc.returncode == cli.EXIT_OK
     assert "converged: yes" in proc.stdout and "at t = 1e+06" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["diag"], ["fock-verify", "--cutoff", "8"], ["batch"],
+], ids=["run", "diag", "fock-verify", "batch"])
+def test_huge_horizon_exits_0(generic_file, tmp_path, command):
+    # the frozen tail's sample offsets (2^k - 1) h used to leave the float
+    # range, an OverflowError traceback with exit 1
+    proc = _run_cli([command[0], generic_file, *command[1:], "--t-end", "1e308"], cwd=tmp_path)
+    assert proc.returncode == cli.EXIT_OK
+    assert "Traceback" not in proc.stderr
 
 
 def test_run_meets_conv_tol_below_the_noise_floor(generic_file, tmp_path):

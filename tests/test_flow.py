@@ -568,6 +568,15 @@ def test_blowup_trajectory_answers_like_a_rebuilt_one():
     assert_answers_alike(fresh, rebuilt(fresh), stepped_midpoints(fresh), window=(0.0, 0.15))
 
 
+def test_tail_times_stop_growing_at_the_float_range():
+    # (2^k - 1) h below the float range, as ever; past 2^1023 it used to
+    # raise OverflowError
+    assert flow._tail_times(1.0, 0.5, 4.0) == [1.5, 2.5, 4.0]
+    times = flow._tail_times(0.5, 1e-3, 1e308)
+    assert len(times) == 1024 and times[-1] == 1e308
+    assert all(a < b for a, b in zip(times, times[1:]))
+
+
 def test_b_zero_is_stationary():
     spec = QuadraticSpec.from_matrices(np.diag([1.0, 3.0]), np.zeros((2, 2)))
     traj = flow.integrate(spec, t_end=2.0)
