@@ -134,21 +134,26 @@ def spec_from_doc(doc, source: str = "<doc>") -> QuadraticSpec:
         _require(2 * len(triples) <= _max_dim(),
                  f"dimension {2 * len(triples)} exceeds BWFLOW_MAX_DIM", "blocks")
         try:
-            return analytic.block_spec(triples, c0=c0, label=label)
+            spec = analytic.block_spec(triples, c0=c0, label=label)
         except (ValueError, BwflowError) as exc:
             raise ParseError(f"blocks: {exc}", field="blocks")
-
-    dim = doc.get("dim")
-    _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-             "dim must be a positive integer", "dim")
-    _require(dim <= _max_dim(), f"dim {dim} exceeds BWFLOW_MAX_DIM = {_max_dim()}",
-             "dim")
-    omega = _pairs_to_matrix(doc["omega"], dim, "omega")
-    b = _pairs_to_matrix(doc["b"], dim, "b")
-    try:
-        return QuadraticSpec.from_matrices(omega, b, c0=c0, label=label)
-    except (ValueError, BwflowError) as exc:
-        raise ParseError(f"{source}: {exc}")
+    else:
+        dim = doc.get("dim")
+        _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
+                 "dim must be a positive integer", "dim")
+        _require(dim <= _max_dim(), f"dim {dim} exceeds BWFLOW_MAX_DIM = {_max_dim()}",
+                 "dim")
+        omega = _pairs_to_matrix(doc["omega"], dim, "omega")
+        b = _pairs_to_matrix(doc["b"], dim, "b")
+        try:
+            spec = QuadraticSpec.from_matrices(omega, b, c0=c0, label=label)
+        except (ValueError, BwflowError) as exc:
+            raise ParseError(f"{source}: {exc}")
+    # the hermitian and symmetric parts halve a sum, which overflows for
+    # entries near the float range
+    _require(np.isfinite(spec.omega).all() and np.isfinite(spec.b).all(),
+             f"{source}: Omega or B is not finite once made hermitian/symmetric")
+    return spec
 
 
 def parse_spec_text(text: str, source: str = "<string>") -> QuadraticSpec:

@@ -37,10 +37,9 @@ for bit.  Between samples the trajectory is the stepper's own dense output
 (DOP853's seventh-order continuous extension; Hairer, Norsett & Wanner,
 Solving ODEs I, section II.6), built on first use, and on the frozen-Omega
 tail (below) the tail's closed form; the trajectory is itself the B-path of
-the flow.  The integration itself builds the dense output of each step
-within the default decay window (in_decay_window), whose midpoints
-decay_fit reads, while the step's stages are still in the stepper, at
-three evaluations; every other interval is re-run from its left sample.
+the flow.  The dense output of an interval is re-run from its left sample
+when first needed; the integration builds none, and decay_fit needs none,
+as it reads each sample's slope of log ||B|| from its derivative.
 Diagnostics are columns over the samples, computed on first read.
 
 For a real spec (QuadraticSpec.is_real: every imaginary part of Omega and
@@ -438,15 +437,6 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     return tail
 
 
-def in_decay_window(hsb, hs_b0: float):
-    """Whether ||B_t||_2 = hsb (a value or an array) lies in the default
-    decay window: above 0 and between DECAY_FIT_FRACS * ||B_0||_2.  decay_fit
-    fits these samples, and integrate builds the dense output of the steps
-    between two of them."""
-    lo, hi = DECAY_FIT_FRACS
-    return (hsb >= lo * hs_b0) & (hsb <= hi * hs_b0) & (hsb > 0)
-
-
 def _tail_times(t0: float, h: float, t_end: float) -> list:
     """t0 + (2^k - 1) h for k = 1, 2, ... below t_end, then t_end itself.
     k stops at 1023: a float holds no larger power of two."""
@@ -490,20 +480,17 @@ class Trajectory:
     derivative (float64 for a real spec, complex128 otherwise; see
     integrate), and each stepped sample the step size the stepper proposed
     there.  Between two stepped samples the state is the stepper's dense
-    output.  A trajectory from integrate holds the dense output that the
-    integration built for each step within the default decay window (see
-    integrate).  Any other interval is re-run the first time a time inside it
-    is asked for: the stepper restarts from the left sample, with its
+    output, re-run the first time a time inside the interval is asked
+    for: the stepper restarts from the left sample, with its
     derivative and proposed step size, up to the right sample.  On a single
     accepted step that is the step itself, the same stages bit for bit; on
     an interval that thinning merged, the steps the first run took.
     Between two samples of the frozen-Omega tail the state is the tail's
     closed form from the hand-over sample (stats["tail_t"]).  So everything
     the interpolant needs comes from the constructor's arguments, and a
-    trajectory rebuilt from them, which re-runs every stepped interval,
-    answers bit for bit the same.  n_interp_rhs counts the right-hand-side
-    calls the dense outputs have cost so far, those integrate built
-    included (stats["n_rhs"] counts the integration's steps alone).
+    trajectory rebuilt from them answers bit for bit the same.
+    n_interp_rhs counts the right-hand-side calls these re-runs have cost
+    so far (stats["n_rhs"] counts those of the integration).
 
     The trajectory is also the B-path of its flow (see check_span), with
     map_at and int_b_at answering (u, v) and int ||B|| from the carried
@@ -612,9 +599,8 @@ class Trajectory:
         return _carried(self.spec, self.controls)
 
     def _dense_output(self, i: int) -> list:
-        """The stepper's dense output on [ts[i], ts[i+1]], one piece per step:
-        the one integrate built, or those of the re-run from sample i (see
-        the class docstring)."""
+        """The stepper's dense output on [ts[i], ts[i+1]], one piece per step
+        of the re-run from sample i (see the class docstring)."""
         if i not in self._dense:
             left, pieces = self.states[i], []
             fun, tol = self._system
@@ -708,14 +694,8 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     FSAL stage at an accepted step and its first evaluation at t = 0, and
     one _CarriedRhs call at each tail sample.  Each stepped sample also
     keeps the step size the stepper proposed there, which a re-run of the
-    dense output needs.  For each step with both ends in the default decay
-    window, integrate builds the step's dense output while its stages are
-    still in the stepper, and the trajectory keeps it for that sample
-    interval (see Trajectory).  The recorder's first thinning merges those
-    intervals, so integrate then drops the outputs built so far and builds
-    no more.  stats["n_rhs"] counts the stepper's calls for its steps
-    alone: neither a tail call nor the three of each such dense output,
-    at which the trajectory's n_interp_rhs starts.  It stops stepping at
+    dense output needs (see Trajectory).  stats["n_rhs"] counts the
+    stepper's calls, not those of the tail samples.  It stops stepping at
     the first accepted step where frozen_tail accepts the hand-over:
     ||B_t||_2 < TAIL_FACTOR * tol, an Omega drift to t_end of at most
     tol * max(1, ||Omega_t||_2) and a first-order map update within tol.
@@ -764,16 +744,11 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     recorder.offer(sample(solver), force=True)
     events = []
-    kept = {}  # dense outputs of the steps within the decay window, by sample interval
-    # whether the newest sample is in the decay window
-    inside = in_decay_window(recorder.samples[0].hs_b, hs_b0)
 
     def finish(extra_stats):
         stats = {"hs_b0": hs_b0, "scalar_sign": sign, "t_end": t_end}
         stats.update(extra_stats)
         traj = Trajectory(spec, controls, sign, recorder.samples, events, stats)
-        traj._dense.update(kept)
-        traj.n_interp_rhs = dense_rhs
         traj.stats["wall_time"] = time.perf_counter() - start
         return traj
 
@@ -783,25 +758,16 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             events.append(ev)
             raise BlowupDetected(ev.message, trajectory=finish({"stopped": "blowup"}), event=ev)
 
-    tail, t_prev, h_last, dense_rhs = None, 0.0, 0.0, 0
+    tail, t_prev, h_last = None, 0.0, 0.0
 
     def on_step(stepper):
-        nonlocal tail, t_prev, h_last, inside, dense_rhs
+        nonlocal tail, t_prev, h_last
         state = sample(stepper)
         h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         blowup = blowup_guard(state, hs_b0)
         recorder.offer(state, force=(state.t >= t_end or tail is not None or blowup is not None),
                        pin=tail is not None)
-        was_inside, inside = inside, in_decay_window(state.hs_b, hs_b0)
-        # until the recorder first thins, each step is a sample interval;
-        # that thinning merges them all
-        if recorder.stride > 1:
-            kept.clear()
-        elif was_inside and inside:
-            nfev = stepper.nfev
-            kept[len(recorder.samples) - 2] = [stepper.dense_output()]
-            dense_rhs += stepper.nfev - nfev
         stop_at_blowup(blowup)
         return tail is None
 
@@ -825,7 +791,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
         exc.trajectory = finish({"stopped": "underflow"})
         raise
 
-    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev) - dense_rhs,
+    stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev),
              "tail_t": None, "n_tail": 0}
     if tail is not None:
         times = _tail_times(tail.state.t, h_last, t_end)
@@ -862,40 +828,55 @@ class DecayFit:
 def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:
     """Least-squares exponential rate of ||B_t||_2 decay.
 
-    Fits log ||B_t|| = a - rate * t over the samples in the requested
-    window and the trajectory's interpolant at the midpoint of every sample
-    interval with both ends in it.  With no explicit window, samples with
-    ||B_t|| between DECAY_FIT_FRACS * ||B_0|| make the window; that keeps
-    the fit away from both the slow transient and the integrator noise
-    floor (in_decay_window); on a trajectory from integrate, the dense
-    output there was built by the integration, so no step is re-run.  Under
-    a spectral gap nu (condition A6) the true decay rate is at least 2 nu.
-    Samples with ||B_t|| = 0 are never used, fewer than 10 points raise
+    Fits log ||B_t|| = a - rate * t with two rows per sample in the window:
+    its value log ||B_i||, and its slope d log ||B||/dt = -rate, which is
+    Re<B_i, dB_i> / ||B_i||^2 exactly, dB_i read from the derivative the
+    sample stores.  So the fit calls no right-hand side and interpolates
+    nothing.  With no explicit window, the samples with ||B_t|| between
+    DECAY_FIT_FRACS * ||B_0|| make the window, away from both the slow
+    transient and the integrator noise floor.  Under a spectral gap nu
+    (condition A6) the true decay rate is at least 2 nu.  Late in the flow
+    the slope tends to the slowest rate 2 (w_i + w_j) of an entry of B in
+    the eigenbasis of Omega_inf, at least 4 lambda_min(Omega_inf); on the
+    (1, 2, 0.5) block it is 2 (lambda_0 + lambda_1) at the hand-over sample
+    to 1e-15.
+    Where the slopes are still falling, the fit measures a transient
+    average: on a seeded random n = 64 spec run to t = 5, they fall from
+    9.33 to 8.27 across the window and are still 8.14 at the hand-over,
+    against 4 lambda_min(Omega_inf) = 7.75.
+
+    Samples with ||B_t|| = 0 are never used, fewer than 10 rows raise
     InsufficientData, and so does ||B_0|| = 0 (nothing decays).  n_samples
-    counts the points, midpoints included.
+    counts the rows and max_residual is the largest residual of a value
+    row.
     """
-    ts = traj.ts
-    hsb = traj.hs_bs
+    ts, hsb = traj.ts, traj.hs_bs
     if window is not None:
         lo, hi = window
-        mask = (ts >= lo) & (ts <= hi) & (hsb > 0)
+        mask = (ts >= lo) & (ts <= hi)
     else:
         hs0 = traj.stats.get("hs_b0", hsb[0])
         if hs0 == 0:
             raise InsufficientData("||B_0|| = 0, there is no decay to fit")
-        mask = in_decay_window(hsb, hs0)
-    inner = np.flatnonzero(mask[:-1] & mask[1:])
-    mids = (ts[inner] + ts[inner + 1]) / 2
-    x = np.concatenate([ts[mask], mids])
-    y = np.log(np.concatenate([hsb[mask], [np.linalg.norm(traj.b_at(t)) for t in mids]]))
-    if x.size < 10:
-        raise InsufficientData(f"only {x.size} usable points for the decay fit")
-    slope, intercept = np.polyfit(x, y, 1)
-    fit = intercept + slope * x
-    return DecayFit(rate=float(-slope), log_intercept=float(intercept),
-                    n_samples=int(x.size),
-                    window=(float(ts[mask][0]), float(ts[mask][-1])),
-                    max_residual=float(np.max(np.abs(fit - y))))
+        lo, hi = DECAY_FIT_FRACS
+        mask = (hsb >= lo * hs0) & (hsb <= hi * hs0)
+    idx = np.flatnonzero(mask & (hsb > 0))
+    m = idx.size
+    if 2 * m < 10:
+        raise InsufficientData(f"only {2 * m} usable points for the decay fit")
+    n2 = traj.spec.dim ** 2
+    samples = [traj.states[i] for i in idx]
+    slopes = [np.vdot(s.b, s.dy[n2:2 * n2]).real / s.hs_b ** 2 for s in samples]
+    t, logs = ts[idx], np.log(hsb[idx])
+    # unknowns (a, rate): value rows a - rate t_i = log ||B_i||, slope
+    # rows -rate = slope_i
+    rows = np.zeros((2 * m, 2))
+    rows[:m, 0] = 1.0
+    rows[:, 1] = -np.concatenate([t, np.ones(m)])
+    (a, rate), *_ = np.linalg.lstsq(rows, np.concatenate([logs, slopes]), rcond=None)
+    return DecayFit(rate=float(rate), log_intercept=float(a), n_samples=2 * m,
+                    window=(float(t[0]), float(t[-1])),
+                    max_residual=float(np.max(np.abs(a - rate * t - logs))))
 
 
 def asymptotic_bound_check(state: FlowState, spec: QuadraticSpec,

@@ -161,11 +161,15 @@ class QuadraticSpec:
 
 
 def min_eig_hermitian(x) -> float:
-    """Smallest eigenvalue of the hermitian part of x."""
+    """Smallest eigenvalue of the hermitian part of x, or NaN if that part
+    is not finite (eigvalsh may answer 0 for it), so that no margin
+    compared against it holds."""
     m = as_matrix(x)
     m = (m + m.conj().T) / 2
     if m.shape[0] == 0:
         raise ValueError("empty matrix")
+    if not np.isfinite(m).all():
+        return math.nan
     return float(np.linalg.eigvalsh(m)[0])
 
 

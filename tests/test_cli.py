@@ -407,6 +407,41 @@ def test_non_finite_spec_numbers_are_parse_errors(tmp_path, capsys, doc, command
     assert "finite" in capsys.readouterr().err
 
 
+def run_quietly(argv):
+    """cli.main(argv), with numpy's overflow warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return cli.main(argv)
+
+
+@pytest.mark.parametrize("command", [["run"], ["diag"], ["fock-verify", "--cutoff", "8"]])
+def test_spec_entry_near_the_float_range_exits_2(tmp_path, capsys, command):
+    # B = antidiag(1e308) is inf once symmetrized; the stepper refused that
+    # state with a ValueError traceback and exit 1
+    path = write_spec(tmp_path, "big.json", {"blocks": [[1.0, 2.0, 1e308]]})
+    assert run_quietly([command[0], path, *command[1:]]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error:") and "not finite" in err
+
+
+def test_batch_reports_a_spec_near_the_float_range_and_runs_the_rest(tmp_path, generic_file,
+                                                                      capsys):
+    big = write_spec(tmp_path, "big.json", {"blocks": [[1.0, 2.0, 1e308]]})
+    assert run_quietly(["batch", big, generic_file, "--t-end", "5"]) == cli.EXIT_PARSE
+    out = capsys.readouterr().out
+    assert f"== {big} (exit 2)" in out and f"== {generic_file} (exit 0)" in out
+
+
+@pytest.mark.parametrize("b", [1e160, 1e300])
+def test_check_certifies_no_overflowing_sandwich(tmp_path, capsys, b):
+    # B Omega^-1 B~ overflows to nan; eigvalsh answered 0 for it, so A3 held
+    # at margin 0 and A4 with a nan norm, and check exited 0
+    path = write_spec(tmp_path, "big.json", {"blocks": [[1.0, 2.0, b]]})
+    assert run_quietly(["check", path]) == cli.EXIT_CONDITION
+    verdicts = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:9])
+    assert verdicts["A3"] != "holds" and verdicts["A4"] != "holds"
+
+
 def _run_cli(args, cwd, timeout=60, address_space=None, stdout=subprocess.PIPE):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))

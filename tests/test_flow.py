@@ -1,7 +1,5 @@
-import gc
 import io
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -290,22 +288,33 @@ def test_decay_fit_rate(generic_traj):
     assert abs(explicit.rate - 2.0 * np.sqrt(5.0)) < 0.1
 
 
-def test_decay_fit_uses_the_dense_output_between_samples(generic_traj):
-    # the fit takes the window's samples and the interpolant at the midpoint
-    # of each interval between two of them, for the default window and an
-    # explicit one alike
+def test_decay_fit_takes_a_value_and_a_slope_row_per_sample(generic_traj):
+    # the fit takes two rows per sample in the window, log ||B|| and its
+    # slope, for the default window and an explicit one alike
     ts = generic_traj.ts
     for window in (None, (1.0, 3.0)):
         fit = flow.decay_fit(generic_traj, window=window)
         inside = ts[(ts >= fit.window[0]) & (ts <= fit.window[1])]
         assert (fit.window[0], fit.window[1]) == (inside[0], inside[-1])
-        assert fit.n_samples == 2 * inside.size - 1
+        assert fit.n_samples == 2 * inside.size
+
+
+def test_slope_at_the_hand_over_is_the_limit_rate(generic_traj):
+    # -d log ||B|| / dt = -Re<B, dB> / ||B||^2 from the stored derivative
+    # is, once the flow has converged, the decay rate 2 (lambda_0 + lambda_1)
+    # of the one coupled pair of modes under Omega_inf
+    traj, n2 = generic_traj, generic_traj.spec.dim ** 2
+    s = traj.states[int(np.searchsorted(traj.ts, traj.stats["tail_t"]))]
+    slope = -np.vdot(s.b, s.dy[n2:2 * n2]).real / s.hs_b ** 2
+    lam = np.linalg.eigvalsh(traj.final.omega)
+    assert abs(slope - 2.0 * (lam[0] + lam[1])) <= 1e-14 * slope
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_decay_fit_on_seeded_n64_specs(seed):
-    # at n = 64 the default window holds fewer than ten samples; with the
-    # midpoints the fit has enough points, and its rate is at least 2 nu
+    # at n = 64 the default window holds fewer than ten samples; with a
+    # slope row per sample the fit has enough rows, and its rate is at
+    # least 2 nu
     spec = seeded_n64_spec(seed)
     traj = flow.integrate(spec, t_end=5.0)
     fit = flow.decay_fit(traj)
@@ -388,10 +397,9 @@ def stepped_midpoints(traj):
     lambda: flow.integrate(seeded_n64_spec(0), 5.0),
 ], ids=["real-n2", "complex-n8", "complex-n64"])
 def test_replayed_steps_end_on_their_samples(make, monkeypatch):
-    # a rebuilt trajectory has no dense output from the integration, so it
-    # re-runs each step from its left sample: one attempt of the accepted
-    # size, the same stages, so it ends bit for bit on the stored right
-    # sample, at 12 evaluations plus 3 for the dense output
+    # a trajectory re-runs each step from its left sample: one attempt of
+    # the accepted size, the same stages, so it ends bit for bit on the
+    # stored right sample, at 12 evaluations plus 3 for the dense output
     traj = rebuilt(make())
     runs, plain = [], flow.drive
 
@@ -454,14 +462,6 @@ def fit_fields(fit):
     return fit.rate, fit.log_intercept, fit.n_samples, fit.window, fit.max_residual
 
 
-def window_midpoints(traj):
-    """The midpoint of every sample interval with both ends in the default
-    decay window, where integrate builds the step's dense output."""
-    inside = flow.in_decay_window(traj.hs_bs, traj.stats["hs_b0"])
-    i = np.flatnonzero(inside[:-1] & inside[1:])
-    return (traj.ts[i] + traj.ts[i + 1]) / 2
-
-
 def assert_answers_alike(fresh, again, times, window=None):
     """fresh and again give bitwise-equal decay fits in window and b_at and
     map_at at times."""
@@ -476,29 +476,27 @@ def assert_answers_alike(fresh, again, times, window=None):
     lambda: flow.integrate(random_a6_spec(8, n=8), 4.0),
     lambda: flow.integrate(seeded_n64_spec(0), 5.0),
 ], ids=["readme", "complex-n8", "complex-n64"])
-def test_kept_stages_answer_like_the_replay(make, monkeypatch):
-    # integrate builds the dense output of every step within the decay
-    # window from the step's stages, so decay_fit builds no stepper and
-    # re-runs no step; a rebuilt trajectory re-runs them, with the same
-    # answers bit for bit
+def test_decay_fit_runs_no_step(make, monkeypatch):
+    # decay_fit reads the samples and their derivatives only: on a fresh
+    # or a rebuilt trajectory, in the default window or an explicit one, it
+    # builds no stepper, re-runs no step and evaluates no right-hand side
     fresh = make()
-    mids = window_midpoints(fresh)
-    assert len(mids) >= 5 and sorted(fresh._dense) == sorted(
-        np.searchsorted(fresh.ts, mids) - 1)
-    runs = []
-    monkeypatch.setattr(flow, "drive", lambda *args: runs.append(args))
-    monkeypatch.setattr(flow, "DormandPrince", lambda *args, **kwargs: runs.append(args))
-    flow.decay_fit(fresh)
-    assert runs == [] and fresh.n_interp_rhs == 3 * len(mids)
-    monkeypatch.undo()
-    assert_answers_alike(fresh, rebuilt(fresh), mids)
+    for traj in (fresh, rebuilt(fresh)):
+        for window in (None, (1.0, 3.0)):
+            runs = []
+            with monkeypatch.context() as m:
+                m.setattr(flow, "drive", lambda *args: runs.append(args))
+                m.setattr(flow, "DormandPrince", lambda *args, **kwargs: runs.append(args))
+                m.setattr(flow._CarriedRhs, "__call__", lambda *args: runs.append(args))
+                fit = flow.decay_fit(traj, window)
+            assert runs == [] and traj.n_interp_rhs == 0
+            assert fit_fields(fit) == fit_fields(flow.decay_fit(fresh, window))
 
 
 def test_interpolation_counts_its_rhs_calls(generic_spec, monkeypatch):
-    # integrate builds one dense output per window interval, at 3 calls
-    # each, which n_interp_rhs starts at; stats["n_rhs"] counts every other
-    # call but those of the tail samples, and a rebuilt trajectory copies
-    # it; a re-run costs 12 + 3, counted in n_interp_rhs
+    # integrate builds no dense output, and stats["n_rhs"] counts every call
+    # but those of the tail samples; a rebuilt trajectory copies it.
+    # n_interp_rhs starts at 0 and counts each re-run of a step, 12 + 3
     calls, built = [], []
     call, dense_output = flow._CarriedRhs.__call__, DormandPrince.dense_output
     monkeypatch.setattr(flow._CarriedRhs, "__call__",
@@ -507,58 +505,15 @@ def test_interpolation_counts_its_rhs_calls(generic_spec, monkeypatch):
                         lambda self: built.append(self.t) or dense_output(self))
     fresh = flow.integrate(generic_spec, 5.0)
     monkeypatch.undo()
-    n_rhs, window = fresh.stats["n_rhs"], len(window_midpoints(fresh))
-    assert window == 9 and len(built) == 9
-    assert n_rhs == len(calls) - fresh.stats["n_tail"] - 9 * 3
-    for traj, start, per_interval in ((fresh, 9 * 3, 0), (rebuilt(fresh), 0, 15)):
-        assert traj.n_interp_rhs == start
-        flow.decay_fit(traj)
-        assert traj.n_interp_rhs == start + 9 * per_interval and traj.stats["n_rhs"] == n_rhs
-
-
-@pytest.mark.parametrize("max_samples, n_taken", [(16, 0), (18, 2)])
-def test_thinning_drops_the_kept_steps_it_merges(generic_spec, monkeypatch, max_samples,
-                                                 n_taken):
-    # integrate builds the dense outputs of window steps (from sample 15 on
-    # here) until the recorder first thins, which merges all their
-    # intervals: they are freed by the next accepted step, and the
-    # trajectory re-runs, answering like a rebuilt one
-    monkeypatch.setattr(flow, "MAX_SAMPLES", max_samples)
-    taken, recorders, freed = [], [], []
-    dense_output, plain = DormandPrince.dense_output, flow.drive
-
-    def spy_dense(stepper):
-        dense = dense_output(stepper)
-        taken.append(weakref.ref(dense))
-        return dense
-
-    class Recorder(flow._Recorder):
-        def __init__(self):
-            super().__init__()
-            recorders.append(self)
-
-    def spy_drive(stepper, on_step):
-        after_thinning = []
-
-        def watched(s):
-            go = on_step(s)
-            if recorders[0].stride > 1:
-                after_thinning.append(s.t)
-                if len(after_thinning) == 2:  # the accepted step after the thinning one
-                    gc.collect()
-                    freed.append([ref() is None for ref in taken])
-            return go
-
-        return plain(stepper, watched)
-
-    monkeypatch.setattr(DormandPrince, "dense_output", spy_dense)
-    monkeypatch.setattr(flow, "_Recorder", Recorder)
-    monkeypatch.setattr(flow, "drive", spy_drive)
-    fresh = flow.integrate(generic_spec, 5.0)
-    monkeypatch.undo()
-    assert fresh.stats["n_steps"] > max_samples
-    assert len(taken) == n_taken and freed == [[True] * n_taken] and fresh._dense == {}
-    assert_answers_alike(fresh, rebuilt(fresh), stepped_midpoints(fresh), window=(0.5, 4.5))
+    n_rhs = fresh.stats["n_rhs"]
+    assert built == [] and n_rhs == len(calls) - fresh.stats["n_tail"]
+    mids = stepped_midpoints(fresh)
+    for traj in (fresh, rebuilt(fresh)):
+        assert traj.n_interp_rhs == 0
+        for k, t in enumerate(mids, 1):
+            traj.b_at(t)
+            assert traj.n_interp_rhs == 15 * k
+        assert traj.stats["n_rhs"] == n_rhs
 
 
 def test_blowup_trajectory_answers_like_a_rebuilt_one():
