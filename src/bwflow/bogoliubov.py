@@ -213,8 +213,8 @@ def path_hs_integral(bpath, s: float, t: float) -> float:
 
     A path that carries the integral (a flow.Trajectory) gives the
     difference of its column at t and s.  Any other path is sampled node by
-    node for Gauss-Kronrod quadrature, with its sample times (knots), where
-    it has them, as breakpoints (the span: flow.check_span).
+    node for Gauss-Kronrod quadrature on [s, t], without breakpoints (the
+    span: flow.check_span).
     """
     check_span(bpath, s, t)
     if s == t:
@@ -222,7 +222,7 @@ def path_hs_integral(bpath, s: float, t: float) -> float:
     if hasattr(bpath, "int_b_at"):
         return bpath.int_b_at(t) - bpath.int_b_at(s)
     value, _ = gauss_kronrod(lambda taus: [float(np.linalg.norm(bpath(tau))) for tau in taus],
-                             s, t, points=getattr(bpath, "knots", ()))
+                             s, t)
     return float(value)
 
 

@@ -244,24 +244,6 @@ def _scalar_sign(args) -> float:
     return 1.0 if args.paper_scalar_sign else SCALAR_SIGN
 
 
-def _json_safe(x):
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _json_safe(x.tolist())
-    if isinstance(x, (np.bool_, bool)):
-        return bool(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    return x
-
-
 # ---------------------------------------------------------------------------
 # check
 
@@ -297,10 +279,10 @@ def cmd_check(args) -> int:
     rep = conditions.check_all(spec, tol=tol, eps=eps)
     render_report(rep, sys.stdout)
     if args.json:
-        doc = _json_safe({"label": spec.label, "verdicts": rep.verdicts,
-                          "margins": rep.margins, "values": rep.values})
+        doc = {"label": spec.label, "verdicts": rep.verdicts,
+               "margins": rep.margins, "values": rep.values}
         with _open_output(args.json) as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, default=lambda x: x.tolist())
             fh.write("\n")
     ok = all(rep.holds(name) for name in ("A1", "A2", "A3"))
     return EXIT_OK if ok else EXIT_CONDITION
@@ -312,12 +294,9 @@ def cmd_check(args) -> int:
 def _print_blowup(exc: BlowupDetected, out) -> None:
     ev = exc.event
     out.write("blow-up detected\n")
-    if ev is not None:
-        out.write(f"  onset t* = {ev.t:.9g} with ||B_t||_2 = {ev.hs_b:.6g}\n")
-        out.write(f"  T_max estimate >= {ev.t:.9g}\n")
-        out.write(f"  guaranteed blow-up-free horizon T_0 = {ev.t0_lower_bound:.9g}\n")
-    else:
-        out.write(f"  {exc}\n")
+    out.write(f"  onset t* = {ev.t:.9g} with ||B_t||_2 = {ev.hs_b:.6g}\n")
+    out.write(f"  T_max estimate >= {ev.t:.9g}\n")
+    out.write(f"  guaranteed blow-up-free horizon T_0 = {ev.t0_lower_bound:.9g}\n")
 
 
 def _run_summary(traj: flow.Trajectory, out) -> None:
@@ -445,7 +424,7 @@ def cmd_diag(args) -> int:
     _print_matrix("hMatrix", decomp.h_matrix, sys.stdout)
 
     if args.json:
-        doc = _json_safe({
+        doc = {
             "t": t_final,
             "dim": spec.dim,
             "u": _matrix_to_pairs(m.u),
@@ -456,9 +435,9 @@ def cmd_diag(args) -> int:
             "transform_residuals": {"omega": d_om, "b": d_b, "c": d_c},
             "alphas": decomp.alphas,
             "h_matrix": _matrix_to_pairs(decomp.h_matrix),
-        })
+        }
         with _open_output(args.json) as fh:
-            json.dump(doc, fh, indent=2)
+            json.dump(doc, fh, indent=2, default=lambda x: x.tolist())
             fh.write("\n")
     failed = [name for name, ok in (("norm bounds", holds_u and holds_v),
                                     ("transform round trip",

@@ -36,8 +36,6 @@ from .opcore import (QuadraticSpec, hs_norm, hs_scale,
 DEFAULT_TOL = 1e-10
 DEFAULT_EPS = 0.5
 
-_VERDICTS = ("holds", "fails", "undetermined")
-
 
 @dataclass
 class ConditionReport:

@@ -758,12 +758,11 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
             events.append(ev)
             raise BlowupDetected(ev.message, trajectory=finish({"stopped": "blowup"}), event=ev)
 
-    tail, t_prev, h_last = None, 0.0, 0.0
+    tail = None
 
     def on_step(stepper):
-        nonlocal tail, t_prev, h_last
+        nonlocal tail
         state = sample(stepper)
-        h_last, t_prev = state.t - t_prev, state.t
         tail = frozen_tail(state, t_end, controls.tol)
         blowup = blowup_guard(state, hs_b0)
         recorder.offer(state, force=(state.t >= t_end or tail is not None or blowup is not None),
@@ -794,7 +793,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     stats = {"n_steps": recorder.count - 1, "n_rhs": int(solver.nfev),
              "tail_t": None, "n_tail": 0}
     if tail is not None:
-        times = _tail_times(tail.state.t, h_last, t_end)
+        times = _tail_times(tail.state.t, solver.t - solver.t_old, t_end)
         stats.update(tail_t=tail.state.t, n_tail=len(times))
         state = tail.state
         for t in times:

@@ -356,16 +356,14 @@ def conjugated_residual(fock: TruncatedFock, conjugated: np.ndarray,
     return float(num / den)
 
 
-def n_diag_residual(fock: TruncatedFock, h) -> float:
-    """||P [H, N] P||_2 on the sectors up to total number cutoff - 2;
-    exactly zero when B = 0.
+def n_diag_residual(fock: TruncatedFock, spec: QuadraticSpec) -> float:
+    """||P [H, N] P||_2 for H = H(spec) on the sectors up to total number
+    cutoff - 2; exactly zero when B = 0.
 
-    h may be a dense operator or a QuadraticSpec to build one from.  N is
-    diagonal, so [H, N]_ij = H_ij N_j - N_i H_ij is formed entry by entry,
-    with the same roundings as the products with number_op.
+    N is diagonal, so [H, N]_ij = H_ij N_j - N_i H_ij is formed entry by
+    entry, with the same roundings as the products with number_op.
     """
-    if isinstance(h, QuadraticSpec):
-        h = hamiltonian_op(fock, h)
+    h = hamiltonian_op(fock, spec)
     mask = fock.sector_mask(fock.cutoff - 2)
     h, n = h[np.ix_(mask, mask)], fock.ntot[mask].astype(float)
     return hs_norm(h * n - n[:, np.newaxis] * h)

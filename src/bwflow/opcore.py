@@ -43,9 +43,20 @@ def as_matrix(x) -> np.ndarray:
 
 
 def hs_norm(x) -> float:
-    """Hilbert-Schmidt norm sqrt(tr(X* X)) = Frobenius norm."""
+    """Hilbert-Schmidt norm sqrt(tr(X* X)) = Frobenius norm.
+
+    The plain sum of squares overflows for entries above about 1e154; only
+    then, and only for finite entries, the norm is taken of X scaled by its
+    largest real or imaginary part, so that it is inf only when X is not
+    finite or the norm exceeds the float range.
+    """
     m = x.mat if isinstance(x, OneParticleOperator) else np.asarray(x)
-    return float(np.linalg.norm(m))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+    if norm == math.inf and np.isfinite(m).all():
+        scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+        norm = scale * float(np.linalg.norm(m / scale))
+    return norm
 
 
 def hs_scale(x) -> float:

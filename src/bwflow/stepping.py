@@ -58,8 +58,9 @@ an oracle.
 Step-size underflow (proposed step below H_MIN, or no acceptable step above
 ten ulps of t) raises StepSizeUnderflow; callers classify it further.
 
-gauss_kronrod is QUADPACK's adaptive 7-15 rule, so that no quadrature on
-the command line's path imports scipy either.
+gauss_kronrod is QUADPACK's adaptive 7-15 rule on one interval, without
+breakpoints (no caller has kinks to declare), so that no quadrature on the
+command line's path imports scipy either.
 """
 
 from __future__ import annotations
@@ -455,16 +456,18 @@ QUAD_LIMIT = 200
 def _gk15(f, los: np.ndarray, his: np.ndarray) -> tuple:
     """GK15 values and QUADPACK error estimates on panels [los[i], his[i]]
     (los < his); all panels' nodes go to f in one call."""
-    center, half = 0.5 * (los + his), 0.5 * (his - los)
+    center, half = 0.5 * los + 0.5 * his, 0.5 * (his - los)
     nodes = center[:, np.newaxis] + half[:, np.newaxis] * _NODES
     fx = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
     res_k = fx @ _KRONROD
     err = np.abs(res_k - fx @ _GAUSS) * half
     res_abs = (np.abs(fx) @ _KRONROD) * half
     res_asc = (np.abs(fx - 0.5 * res_k[:, np.newaxis]) @ _KRONROD) * half
-    # QUADPACK's sharpening of |Kronrod - Gauss| for smooth integrands, and
-    # its floor at the roundoff level of the panel
-    ratio = 200.0 * err / np.where(res_asc > 0, res_asc, 1.0)
+    # QUADPACK's sharpening of |Kronrod - Gauss| for smooth integrands (a
+    # panel with res_asc = 0 keeps its err, and its unused ratio is 0 rather
+    # than one that can overflow), and its floor at the roundoff level of
+    # the panel
+    ratio = 200.0 * err / np.where(res_asc > 0, res_asc, np.inf)
     err = np.where((res_asc != 0.0) & (err != 0.0),
                    res_asc * np.minimum(1.0, ratio ** 1.5), err)
     err = np.where(res_abs > _TINY / (50.0 * _EPS),
@@ -472,34 +475,26 @@ def _gk15(f, los: np.ndarray, his: np.ndarray) -> tuple:
     return res_k * half, err
 
 
-def _edges(a: float, b: float, points) -> np.ndarray:
-    """a, b and the points strictly between them, sorted and distinct, as
-    np.unique gives them; np.unique itself imports numpy.ma on first use."""
-    edges = np.sort(np.array([a, b, *(p for p in points if a < p < b)], dtype=float))
-    return edges[np.append(True, edges[1:] != edges[:-1])]
-
-
-def gauss_kronrod(f, a: float, b: float, points=(), epsabs: float = QUAD_EPSABS,
+def gauss_kronrod(f, a: float, b: float, epsabs: float = QUAD_EPSABS,
                   epsrel: float = QUAD_EPSREL) -> tuple:
     """Adaptive Gauss-Kronrod 7-15 quadrature of int_a^b f (a <= b), as
     (value, error estimate).
 
-    f maps a 1-d array of nodes to the array of integrand values.  The
-    interval is first cut at the given breakpoints inside (a, b), where f
-    may have kinks, and all those panels are sampled in one call.  Then the
-    panel with the largest error estimate is bisected, at most QUAD_LIMIT
-    times, until the summed estimate drops below max(epsabs, epsrel |value|).
+    f maps a 1-d array of nodes to the array of integrand values.  The rule
+    takes no breakpoints: it starts from the one panel [a, b] and bisects
+    the panel with the largest error estimate, at most QUAD_LIMIT times,
+    until the summed estimate drops below max(epsabs, epsrel |value|).
+    Panel centres and midpoints are formed as 0.5 lo + 0.5 hi, which is
+    finite for any finite ends.
     """
-    edges = _edges(a, b, points)
-    vals, errs = _gk15(f, edges[:-1], edges[1:])
-    heap = [(-e, lo, hi, v) for lo, hi, v, e in zip(edges[:-1], edges[1:], vals, errs)]
-    heapq.heapify(heap)
-    value, error = float(vals.sum()), float(errs.sum())
+    vals, errs = _gk15(f, np.array([a], dtype=float), np.array([b], dtype=float))
+    heap = [(-errs[0], a, b, vals[0])]
+    value, error = float(vals[0]), float(errs[0])
     for _ in range(QUAD_LIMIT):
         if error <= max(epsabs, epsrel * abs(value)):
             break
         neg_err, lo, hi, v = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         halves = _gk15(f, np.array([lo, mid]), np.array([mid, hi]))
         for lo_i, hi_i, v_i, e_i in zip((lo, mid), (mid, hi), *halves):
             heapq.heappush(heap, (-e_i, lo_i, hi_i, v_i))

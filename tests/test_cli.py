@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from bwflow import analytic, bogoliubov, cli, flow, fock
 from bwflow.errors import ParseError, StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec, hs_norm
-from conftest import fresh_env
+from conftest import SRC, fresh_env
 
 
 def write_spec(tmp_path, name, doc, comments=()):
@@ -237,6 +237,25 @@ def test_fock_verify_prints_both_signs(tmp_path, capsys):
     assert "ground energy" in out
 
 
+def test_fock_verify_residuals_pin_the_scalar_sign(tmp_path, capsys):
+    # the unitary flow realizes dC/dt = -8 ||B||^2: across cutoffs at a
+    # fixed sector cut, the -1 conjugation residual falls with the
+    # truncation error while the +1 one stays at the size of the C offset
+    path = write_spec(tmp_path, "one.json",
+                      {"dim": 1, "omega": [[2.0, 0.0]], "b": [[0.5, 0.0]]})
+    residuals = []
+    for cutoff in (12, 16, 24):
+        assert cli.main(["fock-verify", path, "--cutoff", str(cutoff),
+                         "--sector-cut", "8", "--t-end", "2"]) == cli.EXIT_OK
+        lines = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("conjugation residual")]
+        assert [ln.split("scalar sign ")[1][:2] for ln in lines] == ["-1", "+1"]
+        residuals.append([float(ln.rsplit(":", 1)[1]) for ln in lines])
+    minus, plus = zip(*residuals)
+    assert minus[0] > minus[1] > minus[2]
+    assert all(m < p for m, p in zip(minus[1:], plus[1:]))
+
+
 @pytest.mark.parametrize("c0", [0.0, 0.7])
 def test_fock_verify_derives_the_plus_sign_run(c0):
     # fock-verify integrates once; its +1 lines read C out of that run's
@@ -442,6 +461,16 @@ def test_check_certifies_no_overflowing_sandwich(tmp_path, capsys, b):
     assert verdicts["A3"] != "holds" and verdicts["A4"] != "holds"
 
 
+def test_check_prints_a_finite_norm_for_entries_above_1e154(tmp_path, capsys):
+    # ||B_0||_2 = sqrt(2) 1e160 overflowed in the plain sum of squares, and
+    # check printed inf for it
+    path = write_spec(tmp_path, "big.json", {"blocks": [[1.0, 2.0, 1e160]]})
+    assert run_quietly(["check", path]) == cli.EXIT_CONDITION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].split() == ["A2", "holds", "1.41421e+160"]
+    assert "  hs_b0 = 1.41421e+160" in lines
+
+
 def _run_cli(args, cwd, timeout=60, address_space=None, stdout=subprocess.PIPE):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -449,6 +478,31 @@ def _run_cli(args, cwd, timeout=60, address_space=None, stdout=subprocess.PIPE):
     return subprocess.run([sys.executable, "-m", "bwflow.cli", *args], cwd=cwd, env=fresh_env(),
                           stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
                           preexec_fn=cap if address_space else None)
+
+
+def readme_quick_start():
+    """The bwflow command lines of the README's quick start, as argv lists."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split("## Quick start", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [ln.split()[1:] for ln in block.splitlines() if ln.startswith("bwflow ")]
+
+
+def test_readme_quick_start_runs_without_warnings(tmp_path):
+    # each command as its own process with warnings turned into errors, and
+    # the JSON documents, written through json.dump's default hook, parse
+    argvs = readme_quick_start()
+    assert [a[0] for a in argvs] == ["oracle", "check", "run", "diag", "fock-verify"]
+    argvs += [["check", "generic.json", "--json", "check.json"],
+              ["diag", "generic.json", "--t-end", "5", "--json", "diag.json"],
+              ["fock-verify", "generic.json", "--cutoff", "12"]]
+    for argv in argvs:
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "bwflow.cli", *argv],
+                              cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, ""), argv
+    assert json.loads((tmp_path / "check.json").read_text())["verdicts"]["A3"] == "holds"
+    assert json.loads((tmp_path / "diag.json").read_text())["norm_bounds"] == [True, True]
 
 
 # Prints the modules loaded after importing the command line and running

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,31 @@ def test_hs_norm_matches_trace_formula(seed, n):
     direct = np.sqrt(np.trace(m.conj().T @ m).real)
     assert np.isclose(hs_norm(m), direct, rtol=1e-12)
     assert hs_scale(0.5 * np.eye(1)) == 1.0
+
+
+@pytest.mark.parametrize("m, want", [
+    ([[0.0, 1e160], [1e160, 0.0]], np.sqrt(2.0) * 1e160),
+    ([[3e200, 4e200j]], 5e200),
+    ([[1.7e308, 1.7e308]], np.inf),
+    ([[1.0, np.inf]], np.inf),
+    ([[1.0, np.nan]], np.nan),
+], ids=["real", "complex", "past-the-range", "inf", "nan"])
+def test_hs_norm_of_entries_above_1e154(m, want):
+    # the plain sum of squares overflows to inf for every matrix here; a
+    # finite matrix gets its norm back from the rescaled sum, without a
+    # warning, and only a norm past the float range or a non-finite entry
+    # is inf or nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hs_norm(np.array(m))
+    assert got == pytest.approx(want, rel=1e-15, nan_ok=True)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 5), st.floats(-300, 150))
+def test_hs_norm_below_the_overflow_is_numpys_norm(seed, n, exponent):
+    m = rand_complex(np.random.default_rng(seed), n) * 10.0 ** exponent
+    assert hs_norm(m) == float(np.linalg.norm(m))
+    assert hs_norm(m.real) == float(np.linalg.norm(m.real))
 
 
 def test_min_eig_hermitian():

@@ -1,8 +1,7 @@
 """The scripts under scripts/ run end to end against the library.
 
 Each runs as its own process, as from the command line, and must exit 0
-with its table header first; fock_sign_probe.py passes a flow trajectory
-straight to fock.propagate as its B-path.
+with its table header first.
 """
 
 import os
@@ -19,8 +18,7 @@ SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
 @pytest.mark.parametrize("script, args, header", [
     ("blowup_onset.py", [], "b detected t* T_max t*/T_max horizon T_0"),
     ("decay_rates.py", [], "block fitted rate 2(w-+w+) at limit rel err"),
-    ("fock_sign_probe.py", ["--cutoffs", "12"], "cutoff sector residual s=-1 residual s=+1"),
-], ids=["blowup_onset", "decay_rates", "fock_sign_probe"])
+], ids=["blowup_onset", "decay_rates"])
 def test_script_runs(tmp_path, script, args, header):
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args],
                           cwd=tmp_path, env=fresh_env(), capture_output=True, text=True, timeout=120)
