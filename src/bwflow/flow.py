@@ -339,7 +339,8 @@ def frozen_omega_b(w: np.ndarray, v: np.ndarray, b: np.ndarray, tau: float) -> n
 
     This is the exact B-flow over a time tau with Omega held fixed.
     """
-    e = (v * np.exp(-2.0 * tau * w)) @ v.conj().T  # exp(-2 tau Omega)
+    with np.errstate(over="ignore"):  # tau w past the float range: e^-inf = 0
+        e = (v * np.exp(-2.0 * tau * w)) @ v.conj().T  # exp(-2 tau Omega)
     return e @ b @ e.T
 
 
@@ -395,7 +396,8 @@ class FrozenTail:
             return 0.0
 
         def norms(taus):
-            x = np.exp(-4.0 * np.multiply.outer(taus, self.w))
+            with np.errstate(over="ignore"):  # tau w past the float range: e^-inf = 0
+                x = np.exp(-4.0 * np.multiply.outer(taus, self.w))
             return np.sqrt(np.maximum(((x @ self._weights) * x).sum(axis=1), 0.0))
 
         return gauss_kronrod(norms, tau0, tau1, epsabs=1e-3 * self.tol, epsrel=0.0)[0]

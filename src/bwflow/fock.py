@@ -1,6 +1,6 @@
 """Truncated Fock-space oracle.
 
-Everything the flow claims about (Omega, B, C) can be checked against dense
+Everything the flow claims about (Omega, B, C) can be checked against
 matrices on the boson Fock space over C^n truncated at a total occupation
 cutoff.  The basis is the occupation basis ordered by total number and then
 lexicographically.  Annihilation operators act exactly on the truncated
@@ -18,15 +18,26 @@ Operator dictionary, for coefficients (Omega, B, C):
 
 and the propagator solves dU/dt = -i G_t U.
 
+Every term keeps the parity of the total number (adag_k a_l keeps the
+number, the pair terms change it by 2), so H, G and U only have an
+even-even and an odd-odd block, and the oracle works on those two parity
+blocks.  They are built from one index table per basis and parity (_table),
+made by integer arithmetic on the occupation rows: for each state m and mode
+pair (k, l) it holds the row and weight of adag_k a_l|m> and of
+adag_k adag_l|m>.  Each weight is the product sqrt(n) sqrt(n') of the two
+ladder factors, and hamiltonian_blocks sums the terms in the order of the
+sum of dense ladder products, so its blocks hold the entries of that dense
+matrix bit for bit (the tests keep the ladder-product construction as their
+reference).  hamiltonian_op scatters them into the dense matrix.  The
+unitarity and conjugation residuals and the ground energies take either
+the parity blocks or a dense operator, which is split into them.
+
 Because the basis is graded, the pair term S = sum_kl B_kl adag_k adag_l only
 maps sector N (total number N) to sector N + 2, and S* maps N + 2 back to N.
 propagate therefore never forms G: it applies -i G U = 2 (S U - S* U) as one
-small dense block S_{N+2,N} per sector acting on contiguous row slices of U.
-The dense generator_op stays as the reference for that product.  Since G
-changes the total number by +-2, U also keeps the parity of the total
-number: only its even-even and odd-odd blocks, about half of its entries,
-are ever nonzero, and propagate steps just those two blocks, with the
-tolerance rescaled so that the error criterion is that of the full U.
+small dense block S_{N+2,N} per sector acting on contiguous row slices of
+the two parity blocks of U, which are all it steps, with the tolerance
+rescaled so that the error criterion is that of the full U.
 
 For real B the generator's -i G = 2 (S - S^t) is real, so U is real
 orthogonal, and a path whose B samples are real (a trajectory of a real
@@ -34,13 +45,14 @@ spec; see QuadraticSpec.is_real) is propagated in float64 rather than
 complex128, at sqrt(2) times the block tolerance: the M imaginary parts of
 the complex blocks would be exactly zero and only dilute the stepper's RMS
 error norm over 2M real components by sqrt(2), so this is the same error
-criterion.  hamiltonian_op likewise builds a real H0 for a real spec, and
-the truncated ground energy is then a real symmetric eigenvalue problem.
+criterion.  hamiltonian_blocks likewise builds a real H for a real spec,
+and the truncated ground energy is then a real symmetric eigenvalue problem.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
@@ -58,10 +70,10 @@ SIZE_LIMIT = 20000
 # arrays of dim**2 complex values, the working set of stepping all of U.
 # Stepping only the two parity blocks (about dim**2 / 2 entries) with the
 # stepper's sixteen stage rows and its scratch reused, tracemalloc measures,
-# per dim**2 with two modes and the basis's cached _pair tables already
-# built, 217 and 208 bytes at cutoffs 12 and 20 for complex128 blocks and
-# 114 and 104 for the float64 blocks of a real path, so the bound holds for
-# both (test_propagate_working_set checks this at cutoff 12).
+# per dim**2 with two modes and the basis's index tables already built, 217
+# and 208 bytes at cutoffs 12 and 20 for complex128 blocks and 115 and 104
+# for the float64 blocks of a real path, so the bound holds for both
+# (test_propagate_working_set checks this at cutoff 12).
 # check_propagate_size refuses a basis whose working set would exceed
 # PROPAGATE_MEMORY_LIMIT bytes, which for two modes allows cutoffs up to 60;
 # it sizes every path as complex, so the same cutoffs are refused either way.
@@ -72,6 +84,8 @@ PROPAGATE_MEMORY_LIMIT = 2 ** 30
 # pay two matmul calls per sector on every right-hand-side evaluation.
 MIN_BLOCK_STATES = 16
 OFFDIAG_CONST = 4.0 + np.sqrt(2.0)
+# The two operators of an index table: adag_k a_l and adag_k adag_l.
+HOP, PAIR = 0, 1
 
 
 @dataclass
@@ -81,10 +95,8 @@ class TruncatedFock:
     n_modes: int
     cutoff: int
     occs: np.ndarray            # (dim, n_modes) int occupation rows
-    index: dict                 # occupation tuple -> row
     ntot: np.ndarray            # (dim,) total occupation per row
-    _ladders: dict = field(default_factory=dict, repr=False)
-    _pairs: dict = field(default_factory=dict, repr=False)
+    _tables: dict = field(default_factory=dict, repr=False)
 
     @property
     def dim(self) -> int:
@@ -112,31 +124,8 @@ def build_basis(n_modes: int, cutoff: int) -> TruncatedFock:
          if sum(occ) <= cutoff),
         key=lambda occ: (sum(occ), occ))
     occ_arr = np.array(occs, dtype=int).reshape(len(occs), n_modes)
-    index = {occ: i for i, occ in enumerate(occs)}
     return TruncatedFock(n_modes=n_modes, cutoff=cutoff, occs=occ_arr,
-                         index=index, ntot=occ_arr.sum(axis=1))
-
-
-def ladder(fock: TruncatedFock, k: int, kind: str = "annihilate") -> np.ndarray:
-    """Ladder matrix for mode k (0-based).
-
-    "annihilate" is exact on the truncated space; "create" is its adjoint,
-    which silently drops amplitudes raised past the cutoff.
-    """
-    if not 0 <= k < fock.n_modes:
-        raise ValueError(f"mode index {k} out of range")
-    if kind not in ("annihilate", "create"):
-        raise ValueError("kind must be 'annihilate' or 'create'")
-    if k not in fock._ladders:
-        a = np.zeros((fock.dim, fock.dim))
-        for j, occ in enumerate(map(tuple, fock.occs)):
-            if occ[k] >= 1:
-                lower = occ[:k] + (occ[k] - 1,) + occ[k + 1:]
-                a[fock.index[lower], j] = np.sqrt(occ[k])
-        a.setflags(write=False)
-        fock._ladders[k] = a
-    a = fock._ladders[k]
-    return a.T if kind == "create" else a
+                         ntot=occ_arr.sum(axis=1))
 
 
 def number_op(fock: TruncatedFock) -> np.ndarray:
@@ -144,60 +133,142 @@ def number_op(fock: TruncatedFock) -> np.ndarray:
     return np.diag(fock.ntot.astype(float))
 
 
-def _pair(fock: TruncatedFock, k: int, l: int) -> np.ndarray:
-    """adag_k adag_l on the truncated space."""
-    if (k, l) not in fock._pairs:
-        fock._pairs[(k, l)] = ladder(fock, k, "create") @ ladder(fock, l, "create")
-    return fock._pairs[(k, l)]
+def _locate(occ: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row of occ equal to each target row; occ holds distinct rows and
+    contains every target.  Sorted together by a stable sort, each run of
+    equal rows starts with its row of occ."""
+    both = np.concatenate([occ, targets])
+    order = np.lexsort(both.T[::-1])
+    starts = np.where(order < len(occ), np.arange(len(order)), 0)
+    rows = np.empty(len(both), dtype=int)
+    rows[order] = order[np.maximum.accumulate(starts)]
+    return rows[len(occ):]
 
 
-def _pair_sum(fock: TruncatedFock, b: np.ndarray) -> np.ndarray:
-    """S = sum_kl B_kl adag_k adag_l, in the dtype of B."""
-    s = np.zeros((fock.dim, fock.dim), dtype=b.dtype)
-    for k in range(fock.n_modes):
-        for l in range(fock.n_modes):
-            if b[k, l] != 0:
-                s = s + b[k, l] * _pair(fock, k, l)
-    return s
+def _table(fock: TruncatedFock, parity: int):
+    """Index table of the parity sub-basis, built once per basis.
+
+    Returns (idx, rows, weights).  idx lists the basis rows of the states
+    whose total number has the given parity, in graded order.  rows and
+    weights are (2, n_modes**2, len(idx)) arrays: for the j-th state |m> of
+    the sub-basis and kl = k * n_modes + l,
+
+        adag_k a_l |m>     = weights[HOP, kl, j]  |rows[HOP, kl, j]>,
+        adag_k adag_l |m>  = weights[PAIR, kl, j] |rows[PAIR, kl, j]>,
+
+    with rows counted in the sub-basis (both operators keep the parity).
+    Where the operator annihilates |m> or raises it past the cutoff the row
+    is -1 and the weight 0.  A weight is sqrt(n'_k) sqrt(n_l) or
+    sqrt(n'_k) sqrt(n_l + 1), the factors of adag_k and of a_l or adag_l,
+    as the product of the two ladder matrices forms it.
+    """
+    if parity not in fock._tables:
+        n = fock.n_modes
+        idx = np.flatnonzero(fock.ntot % 2 == parity)
+        occ = fock.occs[idx]
+        rows = np.full((2, n * n, len(idx)), -1)
+        weights = np.zeros((2, n * n, len(idx)))
+        raised = fock.ntot[idx] + 2 <= fock.cutoff
+        for kl, (k, l) in enumerate(itertools.product(range(n), repeat=2)):
+            for op, ok, dl in ((HOP, occ[:, l] >= 1, -1), (PAIR, raised, 1)):
+                target = occ[ok]
+                first = np.sqrt(target[:, l] + max(dl, 0))   # a_l's or adag_l's factor
+                target[:, l] += dl
+                target[:, k] += 1
+                weights[op, kl, ok] = np.sqrt(target[:, k]) * first
+                rows[op, kl, ok] = _locate(occ, target)
+        fock._tables[parity] = idx, rows, weights
+    return fock._tables[parity]
 
 
-def hamiltonian_op(fock: TruncatedFock, spec: QuadraticSpec) -> np.ndarray:
-    """Dense matrix of H(spec) on the truncated space.
+def _leading(fock: TruncatedFock, parity: int, max_total: int) -> int:
+    """Number of states of the parity sub-basis with total number <= max_total,
+    which lead it, since it is graded."""
+    return int(np.count_nonzero(fock.ntot[_table(fock, parity)[0]] <= max_total))
 
-    Built from ladder products, so the pair term and its adjoint match
-    exactly and the result is hermitian to roundoff; hermiticity_residual
-    reports the defect rather than assuming it.  A real spec
-    (spec.is_real) gives a real symmetric float64 matrix, any other a
-    complex128 one.
+
+def _term_block(rows: np.ndarray, weights: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_kl coefs_kl O_kl on a sub-basis, for the operators O_kl of one
+    index table (rows, weights; see _table), in the dtype of coefs.
+
+    The terms are added one kl at a time in order and zero coefficients are
+    skipped, as the dense sum of coefficient times ladder product adds
+    them, so every entry takes the same roundings.
+    """
+    out = np.zeros((rows.shape[1], rows.shape[1]), dtype=coefs.dtype)
+    for r, w, coef in zip(rows, weights, coefs.ravel()):
+        if coef != 0:
+            ok = r >= 0
+            out[r[ok], np.flatnonzero(ok)] += coef * w[ok]
+    return out
+
+
+def shifted(blocks, c: float) -> list:
+    """The blocks of H + c from the blocks of H."""
+    return [h + c * np.eye(len(h)) for h in blocks]
+
+
+def hamiltonian_blocks(fock: TruncatedFock, spec: QuadraticSpec) -> list:
+    """The even and odd parity blocks of H(spec), on the sub-bases of
+    _table, from its index tables.
+
+    Each term is summed as the dense sum of ladder products sums it, so the
+    blocks are that matrix's even-even and odd-odd blocks bit for bit, and
+    exactly hermitian.  A real spec (spec.is_real) gives real symmetric
+    float64 blocks, any other complex128 ones.
     """
     if spec.dim != fock.n_modes:
         raise ValueError("spec dimension does not match mode count")
     omega, b = (spec.omega.real, spec.b.real) if spec.is_real else (spec.omega, spec.b)
-    h = np.zeros((fock.dim, fock.dim), dtype=omega.dtype)
-    for k in range(fock.n_modes):
-        adag_k = ladder(fock, k, "create")
-        for l in range(fock.n_modes):
-            if omega[k, l] != 0:
-                h = h + omega[k, l] * (adag_k @ ladder(fock, l))
-    s = _pair_sum(fock, b)
-    h = h + s + s.conj().T
-    h = h + spec.c0 * np.eye(fock.dim)
-    return h
+    blocks = []
+    for parity in (0, 1):
+        _, rows, weights = _table(fock, parity)
+        s = _term_block(rows[PAIR], weights[PAIR], b)
+        blocks.append(_term_block(rows[HOP], weights[HOP], omega) + s + s.conj().T)
+    return shifted(blocks, spec.c0)
 
 
-def hermiticity_residual(m: np.ndarray) -> float:
-    """||M - M*||_2."""
-    return hs_norm(m - m.conj().T)
+def _dense(fock: TruncatedFock, blocks) -> np.ndarray:
+    """The dim x dim matrix with the given parity blocks, zero elsewhere."""
+    out = np.zeros((fock.dim, fock.dim), dtype=np.result_type(*blocks))
+    for parity, block in enumerate(blocks):
+        idx = _table(fock, parity)[0]
+        out[np.ix_(idx, idx)] = block
+    return out
 
 
-def generator_op(fock: TruncatedFock, b) -> np.ndarray:
-    """G = 2i (S - S*) with S = sum_kl B_kl adag_k adag_l.
+def hamiltonian_op(fock: TruncatedFock, spec: QuadraticSpec) -> np.ndarray:
+    """Dense matrix of H(spec) on the truncated space: the parity blocks of
+    hamiltonian_blocks, and exact zeros between states of opposite parity."""
+    return _dense(fock, hamiltonian_blocks(fock, spec))
 
-    On sectors with total number <= cutoff - 2 this equals i [N, H] entry
-    for entry.
+
+def parity_blocks(fock: TruncatedFock, m) -> list:
+    """The even and odd parity blocks of an operator.
+
+    m is a dense dim x dim matrix, a QuadraticSpec (for H(spec)) or already
+    the list of its two blocks.  A dense matrix with a nonzero entry
+    between states of opposite parity raises ValueError.
     """
-    s = _pair_sum(fock, as_matrix(b))
-    return 2j * (s - s.conj().T)
+    if isinstance(m, QuadraticSpec):
+        return hamiltonian_blocks(fock, m)
+    if not isinstance(m, np.ndarray):
+        return list(m)
+    blocks = [m[np.ix_(idx, idx)] for idx in (_table(fock, p)[0] for p in (0, 1))]
+    if np.count_nonzero(m) != sum(map(np.count_nonzero, blocks)):
+        raise ValueError("operator does not keep the parity of the total number")
+    return blocks
+
+
+def _norm(blocks) -> float:
+    """Hilbert-Schmidt norm of a block-diagonal operator from its blocks."""
+    return math.hypot(*map(hs_norm, blocks))
+
+
+def hermiticity_residual(m) -> float:
+    """||M - M*||_2 of a dense M, or of the block-diagonal M with the
+    blocks in the list m."""
+    return _norm([b - b.conj().T for b in ([m] if isinstance(m, np.ndarray) else m)])
 
 
 def check_propagate_size(dim: int) -> None:
@@ -222,13 +293,13 @@ def _pair_blocks(fock: TruncatedFock, parity: int):
     (indexed through idx) holds every nonzero entry of S in the columns
     cols, and weights[kl, lo:hi] is 2 adag_k adag_l restricted to that block
     and flattened, so that sum_kl B_kl weights[kl, lo:hi] is 2 S[rows, cols].
+    The weights are read off the PAIR index table (see _table), which holds
+    every nonzero entry of adag_k adag_l.
     """
-    idx = np.flatnonzero(fock.ntot % 2 == parity)
+    idx, table_rows, table_weights = _table(fock, parity)
     off = np.searchsorted(fock.ntot[idx], np.arange(fock.cutoff + 3))
     top = fock.cutoff - 2                    # highest sector S maps inside the cutoff
-    pairs = [_pair(fock, k, l)[np.ix_(idx, idx)] for k in range(fock.n_modes)
-             for l in range(fock.n_modes)]
-    blocks, parts, lo, first = [], [np.zeros((len(pairs), 0))], 0, parity
+    blocks, lo, first = [], 0, parity
     while first <= top:
         last = first
         while last + 2 <= top and off[last + 2] - off[first] < MIN_BLOCK_STATES:
@@ -237,15 +308,20 @@ def _pair_blocks(fock: TruncatedFock, parity: int):
         rows = slice(off[first + 2], off[last + 4])
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         blocks.append((rows, cols, shape, lo, lo + shape[0] * shape[1]))
-        parts.append(np.stack([p[rows, cols].ravel() for p in pairs]))
         lo += shape[0] * shape[1]
         first = last + 2
-    return idx, blocks, 2.0 * np.concatenate(parts, axis=1)
+    weights = np.zeros((fock.n_modes ** 2, lo))
+    for rows, cols, shape, start, _ in blocks:
+        j = np.arange(cols.start, cols.stop)
+        at = start + (table_rows[PAIR][:, j] - rows.start) * shape[1] + (j - cols.start)
+        np.put_along_axis(weights, at, 2.0 * table_weights[PAIR][:, j], axis=1)
+    return idx, blocks, weights
 
 
-def propagate(fock: TruncatedFock, bpath, s: float, t: float,
-              tol: float = 1e-10) -> np.ndarray:
-    """Solve dU/dtau = -i G_tau U over [s, t], U_{s,s} = 1.
+def propagate_blocks(fock: TruncatedFock, bpath, s: float, t: float,
+                     tol: float = 1e-10) -> list:
+    """Solve dU/dtau = -i G_tau U over [s, t], U_{s,s} = 1, for the even and
+    odd parity blocks of U.
 
     bpath is any B-path, such as a flow trajectory, whose interpolated B_tau
     is then used; the span and the path's window follow flow.check_span.
@@ -256,9 +332,8 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     [U_0.ravel(), U_1.ravel()].  The right-hand side
     -i G U = 2 (S U - S* U) is applied block by block on each U_p: each
     block S_{N+2,N} multiplies the rows of sector N into the rows of sector
-    N + 2, and its adjoint the rows of N + 2 back into N.  Both blocks are
-    returned scattered into a dim x dim matrix whose other entries are
-    exactly zero.
+    N + 2, and its adjoint the rows of N + 2 back into N.  Returns the list
+    [U_0, U_1].
 
     The stepper's RMS error norm over the full U would count those zero
     entries, so it is the norm over the blocks times
@@ -280,7 +355,7 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     check_span(bpath, s, t)
     dim = fock.dim
     if t == s:
-        return np.eye(dim, dtype=complex)
+        return [np.eye(len(_table(fock, p)[0]), dtype=complex) for p in (0, 1)]
     check_propagate_size(dim)
     parities = [_pair_blocks(fock, p) for p in (0, 1)]
     sizes = [len(idx) for idx, _, _ in parities]
@@ -311,46 +386,76 @@ def propagate(fock: TruncatedFock, bpath, s: float, t: float,
     y0 = np.concatenate([np.eye(d, dtype=dtype).ravel() for d in sizes])
     tol_blocks = tol * np.sqrt(dim * dim / ends[-1]) * (np.sqrt(2.0) if real else 1.0)
     y = drive(DormandPrince(fun, s, y0, t, tol_blocks, tol_blocks)).state
-    u_mat = np.zeros((dim, dim), dtype=dtype)
-    for (idx, _, _), d, start, stop in zip(parities, sizes, ends, ends[1:]):
-        u_mat[np.ix_(idx, idx)] = y[start:stop].reshape(d, d)
-    return u_mat
+    return [y[start:stop].reshape(d, d) for d, start, stop in zip(sizes, ends, ends[1:])]
 
 
-def unitarity_residual(fock: TruncatedFock, u_mat: np.ndarray) -> float:
+def propagate(fock: TruncatedFock, bpath, s: float, t: float,
+              tol: float = 1e-10) -> np.ndarray:
+    """U_{s,t} of propagate_blocks as a dim x dim matrix, exactly zero
+    between states of opposite parity."""
+    return _dense(fock, propagate_blocks(fock, bpath, s, t, tol))
+
+
+def unitarity_residual(fock: TruncatedFock, u) -> float:
     """||P (U* U - 1) P||_2 on the interior sectors, total number up to
-    cutoff - 4."""
-    mask = fock.sector_mask(fock.cutoff - 4)
-    defect = u_mat.conj().T @ u_mat - np.eye(fock.dim)
-    return hs_norm(defect[np.ix_(mask, mask)])
+    cutoff - 4.
+
+    u is U or its parity blocks (see parity_blocks).  P U* U P only takes
+    the leading columns of each block, those of the interior sectors.
+    """
+    defects = []
+    for parity, u_p in enumerate(parity_blocks(fock, u)):
+        cols = u_p[:, :_leading(fock, parity, fock.cutoff - 4)]
+        defects.append(cols.conj().T @ cols - np.eye(cols.shape[1]))
+    return _norm(defects)
 
 
-def conjugation_residual(fock: TruncatedFock, u_mat: np.ndarray,
-                         spec_s: QuadraticSpec, spec_t: QuadraticSpec,
-                         sector_cut: int) -> float:
+def _check_sector_cut(fock: TruncatedFock, sector_cut: int) -> None:
+    if not 0 <= sector_cut <= fock.cutoff - 4:
+        raise ValueError("sector_cut must lie in [0, cutoff - 4]")
+
+
+def conjugate(fock: TruncatedFock, u, h, sector_cut: int) -> list:
+    """The leading parts, total number <= sector_cut, of the parity blocks
+    of U H U*.
+
+    u and h are operators as parity_blocks takes them.  P U H U* P takes
+    only the leading rows of each block of U, those of the kept sectors.
+    """
+    _check_sector_cut(fock, sector_cut)
+    out = []
+    for parity, (u_p, h_p) in enumerate(zip(parity_blocks(fock, u), parity_blocks(fock, h))):
+        rows = u_p[:_leading(fock, parity, sector_cut)]
+        out.append(rows @ h_p @ rows.conj().T)
+    return out
+
+
+def conjugation_residual(fock: TruncatedFock, u_mat, spec_s: QuadraticSpec,
+                         spec_t: QuadraticSpec, sector_cut: int) -> float:
     """Relative residual of U H(spec_s) U* = H(spec_t) on low sectors.
 
     The projection keeps total occupation <= sector_cut, which must leave a
     guard band below the cutoff (sector_cut <= cutoff - 4) so truncation
     leakage does not contaminate the comparison.  A negative sector_cut
     would project onto nothing and report a perfect match, so it is
-    rejected too.
+    rejected too.  u_mat is U or its parity blocks.
     """
-    conjugated = u_mat @ hamiltonian_op(fock, spec_s) @ u_mat.conj().T
-    return conjugated_residual(fock, conjugated, spec_t, sector_cut)
+    return conjugated_residual(fock, conjugate(fock, u_mat, spec_s, sector_cut),
+                               spec_t, sector_cut)
 
 
-def conjugated_residual(fock: TruncatedFock, conjugated: np.ndarray,
-                        spec_t: QuadraticSpec, sector_cut: int) -> float:
-    """conjugation_residual from a precomputed conjugated = U H(spec_s) U*,
-    so that several spec_t can be compared against one product."""
-    if not 0 <= sector_cut <= fock.cutoff - 4:
-        raise ValueError("sector_cut must lie in [0, cutoff - 4]")
-    mask = fock.sector_mask(sector_cut)
-    h_t = hamiltonian_op(fock, spec_t)
-    diff = conjugated - h_t
-    num = hs_norm(diff[np.ix_(mask, mask)])
-    den = hs_norm(h_t[np.ix_(mask, mask)])
+def conjugated_residual(fock: TruncatedFock, conjugated: list, h_t,
+                        sector_cut: int) -> float:
+    """conjugation_residual from conjugated = conjugate(fock, U, H_s,
+    sector_cut), so that several H_t (a QuadraticSpec or parity blocks) can
+    be compared against one product."""
+    _check_sector_cut(fock, sector_cut)
+    diffs, refs = [], []
+    for parity, (c_p, h_p) in enumerate(zip(conjugated, parity_blocks(fock, h_t))):
+        n = _leading(fock, parity, sector_cut)
+        refs.append(h_p[:n, :n])
+        diffs.append(c_p - refs[-1])
+    num, den = _norm(diffs), _norm(refs)
     if den == 0:
         return np.inf if num > 0 else 0.0
     return float(num / den)
@@ -361,7 +466,8 @@ def n_diag_residual(fock: TruncatedFock, spec: QuadraticSpec) -> float:
     cutoff - 2; exactly zero when B = 0.
 
     N is diagonal, so [H, N]_ij = H_ij N_j - N_i H_ij is formed entry by
-    entry, with the same roundings as the products with number_op.
+    entry, with the same roundings as the products with number_op, and on
+    the dense H, so that the norm sums the entries in the same order.
     """
     h = hamiltonian_op(fock, spec)
     mask = fock.sector_mask(fock.cutoff - 2)
@@ -372,23 +478,26 @@ def n_diag_residual(fock: TruncatedFock, spec: QuadraticSpec) -> float:
 def ground_energy(fock: TruncatedFock, h) -> float:
     """Lowest eigenvalue of the truncated H.
 
-    h may be a dense operator or a QuadraticSpec to build one from.
+    h may be a dense operator, a QuadraticSpec to build one from, or the
+    list of the parity blocks of H, whose lowest eigenvalue is the smaller
+    of the blocks' ones.  The dense and the block forms agree to rounding,
+    not bit for bit.
     """
     if isinstance(h, QuadraticSpec):
         h = hamiltonian_op(fock, h)
-    h = (h + h.conj().T) / 2
-    return float(np.linalg.eigvalsh(h)[0])
+    blocks = [h] if isinstance(h, np.ndarray) else h
+    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in blocks if len(b))
 
 
 def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) -> float:
     """Truncation-convergence estimate |E0(cutoff) - E0(cutoff - 4)|.
 
-    h may be a dense operator or a QuadraticSpec to build one from, and e0,
-    when given, is ground_energy(fock, h), already computed.  The basis of
-    cutoff - 4 is the leading basis_dim(n_modes, cutoff - 4) states of the
-    graded basis, and H there is the leading block of H: every ladder
-    product between two of those states passes only through states of
-    those sectors.
+    h is as ground_energy takes it, and e0, when given, is
+    ground_energy(fock, h), already computed.  The basis of cutoff - 4 is
+    the leading basis_dim(n_modes, cutoff - 4) states of the graded basis,
+    and the leading states of each parity block, and H there is the leading
+    block of H or of its parity blocks: every ladder product between two of
+    those states passes only through states of those sectors.
     """
     if fock.cutoff < 4:
         raise ValueError("need cutoff >= 4 for the comparison basis")
@@ -396,8 +505,11 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
         h = hamiltonian_op(fock, h)
     if e0 is None:
         e0 = ground_energy(fock, h)
-    dim = basis_dim(fock.n_modes, fock.cutoff - 4)
-    return abs(e0 - ground_energy(fock, h[:dim, :dim]))
+    if isinstance(h, np.ndarray):
+        dim = basis_dim(fock.n_modes, fock.cutoff - 4)
+        return abs(e0 - ground_energy(fock, h[:dim, :dim]))
+    dims = [_leading(fock, parity, fock.cutoff - 4) for parity in (0, 1)]
+    return abs(e0 - ground_energy(fock, [h_p[:d, :d] for h_p, d in zip(h, dims)]))
 
 
 def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:
@@ -405,15 +517,17 @@ def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:
     (lhs, rhs, holds).
 
     The left side restricts inputs to total occupation <= cutoff - 2, where
-    the truncated pair operators agree with the untruncated ones.
+    the truncated pair operators agree with the untruncated ones.  S keeps
+    the parity, so the operator norm is the larger of its parity blocks'.
     """
     bm = as_matrix(b)
-    s = _pair_sum(fock, bm)
-    w = s + s.conj().T
-    weights = 1.0 / (fock.ntot.astype(float) + 1.0)
-    m = w * weights[np.newaxis, :]
-    mask = fock.sector_mask(fock.cutoff - 2)
-    sing = np.linalg.svd(m[:, mask], compute_uv=False)
-    lhs = float(sing[0]) if sing.size else 0.0
+    lhs = 0.0
+    for parity in (0, 1):
+        idx, rows, weights = _table(fock, parity)
+        s = _term_block(rows[PAIR], weights[PAIR], bm)
+        cols = _leading(fock, parity, fock.cutoff - 2)
+        m = (s + s.conj().T)[:, :cols] * (1.0 / (fock.ntot[idx[:cols]] + 1.0))
+        if m.size:
+            lhs = max(lhs, float(np.linalg.svd(m, compute_uv=False)[0]))
     rhs = float(OFFDIAG_CONST * hs_norm(bm))
     return lhs, rhs, bool(lhs <= rhs * (1 + 1e-9))

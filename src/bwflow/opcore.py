@@ -46,17 +46,26 @@ def hs_norm(x) -> float:
     """Hilbert-Schmidt norm sqrt(tr(X* X)) = Frobenius norm.
 
     The plain sum of squares overflows for entries above about 1e154; only
-    then, and only for finite entries, the norm is taken of X scaled by its
-    largest real or imaginary part, so that it is inf only when X is not
-    finite or the norm exceeds the float range.
+    then, and only for finite entries, the norm is taken of X / _pow2_scale(X)
+    and scaled back, so that it is inf only when X is not finite or the norm
+    exceeds the float range.
     """
     m = x.mat if isinstance(x, OneParticleOperator) else np.asarray(x)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(m))
     if norm == math.inf and np.isfinite(m).all():
-        scale = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+        scale = _pow2_scale(m)
         norm = scale * float(np.linalg.norm(m / scale))
     return norm
+
+
+def _pow2_scale(m: np.ndarray) -> float:
+    """The power of two that takes the largest real or imaginary part of m
+    into [1, 2).  Dividing by it is exact for normal entries, and norms
+    taken of m / scale and multiplied by scale are bit for bit those of m
+    wherever the latter's sums of squares neither overflow nor underflow."""
+    top = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
 
 
 def hs_scale(x) -> float:
@@ -260,9 +269,11 @@ def sandwich_norm(b, omega, p=1, ker_tol: float = KER_TOL) -> float:
 
     With Omega^t = sum_k lam_k w_k w_k*, the norm is the 2-norm of
     ||B w_k||_2 lam_k^{-p/2} over k.  It is summed relative to the smallest
-    lam_k and no weight is squared, so it is finite wherever the norm itself
-    is, also where the sandwich's lam^-p overflows; a norm past the largest
-    float is inf.
+    lam_k and no weight is squared, and the column norms ||B w_k||_2 are
+    taken of B / _pow2_scale(B), so it is finite wherever the norm itself
+    is, also for entries above about 1e154, where the plain sums of squares
+    overflow, and where the sandwich's lam^-p overflows; a norm past the
+    largest float is inf.
     """
     bm = as_matrix(b)
     om = as_matrix(omega)
@@ -272,9 +283,10 @@ def sandwich_norm(b, omega, p=1, ker_tol: float = KER_TOL) -> float:
     lams = vals[~kernel]
     if not lams.size:
         return 0.0
-    cols = np.linalg.norm(bm @ vecs[:, ~kernel], axis=0)
+    scale = _pow2_scale(bm)
+    cols = np.linalg.norm((bm / scale) @ vecs[:, ~kernel], axis=0)
     lam_min = float(lams[0])
-    rel = math.hypot(*(cols * (lam_min / lams) ** (0.5 * p)))  # each factor <= 1
+    rel = scale * math.hypot(*(cols * (lam_min / lams) ** (0.5 * p)))  # each factor <= 1
     if rel == 0.0:
         return 0.0
     try:

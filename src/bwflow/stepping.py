@@ -339,7 +339,9 @@ class DormandPrince:
                     MAX_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
                 if rejected:
                     factor = min(1, factor)
-                h_abs *= factor
+                # in Python floats: a step grown past the float range is inf
+                # without numpy's warning, and the next step ends at t_bound
+                h_abs = float(h_abs) * float(factor)
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True

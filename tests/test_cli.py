@@ -471,6 +471,14 @@ def test_check_prints_a_finite_norm_for_entries_above_1e154(tmp_path, capsys):
     assert "  hs_b0 = 1.41421e+160" in lines
 
 
+def test_check_prints_a_finite_a5_norm_for_entries_above_1e154(tmp_path, capsys):
+    # ||B Omega^{-3/2}||_2 = sqrt(1 + 2^-3) 1e160: the column norms of B V
+    # overflowed in their sums of squares, and check printed inf for it
+    path = write_spec(tmp_path, "big.json", {"blocks": [[1.0, 2.0, 1e160]]})
+    assert run_quietly(["check", path]) == cli.EXIT_CONDITION
+    assert "  a5_norm = 1.06066e+160" in capsys.readouterr().out.splitlines()
+
+
 def _run_cli(args, cwd, timeout=60, address_space=None, stdout=subprocess.PIPE):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
@@ -810,6 +818,20 @@ def test_huge_horizon_exits_0(generic_file, tmp_path, command):
     proc = _run_cli([command[0], generic_file, *command[1:], "--t-end", "1e308"], cwd=tmp_path)
     assert proc.returncode == cli.EXIT_OK
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("horizon", ["1e308", "1.7e308"])
+@pytest.mark.parametrize("command", [
+    ["run"], ["diag"], ["fock-verify", "--cutoff", "8"],
+], ids=["run", "diag", "fock-verify"])
+def test_huge_horizon_runs_without_warnings(generic_file, tmp_path, command, horizon):
+    # the frozen tail's e^{-tau w} and the stepper's growing step overflowed
+    # near the float range, harmlessly but with numpy's RuntimeWarnings
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "bwflow.cli", command[0],
+                           generic_file, *command[1:], "--t-end", horizon],
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, "")
 
 
 def test_run_meets_conv_tol_below_the_noise_floor(generic_file, tmp_path):

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -11,6 +10,7 @@ from bwflow.flow import FunctionBPath
 from bwflow.opcore import QuadraticSpec, hs_norm
 from bwflow.stepping import DormandPrince, drive
 from conftest import writes_into
+import fock_reference as ref
 
 
 def dense_propagate(fk, bpath, s, t, tol=1e-10):
@@ -21,7 +21,7 @@ def dense_propagate(fk, bpath, s, t, tol=1e-10):
     if t == s:
         return np.eye(dim, dtype=complex)
     nn = fk.n_modes
-    pair_stack = np.stack([fock._pair(fk, k, l).astype(complex)
+    pair_stack = np.stack([ref.pair(fk, k, l).astype(complex)
                            for k in range(nn) for l in range(nn)])
 
     def gen(tau):
@@ -96,16 +96,16 @@ def test_basis_guards():
 
 
 def test_ladder_matrix_elements(one_mode):
-    a = fock.ladder(one_mode, 0)
+    a = ref.ladder(one_mode, 0)
     for n in range(1, one_mode.cutoff + 1):
         assert a[n - 1, n] == np.sqrt(n)
     assert np.count_nonzero(a) == one_mode.cutoff
-    adag = fock.ladder(one_mode, 0, "create")
+    adag = ref.ladder(one_mode, 0, "create")
     assert np.array_equal(adag, a.T)
     with pytest.raises(ValueError):
-        fock.ladder(one_mode, 1)
+        ref.ladder(one_mode, 1)
     with pytest.raises(ValueError):
-        fock.ladder(one_mode, 0, "lower")
+        ref.ladder(one_mode, 0, "lower")
 
 
 def test_number_operator(two_mode):
@@ -119,8 +119,8 @@ def test_ccr_on_interior(two_mode):
     mask = two_mode.sector_mask(two_mode.cutoff - 1)
     for j in range(2):
         for k in range(2):
-            aj = fock.ladder(two_mode, j)
-            adk = fock.ladder(two_mode, k, "create")
+            aj = ref.ladder(two_mode, j)
+            adk = ref.ladder(two_mode, k, "create")
             comm = aj @ adk - adk @ aj
             want = np.eye(two_mode.dim) if j == k else np.zeros_like(comm)
             assert hs_norm(comm[np.ix_(mask, mask)]
@@ -142,7 +142,7 @@ def test_hamiltonian_hermitian_and_elements(one_mode):
 
 def test_generator_is_number_commutator(two_mode):
     b = np.array([[0.3, 0.1], [0.1, -0.2]])
-    g = fock.generator_op(two_mode, b)
+    g = ref.generator_op(two_mode, b)
     assert fock.hermiticity_residual(g) < 1e-13
     spec = QuadraticSpec.from_matrices(np.zeros((2, 2)), b)
     h = fock.hamiltonian_op(two_mode, spec)
@@ -153,7 +153,7 @@ def test_generator_is_number_commutator(two_mode):
 
 
 def test_generator_matrix_element(one_mode):
-    g = fock.generator_op(one_mode, [[0.5]])
+    g = ref.generator_op(one_mode, [[0.5]])
     assert g[2, 0] == pytest.approx(2j * np.sqrt(2) * 0.5)
     assert g[0, 2] == pytest.approx(-2j * np.sqrt(2) * 0.5)
 
@@ -162,7 +162,7 @@ def test_propagate_constant_generator(one_mode):
     b = np.array([[0.2]])
     path = FunctionBPath(lambda t: b, 0.0, 1.0)
     u = fock.propagate(one_mode, path, 0.0, 1.0)
-    g = fock.generator_op(one_mode, b)
+    g = ref.generator_op(one_mode, b)
     assert hs_norm(u - expm(-1j * g)) < 1e-8
     assert fock.unitarity_residual(one_mode, u) < 1e-8
     assert hs_norm(fock.propagate(one_mode, path, 0.5, 0.5)
@@ -202,7 +202,7 @@ def test_pair_blocks_cover_the_pair_term(n_modes, cutoff):
         assert cols_p == list(range(int(np.sum(fk.ntot[idx] <= cutoff - 2))))
         covered.extend(idx[cols_p])
         n_blocks.append(len(blocks))
-    want = 2 * fock._pair_sum(fk, b)
+    want = 2 * ref.pair_sum(fk, b)
     assert np.array_equal(s_op != 0, want != 0)
     assert np.abs(s_op - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
     # the columns of sectors 0..cutoff-2 are each covered by one block
@@ -303,8 +303,8 @@ def test_propagate_working_set():
     peaks = {}
     for path in (traj, FunctionBPath(traj, traj.t0, traj.t1)):
         fk = fock.build_basis(2, 12)
-        for k, l in itertools.product(range(2), repeat=2):
-            fock._pair(fk, k, l)  # the basis's cached tables, not propagate's
+        for parity in (0, 1):
+            fock._table(fk, parity)  # the basis's cached tables, not propagate's
         tracemalloc.start()
         try:
             u = fock.propagate(fk, path, 0.0, traj.t1)
@@ -325,16 +325,82 @@ def test_hamiltonian_op_is_real_for_a_real_spec(one_mode):
         fock.ground_energy(one_mode, cplx), abs=1e-14)
 
 
+def dense_propagate_blocks(fk, bpath, s, t, tol=1e-10):
+    """The parity blocks of dense_propagate's U."""
+    return fock.parity_blocks(fk, dense_propagate(fk, bpath, s, t, tol))
+
+
 def test_fock_verify_output_unchanged_with_dense_reference(tmp_path, capsys, monkeypatch):
+    # the same report from the index-table operators, from H and the pair
+    # blocks' weights built of dense ladder products, and with U stepped
+    # densely as well
     spec = tmp_path / "generic.json"
     spec.write_text('{"blocks": [[1.0, 2.0, 0.5]], "label": "generic"}\n')
-    argv = ["fock-verify", str(spec), "--cutoff", "12"]
-    assert cli.main(argv) == cli.EXIT_OK
-    blocked = capsys.readouterr().out
-    monkeypatch.setattr(fock, "propagate", dense_propagate)
-    assert cli.main(argv) == cli.EXIT_OK
-    assert capsys.readouterr().out == blocked
-    assert "conjugation residual" in blocked
+    for cutoff in (12, 20):
+        argv = ["fock-verify", str(spec), "--cutoff", str(cutoff)]
+        assert cli.main(argv) == cli.EXIT_OK
+        blocked = capsys.readouterr().out
+        assert "conjugation residual" in blocked
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "hamiltonian_blocks", ref.hamiltonian_blocks)
+            patch.setattr(fock, "_pair_blocks", ref.pair_blocks)
+            assert cli.main(argv) == cli.EXIT_OK
+            assert capsys.readouterr().out == blocked
+            patch.setattr(fock, "propagate_blocks", dense_propagate_blocks)
+            assert cli.main(argv) == cli.EXIT_OK
+            assert capsys.readouterr().out == blocked
+
+
+def random_spec(n_modes, kind, c0, seed):
+    """A random spec with some zero couplings: real, or complex."""
+    rng = np.random.default_rng(seed)
+    shape = (n_modes, n_modes)
+    a, m = rng.normal(size=shape), rng.normal(size=shape)
+    if kind == "complex":
+        a, m = a + 1j * rng.normal(size=shape), m + 1j * rng.normal(size=shape)
+    omega, b = a @ a.conj().T, 0.3 * (m + m.T)
+    if n_modes > 1:
+        omega[0, -1] = omega[-1, 0] = 0.0
+        b[-1, -1] = 0.0
+    return QuadraticSpec.from_matrices(omega, b, c0=c0)
+
+
+@pytest.mark.parametrize("n_modes, cutoff", [(1, 4), (1, 9), (1, 16), (2, 4), (2, 7),
+                                             (2, 16), (3, 4), (3, 9), (3, 12)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("c0", [0.0, -0.7])
+def test_table_built_operators_match_ladder_products(n_modes, cutoff, kind, c0):
+    # the parity blocks of H(spec) and the pair blocks' weights, built from
+    # the index tables, equal bit for bit the blocks of the dense ladder
+    # products, and the dense H is exactly zero between the parities
+    fk = fock.build_basis(n_modes, cutoff)
+    spec = random_spec(n_modes, kind, c0, seed=10 * n_modes + cutoff)
+    want = ref.hamiltonian_op(fk, spec)
+    blocks = fock.hamiltonian_blocks(fk, spec)
+    for got, expected in zip(blocks, ref.hamiltonian_blocks(fk, spec)):
+        assert got.dtype == expected.dtype == (float if kind == "real" else complex)
+        assert np.array_equal(got, expected)
+    h = fock.hamiltonian_op(fk, spec)
+    assert h.dtype == want.dtype and np.array_equal(h, want)
+    odd = (fk.ntot[:, np.newaxis] - fk.ntot[np.newaxis, :]) % 2 == 1
+    assert not want[odd].any() and not h[odd].any()
+    assert fock.hermiticity_residual(blocks) == 0.0
+    for parity in (0, 1):
+        idx, blocks, weights = fock._pair_blocks(fk, parity)
+        ref_idx, ref_blocks, ref_weights = ref.pair_blocks(fk, parity)
+        assert np.array_equal(idx, ref_idx) and blocks == ref_blocks
+        assert weights.shape == ref_weights.shape and np.array_equal(weights, ref_weights)
+
+
+def test_dense_operators_that_change_parity_are_refused(two_mode):
+    # the residuals read a dense operator through its two parity blocks,
+    # which would drop a ladder operator's entries without a word
+    a = ref.ladder(two_mode, 0)
+    with pytest.raises(ValueError, match="parity"):
+        fock.unitarity_residual(two_mode, np.eye(two_mode.dim) + a)
+    blocks = fock.parity_blocks(two_mode, fock.number_op(two_mode))
+    assert [np.diag(b).tolist() for b in blocks] == [
+        two_mode.ntot[two_mode.ntot % 2 == p].astype(float).tolist() for p in (0, 1)]
 
 
 def test_flow_conjugation_on_interior():

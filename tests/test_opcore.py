@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 import warnings
 
 import numpy as np
@@ -175,6 +176,23 @@ def test_sandwich_norm_kernel_and_overflow():
         small = sandwich_norm(1e-100 * np.eye(1), 0.5 * np.eye(1), p=2400)
         assert abs(small - float(Fraction(2) ** 1200 * Fraction(1e-100))) <= 1e-12 * small
         assert sandwich_norm(anti, np.diag([0.5, 2.0]), p=1e300) == np.inf
+
+
+@pytest.mark.parametrize("k", [-600, 0, 100, 511, 520, 700, 1000])
+def test_sandwich_norm_scales_exactly_past_1e154(k):
+    # from k = 512 on the column norms' sums of squares overflow, and at
+    # k = -600 they underflow; the norm stays finite, without a warning,
+    # and scales with B x 2^k exactly
+    rng = np.random.default_rng(3)
+    b = rand_complex(rng, 3)
+    b = b + b.T
+    a = rng.normal(size=(3, 3))
+    omega = a @ a.T + 0.5 * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sandwich_norm(b * 2.0 ** k, omega, p=2.5)
+    assert math.isfinite(got)
+    assert got == 2.0 ** k * sandwich_norm(b, omega, p=2.5)
 
 
 @given(st.integers(0, 10**6), st.integers(1, 4))
