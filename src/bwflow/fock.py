@@ -34,10 +34,15 @@ the parity blocks or a dense operator, which is split into them.
 
 Because the basis is graded, the pair term S = sum_kl B_kl adag_k adag_l only
 maps sector N (total number N) to sector N + 2, and S* maps N + 2 back to N.
-propagate therefore never forms G: it applies -i G U = 2 (S U - S* U) as one
-small dense block S_{N+2,N} per sector acting on contiguous row slices of
-the two parity blocks of U, which are all it steps, with the tolerance
-rescaled so that the error criterion is that of the full U.
+S only joins states that the pair operators of B's nonzero entries connect,
+so U is zero between the connected components of that graph: with B =
+antidiag(b) on two modes, for instance, every component keeps n_1 - n_2.
+propagate therefore never forms G: it lays the components of each parity
+out on one common sector profile and applies -i G U = 2 (S U - S* U) as one
+small dense block S_{N+2,N} per sector to the whole stack of components,
+which is all it steps, with the tolerance rescaled so that the error
+criterion is that of the full U.  A B with every entry nonzero gives one
+component per parity.
 
 For real B the generator's -i G = 2 (S - S^t) is real, so U is real
 orthogonal, and a path whose B samples are real (a trajectory of a real
@@ -68,12 +73,15 @@ from .stepping import DormandPrince, drive
 SIZE_LIMIT = 20000
 # Bound on the peak bytes propagate holds per squared basis dimension: 18
 # arrays of dim**2 complex values, the working set of stepping all of U.
-# Stepping only the two parity blocks (about dim**2 / 2 entries) with the
-# stepper's sixteen stage rows and its scratch reused, tracemalloc measures,
-# per dim**2 with two modes and the basis's index tables already built, 217
-# and 208 bytes at cutoffs 12 and 20 for complex128 blocks and 115 and 104
-# for the float64 blocks of a real path, so the bound holds for both
-# (test_propagate_working_set checks this at cutoff 12).
+# Stepping only the components of the pair term, with the stepper's sixteen
+# stage rows and its scratch reused, tracemalloc measures, per dim**2 with
+# two modes, the basis's index tables already built and the path warmed, 217
+# and 208 bytes at cutoffs 12 and 20 for complex128 U and 110 and 104 for
+# the float64 U of a real path when every entry of B is nonzero (one
+# component per parity, about dim**2 / 2 entries), and 51 and 36, or 27 and
+# 19, for the README block's B, whose components keep n_1 - n_2, so the
+# bound holds for all of them (test_propagate_working_set checks this at
+# cutoff 12).
 # check_propagate_size refuses a basis whose working set would exceed
 # PROPAGATE_MEMORY_LIMIT bytes, which for two modes allows cutoffs up to 60;
 # it sizes every path as complex, so the same cutoffs are refused either way.
@@ -281,41 +289,108 @@ def check_propagate_size(dim: int) -> None:
             f"over the {PROPAGATE_MEMORY_LIMIT / 2**30:.1f} GiB limit")
 
 
-def _pair_blocks(fock: TruncatedFock, parity: int):
-    """The nonzero blocks of the pair term S on one parity sub-basis.
+def _components(fock: TruncatedFock, parity: int, support: np.ndarray) -> np.ndarray:
+    """Connected components of the pair term's graph on one parity sub-basis.
 
-    idx lists the basis states whose total number has the given parity, in
-    graded order, so the sectors N, N + 2, N + 4, ... of that parity are
-    contiguous in idx and S maps sector N into sector N + 2 inside it.
-    Runs of consecutive sectors with fewer than MIN_BLOCK_STATES states are
-    merged into one block.  Returns (idx, blocks, weights): each block is
-    (rows, cols, shape, lo, hi), slices of the sub-basis where S[rows, cols]
-    (indexed through idx) holds every nonzero entry of S in the columns
-    cols, and weights[kl, lo:hi] is 2 adag_k adag_l restricted to that block
-    and flattened, so that sum_kl B_kl weights[kl, lo:hi] is 2 S[rows, cols].
-    The weights are read off the PAIR index table (see _table), which holds
-    every nonzero entry of adag_k adag_l.
+    support is the (n_modes, n_modes) bool mask of the entries of B that
+    may be nonzero.  The graph joins each state |m> of the sub-basis (see
+    _table) to adag_k adag_l |m> for every (k, l) in the support, as the
+    PAIR index table lists it, so S, G and U only have entries between
+    states of one component.  Returns the component of each state,
+    numbered in the graded order of the components' first states.
+    """
+    _, rows, _ = _table(fock, parity)
+    targets = rows[PAIR][support.ravel()]
+    ok = targets >= 0
+    src, dst = np.nonzero(ok)[1], targets[ok]
+    label = np.arange(rows.shape[2])
+    while True:   # hook every edge to its lower label and jump, to a fixpoint
+        new = label.copy()
+        np.minimum.at(new, src, label[dst])
+        np.minimum.at(new, dst, label[src])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    # each label is now the first state of its component
+    return np.cumsum(label == np.arange(len(label)))[label] - 1
+
+
+def _pair_blocks(fock: TruncatedFock, parity: int, support: np.ndarray):
+    """The pair term S on one parity sub-basis, for B on the support, as
+    blocks of a stack of its components.
+
+    A component of one state has no pair entry.  The g components of
+    _components with more than one state are laid out on one common
+    profile of D slots: sector N (of the given parity) takes a run of as
+    many slots as the most states any component has in N, and each
+    component's states of sector N fill the leading slots of that run in
+    graded order.  The slots a component leaves empty are phantoms, whose
+    rows and columns of S are zero.  Runs of consecutive sectors with
+    fewer than MIN_BLOCK_STATES slots are merged into one block, so that a
+    one-mode basis (one state per sector) does not pay two matmul calls
+    per sector.
+
+    Returns (comp, slot, shape, blocks, weights).  comp and slot are the
+    component and slot of each state of the sub-basis, comp -1 for a
+    component of one state, and shape is (g, D, D).  Each block is
+    (rows, cols, shape, lo, hi), slot slices where the stack S[:, rows,
+    cols] holds every entry of S in the columns cols, and weights[kl,
+    lo:hi] is 2 adag_k adag_l restricted to that stack and flattened, so
+    that sum_kl B_kl weights[kl, lo:hi] is 2 S[:, rows, cols].  The
+    weights are read off the PAIR index table (see _table), which holds
+    every nonzero entry of adag_k adag_l, and keep those that join two
+    states of one component.
     """
     idx, table_rows, table_weights = _table(fock, parity)
-    off = np.searchsorted(fock.ntot[idx], np.arange(fock.cutoff + 3))
-    top = fock.cutoff - 2                    # highest sector S maps inside the cutoff
-    blocks, lo, first = [], 0, parity
+    comp = _components(fock, parity, support)
+    sizes = np.bincount(comp)
+    comp = np.where(sizes[comp] > 1, np.cumsum(sizes > 1)[comp] - 1, -1)
+    g = int(np.count_nonzero(sizes > 1))
+    sector = (fock.ntot[idx] - parity) // 2
+    n_sectors = (fock.cutoff - parity) // 2 + 1
+    stacked = np.flatnonzero(comp >= 0)
+    # the rank of each stacked state among the states of its component in
+    # its sector; the sub-basis is graded, so a stable sort by (sector,
+    # component) keeps each run in graded order
+    key = sector[stacked] * g + comp[stacked]
+    order = np.argsort(key, kind="stable")
+    rank = np.empty(len(key), dtype=int)
+    rank[order] = np.arange(len(key)) - np.searchsorted(key[order], key[order])
+    counts = np.bincount(key, minlength=n_sectors * g).reshape(n_sectors, g)
+    off = np.concatenate([[0], np.cumsum(counts.max(axis=1, initial=0))])
+    slot = np.full(len(idx), -1)
+    slot[stacked] = off[sector[stacked]] + rank
+    top = (fock.cutoff - 2 - parity) // 2     # highest sector S maps inside the cutoff
+    blocks, lo, first = [], 0, 0
     while first <= top:
         last = first
-        while last + 2 <= top and off[last + 2] - off[first] < MIN_BLOCK_STATES:
-            last += 2
-        cols = slice(off[first], off[last + 2])
-        rows = slice(off[first + 2], off[last + 4])
-        shape = (rows.stop - rows.start, cols.stop - cols.start)
-        blocks.append((rows, cols, shape, lo, lo + shape[0] * shape[1]))
-        lo += shape[0] * shape[1]
-        first = last + 2
+        while last < top and off[last + 1] - off[first] < MIN_BLOCK_STATES:
+            last += 1
+        cols = slice(off[first], off[last + 1])
+        rows = slice(off[first + 1], off[last + 2])
+        shape = (g, rows.stop - rows.start, cols.stop - cols.start)
+        blocks.append((rows, cols, shape, lo, lo + math.prod(shape)))
+        lo += math.prod(shape)
+        first = last + 1
     weights = np.zeros((fock.n_modes ** 2, lo))
-    for rows, cols, shape, start, _ in blocks:
-        j = np.arange(cols.start, cols.stop)
-        at = start + (table_rows[PAIR][:, j] - rows.start) * shape[1] + (j - cols.start)
-        np.put_along_axis(weights, at, 2.0 * table_weights[PAIR][:, j], axis=1)
-    return idx, blocks, weights
+    for rows, cols, (_, n_rows, n_cols), start, _ in blocks:
+        j = stacked[(slot[stacked] >= cols.start) & (slot[stacked] < cols.stop)]
+        to = table_rows[PAIR][:, j]
+        kl, at = np.nonzero((to >= 0) & (comp[to] == comp[j]))
+        j, to = j[at], to[kl, at]
+        pos = start + (comp[j] * n_rows + slot[to] - rows.start) * n_cols + slot[j] - cols.start
+        weights[kl, pos] = 2.0 * table_weights[PAIR][kl, j]
+    return comp, slot, (g, int(off[-1]), int(off[-1])), blocks, weights
+
+
+class _Widened(Exception):
+    """A sample of B with a nonzero entry outside the support that the
+    propagator was laid out for; support is the widened mask."""
+
+    def __init__(self, support: np.ndarray):
+        super().__init__("B left its support")
+        self.support = support
 
 
 def propagate_blocks(fock: TruncatedFock, bpath, s: float, t: float,
@@ -327,43 +402,64 @@ def propagate_blocks(fock: TruncatedFock, bpath, s: float, t: float,
     is then used; the span and the path's window follow flow.check_span.
 
     G changes the total number by +-2, so U keeps its parity: only the
-    blocks U_p = U[idx_p, idx_p] of the even and odd sub-bases (see
-    _pair_blocks) are nonzero, and the stepper advances the one vector
-    [U_0.ravel(), U_1.ravel()].  The right-hand side
-    -i G U = 2 (S U - S* U) is applied block by block on each U_p: each
+    blocks U_p = U[idx_p, idx_p] of the even and odd sub-bases (see _table)
+    are nonzero.  Within each, G only joins states of one component of the
+    pair term's graph over the support of B (see _components), so U_p is
+    zero between components, and a component of one state keeps its
+    diagonal entry 1.  The stepper advances one vector holding, for each
+    parity, the (g, D, D) stack of _pair_blocks, its phantom slots zero
+    from the start, and the diagonal entries of the components of one
+    state, whose derivative is zero.  The right-hand side
+    -i G U = 2 (S U - S* U) is applied block by block on each stack: each
     block S_{N+2,N} multiplies the rows of sector N into the rows of sector
     N + 2, and its adjoint the rows of N + 2 back into N.  Returns the list
-    [U_0, U_1].
+    [U_0, U_1], with the stacks scattered back.
 
-    The stepper's RMS error norm over the full U would count those zero
-    entries, so it is the norm over the blocks times
-    sqrt((d_0**2 + d_1**2) / dim**2); rtol = atol = tol scaled by the
-    inverse of that factor is therefore the same error criterion as
-    stepping all of U with tol.
+    The stepper's RMS error norm over the full U would count the entries
+    that stay zero, so it is the norm over the stepped entries times
+    sqrt(stepped entries / dim**2); rtol = atol = tol scaled by the inverse
+    of that factor is therefore the same error criterion as stepping all of
+    U with tol.  All dim diagonal ones of U are stepped, so that Hairer's
+    initial step, which reads the norm of U_s, is that of the full U too.
 
-    The arithmetic follows the dtype of the path's first sample, at s,
-    which is also the sample the first right-hand-side evaluation uses, so
-    choosing it costs no path call.  A float64 B (a trajectory of a real
-    spec) gives a real G, and U is stepped and returned as float64 with the
-    block tolerance times sqrt(2): the imaginary half of a complex U would
-    be exactly zero and only dilute the RMS norm over its real components
-    by sqrt(2), so this is again the same error criterion.  Any other B,
-    such as that of a FunctionBPath, which returns complex128, keeps U
-    complex128.  A path that returns a complex B with a nonzero imaginary
-    part after a real first sample raises ValueError.
+    The support and the arithmetic's dtype are those of the path's first
+    sample, at s, which is also the sample the first right-hand-side
+    evaluation uses, so choosing them costs no path call.  A later sample
+    with a nonzero entry outside the support restarts the propagation from
+    s with the support widened by that sample's.  A float64 B (a trajectory
+    of a real spec) gives a real G, and U is stepped and returned as
+    float64 with the stepped tolerance times sqrt(2): the imaginary half of
+    a complex U would be exactly zero and only dilute the RMS norm over its
+    real components by sqrt(2), so this is again the same error criterion.
+    Any other B, such as that of a FunctionBPath, which returns complex128,
+    keeps U complex128.  A path that returns a complex B with a nonzero
+    imaginary part after a real first sample raises ValueError.
     """
     check_span(bpath, s, t)
-    dim = fock.dim
     if t == s:
         return [np.eye(len(_table(fock, p)[0]), dtype=complex) for p in (0, 1)]
-    check_propagate_size(dim)
-    parities = [_pair_blocks(fock, p) for p in (0, 1)]
-    sizes = [len(idx) for idx, _, _ in parities]
-    ends = np.cumsum([0] + [d * d for d in sizes])
+    check_propagate_size(fock.dim)
+    first = np.asarray(bpath(s))
+    support = first != 0
+    while True:
+        try:
+            return _propagate_on_support(fock, bpath, s, t, tol, first, support)
+        except _Widened as widened:
+            support = widened.support
 
-    pending = [np.asarray(bpath(s))]  # the first evaluation's sample, which sets the dtype
-    real = not np.iscomplexobj(pending[0])
+
+def _propagate_on_support(fock: TruncatedFock, bpath, s: float, t: float, tol: float,
+                          first: np.ndarray, support: np.ndarray) -> list:
+    """propagate_blocks with the stepper laid out for B on the support;
+    first is the path's sample at s.  A sample outside the support raises
+    _Widened."""
+    layouts = [_pair_blocks(fock, p, support) for p in (0, 1)]
+    real = not np.iscomplexobj(first)
     dtype = float if real else complex
+    stacks = [math.prod(shape) for _, _, shape, _, _ in layouts]
+    singles = [np.flatnonzero(comp < 0) for comp, _, _, _, _ in layouts]
+    ends = np.cumsum([0] + [n + len(one) for n, one in zip(stacks, singles)])
+    pending = [first]  # the first evaluation's sample
 
     def fun(tau, y, dy):
         b = pending.pop() if pending else np.asarray(bpath(tau))
@@ -372,21 +468,37 @@ def propagate_blocks(fock: TruncatedFock, bpath, s: float, t: float,
                 raise ValueError(f"complex B at tau = {tau:.6g} on a path whose "
                                  f"first sample was real")
             b = b.real
+        if b[~support].any():
+            raise _Widened(support | (b != 0))
         b = b.astype(dtype, copy=False).ravel()
         dy.fill(0)
-        for (_, blocks, weights), d, start, stop in zip(parities, sizes, ends, ends[1:]):
+        for (_, _, shape, blocks, weights), start, n in zip(layouts, ends, stacks):
             s_flat = b @ weights                         # the 2 S blocks, flattened
-            u = y[start:stop].reshape(d, d)
-            du = dy[start:stop].reshape(d, d)
-            for rows, cols, shape, lo, hi in blocks:
-                s_blk = s_flat[lo:hi].reshape(shape)
-                du[rows] += s_blk @ u[cols]
-                du[cols] -= s_blk.conj().T @ u[rows]
+            u = y[start:start + n].reshape(shape)
+            du = dy[start:start + n].reshape(shape)
+            for rows, cols, blk_shape, lo, hi in blocks:
+                s_blk = s_flat[lo:hi].reshape(blk_shape)
+                du[:, rows] += s_blk @ u[:, cols]
+                du[:, cols] -= np.swapaxes(s_blk.conj(), -1, -2) @ u[:, rows]
 
-    y0 = np.concatenate([np.eye(d, dtype=dtype).ravel() for d in sizes])
-    tol_blocks = tol * np.sqrt(dim * dim / ends[-1]) * (np.sqrt(2.0) if real else 1.0)
-    y = drive(DormandPrince(fun, s, y0, t, tol_blocks, tol_blocks)).state
-    return [y[start:stop].reshape(d, d) for d, start, stop in zip(sizes, ends, ends[1:])]
+    y0 = np.zeros(ends[-1], dtype=dtype)
+    for (comp, slot, shape, _, _), start, stop, n in zip(layouts, ends, ends[1:], stacks):
+        on = comp >= 0
+        y0[start:start + n].reshape(shape)[comp[on], slot[on], slot[on]] = 1
+        y0[start + n:stop] = 1
+    tol_stepped = tol * np.sqrt(fock.dim * fock.dim / ends[-1]) * (np.sqrt(2.0) if real else 1.0)
+    y = drive(DormandPrince(fun, s, y0, t, tol_stepped, tol_stepped)).state
+    out = []
+    for (comp, slot, shape, _, _), one, start, stop, n in zip(layouts, singles, ends,
+                                                              ends[1:], stacks):
+        stack = y[start:start + n].reshape(shape)
+        u = np.zeros((len(comp), len(comp)), dtype=dtype)
+        k = np.flatnonzero(comp >= 0)
+        u[np.ix_(k, k)] = np.where(comp[k, None] == comp[k],
+                                   stack[comp[k, None], slot[k, None], slot[k]], 0)
+        u[one, one] = y[start + n:stop]
+        out.append(u)
+    return out
 
 
 def propagate(fock: TruncatedFock, bpath, s: float, t: float,
@@ -489,6 +601,22 @@ def ground_energy(fock: TruncatedFock, h) -> float:
     return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in blocks if len(b))
 
 
+class BelowFloor(float):
+    """A truncation shift below the rounding floor of the ground energies.
+
+    Its value is the shift itself, but it formats as "< floor" in the given
+    format, unlike a float: f"{shift:.3e}" prints the floor, not the
+    shift, since the shift's digits are rounding noise."""
+
+    def __new__(cls, shift: float, floor: float):
+        self = super().__new__(cls, shift)
+        self.floor = floor
+        return self
+
+    def __format__(self, spec: str) -> str:
+        return "< " + format(self.floor, spec)
+
+
 def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) -> float:
     """Truncation-convergence estimate |E0(cutoff) - E0(cutoff - 4)|.
 
@@ -498,6 +626,15 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
     and the leading states of each parity block, and H there is the leading
     block of H or of its parity blocks: every ladder product between two of
     those states passes only through states of those sectors.
+
+    eigvalsh finds each E0 to within a few eps ||H||_2, and the shift is
+    the difference of two of them, so its digits below about eps ||H||_2
+    are rounding.  A shift below the rounding floor eps ||H||_inf, with
+    ||H||_inf the largest absolute row sum of H (an upper bound on ||H||_2,
+    for a hermitian H), is returned as a BelowFloor, which formats as
+    "< floor": the shift is not resolved above that floor.  This marks the
+    resolution of the estimate, not a proven bound on the true shift,
+    whose rounding error can be a few times the floor.
     """
     if fock.cutoff < 4:
         raise ValueError("need cutoff >= 4 for the comparison basis")
@@ -505,11 +642,14 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
         h = hamiltonian_op(fock, h)
     if e0 is None:
         e0 = ground_energy(fock, h)
+    blocks = [h] if isinstance(h, np.ndarray) else h
     if isinstance(h, np.ndarray):
-        dim = basis_dim(fock.n_modes, fock.cutoff - 4)
-        return abs(e0 - ground_energy(fock, h[:dim, :dim]))
-    dims = [_leading(fock, parity, fock.cutoff - 4) for parity in (0, 1)]
-    return abs(e0 - ground_energy(fock, [h_p[:d, :d] for h_p, d in zip(h, dims)]))
+        dims = [basis_dim(fock.n_modes, fock.cutoff - 4)]
+    else:
+        dims = [_leading(fock, parity, fock.cutoff - 4) for parity in (0, 1)]
+    shift = abs(e0 - ground_energy(fock, [h_p[:d, :d] for h_p, d in zip(blocks, dims)]))
+    floor = np.finfo(float).eps * max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
+    return BelowFloor(shift, floor) if shift < floor else shift
 
 
 def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:

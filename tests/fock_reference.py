@@ -81,13 +81,17 @@ def generator_op(fk, b):
 _table_pair_blocks = fock._pair_blocks
 
 
-def pair_blocks(fk, parity):
-    """fock._pair_blocks, the same blocks, with the weights sliced out of
-    the dense pair products."""
-    idx, blocks, _ = _table_pair_blocks(fk, parity)
-    pairs = [pair(fk, k, l)[np.ix_(idx, idx)] for k in range(fk.n_modes)
-             for l in range(fk.n_modes)]
-    parts = [np.zeros((len(pairs), 0))]
+def pair_blocks(fk, parity, support):
+    """fock._pair_blocks, the same layout and blocks, with the weights
+    sliced out of the dense pair products, each restricted to the pairs of
+    states of one component and placed at their slots."""
+    comp, slot, shape, blocks, _ = _table_pair_blocks(fk, parity, support)
+    idx = np.flatnonzero(fk.ntot % 2 == parity)
+    i, j = np.nonzero((comp[:, None] == comp) & (comp[:, None] >= 0))
+    parts = [np.zeros((fk.n_modes ** 2, 0))]
+    stacks = np.zeros((fk.n_modes ** 2,) + shape)
+    for kl, (k, l) in enumerate((k, l) for k in range(fk.n_modes) for l in range(fk.n_modes)):
+        stacks[kl][comp[i], slot[i], slot[j]] = pair(fk, k, l)[idx[i], idx[j]]
     for rows, cols, _, _, _ in blocks:
-        parts.append(np.stack([p[rows, cols].ravel() for p in pairs]))
-    return idx, blocks, 2.0 * np.concatenate(parts, axis=1)
+        parts.append(stacks[:, :, rows, cols].reshape(len(stacks), -1))
+    return comp, slot, shape, blocks, 2.0 * np.concatenate(parts, axis=1)

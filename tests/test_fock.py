@@ -169,10 +169,24 @@ def test_propagate_constant_generator(one_mode):
                    - np.eye(one_mode.dim)) == 0.0
 
 
-@pytest.mark.parametrize("n_modes, cutoff", [(1, 12), (2, 8), (1, 13), (2, 7), (2, 9)])
-def test_propagate_matches_dense_reference(n_modes, cutoff):
+README_SPEC = QuadraticSpec.from_matrices([[1.0, 0.0], [0.0, 2.0]], [[0.0, 0.5], [0.5, 0.0]])
+
+
+def readme_block_path(n_modes):
+    """The README block's trajectory to t = 1.5, as a complex FunctionBPath:
+    B_12 = B_21 only, so the pair term keeps n_1 - n_2."""
+    traj = flow.integrate(README_SPEC, 1.5)
+    return CountingPath(traj, traj.t0, traj.t1)
+
+
+@pytest.mark.parametrize("n_modes, cutoff, make_path", [
+    (1, 12, complex_symmetric_path), (2, 8, complex_symmetric_path),
+    (1, 13, complex_symmetric_path), (2, 7, complex_symmetric_path),
+    (2, 9, complex_symmetric_path), (2, 12, readme_block_path)],
+    ids=["1-12", "2-8", "1-13", "2-7", "2-9", "readme-2-12"])
+def test_propagate_matches_dense_reference(n_modes, cutoff, make_path):
     fk = fock.build_basis(n_modes, cutoff)
-    block_path, dense_path = complex_symmetric_path(n_modes), complex_symmetric_path(n_modes)
+    block_path, dense_path = make_path(n_modes), make_path(n_modes)
     u = fock.propagate(fk, block_path, 0.1, 1.4)
     u_ref = dense_propagate(fk, dense_path, 0.1, 1.4)
     assert block_path.calls == dense_path.calls > 20
@@ -180,35 +194,156 @@ def test_propagate_matches_dense_reference(n_modes, cutoff):
     assert fock.unitarity_residual(fk, u) < 1e-8
 
 
+def stacked_to_parity_block(comp, slot, stack):
+    """The parity block of the operator whose component stack is stack,
+    zero between components."""
+    k = np.flatnonzero(comp >= 0)
+    out = np.zeros((len(comp), len(comp)), dtype=stack.dtype)
+    out[np.ix_(k, k)] = np.where(comp[k, None] == comp[k],
+                                 stack[comp[k, None], slot[k, None], slot[k]], 0)
+    return out
+
+
 @pytest.mark.parametrize("n_modes, cutoff", [(1, 0), (1, 3), (1, 40), (2, 1),
                                              (2, 8), (2, 20)])
 def test_pair_blocks_cover_the_pair_term(n_modes, cutoff):
-    # mapped back through each parity's idx, the blocks of both parities
-    # hold every nonzero entry of S exactly once, with the weights of the
-    # cached _pair matrices
+    # scattered back from the component stacks through each parity's idx,
+    # the blocks of both parities hold every nonzero entry of S exactly
+    # once, with the weights of the dense pair products, for a B with every
+    # entry nonzero and, on two modes, for the README block's antidiagonal B
     fk = fock.build_basis(n_modes, cutoff)
-    b = np.arange(1, n_modes * n_modes + 1).reshape(n_modes, n_modes) * (0.3 - 0.2j)
-    s_op = np.zeros((fk.dim, fk.dim), dtype=complex)
-    covered, n_blocks = [], []
+    full = np.arange(1, n_modes * n_modes + 1).reshape(n_modes, n_modes) * (0.3 - 0.2j)
+    for b in [full] + ([full * np.eye(2)[::-1]] if n_modes == 2 else []):
+        s_op = np.zeros((fk.dim, fk.dim), dtype=complex)
+        covered, n_blocks = [], []
+        for parity in (0, 1):
+            idx = fock._table(fk, parity)[0]
+            assert np.array_equal(idx, np.flatnonzero(fk.ntot % 2 == parity))
+            comp, slot, shape, blocks, weights = fock._pair_blocks(fk, parity, b != 0)
+            s_flat = b.ravel() @ weights
+            stack = np.zeros(shape, dtype=complex)
+            for rows, cols, blk_shape, lo, hi in blocks:
+                assert blk_shape == (shape[0], rows.stop - rows.start, cols.stop - cols.start)
+                stack[:, rows, cols] += s_flat[lo:hi].reshape(blk_shape)
+            s_p = stacked_to_parity_block(comp, slot, stack)
+            # no entry of the stack is lost on a phantom slot
+            assert np.count_nonzero(s_p) == np.count_nonzero(stack)
+            s_op[np.ix_(idx, idx)] += s_p
+            # within a parity, the columns are split into consecutive blocks
+            cols_p = [i for _, cols, _, _, _ in blocks for i in range(cols.start, cols.stop)]
+            assert cols_p == list(range(len(cols_p)))
+            covered.extend(idx[(comp >= 0) & np.isin(slot, cols_p)])
+            n_blocks.append(len(blocks))
+        want = 2 * ref.pair_sum(fk, b)
+        assert np.array_equal(s_op != 0, want != 0)
+        assert np.abs(s_op - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
+        # the columns of sectors 0..cutoff-2 are each covered by one block
+        assert sorted(covered) == list(range(int(np.sum(fk.ntot <= cutoff - 2))))
+        if n_modes == 1 and cutoff == 40:
+            assert n_blocks == [2, 2]       # sectors merged to >= MIN_BLOCK_STATES
+
+
+def random_support(n_modes, rng):
+    """A random symmetric mask of B's entries."""
+    m = rng.random((n_modes, n_modes)) < 0.5
+    return m | m.T
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3])
+@pytest.mark.parametrize("cutoff", [4, 7, 12, 16])
+def test_components_are_the_pair_graph_components(n_modes, cutoff):
+    # on random supports the components partition each parity class, are
+    # closed under every pair operator of the support, and are exactly the
+    # connected components of the graph of the dense pair products
+    from scipy.sparse.csgraph import connected_components
+
+    fk = fock.build_basis(n_modes, cutoff)
+    rng = np.random.default_rng(100 * n_modes + cutoff)
+    pairs = {(k, l): ref.pair(fk, k, l) for k in range(n_modes) for l in range(n_modes)}
+    for support in [random_support(n_modes, rng) for _ in range(4)]:
+        for parity in (0, 1):
+            idx, rows, _ = fock._table(fk, parity)
+            comp = fock._components(fk, parity, support)
+            assert comp.shape == idx.shape
+            # numbered in the order of the components' first states
+            firsts = [int(np.flatnonzero(comp == c)[0]) for c in range(comp.max() + 1)]
+            assert firsts == sorted(firsts) and firsts[0] == 0
+            for kl in np.flatnonzero(support.ravel()):
+                ok = rows[fock.PAIR, kl] >= 0
+                assert np.array_equal(comp[rows[fock.PAIR, kl][ok]], comp[ok])
+            adjacency = sum((pairs[k, l] for k, l in zip(*np.nonzero(support))),
+                            np.zeros((fk.dim, fk.dim)))[np.ix_(idx, idx)] != 0
+            _, want = connected_components(adjacency, directed=False)
+            # equal partitions: each label of one maps to one label of the other
+            assert len(set(zip(comp, want))) == comp.max() + 1 == want.max() + 1
+    # with every entry of B nonzero, the components are the parity classes
     for parity in (0, 1):
-        idx, blocks, weights = fock._pair_blocks(fk, parity)
-        assert np.array_equal(idx, np.flatnonzero(fk.ntot % 2 == parity))
-        s_flat = b.ravel() @ weights
-        for rows, cols, shape, lo, hi in blocks:
-            assert shape == (rows.stop - rows.start, cols.stop - cols.start)
-            s_op[np.ix_(idx[rows], idx[cols])] += s_flat[lo:hi].reshape(shape)
-        # within a parity, the columns are split into consecutive blocks
-        cols_p = [i for _, cols, _, _, _ in blocks for i in range(cols.start, cols.stop)]
-        assert cols_p == list(range(int(np.sum(fk.ntot[idx] <= cutoff - 2))))
-        covered.extend(idx[cols_p])
-        n_blocks.append(len(blocks))
-    want = 2 * ref.pair_sum(fk, b)
-    assert np.array_equal(s_op != 0, want != 0)
-    assert np.abs(s_op - want).max() <= 1e-15 * max(1.0, np.abs(want).max())
-    # the columns of sectors 0..cutoff-2 are each covered by one block
-    assert sorted(covered) == list(range(int(np.sum(fk.ntot <= cutoff - 2))))
-    if n_modes == 1 and cutoff == 40:
-        assert n_blocks == [2, 2]       # sectors merged to >= MIN_BLOCK_STATES
+        assert not fock._components(fk, parity, np.ones((n_modes, n_modes), bool)).any()
+
+
+def readme_traj():
+    return flow.integrate(README_SPEC, 2.0)
+
+
+def test_readme_block_steps_only_its_components(monkeypatch):
+    # B_12 only: the components keep n_1 - n_2, and the stepper carries
+    # their stacks and the diagonal entries of the one-state components,
+    # 4103 entries at cutoff 20 where the parity blocks hold 26741; U is
+    # exactly zero between components, and equal to the parity blocks'
+    # propagation to rounding
+    sizes = []
+
+    class Spy(DormandPrince):
+        def __init__(self, fun, t0, y0, *args, **kwargs):
+            sizes.append(np.asarray(y0).size)
+            super().__init__(fun, t0, y0, *args, **kwargs)
+
+    monkeypatch.setattr(fock, "DormandPrince", Spy)
+    traj = readme_traj()
+    fk = fock.build_basis(2, 20)
+    u = fock.propagate_blocks(fk, traj, 0.0, traj.t1)
+    assert sizes == [4103]
+    assert sum(len(fock._table(fk, p)[0]) ** 2 for p in (0, 1)) == 26741
+    support = np.array([[False, True], [True, False]])
+    for parity, u_p in enumerate(u):
+        comp = fock._components(fk, parity, support)
+        occ = fk.occs[fock._table(fk, parity)[0]]
+        keeps = occ[:, 0] - occ[:, 1]
+        assert np.array_equal(comp[:, None] == comp, keeps[:, None] == keeps)
+        assert not u_p[comp[:, None] != comp].any()
+        assert np.count_nonzero(u_p) > 0.9 * np.count_nonzero(comp[:, None] == comp)
+    fk_small = fock.build_basis(2, 12)
+    u_full = fock.propagate_blocks(fk_small, traj, 0.0, traj.t1)
+    u_ref = dense_propagate_blocks(fk_small, FunctionBPath(traj, traj.t0, traj.t1), 0.0, traj.t1)
+    assert max(np.abs(a - b).max() for a, b in zip(u_full, u_ref)) < 1e-12
+
+
+def test_propagate_restarts_when_b_leaves_its_support(monkeypatch):
+    # a ramp from B = 0 and a path that turns on B_11 late each restart
+    # once with the widened support, and then take the dense reference's
+    # steps
+    starts = []
+
+    class Spy(DormandPrince):
+        def __init__(self, *args, **kwargs):
+            starts.append(args[1])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "DormandPrince", Spy)
+    x = np.array([[0.2 + 0.1j, 0.3], [0.3, -0.1j]])
+    antidiag = np.array([[0.0, 0.4], [0.4, 0.0]])
+    late = np.array([[0.25, 0.0], [0.0, 0.0]])
+    paths = [lambda t: t * x,
+             lambda t: antidiag * np.cos(t) + late * max(t - 0.9, 0.0)]
+    fk = fock.build_basis(2, 9)
+    for fn in paths:
+        starts.clear()
+        block_path, dense_path = CountingPath(fn, 0.0, 1.5), CountingPath(fn, 0.0, 1.5)
+        u = fock.propagate(fk, block_path, 0.0, 1.5)
+        assert starts == [0.0, 0.0]
+        u_ref = dense_propagate(fk, dense_path, 0.0, 1.5)
+        assert block_path.calls > dense_path.calls > 20
+        assert np.abs(u - u_ref).max() < 1e-12
 
 
 def test_propagate_keeps_parity():
@@ -297,23 +432,28 @@ def test_real_path_with_a_complex_sample_raises(one_mode):
 
 
 def test_propagate_working_set():
-    # the bound behind check_propagate_size holds on both paths, and the
-    # float64 blocks of a real path take at most 0.6 of the complex bytes
-    traj = flow.integrate(REAL_SPECS[2], 2.0)
-    peaks = {}
-    for path in (traj, FunctionBPath(traj, traj.t0, traj.t1)):
-        fk = fock.build_basis(2, 12)
-        for parity in (0, 1):
-            fock._table(fk, parity)  # the basis's cached tables, not propagate's
-        tracemalloc.start()
-        try:
-            u = fock.propagate(fk, path, 0.0, traj.t1)
-            peaks[u.dtype] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    bound = fock.PROPAGATE_BYTES_PER_DIM2 * fk.dim ** 2
-    assert peaks[np.dtype(float)] <= bound and peaks[np.dtype(complex)] <= bound
-    assert peaks[np.dtype(float)] <= 0.6 * peaks[np.dtype(complex)]
+    # the bound behind check_propagate_size holds on both paths, for the
+    # components of an antidiagonal B and for a B with every entry nonzero,
+    # whose components are the parity classes, and the float64 blocks of a
+    # real path take at most 0.6 of the complex bytes
+    full = QuadraticSpec.from_matrices([[1.0, 0.2], [0.2, 2.0]], [[0.1, 0.5], [0.5, -0.3]])
+    for spec in (REAL_SPECS[2], full):
+        traj = flow.integrate(spec, 2.0)
+        peaks = {}
+        for path in (traj, FunctionBPath(traj, traj.t0, traj.t1)):
+            fk = fock.build_basis(2, 12)
+            # the basis's cached tables and the path's lazily built dense
+            # outputs, not propagate's
+            fock.propagate(fk, path, 0.0, traj.t1)
+            tracemalloc.start()
+            try:
+                u = fock.propagate(fk, path, 0.0, traj.t1)
+                peaks[u.dtype] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = fock.PROPAGATE_BYTES_PER_DIM2 * fk.dim ** 2
+        assert peaks[np.dtype(float)] <= bound and peaks[np.dtype(complex)] <= bound
+        assert peaks[np.dtype(float)] <= 0.6 * peaks[np.dtype(complex)]
 
 
 def test_hamiltonian_op_is_real_for_a_real_spec(one_mode):
@@ -334,9 +474,13 @@ def test_fock_verify_output_unchanged_with_dense_reference(tmp_path, capsys, mon
     # the same report from the index-table operators, from H and the pair
     # blocks' weights built of dense ladder products, and with U stepped
     # densely as well
-    spec = tmp_path / "generic.json"
-    spec.write_text('{"blocks": [[1.0, 2.0, 0.5]], "label": "generic"}\n')
-    for cutoff in (12, 20):
+    generic = tmp_path / "generic.json"
+    generic.write_text('{"blocks": [[1.0, 2.0, 0.5]], "label": "generic"}\n')
+    # B_11 only at t = 0; Omega_12 fills B_12 from the second sample on
+    coupled = tmp_path / "coupled.json"
+    coupled.write_text('{"dim": 2, "omega": [[1, 0], [0.3, 0], [0.3, 0], [2, 0]], '
+                       '"b": [[0.5, 0], [0, 0], [0, 0], [0, 0]]}\n')
+    for spec, cutoff in ((generic, 12), (generic, 20), (coupled, 12)):
         argv = ["fock-verify", str(spec), "--cutoff", str(cutoff)]
         assert cli.main(argv) == cli.EXIT_OK
         blocked = capsys.readouterr().out
@@ -386,9 +530,8 @@ def test_table_built_operators_match_ladder_products(n_modes, cutoff, kind, c0):
     assert not want[odd].any() and not h[odd].any()
     assert fock.hermiticity_residual(blocks) == 0.0
     for parity in (0, 1):
-        idx, blocks, weights = fock._pair_blocks(fk, parity)
-        ref_idx, ref_blocks, ref_weights = ref.pair_blocks(fk, parity)
-        assert np.array_equal(idx, ref_idx) and blocks == ref_blocks
+        comp, slot, shape, blocks, weights = fock._pair_blocks(fk, parity, spec.b != 0)
+        ref_weights = ref.pair_blocks(fk, parity, spec.b != 0)[-1]
         assert weights.shape == ref_weights.shape and np.array_equal(weights, ref_weights)
 
 
@@ -483,3 +626,29 @@ def test_offdiag_relative_norm(two_mode):
     assert rhs == pytest.approx(fock.OFFDIAG_CONST * hs_norm(b))
     lhs0, rhs0, holds0 = fock.offdiag_relative_norm(two_mode, np.zeros((2, 2)))
     assert (lhs0, rhs0, holds0) == (0.0, 0.0, True)
+
+
+def test_fock_verify_prints_a_shift_below_the_rounding_floor_as_the_floor(tmp_path, capsys):
+    # on the README spec the shift falls below eps ||H0||_inf at cutoff 40,
+    # where its digits are the eigensolver's rounding, and prints as
+    # "< floor"; at cutoffs 20 and 30 it prints as before
+    spec = tmp_path / "generic.json"
+    spec.write_text('{"blocks": [[1.0, 2.0, 0.5]], "label": "generic"}\n')
+    lines = {}
+    for cutoff in (20, 30, 40):
+        assert cli.main(["fock-verify", str(spec), "--cutoff", str(cutoff)]) == cli.EXIT_OK
+        lines[cutoff] = [line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("ground energy")]
+    assert lines == {
+        20: ["ground energy of truncated H0: -0.3819659981 "
+             "(truncation shift estimate 4.904e-07)"],
+        30: ["ground energy of truncated H0: -0.3819660112 "
+             "(truncation shift estimate 5.096e-11)"],
+        40: ["ground energy of truncated H0: -0.3819660113 "
+             "(truncation shift estimate < 2.234e-14)"]}
+    fk = fock.build_basis(2, 40)
+    h0 = fock.hamiltonian_blocks(fk, README_SPEC)
+    shift = fock.ground_truncation_shift(fk, h0)
+    assert isinstance(shift, fock.BelowFloor)
+    assert shift.floor == np.finfo(float).eps * max(np.abs(h).sum(axis=1).max() for h in h0)
+    assert 0 < shift < shift.floor
