@@ -5,24 +5,27 @@ with real b >= 0.  On such blocks the flow reduces to the scalar system
 
     d/dt om_{+-} = -16 b^2,      d/dt b = -2 (om_- + om_+) b,
 
-which is solved in closed form in three regimes, split by the sign of the
-product gap om_+ om_- - 4 b^2:
+which is solved in closed form in three regimes (block_regime): Omega = 0
+with b > 0 blows up, and otherwise the sign of the product gap
+om_+ om_- - 4 b^2 decides:
 
 * strict positive gap ("generic"): exponential relaxation at rate 4 rho,
   rho = sqrt(sigma^2 - 16 b^2), sigma = om_- + om_+;
-* zero gap ("equal product"): relaxation at rate 4 delta, delta = om_+ - om_-,
+* zero gap ("equal-product"): relaxation at rate 4 delta, delta = om_+ - om_-,
   degenerating to an algebraic 1/t law when delta = 0;
-* om = 0 with b > 0: finite-time blow-up at T_max = pi/(16 b).
+* om = 0 with b > 0 ("blowup"): finite-time blow-up at T_max = pi/(16 b).
 
-The integrals int_0^t b(tau)^2 dtau are also available in closed form; they
-feed the scalar coefficient C_t and its checks.
+exact_block evaluates the closed form of a block's regime, together with
+int_0^t b(tau)^2 dtau, which feeds the scalar coefficient C_t and its
+checks.  The families (block_spec, pivotal_family, mixed_family) assemble
+block-diagonal specs, and exact_limit_block gives their limit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotInRegime, NotOnManifold, OutOfRange, PastBlowup
+from .errors import NotInRegime, OutOfRange, PastBlowup
 from .opcore import OneParticleOperator, QuadraticSpec, psd_sqrt
 
 # relative tolerance for deciding membership of the equal-product manifold
@@ -77,10 +80,44 @@ def block_spec(blocks, c0: float = 0.0, label: str = "") -> QuadraticSpec:
     return QuadraticSpec.from_matrices(omega, bmat, c0=c0, label=label)
 
 
-def exact_equal_product(om_minus: float, om_plus: float, b: float, t):
-    """Block solution on the manifold om_+ om_- = 4 b^2.
+def block_regime(om_minus: float, om_plus: float, b: float) -> str:
+    """Which closed form solves the block, by the sign of the product gap
+    om_+ om_- - 4 b^2 at relative tolerance PRODUCT_TOL:
 
-    Returns (om_minus_t, om_plus_t, b_t^2).  With delta = om_+ - om_- > 0:
+    * "blowup" for Omega = 0 with b > 0, however small b is;
+    * "generic" for a strictly positive gap;
+    * "equal-product" for a zero gap, b = 0 with om_- = 0 included;
+    * "negative-gap" for any other negative gap, which has no closed form.
+
+    A gap that overflows has no sign and is "negative-gap" too.
+    """
+    _check_block(om_minus, om_plus, b)
+    if om_plus == 0.0 and b > 0.0:
+        return "blowup"
+    gap, scale = _gap(om_minus, om_plus, b)
+    if abs(gap) <= PRODUCT_TOL * scale:
+        return "equal-product"
+    return "generic" if gap > 0 else "negative-gap"
+
+
+def exact_block(om_minus: float, om_plus: float, b: float, t):
+    """The block at time t in the closed form of its block_regime.
+
+    Returns (om_minus_t, om_plus_t, b_t^2, int_0^t b(tau)^2 dtau), floats for
+    a scalar t and arrays for an array of times.  A block with b = 0 is at
+    rest.  Otherwise, with sigma = om_- + om_+ and delta = om_+ - om_-:
+
+    generic, with rho = sqrt(sigma^2 - 16 b^2):
+
+        om_{-+}(t) = h_t(-+delta),
+        h_t(d) = [(rho+d)(rho+sigma) + (rho-d)(sigma-rho) e^{-4 rho t}]
+                 / [2 (rho + sigma + (rho-sigma) e^{-4 rho t})]
+        b(t)^2 = 4 rho^2 b^2 e^{-4 rho t}
+                 / (sigma + rho + (rho-sigma) e^{-4 rho t})^2,
+
+    with limits om_{-+} -> (rho -+ delta)/2 and b -> 0;
+
+    equal-product, for delta > 0:
 
         om_-(t) = om_- delta / (om_+ e^{4 delta t} - om_-)
         om_+(t) = om_+ delta / (om_+ - om_- e^{-4 delta t})
@@ -88,127 +125,58 @@ def exact_equal_product(om_minus: float, om_plus: float, b: float, t):
 
     and for delta = 0 (so b = om/2):
 
-        om(t) = om / (4 t om + 1),   b(t)^2 = om^2 / (4 (4 t om + 1)^2).
-    """
-    _check_block(om_minus, om_plus, b)
-    gap, scale = _gap(om_minus, om_plus, b)
-    if abs(gap) > PRODUCT_TOL * scale:
-        raise NotOnManifold(
-            f"om_+ om_- - 4 b^2 = {gap:.3e} exceeds {PRODUCT_TOL:.0e} * {scale:.3g}")
-    ts, scalar = _as_times(t)
-    delta = om_plus - om_minus
-    if delta <= PRODUCT_TOL * max(1.0, om_plus):
-        om = om_plus
-        den = 4.0 * ts * om + 1.0
-        omt = om / den
-        bt2 = om * om / (4.0 * den * den)
-        return _ret(omt, scalar), _ret(omt, scalar), _ret(bt2, scalar)
-    grow = np.exp(4.0 * delta * ts)
-    decay = np.exp(-4.0 * delta * ts)
-    omt_minus = om_minus * delta / (om_plus * grow - om_minus)
-    den = om_plus - om_minus * decay
-    omt_plus = om_plus * delta / den
-    bt2 = b * b * delta * delta * decay / (den * den)
-    return _ret(omt_minus, scalar), _ret(omt_plus, scalar), _ret(bt2, scalar)
+        om(t) = om / (4 t om + 1),   b(t)^2 = om^2 / (4 (4 t om + 1)^2);
 
-
-def exact_equal_product_int_b2(om_minus: float, om_plus: float, b: float, t):
-    """int_0^t b(tau)^2 dtau on the equal-product manifold."""
-    _check_block(om_minus, om_plus, b)
-    gap, scale = _gap(om_minus, om_plus, b)
-    if abs(gap) > PRODUCT_TOL * scale:
-        raise NotOnManifold("not on the equal-product manifold")
-    ts, scalar = _as_times(t)
-    delta = om_plus - om_minus
-    if delta <= PRODUCT_TOL * max(1.0, om_plus):
-        om = om_plus
-        val = (om / 16.0) * (1.0 - 1.0 / (4.0 * ts * om + 1.0))
-        return _ret(val, scalar)
-    den = om_plus - om_minus * np.exp(-4.0 * delta * ts)
-    val = (b * b * delta / (4.0 * om_minus)) * (1.0 / delta - 1.0 / den)
-    return _ret(val, scalar)
-
-
-def exact_generic(om_minus: float, om_plus: float, b: float, t):
-    """Block solution in the strict-gap regime om_+ om_- > 4 b^2.
-
-    Returns (om_minus_t, om_plus_t, b_t^2).  With sigma = om_- + om_+,
-    delta = om_+ - om_-, rho = sqrt(sigma^2 - 16 b^2):
-
-        om_{-+}(t) = h_t(-+delta),
-        h_t(d) = [(rho+d)(rho+sigma) + (rho-d)(sigma-rho) e^{-4 rho t}]
-                 / [2 (rho + sigma + (rho-sigma) e^{-4 rho t})]
-        b(t)^2 = 4 rho^2 b^2 e^{-4 rho t}
-                 / (sigma + rho + (rho-sigma) e^{-4 rho t})^2.
-
-    The limits are om_{-+} -> (rho -+ delta)/2 and b -> 0.
-    """
-    _check_block(om_minus, om_plus, b)
-    gap, scale = _gap(om_minus, om_plus, b)
-    if gap <= PRODUCT_TOL * scale:
-        raise NotInRegime(
-            f"om_+ om_- - 4 b^2 = {gap:.3e} not strictly positive at scale {scale:.3g}")
-    ts, scalar = _as_times(t)
-    sigma = om_plus + om_minus
-    delta = om_plus - om_minus
-    rho = np.sqrt(sigma * sigma - 16.0 * b * b)
-    decay = np.exp(-4.0 * rho * ts)
-    den = rho + sigma + (rho - sigma) * decay
-
-    def h(d):
-        return ((rho + d) * (rho + sigma) + (rho - d) * (sigma - rho) * decay) / (2.0 * den)
-
-    bt2 = 4.0 * rho * rho * b * b * decay / (den * den)
-    return _ret(h(-delta), scalar), _ret(h(delta), scalar), _ret(bt2, scalar)
-
-
-def exact_generic_int_b2(om_minus: float, om_plus: float, b: float, t):
-    """int_0^t b(tau)^2 dtau in the strict-gap regime."""
-    _check_block(om_minus, om_plus, b)
-    gap, scale = _gap(om_minus, om_plus, b)
-    if gap <= PRODUCT_TOL * scale:
-        raise NotInRegime("outside the strict-gap regime")
-    if b == 0.0:
-        ts, scalar = _as_times(t)
-        return _ret(np.zeros_like(ts), scalar)
-    ts, scalar = _as_times(t)
-    sigma = om_plus + om_minus
-    rho = np.sqrt(sigma * sigma - 16.0 * b * b)
-    den_t = sigma + rho + (rho - sigma) * np.exp(-4.0 * rho * ts)
-    val = (rho * b * b / (rho - sigma)) * (1.0 / den_t - 1.0 / (2.0 * rho))
-    return _ret(val, scalar)
-
-
-def exact_blowup(b: float, t):
-    """Blow-up solution from Omega = 0, B = antidiag(b), b > 0.
-
-    Returns (om_t, b_t, t_max) with om_t the common diagonal value of
-    Omega_t:
+    blowup, with om_t the common diagonal value of Omega_t:
 
         b(t) = b sqrt(tan^2(8 b t) + 1),   om(t) = -2 b tan(8 b t),
+        int_0^t b^2 = b tan(8 b t) / 8,
 
     valid for t < T_max = pi/(16 b); beyond that PastBlowup is raised.
+    A negative-gap block raises OutOfRange.
     """
-    if b <= 0:
-        raise OutOfRange("blow-up family requires b > 0")
+    regime = block_regime(om_minus, om_plus, b)
     ts, scalar = _as_times(t)
-    tmax = blowup_time(b)
-    if np.any(ts >= tmax):
-        raise PastBlowup(f"t >= T_max = {tmax:.6g}")
-    phase = 8.0 * b * ts
-    bt = b * np.sqrt(np.tan(phase) ** 2 + 1.0)
-    omt = -2.0 * b * np.tan(phase)
-    return _ret(omt, scalar), _ret(bt, scalar), tmax
+    sigma = om_plus + om_minus
+    delta = om_plus - om_minus
+    if b == 0.0:
+        omm, omp = np.full_like(ts, om_minus), np.full_like(ts, om_plus)
+        bt2, ib = np.zeros_like(ts), np.zeros_like(ts)
+    elif regime == "generic":
+        rho = np.sqrt(sigma * sigma - 16.0 * b * b)
+        decay = np.exp(-4.0 * rho * ts)
+        den = rho + sigma + (rho - sigma) * decay
 
+        def h(d):
+            return ((rho + d) * (rho + sigma) + (rho - d) * (sigma - rho) * decay) / (2.0 * den)
 
-def exact_blowup_int_b2(b: float, t):
-    """int_0^t b(tau)^2 dtau = b tan(8 b t) / 8 for the blow-up family."""
-    if b <= 0:
-        raise OutOfRange("blow-up family requires b > 0")
-    ts, scalar = _as_times(t)
-    if np.any(ts >= blowup_time(b)):
-        raise PastBlowup("t >= T_max")
-    return _ret(b * np.tan(8.0 * b * ts) / 8.0, scalar)
+        omm, omp = h(-delta), h(delta)
+        bt2 = 4.0 * rho * rho * b * b * decay / (den * den)
+        ib = (rho * b * b / (rho - sigma)) * (1.0 / den - 1.0 / (2.0 * rho))
+    elif regime == "equal-product" and delta <= PRODUCT_TOL * max(1.0, om_plus):
+        den = 4.0 * ts * om_plus + 1.0
+        omm = omp = om_plus / den
+        bt2 = om_plus * om_plus / (4.0 * den * den)
+        ib = (om_plus / 16.0) * (1.0 - 1.0 / den)
+    elif regime == "equal-product":
+        decay = np.exp(-4.0 * delta * ts)
+        with np.errstate(over="ignore"):  # e^{4 delta t} = inf gives the limit 0
+            omm = om_minus * delta / (om_plus * np.exp(4.0 * delta * ts) - om_minus)
+        den = om_plus - om_minus * decay
+        omp = om_plus * delta / den
+        bt2 = b * b * delta * delta * decay / (den * den)
+        ib = (b * b * delta / (4.0 * om_minus)) * (1.0 / delta - 1.0 / den)
+    elif regime == "blowup":
+        tmax = blowup_time(b)
+        if np.any(ts >= tmax):
+            raise PastBlowup(f"t >= T_max = {tmax:.6g}")
+        tan = np.tan(8.0 * b * ts)
+        omm = omp = -2.0 * b * tan
+        bt2 = (b * np.sqrt(tan ** 2 + 1.0)) ** 2
+        ib = b * tan / 8.0
+    else:
+        raise OutOfRange("no closed form for a block with om_+ om_- < 4 b^2 and Omega != 0")
+    return tuple(_ret(x, scalar) for x in (omm, omp, bt2, ib))
 
 
 def blowup_time(b: float) -> float:

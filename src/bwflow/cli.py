@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import (BlowupDetected, BwflowError, LogBranch, MapInvalid,
-                     NotConverged, OutOfRange, OutputError, ParseError, SizeLimit,
-                     StepSizeUnderflow)
+                     NotConverged, NotInRegime, NotOnManifold, OutOfRange,
+                     OutputError, ParseError, SizeLimit, StepSizeUnderflow)
 from .opcore import QuadraticSpec, hs_norm
 
 if TYPE_CHECKING:
@@ -539,41 +539,18 @@ def _parse_grid(raw: str) -> np.ndarray:
     return ts[ts <= stop + 1e-12 * max(1.0, abs(stop))]
 
 
-def _block_closed_form(om_minus: float, om_plus: float, b: float, ts: np.ndarray):
-    """Closed-form (om_-, om_+, b^2, int b^2) arrays for one block."""
-    from . import analytic
-
-    if b == 0.0:
-        shape = np.full_like(ts, 1.0)
-        return om_minus * shape, om_plus * shape, 0.0 * shape, 0.0 * shape
-    if om_plus == 0.0:
-        omt, bt, _ = analytic.exact_blowup(b, ts)
-        ib = analytic.exact_blowup_int_b2(b, ts)
-        return omt, omt, bt ** 2, ib
-    gap = om_plus * om_minus - 4.0 * b * b
-    scale = max(1.0, abs(om_plus * om_minus))
-    if abs(gap) <= analytic.PRODUCT_TOL * scale:
-        omm, omp, bt2 = analytic.exact_equal_product(om_minus, om_plus, b, ts)
-        ib = analytic.exact_equal_product_int_b2(om_minus, om_plus, b, ts)
-    elif gap > 0:
-        omm, omp, bt2 = analytic.exact_generic(om_minus, om_plus, b, ts)
-        ib = analytic.exact_generic_int_b2(om_minus, om_plus, b, ts)
-    else:
-        raise OutOfRange(
-            "no closed form for a block with om_+ om_- < 4 b^2 and Omega != 0")
-    return np.atleast_1d(omm), np.atleast_1d(omp), np.atleast_1d(bt2), np.atleast_1d(ib)
-
-
 def block_trajectory_rows(blocks, ts: np.ndarray, c0: float, scalar_sign: float):
     """Exact per-sample CSV columns for a block family."""
+    from . import analytic
+
     ts = np.asarray(ts, dtype=float)
     hsb2 = np.zeros_like(ts)
     int_total = np.zeros_like(ts)
     knorm2 = np.zeros_like(ts)
     min_eig = np.full_like(ts, np.inf)
     for om_minus, om_plus, b in blocks:
-        omm, omp, bt2, ib = _block_closed_form(float(om_minus), float(om_plus),
-                                               float(b), ts)
+        omm, omp, bt2, ib = analytic.exact_block(float(om_minus), float(om_plus),
+                                                 float(b), ts)
         delta = float(om_plus) - float(om_minus)
         hsb2 += 2.0 * bt2
         int_total += 2.0 * ib
@@ -623,15 +600,14 @@ def _oracle_blocks(family: str, params) -> tuple:
                  float(spec.b[2 * j, 2 * j + 1].real))
                 for j in range(spec.dim // 2)], spec.label, []
 
-    if family == "generic":
+    if family in ("generic", "equal-product"):
         om_minus, om_plus, b = _floats(3, "omegaMinus omegaPlus b")
-        analytic.exact_generic(om_minus, om_plus, b, 0.0)  # regime check
-        return [(om_minus, om_plus, b)], f"generic-{om_minus:g}-{om_plus:g}-{b:g}", []
-    if family == "equal-product":
-        om_minus, om_plus, b = _floats(3, "omegaMinus omegaPlus b")
-        analytic.exact_equal_product(om_minus, om_plus, b, 0.0)  # manifold check
-        return ([(om_minus, om_plus, b)],
-                f"equal-product-{om_minus:g}-{om_plus:g}-{b:g}", [])
+        regime = analytic.block_regime(om_minus, om_plus, b)
+        if regime != family:
+            error = NotInRegime if family == "generic" else NotOnManifold
+            raise error(f"({om_minus:g}, {om_plus:g}, {b:g}) is in the {regime} "
+                        f"regime, not {family}")
+        return [(om_minus, om_plus, b)], f"{family}-{om_minus:g}-{om_plus:g}-{b:g}", []
     if family == "blowup":
         (b,) = _floats(1, "b")
         if b <= 0:

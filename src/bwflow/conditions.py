@@ -123,6 +123,10 @@ def check_a4_a5(spec: QuadraticSpec, eps: float = DEFAULT_EPS,
     # a sandwich past the float range leaves the norm nan or inf
     rep.verdicts["A4"] = "holds" if np.isfinite(rep.values["a4_norm"]) else "undetermined"
     rep.margins["A4"] = rep.values["a4_norm"]
+    if not np.isfinite(e2.mat).all():
+        # eigvalsh may not converge on a non-finite sandwich
+        rep.verdicts["A5"] = "undetermined"
+        return rep
 
     lam_max = float(np.linalg.eigvalsh((e2.mat + e2.mat.conj().T) / 2)[-1])
     eye = np.eye(spec.dim)

@@ -280,19 +280,6 @@ def rhs(state: FlowState, scalar_sign: float = SCALAR_SIGN):
     return domega, db, scalar_c(0.0, np.zeros_like(domega), domega, scalar_sign)
 
 
-def motion_residuals(state: FlowState, spec: QuadraticSpec) -> dict:
-    """Conserved-quantity residuals of a state against its initial spec."""
-    om0, b0 = spec.omega, spec.b
-    ref = om0 @ om0 - 4.0 * (b0 @ b0.conj())
-    cur = state.omega @ state.omega - 4.0 * (state.b @ state.b.conj())
-    k = state.omega @ state.b - state.b @ state.omega.T
-    return {
-        "trace": abs(float(np.trace(cur).real) - float(np.trace(ref).real)),
-        "matrix": hs_norm(cur - ref),
-        "k_norm": hs_norm(k),
-    }
-
-
 def blowup_guard(state: FlowState, hs_b0: float) -> Optional[FlowEvent]:
     """Return a blow-up event when ||B_t||_2 crosses BLOWUP_FACTOR * ||B_0||_2."""
     hsb = state.hs_b

@@ -27,8 +27,10 @@ re-run the step later and get the same stages bit for bit.
 The state may be real or complex and of any shape: the flow steps one
 vector [Omega, B, u, v, I], float64 for a real spec and complex128
 otherwise; the (u, v) map along a given path steps a complex (2, n, n)
-stack; and the Fock propagator steps one vector holding the two parity
-blocks of U, float64 when the path's B is real and complex128 otherwise.
+stack; and the Fock propagator steps one vector holding, per parity, the
+stacked blocks of U on the pair term's connected components and the
+diagonal entries of its one-state components, float64 when the path's B
+is real and complex128 otherwise.
 The stepper works on a flat float64 view of the state (the real and
 imaginary parts interleaved, no copy), so error control is per real
 component.  A complex state whose imaginary parts are all zero therefore
@@ -319,7 +321,9 @@ class DormandPrince:
         return np.linalg.norm(self._dy) ** 2
 
     def step(self) -> None:
-        """Advance by one accepted step, or set status to 'failed'."""
+        """Advance by one accepted step, or set status to 'failed' when the
+        step size falls below ten float spacings at t or an error estimate
+        is nan (B B~ past the float range, say)."""
         if self.status != "running":
             raise RuntimeError("step() called on a stopped stepper")
         t = self.t
@@ -327,7 +331,7 @@ class DormandPrince:
         h_abs = max(self.h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a nan step size too
                 self.status = "failed"
                 return
             t_new = min(t + h_abs, self.t_bound)
@@ -343,6 +347,9 @@ class DormandPrince:
                 # without numpy's warning, and the next step ends at t_bound
                 h_abs = float(h_abs) * float(factor)
                 break
+            if math.isnan(err):
+                self.status = "failed"
+                return
             h_abs *= max(MIN_FACTOR, SAFETY * err ** _ERROR_EXPONENT)
             rejected = True
         self.t_old, self.y_old = t, self.y

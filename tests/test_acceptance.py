@@ -42,11 +42,11 @@ def seeded_spec(seed: int, n: int = 4, frac: float = 0.8,
     return QuadraticSpec.from_matrices(omega, scale * raw, label=f"seed{seed}")
 
 
-def block_deviation(traj, exact_fn, params) -> float:
+def block_deviation(traj, params) -> float:
     """Worst distance of recorded samples from a one-block closed form."""
     worst = 0.0
     for st in traj.states:
-        lo, hi, bt2 = exact_fn(*params, st.t)
+        lo, hi, bt2, _ = analytic.exact_block(*params, st.t)
         ref_om = np.diag([lo, hi]).astype(complex)
         bt = np.sqrt(max(float(bt2), 0.0))
         ref_b = np.array([[0.0, bt], [bt, 0.0]], dtype=complex)
@@ -94,7 +94,8 @@ def fock_setup():
 
 def test_ac1_generic_closed_form(ac1_run):
     spec, traj, elapsed = ac1_run
-    dev = block_deviation(traj, analytic.exact_generic, (1.0, 2.0, 0.5))
+    assert analytic.block_regime(1.0, 2.0, 0.5) == "generic"
+    dev = block_deviation(traj, (1.0, 2.0, 0.5))
     omega_inf, _, _ = flow.limit_extract(traj)
     eigs = np.linalg.eigvalsh((omega_inf + omega_inf.conj().T) / 2)
     eig_err = max(abs(eigs[0] - GOLDEN), abs(eigs[1] - GOLDEN - 1.0))
@@ -110,8 +111,8 @@ def test_ac2_equal_product_closed_form():
     for om_minus, om_plus in ((1.0, 4.0), (2.0, 2.0)):
         traj = flow.integrate(analytic.block_spec([(om_minus, om_plus, 1.0)]),
                               1.0, flow.Controls(tol=1e-10))
-        dev = max(dev, block_deviation(traj, analytic.exact_equal_product,
-                                       (om_minus, om_plus, 1.0)))
+        assert analytic.block_regime(om_minus, om_plus, 1.0) == "equal-product"
+        dev = max(dev, block_deviation(traj, (om_minus, om_plus, 1.0)))
     flat = flow.integrate(analytic.block_spec([(2.0, 2.0, 1.0)]), 10.0,
                           flow.Controls(tol=1e-10, conv_tol=1e-8))
     stuck = not flat.converged()

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bwflow import analytic
-from bwflow.errors import (NotInRegime, NotOnManifold, OutOfRange, PastBlowup)
+from bwflow.errors import NotInRegime, OutOfRange, PastBlowup
 
 GOLDEN_LO = 0.6180339887498948482046
 GOLDEN_HI = 1.6180339887498948482046
@@ -37,62 +37,64 @@ BLOWUP_INT_B2_015 = 0.3215189527657898669262
 
 def test_generic_frozen_values():
     for t, ref in GENERIC_FROZEN.items():
-        got = analytic.exact_generic(1.0, 2.0, 0.5, t)
+        got = analytic.exact_block(1.0, 2.0, 0.5, t)[:3]
         assert np.allclose(got, ref, rtol=1e-14, atol=1e-22)
 
 
 def test_generic_vectorized_and_limits():
     ts = np.array([0.5, 1.0, 2.0])
-    lo, hi, b2 = analytic.exact_generic(1.0, 2.0, 0.5, ts)
+    lo, hi, b2, _ = analytic.exact_block(1.0, 2.0, 0.5, ts)
     assert lo.shape == (3,) and np.isclose(b2[2], GENERIC_FROZEN[2.0][2])
-    lo_inf, hi_inf, b2_inf = analytic.exact_generic(1.0, 2.0, 0.5, 60.0)
+    lo_inf, hi_inf, b2_inf, _ = analytic.exact_block(1.0, 2.0, 0.5, 60.0)
     assert np.isclose(lo_inf, GOLDEN_LO, atol=1e-12)
     assert np.isclose(hi_inf, GOLDEN_HI, atol=1e-12)
     assert b2_inf < 1e-200
 
 
 def test_generic_int_b2_frozen():
-    assert np.isclose(analytic.exact_generic_int_b2(1.0, 2.0, 0.5, 2.0),
+    assert np.isclose(analytic.exact_block(1.0, 2.0, 0.5, 2.0)[3],
                       GENERIC_INT_B2_T2, rtol=1e-14)
-    assert np.isclose(analytic.exact_generic_int_b2(1.0, 2.0, 0.5, 1e6),
+    assert np.isclose(analytic.exact_block(1.0, 2.0, 0.5, 1e6)[3],
                       GENERIC_INT_B2_INF, rtol=1e-14)
-    assert analytic.exact_generic_int_b2(1.0, 2.0, 0.5, 0.0) == 0.0
-    assert analytic.exact_generic_int_b2(1.0, 2.0, 0.0, 5.0) == 0.0
+    assert analytic.exact_block(1.0, 2.0, 0.5, 0.0)[3] == 0.0
+    assert analytic.exact_block(1.0, 2.0, 0.0, 5.0)[3] == 0.0
 
 
 def test_generic_regime_guard():
-    with pytest.raises(NotInRegime):
-        analytic.exact_generic(1.0, 4.0, 1.0, 1.0)  # exactly on the manifold
-    with pytest.raises(NotInRegime):
-        analytic.exact_generic(1.0, 2.0, 0.8, 1.0)  # negative gap
+    assert analytic.block_regime(1.0, 2.0, 0.5) == "generic"
+    # exactly on the manifold
+    assert analytic.block_regime(1.0, 4.0, 1.0) == "equal-product"
+    assert analytic.block_regime(1.0, 2.0, 0.8) == "negative-gap"
+    with pytest.raises(OutOfRange):
+        analytic.exact_block(1.0, 2.0, 0.8, 1.0)  # no closed form
     with pytest.raises(ValueError):
-        analytic.exact_generic(2.0, 1.0, 0.1, 1.0)  # om_minus > om_plus
+        analytic.block_regime(2.0, 1.0, 0.1)  # om_minus > om_plus
 
 
 def test_equal_product_frozen_values():
-    got = analytic.exact_equal_product(1.0, 4.0, 1.0, 1.0)
+    *got, int_b2 = analytic.exact_block(1.0, 4.0, 1.0, 1.0)
     assert np.allclose(got, EQP_FROZEN, rtol=1e-14, atol=1e-22)
-    assert np.isclose(analytic.exact_equal_product_int_b2(1.0, 4.0, 1.0, 1.0),
-                      EQP_INT_B2_T1, rtol=1e-14)
+    assert np.isclose(int_b2, EQP_INT_B2_T1, rtol=1e-14)
     # the total integral is exactly 1/16: 32 int b^2 = tr(Om_0 - Om_inf) = 2
-    assert np.isclose(analytic.exact_equal_product_int_b2(1.0, 4.0, 1.0, 1e5),
+    assert np.isclose(analytic.exact_block(1.0, 4.0, 1.0, 1e5)[3],
                       1.0 / 16.0, rtol=1e-14)
 
 
 def test_equal_product_flat_branch():
-    lo, hi, b2 = analytic.exact_equal_product(2.0, 2.0, 1.0, 1.0)
+    lo, hi, b2, int_b2 = analytic.exact_block(2.0, 2.0, 1.0, 1.0)
     assert np.isclose(lo, 2.0 / 9.0, rtol=1e-15)
     assert np.isclose(hi, 2.0 / 9.0, rtol=1e-15)
     assert np.isclose(b2, 1.0 / 81.0, rtol=1e-15)
-    assert np.isclose(analytic.exact_equal_product_int_b2(2.0, 2.0, 1.0, 1.0),
-                      1.0 / 9.0, rtol=1e-15)
+    assert np.isclose(int_b2, 1.0 / 9.0, rtol=1e-15)
 
 
 def test_equal_product_manifold_guard():
-    with pytest.raises(NotOnManifold):
-        analytic.exact_equal_product(1.0, 2.0, 0.5, 1.0)
-    with pytest.raises(NotOnManifold):
-        analytic.exact_equal_product_int_b2(1.0, 2.0, 0.5, 1.0)
+    assert analytic.block_regime(2.0, 2.0, 1.0) == "equal-product"
+    assert analytic.block_regime(1.0, 2.0, 0.5) == "generic"
+    # b = 0 does not decide the regime: the sign of om_+ om_- does
+    assert analytic.block_regime(1.0, 2.0, 0.0) == "generic"
+    assert analytic.block_regime(0.0, 2.0, 0.0) == "equal-product"
+    assert analytic.block_regime(0.0, 0.0, 0.0) == "equal-product"
 
 
 @given(st.integers(0, 10**6))
@@ -102,7 +104,8 @@ def test_equal_product_stays_on_manifold(seed):
     om_plus = om_minus * rng.uniform(1.0, 4.0)
     b = np.sqrt(om_minus * om_plus) / 2.0
     t = rng.uniform(0.0, 3.0)
-    lo, hi, b2 = analytic.exact_equal_product(om_minus, om_plus, b, t)
+    assert analytic.block_regime(om_minus, om_plus, b) == "equal-product"
+    lo, hi, b2, _ = analytic.exact_block(om_minus, om_plus, b, t)
     assert abs(lo * hi - 4.0 * b2) < 1e-12 * max(1.0, lo * hi)
     # the splitting om_plus - om_minus is conserved along the flow
     assert np.isclose(hi - lo, om_plus - om_minus, rtol=1e-10, atol=1e-12)
@@ -116,8 +119,9 @@ def test_generic_solves_the_block_ode(seed):
     b = 0.9 * np.sqrt(om_minus * om_plus) / 2.0 * rng.uniform(0.1, 1.0)
     t = rng.uniform(0.01, 2.0)
     h = 1e-7
-    lo0, hi0, b20 = analytic.exact_generic(om_minus, om_plus, b, t)
-    lo1, hi1, b21 = analytic.exact_generic(om_minus, om_plus, b, t + h)
+    assert analytic.block_regime(om_minus, om_plus, b) == "generic"
+    lo0, hi0, b20, _ = analytic.exact_block(om_minus, om_plus, b, t)
+    lo1, hi1, b21, _ = analytic.exact_block(om_minus, om_plus, b, t + h)
     scale = max(1.0, b20)
     # d om/dt = -16 b^2 and d(b^2)/dt = -4 (om_- + om_+) b^2
     assert abs((lo1 - lo0) / h + 16.0 * b20) < 2e-4 * max(1.0, abs(lo0))
@@ -126,24 +130,41 @@ def test_generic_solves_the_block_ode(seed):
 
 
 def test_blowup_frozen_values():
-    om, bt, tmax = analytic.exact_blowup(1.0, 0.15)
+    assert analytic.block_regime(0.0, 0.0, 1.0) == "blowup"
+    om, om_plus, bt2, int_b2 = analytic.exact_block(0.0, 0.0, 1.0, 0.15)
+    assert om == om_plus
     assert np.isclose(om, BLOWUP_OM_015, rtol=1e-14)
-    assert np.isclose(bt, BLOWUP_B_015, rtol=1e-14)
-    assert np.isclose(tmax, BLOWUP_TMAX, rtol=1e-15)
+    assert np.isclose(np.sqrt(bt2), BLOWUP_B_015, rtol=1e-14)
+    assert np.isclose(analytic.blowup_time(1.0), BLOWUP_TMAX, rtol=1e-15)
     assert np.isclose(analytic.blowup_time(1.0), np.pi / 16.0, rtol=1e-15)
-    assert np.isclose(analytic.exact_blowup_int_b2(1.0, 0.15),
-                      BLOWUP_INT_B2_015, rtol=1e-14)
+    assert np.isclose(int_b2, BLOWUP_INT_B2_015, rtol=1e-14)
+
+
+def test_blowup_with_b_inside_the_product_tolerance():
+    # 4 b^2 = 4e-14 lies inside PRODUCT_TOL of a zero product, yet b > 0 at
+    # Omega = 0 blows up: the flat equal-product form would hold b_t = 0
+    b = 1e-7
+    assert analytic.block_regime(0.0, 0.0, b) == "blowup"
+    t = np.array([0.0, 0.5, 1.0])
+    om, om_plus, bt2, int_b2 = analytic.exact_block(0.0, 0.0, b, t)
+    tan = np.tan(8.0 * b * t)
+    assert np.array_equal(om, -2.0 * b * tan) and np.array_equal(om_plus, om)
+    assert np.array_equal(bt2, (b * np.sqrt(tan ** 2 + 1.0)) ** 2)
+    assert np.array_equal(int_b2, b * tan / 8.0)
+    assert bt2[0] == b * b and int_b2[2] > 0.0
 
 
 def test_blowup_guards():
     with pytest.raises(PastBlowup):
-        analytic.exact_blowup(1.0, np.pi / 16.0)
+        analytic.exact_block(0.0, 0.0, 1.0, np.pi / 16.0)
     with pytest.raises(PastBlowup):
-        analytic.exact_blowup_int_b2(1.0, 0.2)
+        analytic.exact_block(0.0, 0.0, 1.0, [0.1, 0.2])
+    # b = 0 at Omega = 0 is the flat equal-product block at rest, not a blow-up
+    assert analytic.block_regime(0.0, 0.0, 0.0) != "blowup"
     with pytest.raises(ValueError):
-        analytic.exact_blowup(0.0, 0.1)
+        analytic.exact_block(0.0, 0.0, -1.0, 0.1)
     with pytest.raises(ValueError):
-        analytic.exact_blowup(1.0, -0.1)
+        analytic.exact_block(0.0, 0.0, 1.0, -0.1)
 
 
 def test_block_spec_assembly():
@@ -169,7 +190,7 @@ def test_exact_limit_block():
 
 def test_limit_matches_generic_long_time():
     lim = analytic.exact_limit_block([(1.0, 2.0, 0.5)]).mat
-    lo, hi, _ = analytic.exact_generic(1.0, 2.0, 0.5, 50.0)
+    lo, hi, _, _ = analytic.exact_block(1.0, 2.0, 0.5, 50.0)
     assert np.allclose(np.diag(lim).real, [lo, hi], atol=1e-12)
 
 

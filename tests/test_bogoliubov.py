@@ -320,7 +320,7 @@ def test_transform_spec_matches_flow(generic_traj, generic_spec, generic_bpath):
         # conjugating the initial spec reproduces the flow's scalar too
         assert abs(out.c0 - s.c) < 1e-6
         assert abs(s.c - generic_spec.c0
-                   + 16.0 * analytic.exact_generic_int_b2(1.0, 2.0, 0.5, t)
+                   + 16.0 * analytic.exact_block(1.0, 2.0, 0.5, t)[3]
                    ) < 1e-7
 
 

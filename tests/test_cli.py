@@ -5,6 +5,7 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 import warnings
@@ -134,7 +135,7 @@ def test_run_summary_and_csv(generic_file, tmp_path, capsys):
     # every emitted sample sits on the closed-form trajectory
     for ln in lines[1:]:
         t, hsb = (float(x) for x in ln.split(",")[:2])
-        _, _, bt2 = analytic.exact_generic(1.0, 2.0, 0.5, t)
+        _, _, bt2, _ = analytic.exact_block(1.0, 2.0, 0.5, t)
         assert abs(hsb - np.sqrt(2.0 * bt2)) < 1e-7
     # byte-identical on a repeat run
     cli.main(["run", generic_file, "--t-end", "5", "--csv", str(csv)])
@@ -361,13 +362,83 @@ def test_oracle_csv_matches_closed_form(capsys):
     assert len(lines) == 6
     for ln in lines[1:]:
         t, hsb, c, mineig, motion, knorm = (float(x) for x in ln.split(","))
-        lo, hi, bt2 = analytic.exact_generic(1.0, 2.0, 0.5, t)
-        ib = analytic.exact_generic_int_b2(1.0, 2.0, 0.5, t)
+        lo, hi, bt2, ib = analytic.exact_block(1.0, 2.0, 0.5, t)
         assert abs(hsb - np.sqrt(2.0 * bt2)) < 1e-12
         assert abs(c + 16.0 * ib) < 1e-12
         assert abs(mineig - lo) < 1e-12
         assert motion == 0.0
         assert abs(knorm - np.sqrt(2.0 * bt2)) < 1e-12  # delta = 1
+
+
+PIVOTAL_3 = [(2.0 * np.sqrt(2.0) * 2.0 ** -k, 2.0 * np.sqrt(2.0) * 2.0 ** -k, 2.0 ** -k)
+             for k in (1, 2, 3)]
+MIXED_06_3 = [(1.0, 2.0, 0.6), (0.75 ** 2, 0.75 ** 2, 0.25), (0.75 ** 3, 0.75 ** 3, 0.125)]
+
+
+GRID = "0:0.15:0.05"
+
+
+@pytest.mark.parametrize("args, grid, blocks, regimes, error", [
+    # one family per regime (generic: test_oracle_csv_matches_closed_form);
+    # b = 0 is a block at rest in either regime
+    (["equal-product", "1", "4", "1"], GRID, [(1.0, 4.0, 1.0)], ["equal-product"], None),
+    (["blowup", "1"], GRID, [(0.0, 0.0, 1.0)], ["blowup"], None),
+    # 4 b^2 lies inside the product tolerance of Omega = 0, yet b > 0 blows up
+    (["blowup", "1e-7"], "0:1:0.5", [(0.0, 0.0, 1e-7)], ["blowup"], None),
+    (["block", "0", "0", "1e-7"], "0:1:0.5", [(0.0, 0.0, 1e-7)], ["blowup"], None),
+    (["block", "1", "3", "0"], GRID, [(1.0, 3.0, 0.0)], ["generic"], None),
+    (["block", "1", "2", "0.5", "2", "2", "0.25", "0", "0", "0.3", "1", "3", "0"], GRID,
+     [(1.0, 2.0, 0.5), (2.0, 2.0, 0.25), (0.0, 0.0, 0.3), (1.0, 3.0, 0.0)],
+     ["generic", "generic", "blowup", "generic"], None),
+    (["pivotal", "3"], GRID, PIVOTAL_3, ["generic"] * 3, None),
+    (["mixed", "0.6", "3"], GRID, MIXED_06_3, ["generic"] * 3, None),
+    (["block", "1", "2", "0.8"], "0:1:0.5", None, None, "OutOfRange: no closed form"),
+    # a block at rest answers no earlier than t = 0, as every other block
+    (["block", "1", "2", "0"], "-1:1:0.5", None, None, "OutOfRange: t must be nonnegative"),
+    # a family's check is the sign of the product gap, whatever b is
+    (["generic", "1", "2", "0"], GRID, [(1.0, 2.0, 0.0)], ["generic"], None),
+    (["generic", "0", "0", "0"], GRID, None, None, "NotInRegime"),
+    (["generic", "0", "2", "0"], GRID, None, None, "NotInRegime"),
+    (["generic", "1", "4", "1"], GRID, None, None, "NotInRegime"),
+    (["generic", "0", "0", "1e-7"], GRID, None, None, "NotInRegime"),
+    (["equal-product", "0", "0", "0"], GRID, [(0.0, 0.0, 0.0)], ["equal-product"], None),
+    (["equal-product", "0", "2", "0"], GRID, [(0.0, 2.0, 0.0)], ["equal-product"], None),
+    # om_- = om_+: the flat branch
+    (["equal-product", "2", "2", "1"], GRID, [(2.0, 2.0, 1.0)], ["equal-product"], None),
+    (["equal-product", "1", "2", "0"], GRID, None, None, "NotOnManifold"),
+    (["equal-product", "0", "0", "1e-7"], GRID, None, None, "NotOnManifold"),
+    (["blowup", "0"], GRID, None, None, "OutOfRange"),
+    (["block", "0", "0", "0"], GRID, [(0.0, 0.0, 0.0)], ["equal-product"], None),
+    (["block", "0", "2", "0"], GRID, [(0.0, 2.0, 0.0)], ["equal-product"], None),
+    (["block", "0", "0", "1"], GRID, [(0.0, 0.0, 1.0)], ["blowup"], None),
+    (["block", "1", "4", "1"], GRID, [(1.0, 4.0, 1.0)], ["equal-product"], None),
+], ids=["equal-product", "blowup", "blowup-small-b", "block-small-b", "decoupled",
+        "block-x4", "pivotal", "mixed", "negative-gap", "negative-time", "generic-b0",
+        "generic-000", "generic-020", "generic-141", "generic-small-b", "eqp-000",
+        "eqp-020", "eqp-221-flat", "eqp-120", "eqp-small-b", "blowup-0", "block-000",
+        "block-020", "block-001", "block-141"])
+def test_oracle_csv_every_regime(capsys, args, grid, blocks, regimes, error):
+    code = cli.main(["oracle", *args, f"--csv={grid}", "--c0", "0.3"])
+    out, err = capsys.readouterr()
+    if error:
+        assert code == cli.EXIT_PARSE and out == ""
+        assert err.startswith(f"error: {error}") and err.count("\n") == 1
+        return
+    assert code == cli.EXIT_OK and err == ""
+    assert [analytic.block_regime(*blk) for blk in blocks] == regimes
+    t0, t1, dt = (float(x) for x in grid.split(":"))
+    lines = out.splitlines()
+    assert lines[0] == cli.CSV_HEADER and len(lines) == 1 + round((t1 - t0) / dt) + 1
+    for ln in lines[1:]:
+        t, hsb, c, mineig, motion, knorm = (float(x) for x in ln.split(","))
+        rows = [analytic.exact_block(*blk, t) for blk in blocks]
+        deltas = [om_plus - om_minus for om_minus, om_plus, _ in blocks]
+        assert np.isclose(hsb, np.sqrt(sum(2.0 * r[2] for r in rows)), rtol=1e-14)
+        assert np.isclose(c, 0.3 - 16.0 * sum(r[3] for r in rows), rtol=1e-14)
+        assert mineig == min(min(r[0], r[1]) for r in rows)
+        assert motion == 0.0
+        assert np.isclose(knorm, np.sqrt(sum(2.0 * r[2] * d * d
+                                             for r, d in zip(rows, deltas))), rtol=1e-14)
 
 
 def test_oracle_writes_spec_file(tmp_path, capsys):
@@ -477,6 +548,49 @@ def test_check_prints_a_finite_a5_norm_for_entries_above_1e154(tmp_path, capsys)
     path = write_spec(tmp_path, "big.json", {"blocks": [[1.0, 2.0, 1e160]]})
     assert run_quietly(["check", path]) == cli.EXIT_CONDITION
     assert "  a5_norm = 1.06066e+160" in capsys.readouterr().out.splitlines()
+
+
+def test_run_ends_when_the_error_estimate_is_nan(tmp_path):
+    # B B~ overflows, so the initial step size and every error estimate were
+    # nan, neither below the minimum step nor below 1: the stepper rejected
+    # its step forever and run never ended
+    path = write_spec(tmp_path, "hang.json", {
+        "dim": 2, "omega": [[9.0144, 0], [-0.0391, -2.8863], [-0.0391, 2.8863], [1.0321, 0]],
+        "b": [[-1e154, 0], [-0.25, 0], [-0.25, 0], [-1e4, 0]]})
+
+    class Hang(Exception):
+        pass
+
+    def stop(signum, frame):
+        raise Hang("run did not end")  # no OSError, which main reports as exit 2
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(10)
+    try:
+        code = run_quietly(["run", path, "--t-end", "5"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (cli.EXIT_BLOWUP, cli.EXIT_NOT_CONVERGED)
+
+
+def test_check_leaves_a5_undetermined_on_a_non_finite_sandwich(tmp_path):
+    # the p = 2 sandwich overflows to nan, and its eigvalsh ended check in a
+    # LinAlgError traceback with exit 1
+    path = write_spec(tmp_path, "big3.json", {
+        "dim": 3,
+        "omega": [[11.17, 0], [-11.8, 0], [-2.1, 0], [-11.8, 0], [19.08, 0], [1.38, 0],
+                  [-2.1, 0], [1.38, 0], [3.37, 0]],
+        "b": [[-1e300, 0], [2.02, 0], [-2.46, 0], [2.02, 0], [-2.8, 0], [1.78, 0],
+              [-2.46, 0], [1.78, 0], [0.25, 0]]})
+    proc = _run_cli(["check", path], tmp_path)
+    assert proc.returncode == cli.EXIT_CONDITION
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.split()[0] for ln in lines[:9]] == [
+        "condition", "A1", "A2", "A3", "A4", "A5", "A6", "FB", "KM"]
+    assert lines[5].split() == ["A5", "undetermined", "-"]
+    assert lines[9] == "values:" and "  eps = 0.5" in lines
 
 
 def _run_cli(args, cwd, timeout=60, address_space=None, stdout=subprocess.PIPE):

@@ -29,7 +29,7 @@ def test_scalar_sign_module_constant():
 
 def test_integrate_matches_generic_closed_form(generic_traj):
     for s in generic_traj.states:
-        lo, hi, b2 = analytic.exact_generic(1.0, 2.0, 0.5, s.t)
+        lo, hi, b2, _ = analytic.exact_block(1.0, 2.0, 0.5, s.t)
         assert abs(s.omega[0, 0].real - lo) < 1e-7
         assert abs(s.omega[1, 1].real - hi) < 1e-7
         assert abs(s.b[0, 1].real ** 2 - b2) < 1e-7
@@ -53,7 +53,7 @@ def test_flow_keeps_structure_exactly():
 
 def test_scalar_coefficient_both_signs(generic_spec):
     # c picks up sign * 16 int b^2 on a single block (||B||_2^2 = 2 b^2)
-    int_b2 = analytic.exact_generic_int_b2(1.0, 2.0, 0.5, 2.0)
+    int_b2 = analytic.exact_block(1.0, 2.0, 0.5, 2.0)[3]
     for sign in (-1.0, +1.0):
         traj = flow.integrate(generic_spec, t_end=2.0, scalar_sign=sign)
         assert np.isclose(traj.final.c, sign * 16.0 * int_b2, atol=1e-9)
@@ -156,14 +156,16 @@ def test_wall_time_covers_stepping_and_tail(generic_spec, monkeypatch):
 
 def reference_diagnostics(state, spec):
     """FlowDiagnostics of one state, computed on its own."""
-    res = flow.motion_residuals(state, spec)
     om0, b0 = spec.omega, spec.b
+    ref = om0 @ om0 - 4.0 * (b0 @ b0.conj())
+    cur = state.omega @ state.omega - 4.0 * (state.b @ state.b.conj())
+    k = state.omega @ state.b - state.b @ state.omega.T
     sq0 = om0 @ om0 - 8.0 * (b0 @ b0.conj())
     sqt = state.omega @ state.omega - 8.0 * (state.b @ state.b.conj())
     return flow.FlowDiagnostics(
         hs_b=state.hs_b, c=state.c, min_eig_omega=min_eig_hermitian(state.omega),
-        motion_residual=res["trace"], k_norm=res["k_norm"],
-        matrix_motion_residual=res["matrix"],
+        motion_residual=abs(float(np.trace(cur).real) - float(np.trace(ref).real)),
+        k_norm=hs_norm(k), matrix_motion_residual=hs_norm(cur - ref),
         omega_decrease_margin=min_eig_hermitian(om0 - state.omega),
         square_mono_margin=min_eig_hermitian(sqt - sq0))
 
@@ -214,7 +216,7 @@ def test_tolerance_scaling(generic_spec):
     for tol in (1e-6, 1e-10):
         traj = flow.integrate(generic_spec, t_end=2.0,
                               controls=flow.Controls(tol=tol))
-        lo, hi, _ = analytic.exact_generic(1.0, 2.0, 0.5, 2.0)
+        lo, hi, _, _ = analytic.exact_block(1.0, 2.0, 0.5, 2.0)
         devs[tol] = abs(traj.final.omega[0, 0].real - lo)
     assert devs[1e-10] < devs[1e-6]
     assert devs[1e-10] < 1e-9
@@ -222,9 +224,7 @@ def test_tolerance_scaling(generic_spec):
 
 def test_motion_residuals_small(generic_traj, generic_spec):
     scale = hs_norm(generic_spec.omega) ** 2
-    for s in generic_traj.states:
-        res = flow.motion_residuals(s, generic_spec)
-        assert res["trace"] <= 1e-8 * scale
+    assert (generic_traj.column("motion_residual") <= 1e-8 * scale).all()
     # k_norm stays at zero for the commuting block family
     spec = analytic.block_spec([(2.0, 2.0, 0.5)])
     traj = flow.integrate(spec, t_end=3.0)
@@ -342,7 +342,7 @@ def test_asymptotic_bound(generic_traj, generic_spec):
 
 def test_state_interpolation(generic_traj):
     s = generic_traj.state_at(1.3)
-    lo, hi, b2 = analytic.exact_generic(1.0, 2.0, 0.5, 1.3)
+    lo, hi, b2, _ = analytic.exact_block(1.0, 2.0, 0.5, 1.3)
     assert abs(s.omega[0, 0].real - lo) < 1e-7
     assert abs(s.b[0, 1].real - np.sqrt(b2)) < 1e-7
     with pytest.raises(PathGap):
@@ -562,8 +562,7 @@ def test_constant_of_motion_random_specs(seed):
     spec = random_a6_spec(seed)
     traj = flow.integrate(spec, t_end=1.0)
     scale = hs_norm(spec.omega) ** 2
-    for s in traj.states:
-        assert flow.motion_residuals(s, spec)["trace"] <= 1e-8 * scale
+    assert (traj.column("motion_residual") <= 1e-8 * scale).all()
 
 
 @settings(max_examples=10)

@@ -291,6 +291,19 @@ def test_zero_length_interval_and_h_min(monkeypatch):
         drive(DormandPrince(fun, 0.0, [1.0], 1.0, 1e-8, 1e-8))
 
 
+def test_nan_step_size_or_error_estimate_fails_the_step():
+    # neither is below the minimum step or below 1, so the attempt loop
+    # rejected the step forever
+    fun = writes_into(lambda t, y: np.full_like(y, np.nan) if t > 0 else -y)
+    nan_error = DormandPrince(fun, 0.0, [1.0], 1.0, 1e-8, 1e-8, h_abs=0.1)
+    nan_error.step()
+    nan_step = DormandPrince(writes_into(lambda t, y: -y), 0.0, [1.0], 1.0, 1e-8, 1e-8,
+                             h_abs=np.nan)
+    nan_step.step()
+    for solver in (nan_error, nan_step):
+        assert solver.status == "failed" and solver.t == 0.0 and solver.y[0] == 1.0
+
+
 def test_interpolant_matches_scipy_bitwise(generic_traj):
     # the README spec is real, so its flow steps a real 1-d state: scipy's
     # DOP853 on the same right-hand side and tolerance takes the same steps,
@@ -366,10 +379,10 @@ class SampledPath:
 
 
 def readme_b_path(t1):
-    """The README flow's B_t in closed form (analytic.exact_generic): a
+    """The README flow's B_t in closed form (analytic.exact_block): a
     smooth explicit B-path on [0, t1] whose values do not come from the flow."""
     def b_at(t):
-        bt = np.sqrt(analytic.exact_generic(1.0, 2.0, 0.5, t)[2])
+        bt = np.sqrt(analytic.exact_block(1.0, 2.0, 0.5, t)[2])
         return np.array([[0.0, bt], [bt, 0.0]])
 
     return flow.FunctionBPath(b_at, 0.0, t1)
