@@ -33,9 +33,10 @@ PRODUCT_TOL = 1e-12
 
 
 def _gap(om_minus: float, om_plus: float, b: float) -> tuple[float, float]:
-    gap = om_plus * om_minus - 4.0 * b * b
-    scale = max(1.0, abs(om_plus * om_minus))
-    return gap, scale
+    """The product gap om_+ om_- - 4 b^2 and the scale of its two terms,
+    which PRODUCT_TOL is relative to."""
+    product, pair = om_plus * om_minus, 4.0 * b * b
+    return product - pair, max(product, pair)
 
 
 def _check_block(om_minus: float, om_plus: float, b: float) -> None:
@@ -82,7 +83,9 @@ def block_spec(blocks, c0: float = 0.0, label: str = "") -> QuadraticSpec:
 
 def block_regime(om_minus: float, om_plus: float, b: float) -> str:
     """Which closed form solves the block, by the sign of the product gap
-    om_+ om_- - 4 b^2 at relative tolerance PRODUCT_TOL:
+    om_+ om_- - 4 b^2 at tolerance PRODUCT_TOL relative to the larger of
+    om_+ om_- and 4 b^2, so that a block's regime does not change with its
+    scale:
 
     * "blowup" for Omega = 0 with b > 0, however small b is;
     * "generic" for a strictly positive gap;
@@ -114,6 +117,8 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
                  / [2 (rho + sigma + (rho-sigma) e^{-4 rho t})]
         b(t)^2 = 4 rho^2 b^2 e^{-4 rho t}
                  / (sigma + rho + (rho-sigma) e^{-4 rho t})^2,
+        int_0^t b^2 = b^2 (1 - e^{-4 rho t})
+                      / (2 (sigma + rho + (rho-sigma) e^{-4 rho t})),
 
     with limits om_{-+} -> (rho -+ delta)/2 and b -> 0;
 
@@ -122,8 +127,9 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
         om_-(t) = om_- delta / (om_+ e^{4 delta t} - om_-)
         om_+(t) = om_+ delta / (om_+ - om_- e^{-4 delta t})
         b(t)^2  = b^2 delta^2 e^{-4 delta t} / (om_+ - om_- e^{-4 delta t})^2
+        int_0^t b^2 = b^2 (1 - e^{-4 delta t}) / (4 (om_+ - om_- e^{-4 delta t}))
 
-    and for delta = 0 (so b = om/2):
+    and for delta = 0, within PRODUCT_TOL of om_+ (so b = om/2):
 
         om(t) = om / (4 t om + 1),   b(t)^2 = om^2 / (4 (4 t om + 1)^2);
 
@@ -133,6 +139,9 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
         int_0^t b^2 = b tan(8 b t) / 8,
 
     valid for t < T_max = pi/(16 b); beyond that PastBlowup is raised.
+    The integrals of the first two regimes, and the equal-product
+    denominators, take 1 - e^{-x} as -expm1(-x) and e^x - 1 as expm1(x),
+    which keeps them accurate where x is small: at small t, b or delta.
     A negative-gap block raises OutOfRange.
     """
     regime = block_regime(om_minus, om_plus, b)
@@ -152,20 +161,23 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
 
         omm, omp = h(-delta), h(delta)
         bt2 = 4.0 * rho * rho * b * b * decay / (den * den)
-        ib = (rho * b * b / (rho - sigma)) * (1.0 / den - 1.0 / (2.0 * rho))
-    elif regime == "equal-product" and delta <= PRODUCT_TOL * max(1.0, om_plus):
+        ib = b * b * -np.expm1(-4.0 * rho * ts) / (2.0 * den)
+    elif regime == "equal-product" and delta <= PRODUCT_TOL * om_plus:
         den = 4.0 * ts * om_plus + 1.0
         omm = omp = om_plus / den
         bt2 = om_plus * om_plus / (4.0 * den * den)
         ib = (om_plus / 16.0) * (1.0 - 1.0 / den)
     elif regime == "equal-product":
         decay = np.exp(-4.0 * delta * ts)
+        # om_+ e^{4 delta t} - om_- and om_+ - om_- e^{-4 delta t} as sums of
+        # nonnegative terms, which keep their digits where delta t is small
         with np.errstate(over="ignore"):  # e^{4 delta t} = inf gives the limit 0
-            omm = om_minus * delta / (om_plus * np.exp(4.0 * delta * ts) - om_minus)
-        den = om_plus - om_minus * decay
+            omm = om_minus * delta / (delta + om_plus * np.expm1(4.0 * delta * ts))
+        spent = -np.expm1(-4.0 * delta * ts)
+        den = delta + om_minus * spent
         omp = om_plus * delta / den
         bt2 = b * b * delta * delta * decay / (den * den)
-        ib = (b * b * delta / (4.0 * om_minus)) * (1.0 / delta - 1.0 / den)
+        ib = b * b * spent / (4.0 * den)
     elif regime == "blowup":
         tmax = blowup_time(b)
         if np.any(ts >= tmax):

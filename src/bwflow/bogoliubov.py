@@ -62,11 +62,15 @@ BRANCH_TOL = 1e-8
 DYSON_NODES = 513
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BogoliubovMap:
     """Pair (u, v) labelled by its time span (s, t).
 
-    stats collects per-construction diagnostics such as series tail bounds.
+    A map is a value: u and v are read-only views of the arrays it is given,
+    and its symplectic residuals are computed on first read and kept, so
+    every check of one map (symplectic_residuals, transform_spec,
+    decompose_generator) evaluates them once.  stats collects
+    per-construction diagnostics such as series tail bounds.
     """
 
     u: np.ndarray
@@ -75,15 +79,24 @@ class BogoliubovMap:
     t: float = 0.0
     stats: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name in ("u", "v"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
     @property
     def dim(self) -> int:
         return self.u.shape[0]
 
+    @functools.cached_property
+    def residuals(self) -> dict:
+        """The four symplectic residuals (see symplectic_residuals)."""
+        return _residuals(self.u, self.v)
 
-def symplectic_residuals(m: BogoliubovMap) -> dict:
-    """Hilbert-Schmidt residuals of the four symplectic relations."""
-    u, v = m.u, m.v
-    eye = np.eye(m.dim)
+
+def _residuals(u: np.ndarray, v: np.ndarray) -> dict:
+    eye = np.eye(u.shape[0])
     return {
         "uu_vv": hs_norm(u @ u.conj().T - v @ v.conj().T - eye),
         "u_u_vv": hs_norm(u.conj().T @ u - v.T @ v.conj() - eye),
@@ -92,9 +105,14 @@ def symplectic_residuals(m: BogoliubovMap) -> dict:
     }
 
 
+def symplectic_residuals(m: BogoliubovMap) -> dict:
+    """Hilbert-Schmidt residuals of the four symplectic relations, computed
+    once per map (BogoliubovMap.residuals)."""
+    return dict(m.residuals)
+
+
 def _require_valid(m: BogoliubovMap) -> None:
-    res = symplectic_residuals(m)
-    worst = max(res.values())
+    worst = max(m.residuals.values())
     if worst > MAP_TOL:
         raise MapInvalid(f"symplectic residual {worst:.3e} exceeds {MAP_TOL:.1e}")
 
@@ -288,23 +306,27 @@ class GeneratorDecomposition:
     residuals: dict = field(default_factory=dict)
 
 
-def _unitary_eig(x: np.ndarray, eigs: np.ndarray) -> tuple:
+def _unitary_eig(x: np.ndarray) -> tuple:
     """Eigen-angles theta and orthonormal eigenvectors Q of a unitary x,
-    x = Q diag(exp(i theta)) Q*, given its eigenvalues eigs (only to place
-    the rotation, so eigvals' accuracy is plenty).
+    x = Q diag(exp(i theta)) Q*.
 
-    The spectrum is first turned so that the middle of its widest gap sits
-    at -1, y = exp(i phi) x; then the Cayley transform i (1 - y) (1 + y)^-1
+    The spectrum is first turned so that the middle of a widest gap sits at
+    -1, y = exp(i phi) x; then the Cayley transform i (1 - y) (1 + y)^-1
     is hermitian with eigenvalues tan(theta'/2) and eigh gives both factors
-    (Higham, *Functions of Matrices*, 2008, ch. 1 and 11).  The turn keeps
-    1 + y at least 2 sin(pi / 2n) from singular: unturned, an eigenvalue
-    within delta of -1 costs eps / delta of accuracy, and an exact -1,
-    which a real gauge matrix with negative directions has, breaks the
-    transform.  theta = 2 arctan(t) - phi lies on the branch whose cut is
-    that widest gap, so no cluster of eigenvalues straddles the cut; wrap
-    it into (-pi, pi] for the principal log.
+    (Higham, *Functions of Matrices*, 2008, ch. 1 and 11).  The turn is
+    placed from the 2n candidate angles +-arccos(c_k), c_k the eigenvalues
+    of the hermitian part (x + x*)/2, which are the cosines of the
+    eigen-angles: the candidates hold every eigen-angle, so the middle of
+    their widest gap holds none, and eigvalsh's accuracy is plenty to place
+    it.  The turn keeps 1 + y at least 2 sin(pi / 4n) from singular:
+    unturned, an eigenvalue within delta of -1 costs eps / delta of
+    accuracy, and an exact -1, which a real gauge matrix with negative
+    directions has, breaks the transform.  theta = 2 arctan(t) - phi lies
+    on the branch whose cut is that gap, so no cluster of eigenvalues
+    straddles the cut; wrap it into (-pi, pi] for the principal log.
     """
-    ang = np.sort(np.angle(eigs))
+    half = np.arccos(np.clip(np.linalg.eigvalsh((x + x.conj().T) / 2), -1.0, 1.0))
+    ang = np.sort(np.concatenate((-half, half)))
     gaps = np.diff(ang, append=ang[0] + 2.0 * np.pi)
     k = int(np.argmax(gaps))
     phi = np.pi - (ang[k] + gaps[k] / 2.0)
@@ -328,7 +350,7 @@ def _takagi_symmetric(mat: np.ndarray) -> tuple:
     """
     a, sig, bh = np.linalg.svd(mat)
     z = a.conj().T @ bh.T
-    theta, q = _unitary_eig(z, np.linalg.eigvals(z))
+    theta, q = _unitary_eig(z)
     w = (q * np.exp(0.5j * theta)) @ q.conj().T
     y = a @ w
     return y, sig
@@ -352,7 +374,7 @@ def decompose_generator(m: BogoliubovMap) -> GeneratorDecomposition:
     eigh(h_matrix).  Raises MapInvalid when the symplectic relations
     (MAP_TOL) or the reconstruction (DECOMP_TOL) fail, LogBranch when uhat
     has an eigenvalue at -1 within BRANCH_TOL (the principal log is then
-    ambiguous).
+    ambiguous), tested on the eigen-angles the log is built from.
     """
     _require_valid(m)
     u, v = m.u, m.v
@@ -370,11 +392,10 @@ def decompose_generator(m: BogoliubovMap) -> GeneratorDecomposition:
     g_defect = hs_norm(g.conj().T @ g - np.eye(n))
     h_defect = hs_norm(h.conj().T @ h - np.eye(n))
     uhat = h @ g.conj().T
-    eigs = np.linalg.eigvals(uhat)
-    if np.any(np.abs(eigs + 1.0) < BRANCH_TOL):
-        raise LogBranch("uhat has an eigenvalue at -1; hermitian log branch ambiguous")
-    theta, q = _unitary_eig(uhat, eigs)
+    theta, q = _unitary_eig(uhat)
     theta = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
+    if np.any(np.abs(np.exp(1j * theta) + 1.0) < BRANCH_TOL):
+        raise LogBranch("uhat has an eigenvalue at -1; hermitian log branch ambiguous")
     h_matrix = (q * theta) @ q.conj().T
     h_matrix = (h_matrix + h_matrix.conj().T) / 2
     w, p = np.linalg.eigh(h_matrix)

@@ -508,9 +508,12 @@ def cmd_fock_verify(args) -> int:
               + ("" if conv else "  [flow not converged]") + "\n")
 
     e0 = fock.ground_energy(fk, h0)
-    shift = fock.ground_truncation_shift(fk, h0, e0) if cutoff >= 8 else float("nan")
+    shift, floor = (fock.ground_truncation_shift(fk, h0, e0) if cutoff >= 8
+                    else (math.nan, 0.0))
+    # a shift below the rounding floor has no resolved digits
+    shift_txt = f"< {floor:.3e}" if shift < floor else f"{shift:.3e}"
     out.write(f"ground energy of truncated H0: {e0:.10g} "
-              f"(truncation shift estimate {shift:.3e})\n")
+              f"(truncation shift estimate {shift_txt})\n")
     for sign, c_inf in c_final.items():
         out.write(f"cInf with scalar sign {sign:+g}: {c_inf:.10g} "
                   f"(ground - cInf = {e0 - c_inf:+.6e})\n")

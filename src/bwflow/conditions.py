@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KernelOverlap, NotReal
-from .opcore import (QuadraticSpec, hs_norm, hs_scale,
-                     min_eig_hermitian, sandwich, sandwich_norm)
+from .opcore import (QuadraticSpec, Sandwiches, hs_norm, hs_scale,
+                     min_eig_hermitian)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_EPS = 0.5
@@ -73,20 +73,31 @@ def check_a1_a2(spec: QuadraticSpec, tol: float = DEFAULT_TOL) -> ConditionRepor
     return rep
 
 
+def _sandwiches(spec: QuadraticSpec, tol: float):
+    """The sandwiches of spec's B over Omega_0^t at kernel tolerance tol, or
+    the KernelOverlap that refuses them, for A3-A6 to share."""
+    try:
+        return Sandwiches(spec.b, spec.omega, ker_tol=tol)
+    except KernelOverlap as exc:
+        return exc
+
+
 def check_a3_a6(spec: QuadraticSpec, tol: float = DEFAULT_TOL) -> ConditionReport:
     """A3 and A6 through D = Omega_0 - 4 B_0 (Omega_0^t)^{-1} B_0~."""
+    return _check_a3_a6(spec, tol, _sandwiches(spec, tol))
+
+
+def _check_a3_a6(spec: QuadraticSpec, tol: float, sw) -> ConditionReport:
     rep = ConditionReport()
     scale = hs_scale(spec.omega)
-    try:
-        frak_b = sandwich(spec.b, spec.omega, p=1, ker_tol=tol)
-    except KernelOverlap as exc:
+    if isinstance(sw, KernelOverlap):
         rep.verdicts["A3"] = "fails"
         rep.verdicts["A6"] = "fails"
         rep.margins["A3"] = -np.inf
         rep.values["gap_nu"] = 0.0
-        rep.values["kernel_overlap"] = str(exc)
+        rep.values["kernel_overlap"] = str(sw)
         return rep
-    d = spec.omega - 4.0 * frak_b.mat
+    d = spec.omega - 4.0 * sw.matrix(1).mat
     margin = min_eig_hermitian(d)
     rep.margins["A3"] = margin
     rep.margins["A6"] = margin
@@ -105,21 +116,23 @@ def check_a4_a5(spec: QuadraticSpec, eps: float = DEFAULT_EPS,
     ||Omega^{-1-eps} B||_2, r_const (largest r with 1 >= (4+r) E, E the
     p = 2 sandwich; +inf when B vanishes on the relevant subspace) and eps.
     """
+    return _check_a4_a5(spec, eps, tol, _sandwiches(spec, tol))
+
+
+def _check_a4_a5(spec: QuadraticSpec, eps: float, tol: float, sw) -> ConditionReport:
     rep = ConditionReport()
     rep.values["eps"] = float(eps)
     scale = 1.0  # the tested inequality 1 >= 4 E is already scale-free
-    try:
-        e1 = sandwich(spec.b, spec.omega, p=1, ker_tol=tol)
-        e2 = sandwich(spec.b, spec.omega, p=2, ker_tol=tol)
-    except KernelOverlap as exc:
+    if isinstance(sw, KernelOverlap):
         rep.verdicts["A4"] = "fails"
         rep.verdicts["A5"] = "fails"
         rep.margins["A5"] = -np.inf
-        rep.values["kernel_overlap"] = str(exc)
+        rep.values["kernel_overlap"] = str(sw)
         rep.values["r_const"] = -4.0
         return rep
+    e1, e2 = sw.matrix(1), sw.matrix(2)
     rep.values["a4_norm"] = float(np.sqrt(max(np.trace(e1.mat).real, 0.0)))
-    rep.values["a5_norm"] = sandwich_norm(spec.b, spec.omega, p=2.0 + 2.0 * eps, ker_tol=tol)
+    rep.values["a5_norm"] = sw.norm(2.0 + 2.0 * eps)
     # a sandwich past the float range leaves the norm nan or inf
     rep.verdicts["A4"] = "holds" if np.isfinite(rep.values["a4_norm"]) else "undetermined"
     rep.margins["A4"] = rep.values["a4_norm"]
@@ -193,11 +206,14 @@ def check_kato_mugibayashi(spec: QuadraticSpec, tol: float = DEFAULT_TOL) -> Con
 
 def check_all(spec: QuadraticSpec, tol: float = DEFAULT_TOL,
               eps: float = DEFAULT_EPS) -> ConditionReport:
-    """Run the full ladder; downstream checks are undetermined when A1 or A2 fail."""
+    """Run the full ladder; downstream checks are undetermined when A1 or A2
+    fail.  A3-A6 share one factorization of Omega_0^t and one p = 1
+    sandwich (see opcore.Sandwiches)."""
     rep = check_a1_a2(spec, tol)
     if rep.holds("A1") and rep.holds("A2"):
-        rep.merge(check_a3_a6(spec, tol))
-        rep.merge(check_a4_a5(spec, eps, tol))
+        sw = _sandwiches(spec, tol)
+        rep.merge(_check_a3_a6(spec, tol, sw))
+        rep.merge(_check_a4_a5(spec, eps, tol, sw))
     else:
         for name in ("A3", "A4", "A5", "A6"):
             rep.verdicts[name] = "undetermined"

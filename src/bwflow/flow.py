@@ -107,6 +107,9 @@ TAIL_FACTOR = 100.0
 DECAY_FIT_FRACS = (1e-7, 1e-2)
 # Relative slack of asymptotic_bound_check's comparison.
 BOUND_SLACK = 1e-9
+# integrate gives up, with NotConverged, once its stepper has made more
+# trial steps than this (see integrate).
+MAX_ATTEMPTS = 50_000
 # A B-path answers times this far outside its window [t0, t1] (see check_span).
 PATH_SLACK = 1e-9
 # Columns of the trajectory CSV, one row per sample (see write_csv_rows).
@@ -534,12 +537,15 @@ class Trajectory:
         if name == "k_norm":
             ob = om @ b  # B Omega^t = (Omega B)^t, as every sample's B is symmetric
             return {name: np.sqrt(_sq_norms(ob - ob.swapaxes(-1, -2)))}
-        if name in ("motion_residual", "matrix_motion_residual"):
+        if name == "motion_residual":
+            # tr Omega^2 = ||Omega||_2^2 and tr B B~ = ||B||_2^2, since every
+            # stored Omega is exactly hermitian and every B exactly symmetric
+            return {name: np.abs(_sq_norms(om) - 4.0 * _sq_norms(b)
+                                 - (_sq_norms(om0) - 4.0 * _sq_norms(b0)))}
+        if name == "matrix_motion_residual":
             ref = om0 @ om0 - 4.0 * (b0 @ b0.conj())
             cur = om @ om - 4.0 * (b @ b.conj())
-            return {"motion_residual": np.abs(np.trace(cur, axis1=1, axis2=2).real
-                                              - np.trace(ref).real),
-                    "matrix_motion_residual": np.sqrt(_sq_norms(cur - ref))}
+            return {name: np.sqrt(_sq_norms(cur - ref))}
         if name == "omega_decrease_margin":
             return {name: _min_eigs(om0 - om)}
         if name == "square_mono_margin":
@@ -694,7 +700,9 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     counts the accepted steps; stats["tail_t"] is the hand-over time (None
     without one) and stats["n_tail"] the number of tail samples.
     stats["wall_time"] covers the stepping and the tail; diagnostics are
-    computed when first read.
+    computed when first read.  A run whose stepper has made more than
+    MAX_ATTEMPTS trial steps, accepted or rejected, raises NotConverged at
+    its next accepted step, so every run ends in bounded work.
 
     scalar_sign (SCALAR_SIGN by default) sets only the read-out c of the
     samples (scalar_c): neither it nor spec.c0 enters the stepped state, so
@@ -751,6 +759,9 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
 
     def on_step(stepper):
         nonlocal tail
+        if stepper.n_attempts > MAX_ATTEMPTS:
+            raise NotConverged(f"gave up after {stepper.n_attempts} step attempts "
+                               f"at t = {stepper.t:.6g} (t_end = {t_end:g})")
         state = sample(stepper)
         tail = frozen_tail(state, t_end, controls.tol)
         blowup = blowup_guard(state, hs_b0)

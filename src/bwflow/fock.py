@@ -601,24 +601,10 @@ def ground_energy(fock: TruncatedFock, h) -> float:
     return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in blocks if len(b))
 
 
-class BelowFloor(float):
-    """A truncation shift below the rounding floor of the ground energies.
-
-    Its value is the shift itself, but it formats as "< floor" in the given
-    format, unlike a float: f"{shift:.3e}" prints the floor, not the
-    shift, since the shift's digits are rounding noise."""
-
-    def __new__(cls, shift: float, floor: float):
-        self = super().__new__(cls, shift)
-        self.floor = floor
-        return self
-
-    def __format__(self, spec: str) -> str:
-        return "< " + format(self.floor, spec)
-
-
-def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) -> float:
-    """Truncation-convergence estimate |E0(cutoff) - E0(cutoff - 4)|.
+def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) -> tuple:
+    """Truncation-convergence estimate (shift, floor): the shift
+    |E0(cutoff) - E0(cutoff - 4)| and the rounding floor below which its
+    digits are noise.
 
     h is as ground_energy takes it, and e0, when given, is
     ground_energy(fock, h), already computed.  The basis of cutoff - 4 is
@@ -629,12 +615,11 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
 
     eigvalsh finds each E0 to within a few eps ||H||_2, and the shift is
     the difference of two of them, so its digits below about eps ||H||_2
-    are rounding.  A shift below the rounding floor eps ||H||_inf, with
-    ||H||_inf the largest absolute row sum of H (an upper bound on ||H||_2,
-    for a hermitian H), is returned as a BelowFloor, which formats as
-    "< floor": the shift is not resolved above that floor.  This marks the
-    resolution of the estimate, not a proven bound on the true shift,
-    whose rounding error can be a few times the floor.
+    are rounding.  The floor is eps ||H||_inf, with ||H||_inf the largest
+    absolute row sum of H (an upper bound on ||H||_2, for a hermitian H): a
+    shift below it is not resolved (fock-verify prints "< floor").  This
+    marks the resolution of the estimate, not a proven bound on the true
+    shift, whose rounding error can be a few times the floor.
     """
     if fock.cutoff < 4:
         raise ValueError("need cutoff >= 4 for the comparison basis")
@@ -648,8 +633,8 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
     else:
         dims = [_leading(fock, parity, fock.cutoff - 4) for parity in (0, 1)]
     shift = abs(e0 - ground_energy(fock, [h_p[:d, :d] for h_p, d in zip(blocks, dims)]))
-    floor = np.finfo(float).eps * max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
-    return BelowFloor(shift, floor) if shift < floor else shift
+    floor = float(np.finfo(float).eps) * max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
+    return shift, floor
 
 
 def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:

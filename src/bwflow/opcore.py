@@ -221,78 +221,94 @@ def psd_power(x, alpha: float) -> np.ndarray:
     return (r + r.conj().T) / 2
 
 
-def _kernel_checked_eigh(bm: np.ndarray, om: np.ndarray, ker_tol: float) -> tuple:
-    """(vals, vecs, kernel) of hermitian Omega^t, the kernel being the
-    eigenvalues below ``ker_tol * max(1, ||Omega||_2)``; raises KernelOverlap
-    unless B w = 0 within tolerance for every kernel eigenvector w."""
-    omt = om.T
-    omt = (omt + omt.conj().T) / 2  # hermitian when omega is
-    vals, vecs = np.linalg.eigh(omt)
-    thresh = ker_tol * hs_scale(om)
-    kernel = vals <= thresh
-    if np.any(kernel):
-        bnorm = hs_norm(bm)
-        overlap = np.linalg.norm(bm @ vecs[:, kernel], axis=0)
-        if np.any(overlap > ker_tol * max(1.0, bnorm)):
-            worst = float(np.max(overlap))
-            raise KernelOverlap(
-                f"B has overlap {worst:.3e} with the kernel of Omega^t "
-                f"(threshold {thresh:.3e})")
-    return vals, vecs, kernel
+class Sandwiches:
+    """The matrices B (Omega^t)^{-p} B~ and their norms for one pair (B,
+    Omega), all from one eigh of hermitian Omega^t: a caller that needs
+    several powers p, or both a matrix and a norm, factors Omega^t once.
+
+    The inverse power is taken on the orthogonal complement of the kernel
+    of Omega^t, its eigenvalues below ``ker_tol * max(1, ||Omega||_2)``.
+    If any kernel eigenvector w fails B w = 0 within tolerance, every
+    sandwich is genuinely singular and the constructor raises
+    KernelOverlap.  ``p`` may be any positive real; the case of interest is
+    integer p.
+    """
+
+    def __init__(self, b, omega, ker_tol: float = KER_TOL):
+        bm = as_matrix(b)
+        om = as_matrix(omega)
+        omt = om.T
+        omt = (omt + omt.conj().T) / 2  # hermitian when omega is
+        vals, vecs = np.linalg.eigh(omt)
+        thresh = ker_tol * hs_scale(om)
+        kernel = vals <= thresh
+        if np.any(kernel):
+            bnorm = hs_norm(bm)
+            overlap = np.linalg.norm(bm @ vecs[:, kernel], axis=0)
+            if np.any(overlap > ker_tol * max(1.0, bnorm)):
+                worst = float(np.max(overlap))
+                raise KernelOverlap(
+                    f"B has overlap {worst:.3e} with the kernel of Omega^t "
+                    f"(threshold {thresh:.3e})")
+        self.b, self.vals, self.vecs, self.kernel = bm, vals, vecs, kernel
+        self._mats = {}  # matrix(p) by p
+
+    def matrix(self, p=1) -> OneParticleOperator:
+        """Hermitian PSD matrix B (Omega^t)^{-p} B~, computed once per p."""
+        if p <= 0:
+            raise ValueError("p must be positive")
+        if p not in self._mats:
+            vals, vecs, kernel, bm = self.vals, self.vecs, self.kernel, self.b
+            inv_vals = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals)**p)
+            core = (vecs * inv_vals) @ vecs.conj().T
+            r = bm @ core @ bm.conj()
+            self._mats[p] = OneParticleOperator.hermitian((r + r.conj().T) / 2,
+                                                          sym_tol=np.inf)
+        return self._mats[p]
+
+    def norm(self, p=1) -> float:
+        """||B (Omega^t)^{-p/2}||_2, which for symmetric B is
+        sqrt(tr matrix(p)).
+
+        With Omega^t = sum_k lam_k w_k w_k*, the norm is the 2-norm of
+        ||B w_k||_2 lam_k^{-p/2} over k.  It is summed relative to the
+        smallest lam_k and no weight is squared, and the column norms
+        ||B w_k||_2 are taken of B / _pow2_scale(B), so it is finite
+        wherever the norm itself is, also for entries above about 1e154,
+        where the plain sums of squares overflow, and where the sandwich's
+        lam^-p overflows; a norm past the largest float is inf.
+        """
+        if p <= 0:
+            raise ValueError("p must be positive")
+        bm, keep = self.b, ~self.kernel
+        lams = self.vals[keep]
+        if not lams.size:
+            return 0.0
+        scale = _pow2_scale(bm)
+        cols = np.linalg.norm((bm / scale) @ self.vecs[:, keep], axis=0)
+        lam_min = float(lams[0])
+        rel = scale * math.hypot(*(cols * (lam_min / lams) ** (0.5 * p)))  # each factor <= 1
+        if rel == 0.0:
+            return 0.0
+        try:
+            return rel * lam_min ** (-0.5 * p)
+        except OverflowError:  # the weight overflows; the norm may not
+            try:
+                return math.exp(math.log(rel) - 0.5 * p * math.log(lam_min))
+            except OverflowError:
+                return math.inf
 
 
 def sandwich(b, omega, p=1, ker_tol: float = KER_TOL) -> OneParticleOperator:
-    """Hermitian PSD matrix B (Omega^t)^{-p} B~.
-
-    The inverse power is taken on the orthogonal complement of the kernel of
-    Omega^t (eigenvalues below ``ker_tol * max(1, ||Omega||_2)``).  If any
-    kernel eigenvector w of Omega^t fails B w = 0 within tolerance, the
-    expression is genuinely singular and KernelOverlap is raised.
-
-    ``p`` may be any positive real; the case of interest is integer p.
-    """
-    bm = as_matrix(b)
-    om = as_matrix(omega)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    vals, vecs, kernel = _kernel_checked_eigh(bm, om, ker_tol)
-    inv_vals = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals)**p)
-    core = (vecs * inv_vals) @ vecs.conj().T
-    r = bm @ core @ bm.conj()
-    return OneParticleOperator.hermitian((r + r.conj().T) / 2, sym_tol=np.inf)
+    """Hermitian PSD matrix B (Omega^t)^{-p} B~ (kernel, KernelOverlap and p
+    as in Sandwiches), factoring Omega^t for this one call.  A caller that
+    needs several sandwiches or norms of one pair shares the factorization
+    through Sandwiches, as conditions.check_all does."""
+    return Sandwiches(b, omega, ker_tol).matrix(p)
 
 
 def sandwich_norm(b, omega, p=1, ker_tol: float = KER_TOL) -> float:
-    """||B (Omega^t)^{-p/2}||_2 on the complement of the kernel of Omega^t,
-    which for symmetric B is sqrt(tr sandwich(b, omega, p)) (kernel and
-    KernelOverlap as there).
-
-    With Omega^t = sum_k lam_k w_k w_k*, the norm is the 2-norm of
-    ||B w_k||_2 lam_k^{-p/2} over k.  It is summed relative to the smallest
-    lam_k and no weight is squared, and the column norms ||B w_k||_2 are
-    taken of B / _pow2_scale(B), so it is finite wherever the norm itself
-    is, also for entries above about 1e154, where the plain sums of squares
-    overflow, and where the sandwich's lam^-p overflows; a norm past the
-    largest float is inf.
-    """
-    bm = as_matrix(b)
-    om = as_matrix(omega)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    vals, vecs, kernel = _kernel_checked_eigh(bm, om, ker_tol)
-    lams = vals[~kernel]
-    if not lams.size:
-        return 0.0
-    scale = _pow2_scale(bm)
-    cols = np.linalg.norm((bm / scale) @ vecs[:, ~kernel], axis=0)
-    lam_min = float(lams[0])
-    rel = scale * math.hypot(*(cols * (lam_min / lams) ** (0.5 * p)))  # each factor <= 1
-    if rel == 0.0:
-        return 0.0
-    try:
-        return rel * lam_min ** (-0.5 * p)
-    except OverflowError:  # the weight overflows; the norm may not
-        try:
-            return math.exp(math.log(rel) - 0.5 * p * math.log(lam_min))
-        except OverflowError:
-            return math.inf
+    """||B (Omega^t)^{-p/2}||_2 on the complement of the kernel of Omega^t
+    (see Sandwiches.norm), factoring Omega^t for this one call as sandwich
+    does."""
+    return Sandwiches(b, omega, ker_tol).norm(p)

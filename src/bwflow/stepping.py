@@ -195,8 +195,9 @@ class DormandPrince:
     next step), ``h_abs`` (size of the next step to try), ``t_old`` and
     ``y_old`` (the start of the last accepted step), ``nfev``
     (right-hand-side evaluations made by the stepper, including the two of
-    the initial-step estimate) and ``status`` ('running', 'finished' or
-    'failed').  ``derivative`` is f in the shape and dtype of y0.
+    the initial-step estimate), ``n_attempts`` (trial steps, accepted or
+    rejected) and ``status`` ('running', 'finished' or 'failed').
+    ``derivative`` is f in the shape and dtype of y0.
 
     f0 and h_abs, when given, are the derivative at (t0, y0) and the first
     step to try, and replace the evaluation and the estimate that would
@@ -225,6 +226,7 @@ class DormandPrince:
         self.rtol = max(rtol, RTOL_FLOOR)
         self.atol = atol
         self.nfev = 0
+        self.n_attempts = 0
         self.status = "running" if t_bound > t0 else "finished"
         # stages (the extra three of the dense output last), and scratch for
         # the stage sums, stage states and error weights; fun reads the
@@ -297,6 +299,7 @@ class DormandPrince:
 
     def _attempt(self, h):
         """One trial step of size h: (y_new, f_new, error norm)."""
+        self.n_attempts += 1
         y, k, dy, w = self.y, self._k, self._dy, self._w
         k[0] = self.f
         self._stages(self.t, y, h, 1, _N_STAGES)

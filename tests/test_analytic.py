@@ -223,3 +223,53 @@ def test_mixed_family():
             analytic.mixed_family(bad, 4)
     with pytest.raises(OutOfRange):
         analytic.mixed_family(0.6, 1)
+
+
+def _int_b2_by_quadrature(block, t, nodes=64):
+    """int_0^t b(tau)^2 dtau by Gauss-Legendre quadrature of exact_block's b^2."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * t * float(w @ analytic.exact_block(*block, 0.5 * t * (x + 1.0))[2])
+
+
+NARROW = 1.0 + 2.0 ** -20  # om_+ of an equal-product block with delta = 2^-20
+
+
+@pytest.mark.parametrize("block, t", [
+    ((1.0, 2.0, 1e-9), 1.0),  # rho = sigma to rounding: was nan
+    ((1.0, 2.0, 0.5), 1.0),
+    ((1.0, 2.0, 0.5), 1e-6),
+    ((1e-6, 1e-6, 1e-7), 1.0),
+    ((1.0, 4.0, 1.0), 1.0),
+    ((1.0, 4.0, 1.0), 1e-6),
+    ((1.0, NARROW, np.sqrt(NARROW) / 2.0), 1.0),  # lost 5 digits to 1/delta - 1/den
+], ids=["generic-tiny-b", "generic", "generic-small-t", "generic-small-scale",
+        "eqp", "eqp-small-t", "eqp-small-delta"])
+def test_int_b2_matches_quadrature(block, t):
+    got = analytic.exact_block(*block, t)[3]
+    assert got == pytest.approx(_int_b2_by_quadrature(block, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("block", [
+    (1.0, 2.0, 0.5), (1.0, 4.0, 1.0), (2.0, 2.0, 1.0), (1.0, 2.0, 0.8), (0.0, 0.0, 1.0),
+    (0.0, 2.0, 0.0), (0.0, 1.0, 1e-7), (1e-6, 1e-6, 1e-7)])
+def test_block_regime_does_not_depend_on_the_scale(block):
+    # the product-gap tolerance was relative to max(1, om_+ om_-), so that
+    # small blocks with a clear gap fell into the equal-product regime
+    regime = analytic.block_regime(*block)
+    for k in (-60, -30, -1, 1, 30, 60):
+        assert analytic.block_regime(*(2.0 ** k * x for x in block)) == regime
+
+
+@pytest.mark.parametrize("block", [
+    (1.0, 2.0, 0.5), (1.0, 4.0, 1.0), (2.0, 2.0, 1.0), (1.0, 1.5, np.sqrt(1.5) / 2.0)])
+def test_exact_block_is_scale_covariant(block):
+    # (Omega, B, t) -> (s Omega, s B, t / s) maps the block's flow onto
+    # itself; the tolerances that pick the regime and the flat branch
+    # were absolute below unit scale, so small copies took another form
+    ts = np.array([0.0, 0.25, 1.0, 3.0])
+    want = np.array(analytic.exact_block(*block, ts))
+    for k in (-50, -20, 20):
+        s = 2.0 ** k
+        got = np.array(analytic.exact_block(*(s * x for x in block), ts / s))
+        powers = np.array([s, s, s * s, s])[:, np.newaxis]
+        assert np.allclose(got / powers, want, rtol=1e-14, atol=0.0)

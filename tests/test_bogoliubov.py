@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -471,7 +472,7 @@ def test_unitary_eig_square_root_of_symmetric_unitary(seed, n):
     if seed % 2:
         angles = np.where(angles > 0.0, np.pi, 0.0)  # real symmetric z
     z = (o * np.exp(1j * angles)) @ o.T
-    theta, q = bogoliubov._unitary_eig(z, np.linalg.eigvals(z))
+    theta, q = bogoliubov._unitary_eig(z)
     w = (q * np.exp(0.5j * theta)) @ q.conj().T
     assert hs_norm(w @ w - z) <= 1e-12
     assert hs_norm(w - w.T) <= 1e-12
@@ -487,7 +488,7 @@ def test_unitary_eig_square_root_matches_scipy(seed, n):
     angles[: n // 2] = angles[0]
     q = rand_unitary(rng, n)
     z = (q * np.exp(1j * angles)) @ q.conj().T
-    theta, qz = bogoliubov._unitary_eig(z, np.linalg.eigvals(z))
+    theta, qz = bogoliubov._unitary_eig(z)
     w = (qz * np.exp(0.5j * theta)) @ qz.conj().T
     assert hs_norm(w - sqrtm(z)) <= 1e-12
 
@@ -511,6 +512,51 @@ def test_decompose_log_branch_threshold(side):
     assert hs_norm(expm(1j * d.h_matrix) - d.uhat) <= 1e-12
     assert hs_norm(d.h_matrix + 1j * logm(d.uhat)) <= 1e-11
     assert d.residuals["exp_check"] <= 1e-12
+
+
+def test_map_is_a_value_that_checks_itself_once(generic_spec, monkeypatch):
+    calls = []
+    real = bogoliubov._residuals
+    monkeypatch.setattr(bogoliubov, "_residuals", lambda u, v: calls.append(1) or real(u, v))
+    m, _ = rand_symplectic(np.random.default_rng(2), 2)
+    res = bogoliubov.symplectic_residuals(m)
+    res["uu_vv"] = 1.0  # the caller's copy, not the map's
+    bogoliubov.transform_spec(m, generic_spec)
+    bogoliubov.decompose_generator(m)
+    assert len(calls) == 1
+    assert max(bogoliubov.symplectic_residuals(m).values()) < 1e-12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.u = np.eye(2)
+    with pytest.raises(ValueError):
+        m.v[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9])
+def test_decompose_log_branch_among_64_angles(delta):
+    # the -1 test reads the angles the log is built from: one uhat
+    # eigenvalue at -1, or 1e-9 from it, among 63 others is refused
+    rng = np.random.default_rng(64)
+    angles = rng.uniform(-np.pi + 0.1, np.pi - 0.1, 64)
+    angles[-1] = np.pi - delta
+    q = rand_unitary(rng, 64)
+    # uhat is the adjoint of u for a map with v = 0
+    u = (q * np.exp(-1j * angles)) @ q.conj().T
+    with pytest.raises(LogBranch):
+        bogoliubov.decompose_generator(BogoliubovMap(u=u, v=np.zeros((64, 64), complex)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_decompose_holds_at_n64(seed):
+    # squeeze angles from 0 to 1.2, half of them repeated in pairs
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0.0, 1.2, 64)
+    alphas[:32] = np.repeat(alphas[:16], 2)
+    m, want = rand_symplectic(rng, 64, alphas)
+    d = bogoliubov.decompose_generator(m)
+    assert np.max(np.abs(d.alphas - want)) <= 1e-12
+    assert d.residuals["exp_check"] <= 1e-12
+    assert max(d.residuals.values()) <= 1e-12
+    assert hs_norm(expm(1j * d.h_matrix) - d.uhat) <= 1e-12
 
 
 def test_decompose_rejects_invalid_map():

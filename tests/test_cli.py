@@ -8,6 +8,7 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -181,6 +182,19 @@ def test_diag_stiff_block_checks_hold(tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     assert doc["norm_bounds"] == [True, True]
     assert doc["transform_residuals"]["b"] <= 1e-6
+
+
+def test_diag_evaluates_the_symplectic_residuals_once(generic_file, tmp_path, capsys,
+                                                      monkeypatch):
+    # printed, then checked by transform_spec and by decompose_generator:
+    # one map, one evaluation
+    calls = []
+    real = bogoliubov._residuals
+    monkeypatch.setattr(bogoliubov, "_residuals", lambda u, v: calls.append(1) or real(u, v))
+    argv = ["diag", generic_file, "--t-end", "5", "--json", str(tmp_path / "diag.json")]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert "symplectic residuals:" in capsys.readouterr().out
 
 
 def test_diag_exits_1_when_a_map_check_fails(generic_file, tmp_path, capsys, monkeypatch):
@@ -412,11 +426,18 @@ GRID = "0:0.15:0.05"
     (["block", "0", "2", "0"], GRID, [(0.0, 2.0, 0.0)], ["equal-product"], None),
     (["block", "0", "0", "1"], GRID, [(0.0, 0.0, 1.0)], ["blowup"], None),
     (["block", "1", "4", "1"], GRID, [(1.0, 4.0, 1.0)], ["equal-product"], None),
+    # rho = sigma to rounding: C was nan on every row
+    (["generic", "1", "2", "1e-9"], "0:1:0.5", [(1.0, 2.0, 1e-9)], ["generic"], None),
+    # a kernel of Omega that B reaches: a ZeroDivisionError traceback
+    (["block", "0", "1", "1e-7"], "0:1:0.5", None, None, "OutOfRange: no closed form"),
+    # a gap small against 1 but not against the block: the flat branch
+    (["block", "1e-6", "1e-6", "1e-7"], "0:1:0.5", [(1e-6, 1e-6, 1e-7)], ["generic"], None),
 ], ids=["equal-product", "blowup", "blowup-small-b", "block-small-b", "decoupled",
         "block-x4", "pivotal", "mixed", "negative-gap", "negative-time", "generic-b0",
         "generic-000", "generic-020", "generic-141", "generic-small-b", "eqp-000",
         "eqp-020", "eqp-221-flat", "eqp-120", "eqp-small-b", "blowup-0", "block-000",
-        "block-020", "block-001", "block-141"])
+        "block-020", "block-001", "block-141", "generic-tiny-b", "block-kernel-small-b",
+        "block-small-scale"])
 def test_oracle_csv_every_regime(capsys, args, grid, blocks, regimes, error):
     code = cli.main(["oracle", *args, f"--csv={grid}", "--c0", "0.3"])
     out, err = capsys.readouterr()
@@ -439,6 +460,14 @@ def test_oracle_csv_every_regime(capsys, args, grid, blocks, regimes, error):
         assert motion == 0.0
         assert np.isclose(knorm, np.sqrt(sum(2.0 * r[2] * d * d
                                              for r, d in zip(rows, deltas))), rtol=1e-14)
+
+
+def test_oracle_csv_of_a_small_block_starts_at_its_own_b(capsys):
+    # the flat branch printed hsB = 7.07e-7 at t = 0, five times sqrt(2) b
+    assert cli.main(["oracle", "block", "1e-6", "1e-6", "1e-7", "--csv", "0:1:0.5"]) == 0
+    first = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(first[1]) == pytest.approx(math.sqrt(2.0) * 1e-7, rel=1e-15)
+    assert float(first[2]) == 0.0
 
 
 def test_oracle_writes_spec_file(tmp_path, capsys):
@@ -572,6 +601,22 @@ def test_run_ends_when_the_error_estimate_is_nan(tmp_path):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (cli.EXIT_BLOWUP, cli.EXIT_NOT_CONVERGED)
+
+
+def test_diag_ends_at_the_attempt_bound_on_a_stiff_spec(tmp_path, capsys, monkeypatch):
+    # A3 fails here and the explicit pair sits at its stability limit: diag
+    # --t-end 5 needs on the order of 1e8 steps and did not end in 100 s
+    path = write_spec(tmp_path, "stiff.json", {
+        "dim": 2, "omega": [[1e8, 0], [16328, 0], [16328, 0], [5.39, 0]],
+        "b": [[-0.787, 0], [1.73, 0], [1.73, 0], [3, 0]]})
+    monkeypatch.setattr(flow, "MAX_ATTEMPTS", 200)
+    start = time.perf_counter()
+    code = cli.main(["diag", path, "--t-end", "5"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_NOT_CONVERGED and elapsed < 1.0
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: NotConverged: gave up after 201 step attempts at t = ")
 
 
 def test_check_leaves_a5_undetermined_on_a_non_finite_sandwich(tmp_path):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwflow import conditions
+from bwflow import conditions, opcore
 from bwflow.analytic import block_spec, mixed_family
-from bwflow.opcore import QuadraticSpec, min_eig_hermitian
+from bwflow.errors import KernelOverlap
+from bwflow.opcore import QuadraticSpec, min_eig_hermitian, sandwich, sandwich_norm
 
 
 def spec_of(omega, b, **kw):
@@ -142,3 +143,69 @@ def test_check_all_report_merge_shape():
     rep = conditions.check_all(block_spec([(1.0, 2.0, 0.5)]))
     for name in ("A1", "A2", "A3", "A4", "A5", "A6", "FB", "KM"):
         assert rep.verdicts[name] in ("holds", "fails", "undetermined")
+
+
+def seeded_spec(seed, n):
+    """Random gapped complex spec: Omega eigenvalues in [1, 2], ||B||_op = 1/4."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    omega = (q * rng.uniform(1.0, 2.0, n)) @ q.conj().T
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = (g + g.T) / 2
+    return spec_of((omega + omega.conj().T) / 2, 0.25 * b / np.linalg.norm(b, 2))
+
+
+def per_call_ladder(spec, tol, eps):
+    """A3-A5's margins and values from sandwich and sandwich_norm, each call
+    factoring Omega^t on its own."""
+    b, om = spec.b, spec.omega
+    try:
+        e1 = sandwich(b, om, 1, tol).mat
+    except KernelOverlap as exc:
+        return {"kernel_overlap": str(exc)}
+    e2 = sandwich(b, om, 2, tol).mat
+    margin = min_eig_hermitian(om - 4.0 * e1)
+    lam_max = float(np.linalg.eigvalsh((e2 + e2.conj().T) / 2)[-1])
+    return {"A3": margin, "gap_nu": max(margin, 0.0),
+            "a4_norm": float(np.sqrt(max(np.trace(e1).real, 0.0))),
+            "a5_norm": sandwich_norm(b, om, 2.0 + 2.0 * eps, tol),
+            "A5": min_eig_hermitian(np.eye(spec.dim) - 4.0 * e2),
+            "r_const": np.inf if lam_max <= tol * tol else 1.0 / lam_max - 4.0}
+
+
+SHARED_FACTOR_SPECS = {
+    "readme": block_spec([(1.0, 2.0, 0.5)]),
+    "seeded-n8": seeded_spec(8, 8),
+    "seeded-n64": seeded_spec(64, 64),
+    "kernel-overlap": spec_of(np.diag([0.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_FACTOR_SPECS))
+def test_check_all_factors_omega_once_and_matches_the_per_call_formulas(name, monkeypatch):
+    spec = SHARED_FACTOR_SPECS[name]
+    tol, eps = conditions.DEFAULT_TOL, 0.25
+    made = []
+
+    class Counted(opcore.Sandwiches):
+        def __init__(self, *args, **kw):
+            made.append(1)
+            super().__init__(*args, **kw)
+
+    monkeypatch.setattr(conditions, "Sandwiches", Counted)
+    rep = conditions.check_all(spec, tol, eps)
+    assert len(made) == 1
+    want = per_call_ladder(spec, tol, eps)
+    if "kernel_overlap" in want:
+        assert rep.values["kernel_overlap"] == want["kernel_overlap"]
+        assert [rep.verdicts[c] for c in ("A3", "A4", "A5", "A6")] == ["fails"] * 4
+    else:
+        got = {"A3": rep.margins["A3"], "gap_nu": rep.values["gap_nu"],
+               "a4_norm": rep.values["a4_norm"], "a5_norm": rep.values["a5_norm"],
+               "A5": rep.margins["A5"], "r_const": rep.values["r_const"]}
+        assert got == want  # bit for bit
+        assert rep.margins["A6"] == want["A3"] and rep.margins["A4"] == want["a4_norm"]
+    # the checks on their own give check_all's verdicts, margins and values
+    alone = conditions.check_a3_a6(spec, tol).merge(conditions.check_a4_a5(spec, eps, tol))
+    for part in ("verdicts", "margins", "values"):
+        assert getattr(alone, part).items() <= getattr(rep, part).items()

@@ -575,7 +575,7 @@ def test_ground_energy_one_mode():
     spec = QuadraticSpec.from_matrices([[2.0]], [[0.5]])
     want = (np.sqrt(3.0) - 2.0) / 2.0
     assert fock.ground_energy(fk, spec) == pytest.approx(want, abs=1e-4)
-    assert fock.ground_truncation_shift(fk, spec) < 1e-4
+    assert fock.ground_truncation_shift(fk, spec)[0] < 1e-4
     with pytest.raises(ValueError):
         fock.ground_truncation_shift(fock.build_basis(1, 3), spec)
 
@@ -611,8 +611,8 @@ def test_shift_and_n_diag_match_their_dense_references(spec, cutoff):
     e0 = fock.ground_energy(fk, h)
     smaller = fock.build_basis(spec.dim, cutoff - 4)
     want = abs(e0 - fock.ground_energy(smaller, fock.hamiltonian_op(smaller, spec)))
-    assert fock.ground_truncation_shift(fk, spec) == want
-    assert fock.ground_truncation_shift(fk, h, e0) == want
+    assert fock.ground_truncation_shift(fk, spec)[0] == want
+    assert fock.ground_truncation_shift(fk, h, e0)[0] == want
     n_op = fock.number_op(fk)
     mask = fk.sector_mask(cutoff - 2)
     comm = h @ n_op - n_op @ h
@@ -648,7 +648,7 @@ def test_fock_verify_prints_a_shift_below_the_rounding_floor_as_the_floor(tmp_pa
              "(truncation shift estimate < 2.234e-14)"]}
     fk = fock.build_basis(2, 40)
     h0 = fock.hamiltonian_blocks(fk, README_SPEC)
-    shift = fock.ground_truncation_shift(fk, h0)
-    assert isinstance(shift, fock.BelowFloor)
-    assert shift.floor == np.finfo(float).eps * max(np.abs(h).sum(axis=1).max() for h in h0)
-    assert 0 < shift < shift.floor
+    shift, floor = fock.ground_truncation_shift(fk, h0)
+    assert type(shift) is float and type(floor) is float
+    assert floor == np.finfo(float).eps * max(np.abs(h).sum(axis=1).max() for h in h0)
+    assert 0 < shift < floor
