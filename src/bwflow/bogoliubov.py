@@ -23,9 +23,7 @@ frozen-Omega tail's closed form) in between.  Any other path, such as an
 explicit function, is integrated along: (u, v) by the stepper, the
 integral by Gauss-Kronrod quadrature.
 
-The same pair has a convergent iterated-integral series with even orders
-feeding u and odd orders feeding v; order n keeps all terms with at most n
-time integrals.  Norm growth is hyperbolic:
+Norm growth is hyperbolic (norm_bounds):
 
     1 + ||u - 1||_2 <= cosh(4 int_s^t ||B||_2),
     ||v||_2 <= sinh(4 int_s^t ||B||_2).
@@ -40,7 +38,6 @@ and u_hat = sum_k |h_k><g_k| = exp(i h) for a hermitian h.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,8 +55,6 @@ MAP_TOL = 1e-7
 DECOMP_TOL = 1e-7
 # decompose_generator refuses a uhat with an eigenvalue this close to -1.
 BRANCH_TOL = 1e-8
-# Grid points of dyson_uv's cumulative integrals.
-DYSON_NODES = 513
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,15 +64,13 @@ class BogoliubovMap:
     A map is a value: u and v are read-only views of the arrays it is given,
     and its symplectic residuals are computed on first read and kept, so
     every check of one map (symplectic_residuals, transform_spec,
-    decompose_generator) evaluates them once.  stats collects
-    per-construction diagnostics such as series tail bounds.
+    decompose_generator) evaluates them once.
     """
 
     u: np.ndarray
     v: np.ndarray
     s: float = 0.0
     t: float = 0.0
-    stats: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("u", "v"):
@@ -166,64 +159,6 @@ def integrate_uv(bpath, s: float, t: float,
     uv0 = np.stack((np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)))
     u, v = drive(DormandPrince(fun, s, uv0, t, controls.tol, controls.tol)).state
     return BogoliubovMap(u=u, v=v, s=s, t=t)
-
-
-@functools.cache
-def _spline_integrals(nodes: int) -> np.ndarray:
-    """Row i takes samples at unit spacing to the integral from node 0 to
-    node i of their not-a-knot cubic spline (de Boor, *A Practical Guide to
-    Splines*, ch. IV): panel j adds (y_j + y_{j+1}) / 2 - (M_j + M_{j+1}) / 24,
-    the second derivatives M solving M_{i-1} + 4 M_i + M_{i+1} = 6 (y_{i-1}
-    - 2 y_i + y_{i+1}) inside and M_0 - 2 M_1 + M_2 = 0 at both ends."""
-    eye, zero = np.eye(nodes), np.zeros((1, nodes))
-    second = eye[:-2] - 2.0 * eye[1:-1] + eye[2:]
-    per_node = 0.5 * eye - np.linalg.solve(
-        np.vstack((second[:1], second + 6.0 * eye[1:-1], second[-1:])),
-        np.vstack((zero, 6.0 * second, zero))) / 24.0
-    lmat = np.vstack((zero, np.cumsum(per_node[:-1] + per_node[1:], axis=0)))
-    lmat.flags.writeable = False  # the cache hands this one matrix to every caller
-    return lmat
-
-
-def dyson_uv(bpath, s: float, t: float, order: int) -> BogoliubovMap:
-    """Truncated iterated-integral series for (u, v).
-
-    Runs `order` rounds of the integral map
-
-        u <- 1 - 4 int_s^x v B~,   v <- -4 int_s^x u B,
-
-    each round extending the kept series order by one (even orders live in
-    u, odd in v).  Cumulative integrals are those of the not-a-knot cubic
-    spline through the samples on a uniform grid of DYSON_NODES points,
-    taken with _spline_integrals' matrix (the span: flow.check_span).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    check_span(bpath, s, t)
-    n = np.shape(bpath(s))[0]
-    if t == s or order == 0:
-        return BogoliubovMap(u=np.eye(n, dtype=complex), v=np.zeros((n, n), complex), s=s, t=t)
-    m = DYSON_NODES - 1  # panels
-    xs = np.linspace(s, t, m + 1)
-    bs = np.stack([np.asarray(bpath(x), dtype=complex) for x in xs])
-    h, lmat = (t - s) / m, _spline_integrals(DYSON_NODES)
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (m + 1, n, n))
-    u, v = eye, np.zeros((m + 1, n, n), dtype=complex)
-    for _ in range(order):
-        # the running integrals of u B and v B~ from s, as one real product
-        integrands = np.stack((u @ bs, v @ bs.conj()), axis=1).reshape(m + 1, -1).view(float)
-        both = (h * (lmat @ integrands)).view(complex).reshape(m + 1, 2, n, n)
-        u, v = eye - 4.0 * both[:, 1], -4.0 * both[:, 0]
-
-    # dropped-tail estimate: the series is dominated term by term by the
-    # cosh/sinh expansions in x = 4 int ||B||, so the remainder past the
-    # kept order bounds the truncation error
-    x = 4.0 * float(np.trapezoid([hs_norm(b) for b in bs], xs))
-    kept_u = sum(x ** k / math.factorial(k) for k in range(0, order + 1, 2))
-    kept_v = sum(x ** k / math.factorial(k) for k in range(1, order + 1, 2))
-    stats = {"u_tail_bound": float(max(np.cosh(x) - kept_u, 0.0)),
-             "v_tail_bound": float(max(np.sinh(x) - kept_v, 0.0))}
-    return BogoliubovMap(u=u[-1], v=v[-1], s=s, t=t, stats=stats)
 
 
 def path_hs_integral(bpath, s: float, t: float) -> float:

@@ -66,7 +66,7 @@ import numpy as np
 
 from .errors import SizeLimit
 from .flow import check_span
-from .opcore import QuadraticSpec, as_matrix, hs_norm
+from .opcore import QuadraticSpec, hs_norm
 from .stepping import DormandPrince, drive
 
 # Largest basis dimension build_basis builds.
@@ -91,7 +91,6 @@ PROPAGATE_MEMORY_LIMIT = 2 ** 30
 # this many states, so that a one-mode basis (one state per sector) does not
 # pay two matmul calls per sector on every right-hand-side evaluation.
 MIN_BLOCK_STATES = 16
-OFFDIAG_CONST = 4.0 + np.sqrt(2.0)
 # The two operators of an index table: adag_k a_l and adag_k adag_l.
 HOP, PAIR = 0, 1
 
@@ -134,11 +133,6 @@ def build_basis(n_modes: int, cutoff: int) -> TruncatedFock:
     occ_arr = np.array(occs, dtype=int).reshape(len(occs), n_modes)
     return TruncatedFock(n_modes=n_modes, cutoff=cutoff, occs=occ_arr,
                          ntot=occ_arr.sum(axis=1))
-
-
-def number_op(fock: TruncatedFock) -> np.ndarray:
-    """Total number operator, diagonal in the occupation basis."""
-    return np.diag(fock.ntot.astype(float))
 
 
 def _locate(occ: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -578,8 +572,9 @@ def n_diag_residual(fock: TruncatedFock, spec: QuadraticSpec) -> float:
     cutoff - 2; exactly zero when B = 0.
 
     N is diagonal, so [H, N]_ij = H_ij N_j - N_i H_ij is formed entry by
-    entry, with the same roundings as the products with number_op, and on
-    the dense H, so that the norm sums the entries in the same order.
+    entry, with the same roundings as the products with the dense diagonal
+    N, and on the dense H, so that the norm sums the entries in the same
+    order.
     """
     h = hamiltonian_op(fock, spec)
     mask = fock.sector_mask(fock.cutoff - 2)
@@ -635,24 +630,3 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
     shift = abs(e0 - ground_energy(fock, [h_p[:d, :d] for h_p, d in zip(blocks, dims)]))
     floor = float(np.finfo(float).eps) * max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
     return shift, floor
-
-
-def offdiag_relative_norm(fock: TruncatedFock, b) -> tuple:
-    """Check ||(S + S*)(N+1)^{-1}||_op <= (4 + sqrt 2) ||B||_2, as
-    (lhs, rhs, holds).
-
-    The left side restricts inputs to total occupation <= cutoff - 2, where
-    the truncated pair operators agree with the untruncated ones.  S keeps
-    the parity, so the operator norm is the larger of its parity blocks'.
-    """
-    bm = as_matrix(b)
-    lhs = 0.0
-    for parity in (0, 1):
-        idx, rows, weights = _table(fock, parity)
-        s = _term_block(rows[PAIR], weights[PAIR], bm)
-        cols = _leading(fock, parity, fock.cutoff - 2)
-        m = (s + s.conj().T)[:, :cols] * (1.0 / (fock.ntot[idx[:cols]] + 1.0))
-        if m.size:
-            lhs = max(lhs, float(np.linalg.svd(m, compute_uv=False)[0]))
-    rhs = float(OFFDIAG_CONST * hs_norm(bm))
-    return lhs, rhs, bool(lhs <= rhs * (1 + 1e-9))

@@ -26,8 +26,6 @@ SYM_TOL = 1e-10
 PSD_TOL = 1e-10
 KER_TOL = 1e-10
 
-_ROLES = ("hermitian", "symmetric", "general")
-
 
 def as_matrix(x) -> np.ndarray:
     """Return a fresh complex128 square matrix from x.
@@ -73,22 +71,6 @@ def hs_scale(x) -> float:
     return max(1.0, hs_norm(x))
 
 
-def _defect(m: np.ndarray, role: str) -> float:
-    if role == "hermitian":
-        return hs_norm(m - m.conj().T) / hs_scale(m)
-    if role == "symmetric":
-        return hs_norm(m - m.T) / hs_scale(m)
-    return 0.0
-
-
-def _project(m: np.ndarray, role: str) -> np.ndarray:
-    if role == "hermitian":
-        return (m + m.conj().T) / 2
-    if role == "symmetric":
-        return (m + m.T) / 2
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class OneParticleOperator:
     """A square matrix tagged with the structural role it plays.
@@ -99,18 +81,19 @@ class OneParticleOperator:
     """
 
     mat: np.ndarray
-    role: str = "general"
+    role: str
     defect: float = field(default=0.0, compare=False)
 
-    def __init__(self, mat, role: str = "general", sym_tol: float = SYM_TOL):
-        if role not in _ROLES:
+    def __init__(self, mat, role: str, sym_tol: float = SYM_TOL):
+        if role not in ("hermitian", "symmetric"):
             raise ValueError(f"unknown role {role!r}")
         m = as_matrix(mat)
-        d = _defect(m, role)
+        partner = m.conj().T if role == "hermitian" else m.T  # equals m in its role
+        d = hs_norm(m - partner) / hs_scale(m)
         if d > sym_tol:
             raise RoleViolation(
                 f"matrix violates role {role!r}: relative defect {d:.3e} > {sym_tol:.1e}")
-        m = _project(m, role)
+        m = (m + partner) / 2
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "role", role)
@@ -209,18 +192,6 @@ def psd_sqrt(x) -> OneParticleOperator:
     return OneParticleOperator.hermitian((root + root.conj().T) / 2, sym_tol=np.inf)
 
 
-def psd_power(x, alpha: float) -> np.ndarray:
-    """M^alpha for hermitian PSD M and alpha >= 0, kernel clamped to zero."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative; use sandwich for inverses")
-    m = as_matrix(x)
-    m = (m + m.conj().T) / 2
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    r = (vecs * vals**alpha) @ vecs.conj().T
-    return (r + r.conj().T) / 2
-
-
 class Sandwiches:
     """The matrices B (Omega^t)^{-p} B~ and their norms for one pair (B,
     Omega), all from one eigh of hermitian Omega^t: a caller that needs
@@ -297,18 +268,3 @@ class Sandwiches:
                 return math.exp(math.log(rel) - 0.5 * p * math.log(lam_min))
             except OverflowError:
                 return math.inf
-
-
-def sandwich(b, omega, p=1, ker_tol: float = KER_TOL) -> OneParticleOperator:
-    """Hermitian PSD matrix B (Omega^t)^{-p} B~ (kernel, KernelOverlap and p
-    as in Sandwiches), factoring Omega^t for this one call.  A caller that
-    needs several sandwiches or norms of one pair shares the factorization
-    through Sandwiches, as conditions.check_all does."""
-    return Sandwiches(b, omega, ker_tol).matrix(p)
-
-
-def sandwich_norm(b, omega, p=1, ker_tol: float = KER_TOL) -> float:
-    """||B (Omega^t)^{-p/2}||_2 on the complement of the kernel of Omega^t
-    (see Sandwiches.norm), factoring Omega^t for this one call as sandwich
-    does."""
-    return Sandwiches(b, omega, ker_tol).norm(p)

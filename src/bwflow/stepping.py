@@ -53,9 +53,8 @@ operation for operation, so step sequences, results and dense output match
 it bit for bit; bwflow runs on numpy alone, so this module holds the
 pair's coefficients as literals.  Nothing in the package imports scipy:
 the squeeze decomposition behind diag takes its square root, log and exp
-from numpy's eigh (bogoliubov._unitary_eig), bogoliubov.dyson_uv its
-spline integrals from one numpy matrix, and only the tests load scipy, as
-an oracle.
+from numpy's eigh (bogoliubov._unitary_eig), and only the tests load
+scipy, as an oracle.
 
 Step-size underflow (proposed step below H_MIN, or no acceptable step above
 ten ulps of t) raises StepSizeUnderflow; callers classify it further.

@@ -3,12 +3,16 @@
 This is the construction fock's index tables replace: ladder matrices
 filled state by state, and H, S and G summed from their dense products.
 The tests compare the table-built operators against it, bit for bit.
+offdiag_relative_norm checks the relative bound of the pair operators,
+which no command runs.
 """
 
 import numpy as np
 
 from bwflow import fock
-from bwflow.opcore import as_matrix
+from bwflow.opcore import as_matrix, hs_norm
+
+OFFDIAG_CONST = 4.0 + np.sqrt(2.0)
 
 
 def ladder(fk, k, kind="annihilate"):
@@ -95,3 +99,24 @@ def pair_blocks(fk, parity, support):
     for rows, cols, _, _, _ in blocks:
         parts.append(stacks[:, :, rows, cols].reshape(len(stacks), -1))
     return comp, slot, shape, blocks, 2.0 * np.concatenate(parts, axis=1)
+
+
+def offdiag_relative_norm(fk, b) -> tuple:
+    """Check ||(S + S*)(N+1)^{-1}||_op <= (4 + sqrt 2) ||B||_2, as
+    (lhs, rhs, holds).
+
+    The left side restricts inputs to total occupation <= cutoff - 2, where
+    the truncated pair operators agree with the untruncated ones.  S keeps
+    the parity, so the operator norm is the larger of its parity blocks'.
+    """
+    bm = as_matrix(b)
+    lhs = 0.0
+    for parity in (0, 1):
+        idx, rows, weights = fock._table(fk, parity)
+        s = fock._term_block(rows[fock.PAIR], weights[fock.PAIR], bm)
+        cols = fock._leading(fk, parity, fk.cutoff - 2)
+        m = (s + s.conj().T)[:, :cols] * (1.0 / (fk.ntot[idx[:cols]] + 1.0))
+        if m.size:
+            lhs = max(lhs, float(np.linalg.svd(m, compute_uv=False)[0]))
+    rhs = float(OFFDIAG_CONST * hs_norm(bm))
+    return lhs, rhs, bool(lhs <= rhs * (1 + 1e-9))

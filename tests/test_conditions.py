@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bwflow import conditions, opcore
 from bwflow.analytic import block_spec, mixed_family
 from bwflow.errors import KernelOverlap
-from bwflow.opcore import QuadraticSpec, min_eig_hermitian, sandwich, sandwich_norm
+from bwflow.opcore import QuadraticSpec, Sandwiches, min_eig_hermitian
 
 
 def spec_of(omega, b, **kw):
@@ -156,19 +156,19 @@ def seeded_spec(seed, n):
 
 
 def per_call_ladder(spec, tol, eps):
-    """A3-A5's margins and values from sandwich and sandwich_norm, each call
-    factoring Omega^t on its own."""
+    """A3-A5's margins and values from one Sandwiches per matrix and norm,
+    each factoring Omega^t on its own."""
     b, om = spec.b, spec.omega
     try:
-        e1 = sandwich(b, om, 1, tol).mat
+        e1 = Sandwiches(b, om, tol).matrix(1).mat
     except KernelOverlap as exc:
         return {"kernel_overlap": str(exc)}
-    e2 = sandwich(b, om, 2, tol).mat
+    e2 = Sandwiches(b, om, tol).matrix(2).mat
     margin = min_eig_hermitian(om - 4.0 * e1)
     lam_max = float(np.linalg.eigvalsh((e2 + e2.conj().T) / 2)[-1])
     return {"A3": margin, "gap_nu": max(margin, 0.0),
             "a4_norm": float(np.sqrt(max(np.trace(e1).real, 0.0))),
-            "a5_norm": sandwich_norm(b, om, 2.0 + 2.0 * eps, tol),
+            "a5_norm": Sandwiches(b, om, tol).norm(2.0 + 2.0 * eps),
             "A5": min_eig_hermitian(np.eye(spec.dim) - 4.0 * e2),
             "r_const": np.inf if lam_max <= tol * tol else 1.0 / lam_max - 4.0}
 

@@ -2,13 +2,12 @@
 
 bwflow steps with its own DOP853 pair, interpolates with that pair's own
 dense output and integrates ||B|| along paths that do not carry it with its
-own Gauss-Kronrod rule, so that the command line never imports scipy.
-These tests pin each piece to the scipy routine it replaced, and the
-pair's literal coefficients to the order conditions they must satisfy.
+own Gauss-Kronrod rule, so that the command line never imports scipy
+(test_cli checks each command's modules).  These tests pin each piece to
+the scipy routine it replaced, and the pair's literal coefficients to the
+order conditions they must satisfy.
 """
 
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -20,7 +19,7 @@ from bwflow import analytic, bogoliubov, flow, stepping
 from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
 from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive
-from conftest import fresh_env, writes_into
+from conftest import writes_into
 
 
 def random_spec(seed: int, n: int) -> QuadraticSpec:
@@ -425,44 +424,3 @@ def test_path_integral_matches_quad_on_readme_path(generic_traj):
     assert carried == generic_traj.final.int_b
     assert abs(carried - exact) <= 2e-9
     assert abs(carried - exact) <= abs(ours - exact) + 16 * np.spacing(exact)
-
-
-def _fresh_python(code: str) -> str:
-    res = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
-                         text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    return res.stdout
-
-
-def test_cli_start_up_does_not_import_scipy(tmp_path):
-    # check, run, diag (writing its JSON too) and fock-verify in one fresh
-    # interpreter: none loads any scipy module (scipy.integrate,
-    # scipy.interpolate and scipy.linalg included), so none can quietly
-    # regain the import
-    spec = tmp_path / "generic.json"
-    spec.write_text('{"blocks": [[1.0, 2.0, 0.5]]}\n')
-    runs = [["check", str(spec)],
-            ["run", str(spec), "--t-end", "5"],
-            ["diag", str(spec), "--t-end", "5", "--json", str(tmp_path / "diag.json")],
-            ["fock-verify", str(spec), "--cutoff", "8"]]
-    code = (
-        "import sys, io, contextlib\n"
-        "import bwflow.cli as cli\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "print(scipy_modules())\n"
-        f"for argv in {runs!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = cli.main(argv)\n"
-        "    print(argv[0], code, scipy_modules())\n")
-    assert _fresh_python(code).splitlines() == [
-        "[]", "check 0 []", "run 0 []", "diag 0 []", "fock-verify 0 []"]
-    assert (tmp_path / "diag.json").stat().st_size > 0
-
-
-def test_cli_import_loads_no_scipy_module():
-    code = ("import sys\n"
-            "import bwflow.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "print('concurrent.futures' in sys.modules)\n")
-    assert _fresh_python(code).splitlines() == ["[]", "False"]
