@@ -30,17 +30,19 @@ generates (see bogoliubov) and I_t = int_0^t ||B||_2,
 from u_0 = 1, v_0 = 0, I_0 = 0.  One error control then covers the limit,
 the diagonalizing map and the integral in the map's norm bounds, and every
 sample holds all of them.  These five equations are written once, in
-_CarriedRhs.  Every stepped sample also keeps the derivative of its state
-vector, the stepper's last stage of the step (FSAL), and the step size the
-stepper proposed there, so the step to the next sample can be re-run bit
-for bit.  Between samples the trajectory is the stepper's own dense output
-(DOP853's seventh-order continuous extension; Hairer, Norsett & Wanner,
-Solving ODEs I, section II.6), built on first use, and on the frozen-Omega
-tail (below) the tail's closed form; the trajectory is itself the B-path of
-the flow.  The dense output of an interval is re-run from its left sample
-when first needed; the integration builds none, and decay_fit needs none,
-as it reads each sample's slope of log ||B|| from its derivative.
-Diagnostics are columns over the samples, computed on first read.
+_CarriedRhs, which forms their four matrix products as one stacked matmul
+of [-2 Omega, -8 B~, -4 u, -4 v~] with B.  Every stepped sample also keeps
+the derivative of its state vector, the stepper's last stage of the step
+(FSAL), and the step size the stepper proposed there, so the step to the
+next sample can be re-run bit for bit.  Between samples the trajectory is
+the stepper's own dense output (DOP853's seventh-order continuous
+extension; Hairer, Norsett & Wanner, Solving ODEs I, section II.6), built
+on first use, and on the frozen-Omega tail (below) the tail's closed form;
+the trajectory is itself the B-path of the flow.  The dense output of an
+interval is re-run from its left sample when first needed; the integration
+builds none, and decay_fit needs none, as it reads each sample's slope of
+log ||B|| from its derivative.  Diagnostics are columns over the samples,
+computed on first read.
 
 For a real spec (QuadraticSpec.is_real: every imaginary part of Omega and
 B exactly 0.0, with no tolerance) the flow keeps Omega, B, u and v real, so
@@ -71,14 +73,15 @@ first accepted step with ||B_t||_2 < TAIL_FACTOR * tol whose Omega drift
 over the remaining span is at most tol * max(1, ||Omega_t||_2), and no
 longer steps to t_end at its explicit-stability limit.  The guard keeps a
 tiny B on a near-zero Omega, whose true flow still grows, on the adaptive
-path.  The tail moves (u, v) by the first-order update with the closed-form
-int B and I by quadrature of the closed-form ||B||; a second guard keeps
-the dropped terms, at most about 8 I^2 (||u|| + ||v||) over the span, within
-tol.
+path, and so does an Omega with a negative eigenvalue.  The tail moves
+(u, v) by the first-order update with the closed-form int B and I by
+quadrature of the closed-form ||B||; a second guard keeps the dropped
+terms, at most about 8 I^2 (||u|| + ||v||) over the span, within tol.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 import time
@@ -191,43 +194,78 @@ class _CarriedRhs:
     """d/dt [Omega, B, u, v, I], written into one output array; the only
     place the flow and carried-map equations are written.
 
-    Omega B, B B~, u B and v B~ come from one batched matmul of
-    [Omega, B, u, v] with [B, B~, B, B~] into a product stack, and one vdot
-    gives ||B||_2^2 for dI.  -16 B B~ and -2 (Omega B + B Omega^t)
-    are written as M + M* and M + M^t, the second using B = B^t.  Their
-    entries then pair up exactly, and the stepper's real-coefficient stage
-    sums keep Omega hermitian and B symmetric to the last bit.
+    One stacked matmul of the left stack [-2 Omega, -8 B~, -4 u, -4 v~]
+    with B gives the products P_0..P_3, and one vdot gives ||B||_2^2 for dI:
+
+        dOmega = conj(P_1) + P_1^t,   dB = P_0 + P_0^t,
+        du = conj(P_3),               dv = P_2.
+
+    Each entry is the value of the product-then-scale form
+    dOmega = -8 (B B~ + (B B~)*), dB = -2 (Omega B + (Omega B)^t),
+    du = -4 v B~, dv = -4 u B, exactly:
+
+    * a power-of-two factor commutes with rounding, so scaling a factor of
+      a product scales the computed product by the same factor, exactly
+      while every partial product stays in the normal float range;
+    * rounding is sign-symmetric, so the conjugate of a computed product is
+      the computed product of the conjugates: conj(B~ B) is B B~ and
+      conj(v~ B) is v B~, bit for bit.
+
+    Only the sign of an exact zero can differ from that form.  The left
+    stack comes from one product of the state's float view with a fixed
+    multiplier, whose entries on the B and v blocks flip the sign of the
+    imaginary parts, so the scaling and the two conjugations are one pass.
+    dOmega = M + M* and dB = M + M^t, the second using B = B^t, so their
+    entries pair up exactly, and the stepper's real-coefficient stage sums
+    keep Omega hermitian and B symmetric to the last bit.
 
     A call writes the derivative into out, a stage row of the stepper or
-    its fresh FSAL array, and returns it.  The two stacks are allocated once
-    per instance, so a call allocates only when out is None: then it returns
-    a new array, as for rhs and for a trajectory's first and tail samples.
+    its fresh FSAL array, and returns it.  The scratch stacks and their
+    views are made once per instance, so a call allocates only when out is
+    None: then it returns a new array, as for rhs and for a trajectory's
+    first and tail samples.
 
     dtype is that of the state: complex, or float for a real spec.  On a
     real state the same lines do real arithmetic, since conjugation is then
-    the identity (np.conjugate a plain copy, .conj() no copy at all).
+    the identity.
     """
 
     def __init__(self, n: int, dtype):
         self.n = n
         self.dtype = dtype
-        self._rights, self._products = np.empty((2, 4, n, n), dtype=dtype)
+        self._b = slice(n * n, 2 * n * n)
+        width = np.dtype(dtype).itemsize // 8  # float64 entries per entry
+        # the multiplier of the state's float view: -2, -8, -4, -4 per block
+        # (1 on I, which no product reads), and on a complex state -8 - 8i and
+        # -4 - 4i conjugated on the B and v blocks, so that their imaginary
+        # parts change sign
+        self._scale = np.repeat([-2.0, -8.0, -4.0, -4.0, 1.0], [n * n * width] * 4 + [width])
+        blocks = self._scale.view(dtype)[:-1].reshape(4, n, n)
+        np.conjugate(blocks[1::2], out=blocks[1::2])
+        left = np.empty(4 * n * n + 1, dtype=dtype)
+        self._left_flat, self._left = left.view(float), left[:-1].reshape(4, n, n)
+        p = self._products = np.empty((4, n, n), dtype=dtype)
+        self._p0, self._p0_t, self._p1, self._p1_t, self._p2, self._p3 = \
+            p[0], p[0].T, p[1], p[1].T, p[2], p[3]
+        self._p1_conj = np.empty((n, n), dtype=dtype)
 
     def __call__(self, t, y, out=None):
         n = self.n
-        mats = y[:-1].reshape(4, n, n)
-        b, rights, p = mats[1], self._rights, self._products
-        rights[0::2] = b
-        np.conjugate(b, out=rights[1::2])
-        np.matmul(mats, rights, out=p)  # Omega B, B B~, u B, v B~
+        np.multiply(y.view(float), self._scale, out=self._left_flat)
+        b = y[self._b].reshape(n, n)
+        np.matmul(self._left, b, out=self._products)
         if out is None:
             out = np.empty(4 * n * n + 1, dtype=self.dtype)
-        d = out[:-1].reshape(4, n, n)
-        np.add(p[1], p[1].conj().T, out=d[0])
-        d[0] *= -8.0
-        np.add(p[0], p[0].T, out=d[1])
-        d[1] *= -2.0
-        np.multiply(p[3:1:-1], -4.0, out=d[2:])  # du = -4 v B~, dv = -4 u B
+        d_omega, d_b, d_u, d_v = out[:-1].reshape(4, n, n)
+        # each transposed term is copied in first: a ufunc with a transposed
+        # operand would buffer it, allocating up to n^2 entries per call
+        np.copyto(d_omega, self._p1_t)
+        np.conjugate(self._p1, out=self._p1_conj)
+        d_omega += self._p1_conj
+        np.copyto(d_b, self._p0_t)
+        d_b += self._p0
+        np.conjugate(self._p3, out=d_u)
+        np.copyto(d_v, self._p2)
         out[-1] = math.sqrt(np.vdot(b, b).real)
         return out
 
@@ -362,8 +400,9 @@ class FrozenTail:
         self._bt = self.v.conj().T @ state.b @ self.v.conj()
         self._weights = np.abs(self._bt) ** 2
         self._rates = 4.0 * np.add.outer(self.w, self.w)
-        # _int_bb's rates, 0 where the weight is: a negative rate over a long
-        # tau makes phi infinite, and 0 * inf is nan
+        # the rates of _int_bb and of int_b_bound's triangle, 0 where the
+        # weight is: a negative rate over a long tau makes phi infinite, and
+        # 0 * inf is nan
         self._bb_rates = np.where(self._weights == 0, 0.0, self._rates)
 
     def _int_bb(self, tau: float) -> np.ndarray:
@@ -378,8 +417,9 @@ class FrozenTail:
     def int_b_bound(self, tau: float) -> float:
         """An upper bound on int_0^tau ||B||_2: the smaller of the triangle
         bound sum_ij |B~_ij| phi(2 (w_i + w_j), tau) and the Cauchy-Schwarz
-        bound (tau int_0^tau ||B||_2^2)^{1/2}."""
-        triangle = float((np.sqrt(self._weights) * _phi(self._rates / 2, tau)).sum())
+        bound (tau int_0^tau ||B||_2^2)^{1/2}; an entry of zero weight adds
+        exactly 0 to either."""
+        triangle = float((np.sqrt(self._weights) * _phi(self._bb_rates / 2, tau)).sum())
         return min(triangle, math.sqrt(tau * self.omega_drift(tau) / 16.0))
 
     def hs_integral(self, tau0: float, tau1: float) -> float:
@@ -417,11 +457,15 @@ def frozen_tail(state: FlowState, t_end: float, tol: float) -> Optional[FrozenTa
     tiny B on a near-zero Omega, whose true flow slowly blows up, on the
     adaptive path.  The carried map also needs the terms that the
     first-order map update drops, 8 I^2 (||u||_2 + ||v||_2) with I bounded
-    by FrozenTail.int_b_bound over the span, to be at most tol.
+    by FrozenTail.int_b_bound over the span, to be at most tol.  An Omega
+    with a negative eigenvalue never hands over: B grows along it under the
+    frozen decay, and the tail's closed forms overflow over a long span.
     """
     if not (state.t < t_end and state.hs_b < TAIL_FACTOR * tol):
         return None
     tail = FrozenTail(state, tol)
+    if tail.w[0] < 0:
+        return None
     span = t_end - state.t
     if not tail.omega_drift(span) <= tol * max(1.0, hs_norm(state.omega)):
         return None
@@ -503,10 +547,17 @@ class Trajectory:
         self._columns = {}  # diagnostic columns, computed on first read
         self._dense = {}  # dense output per stepped sample interval, built on first use
         self.n_interp_rhs = 0  # right-hand-side calls spent building dense outputs
+        n = spec.dim  # the columns of B and of the map in the state vector
+        self._b_cols, self._map_cols = slice(n * n, 2 * n * n), slice(2 * n * n, 4 * n * n)
 
     @cached_property
     def ts(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
+
+    @cached_property
+    def _times(self) -> list:
+        """ts as a list of floats, for bisect."""
+        return self.ts.tolist()
 
     @cached_property
     def _omegas(self) -> np.ndarray:
@@ -573,11 +624,11 @@ class Trajectory:
         """Whether the final ||B_t||_2 is below controls.conv_tol."""
         return self.final.hs_b < self.controls.conv_tol
 
-    @property
+    @cached_property
     def t0(self) -> float:
         return float(self.states[0].t)
 
-    @property
+    @cached_property
     def t1(self) -> float:
         return float(self.states[-1].t)
 
@@ -613,8 +664,8 @@ class Trajectory:
         sample at a sample time, the tail's closed form or the dense output
         between."""
         t = path_time(self, t)
-        ts = self.ts
-        i = int(np.searchsorted(ts, t))
+        ts = self._times
+        i = bisect.bisect_left(ts, t)
         if ts[i] == t:
             return _vector(self.states[i])[cols]
         tail = self._tail
@@ -629,14 +680,14 @@ class Trajectory:
     def b_at(self, t: float) -> np.ndarray:
         """B of state_at(t), interpolating only the B columns."""
         n = self.spec.dim
-        return self._interpolate(t, slice(n * n, 2 * n * n)).reshape(n, n)
+        return self._interpolate(t, self._b_cols).reshape(n, n)
 
     __call__ = b_at  # the trajectory is the B-path of its flow
 
     def map_at(self, t: float) -> tuple:
         """(u_{t,t0}, v_{t,t0}) from the carried columns."""
         n = self.spec.dim
-        u, v = self._interpolate(t, slice(2 * n * n, 4 * n * n)).reshape(2, n, n)
+        u, v = self._interpolate(t, self._map_cols).reshape(2, n, n)
         return u, v
 
     def int_b_at(self, t: float) -> float:

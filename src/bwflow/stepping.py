@@ -46,7 +46,9 @@ stage, so ``fun`` must keep neither ``y`` nor ``out``.  Each stage writes
 straight into its row of the stage matrix; only the last stage of a step,
 the derivative at the new state (FSAL), goes into a fresh array.  Each
 accepted state is a fresh array as well, so ``on_step`` may keep both
-without copying.
+without copying.  The views that the stage sums read, one per stage, are
+made once per stepper too, and the stage loop calls ``fun`` itself, so
+that at small n a step costs little beyond its twelve calls of ``fun``.
 
 On a real 1-d state the arithmetic follows scipy.integrate.DOP853
 operation for operation, so step sequences, results and dense output match
@@ -172,6 +174,9 @@ _D[:, 5:] = [
      0.96324553959188282948394950600e+2, -0.39177261675615439165231486172e+2,
      -0.14972683625798562581422125276e+3]]
 _ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order + 1)
+# per stage s, the stage-matrix row A[s, :s] and the node c_s (a float)
+_A_ROWS = [_A[s, :s] for s in range(len(_C))]
+_C_NODES = _C.tolist()
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -233,6 +238,9 @@ class DormandPrince:
         # shape and dtype, made here once
         self._k = np.empty((len(_C), self.y.size))
         self._k_shaped = list(self._k.view(self._dtype).reshape((len(_C),) + self._shape))
+        # per s, the transposed rows 0..s-1 that stage s (or, for s = 12 and
+        # 13, the step and its error estimate) sums
+        self._k_before = [self._k[:s].T for s in range(len(_C))]
         self._dy, self._ys, self._w = np.empty((3, self.y.size))
         self._ys_shaped = self._shaped(self._ys)
         self.f = self._eval_new(t0, self.y) if f0 is None else self._flat(f0)
@@ -289,12 +297,14 @@ class DormandPrince:
     def _stages(self, t, y, h, first: int, last: int) -> None:
         """Stages first..last-1 of a step of size h from (t, y), each from
         the rows before it, into their rows of the stage matrix."""
-        k, dy, ys = self._k, self._dy, self._ys
+        fun, k_before, k_shaped = self._fun, self._k_before, self._k_shaped
+        dy, ys, ys_shaped = self._dy, self._ys, self._ys_shaped
         for s in range(first, last):
-            np.dot(k[:s].T, _A[s, :s], out=dy)
+            np.dot(k_before[s], _A_ROWS[s], out=dy)
             dy *= h
             np.add(y, dy, out=ys)
-            self._eval(t + _C[s] * h, self._ys_shaped, self._k_shaped[s])
+            self.nfev += 1
+            fun(t + _C_NODES[s] * h, ys_shaped, k_shaped[s])
 
     def _attempt(self, h):
         """One trial step of size h: (y_new, f_new, error norm)."""
@@ -302,7 +312,7 @@ class DormandPrince:
         y, k, dy, w = self.y, self._k, self._dy, self._w
         k[0] = self.f
         self._stages(self.t, y, h, 1, _N_STAGES)
-        np.dot(k[:_N_STAGES].T, _B, out=dy)
+        np.dot(self._k_before[_N_STAGES], _B, out=dy)
         dy *= h
         y_new = y + dy              # fresh arrays: callers may keep accepted
         f_new = self._eval_new(self.t + h, y_new)  # states and their derivatives
@@ -317,10 +327,12 @@ class DormandPrince:
         return y_new, f_new, abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * w.size)
 
     def _scaled_error(self, e: np.ndarray) -> float:
-        """||(K e) / w||^2 over the stages of the last attempt."""
-        np.dot(self._k[:_N_STAGES + 1].T, e, out=self._dy)
-        self._dy /= self._w
-        return np.linalg.norm(self._dy) ** 2
+        """||(K e) / w||^2 over the stages of the last attempt, squared from
+        the norm sqrt(x . x) as np.linalg.norm forms it."""
+        x = self._dy
+        np.dot(self._k_before[_N_STAGES + 1], e, out=x)
+        x /= self._w
+        return math.sqrt(x.dot(x)) ** 2
 
     def step(self) -> None:
         """Advance by one accepted step, or set status to 'failed' when the
@@ -382,29 +394,36 @@ class DormandPrince:
 class DenseOutput:
     """DOP853's continuous extension on one step [t_old, t]: a polynomial
     of degree 7 in x = (tau - t_old) / (t - t_old), held as seven rows
-    nested in alternating factors x and 1 - x."""
+    nested in alternating factors x and 1 - x.
+
+    The rows and the left state are held as (entry, part) arrays, with the
+    float64 parts of each entry (two for a complex state, one for a real
+    one) along the last axis, so that a slice of entries needs no
+    conversion."""
 
     def __init__(self, t_old: float, t: float, y_old: np.ndarray, f: np.ndarray, dtype):
         self.t_old, self.t = t_old, t
         self._h = t - t_old
-        self._y_old, self._f, self._dtype = y_old, f, dtype
-        self._width = 2 if dtype is complex else 1  # float64 entries per entry
+        width = 2 if dtype is complex else 1  # float64 entries per entry
+        self._y_old = y_old.reshape(-1, width)
+        self._rows = f[::-1].reshape(len(f), -1, width)  # in Horner order
+        self._dtype = dtype
 
     def __call__(self, tau: float, cols: slice = slice(None)) -> np.ndarray:
         """Entries cols (a slice of unit stride) of the state at tau in
         [t_old, t], in the stepper's dtype; every entry is evaluated on its
         own, so this equals slicing the whole state bit for bit."""
-        x = (tau - self.t_old) / self._h
-        lo, hi, step = cols.indices(self._y_old.size // self._width)
-        if step != 1:
+        if cols.step not in (None, 1):
             raise ValueError("cols must have unit stride")
-        cols = slice(lo * self._width, hi * self._width)
-        y = np.zeros_like(self._y_old[cols])
-        for i, f in enumerate(reversed(self._f[:, cols])):
-            y += f
+        x = (tau - self.t_old) / self._h
+        rows = self._rows[:, cols]
+        y = rows[0] + 0.0  # the first sum from a zero start: -0.0 becomes 0.0 there too
+        y *= x
+        for i in range(1, len(rows)):
+            y += rows[i]
             y *= x if i % 2 == 0 else 1 - x
         y += self._y_old[cols]
-        return y.view(self._dtype)
+        return y.view(self._dtype).reshape(-1)
 
 
 def drive(stepper: DormandPrince, on_step=None) -> DormandPrince:

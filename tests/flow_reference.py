@@ -1,6 +1,7 @@
 """Oracles of the flow that no command runs: the Dyson series of the (u, v)
-map, which AC-6 compares with the carried map, and the t^-alpha envelope of
-||Omega_t^alpha B_t||_2, which AC-10 checks.
+map, which AC-6 compares with the carried map, the t^-alpha envelope of
+||Omega_t^alpha B_t||_2, which AC-10 checks, and the product-then-scale
+right-hand side that flow._CarriedRhs must equal entry for entry.
 """
 
 import functools
@@ -11,6 +12,39 @@ import numpy as np
 from bwflow.bogoliubov import BogoliubovMap
 from bwflow.flow import check_span
 from bwflow.opcore import as_matrix, hs_norm
+
+class CarriedRhsReference:
+    """d/dt [Omega, B, u, v, I] in the product-then-scale form.
+
+    Omega B, B B~, u B and v B~ come from one batched matmul of
+    [Omega, B, u, v] with [B, B~, B, B~] into a product stack, and one vdot
+    gives ||B||_2^2 for dI.  -16 B B~ and -2 (Omega B + B Omega^t)
+    are written as M + M* and M + M^t, the second using B = B^t.
+    """
+
+    def __init__(self, n: int, dtype):
+        self.n = n
+        self.dtype = dtype
+        self._rights, self._products = np.empty((2, 4, n, n), dtype=dtype)
+
+    def __call__(self, t, y, out=None):
+        n = self.n
+        mats = y[:-1].reshape(4, n, n)
+        b, rights, p = mats[1], self._rights, self._products
+        rights[0::2] = b
+        np.conjugate(b, out=rights[1::2])
+        np.matmul(mats, rights, out=p)  # Omega B, B B~, u B, v B~
+        if out is None:
+            out = np.empty(4 * n * n + 1, dtype=self.dtype)
+        d = out[:-1].reshape(4, n, n)
+        np.add(p[1], p[1].conj().T, out=d[0])
+        d[0] *= -8.0
+        np.add(p[0], p[0].T, out=d[1])
+        d[1] *= -2.0
+        np.multiply(p[3:1:-1], -4.0, out=d[2:])  # du = -4 v B~, dv = -4 u B
+        out[-1] = math.sqrt(np.vdot(b, b).real)
+        return out
+
 
 # Grid points of dyson_uv's cumulative integrals.
 DYSON_NODES = 513

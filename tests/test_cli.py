@@ -615,13 +615,17 @@ def test_diag_ends_at_the_attempt_bound_on_a_stiff_spec(tmp_path, capsys, monkey
     # A3 fails on the first spec and the explicit pair sits at its stability
     # limit: diag --t-end 5 needs on the order of 1e8 steps and did not end in
     # 100 s; the second, a zero mode coupled to one at 1e4, which the fuzz
-    # test drew, reaches the full bound after about 12 s
+    # test drew, reaches the full bound after about 12 s; warnings are
+    # errors, as the second once handed its non-PSD Omega to the frozen
+    # tail's bounds, which warned
     monkeypatch.setattr(flow, "MAX_ATTEMPTS", 200)
     for doc, options in [({"dim": 2, "omega": [[1e8, 0], [16328, 0], [16328, 0], [5.39, 0]],
                            "b": [[-0.787, 0], [1.73, 0], [1.73, 0], [3, 0]]}, ["--t-end", "5"]),
                          ({"blocks": [[0.0, 1e4, 1.0]]}, ["--t-end", "1e40", "--tol", "1e-13"])]:
         start = time.perf_counter()
-        code = cli.main(["diag", write_spec(tmp_path, "stiff.json", doc), *options])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["diag", write_spec(tmp_path, "stiff.json", doc), *options])
         elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert code == cli.EXIT_NOT_CONVERGED and elapsed < 1.0

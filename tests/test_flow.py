@@ -1,5 +1,8 @@
 import io
+import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from bwflow.errors import (BlowupDetected, InsufficientData, NotConverged,
                            NotPSD, PathGap)
 from bwflow.opcore import QuadraticSpec, Sandwiches, hs_norm, min_eig_hermitian
 from bwflow.stepping import DormandPrince, drive
-from flow_reference import asymptotic_bound_check
+from flow_reference import CarriedRhsReference, asymptotic_bound_check
 
 GOLDEN = np.array([0.6180339887498948482046, 1.6180339887498948482046])
 
@@ -676,6 +679,20 @@ def test_tail_drift_guard():
     assert flow.frozen_tail(state, 1e4, tol) is None  # 8 I^2 sqrt(2) = 1.1e-9
 
 
+def test_tail_refuses_an_omega_with_a_negative_eigenvalue():
+    # the state `run` reaches on {"blocks": [[0, 1e4, 1]]} at --tol 1e-13:
+    # along a negative eigenvalue the frozen decay grows, so the tail may not
+    # take over, and its bounds are not even formed; a zero weight on that
+    # eigenvalue adds exactly 0 to the triangle bound, not 0 * inf = nan
+    omega = np.diag([-4e-4, 1e4]).astype(complex)
+    b = np.array([[0, 1e-12], [1e-12, 0]], dtype=complex)
+    state = carried_state(0.0, omega, b, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert flow.frozen_tail(state, 1e40, 1e-13) is None
+        assert math.isfinite(flow.FrozenTail(state, 1e-13).int_b_bound(1e40))
+
+
 def test_frozen_tail_closed_form():
     # Omega = diag(1, 2) frozen, B = antidiag(b): B_t = b e^{-6 tau} and
     # int ||B||^2 = 2 b^2 (1 - e^{-12 tau}) / 12
@@ -787,6 +804,63 @@ def test_carried_rhs_into_out_is_the_allocating_call(n, dtype):
     out = rows[1].view(dtype)  # a stage row, as the stepper passes it
     assert rhs(0.0, y, out) is out
     assert fresh.dtype == out.dtype and np.array_equal(out, fresh)
+
+
+def rhs_states(n, dtype, rng):
+    """States [Omega, B, u, v, I] for the right-hand side: dense, made of
+    2 x 2 blocks (and a 1 x 1 one for odd n) with exact zeros between them
+    and on B's diagonal, and with entries from 1e-150 to 1e150."""
+    def matrix(scale=1.0):
+        x = rng.standard_normal((n, n)) * scale
+        if dtype is complex:
+            x = x + 1j * rng.standard_normal((n, n)) * scale
+        return x
+
+    def state(mats):
+        omega, b, u, v = mats
+        return np.concatenate([((omega + omega.conj().T) / 2).ravel(), ((b + b.T) / 2).ravel(),
+                               u.ravel(), v.ravel(), [0.5]]).astype(dtype)
+
+    idx = np.arange(n) // 2
+    blocks = idx[:, None] == idx[None, :]
+    block_mats = [matrix() * blocks for _ in range(4)]
+    np.fill_diagonal(block_mats[1], 0.0)
+    wide = [matrix(10.0 ** rng.uniform(-150, 150, (n, n))) for _ in range(4)]
+    return [state([matrix() for _ in range(4)]), state(block_mats), state(wide)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64])
+def test_carried_rhs_is_the_product_then_scale_form(n, dtype):
+    # the one-product form equals the reference form entry for entry;
+    # np.array_equal lets the sign of an exact zero differ, and only that
+    # may; odd n gives the products BLAS edge tiles
+    rng = np.random.default_rng(n)
+    rhs, ref = flow._CarriedRhs(n, dtype), CarriedRhsReference(n, dtype)
+    for y in rhs_states(n, dtype, rng):
+        want = ref(0.0, y)
+        assert np.isfinite(want).all()
+        assert np.array_equal(rhs(0.0, y), want)
+        out = np.full_like(y, np.nan)
+        assert rhs(0.0, y, out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_carried_rhs_into_out_allocates_no_matrix(dtype):
+    # a ufunc with a transposed operand buffers it (up to 8192 entries), so
+    # the transposed terms are copied into place instead: a call into out
+    # allocates views and scalars only, far below one n x n matrix
+    n = 64
+    y = rhs_states(n, dtype, np.random.default_rng(0))[0]
+    rhs, out = flow._CarriedRhs(n, dtype), np.empty_like(y)
+    rhs(0.0, y, out)
+    tracemalloc.start()
+    try:
+        rhs(0.0, y, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * y.itemsize // 16
 
 
 @pytest.mark.parametrize("make", [
