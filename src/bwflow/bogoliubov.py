@@ -38,14 +38,13 @@ and u_hat = sum_k |h_k><g_k| = exp(i h) for a hermitian h.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import LogBranch, MapInvalid
 from .flow import Controls, check_span
-from .opcore import QuadraticSpec, hs_norm
+from .opcore import Frozen, QuadraticSpec, hs_norm
 from .stepping import DormandPrince, drive, gauss_kronrod
 
 # Largest symplectic residual of a map that transform_spec and
@@ -57,8 +56,7 @@ DECOMP_TOL = 1e-7
 BRANCH_TOL = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class BogoliubovMap:
+class BogoliubovMap(Frozen):
     """Pair (u, v) labelled by its time span (s, t).
 
     A map is a value: u and v are read-only views of the arrays it is given,
@@ -67,16 +65,10 @@ class BogoliubovMap:
     decompose_generator) evaluates them once.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    s: float = 0.0
-    t: float = 0.0
-
-    def __post_init__(self):
-        for name in ("u", "v"):
-            view = np.asarray(getattr(self, name)).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+    def __init__(self, u: np.ndarray, v: np.ndarray, s: float = 0.0, t: float = 0.0):
+        u, v = np.asarray(u).view(), np.asarray(v).view()
+        u.flags.writeable = v.flags.writeable = False
+        self.__dict__.update(u=u, v=v, s=s, t=t)
 
     @property
     def dim(self) -> int:
@@ -229,16 +221,17 @@ def transform_spec(m: BogoliubovMap, spec: QuadraticSpec) -> QuadraticSpec:
         sym_tol=np.inf)
 
 
-@dataclass
 class GeneratorDecomposition:
     """Squeeze factorization of a map: frames, angles and the rotation log."""
 
-    alphas: np.ndarray          # squeeze parameters, descending
-    g_frame: np.ndarray         # columns g_k
-    h_frame: np.ndarray         # columns h_k
-    uhat: np.ndarray            # sum_k |h_k><g_k|, unitary
-    h_matrix: np.ndarray        # hermitian log of uhat: uhat = exp(i h)
-    residuals: dict = field(default_factory=dict)
+    def __init__(self, alphas: np.ndarray, g_frame: np.ndarray, h_frame: np.ndarray,
+                 uhat: np.ndarray, h_matrix: np.ndarray, residuals: Optional[dict] = None):
+        self.alphas = alphas      # squeeze parameters, descending
+        self.g_frame = g_frame    # columns g_k
+        self.h_frame = h_frame    # columns h_k
+        self.uhat = uhat          # sum_k |h_k><g_k|, unitary
+        self.h_matrix = h_matrix  # hermitian log of uhat: uhat = exp(i h)
+        self.residuals = {} if residuals is None else residuals
 
 
 def _unitary_eig(x: np.ndarray) -> tuple:

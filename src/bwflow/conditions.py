@@ -25,25 +25,30 @@ minimum eigenvalue of the tested inequality) and auxiliary values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from typing import Optional
 
 import numpy as np
 
 from .errors import KernelOverlap, NotReal
-from .opcore import (QuadraticSpec, Sandwiches, hs_norm, hs_scale,
-                     min_eig_hermitian)
+from .opcore import (OneParticleOperator, QuadraticSpec, _pow2_scale, as_matrix, hs_norm,
+                     hs_scale, min_eig_hermitian)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_EPS = 0.5
+# Sandwiches' default kernel tolerance, relative to max(1, ||Omega||_2).
+KER_TOL = 1e-10
 
 
-@dataclass
 class ConditionReport:
-    """Partial or merged outcome of condition checks."""
+    """Partial or merged outcome of condition checks: verdicts, margins and
+    values by name, each a new dict unless one is given."""
 
-    verdicts: dict = field(default_factory=dict)
-    margins: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
+    def __init__(self, verdicts: Optional[dict] = None, margins: Optional[dict] = None,
+                 values: Optional[dict] = None):
+        self.verdicts = {} if verdicts is None else verdicts
+        self.margins = {} if margins is None else margins
+        self.values = {} if values is None else values
 
     def merge(self, other: "ConditionReport") -> "ConditionReport":
         self.verdicts.update(other.verdicts)
@@ -73,6 +78,84 @@ def check_a1_a2(spec: QuadraticSpec, tol: float = DEFAULT_TOL) -> ConditionRepor
     return rep
 
 
+class Sandwiches:
+    """The matrices B (Omega^t)^{-p} B~ and their norms for one pair (B,
+    Omega), all from one eigh of hermitian Omega^t: a caller that needs
+    several powers p, or both a matrix and a norm, factors Omega^t once.
+
+    The inverse power is taken on the orthogonal complement of the kernel
+    of Omega^t, its eigenvalues below ``ker_tol * max(1, ||Omega||_2)``.
+    If any kernel eigenvector w fails B w = 0 within tolerance, every
+    sandwich is genuinely singular and the constructor raises
+    KernelOverlap.  ``p`` may be any positive real; the case of interest is
+    integer p.
+    """
+
+    def __init__(self, b, omega, ker_tol: float = KER_TOL):
+        bm = as_matrix(b)
+        om = as_matrix(omega)
+        omt = om.T
+        omt = (omt + omt.conj().T) / 2  # hermitian when omega is
+        vals, vecs = np.linalg.eigh(omt)
+        thresh = ker_tol * hs_scale(om)
+        kernel = vals <= thresh
+        if np.any(kernel):
+            bnorm = hs_norm(bm)
+            overlap = np.linalg.norm(bm @ vecs[:, kernel], axis=0)
+            if np.any(overlap > ker_tol * max(1.0, bnorm)):
+                worst = float(np.max(overlap))
+                raise KernelOverlap(
+                    f"B has overlap {worst:.3e} with the kernel of Omega^t "
+                    f"(threshold {thresh:.3e})")
+        self.b, self.vals, self.vecs, self.kernel = bm, vals, vecs, kernel
+        self._mats = {}  # matrix(p) by p
+
+    def matrix(self, p=1) -> OneParticleOperator:
+        """Hermitian PSD matrix B (Omega^t)^{-p} B~, computed once per p."""
+        if p <= 0:
+            raise ValueError("p must be positive")
+        if p not in self._mats:
+            vals, vecs, kernel, bm = self.vals, self.vecs, self.kernel, self.b
+            inv_vals = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, vals)**p)
+            core = (vecs * inv_vals) @ vecs.conj().T
+            r = bm @ core @ bm.conj()
+            self._mats[p] = OneParticleOperator.hermitian((r + r.conj().T) / 2,
+                                                          sym_tol=np.inf)
+        return self._mats[p]
+
+    def norm(self, p=1) -> float:
+        """||B (Omega^t)^{-p/2}||_2, which for symmetric B is
+        sqrt(tr matrix(p)).
+
+        With Omega^t = sum_k lam_k w_k w_k*, the norm is the 2-norm of
+        ||B w_k||_2 lam_k^{-p/2} over k.  It is summed relative to the
+        smallest lam_k and no weight is squared, and the column norms
+        ||B w_k||_2 are taken of B / _pow2_scale(B), so it is finite
+        wherever the norm itself is, also for entries above about 1e154,
+        where the plain sums of squares overflow, and where the sandwich's
+        lam^-p overflows; a norm past the largest float is inf.
+        """
+        if p <= 0:
+            raise ValueError("p must be positive")
+        bm, keep = self.b, ~self.kernel
+        lams = self.vals[keep]
+        if not lams.size:
+            return 0.0
+        scale = _pow2_scale(bm)
+        cols = np.linalg.norm((bm / scale) @ self.vecs[:, keep], axis=0)
+        lam_min = float(lams[0])
+        rel = scale * math.hypot(*(cols * (lam_min / lams) ** (0.5 * p)))  # each factor <= 1
+        if rel == 0.0:
+            return 0.0
+        try:
+            return rel * lam_min ** (-0.5 * p)
+        except OverflowError:  # the weight overflows; the norm may not
+            try:
+                return math.exp(math.log(rel) - 0.5 * p * math.log(lam_min))
+            except OverflowError:
+                return math.inf
+
+
 def _sandwiches(spec: QuadraticSpec, tol: float):
     """The sandwiches of spec's B over Omega_0^t at kernel tolerance tol, or
     the KernelOverlap that refuses them, for A3-A6 to share."""
@@ -82,12 +165,9 @@ def _sandwiches(spec: QuadraticSpec, tol: float):
         return exc
 
 
-def check_a3_a6(spec: QuadraticSpec, tol: float = DEFAULT_TOL) -> ConditionReport:
-    """A3 and A6 through D = Omega_0 - 4 B_0 (Omega_0^t)^{-1} B_0~."""
-    return _check_a3_a6(spec, tol, _sandwiches(spec, tol))
-
-
 def _check_a3_a6(spec: QuadraticSpec, tol: float, sw) -> ConditionReport:
+    """A3 and A6 through D = Omega_0 - 4 B_0 (Omega_0^t)^{-1} B_0~, with sw
+    from _sandwiches."""
     rep = ConditionReport()
     scale = hs_scale(spec.omega)
     if isinstance(sw, KernelOverlap):
@@ -108,18 +188,14 @@ def _check_a3_a6(spec: QuadraticSpec, tol: float, sw) -> ConditionReport:
     return rep
 
 
-def check_a4_a5(spec: QuadraticSpec, eps: float = DEFAULT_EPS,
-                tol: float = DEFAULT_TOL) -> ConditionReport:
-    """A4 and A5 with the relaxed constant r and weighted norms.
+def _check_a4_a5(spec: QuadraticSpec, eps: float, tol: float, sw) -> ConditionReport:
+    """A4 and A5 with the relaxed constant r and weighted norms, with sw
+    from _sandwiches.
 
     values carries a4_norm = ||Omega^{-1/2} B||_2, a5_norm =
     ||Omega^{-1-eps} B||_2, r_const (largest r with 1 >= (4+r) E, E the
     p = 2 sandwich; +inf when B vanishes on the relevant subspace) and eps.
     """
-    return _check_a4_a5(spec, eps, tol, _sandwiches(spec, tol))
-
-
-def _check_a4_a5(spec: QuadraticSpec, eps: float, tol: float, sw) -> ConditionReport:
     rep = ConditionReport()
     rep.values["eps"] = float(eps)
     scale = 1.0  # the tested inequality 1 >= 4 E is already scale-free
@@ -208,7 +284,7 @@ def check_all(spec: QuadraticSpec, tol: float = DEFAULT_TOL,
               eps: float = DEFAULT_EPS) -> ConditionReport:
     """Run the full ladder; downstream checks are undetermined when A1 or A2
     fail.  A3-A6 share one factorization of Omega_0^t and one p = 1
-    sandwich (see opcore.Sandwiches)."""
+    sandwich (see Sandwiches)."""
     rep = check_a1_a2(spec, tol)
     if rep.holds("A1") and rep.holds("A2"):
         sw = _sandwiches(spec, tol)

@@ -85,7 +85,6 @@ import bisect
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -117,16 +116,19 @@ PATH_SLACK = 1e-9
 CSV_HEADER = "t,hsB,c,minEigOmega,motionResidual,kNorm"
 
 
-@dataclass
 class Controls:
-    """Integrator configuration."""
+    """Integrator configuration; the class attributes are the defaults."""
 
-    tol: float = 1e-10
-    method: str = "rk"  # the only method; any other value is a ValueError
-    conv_tol: float = 1e-8
+    tol = 1e-10
+    method = "rk"  # the only method; any other value is a ValueError
+    conv_tol = 1e-8
+
+    def __init__(self, tol: float = tol, method: str = method, conv_tol: float = conv_tol):
+        self.tol = tol
+        self.method = method
+        self.conv_tol = conv_tol
 
 
-@dataclass
 class FlowState:
     """Flow variables at one time.
 
@@ -138,15 +140,19 @@ class FlowState:
     The c of a sample or of Trajectory.state_at is scalar_c of its Omega.
     """
 
-    t: float
-    omega: np.ndarray
-    b: np.ndarray
-    c: float
-    u: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    int_b: Optional[float] = None
-    dy: Optional[np.ndarray] = None
-    h: Optional[float] = None
+    def __init__(self, t: float, omega: np.ndarray, b: np.ndarray, c: float,
+                 u: Optional[np.ndarray] = None, v: Optional[np.ndarray] = None,
+                 int_b: Optional[float] = None, dy: Optional[np.ndarray] = None,
+                 h: Optional[float] = None):
+        self.t = t
+        self.omega = omega
+        self.b = b
+        self.c = c
+        self.u = u
+        self.v = v
+        self.int_b = int_b
+        self.dy = dy
+        self.h = h
 
     @property
     def hs_b(self) -> float:
@@ -157,25 +163,40 @@ class FlowState:
         return float(np.linalg.norm(self.b))
 
 
-@dataclass
 class FlowDiagnostics:
-    hs_b: float
-    c: float
-    min_eig_omega: float
-    motion_residual: float        # |tr(Omega^2 - 4 B B~) - initial|
-    k_norm: float                 # ||Omega B - B Omega^t||_2
-    matrix_motion_residual: float  # ||(Omega^2 - 4 B B~) - initial||_2
-    omega_decrease_margin: float  # min eig (Omega_0 - Omega_t)
-    square_mono_margin: float     # min eig ((Om_t^2 - 8 BB~) - (Om_0^2 - 8 B0B0~))
+    """The diagnostics of one sample; __slots__ names them in order, and
+    each is a column of Trajectory.column."""
+
+    __slots__ = (
+        "hs_b", "c", "min_eig_omega",
+        "motion_residual",         # |tr(Omega^2 - 4 B B~) - initial|
+        "k_norm",                  # ||Omega B - B Omega^t||_2
+        "matrix_motion_residual",  # ||(Omega^2 - 4 B B~) - initial||_2
+        "omega_decrease_margin",   # min eig (Omega_0 - Omega_t)
+        "square_mono_margin",      # min eig ((Om_t^2 - 8 BB~) - (Om_0^2 - 8 B0B0~))
+    )
+
+    def __init__(self, hs_b: float, c: float, min_eig_omega: float, motion_residual: float,
+                 k_norm: float, matrix_motion_residual: float, omega_decrease_margin: float,
+                 square_mono_margin: float):
+        self.hs_b = hs_b
+        self.c = c
+        self.min_eig_omega = min_eig_omega
+        self.motion_residual = motion_residual
+        self.k_norm = k_norm
+        self.matrix_motion_residual = matrix_motion_residual
+        self.omega_decrease_margin = omega_decrease_margin
+        self.square_mono_margin = square_mono_margin
 
 
-@dataclass
 class FlowEvent:
-    kind: str  # "blowup" or "underflow"
-    t: float
-    hs_b: float
-    message: str
-    t0_lower_bound: float = 0.0
+    def __init__(self, kind: str, t: float, hs_b: float, message: str,
+                 t0_lower_bound: float = 0.0):
+        self.kind = kind  # "blowup" or "underflow"
+        self.t = t
+        self.hs_b = hs_b
+        self.message = message
+        self.t0_lower_bound = t0_lower_bound
 
 
 def t0_horizon(hs_b0: float) -> float:
@@ -609,7 +630,7 @@ class Trajectory:
     @property
     def diags(self) -> list:
         """FlowDiagnostics for every sample (every column is computed)."""
-        cols = [self.column(f.name) for f in fields(FlowDiagnostics)]
+        cols = [self.column(name) for name in FlowDiagnostics.__slots__]
         return [FlowDiagnostics(*map(float, row)) for row in zip(*cols)]
 
     @property
@@ -868,13 +889,14 @@ def limit_extract(traj: Trajectory):
     return traj.final.omega.copy(), traj.final.c, traj.converged()
 
 
-@dataclass
 class DecayFit:
-    rate: float
-    log_intercept: float
-    n_samples: int
-    window: tuple
-    max_residual: float = 0.0
+    def __init__(self, rate: float, log_intercept: float, n_samples: int, window: tuple,
+                 max_residual: float = 0.0):
+        self.rate = rate
+        self.log_intercept = log_intercept
+        self.n_samples = n_samples
+        self.window = window
+        self.max_residual = max_residual
 
 
 def decay_fit(traj: Trajectory, window: Optional[tuple] = None) -> DecayFit:

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
@@ -95,15 +94,16 @@ MIN_BLOCK_STATES = 16
 HOP, PAIR = 0, 1
 
 
-@dataclass
 class TruncatedFock:
     """Occupation basis of n_modes bosons with total number <= cutoff."""
 
-    n_modes: int
-    cutoff: int
-    occs: np.ndarray            # (dim, n_modes) int occupation rows
-    ntot: np.ndarray            # (dim,) total occupation per row
-    _tables: dict = field(default_factory=dict, repr=False)
+    def __init__(self, n_modes: int, cutoff: int, occs: np.ndarray, ntot: np.ndarray,
+                 _tables: Optional[dict] = None):
+        self.n_modes = n_modes
+        self.cutoff = cutoff
+        self.occs = occs  # (dim, n_modes) int occupation rows
+        self.ntot = ntot  # (dim,) total occupation per row
+        self._tables = {} if _tables is None else _tables
 
     @property
     def dim(self) -> int:

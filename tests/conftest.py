@@ -4,7 +4,7 @@ import hypothesis
 import pytest
 
 import bwflow
-from bwflow import analytic, flow
+from bwflow import analytic, conditions, flow
 
 # the directory that holds this bwflow package
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bwflow.__file__)))
@@ -38,3 +38,13 @@ def writes_into(f):
     def fun(t, y, out):
         out[...] = f(t, y)
     return fun
+
+
+def check_a3_a6(spec, tol=conditions.DEFAULT_TOL):
+    """A3 and A6 of spec on their own, as check_all finds them."""
+    return conditions._check_a3_a6(spec, tol, conditions._sandwiches(spec, tol))
+
+
+def check_a4_a5(spec, eps=conditions.DEFAULT_EPS, tol=conditions.DEFAULT_TOL):
+    """A4 and A5 of spec on their own, as check_all finds them."""
+    return conditions._check_a4_a5(spec, eps, tol, conditions._sandwiches(spec, tol))

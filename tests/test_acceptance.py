@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from bwflow import analytic, bogoliubov, conditions, flow, fock
+from bwflow.conditions import Sandwiches
 from bwflow.errors import BlowupDetected
-from bwflow.opcore import (QuadraticSpec, Sandwiches, hs_norm, min_eig_hermitian,
-                           psd_sqrt)
+from bwflow.opcore import QuadraticSpec, hs_norm, min_eig_hermitian, psd_sqrt
+from conftest import check_a3_a6
 from flow_reference import asymptotic_bound_check, dyson_uv
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -260,7 +261,7 @@ def test_ac9_decay_rate(ac1_run, flat_run):
     fit = flow.decay_fit(traj)
     rel = abs(fit.rate - 2.0 * np.sqrt(5.0)) / (2.0 * np.sqrt(5.0))
     flat_spec, flat_traj = flat_run
-    gap_nu = conditions.check_a3_a6(flat_spec).values["gap_nu"]
+    gap_nu = check_a3_a6(flat_spec).values["gap_nu"]
     flat_fit = flow.decay_fit(flat_traj)
     ok = rel <= 0.05 and flat_fit.rate >= 2.0 * gap_nu
     _report("AC-9", ok,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwflow import analytic, bogoliubov, cli, flow, fock
+from bwflow import analytic, bogoliubov, cli, cli_fock_verify, flow, fock
 from bwflow.errors import ParseError, StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec, hs_norm
 from conftest import SRC, fresh_env
@@ -697,17 +697,30 @@ _MODULES_AFTER = (
     "print('\\n'.join(sorted(sys.modules)))\n")
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    ([], ()),
-    (["check", "{spec}", "--json", "check.json"], ("flow", "stepping", "bogoliubov", "fock")),
-    (["run", "{spec}", "--t-end", "5", "--csv", "run.csv"], ("bogoliubov", "fock", "conditions")),
-    (["diag", "{spec}", "--t-end", "5", "--json", "diag.json"], ("fock", "conditions")),
-    (["fock-verify", "{spec}", "--cutoff", "8"], ("bogoliubov", "conditions")),
-], ids=["import", "check", "run", "diag", "fock-verify"])
-def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
+_HANDLERS = {"cli_check", "cli_run", "cli_diag", "cli_fock_verify", "cli_oracle", "cli_batch"}
+
+
+@pytest.mark.parametrize("argv, handlers, unloaded", [
+    ([], (), ()),
+    (["check", "{spec}", "--json", "check.json"], ("cli_check",),
+     ("flow", "stepping", "bogoliubov", "fock")),
+    (["run", "{spec}", "--t-end", "5", "--csv", "run.csv"], ("cli_run",),
+     ("bogoliubov", "fock", "conditions")),
+    (["diag", "{spec}", "--t-end", "5", "--json", "diag.json"], ("cli_diag",),
+     ("fock", "conditions")),
+    (["fock-verify", "{spec}", "--cutoff", "8"], ("cli_fock_verify",),
+     ("bogoliubov", "conditions")),
+    (["oracle", "generic", "1", "2", "0.5", "--csv", "0:1:0.5"], ("cli_oracle",),
+     ("bogoliubov", "fock", "conditions")),
+    # batch runs each spec through run's handler
+    (["batch", "{spec}", "--t-end", "5"], ("cli_batch", "cli_run"),
+     ("bogoliubov", "fock", "conditions")),
+], ids=["import", "check", "run", "diag", "fock-verify", "oracle", "batch"])
+def test_command_loads_only_its_modules(tmp_path, argv, handlers, unloaded):
     # each command in a fresh interpreter: the import alone loads the front
-    # end (and not batch's concurrent.futures), a command adds what it runs,
-    # and none loads scipy or numpy.ma
+    # end (and not batch's concurrent.futures), a command adds its own
+    # handler module and what it runs, and none loads scipy, numpy.ma or
+    # dataclasses
     spec = str(tmp_path / "readme.json")
     assert cli.main(["oracle", "generic", "1", "2", "0.5", "--out", spec]) == cli.EXIT_OK
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,
@@ -720,9 +733,81 @@ def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
     if not argv:
         assert ours == {"bwflow", "bwflow.cli", "bwflow.errors", "bwflow.opcore"}
         assert "concurrent.futures" not in loaded
+    assert {m.partition(".")[2] for m in ours} & _HANDLERS == set(handlers)
     assert not ours & {f"bwflow.{name}" for name in unloaded}
-    assert not {m for m in loaded
-                if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"]}
+    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "dataclasses")
+                or m.split(".")[:2] == ["numpy", "ma"]}
+
+
+def _imported(importtime_log: str) -> list:
+    """The modules a -X importtime log records as loaded by an import statement."""
+    return [ln.rsplit("|", 1)[1].strip() for ln in importtime_log.splitlines()
+            if ln.startswith("import time:") and ln.count("|") == 2]
+
+
+def test_module_entry_loads_the_front_end_once(tmp_path):
+    # under python -m the front end runs as __main__; the handler's import of
+    # bwflow.cli must find it, not compile and run cli.py a second time
+    spec = str(tmp_path / "readme.json")
+    assert cli.main(["oracle", "generic", "1", "2", "0.5", "--out", spec]) == cli.EXIT_OK
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "bwflow.cli",
+                           "run", spec, "--t-end", "5"],
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("converged: yes")
+    assert "bwflow.cli" not in _imported(proc.stderr)
+    # the same log does record the front end when a handler loads it itself
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import bwflow.cli_run"],
+                          cwd=tmp_path, env=fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _imported(proc.stderr).count("bwflow.cli") == 1
+
+
+# Runs cli.main on each argv of a JSON list and prints, as JSON, each exit
+# code (SystemExit's included), stdout and stderr, and the bwflow modules
+# then loaded.
+_MAIN_EACH = (
+    "import contextlib, io, json, sys\n"
+    "import bwflow.cli as cli\n"
+    "results = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        try:\n"
+    "            code = cli.main(argv)\n"
+    "        except SystemExit as exc:\n"
+    "            code = exc.code\n"
+    "    results.append([code, out.getvalue(), err.getvalue()])\n"
+    "print(json.dumps([results, sorted(m for m in sys.modules if m.startswith('bwflow'))]))\n")
+
+
+def test_usage_errors_and_help_load_no_handler(tmp_path, monkeypatch):
+    # main parses before it imports a handler: no command, an unknown one
+    # and each command's --help end in argparse's own exit code and text,
+    # as the parser alone gives them, with no handler module loaded
+    commands = ["check", "run", "diag", "fock-verify", "oracle", "batch"]
+    argvs = [[], ["nope"]] + [[cmd, "--help"] for cmd in commands]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    proc = subprocess.run([sys.executable, "-c", _MAIN_EACH, json.dumps(argvs)], cwd=tmp_path,
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results, loaded = json.loads(proc.stdout)
+    assert loaded == ["bwflow", "bwflow.cli", "bwflow.errors", "bwflow.opcore"]
+    for argv, got in zip(argvs, results):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+        assert got == [exc.value.code, out.getvalue(), err.getvalue()], argv
+    usage = "usage: bwflow [-h] {check,run,diag,fock-verify,oracle,batch} ...\n"
+    assert results[0] == [2, "", usage + "bwflow: error: the following arguments are "
+                          "required: command\n"]
+    assert results[1][:2] == [2, ""] and results[1][2].startswith(usage)
+    assert "invalid choice: 'nope'" in results[1][2]
+    for cmd, (code, out, err) in zip(commands, results[2:]):
+        assert (code, err) == (0, "") and out.startswith(f"usage: bwflow {cmd} [-h]")
 
 
 def test_bare_package_import_resolves_every_public_name():
@@ -833,7 +918,7 @@ def test_fock_verify_rejects_cutoff_below_4(generic_file, capsys, cutoff):
     assert capsys.readouterr() == ("", "parse error: cutoff must be at least 4\n")
     args = cli.build_parser().parse_args(["fock-verify", generic_file, "--cutoff", cutoff])
     with pytest.raises(ParseError) as err:
-        cli.cmd_fock_verify(args)
+        cli_fock_verify.handle(args)
     assert err.value.field == "cutoff"
 
 

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bwflow import conditions, opcore
+from bwflow import conditions
 from bwflow.analytic import block_spec, mixed_family
 from bwflow.errors import KernelOverlap
-from bwflow.opcore import QuadraticSpec, Sandwiches, min_eig_hermitian
+from bwflow.conditions import Sandwiches
+from bwflow.opcore import QuadraticSpec, min_eig_hermitian
+from conftest import check_a3_a6, check_a4_a5
 
 
 def spec_of(omega, b, **kw):
@@ -33,7 +35,7 @@ def test_equal_product_block_is_borderline():
 
 
 def test_a3_failure_margin():
-    rep = conditions.check_a3_a6(block_spec([(1.0, 2.0, 0.8)]))
+    rep = check_a3_a6(block_spec([(1.0, 2.0, 0.8)]))
     assert not rep.holds("A3") and not rep.holds("A6")
     assert np.isclose(rep.margins["A3"], -0.56)
 
@@ -46,7 +48,7 @@ def test_blowup_spec_fails_a3():
 
 def test_a4_norm_value():
     # tr B (Omega^t)^{-1} B~ = 1/8 + 1/4 for the generic block
-    rep = conditions.check_a4_a5(block_spec([(1.0, 2.0, 0.5)]))
+    rep = check_a4_a5(block_spec([(1.0, 2.0, 0.5)]))
     assert np.isclose(rep.values["a4_norm"], np.sqrt(0.375))
     assert rep.values["eps"] == 0.5
     # tr B (Omega^t)^{-3} B~ = 1/4 (1 + 1/8) at the default eps = 1/2
@@ -187,7 +189,7 @@ def test_check_all_factors_omega_once_and_matches_the_per_call_formulas(name, mo
     tol, eps = conditions.DEFAULT_TOL, 0.25
     made = []
 
-    class Counted(opcore.Sandwiches):
+    class Counted(conditions.Sandwiches):
         def __init__(self, *args, **kw):
             made.append(1)
             super().__init__(*args, **kw)
@@ -206,6 +208,6 @@ def test_check_all_factors_omega_once_and_matches_the_per_call_formulas(name, mo
         assert got == want  # bit for bit
         assert rep.margins["A6"] == want["A3"] and rep.margins["A4"] == want["a4_norm"]
     # the checks on their own give check_all's verdicts, margins and values
-    alone = conditions.check_a3_a6(spec, tol).merge(conditions.check_a4_a5(spec, eps, tol))
+    alone = check_a3_a6(spec, tol).merge(check_a4_a5(spec, eps, tol))
     for part in ("verdicts", "margins", "values"):
         assert getattr(alone, part).items() <= getattr(rep, part).items()

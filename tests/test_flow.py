@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from bwflow import analytic, flow
 from bwflow.errors import (BlowupDetected, InsufficientData, NotConverged,
                            NotPSD, PathGap)
-from bwflow.opcore import QuadraticSpec, Sandwiches, hs_norm, min_eig_hermitian
+from bwflow.conditions import Sandwiches
+from bwflow.opcore import QuadraticSpec, hs_norm, min_eig_hermitian
 from bwflow.stepping import DormandPrince, drive
 from flow_reference import CarriedRhsReference, asymptotic_bound_check
 
@@ -185,7 +186,7 @@ def test_lazy_columns_match_per_sample_reference():
     assert traj.stats["n_tail"] > 0
     atol = 8 * np.finfo(float).eps * hs_norm(spec.omega) ** 2
     expected = [reference_diagnostics(s, spec) for s in traj.states]
-    for name in flow.FlowDiagnostics.__dataclass_fields__:
+    for name in flow.FlowDiagnostics.__slots__:
         ref = np.array([getattr(d, name) for d in expected])
         assert np.allclose(traj.column(name), ref, rtol=1e-13, atol=atol), name
         assert np.allclose([getattr(d, name) for d in traj.diags], ref,

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bwflow.conditions import Sandwiches
 from bwflow.errors import KernelOverlap, NotPSD, RoleViolation
-from bwflow.opcore import (OneParticleOperator, QuadraticSpec, Sandwiches, as_matrix,
-                           hs_norm, hs_scale, min_eig_hermitian, psd_sqrt)
+from bwflow.opcore import (OneParticleOperator, QuadraticSpec, as_matrix, hs_norm, hs_scale,
+                           min_eig_hermitian, psd_sqrt)
 from flow_reference import psd_power
 
 
