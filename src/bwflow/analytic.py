@@ -17,16 +17,19 @@ om_+ om_- - 4 b^2 decides:
 
 exact_block evaluates the closed form of a block's regime, together with
 int_0^t b(tau)^2 dtau, which feeds the scalar coefficient C_t and its
-checks.  The families (block_spec, pivotal_family, mixed_family) assemble
-block-diagonal specs, and exact_limit_block gives their limit.
+checks.  block_spec assembles a spec of block triples, such as those of the
+pivotal_blocks and mixed_blocks families, and exact_limit_block gives the
+limit in closed form.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotInRegime, OutOfRange, PastBlowup
-from .opcore import OneParticleOperator, QuadraticSpec, psd_sqrt
+from .opcore import OneParticleOperator, QuadraticSpec
 
 # relative tolerance for deciding membership of the equal-product manifold
 PRODUCT_TOL = 1e-12
@@ -58,10 +61,6 @@ def _as_times(t):
     if np.any(arr < 0):
         raise OutOfRange("t must be nonnegative")
     return arr, (arr.ndim == 0)
-
-
-def _ret(x, scalar: bool):
-    return float(x) if scalar else np.asarray(x, dtype=float)
 
 
 def block_spec(blocks, c0: float = 0.0, label: str = "") -> QuadraticSpec:
@@ -188,7 +187,7 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
         ib = b * tan / 8.0
     else:
         raise OutOfRange("no closed form for a block with om_+ om_- < 4 b^2 and Omega != 0")
-    return tuple(_ret(x, scalar) for x in (omm, omp, bt2, ib))
+    return tuple(float(x) if scalar else np.asarray(x, float) for x in (omm, omp, bt2, ib))
 
 
 def blowup_time(b: float) -> float:
@@ -200,31 +199,34 @@ def exact_limit_block(blocks) -> OneParticleOperator:
     """Limit matrix S0_minus + sqrt(S0_plus^2 - 4 B0 B0~) of a block family.
 
     S0_{+-} = (Omega_0 +- Omega_hat_0)/2 where Omega_hat_0 swaps the two
-    diagonal entries of each block.  Per block this evaluates to
-    diag((rho-delta)/2, (rho+delta)/2) with delta = om_+ - om_- and
-    rho = sqrt((om_- + om_+)^2 - 16 b^2).
+    diagonal entries of each block.  Per block this is diag(2g/(rho+delta),
+    (rho+delta)/2) with the gap g = om_+ om_- - 4 b^2, delta = om_+ - om_-
+    and rho = hypot(delta, 2 sqrt(g)), which cancel nowhere: g is formed
+    exactly and rounded once, and with r = sqrt(g) the entries are r (r/eps_+)
+    and eps_+ = hypot(delta/2, r) + delta/2, so none overflows.  A block
+    with b = 0 is at rest, its limit (om_-, om_+).  A block in the blowup or
+    negative-gap regime of block_regime raises NotInRegime.
     """
-    blocks = _as_blocks(blocks)
-    n = 2 * len(blocks)
-    limit = np.zeros((n, n), dtype=complex)
-    for j, (om_minus, om_plus, b) in enumerate(blocks):
-        _check_block(om_minus, om_plus, b)
-        gap, scale = _gap(om_minus, om_plus, b)
-        if gap < -PRODUCT_TOL * scale:
-            raise NotInRegime(
-                f"block {j}: om_+ om_- - 4 b^2 = {gap:.3e} is negative")
-        omega = np.diag([om_minus, om_plus]).astype(complex)
-        omega_hat = np.diag([om_plus, om_minus]).astype(complex)
-        bmat = np.array([[0.0, b], [b, 0.0]], dtype=complex)
-        s_minus = (omega - omega_hat) / 2
-        s_plus = (omega + omega_hat) / 2
-        core = s_plus @ s_plus - 4.0 * bmat @ bmat.conj()
-        sl = slice(2 * j, 2 * j + 2)
-        limit[sl, sl] = s_minus + psd_sqrt(core).mat
-    return OneParticleOperator.hermitian(limit, sym_tol=np.inf)
+    from fractions import Fraction  # only tests and scripts take limits
+
+    diag = []
+    for j, (om_minus, om_plus, b) in enumerate(_as_blocks(blocks)):
+        regime = block_regime(om_minus, om_plus, b)
+        if regime in ("negative-gap", "blowup"):
+            raise NotInRegime(f"block {j} is in the {regime} regime, which has no limit")
+        if b == 0:
+            diag += [om_minus, om_plus]
+            continue
+        g = max(Fraction(om_plus) * Fraction(om_minus) - 4 * Fraction(b) ** 2, 0)
+        k = (g.numerator.bit_length() - g.denominator.bit_length()) // 2
+        root = math.ldexp(math.sqrt(g * Fraction(4) ** -k), k)  # g 4^-k is near 1
+        half = (om_plus - om_minus) / 2
+        eps_plus = math.hypot(half, root) + half
+        diag += [root * (root / eps_plus) if root else 0.0, eps_plus]
+    return OneParticleOperator.hermitian(np.diag(diag).astype(complex), sym_tol=np.inf)
 
 
-def pivotal_family(k_max: int, c0: float = 0.0) -> QuadraticSpec:
+def pivotal_blocks(k_max: int) -> list:
     """Blocks b_k = 2^{-k}, om_{+-,k} = 2 sqrt(2) b_k for k = 1..k_max.
 
     Every block sits in the strict-gap regime with the slowest rate scaling
@@ -238,10 +240,15 @@ def pivotal_family(k_max: int, c0: float = 0.0) -> QuadraticSpec:
         bk = 2.0 ** (-k)
         omk = 2.0 * np.sqrt(2.0) * bk
         blocks.append((omk, omk, bk))
-    return block_spec(blocks, c0=c0, label=f"pivotal-{k_max}")
+    return blocks
 
 
-def mixed_family(b1: float, k_max: int, c0: float = 0.0) -> QuadraticSpec:
+def pivotal_family(k_max: int, c0: float = 0.0) -> QuadraticSpec:
+    """The spec of pivotal_blocks(k_max)."""
+    return block_spec(pivotal_blocks(k_max), c0=c0, label=f"pivotal-{k_max}")
+
+
+def mixed_blocks(b1: float, k_max: int) -> list:
     """Head block (1, 2, b1) with 1/2 < b1 < 1/sqrt(2), tail blocks
     b_k = 2^{-k}, om_{+-,k} = (3/4)^k for k = 2..k_max.
 
@@ -252,7 +259,10 @@ def mixed_family(b1: float, k_max: int, c0: float = 0.0) -> QuadraticSpec:
         raise OutOfRange("b1 must lie strictly between 1/2 and 1/sqrt(2)")
     if k_max < 2:
         raise OutOfRange("k_max must be >= 2")
-    blocks = [(1.0, 2.0, float(b1))]
-    for k in range(2, k_max + 1):
-        blocks.append(((3.0 / 4.0) ** k, (3.0 / 4.0) ** k, 2.0 ** (-k)))
-    return block_spec(blocks, c0=c0, label=f"mixed-{b1}-{k_max}")
+    return [(1.0, 2.0, float(b1))] + [((3.0 / 4.0) ** k, (3.0 / 4.0) ** k, 2.0 ** (-k))
+                                      for k in range(2, k_max + 1)]
+
+
+def mixed_family(b1: float, k_max: int, c0: float = 0.0) -> QuadraticSpec:
+    """The spec of mixed_blocks(b1, k_max)."""
+    return block_spec(mixed_blocks(b1, k_max), c0=c0, label=f"mixed-{b1}-{k_max}")

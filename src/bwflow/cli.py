@@ -145,11 +145,15 @@ def spec_from_doc(doc, source: str = "<doc>") -> QuadraticSpec:
             spec = QuadraticSpec.from_matrices(omega, b, c0=c0, label=label)
         except (ValueError, BwflowError) as exc:
             raise ParseError(f"{source}: {exc}")
-    # the hermitian and symmetric parts halve a sum, which overflows for
-    # entries near the float range
+    _require_finite(spec, source)
+    return spec
+
+
+def _require_finite(spec: QuadraticSpec, source: str) -> None:
+    """Refuse a spec whose Omega or B is not finite: the hermitian and
+    symmetric parts halve a sum, which overflows near the float range."""
     _require(np.isfinite(spec.omega).all() and np.isfinite(spec.b).all(),
              f"{source}: Omega or B is not finite once made hermitian/symmetric")
-    return spec
 
 
 def parse_spec_text(text: str, source: str = "<string>") -> QuadraticSpec:
@@ -187,8 +191,19 @@ def spec_to_doc(spec: QuadraticSpec) -> dict:
 def dump_spec(spec: QuadraticSpec, fh, comments=()) -> None:
     for line in comments:
         fh.write(f"# {line}\n")
-    json.dump(spec_to_doc(spec), fh, indent=2)
+    _dump_json(spec_to_doc(spec), fh)
+
+
+def _dump_json(doc: dict, fh) -> None:
+    """doc as indented JSON and a newline; numpy arrays become lists."""
+    json.dump(doc, fh, indent=2, default=lambda x: x.tolist())
     fh.write("\n")
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """The JSON record of a command (check --json, diag --json) at path."""
+    with _open_output(path) as fh:
+        _dump_json(doc, fh)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 import numpy as np
 
 from . import conditions
-from .cli import EXIT_CONDITION, EXIT_OK, _check_output, _open_output, load_spec
+from .cli import EXIT_CONDITION, EXIT_OK, _check_output, _write_json, load_spec
 from .errors import ParseError
 
 _CONDITION_ORDER = ("A1", "A2", "A3", "A4", "A5", "A6", "FB", "KM")
@@ -43,8 +42,6 @@ def handle(args) -> int:
     if args.json:
         doc = {"label": spec.label, "verdicts": rep.verdicts,
                "margins": rep.margins, "values": rep.values}
-        with _open_output(args.json) as fh:
-            json.dump(doc, fh, indent=2, default=lambda x: x.tolist())
-            fh.write("\n")
+        _write_json(args.json, doc)
     ok = all(rep.holds(name) for name in ("A1", "A2", "A3"))
     return EXIT_OK if ok else EXIT_CONDITION

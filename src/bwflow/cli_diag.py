@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import sys
 
 import numpy as np
 
 from . import bogoliubov, flow
 from .cli import (EXIT_CONDITION, EXIT_NOT_CONVERGED, EXIT_OK, _check_output, _controls,
-                  _matrix_to_pairs, _open_output, load_spec)
+                  _matrix_to_pairs, _write_json, load_spec)
 from .opcore import hs_norm
 
 # diag's gate on the transform round trip against the flow state (AC-6)
@@ -94,9 +93,7 @@ def handle(args) -> int:
             "alphas": decomp.alphas,
             "h_matrix": _matrix_to_pairs(decomp.h_matrix),
         }
-        with _open_output(args.json) as fh:
-            json.dump(doc, fh, indent=2, default=lambda x: x.tolist())
-            fh.write("\n")
+        _write_json(args.json, doc)
     failed = [name for name, ok in (("norm bounds", holds_u and holds_v),
                                     ("transform round trip",
                                      max(d_om, d_b, d_c) <= ROUNDTRIP_TOL)) if not ok]

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import analytic
 from .cli import (EXIT_OK, ORACLE_FAMILIES, _check_output, _max_dim, _open_output, _require,
-                  _scalar_sign, dump_spec)
+                  _require_finite, _scalar_sign, dump_spec)
 from .errors import NotInRegime, NotOnManifold, OutOfRange, ParseError
 
 # Most points an oracle --csv grid may hold.
@@ -31,34 +31,34 @@ def _parse_grid(raw: str) -> np.ndarray:
     if not (stop - start) / step < MAX_GRID_POINTS:
         raise ParseError(f"grid has more than {MAX_GRID_POINTS} points", field="csv")
     n = int(round((stop - start) / step))
-    ts = start + step * np.arange(n + 1)
-    return ts[ts <= stop + 1e-12 * max(1.0, abs(stop))]
-
-
-def block_trajectory_rows(blocks, ts: np.ndarray, c0: float, scalar_sign: float):
-    """Exact per-sample CSV columns for a block family."""
-    ts = np.asarray(ts, dtype=float)
-    hsb2 = np.zeros_like(ts)
-    int_total = np.zeros_like(ts)
-    knorm2 = np.zeros_like(ts)
-    min_eig = np.full_like(ts, np.inf)
-    for om_minus, om_plus, b in blocks:
-        omm, omp, bt2, ib = analytic.exact_block(float(om_minus), float(om_plus),
-                                                 float(b), ts)
-        delta = float(om_plus) - float(om_minus)
-        hsb2 += 2.0 * bt2
-        int_total += 2.0 * ib
-        knorm2 += 2.0 * bt2 * delta * delta
-        min_eig = np.minimum(min_eig, np.minimum(omm, omp))
-    c = c0 + scalar_sign * 8.0 * int_total
-    return np.sqrt(hsb2), c, min_eig, np.sqrt(knorm2)
+    with np.errstate(over="ignore"):  # a point past the float range lies past stop
+        ts = start + step * np.arange(n + 1)
+    return ts[(ts <= stop + 1e-12 * max(1.0, abs(stop))) & np.isfinite(ts)]
 
 
 def write_exact_csv(blocks, ts: np.ndarray, fh, c0: float, scalar_sign: float) -> None:
+    """The exact CSV of a block family on the grid ts.  The closed forms
+    overflow silently in the float range, and a row that is not finite
+    there raises OutOfRange before any row is written."""
     from . import flow  # only --csv writes rows, and flow loads the stepper
 
-    hsb, c, min_eig, knorm = block_trajectory_rows(blocks, ts, c0, scalar_sign)
-    flow.write_csv_rows(fh, (ts, hsb, c, min_eig, np.zeros_like(hsb), knorm))
+    hsb2, int_total, knorm2 = np.zeros((3, len(ts)))
+    min_eig = np.full_like(ts, np.inf)
+    with np.errstate(all="ignore"):
+        for om_minus, om_plus, b in blocks:
+            omm, omp, bt2, ib = analytic.exact_block(float(om_minus), float(om_plus),
+                                                     float(b), ts)
+            delta = float(om_plus) - float(om_minus)
+            hsb2 += 2.0 * bt2
+            int_total += 2.0 * ib
+            knorm2 += 2.0 * bt2 * delta * delta
+            min_eig = np.minimum(min_eig, np.minimum(omm, omp))
+        cols = (ts, np.sqrt(hsb2), c0 + scalar_sign * 8.0 * int_total, min_eig,
+                np.zeros_like(ts), np.sqrt(knorm2))
+    bad = ~np.isfinite(cols).all(axis=0)
+    if bad.any():
+        raise OutOfRange(f"the exact CSV is not finite at t = {ts[bad][0]:g}")
+    flow.write_csv_rows(fh, cols)
 
 
 def _oracle_param(raw: str, family: str, kind=float):
@@ -84,13 +84,6 @@ def _oracle_blocks(family: str, params) -> tuple:
         # run refuses the spec past BWFLOW_MAX_DIM; refuse to build it too
         _require(2 * k <= _max_dim(),
                  f"dimension {2 * k} exceeds BWFLOW_MAX_DIM = {_max_dim()}", "params")
-
-    def _spec_blocks(spec):
-        # the triples read back out of a family spec of 2x2 blocks
-        return [(float(spec.omega[2 * j, 2 * j].real),
-                 float(spec.omega[2 * j + 1, 2 * j + 1].real),
-                 float(spec.b[2 * j, 2 * j + 1].real))
-                for j in range(spec.dim // 2)], spec.label, []
 
     if family in ("generic", "equal-product"):
         om_minus, om_plus, b = _floats(3, "omegaMinus omegaPlus b")
@@ -118,20 +111,22 @@ def _oracle_blocks(family: str, params) -> tuple:
             raise OutOfRange("pivotal expects one parameter K")
         k = _oracle_param(params[0], family, int)
         _blocks_fit(k)
-        return _spec_blocks(analytic.pivotal_family(k))
+        return analytic.pivotal_blocks(k), f"pivotal-{k}", []
     if family == "mixed":
         if len(params) != 2:
             raise OutOfRange("mixed expects two parameters: b1 K")
         b1, k = _oracle_param(params[0], family), _oracle_param(params[1], family, int)
         _blocks_fit(k)
-        return _spec_blocks(analytic.mixed_family(b1, k))
+        return analytic.mixed_blocks(b1, k), f"mixed-{b1}-{k}", []
     raise OutOfRange(f"unknown family {family!r}; choose from {ORACLE_FAMILIES}")
 
 
 def handle(args) -> int:
     _require(math.isfinite(args.c0), "--c0 must be a finite real number", "c0")
     blocks, label, comments = _oracle_blocks(args.family, args.params)
-    spec = analytic.block_spec(blocks, c0=args.c0, label=label)
+    with np.errstate(all="ignore"):  # a spec past the float range is refused below
+        spec = analytic.block_spec(blocks, c0=args.c0, label=label)
+    _require_finite(spec, label)
     _check_output(args.out)
 
     if args.out:

@@ -519,7 +519,7 @@ def check_span(path, s: float, t: float) -> None:
     tau within PATH_SLACK of the window at path_time(path, tau), so callers
     pass their times unclamped.  A span [s, t] with t < s is a ValueError,
     and a span or call more than PATH_SLACK outside the window a PathGap.
-    Trajectory, FunctionBPath and wrappers that forward to them comply."""
+    Trajectory and wrappers that forward to it comply."""
     if t < s:
         raise ValueError("require s <= t")
     if s < path.t0 - PATH_SLACK or t > path.t1 + PATH_SLACK:
@@ -732,22 +732,6 @@ def write_csv_rows(fh, cols) -> None:
         fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-class FunctionBPath:
-    """Wrap an explicit function t -> B matrix, called only inside [t0, t1],
-    as a B-path on [t0, t1] (see check_span).
-
-    Its samples are complex128, so fock.propagate steps it in complex
-    arithmetic even where the function is real."""
-
-    def __init__(self, fn, t0: float, t1: float):
-        self._fn = fn
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return np.asarray(self._fn(path_time(self, t)), dtype=complex)
-
-
 def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = None,
               scalar_sign: Optional[float] = None) -> Trajectory:
     """Integrate the flow from spec over [0, t_end].
@@ -817,7 +801,7 @@ def integrate(spec: QuadraticSpec, t_end: float, controls: Optional[Controls] = 
     events = []
 
     def finish(extra_stats):
-        stats = {"hs_b0": hs_b0, "scalar_sign": sign, "t_end": t_end}
+        stats = {"hs_b0": hs_b0, "t_end": t_end}
         stats.update(extra_stats)
         traj = Trajectory(spec, controls, sign, recorder.samples, events, stats)
         traj.stats["wall_time"] = time.perf_counter() - start

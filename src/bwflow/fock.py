@@ -29,36 +29,24 @@ ladder factors, and hamiltonian_blocks sums the terms in the order of the
 sum of dense ladder products, so its blocks hold the entries of that dense
 matrix bit for bit (the tests keep the ladder-product construction as their
 reference).  hamiltonian_op scatters them into the dense matrix.  The
-unitarity and conjugation residuals and the ground energies take either
-the parity blocks or a dense operator, which is split into them.
+unitarity and conjugation residuals and the ground energies read every
+operator through parity_blocks, which takes the blocks, a dense operator
+or a QuadraticSpec.
 
 Because the basis is graded, the pair term S = sum_kl B_kl adag_k adag_l only
-maps sector N (total number N) to sector N + 2, and S* maps N + 2 back to N.
-S only joins states that the pair operators of B's nonzero entries connect,
-so U is zero between the connected components of that graph: with B =
-antidiag(b) on two modes, for instance, every component keeps n_1 - n_2.
-propagate therefore never forms G: it lays the components of each parity
-out on one common sector profile and applies -i G U = 2 (S U - S* U) as one
-small dense block S_{N+2,N} per sector to the whole stack of components,
-which is all it steps, with the tolerance rescaled so that the error
-criterion is that of the full U.  A B with every entry nonzero gives one
-component per parity.
-
-For real B the generator's -i G = 2 (S - S^t) is real, so U is real
-orthogonal, and a path whose B samples are real (a trajectory of a real
-spec; see QuadraticSpec.is_real) is propagated in float64 rather than
-complex128, at sqrt(2) times the block tolerance: the M imaginary parts of
-the complex blocks would be exactly zero and only dilute the stepper's RMS
-error norm over 2M real components by sqrt(2), so this is the same error
-criterion.  hamiltonian_blocks likewise builds a real H for a real spec,
-and the truncated ground energy is then a real symmetric eigenvalue problem.
+maps sector N (total number N) to sector N + 2, and it only joins states
+that the pair operators of B's nonzero entries connect: with B =
+antidiag(b) on two modes, every component of that graph keeps n_1 - n_2.
+propagate_blocks therefore never forms G: it steps the components alone,
+sector block by sector block.  For real B, -i G = 2 (S - S^t) is real and U
+real orthogonal, so a real path is propagated in float64, as
+hamiltonian_blocks builds a real H for a real spec.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from math import comb
 from typing import Optional
 
 import numpy as np
@@ -115,7 +103,7 @@ class TruncatedFock:
 
 def basis_dim(n_modes: int, cutoff: int) -> int:
     """Number of occupation states of n_modes bosons with total <= cutoff."""
-    return comb(n_modes + cutoff, n_modes)
+    return math.comb(n_modes + cutoff, n_modes)
 
 
 def build_basis(n_modes: int, cutoff: int) -> TruncatedFock:
@@ -425,9 +413,8 @@ def propagate_blocks(fock: TruncatedFock, bpath, s: float, t: float,
     float64 with the stepped tolerance times sqrt(2): the imaginary half of
     a complex U would be exactly zero and only dilute the RMS norm over its
     real components by sqrt(2), so this is again the same error criterion.
-    Any other B, such as that of a FunctionBPath, which returns complex128,
-    keeps U complex128.  A path that returns a complex B with a nonzero
-    imaginary part after a real first sample raises ValueError.
+    A complex128 B keeps U complex128, and a path that returns a complex B
+    with a nonzero imaginary part after a real first sample raises ValueError.
     """
     check_span(bpath, s, t)
     if t == s:
@@ -583,17 +570,10 @@ def n_diag_residual(fock: TruncatedFock, spec: QuadraticSpec) -> float:
 
 
 def ground_energy(fock: TruncatedFock, h) -> float:
-    """Lowest eigenvalue of the truncated H.
-
-    h may be a dense operator, a QuadraticSpec to build one from, or the
-    list of the parity blocks of H, whose lowest eigenvalue is the smaller
-    of the blocks' ones.  The dense and the block forms agree to rounding,
-    not bit for bit.
-    """
-    if isinstance(h, QuadraticSpec):
-        h = hamiltonian_op(fock, h)
-    blocks = [h] if isinstance(h, np.ndarray) else h
-    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0]) for b in blocks if len(b))
+    """Lowest eigenvalue of the truncated H, the smaller of its parity
+    blocks' lowest eigenvalues; h is an operator as parity_blocks takes it."""
+    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
+               for b in parity_blocks(fock, h) if len(b))
 
 
 def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) -> tuple:
@@ -602,11 +582,10 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
     digits are noise.
 
     h is as ground_energy takes it, and e0, when given, is
-    ground_energy(fock, h), already computed.  The basis of cutoff - 4 is
-    the leading basis_dim(n_modes, cutoff - 4) states of the graded basis,
-    and the leading states of each parity block, and H there is the leading
-    block of H or of its parity blocks: every ladder product between two of
-    those states passes only through states of those sectors.
+    ground_energy(fock, h), already computed.  The basis of cutoff - 4
+    holds the leading states of each parity block, and H there is the
+    leading block of each parity block of H: every ladder product between
+    two of those states passes only through states of those sectors.
 
     eigvalsh finds each E0 to within a few eps ||H||_2, and the shift is
     the difference of two of them, so its digits below about eps ||H||_2
@@ -618,15 +597,10 @@ def ground_truncation_shift(fock: TruncatedFock, h, e0: Optional[float] = None) 
     """
     if fock.cutoff < 4:
         raise ValueError("need cutoff >= 4 for the comparison basis")
-    if isinstance(h, QuadraticSpec):
-        h = hamiltonian_op(fock, h)
+    blocks = parity_blocks(fock, h)
     if e0 is None:
-        e0 = ground_energy(fock, h)
-    blocks = [h] if isinstance(h, np.ndarray) else h
-    if isinstance(h, np.ndarray):
-        dims = [basis_dim(fock.n_modes, fock.cutoff - 4)]
-    else:
-        dims = [_leading(fock, parity, fock.cutoff - 4) for parity in (0, 1)]
+        e0 = ground_energy(fock, blocks)
+    dims = [_leading(fock, parity, fock.cutoff - 4) for parity in (0, 1)]
     shift = abs(e0 - ground_energy(fock, [h_p[:d, :d] for h_p, d in zip(blocks, dims)]))
     floor = float(np.finfo(float).eps) * max(float(np.abs(b).sum(axis=1).max()) for b in blocks)
     return shift, floor

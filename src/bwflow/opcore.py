@@ -17,12 +17,11 @@ import math
 
 import numpy as np
 
-from .errors import KernelOverlap, NotPSD, RoleViolation
+from .errors import RoleViolation
 
-# Relative tolerances for structural checks.  All of them are scaled by the
-# Hilbert-Schmidt norm of the matrix being tested (floored at 1).
+# Relative tolerance for structural checks, scaled by the Hilbert-Schmidt
+# norm of the matrix being tested (floored at 1).
 SYM_TOL = 1e-10
-PSD_TOL = 1e-10
 
 
 def as_matrix(x) -> np.ndarray:
@@ -178,19 +177,3 @@ def min_eig_hermitian(x) -> float:
     if not np.isfinite(m).all():
         return math.nan
     return float(np.linalg.eigvalsh(m)[0])
-
-
-def psd_sqrt(x) -> OneParticleOperator:
-    """Principal square root of a hermitian PSD matrix.
-
-    Eigenvalues below ``-PSD_TOL * ||M||_2`` raise NotPSD; small negative
-    eigenvalues within the tolerance are clamped to zero.
-    """
-    m = as_matrix(x)
-    m = (m + m.conj().T) / 2
-    vals, vecs = np.linalg.eigh(m)
-    floor = -PSD_TOL * hs_scale(m)
-    if vals[0] < floor:
-        raise NotPSD(f"min eigenvalue {vals[0]:.3e} below {floor:.3e}")
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    return OneParticleOperator.hermitian((root + root.conj().T) / 2, sym_tol=np.inf)

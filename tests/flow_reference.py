@@ -1,7 +1,9 @@
 """Oracles of the flow that no command runs: the Dyson series of the (u, v)
 map, which AC-6 compares with the carried map, the t^-alpha envelope of
-||Omega_t^alpha B_t||_2, which AC-10 checks, and the product-then-scale
-right-hand side that flow._CarriedRhs must equal entry for entry.
+||Omega_t^alpha B_t||_2, which AC-10 checks, the product-then-scale
+right-hand side that flow._CarriedRhs must equal entry for entry, B-paths
+given by an explicit function (FunctionBPath), and PSD square roots and
+powers by eigendecomposition, which AC-5's limit matrix uses.
 """
 
 import functools
@@ -10,8 +12,12 @@ import math
 import numpy as np
 
 from bwflow.bogoliubov import BogoliubovMap
-from bwflow.flow import check_span
-from bwflow.opcore import as_matrix, hs_norm
+from bwflow.errors import NotPSD
+from bwflow.flow import check_span, path_time
+from bwflow.opcore import OneParticleOperator, as_matrix, hs_norm, hs_scale
+
+# Relative tolerance of psd_sqrt's PSD check, scaled by ||M||_2 floored at 1.
+PSD_TOL = 1e-10
 
 class CarriedRhsReference:
     """d/dt [Omega, B, u, v, I] in the product-then-scale form.
@@ -44,6 +50,22 @@ class CarriedRhsReference:
         np.multiply(p[3:1:-1], -4.0, out=d[2:])  # du = -4 v B~, dv = -4 u B
         out[-1] = math.sqrt(np.vdot(b, b).real)
         return out
+
+
+class FunctionBPath:
+    """Wrap an explicit function t -> B matrix, called only inside [t0, t1],
+    as a B-path on [t0, t1] (see flow.check_span).
+
+    Its samples are complex128, so fock.propagate steps it in complex
+    arithmetic even where the function is real."""
+
+    def __init__(self, fn, t0: float, t1: float):
+        self._fn = fn
+        self.t0 = float(t0)
+        self.t1 = float(t1)
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.asarray(self._fn(path_time(self, t)), dtype=complex)
 
 
 # Grid points of dyson_uv's cumulative integrals.
@@ -111,6 +133,22 @@ def dyson_uv(bpath, s: float, t: float, order: int) -> tuple:
     tails = {"u_tail_bound": float(max(np.cosh(x) - kept_u, 0.0)),
              "v_tail_bound": float(max(np.sinh(x) - kept_v, 0.0))}
     return BogoliubovMap(u=u[-1], v=v[-1], s=s, t=t), tails
+
+
+def psd_sqrt(x) -> OneParticleOperator:
+    """Principal square root of a hermitian PSD matrix.
+
+    Eigenvalues below ``-PSD_TOL * ||M||_2`` raise NotPSD; small negative
+    eigenvalues within the tolerance are clamped to zero.
+    """
+    m = as_matrix(x)
+    m = (m + m.conj().T) / 2
+    vals, vecs = np.linalg.eigh(m)
+    floor = -PSD_TOL * hs_scale(m)
+    if vals[0] < floor:
+        raise NotPSD(f"min eigenvalue {vals[0]:.3e} below {floor:.3e}")
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    return OneParticleOperator.hermitian((root + root.conj().T) / 2, sym_tol=np.inf)
 
 
 def psd_power(x, alpha: float) -> np.ndarray:

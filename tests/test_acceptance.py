@@ -12,9 +12,9 @@ import pytest
 from bwflow import analytic, bogoliubov, conditions, flow, fock
 from bwflow.conditions import Sandwiches
 from bwflow.errors import BlowupDetected
-from bwflow.opcore import QuadraticSpec, hs_norm, min_eig_hermitian, psd_sqrt
+from bwflow.opcore import QuadraticSpec, hs_norm, min_eig_hermitian
 from conftest import check_a3_a6
-from flow_reference import asymptotic_bound_check, dyson_uv
+from flow_reference import asymptotic_bound_check, dyson_uv, psd_sqrt
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -4,6 +4,10 @@ The reference numbers were computed once from independently transcribed
 formulas at 50-digit precision and pasted here verbatim.
 """
 
+import decimal
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -188,6 +192,45 @@ def test_exact_limit_block():
         analytic.exact_limit_block([(1.0, 2.0, 0.8)])
 
 
+def _limit_reference(om_minus, om_plus, b):
+    """((rho - delta)/2, (rho + delta)/2), rho = sqrt(sigma^2 - 16 b^2), the
+    textbook limit of a block, in decimal from the exact inputs.  For double
+    inputs each of its two cancellations takes at most about 1300 of the
+    3000 digits, which leaves more than 60 correct."""
+    with decimal.localcontext(prec=3000):
+        m, p, bb = map(Decimal, (om_minus, om_plus, b))
+        rho = ((m + p) ** 2 - 16 * bb * bb).sqrt()
+        return (rho - (p - m)) / 2, (rho + (p - m)) / 2
+
+
+@pytest.mark.parametrize("block, bound", [
+    ((1e-8, 1.0, 4e-5), 1e-15), ((1e-12, 1.0, 4e-7), 1e-15), ((1.0, 2.0, 0.5), 1e-15),
+    ((1e-300, 1e300, 1e-10), 1e-15),
+    # near the manifold, where sqrt(sigma^2 - 16 b^2) cancelled: 7.2e-15 before
+    ((2.0, 2.0, 0.999), 7.2e-15),
+    # a gap formed in floats is off by 4e-11 and 1.9e-8 relative on the
+    # next two, and underflows on the last two
+    ((1.0, 1.0, 0.4999999), 1e-15), ((3.0, 7.0, math.sqrt(21.0) / 2 * (1 - 1e-9)), 1e-15),
+    ((1e-200, 1e-200, 1e-201), 1e-15), ((1e-200, 1e-160, 1e-181), 1e-15),
+])
+def test_exact_limit_block_against_a_decimal_reference(block, bound):
+    # the small entry was off by 1.6e-8 and 1.3e-4 relative on the first
+    # two blocks, and nan on the fourth
+    got = np.diag(analytic.exact_limit_block([block]).mat)
+    assert not got.imag.any()
+    for value, want in zip(got.real, _limit_reference(*block)):
+        assert abs((Decimal(float(value)) - want) / want) <= bound
+
+
+def test_exact_limit_block_is_closed_form(monkeypatch):
+    # no eigensolver: a block at rest keeps its entries, and an
+    # equal-product block with delta = 0 relaxes to zero
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, None)
+    lim = analytic.exact_limit_block([(0.3, 0.7, 0.0), (1.0, 1.0, 0.5), (0.0, 0.0, 0.0)])
+    assert np.array_equal(np.diag(lim.mat), [0.3, 0.7, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_limit_matches_generic_long_time():
     lim = analytic.exact_limit_block([(1.0, 2.0, 0.5)]).mat
     lo, hi, _, _ = analytic.exact_block(1.0, 2.0, 0.5, 50.0)
@@ -206,6 +249,16 @@ def test_pivotal_family():
         assert om * om - 4 * b * b > 0
     with pytest.raises(OutOfRange):
         analytic.pivotal_family(0)
+
+
+def test_families_are_the_specs_of_their_blocks():
+    for spec, blocks, label in ((analytic.pivotal_family(3, c0=0.5), analytic.pivotal_blocks(3),
+                                 "pivotal-3"),
+                                (analytic.mixed_family(0.6, 4, c0=0.5),
+                                 analytic.mixed_blocks(0.6, 4), "mixed-0.6-4")):
+        ref = analytic.block_spec(blocks, c0=0.5, label=label)
+        assert spec.label == label and spec.c0 == 0.5
+        assert np.array_equal(spec.omega, ref.omega) and np.array_equal(spec.b, ref.b)
 
 
 def test_pivotal_hs_norm_frozen():

@@ -10,9 +10,9 @@ from scipy.linalg import expm, logm, sqrtm
 from bwflow import analytic, bogoliubov, flow, fock
 from bwflow.bogoliubov import BogoliubovMap
 from bwflow.errors import LogBranch, MapInvalid, PathGap
-from bwflow.flow import FunctionBPath
 from bwflow.opcore import hs_norm
 import flow_reference as flow_ref
+from flow_reference import FunctionBPath
 
 
 def ident_map(n):

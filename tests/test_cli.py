@@ -470,6 +470,28 @@ def test_oracle_csv_of_a_small_block_starts_at_its_own_b(capsys):
     assert float(first[2]) == 0.0
 
 
+@pytest.mark.parametrize("args, code", [
+    (["blowup", "1.7e308"], cli.EXIT_PARSE),
+    (["generic", "0.5", "1e300", "1e4", "--csv", "0:1e20:5e19"], cli.EXIT_PARSE),
+    (["generic", "1", "2", "0.5", "--csv", "0:1e308:1e307"], cli.EXIT_OK),
+], ids=["spec-past-the-range", "rows-past-the-range", "grid-at-the-range"])
+def test_oracle_at_the_float_range(capsys, args, code):
+    # the first wrote Infinity and NaN into the spec and the second printed
+    # rows of nan, both with exit 0; the third printed its rows with
+    # overflow warnings, a traceback under python -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["oracle", *args]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and err.count("\n") == 1 and "not finite" in err
+    else:
+        rows = [[float(x) for x in ln.split(",")] for ln in out.splitlines()[1:]]
+        assert len(rows) == 11 and np.isfinite(rows).all() and err == ""
+        assert rows[-1][1:4] == pytest.approx([0.0, (math.sqrt(5.0) - 3.0) / 2,
+                                               (math.sqrt(5.0) - 1.0) / 2], rel=1e-15)
+
+
 def test_oracle_writes_spec_file(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert cli.main(["oracle", "generic", "1", "2", "0.5",
@@ -1213,12 +1235,18 @@ def test_batch_rejects_jobs_below_1(generic_file, capsys, jobs):
     assert out.out == "" and out.err == "parse error: jobs must be at least 1\n"
 
 
+_LADDER = (0.0, 1e-300, 1e-160, 1e-20, 1e-8, 0.5, 1.0, 3.0, 1e4, 1e20, 1e40, 1e150)
+
+
+def _signed(ladder):
+    """A signed rung of the ladder, or uniform in [-3, 3]."""
+    return st.one_of(st.builds(lambda x, sign: sign * x, st.sampled_from(ladder),
+                               st.sampled_from((1.0, -1.0))),
+                     st.floats(-3.0, 3.0))
+
+
 # a spec entry: a signed rung of the ladder 0 ... 1e150, or uniform in [-3, 3]
-_entries = st.one_of(
-    st.builds(lambda x, sign: sign * x, st.sampled_from(
-        (0.0, 1e-300, 1e-160, 1e-20, 1e-8, 0.5, 1.0, 3.0, 1e4, 1e20, 1e40, 1e150)),
-        st.sampled_from((1.0, -1.0))),
-    st.floats(-3.0, 3.0))
+_entries = _signed(_LADDER)
 
 
 @st.composite
@@ -1269,3 +1297,76 @@ def test_fuzzed_specs_end_in_a_documented_exit_code(tmp_path_factory, doc, argv)
     assert code in range(5), argv
     lines = err.getvalue().splitlines()
     assert len(lines) <= 1 and all(ln.startswith(("error: ", "parse error: ")) for ln in lines)
+
+
+# an oracle parameter: the spec entries' ladder extended to the float range,
+# the extension listed first, where hypothesis draws more often
+_oracle_numbers = _signed((1.7e308, 1e307, 1e300) + _LADDER)
+
+
+@st.composite
+def oracle_lines(draw):
+    """An oracle command line: optionally --c0, --paper-scalar-sign and a
+    --csv grid, then a family and its parameters, after "--" since they may
+    be negative."""
+    argv = ["oracle"]
+    if draw(st.booleans()):
+        argv.append(f"--c0={draw(_oracle_numbers)!r}")
+    if draw(st.booleans()):
+        argv.append("--paper-scalar-sign")
+    if draw(st.booleans()):
+        # a grid that often ends at the largest float, whose last point may
+        # pass stop when the step does not divide the span
+        start, span = (abs(draw(_oracle_numbers)) for _ in range(2))
+        stop = min(start + span, sys.float_info.max)
+        if draw(st.booleans()):
+            stop = sys.float_info.max
+        step = (stop - start) / draw(st.sampled_from((1.0, 2.7, 10.0, 39.6))) or 1.0
+        argv.append(f"--csv={start!r}:{stop!r}:{step!r}")
+    family = draw(st.sampled_from(cli.ORACLE_FAMILIES))
+    count = {"generic": 3, "equal-product": 3, "blowup": 1}.get(family, 0)
+    if family == "block":
+        count = 3 * draw(st.integers(1, 3))
+    params = [draw(_oracle_numbers) for _ in range(count)]
+    if family == "mixed":
+        params.append(draw(st.one_of(_oracle_numbers, st.floats(0.5, 0.71))))
+    if count % 3 == 0 and draw(st.integers(0, 3)):
+        # mostly well-formed blocks, 0 <= omegaMinus <= omegaPlus and b >= 0,
+        # an equal-product one on its manifold
+        for i in range(0, count, 3):
+            om_minus, om_plus = sorted(map(abs, params[i:i + 2]))
+            b = (math.sqrt(om_minus) * math.sqrt(om_plus) / 2 if family == "equal-product"
+                 else abs(params[i + 2]))
+            params[i:i + 3] = [om_minus, om_plus, b]
+    params = [repr(x) for x in params]
+    if family in ("pivotal", "mixed"):
+        params.append(str(draw(st.sampled_from((-1, 0, 1, 2, 3, 8, 33)))))
+    return [*argv, "--", family, *params]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(oracle_lines(), st.booleans())
+def test_fuzzed_oracle_lines_write_only_finite_numbers(tmp_path_factory, argv, to_file):
+    # every outcome is exit 0 or 2 with at most one error line, under
+    # warnings as errors; every number of the spec and the CSV is finite
+    path = tmp_path_factory.mktemp("oracle") / "spec.json"
+    if to_file:
+        argv.insert(1, f"--out={path}")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_PARSE), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(ln.startswith(("error: ", "parse error: ")) for ln in lines)
+    if code != cli.EXIT_OK:
+        return
+    for text in filter(None, (out.getvalue(), path.read_text() if to_file else "")):
+        if text.startswith("t,"):
+            rows = [[float(x) for x in ln.split(",")] for ln in text.splitlines()[1:]]
+            assert np.isfinite(rows).all(), argv
+        else:
+            doc = json.loads("".join(ln for ln in text.splitlines(True) if not ln.startswith("#")))
+            numbers = [x for pair in doc["omega"] + doc["b"] for x in pair] + [doc["c0"]]
+            assert np.isfinite(numbers).all(), argv

@@ -6,11 +6,11 @@ from scipy.linalg import expm
 
 from bwflow import cli, flow, fock
 from bwflow.errors import SizeLimit
-from bwflow.flow import FunctionBPath
 from bwflow.opcore import QuadraticSpec, hs_norm
 from bwflow.stepping import DormandPrince, drive
 from conftest import writes_into
 import fock_reference as ref
+from flow_reference import FunctionBPath
 
 
 def dense_propagate(fk, bpath, s, t, tol=1e-10):

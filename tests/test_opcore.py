@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from bwflow.conditions import Sandwiches
 from bwflow.errors import KernelOverlap, NotPSD, RoleViolation
 from bwflow.opcore import (OneParticleOperator, QuadraticSpec, as_matrix, hs_norm, hs_scale,
-                           min_eig_hermitian, psd_sqrt)
-from flow_reference import psd_power
+                           min_eig_hermitian)
+from flow_reference import psd_power, psd_sqrt
 
 
 def rand_complex(rng, n):

@@ -20,6 +20,7 @@ from bwflow.errors import StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec
 from bwflow.stepping import RTOL_FLOOR, DormandPrince, drive
 from conftest import writes_into
+from flow_reference import FunctionBPath
 
 
 def random_spec(seed: int, n: int) -> QuadraticSpec:
@@ -387,7 +388,7 @@ def readme_b_path(t1):
         bt = np.sqrt(analytic.exact_block(1.0, 2.0, 0.5, t)[2])
         return np.array([[0.0, bt], [bt, 0.0]])
 
-    return flow.FunctionBPath(b_at, 0.0, t1)
+    return FunctionBPath(b_at, 0.0, t1)
 
 
 def test_path_integral_matches_quad_on_readme_path(generic_traj):
