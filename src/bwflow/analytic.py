@@ -5,21 +5,15 @@ with real b >= 0.  On such blocks the flow reduces to the scalar system
 
     d/dt om_{+-} = -16 b^2,      d/dt b = -2 (om_- + om_+) b,
 
-which is solved in closed form in three regimes (block_regime): Omega = 0
-with b > 0 blows up, and otherwise the sign of the product gap
-om_+ om_- - 4 b^2 decides:
-
-* strict positive gap ("generic"): exponential relaxation at rate 4 rho,
-  rho = sqrt(sigma^2 - 16 b^2), sigma = om_- + om_+;
-* zero gap ("equal-product"): relaxation at rate 4 delta, delta = om_+ - om_-,
-  degenerating to an algebraic 1/t law when delta = 0;
-* om = 0 with b > 0 ("blowup"): finite-time blow-up at T_max = pi/(16 b).
-
-exact_block evaluates the closed form of a block's regime, together with
+which keeps delta = om_+ - om_- and the product gap g = om_+ om_- - 4 b^2
+constant.  block_regime sorts a block by them: Omega = 0 with b > 0 blows
+up in finite time, a nonnegative gap ("generic", or "equal-product" within
+PRODUCT_TOL of zero) relaxes to a limit, and a negative gap has no closed
+form.  exact_block evaluates the block at time t, together with
 int_0^t b(tau)^2 dtau, which feeds the scalar coefficient C_t and its
-checks.  block_spec assembles a spec of block triples, such as those of the
-pivotal_blocks and mixed_blocks families, and exact_limit_block gives the
-limit in closed form.
+checks; at t = inf it is the limit that exact_limit_block assembles.
+block_spec assembles a spec of block triples, such as those of the
+pivotal_blocks and mixed_blocks families.
 """
 
 from __future__ import annotations
@@ -35,18 +29,27 @@ from .opcore import OneParticleOperator, QuadraticSpec
 PRODUCT_TOL = 1e-12
 
 
-def _gap(om_minus: float, om_plus: float, b: float) -> tuple[float, float]:
-    """The product gap om_+ om_- - 4 b^2 and the scale of its two terms,
-    which PRODUCT_TOL is relative to."""
-    product, pair = om_plus * om_minus, 4.0 * b * b
-    return product - pair, max(product, pair)
-
-
 def _check_block(om_minus: float, om_plus: float, b: float) -> None:
     if om_minus < 0 or om_plus < om_minus:
         raise OutOfRange("block requires 0 <= om_minus <= om_plus")
     if b < 0:
         raise OutOfRange("block requires b >= 0")
+
+
+def _gap(om_minus: float, om_plus: float, b: float):
+    """(regime, (n, d)) of a block: its product gap om_+ om_- - 4 b^2 = n/d,
+    exact in integers (None for a blowup block), and the regime that
+    block_regime describes, decided on it without rounding or overflow."""
+    _check_block(om_minus, om_plus, b)
+    if om_plus == 0.0 and b > 0.0:
+        return "blowup", None
+    (nm, dm), (n_p, dp), (nb, db) = (x.as_integer_ratio() for x in (om_minus, om_plus, b))
+    product, pair = nm * n_p * db * db, 4 * nb * nb * dm * dp  # both over dm dp db^2
+    gap = (product - pair, dm * dp * db * db)
+    tol_num, tol_den = PRODUCT_TOL.as_integer_ratio()
+    if abs(gap[0]) * tol_den <= tol_num * max(product, pair):
+        return "equal-product", gap
+    return ("generic" if gap[0] > 0 else "negative-gap"), gap
 
 
 def _as_blocks(blocks):
@@ -82,55 +85,39 @@ def block_spec(blocks, c0: float = 0.0, label: str = "") -> QuadraticSpec:
 
 def block_regime(om_minus: float, om_plus: float, b: float) -> str:
     """Which closed form solves the block, by the sign of the product gap
-    om_+ om_- - 4 b^2 at tolerance PRODUCT_TOL relative to the larger of
-    om_+ om_- and 4 b^2, so that a block's regime does not change with its
-    scale:
+    om_+ om_- - 4 b^2, formed exactly, at tolerance PRODUCT_TOL relative to
+    the larger of om_+ om_- and 4 b^2, so that a block's regime does not
+    change with its scale:
 
     * "blowup" for Omega = 0 with b > 0, however small b is;
     * "generic" for a strictly positive gap;
     * "equal-product" for a zero gap, b = 0 with om_- = 0 included;
     * "negative-gap" for any other negative gap, which has no closed form.
-
-    A gap that overflows has no sign and is "negative-gap" too.
     """
-    _check_block(om_minus, om_plus, b)
-    if om_plus == 0.0 and b > 0.0:
-        return "blowup"
-    gap, scale = _gap(om_minus, om_plus, b)
-    if abs(gap) <= PRODUCT_TOL * scale:
-        return "equal-product"
-    return "generic" if gap > 0 else "negative-gap"
+    return _gap(om_minus, om_plus, b)[0]
 
 
 def exact_block(om_minus: float, om_plus: float, b: float, t):
-    """The block at time t in the closed form of its block_regime.
+    """The block at time t in the closed form of its block_regime; t = inf
+    gives its limit.
 
     Returns (om_minus_t, om_plus_t, b_t^2, int_0^t b(tau)^2 dtau), floats for
     a scalar t and arrays for an array of times.  A block with b = 0 is at
-    rest.  Otherwise, with sigma = om_- + om_+ and delta = om_+ - om_-:
+    rest.  A block with a nonnegative gap g follows one formula: with
+    sigma = om_- + om_+, rho^2 = delta^2 + 4 g = sigma_t^2 - 16 b_t^2 is
+    constant, and with T = tanh(2 rho t) / rho (2 t at rho = 0, 1/rho at
+    t = inf)
 
-    generic, with rho = sqrt(sigma^2 - 16 b^2):
+        b_t = b sech(2 rho t) / (1 + sigma T),
+        int_0^t b^2 = b^2 T / (2 (1 + sigma T)),
+        om_+(t) = q + delta/2,   om_-(t) = (g + 4 b_t^2) / om_+(t),
 
-        om_{-+}(t) = h_t(-+delta),
-        h_t(d) = [(rho+d)(rho+sigma) + (rho-d)(sigma-rho) e^{-4 rho t}]
-                 / [2 (rho + sigma + (rho-sigma) e^{-4 rho t})]
-        b(t)^2 = 4 rho^2 b^2 e^{-4 rho t}
-                 / (sigma + rho + (rho-sigma) e^{-4 rho t})^2,
-        int_0^t b^2 = b^2 (1 - e^{-4 rho t})
-                      / (2 (sigma + rho + (rho-sigma) e^{-4 rho t})),
-
-    with limits om_{-+} -> (rho -+ delta)/2 and b -> 0;
-
-    equal-product, for delta > 0:
-
-        om_-(t) = om_- delta / (om_+ e^{4 delta t} - om_-)
-        om_+(t) = om_+ delta / (om_+ - om_- e^{-4 delta t})
-        b(t)^2  = b^2 delta^2 e^{-4 delta t} / (om_+ - om_- e^{-4 delta t})^2
-        int_0^t b^2 = b^2 (1 - e^{-4 delta t}) / (4 (om_+ - om_- e^{-4 delta t}))
-
-    and for delta = 0, within PRODUCT_TOL of om_+ (so b = om/2):
-
-        om(t) = om / (4 t om + 1),   b(t)^2 = om^2 / (4 (4 t om + 1)^2);
+    where q = hypot(rho/2, 2 b_t) is half the trace of Omega_t.  The limit
+    is (2 g / (rho + delta), (rho + delta) / 2), with om_- = 0 where
+    om_+ = 0.  g is exact, no input is squared, and sech and tanh are built
+    from e^{-4 rho t}, so no step cancels, and none overflows or underflows
+    before its result does.  A negative g inside PRODUCT_TOL enters as
+    -min(|g|, delta^2/4), which keeps rho^2 >= 0.
 
     blowup, with om_t the common diagonal value of Omega_t:
 
@@ -138,45 +125,13 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
         int_0^t b^2 = b tan(8 b t) / 8,
 
     valid for t < T_max = pi/(16 b); beyond that PastBlowup is raised.
-    The integrals of the first two regimes, and the equal-product
-    denominators, take 1 - e^{-x} as -expm1(-x) and e^x - 1 as expm1(x),
-    which keeps them accurate where x is small: at small t, b or delta.
     A negative-gap block raises OutOfRange.
     """
-    regime = block_regime(om_minus, om_plus, b)
+    regime, gap = _gap(om_minus, om_plus, b)
     ts, scalar = _as_times(t)
-    sigma = om_plus + om_minus
-    delta = om_plus - om_minus
     if b == 0.0:
         omm, omp = np.full_like(ts, om_minus), np.full_like(ts, om_plus)
         bt2, ib = np.zeros_like(ts), np.zeros_like(ts)
-    elif regime == "generic":
-        rho = np.sqrt(sigma * sigma - 16.0 * b * b)
-        decay = np.exp(-4.0 * rho * ts)
-        den = rho + sigma + (rho - sigma) * decay
-
-        def h(d):
-            return ((rho + d) * (rho + sigma) + (rho - d) * (sigma - rho) * decay) / (2.0 * den)
-
-        omm, omp = h(-delta), h(delta)
-        bt2 = 4.0 * rho * rho * b * b * decay / (den * den)
-        ib = b * b * -np.expm1(-4.0 * rho * ts) / (2.0 * den)
-    elif regime == "equal-product" and delta <= PRODUCT_TOL * om_plus:
-        den = 4.0 * ts * om_plus + 1.0
-        omm = omp = om_plus / den
-        bt2 = om_plus * om_plus / (4.0 * den * den)
-        ib = (om_plus / 16.0) * (1.0 - 1.0 / den)
-    elif regime == "equal-product":
-        decay = np.exp(-4.0 * delta * ts)
-        # om_+ e^{4 delta t} - om_- and om_+ - om_- e^{-4 delta t} as sums of
-        # nonnegative terms, which keep their digits where delta t is small
-        with np.errstate(over="ignore"):  # e^{4 delta t} = inf gives the limit 0
-            omm = om_minus * delta / (delta + om_plus * np.expm1(4.0 * delta * ts))
-        spent = -np.expm1(-4.0 * delta * ts)
-        den = delta + om_minus * spent
-        omp = om_plus * delta / den
-        bt2 = b * b * delta * delta * decay / (den * den)
-        ib = b * b * spent / (4.0 * den)
     elif regime == "blowup":
         tmax = blowup_time(b)
         if np.any(ts >= tmax):
@@ -185,8 +140,35 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
         omm = omp = -2.0 * b * tan
         bt2 = (b * np.sqrt(tan ** 2 + 1.0)) ** 2
         ib = b * tan / 8.0
-    else:
+    elif regime == "negative-gap":
         raise OutOfRange("no closed form for a block with om_+ om_- < 4 b^2 and Omega != 0")
+    else:
+        # root = sqrt|g| from |g| 4^-k, which is near 1, since g itself may
+        # pass the float range; half_rho = rho/2
+        num, den = gap
+        k = (abs(num).bit_length() - den.bit_length()) // 2
+        root = math.ldexp(math.sqrt(abs(num) * 4 ** max(-k, 0) / (den * 4 ** max(k, 0))), k)
+        half = (om_plus - om_minus) / 2
+        if num < 0:
+            root = min(root, half)
+            half_rho, sign = math.sqrt(half - root) * math.sqrt(half + root), -1.0
+        else:
+            half_rho, sign = math.hypot(half, root), 1.0
+        half_sigma = om_minus / 2 + om_plus / 2
+        with np.errstate(divide="ignore", over="ignore"):  # 1/tau = inf at t = 0, and
+            # e^{-4 rho t} = 0 where 4 rho t passes the float range
+            if half_rho > 0:
+                spent = -np.expm1(-8.0 * half_rho * ts)  # 1 - e^{-4 rho t}
+                tau = spent / ((2.0 - spent) * half_rho)  # 2 T
+                sech = 2.0 * np.exp(-4.0 * half_rho * ts) / (2.0 - spent)
+            else:
+                tau, sech = 4.0 * ts, 1.0
+            bt = b * sech / (1.0 + half_sigma * tau)
+            ib = (b / 2) * ((b / 2) / (1.0 / tau + half_sigma))
+        bt2 = bt * bt
+        omp = np.hypot(half_rho, 2.0 * bt) + half
+        divisor = np.where(omp > 0, omp, np.inf)  # om_+ = 0: the flat block's limit
+        omm = 2.0 * bt * (2.0 * bt / divisor) + sign * root * (root / divisor)
     return tuple(float(x) if scalar else np.asarray(x, float) for x in (omm, omp, bt2, ib))
 
 
@@ -196,33 +178,18 @@ def blowup_time(b: float) -> float:
 
 
 def exact_limit_block(blocks) -> OneParticleOperator:
-    """Limit matrix S0_minus + sqrt(S0_plus^2 - 4 B0 B0~) of a block family.
-
-    S0_{+-} = (Omega_0 +- Omega_hat_0)/2 where Omega_hat_0 swaps the two
-    diagonal entries of each block.  Per block this is diag(2g/(rho+delta),
-    (rho+delta)/2) with the gap g = om_+ om_- - 4 b^2, delta = om_+ - om_-
-    and rho = hypot(delta, 2 sqrt(g)), which cancel nowhere: g is formed
-    exactly and rounded once, and with r = sqrt(g) the entries are r (r/eps_+)
-    and eps_+ = hypot(delta/2, r) + delta/2, so none overflows.  A block
-    with b = 0 is at rest, its limit (om_-, om_+).  A block in the blowup or
-    negative-gap regime of block_regime raises NotInRegime.
+    """Limit matrix S0_minus + sqrt(S0_plus^2 - 4 B0 B0~) of a block family,
+    with S0_{+-} = (Omega_0 +- Omega_hat_0)/2 where Omega_hat_0 swaps the two
+    diagonal entries of each block: per block, exact_block at t = inf.  A
+    block in the blowup or negative-gap regime of block_regime raises
+    NotInRegime.
     """
-    from fractions import Fraction  # only tests and scripts take limits
-
     diag = []
-    for j, (om_minus, om_plus, b) in enumerate(_as_blocks(blocks)):
-        regime = block_regime(om_minus, om_plus, b)
+    for j, block in enumerate(_as_blocks(blocks)):
+        regime = block_regime(*block)
         if regime in ("negative-gap", "blowup"):
             raise NotInRegime(f"block {j} is in the {regime} regime, which has no limit")
-        if b == 0:
-            diag += [om_minus, om_plus]
-            continue
-        g = max(Fraction(om_plus) * Fraction(om_minus) - 4 * Fraction(b) ** 2, 0)
-        k = (g.numerator.bit_length() - g.denominator.bit_length()) // 2
-        root = math.ldexp(math.sqrt(g * Fraction(4) ** -k), k)  # g 4^-k is near 1
-        half = (om_plus - om_minus) / 2
-        eps_plus = math.hypot(half, root) + half
-        diag += [root * (root / eps_plus) if root else 0.0, eps_plus]
+        diag += exact_block(*block, math.inf)[:2]
     return OneParticleOperator.hermitian(np.diag(diag).astype(complex), sym_tol=np.inf)
 
 

@@ -130,7 +130,8 @@ def spec_from_doc(doc, source: str = "<doc>") -> QuadraticSpec:
         _require(2 * len(triples) <= _max_dim(),
                  f"dimension {2 * len(triples)} exceeds BWFLOW_MAX_DIM", "blocks")
         try:
-            spec = analytic.block_spec(triples, c0=c0, label=label)
+            with np.errstate(all="ignore"):  # refused below if not finite
+                spec = analytic.block_spec(triples, c0=c0, label=label)
         except (ValueError, BwflowError) as exc:
             raise ParseError(f"blocks: {exc}", field="blocks")
     else:
@@ -142,7 +143,8 @@ def spec_from_doc(doc, source: str = "<doc>") -> QuadraticSpec:
         omega = _pairs_to_matrix(doc["omega"], dim, "omega")
         b = _pairs_to_matrix(doc["b"], dim, "b")
         try:
-            spec = QuadraticSpec.from_matrices(omega, b, c0=c0, label=label)
+            with np.errstate(all="ignore"):  # refused below if not finite
+                spec = QuadraticSpec.from_matrices(omega, b, c0=c0, label=label)
         except (ValueError, BwflowError) as exc:
             raise ParseError(f"{source}: {exc}")
     _require_finite(spec, source)

@@ -42,19 +42,19 @@ def write_exact_csv(blocks, ts: np.ndarray, fh, c0: float, scalar_sign: float) -
     there raises OutOfRange before any row is written."""
     from . import flow  # only --csv writes rows, and flow loads the stepper
 
-    hsb2, int_total, knorm2 = np.zeros((3, len(ts)))
+    hsb2, int_total, knorm = np.zeros((3, len(ts)))
     min_eig = np.full_like(ts, np.inf)
     with np.errstate(all="ignore"):
         for om_minus, om_plus, b in blocks:
             omm, omp, bt2, ib = analytic.exact_block(float(om_minus), float(om_plus),
                                                      float(b), ts)
-            delta = float(om_plus) - float(om_minus)
             hsb2 += 2.0 * bt2
             int_total += 2.0 * ib
-            knorm2 += 2.0 * bt2 * delta * delta
+            # hypot, since 2 b_t^2 delta^2 passes the float range first
+            knorm = np.hypot(knorm, np.sqrt(2.0 * bt2) * (float(om_plus) - float(om_minus)))
             min_eig = np.minimum(min_eig, np.minimum(omm, omp))
         cols = (ts, np.sqrt(hsb2), c0 + scalar_sign * 8.0 * int_total, min_eig,
-                np.zeros_like(ts), np.sqrt(knorm2))
+                np.zeros_like(ts), knorm)
     bad = ~np.isfinite(cols).all(axis=0)
     if bad.any():
         raise OutOfRange(f"the exact CSV is not finite at t = {ts[bad][0]:g}")

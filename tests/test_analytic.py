@@ -1,16 +1,19 @@
 """Closed-form block solutions against frozen high-precision values.
 
 The reference numbers were computed once from independently transcribed
-formulas at 50-digit precision and pasted here verbatim.
+formulas at 50-digit precision and pasted here verbatim; the property tests
+evaluate the textbook forms of analytic_reference in decimal instead.
 """
 
 import decimal
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from analytic_reference import block_at
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bwflow import analytic
@@ -276,6 +279,63 @@ def test_mixed_family():
             analytic.mixed_family(bad, 4)
     with pytest.raises(OutOfRange):
         analytic.mixed_family(0.6, 1)
+
+
+EPS = 2.0 ** -52
+TINY = 2.0 ** -1074  # the spacing of subnormal floats
+# exact_block against analytic_reference on 3000 blocks of gapped_blocks,
+# at the times of the test below: worst 3.8 ulps on om_-, 1.8 on om_+, 2.1
+# on int b^2 and 3.6 on b_t^2 beyond its 4 rho t
+ULPS = 8
+
+
+def _below(lo: int, hi: int):
+    """1 - 2^-j for j in [lo, hi]: a factor just below 1."""
+    return st.integers(lo, hi).map(lambda j: 1.0 - 2.0 ** -j)
+
+
+@st.composite
+def gapped_blocks(draw):
+    """A block at scale 2^-500..2^500 with a nonnegative exact gap: generic,
+    with om_- up to 2^-200 om_+ or b near the manifold, or equal-product,
+    built exactly on the manifold from integers u <= v, flat when u = v."""
+    k = draw(st.integers(-500, 500))
+    if draw(st.booleans()):
+        u = draw(st.integers(1, 2 ** 20))
+        v = draw(st.one_of(st.just(u), st.just(u + 1), st.integers(u, 2 ** 20)))
+        s = 2.0 ** (k - 2 * v.bit_length())
+        return s * u * u, s * v * v, s * u * v / 2
+    ratio = draw(st.one_of(st.floats(0.0, 1.0), _below(1, 40),
+                           st.integers(1, 200).map(lambda j: 2.0 ** -j)))
+    f = draw(st.one_of(st.floats(0.0, 1.0), _below(1, 18)))
+    s = 2.0 ** k
+    return s * ratio, s, s * f * math.sqrt(ratio) / 2
+
+
+@example(block=(1e-12, 1.0, 4e-7))  # om_-(t) was off by 1.3e-4 relative
+@example(block=(0.001, 1000.0, 0.5))  # a gap of 4.4e-17, taken as 0: off by 1.0
+@example(block=(2.0, 2.0, 1.0))  # int b^2 at t = 1e-9 / sigma was off by 1e-9
+@given(block=gapped_blocks())
+def test_exact_block_against_a_decimal_reference(block):
+    # om_+ and int b^2 within ULPS relative; b_t^2 within ULPS + 4 rho t,
+    # the conditioning of e^{-4 rho t}, or within eps b^2 once it decays
+    # below that; om_- within ULPS, or eps times 4 b^2/om_+, the share of
+    # om_- that b_t carries, once that decays; and every value within ULPS
+    # subnormal spacings, where it has fewer digits
+    om_minus, om_plus, b = block
+    assume(Fraction(om_plus) * Fraction(om_minus) >= 4 * Fraction(b) ** 2)
+    rho = math.hypot(om_plus - om_minus, 2.0 * math.sqrt(max(om_plus * om_minus - 4 * b * b, 0)))
+    rate = rho or om_plus + om_minus
+    for c in (0.0, 1e-9, 0.05, 0.5, 3.0, 40.0):
+        t = c / rate
+        got = analytic.exact_block(*block, t)
+        floors = (4 * b / om_plus * b, 0.0, b * b, 0.0)
+        for name, value, want, floor in zip(("om_-", "om_+", "b_t^2", "int b^2"), got,
+                                            block_at(*block, t), floors):
+            ulps = ULPS + (4 * rho * t if name == "b_t^2" else 0.0)
+            err = abs(Decimal(value) - want)
+            assert err <= Decimal(ulps * EPS) * want or err <= EPS * floor + ULPS * TINY, \
+                (name, block, t)
 
 
 def _int_b2_by_quadrature(block, t, nodes=64):

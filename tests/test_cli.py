@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from bwflow import analytic, bogoliubov, cli, cli_fock_verify, flow, fock
 from bwflow.errors import ParseError, StepSizeUnderflow
 from bwflow.opcore import QuadraticSpec, hs_norm
+from analytic_reference import block_at
 from conftest import SRC, fresh_env
 
 
@@ -470,26 +471,48 @@ def test_oracle_csv_of_a_small_block_starts_at_its_own_b(capsys):
     assert float(first[2]) == 0.0
 
 
-@pytest.mark.parametrize("args, code", [
-    (["blowup", "1.7e308"], cli.EXIT_PARSE),
-    (["generic", "0.5", "1e300", "1e4", "--csv", "0:1e20:5e19"], cli.EXIT_PARSE),
-    (["generic", "1", "2", "0.5", "--csv", "0:1e308:1e307"], cli.EXIT_OK),
-], ids=["spec-past-the-range", "rows-past-the-range", "grid-at-the-range"])
-def test_oracle_at_the_float_range(capsys, args, code):
+@pytest.mark.parametrize("args, n_rows", [
+    (["blowup", "1.7e308"], None),
+    # b_t^2 itself passes the float range at t = 0
+    (["generic", "3e160", "3e160", "1e160", "--csv", "0:1:0.5"], None),
+    (["generic", "0.5", "1e300", "1e4", "--csv", "0:1e20:5e19"], 3),
+    (["generic", "1", "2", "0.5", "--csv", "0:1e308:1e307"], 11),
+], ids=["spec-past-the-range", "rows-past-the-range", "knorm-near-the-range",
+        "grid-at-the-range"])
+def test_oracle_at_the_float_range(capsys, args, n_rows):
     # the first wrote Infinity and NaN into the spec and the second printed
-    # rows of nan, both with exit 0; the third printed its rows with
+    # rows of nan, both with exit 0; the third was refused as not finite,
+    # since kNorm squared delta = 1e300; the fourth printed its rows with
     # overflow warnings, a traceback under python -W error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["oracle", *args]) == code
+        code = cli.main(["oracle", *args])
     out, err = capsys.readouterr()
-    if code:
+    if n_rows is None:
+        assert code == cli.EXIT_PARSE
         assert out == "" and err.count("\n") == 1 and "not finite" in err
-    else:
-        rows = [[float(x) for x in ln.split(",")] for ln in out.splitlines()[1:]]
-        assert len(rows) == 11 and np.isfinite(rows).all() and err == ""
-        assert rows[-1][1:4] == pytest.approx([0.0, (math.sqrt(5.0) - 3.0) / 2,
-                                               (math.sqrt(5.0) - 1.0) / 2], rel=1e-15)
+        return
+    assert code == cli.EXIT_OK and err == ""
+    rows = [[float(x) for x in ln.split(",")] for ln in out.splitlines()[1:]]
+    assert len(rows) == n_rows
+    block = tuple(float(x) for x in args[1:4])
+    for t, *got in rows:
+        om_minus, om_plus, bt2, ib = map(float, block_at(*block, t))
+        hsb = math.sqrt(2.0 * bt2)
+        want = [hsb, -16.0 * ib, min(om_minus, om_plus), 0.0, hsb * (block[1] - block[0])]
+        assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_block_regime_decides_on_the_exact_gap(capsys):
+    # in floats the first gap is -inf against a scale of inf, which passed
+    # the tolerance as equal-product, and the second is inf - inf = nan,
+    # which was negative-gap; the exact gaps are -4e320 and +5e320
+    assert analytic.block_regime(0.0, 1.0, 1e160) == "negative-gap"
+    assert cli.main(["oracle", "equal-product", "0", "1e307", "1e307"]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: NotOnManifold") and "negative-gap" in err
+    assert cli.main(["oracle", "generic", "3e160", "3e160", "1e160"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["b"][1] == [1e160, 0.0]
 
 
 def test_oracle_writes_spec_file(tmp_path, capsys):
@@ -582,6 +605,21 @@ def test_spec_entry_near_the_float_range_exits_2(tmp_path, capsys, command):
     assert run_quietly([command[0], path, *command[1:]]) == cli.EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("parse error:") and "not finite" in err
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("run", {"blocks": [[1.0, 2.0, 1.7e308]]}),
+    ("check", {"dim": 1, "omega": [[1.7e308, 0]], "b": [[1.7e308, 1.7e308]]}),
+], ids=["blocks", "matrices"])
+def test_spec_near_the_float_range_is_refused_without_warnings(tmp_path, command, doc):
+    # making Omega and B hermitian/symmetric overflowed with two numpy
+    # warnings before the parse error, a traceback with exit 1 under -W error
+    path = write_spec(tmp_path, "big.json", doc)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "bwflow.cli", command, path],
+                          env=fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_PARSE and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("parse error:")
+    assert "not finite" in proc.stderr
 
 
 def test_batch_reports_a_spec_near_the_float_range_and_runs_the_rest(tmp_path, generic_file,
