@@ -138,7 +138,8 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
             raise PastBlowup(f"t >= T_max = {tmax:.6g}")
         tan = np.tan(8.0 * b * ts)
         omm = omp = -2.0 * b * tan
-        bt2 = (b * np.sqrt(tan ** 2 + 1.0)) ** 2
+        with np.errstate(over="ignore"):  # b_t^2 may pass the float range
+            bt2 = (b * np.sqrt(tan ** 2 + 1.0)) ** 2
         ib = b * tan / 8.0
     elif regime == "negative-gap":
         raise OutOfRange("no closed form for a block with om_+ om_- < 4 b^2 and Omega != 0")
@@ -155,8 +156,9 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
         else:
             half_rho, sign = math.hypot(half, root), 1.0
         half_sigma = om_minus / 2 + om_plus / 2
-        with np.errstate(divide="ignore", over="ignore"):  # 1/tau = inf at t = 0, and
-            # e^{-4 rho t} = 0 where 4 rho t passes the float range
+        with np.errstate(divide="ignore", over="ignore"):  # 1/tau = inf at t = 0,
+            # e^{-4 rho t} = 0 where 4 rho t passes the float range, and b_t^2
+            # may pass it
             if half_rho > 0:
                 spent = -np.expm1(-8.0 * half_rho * ts)  # 1 - e^{-4 rho t}
                 tau = spent / ((2.0 - spent) * half_rho)  # 2 T
@@ -165,7 +167,7 @@ def exact_block(om_minus: float, om_plus: float, b: float, t):
                 tau, sech = 4.0 * ts, 1.0
             bt = b * sech / (1.0 + half_sigma * tau)
             ib = (b / 2) * ((b / 2) / (1.0 / tau + half_sigma))
-        bt2 = bt * bt
+            bt2 = bt * bt
         omp = np.hypot(half_rho, 2.0 * bt) + half
         divisor = np.where(omp > 0, omp, np.inf)  # om_+ = 0: the flat block's limit
         omm = 2.0 * bt * (2.0 * bt / divisor) + sign * root * (root / divisor)

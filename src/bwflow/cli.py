@@ -325,12 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the exact trajectory CSV on this grid")
     _add_sign_opt(p_oracle)
 
-    p_batch = sub.add_parser("batch", help="run several specs, optionally in parallel")
+    p_batch = sub.add_parser("batch", help="run several specs in order")
     _add_run_opts(p_batch, t_end=10.0)
     _add_sign_opt(p_batch)
     p_batch.add_argument("specs", nargs="+")
-    p_batch.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers, at most one per spec and per CPU")
     p_batch.add_argument("--csv-dir", help="write one trajectory CSV per spec here")
     return parser
 

@@ -172,21 +172,16 @@ class FlowDiagnostics:
         "motion_residual",         # |tr(Omega^2 - 4 B B~) - initial|
         "k_norm",                  # ||Omega B - B Omega^t||_2
         "matrix_motion_residual",  # ||(Omega^2 - 4 B B~) - initial||_2
-        "omega_decrease_margin",   # min eig (Omega_0 - Omega_t)
-        "square_mono_margin",      # min eig ((Om_t^2 - 8 BB~) - (Om_0^2 - 8 B0B0~))
     )
 
     def __init__(self, hs_b: float, c: float, min_eig_omega: float, motion_residual: float,
-                 k_norm: float, matrix_motion_residual: float, omega_decrease_margin: float,
-                 square_mono_margin: float):
+                 k_norm: float, matrix_motion_residual: float):
         self.hs_b = hs_b
         self.c = c
         self.min_eig_omega = min_eig_omega
         self.motion_residual = motion_residual
         self.k_norm = k_norm
         self.matrix_motion_residual = matrix_motion_residual
-        self.omega_decrease_margin = omega_decrease_margin
-        self.square_mono_margin = square_mono_margin
 
 
 class FlowEvent:
@@ -507,11 +502,6 @@ def _tail_times(t0: float, h: float, t_end: float) -> list:
     return times + [t_end]
 
 
-def _min_eigs(x: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the hermitian part of each stacked matrix."""
-    return np.linalg.eigvalsh((x + x.conj().swapaxes(-1, -2)) / 2)[:, 0]
-
-
 def check_span(path, s: float, t: float) -> None:
     """The B-path contract, the one statement every consumer of a path uses.
 
@@ -620,11 +610,6 @@ class Trajectory:
             ref = om0 @ om0 - 4.0 * (b0 @ b0.conj())
             cur = om @ om - 4.0 * (b @ b.conj())
             return {name: np.sqrt(_sq_norms(cur - ref))}
-        if name == "omega_decrease_margin":
-            return {name: _min_eigs(om0 - om)}
-        if name == "square_mono_margin":
-            sq0 = om0 @ om0 - 8.0 * (b0 @ b0.conj())
-            return {name: _min_eigs(om @ om - 8.0 * (b @ b.conj()) - sq0)}
         raise KeyError(f"no diagnostic column {name!r}")
 
     @property

@@ -21,19 +21,27 @@ decimal values of the double inputs:
 * zero gap with delta = 0 ("flat"), so that b = om / 2:
 
       om(t) = om / (4 t om + 1),   b(t)^2 = b^2 / (4 t om + 1)^2,
-      int_0^t b^2 = (om / 16) (1 - 1 / (4 t om + 1)).
+      int_0^t b^2 = (om / 16) (1 - 1 / (4 t om + 1));
+
+* Omega = 0 with b > 0 ("blowup"), for 0 <= t < pi / (16 b):
+
+      om(t) = -2 b tan 8bt,   b(t)^2 = b^2 (1 + tan^2 8bt),
+      int_0^t b^2 = b tan(8bt) / 8.
 
 HIGH digits carry the arithmetic of blocks at scales 2^-500..2^500 exactly
 through every product of two inputs and past each cancellation (at most
 about 330 digits), and e^{-x} is taken with 150 digits more than 1 - e^{-x}
 and the denominators cancel, so the results are correct to far more than
-double precision.
+double precision.  tan comes from the Taylor series of sin and cos at
+TAN_DIGITS, which keeps about 80 digits of a cos as small as the 1e-17
+that a double argument below pi/2 can reach.
 """
 
 import decimal
 from decimal import Decimal
 
 HIGH = 2000
+TAN_DIGITS = 120
 
 
 def _exp_neg(x: Decimal) -> Decimal:
@@ -68,3 +76,30 @@ def block_at(om_minus: float, om_plus: float, b: float, t: float) -> tuple:
                 bb * bb * (1 - e) / (4 * den)
         den = 4 * tt * p + 1
         return p / den, p / den, bb * bb / (den * den), (p / 16) * (1 - 1 / den)
+
+
+def _tan(x: Decimal) -> Decimal:
+    """tan x for 0 <= x < pi/2; the series stops at a term below
+    10^(-2 TAN_DIGITS), where a cos as small as 1e-17 and a sin as small as
+    x, down to x = 10^-TAN_DIGITS, have all their digits."""
+    with decimal.localcontext(prec=TAN_DIGITS):
+        x = +x
+        sin = cos = Decimal(0)
+        term, k = Decimal(1), 0  # term = (-1)^(k//2) x^k / k!
+        while abs(term) >= Decimal(10) ** (-2 * TAN_DIGITS):
+            if k % 2:
+                sin += term
+            else:
+                cos += term
+            k += 1
+            term = term * x / k * (-1 if k % 2 == 0 else 1)
+        return sin / cos
+
+
+def blowup_at(b: float, t: float) -> tuple:
+    """(om(t), b(t)^2, int_0^t b^2) as Decimals for the block Omega = 0 with
+    b > 0, at a t below its blow-up time pi / (16 b)."""
+    with decimal.localcontext(prec=HIGH):
+        bb = Decimal(b)
+        tan = _tan(8 * bb * Decimal(t))
+        return -2 * bb * tan, bb * bb * (1 + tan * tan), bb * tan / 8

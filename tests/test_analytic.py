@@ -7,12 +7,14 @@ evaluate the textbook forms of analytic_reference in decimal instead.
 
 import decimal
 import math
+import sys
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from analytic_reference import block_at
+from analytic_reference import HIGH, block_at, blowup_at
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -336,6 +338,48 @@ def test_exact_block_against_a_decimal_reference(block):
             err = abs(Decimal(value) - want)
             assert err <= Decimal(ulps * EPS) * want or err <= EPS * floor + ULPS * TINY, \
                 (name, block, t)
+
+
+@example(b=1.0)
+@example(b=1e-7)
+@example(b=1.734375)  # 8bt at the last float below T_max rounds to the double nearest pi/2
+@example(b=2.0 ** -500)
+@example(b=2.0 ** 500)
+@given(b=st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-500, 500)))
+def test_exact_blowup_against_a_decimal_reference(b):
+    # the argument x = 8bt of tan is rounded once, by at most half an ulp,
+    # so each value is the reference at a time within t (1 +- 2^-53), to
+    # ULPS for the few roundings of its form; to first order that is ULPS +
+    # cond(x) ulps with cond(x) = x / (sin x cos x), but not where the
+    # rounding is as large as the distance to the pole: at b = 1.734375 the
+    # last float below T_max rounds x from 1.7e-16 below pi/2 to the double
+    # nearest pi/2, 6.1e-17 below it, and b_t^2 is 7.4 times the true value.
+    # Where t (1 + 2^-53) is past the blow-up, or b_t^2 there past the
+    # float range, the value has no upper bound.  Over 3000 draws the worst
+    # value lay 2.2 ulps outside its interval on b_t^2, 0.65 on om and int b^2
+    tmax = analytic.blowup_time(b)
+    for t in [c * tmax for c in (0.0, 1e-9, 0.05, 0.5, 0.9, 1.0 - 2.0 ** -20)] \
+            + [math.nextafter(tmax, 0.0)]:
+        om, om_plus, bt2, ib = analytic.exact_block(0.0, 0.0, b, t)
+        assert om_plus == om
+        with decimal.localcontext(prec=HIGH):
+            lo, hi = (blowup_at(b, Decimal(t) * (1 + s * Decimal(2) ** -53)) for s in (-1, 1))
+        slack = Decimal(ULPS * EPS)
+        for name, value, low, high in zip(("om", "b_t^2", "int b^2"), (om, bt2, ib), lo, hi):
+            top = abs(high) * (1 + slack)
+            if hi[2] < 0 or top >= Decimal(sys.float_info.max):  # tan < 0: past pi/2
+                top = Decimal("Infinity")
+            assert abs(low) * (1 - slack) <= abs(Decimal(value)) <= top, (name, b, t)
+
+
+def test_exact_block_passes_the_float_range_without_warnings():
+    # b_t^2 past the float range is inf, returned quietly; the product and
+    # the power that formed it each warned of an overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analytic.exact_block(7.9e158, 7.9e158, 3.9e158, 0.0)[2] == math.inf
+        t = 0.5 * analytic.blowup_time(1e200)
+        assert analytic.exact_block(0.0, 0.0, 1e200, t)[2] == math.inf
 
 
 def _int_b2_by_quadrature(block, t, nodes=64):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import io
 import json
@@ -523,9 +522,8 @@ def test_oracle_writes_spec_file(tmp_path, capsys):
     assert cli.load_spec(str(out)).dim == 2
 
 
-def test_batch_worst_code_and_parallel(generic_file, blowup_file, capsys):
-    code = cli.main(["batch", generic_file, blowup_file,
-                     "--t-end", "1", "--jobs", "2"])
+def test_batch_worst_code(generic_file, blowup_file, capsys):
+    code = cli.main(["batch", generic_file, blowup_file, "--t-end", "1"])
     out = capsys.readouterr().out
     assert code == cli.EXIT_BLOWUP
     assert f"== {generic_file} (exit 0)" in out
@@ -778,9 +776,9 @@ _HANDLERS = {"cli_check", "cli_run", "cli_diag", "cli_fock_verify", "cli_oracle"
 ], ids=["import", "check", "run", "diag", "fock-verify", "oracle", "batch"])
 def test_command_loads_only_its_modules(tmp_path, argv, handlers, unloaded):
     # each command in a fresh interpreter: the import alone loads the front
-    # end (and not batch's concurrent.futures), a command adds its own
-    # handler module and what it runs, and none loads scipy, numpy.ma or
-    # dataclasses
+    # end, a command adds its own handler module and what it runs, and none
+    # loads scipy, numpy.ma, dataclasses, concurrent.futures or
+    # multiprocessing
     spec = str(tmp_path / "readme.json")
     assert cli.main(["oracle", "generic", "1", "2", "0.5", "--out", spec]) == cli.EXIT_OK
     proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER,
@@ -792,11 +790,11 @@ def test_command_loads_only_its_modules(tmp_path, argv, handlers, unloaded):
     ours = {m for m in loaded if m.split(".")[0] == "bwflow"}
     if not argv:
         assert ours == {"bwflow", "bwflow.cli", "bwflow.errors", "bwflow.opcore"}
-        assert "concurrent.futures" not in loaded
     assert {m.partition(".")[2] for m in ours} & _HANDLERS == set(handlers)
     assert not ours & {f"bwflow.{name}" for name in unloaded}
-    assert not {m for m in loaded if m.split(".")[0] in ("scipy", "dataclasses")
-                or m.split(".")[:2] == ["numpy", "ma"]}
+    assert not {m for m in loaded
+                if m.split(".")[0] in ("scipy", "dataclasses", "multiprocessing")
+                or m.split(".")[:2] in (["numpy", "ma"], ["concurrent", "futures"])}
 
 
 def _imported(importtime_log: str) -> list:
@@ -914,10 +912,10 @@ def test_removed_options_exit_2(generic_file, tmp_path, command, options):
     assert "unrecognized arguments" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_batch_validates_its_options_once(generic_file, blowup_file, tmp_path, jobs):
-    proc = _run_cli(["batch", generic_file, blowup_file, "--tol", "nan", "--jobs", jobs],
-                    cwd=tmp_path)
+@pytest.mark.parametrize("n_specs", [1, 2])
+def test_batch_validates_its_options_once(generic_file, blowup_file, tmp_path, n_specs):
+    specs = [generic_file, blowup_file][:n_specs]
+    proc = _run_cli(["batch", *specs, "--tol", "nan"], cwd=tmp_path)
     assert proc.returncode == cli.EXIT_PARSE
     assert proc.stdout == ""
     assert proc.stderr.startswith("parse error:") and "Traceback" not in proc.stderr
@@ -1016,19 +1014,21 @@ def test_batch_csv_dir_under_a_file_exits_2(generic_file, tmp_path, capsys):
         assert err.startswith(f"error: OutputError: cannot make directory {csv_dir}")
         assert err.count("\n") == 1
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_batch_csv_dir_refuses_two_specs_with_one_stem(generic_file, tmp_path, capsys, jobs):
-    # both would write csvs/generic.csv: refused before any spec is run
+@pytest.mark.parametrize("position", [1, 2])
+def test_batch_csv_dir_refuses_two_specs_with_one_stem(generic_file, tmp_path, capsys, position):
+    # both would write csvs/generic.csv: refused before any spec is run, and
+    # named in command-line order wherever the original spec stands
     twin = tmp_path / "twin" / "generic.json"
     twin.parent.mkdir()
     twin.write_text(open(generic_file).read())
+    first, second = (generic_file, str(twin)) if position == 1 else (str(twin), generic_file)
     csv_dir = tmp_path / "csvs"
-    assert cli.main(["batch", generic_file, str(twin), "--t-end", "1", "--jobs", jobs,
+    assert cli.main(["batch", first, second, "--t-end", "1",
                      "--csv-dir", str(csv_dir)]) == cli.EXIT_PARSE
     out, err = capsys.readouterr()
     assert out == ""
     assert err == (f"error: OutputError: cannot write {csv_dir / 'generic.csv'} "
-                   f"for both {generic_file} and {twin}\n")
+                   f"for both {first} and {second}\n")
     assert not csv_dir.exists()
 
 
@@ -1237,40 +1237,14 @@ def test_batch_gives_each_spec_the_exit_code_of_run(generic_file, monkeypatch, c
     assert capsys.readouterr().out == f"== {generic_file} (exit 4)\n" + report
 
 
-@pytest.mark.parametrize("jobs, n_specs, cpus, workers", [
-    (100000, 2, 8, 2), (3, 5, 2, 2), (4, 3, None, None), (1, 3, 8, None), (8, 1, 8, None),
-])
-def test_batch_caps_its_workers(generic_file, monkeypatch, capsys, jobs, n_specs, cpus, workers):
-    # the pool forks every worker it is given at the first submit; record the
-    # size it is asked for and run the specs in this process instead
-    asked = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    code = cli.main(["batch", *[generic_file] * n_specs, "--t-end", "1", "--jobs", str(jobs)])
-    assert code == cli.EXIT_OK
-    assert asked == ([] if workers is None else [workers])
-    assert capsys.readouterr().out.count("(exit 0)") == n_specs
-
-
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["-3", "0"])
 def test_batch_rejects_jobs_below_1(generic_file, capsys, jobs):
-    assert cli.main(["batch", generic_file, "--jobs", jobs]) == cli.EXIT_PARSE
+    # batch runs its specs in order in one process: it takes no --jobs at all
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["batch", generic_file, "--jobs", jobs])
+    assert exc.value.code == cli.EXIT_PARSE
     out = capsys.readouterr()
-    assert out.out == "" and out.err == "parse error: jobs must be at least 1\n"
+    assert out.out == "" and f"unrecognized arguments: --jobs {jobs}" in out.err
 
 
 _LADDER = (0.0, 1e-300, 1e-160, 1e-20, 1e-8, 0.5, 1.0, 3.0, 1e4, 1e20, 1e40, 1e150)
